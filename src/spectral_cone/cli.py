@@ -130,9 +130,22 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    seed = args.seed
+def _seed(args) -> int:
+    """--seed, else SPECTRAL_CONE_SEED, else DEFAULT_SEED."""
+    if args.seed is not None:
+        return args.seed
+    env_seed = os.environ.get("SPECTRAL_CONE_SEED")
+    if not env_seed:
+        return DEFAULT_SEED
     try:
+        return int(env_seed)
+    except ValueError:
+        raise ValueError(f"SPECTRAL_CONE_SEED must be an integer, got {env_seed!r}") from None
+
+
+def cmd_check(args) -> int:
+    try:
+        seed = _seed(args)
         if args.kind == "concavity":
             if not args.algebra:
                 raise ValueError("check concavity requires --algebra")
@@ -184,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    env_seed = os.environ.get("SPECTRAL_CONE_SEED")
-    seed_default = int(env_seed) if env_seed else DEFAULT_SEED
-
     p_dec = sub.add_parser("decompose", help="orthogonal decomposition of a cone element")
     p_dec.add_argument("--space", required=True)
     p_dec.add_argument("--element", required=True,
@@ -203,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--algebra", help="e.g. complex2, quaternion3, spin5")
     p_chk.add_argument("--trials", type=int, default=200)
     p_chk.add_argument("--tol", type=float, default=None)
-    p_chk.add_argument("--seed", type=int, default=seed_default)
+    p_chk.add_argument("--seed", type=int, default=None)
     p_chk.add_argument("--out")
     p_chk.add_argument("--format", choices=["json"], default="json")
     p_chk.set_defaults(func=cmd_check)

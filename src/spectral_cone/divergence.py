@@ -26,7 +26,7 @@ import numpy as np
 from . import geometries as geo
 from . import jordan
 from .cone import AffineFunctional, State, evaluate, mix
-from .errors import PreconditionError
+from .errors import PreconditionError, require_count
 
 INTERIOR_EPS = 1e-12
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -322,7 +322,12 @@ def divergence_zoo(space) -> list:
 # ---------------------------------------------------------------------------
 
 def _extended_gap(a: float, b: float) -> float:
-    """|a - b| in the extended reals; equal infinities are distance 0."""
+    """|a - b| in the extended reals; equal infinities are distance 0.
+
+    A NaN on either side is an infinite gap, so no tolerance can pass it.
+    """
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
     a_inf, b_inf = math.isinf(a), math.isinf(b)
     if a_inf and b_inf:
         return 0.0 if a == b else math.inf
@@ -420,6 +425,7 @@ def check_locality(div: Divergence, space, trials: int = 1000,
     alongside.  Gaps compare extended reals, so two divergences that are
     both infinite agree.
     """
+    require_count("trials", trials)
     rng = np.random.default_rng(seed)
     bary = State(space, space.barycenter_coords())
 
@@ -627,7 +633,7 @@ def builtin_channel_suite(space, rng: np.random.Generator) -> list:
         if space.n >= 2:
             pairs.append(_unitary_conjugation_pair(space, rng, pinch=True))
         return pairs
-    raise TypeError(f"no builtin channel suite for {space!r}")
+    raise ValueError(f"no builtin channel suite for {space!r}")
 
 
 def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1e-9,
@@ -639,6 +645,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
     failures, not divergence failures) and compares D(phi s1, phi s2)
     against D(s1, s2).
     """
+    require_count("trials", trials)
     rng = np.random.default_rng(seed)
     suite = channel_suite if channel_suite is not None else builtin_channel_suite(space, rng)
     bary = State(space, space.barycenter_coords())

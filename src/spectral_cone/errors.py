@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
 
 
 class SpectralConeError(Exception):
@@ -35,3 +35,9 @@ class DomainError(SpectralConeError, ValueError):
 
 class PreconditionError(SpectralConeError, ValueError):
     """A checker precondition (e.g. reversibility, locality) failed."""
+
+
+def require_count(name: str, value: int) -> None:
+    """Reject a trial count or size below 1: a check over nothing passes vacuously."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")

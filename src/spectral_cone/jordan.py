@@ -7,10 +7,10 @@ functional calculus, directional and trace derivatives of matrix functions
 (divided-difference formulas), and the numerical checkers for strict
 concavity of entropy and positive definiteness of the trace form.
 
-Eigendecompositions use cyclic Jacobi sweeps on the complex side; real
-matrices are diagonalized as complex matrices with zero imaginary part, and
-quaternionic matrices through the complex embedding (eigenvalues appear with
-even multiplicity and are deduplicated on pull-back).
+Eigendecompositions run LAPACK heevd (numpy.linalg.eigh) on the complex
+side; real matrices are diagonalized as complex matrices with zero imaginary
+part, and quaternionic matrices through the complex embedding (eigenvalues
+appear with even multiplicity and are deduplicated on pull-back).
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from typing import Callable
 import numpy as np
 
 from . import quaternion as quat
-from .errors import DomainError
+from .errors import DomainError, require_count
 
 RINGS = ("real", "complex", "quaternion")
 
 HERMITIAN_TOL = 1e-12
 CLUSTER_RTOL = 1e-9
-JACOBI_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -47,16 +46,7 @@ class HermitianMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.ring not in RINGS:
-            raise ValueError(f"unknown ring {self.ring!r}")
-        data = np.asarray(self.data, dtype=float if self.ring != "complex" else complex)
-        if self.ring == "quaternion":
-            data = quat.qarray(data)
-            if data.ndim != 3 or data.shape[0] != data.shape[1]:
-                raise ValueError("quaternion matrix data must have shape (n, n, 4)")
-        else:
-            if data.ndim != 2 or data.shape[0] != data.shape[1]:
-                raise ValueError("matrix data must be square")
+        data = _ring_array(self.ring, self.data)
         scale = max(1.0, float(np.max(np.abs(data))))
         defect = np.max(np.abs(data - _conj_transpose(self.ring, data)))
         if defect > HERMITIAN_TOL * scale:
@@ -65,20 +55,37 @@ class HermitianMatrix:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def _trusted(cls, ring: str, data: np.ndarray) -> "HermitianMatrix":
+        """Wrap data of a known ring and shape that is exactly Hermitian.
+
+        Skips the defect check and the re-symmetrization, which would leave
+        such data bit-for-bit unchanged.  The array is frozen in place, so
+        callers pass one that nothing else holds.
+        """
+        data = np.asarray(data, dtype=complex if ring == "complex" else float)
+        data.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "data", data)
+        return out
+
     @property
     def n(self) -> int:
         return self.data.shape[0]
 
+    # Sums, differences and real multiples of exactly Hermitian matrices are
+    # exactly Hermitian in IEEE arithmetic: conjugation only flips signs.
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._check_compatible(other)
-        return HermitianMatrix(self.ring, self.data + other.data)
+        return HermitianMatrix._trusted(self.ring, self.data + other.data)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._check_compatible(other)
-        return HermitianMatrix(self.ring, self.data - other.data)
+        return HermitianMatrix._trusted(self.ring, self.data - other.data)
 
     def scale(self, c: float) -> "HermitianMatrix":
-        return HermitianMatrix(self.ring, float(c) * self.data)
+        return HermitianMatrix._trusted(self.ring, float(c) * self.data)
 
     def matmul(self, other: "HermitianMatrix") -> np.ndarray:
         """Raw ring product; the result is generally not Hermitian."""
@@ -117,6 +124,21 @@ class HermitianMatrix:
         return cls(ring, np.zeros((n, n), dtype=dtype))
 
 
+def _ring_array(ring: str, data) -> np.ndarray:
+    """Matrix data coerced to the ring's dtype, checked to be square."""
+    if ring not in RINGS:
+        raise ValueError(f"unknown ring {ring!r}")
+    if ring == "quaternion":
+        data = quat.qarray(data)
+        if data.ndim != 3 or data.shape[0] != data.shape[1]:
+            raise ValueError("quaternion matrix data must have shape (n, n, 4)")
+        return data
+    data = np.asarray(data, dtype=complex if ring == "complex" else float)
+    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+        raise ValueError("matrix data must be square")
+    return data
+
+
 def _conj_transpose(ring: str, data: np.ndarray) -> np.ndarray:
     if ring == "quaternion":
         return quat.qmat_conj_transpose(data)
@@ -124,11 +146,15 @@ def _conj_transpose(ring: str, data: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(ring: str, raw: np.ndarray) -> HermitianMatrix:
-    """Build a HermitianMatrix from raw data by symmetrizing."""
-    sym = (np.asarray(raw) + _conj_transpose(ring, np.asarray(raw))) / 2.0
+    """Build a HermitianMatrix from raw data by symmetrizing.
+
+    (A + A*) / 2 is exactly Hermitian in IEEE arithmetic, so the result
+    needs no defect check.
+    """
     if ring == "real":
-        sym = np.real(sym)
-    return HermitianMatrix(ring, sym)
+        raw = np.real(raw)
+    raw = _ring_array(ring, raw)
+    return HermitianMatrix._trusted(ring, (raw + _conj_transpose(ring, raw)) / 2.0)
 
 
 def ring_matmul(ring: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,87 +195,16 @@ def jordan_associator_norm(x: HermitianMatrix, y: HermitianMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigendecomposition
+# Eigendecomposition
 # ---------------------------------------------------------------------------
 
-def jacobi_eigh(matrix, tol: float = JACOBI_TOL, max_sweeps: int = 60,
-                want_vectors: bool = True):
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    tol * ||A||_F.  Returns eigenvalues in ascending order and, when
-    requested, the matching orthonormal eigenvector columns.
-    """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - np.conj(a.T))) > 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian")
-    a = (a + np.conj(a.T)) / 2.0
-    v = np.eye(n, dtype=complex) if want_vectors else None
-    if n == 1:
-        w = np.array([a[0, 0].real])
-        return (w, v) if want_vectors else (w, None)
-
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        w = np.zeros(n)
-        return (w, v) if want_vectors else (w, None)
-    thresh = tol * norm
-    skip = thresh / (4.0 * n)
-
-    diag_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # measured on the off-diagonal entries themselves; subtracting the
-        # diagonal from the full norm cancels catastrophically near convergence
-        off = math.sqrt(float(np.sum(np.abs(a[diag_mask]) ** 2)))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                w_phase = apq / r
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sw = s * w_phase
-                swc = s * np.conj(w_phase)
-                # rows p, q  <-  U^* applied from the left
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sw * rq
-                a[q, :] = s * rp + c * w_phase * rq
-                # columns p, q  <-  U applied from the right
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - swc * cq
-                a[:, q] = s * cp + c * np.conj(w_phase) * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if want_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - swc * vq
-                    v[:, q] = s * vp + c * np.conj(w_phase) * vq
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if want_vectors:
-        return w, v[:, order]
-    return w, None
+def _eigh(m: HermitianMatrix, vectors: bool = True):
+    """Ascending eigenvalues of the complex form of m and, when asked, the
+    matching orthonormal eigenvector columns (LAPACK heevd via numpy)."""
+    z = m.to_complex()
+    if vectors:
+        return np.linalg.eigh(z)
+    return np.linalg.eigvalsh(z), None
 
 
 def cluster_indices(values: np.ndarray, rtol: float = CLUSTER_RTOL) -> list:
@@ -299,7 +254,7 @@ def eigen_hermitian(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> E
     every eigenvalue then shows up with even multiplicity and the
     quaternionic multiplicity is half the complex one.
     """
-    w, v = jacobi_eigh(m.to_complex())
+    w, v = _eigh(m)
     groups = cluster_indices(w, cluster_rtol)
     eigenvalues = []
     multiplicities = []
@@ -327,7 +282,7 @@ def rank_one_components(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) 
     is pulled back from an embedded rank-two projector built from an
     eigenvector and its quaternionic structure partner.
     """
-    w, v = jacobi_eigh(m.to_complex())
+    w, v = _eigh(m)
     if m.ring != "quaternion":
         out = []
         for i in range(w.size):
@@ -356,7 +311,7 @@ def rank_one_components(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) 
 
 def eigenvalues_of(m: HermitianMatrix) -> np.ndarray:
     """Ring eigenvalues in ascending order (deduplicated for quaternions)."""
-    w, _ = jacobi_eigh(m.to_complex(), want_vectors=False)
+    w, _ = _eigh(m, vectors=False)
     if m.ring == "quaternion":
         return w[::2].copy()
     return w
@@ -399,7 +354,7 @@ NEG_XLOGX = ScalarFunction(
 
 def apply_function(fn: ScalarFunction, m: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus: sum of f(eigenvalue) times eigenprojection."""
-    w, v = jacobi_eigh(m.to_complex())
+    w, v = _eigh(m)
     fn.check_domain(w)
     out = (v * fn.f(w)) @ np.conj(v.T)
     if m.ring == "quaternion":
@@ -434,7 +389,7 @@ def directional_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianM
     treated as equal, switching the coefficient to f'.
     """
     a._check_compatible(b)
-    w, v = jacobi_eigh(a.to_complex())
+    w, v = _eigh(a)
     fn.check_domain(w)
     reps = _cluster_representatives(w, cluster_rtol)
     coeff = _divided_difference_matrix(fn.f(reps), fn.df(reps), reps)
@@ -450,7 +405,7 @@ def directional_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianM
 def trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix) -> float:
     """d/dt Tr f(a + t b) at t = 0, computed as Tr(f'(a) b)."""
     a._check_compatible(b)
-    w, v = jacobi_eigh(a.to_complex())
+    w, v = _eigh(a)
     fn.check_domain(w)
     mid_diag = np.real(np.einsum("ij,jk,ki->i", np.conj(v.T), b.to_complex(), v))
     val = float(np.dot(fn.df(w), mid_diag))
@@ -465,7 +420,7 @@ def second_trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: Hermitian
     a._check_compatible(b)
     if fn.d2f is None:
         raise ValueError(f"{fn.name} carries no second derivative oracle")
-    w, v = jacobi_eigh(a.to_complex())
+    w, v = _eigh(a)
     fn.check_domain(w)
     reps = _cluster_representatives(w, cluster_rtol)
     coeff = _divided_difference_matrix(fn.df(reps), fn.d2f(reps), reps)
@@ -651,12 +606,15 @@ def _parse_algebra(algebra) -> tuple:
     """Accept ('complex', 3), 'complex3', ('spin', 5) or 'spin5'."""
     if isinstance(algebra, tuple):
         kind, n = algebra
-        return str(kind), int(n)
-    text = str(algebra)
-    for kind in ("real", "complex", "quaternion", "spin"):
-        if text.startswith(kind):
-            return kind, int(text[len(kind):])
-    raise ValueError(f"cannot parse algebra descriptor {algebra!r}")
+        kind, n = str(kind), int(n)
+    else:
+        text = str(algebra)
+        kind = next((k for k in ("real", "complex", "quaternion", "spin") if text.startswith(k)), None)
+        if kind is None:
+            raise ValueError(f"cannot parse algebra descriptor {algebra!r}")
+        n = int(text[len(kind):])
+    require_count("algebra size", n)
+    return kind, n
 
 
 def check_concavity(algebra, trials: int = 200, seed: int = 0,
@@ -670,6 +628,7 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
     state segments.
     """
     kind, n = _parse_algebra(algebra)
+    require_count("trials", trials)
     rng = np.random.default_rng(seed)
     max_second = -math.inf
     max_rel_err = 0.0
@@ -731,6 +690,7 @@ def _random_in_ball(rng: np.random.Generator, d: int) -> np.ndarray:
 def euclidean_check(algebra, trials: int = 200, seed: int = 0) -> dict:
     """Positive definiteness of the trace form: Tr(x o x) > 0 for x != 0."""
     kind, n = _parse_algebra(algebra)
+    require_count("trials", trials)
     rng = np.random.default_rng(seed)
     min_value = math.inf
     for _ in range(trials):

@@ -22,7 +22,7 @@ from . import geometries as geo
 from . import jordan
 from .cone import ConeElement, State
 from .decomposition import OrthogonalDecomposition, Spectrum
-from .errors import ApexError, NonSpectralSpaceError
+from .errors import ApexError, NonSpectralSpaceError, require_count
 
 __all__ = [
     "Spectrum",
@@ -163,6 +163,7 @@ def is_spectral(space, samples: int = 40, seed: int = 0) -> SpectralityReport:
     then at random states; two decompositions of one state with different
     spectra witness failure.
     """
+    require_count("samples", samples)
     if isinstance(space, (geo.Simplex, geo.Ball, geo.DensityMatrices)):
         return SpectralityReport(True, "analytic", 0, seed)
     if not isinstance(space, geo.Polytope):

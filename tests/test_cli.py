@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from spectral_cone import cli
 
@@ -98,6 +99,52 @@ def test_check_sufficiency(capsys):
 def test_check_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "concavity", "--trials", "5")
     assert code == 1 and "algebra" in err
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_sufficiency_without_channel_suite_exit_1(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "sufficiency", "--space", "disc", "--divergence", "kl", "--trials", "5"
+    )
+    assert_one_line_error(code, out, err)
+    assert "channel suite" in err
+
+
+CHECK_ARGS = {
+    "locality": ("--space", "simplex3", "--divergence", "kl"),
+    "sufficiency": ("--space", "simplex3", "--divergence", "kl"),
+    "spectrality": ("--space", "square"),
+    "concavity": ("--algebra", "complex2"),
+}
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("kind", sorted(CHECK_ARGS))
+def test_check_rejects_trial_count_below_one(capsys, kind, trials):
+    code, out, err = run_cli(capsys, "check", kind, *CHECK_ARGS[kind], "--trials", trials)
+    assert_one_line_error(code, out, err)
+    assert "trials" in err or "samples" in err
+
+
+@pytest.mark.parametrize("algebra", ["quaternion0", "spin0"])
+def test_check_concavity_rejects_empty_algebra(capsys, algebra):
+    code, out, err = run_cli(capsys, "check", "concavity", "--algebra", algebra, "--trials", "5")
+    assert_one_line_error(code, out, err)
+    assert "algebra size" in err
+
+
+def test_non_integer_seed_env_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("SPECTRAL_CONE_SEED", "abc")
+    code, out, err = run_cli(
+        capsys, "check", "locality", "--space", "simplex3", "--divergence", "kl", "--trials", "5"
+    )
+    assert_one_line_error(code, out, err)
+    assert "SPECTRAL_CONE_SEED" in err
 
 
 def test_landscape_square(tmp_path, capsys):

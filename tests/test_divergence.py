@@ -206,6 +206,13 @@ def test_reversed_order_mixture_regret_is_log_one_minus_p():
     assert abs(kl(s0, sc.mix([0.5, 0.5], [s0, s1])) - LN2) <= 1e-12
 
 
+def test_nan_divergence_fails_locality():
+    nan_div = dv.Divergence("nan", "test", lambda s1, s2: math.nan)
+    report = dv.check_locality(nan_div, SIMPLEX3, trials=5, seed=0)
+    assert report["pass"] is False
+    assert report["max_gap"] == math.inf
+
+
 def test_locality_vacuous_on_small_spaces():
     report = dv.check_locality(dv.kl_divergence(), geo.Simplex(2), trials=20, seed=0)
     assert report["vacuous"] and report["pass"]
@@ -277,6 +284,13 @@ def test_sufficiency_precondition_violation_reported():
     report = dv.check_sufficiency(dv.kl_divergence(), SIMPLEX3, channel_suite=[bad], trials=10, seed=2)
     assert report["precondition_violations"] > 0
     assert not report["pass"]
+
+
+def test_nan_divergence_fails_sufficiency():
+    nan_div = dv.Divergence("nan", "test", lambda s1, s2: math.nan)
+    report = dv.check_sufficiency(nan_div, SIMPLEX3, trials=5, seed=0)
+    assert report["pass"] is False
+    assert report["max_gap"] == math.inf
 
 
 def test_sufficiency_implies_locality_over_zoo():

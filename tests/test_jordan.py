@@ -1,8 +1,9 @@
 """Tests for Jordan-algebra arithmetic, eigendecomposition and derivatives.
 
-numpy.linalg serves as the independent oracle throughout: our cyclic Jacobi
-solver, divided-difference derivatives and entropy formulas are checked
-against eigvalsh/eigh and central finite differences.
+Closed forms, numpy.linalg eigvalsh on the complex embedding and central
+finite differences serve as the independent oracles: the eigendecomposition
+into idempotents, divided-difference derivatives and entropy formulas are
+checked against them.
 """
 
 import math
@@ -24,7 +25,6 @@ from spectral_cone.jordan import (
     directional_derivative,
     eigen_hermitian,
     euclidean_check,
-    jacobi_eigh,
     jordan_product,
     rank_one_components,
     second_trace_derivative,
@@ -115,6 +115,37 @@ def test_hermitian_validation():
         HermitianMatrix("bogus", np.eye(2))
 
 
+@pytest.mark.parametrize("ring", RINGS)
+def test_public_constructor_rejects_non_hermitian(ring):
+    rng = np.random.default_rng(11)
+    shape = (3, 3, 4) if ring == "quaternion" else (3, 3)
+    raw = rng.standard_normal(shape)
+    if ring == "complex":
+        raw = raw + 1j * rng.standard_normal(shape)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix(ring, raw)
+    with pytest.raises(ValueError):
+        jordan.hermitian_part(ring, raw[:2])
+
+
+def _defect(m: HermitianMatrix) -> float:
+    return float(np.max(np.abs(m.data - jordan._conj_transpose(m.ring, m.data))))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_trusted_results_are_exactly_hermitian_and_frozen(ring):
+    # the trusted path skips the defect check, so its results must have none
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x = jordan.random_hermitian(ring, 4, rng)
+        y = jordan.random_hermitian(ring, 4, rng).scale(rng.uniform(1e-8, 1e8))
+        for m in (x, y, x + y, x - y, y - x, x.scale(rng.standard_normal() * 1e-3),
+                  jordan.jordan_product(x, y)):
+            assert m.ring == ring
+            assert _defect(m) == 0.0
+            assert not m.data.flags.writeable
+
+
 def test_jordan_product_unit_and_square():
     rng = np.random.default_rng(3)
     for ring in RINGS:
@@ -158,20 +189,24 @@ def test_spin_product_rules():
 # eigendecomposition
 # ---------------------------------------------------------------------------
 
-def test_jacobi_matches_numpy():
-    rng = np.random.default_rng(6)
-    for n in (2, 3, 5, 8):
-        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (h + h.conj().T) / 2
-        w, v = jacobi_eigh(h)
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-11)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-12)
-        np.testing.assert_allclose((v * w) @ v.conj().T, h, atol=1e-11)
+@pytest.mark.parametrize("ring", RINGS)
+def test_eigen_one_by_one(ring):
+    m = HermitianMatrix.identity(ring, 1).scale(0.7)
+    dec = eigen_hermitian(m)
+    assert dec.eigenvalues == pytest.approx((0.7,), abs=1e-15)
+    assert dec.multiplicities == (1,)
+    assert (dec.idempotents[0] - HermitianMatrix.identity(ring, 1)).frobenius_norm() <= 1e-15
+    np.testing.assert_allclose(jordan.eigenvalues_of(m), [0.7], atol=1e-15)
 
 
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+@pytest.mark.parametrize("ring", RINGS)
+def test_eigen_zero_matrix(ring):
+    m = HermitianMatrix.zeros(ring, 3)
+    dec = eigen_hermitian(m)
+    assert dec.eigenvalues == (0.0,)
+    assert dec.multiplicities == (3,)
+    assert (dec.idempotents[0] - HermitianMatrix.identity(ring, 3)).frobenius_norm() <= 1e-12
+    np.testing.assert_array_equal(jordan.eigenvalues_of(m), np.zeros(3))
 
 
 def test_eigen_diagonal_matrix():
@@ -480,6 +515,13 @@ def test_parse_algebra_strings():
     assert jordan._parse_algebra(("spin", 5)) == ("spin", 5)
     with pytest.raises(ValueError):
         jordan._parse_algebra("octonion3")
+    with pytest.raises(ValueError, match="algebra size"):
+        jordan._parse_algebra(("real", 0))
+
+
+def test_euclidean_check_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials"):
+        euclidean_check("complex2", trials=0)
 
 
 def test_scalar_function_derivative_oracles():
