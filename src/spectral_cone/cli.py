@@ -190,8 +190,15 @@ def cmd_landscape(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing usage, so main reports one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-cone",
         description="Decompositions, entropy and divergence checks on convex state spaces.",
     )
@@ -202,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--element", required=True,
                        help='JSON coords list or {"trace": t, "coords": [...]}, or @file')
     p_dec.add_argument("--out")
-    p_dec.add_argument("--format", choices=["json"], default="json")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_chk = sub.add_parser("check", help="run a verification suite")
@@ -215,14 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--tol", type=float, default=None)
     p_chk.add_argument("--seed", type=int, default=None)
     p_chk.add_argument("--out")
-    p_chk.add_argument("--format", choices=["json"], default="json")
     p_chk.set_defaults(func=cmd_check)
 
     p_land = sub.add_parser("landscape", help="entropy grid over a 2D space")
     p_land.add_argument("--space", required=True)
     p_land.add_argument("--grid", type=int, default=101)
     p_land.add_argument("--out")
-    p_land.add_argument("--format", choices=["csv"], default="csv")
     p_land.set_defaults(func=cmd_landscape)
 
     return parser
@@ -232,7 +236,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except SystemExit as exc:  # --help
         return 1 if exc.code not in (0, None) else 0
     return args.func(args)
 

@@ -9,7 +9,6 @@ descriptor object exposing ``coords_len``, ``contains_state`` and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,12 +119,6 @@ def cone_add(x: ConeElement, y: ConeElement) -> ConeElement:
     return ConeElement(x.space, total, coords)
 
 
-def scale(x: ConeElement, lam: float) -> ConeElement:
-    if lam < 0.0:
-        raise NotInConeError("cone elements scale by nonnegative factors only")
-    return ConeElement(x.space, lam * x.trace_weight, x.coords)
-
-
 @dataclass(frozen=True)
 class AffineFunctional:
     """An affine map on the embedding space: x -> linear . x + offset.
@@ -167,7 +160,3 @@ def is_test(a: AffineFunctional, space, tol: float = MEMBERSHIP_TOL) -> bool:
     """
     lo, hi = space.functional_range(a)
     return lo >= -tol and hi <= 1.0 + tol
-
-
-def state_to_json(s: ConeElement) -> str:
-    return json.dumps(s.to_json(), sort_keys=True)

@@ -35,9 +35,9 @@ class Spectrum:
         return out
 
     def entropy(self) -> float:
-        w = self.weights[self.weights > 0.0]
-        out = float(-np.sum(w * np.log(w)))
-        return abs(out) if out == 0.0 else out
+        from .spectral import weights_entropy  # local import to avoid a cycle
+
+        return float(weights_entropy(self.weights))
 
     def __len__(self) -> int:
         return int(self.weights.size)

@@ -295,6 +295,8 @@ def divergence_from_action_set(actions) -> Divergence:
 
 
 def builtin_divergence(name: str, space) -> Divergence:
+    if name in ("kl", "itakura_saito") and isinstance(space, geo.DensityMatrices):
+        raise ValueError(f"{name} is a vector divergence; use matrix_negentropy on a density-matrix space")
     if name == "kl":
         return kl_divergence()
     if name == "squared_euclidean":

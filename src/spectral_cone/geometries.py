@@ -64,9 +64,10 @@ class Simplex:
     def coords_len(self) -> int:
         return self.n
 
-    def contains_state(self, coords, tol=1e-9) -> bool:
+    def contains_state(self, coords, tol=1e-9):
+        """Membership of one point, or of every row of a (..., n) array."""
         coords = np.asarray(coords, dtype=float)
-        return float(np.min(coords)) >= -tol and abs(float(np.sum(coords)) - 1.0) <= tol
+        return (np.min(coords, axis=-1) >= -tol) & (np.abs(np.sum(coords, axis=-1) - 1.0) <= tol)
 
     def barycenter_coords(self) -> np.ndarray:
         return np.full(self.n, 1.0 / self.n)
@@ -114,10 +115,11 @@ class Polytope:
     def vertex_array(self) -> np.ndarray:
         return _polytope_geometry(self).vertex_array
 
-    def contains_state(self, coords, tol=1e-9) -> bool:
+    def contains_state(self, coords, tol=1e-9):
+        """Membership of one point, or of every row of a (..., dim) array."""
         geo = _polytope_geometry(self)
         coords = np.asarray(coords, dtype=float)
-        return float(np.max(geo.facet_normals @ coords + geo.facet_offsets)) <= tol
+        return np.max(coords @ geo.facet_normals.T + geo.facet_offsets, axis=-1) <= tol
 
     def barycenter_coords(self) -> np.ndarray:
         return np.mean(self.vertex_array, axis=0)
@@ -153,8 +155,9 @@ class Ball:
     def coords_len(self) -> int:
         return self.d
 
-    def contains_state(self, coords, tol=1e-9) -> bool:
-        return float(np.linalg.norm(coords)) <= 1.0 + tol
+    def contains_state(self, coords, tol=1e-9):
+        """Membership of one point, or of every row of a (..., d) array."""
+        return np.linalg.norm(coords, axis=-1) <= 1.0 + tol
 
     def barycenter_coords(self) -> np.ndarray:
         return np.zeros(self.d)
@@ -176,9 +179,6 @@ class SpinFactor(Ball):
     """
 
     kind = "spin"
-
-    def spin_element(self, s: State) -> jordan.SpinElement:
-        return jordan.SpinElement(0.5, np.asarray(s.coords) / 2.0)
 
     def to_json(self) -> dict:
         return {"kind": "spin", "d": self.d}
@@ -362,15 +362,6 @@ class _CliqueSystem:
         self.determined = self.rank == len(idx)
         self.pinv = np.linalg.pinv(self.matrix) if self.determined else None
 
-    def solve(self, rhs, scale):
-        """Unique nonnegative solution of (vertices | ones) w = rhs, or None."""
-        w = self.pinv @ rhs
-        if float(np.min(w)) < -WEIGHT_DROP_TOL * scale:
-            return None
-        if float(np.max(np.abs(self.matrix @ w - rhs))) > SINGULARITY_TOL * max(1.0, scale):
-            return None
-        return np.clip(w, 0.0, None)
-
 
 @lru_cache(maxsize=None)
 def _orthogonality_graph(space: Polytope) -> np.ndarray:
@@ -401,25 +392,49 @@ def _clique_systems(space: Polytope) -> tuple:
     return tuple(cliques)
 
 
+@lru_cache(maxsize=None)
+def _clique_stacks(space: Polytope) -> tuple:
+    """(idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of the determined cliques, per size k."""
+    determined = [s for s in _clique_systems(space) if s.determined]
+    groups = [list(g) for _, g in itertools.groupby(determined, key=lambda s: len(s.idx))]
+    return tuple((np.array([s.idx for s in g]), np.stack([s.pinv for s in g]),
+                  np.stack([s.matrix for s in g])) for g in groups)
+
+
+def _clique_solutions(space: Polytope, coords, total, max_size):
+    """Solve every determined clique system for the N points total * coords[i] at once.
+
+    Yields per clique size k <= max_size, in clique order, (idx, w, kept):
+    vertex indices (G, k), weights clipped at 0 (G, k, N), and kept, true
+    for weights above WEIGHT_DROP_TOL * scale of systems that solve the point
+    (no weight below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL).
+    """
+    scale = max(1.0, total)
+    rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
+    for idx, pinv, matrix in _clique_stacks(space):
+        if idx.shape[1] > max_size:
+            break
+        w = pinv @ rhs
+        residual = np.max(np.abs(matrix @ w - rhs), axis=1)
+        ok = (np.min(w, axis=1) >= -WEIGHT_DROP_TOL * scale) & (
+            residual <= SINGULARITY_TOL * max(1.0, scale))
+        w = np.clip(w, 0.0, None)
+        yield idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)
+
+
 def _determined_solutions(space: Polytope, state_coords, total, max_size):
     """(weights, support) for every determined clique system that solves x."""
-    rhs = np.append(total * np.asarray(state_coords, dtype=float), total)
-    scale = max(1.0, total)
+    coords = np.asarray(state_coords, dtype=float)[None, :]
     seen = set()
     out = []
-    for sys_ in _clique_systems(space):
-        if not sys_.determined or len(sys_.idx) > max_size:
-            continue
-        w = sys_.solve(rhs, scale)
-        if w is None:
-            continue
-        keep = w > WEIGHT_DROP_TOL * scale
-        support = tuple(i for i, k in zip(sys_.idx, keep) if k)
-        key = (support, tuple(np.round(w[keep], 12)))
-        if key in seen or not support:
-            continue
-        seen.add(key)
-        out.append((w[keep], support))
+    for idx, w, kept in _clique_solutions(space, coords, total, max_size):
+        for clique, wc, keep in zip(idx, w[..., 0], kept[..., 0]):
+            support = tuple(int(i) for i in clique[keep])
+            key = (support, tuple(np.round(wc[keep], 12)))
+            if key in seen or not support:
+                continue
+            seen.add(key)
+            out.append((wc[keep], support))
     return out
 
 

@@ -476,9 +476,6 @@ class SpinElement:
     def trace_value(self) -> float:
         return 2.0 * self.t
 
-    def is_positive(self, tol: float = 1e-12) -> bool:
-        return self.t >= float(np.linalg.norm(self.v)) - tol
-
     def norm(self) -> float:
         return math.sqrt(self.t ** 2 + float(np.dot(self.v, self.v)))
 

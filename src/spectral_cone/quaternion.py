@@ -28,14 +28,6 @@ def qarray(values) -> np.ndarray:
     return arr
 
 
-def from_real(values) -> np.ndarray:
-    """Promote a real array to quaternions with zero imaginary parts."""
-    arr = np.asarray(values, dtype=float)
-    out = np.zeros(arr.shape + (4,))
-    out[..., 0] = arr
-    return out
-
-
 def qmul(p, q) -> np.ndarray:
     """Hamilton product, broadcasting over leading axes."""
     pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
@@ -105,12 +97,6 @@ def from_complex(z) -> np.ndarray:
     alpha = (z[0::2, 0::2] + np.conj(z[1::2, 1::2])) / 2.0
     beta = (z[0::2, 1::2] - np.conj(z[1::2, 0::2])) / 2.0
     return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
-
-
-def embedding_defect(z) -> float:
-    """Distance from a complex matrix to the image of the embedding."""
-    z = np.asarray(z, dtype=complex)
-    return float(np.max(np.abs(z - to_complex(from_complex(z)))))
 
 
 def structure_partner(u) -> np.ndarray:

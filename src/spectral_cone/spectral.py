@@ -12,11 +12,11 @@ determined vertex-subset systems suffices.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import geometries as geo
 from . import jordan
@@ -75,37 +75,60 @@ def majorizes(a: Spectrum, b: Spectrum, tol: float = 1e-12) -> Ordering:
     return Ordering.INCOMPARABLE
 
 
-def _weights_entropy(weights) -> float:
+def weights_entropy(weights) -> np.ndarray:
+    """-sum w ln w down axis 0 of a weight array; entries at or below 0 contribute nothing."""
     w = np.asarray(weights, dtype=float)
-    w = w[w > 0.0]
-    out = float(-np.sum(w * np.log(w)))
-    return abs(out) if out == 0.0 else out
+    positive = w > 0.0
+    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
+    return -np.sum(terms, axis=0) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def entropy(space, x: ConeElement) -> float:
     """Minimal -sum w ln w over orthogonal decompositions of x, in nats."""
     if x.is_apex:
         raise ApexError("entropy of the apex is undefined")
-    if isinstance(space, geo.Polytope):
-        return _polytope_entropy_from_coords(space, np.asarray(x.coords), x.trace_weight)
-    if isinstance(space, geo.Simplex):
-        return _weights_entropy(x.trace_weight * np.asarray(x.coords))
-    if isinstance(space, geo.Ball):
-        r = float(np.linalg.norm(x.coords))
-        r = min(r, 1.0)
-        lam = x.trace_weight
-        return _weights_entropy([lam * (1.0 + r) / 2.0, lam * (1.0 - r) / 2.0])
     if isinstance(space, geo.DensityMatrices):
         w = x.trace_weight * jordan.eigenvalues_of(space.state_matrix(x.state()))
-        return _weights_entropy(np.clip(w, 0.0, None))
+        return float(weights_entropy(np.clip(w, 0.0, None)))
+    return float(_entropies(space, x.coords[None, :], x.trace_weight)[0])
+
+
+def _entropies(space, coords: np.ndarray, total: float) -> np.ndarray:
+    """Entropy of total * s for every row s of coords on a simplex, ball or polytope."""
+    if isinstance(space, geo.Polytope):
+        return _polytope_entropies(space, coords, total)
+    if isinstance(space, geo.Simplex):
+        return weights_entropy(total * coords.T)
+    if isinstance(space, geo.Ball):
+        r = np.minimum(np.linalg.norm(coords, axis=-1), 1.0)
+        return weights_entropy(np.stack([total * (1.0 + r) / 2.0, total * (1.0 - r) / 2.0]))
     raise TypeError(f"unsupported space {space!r}")
 
 
-def _polytope_entropy_from_coords(space, coords, total) -> float:
-    sols = geo._determined_solutions(space, coords, total, len(space.vertices))
-    if not sols:
+POINT_BLOCK = 4096  # points per stacked clique solve, bounding its temporaries
+
+
+def _polytope_entropies(space, coords, total) -> np.ndarray:
+    """Least decomposition entropy over the determined clique systems, per point.
+
+    Like ``geometries._determined_solutions``, a support that several cliques
+    yield (extra weights dropped) counts once, from the first in clique order.
+    """
+    out = np.empty(len(coords))
+    for start in range(0, len(coords), POINT_BLOCK):
+        h, support = [], []  # support: vertex bitmask per clique and point, 0 if unsolved
+        for idx, w, kept in geo._clique_solutions(space, coords[start:start + POINT_BLOCK],
+                                                  total, len(space.vertices)):
+            h.append(weights_entropy(np.where(kept, w, 0.0).swapaxes(0, 1)))
+            support.append(np.sum(np.where(kept, 1 << idx[..., None], 0), axis=1))
+        order = np.argsort(np.concatenate(support), axis=0, kind="stable")
+        support = np.take_along_axis(np.concatenate(support), order, axis=0)
+        first = (support != 0) & (np.diff(support, axis=0, prepend=-1) != 0)
+        h = np.take_along_axis(np.concatenate(h), order, axis=0)
+        out[start:start + POINT_BLOCK] = np.min(np.where(first, h, np.inf), axis=0)
+    if not np.all(np.isfinite(out)):
         raise geo.DecompositionError("no orthogonal decomposition found")
-    return min(_weights_entropy(w) for w, _ in sols)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +241,8 @@ class Landscape:
 
     def csv_rows(self):
         """(x, y, entropy) for every grid point inside the space."""
-        for i, x in enumerate(self.xs):
-            for j, y in enumerate(self.ys):
-                v = self.values[i, j]
-                if not math.isnan(v):
-                    yield float(x), float(y), float(v)
+        for i, j in np.argwhere(~np.isnan(self.values)):
+            yield float(self.xs[i]), float(self.ys[j]), float(self.values[i, j])
 
     def maxima_json(self) -> list:
         return [
@@ -232,17 +252,17 @@ class Landscape:
 
 
 def _planar_chart(space):
-    """(bounding box, chart) for a 2-dimensional space; chart maps (x, y) to coords."""
+    """(bounding box, chart) for a 2-dimensional space; chart maps x, y arrays to coords rows."""
     if isinstance(space, geo.Polytope):
         if space.dim != 2:
             raise ValueError("landscape supports polytopes in a 2D ambient space")
         verts = space.vertex_array
         box = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 1].min(), verts[:, 1].max())
-        return box, lambda x, y: np.array([x, y])
+        return box, lambda x, y: np.stack([x, y], axis=-1)
     if isinstance(space, geo.Simplex) and space.n == 3:
-        return (0.0, 1.0, 0.0, 1.0), lambda x, y: np.array([x, y, 1.0 - x - y])
+        return (0.0, 1.0, 0.0, 1.0), lambda x, y: np.stack([x, y, 1.0 - x - y], axis=-1)
     if isinstance(space, geo.Ball) and space.d == 2:
-        return (-1.0, 1.0, -1.0, 1.0), lambda x, y: np.array([x, y])
+        return (-1.0, 1.0, -1.0, 1.0), lambda x, y: np.stack([x, y], axis=-1)
     raise ValueError(f"space {space!r} is not two-dimensional")
 
 
@@ -258,33 +278,17 @@ def entropy_landscape(space, grid_resolution: int = 101) -> Landscape:
     (x0, x1, y0, y1), chart = _planar_chart(space)
     xs = np.linspace(x0, x1, grid_resolution)
     ys = np.linspace(y0, y1, grid_resolution)
+    coords = chart(*np.meshgrid(xs, ys, indexing="ij"))
+    inside = space.contains_state(coords, tol=1e-12)
     values = np.full((grid_resolution, grid_resolution), np.nan)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            coords = chart(float(x), float(y))
-            if not space.contains_state(coords, tol=1e-12):
-                continue
-            if isinstance(space, geo.Polytope):
-                values[i, j] = _polytope_entropy_from_coords(space, coords, 1.0)
-            else:
-                values[i, j] = entropy(space, State(space, coords))
+    values[inside] = _entropies(space, coords[inside], 1.0)
 
-    maxima = []
-    for i in range(grid_resolution):
-        for j in range(grid_resolution):
-            v = values[i, j]
-            if math.isnan(v):
-                continue
-            neighbors = []
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == dj == 0:
-                        continue
-                    a, b = i + di, j + dj
-                    if 0 <= a < grid_resolution and 0 <= b < grid_resolution:
-                        nv = values[a, b]
-                        if not math.isnan(nv):
-                            neighbors.append(nv)
-            if neighbors and all(v > nv for nv in neighbors):
-                maxima.append((float(xs[i]), float(ys[j]), float(v)))
-    return Landscape(xs, ys, values, tuple(maxima))
+    windows = sliding_window_view(np.pad(values, 1, constant_values=np.nan), (3, 3))
+    neighbors = np.delete(windows.reshape(grid_resolution, grid_resolution, 9), 4, axis=-1)
+    present = ~np.isnan(neighbors)
+    strict = np.all(~present | (values[..., None] > neighbors), axis=-1)
+    maxima = tuple(
+        (float(xs[i]), float(ys[j]), float(values[i, j]))
+        for i, j in np.argwhere(inside & strict & np.any(present, axis=-1))
+    )
+    return Landscape(xs, ys, values, maxima)

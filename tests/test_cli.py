@@ -115,6 +115,37 @@ def test_check_sufficiency_without_channel_suite_exit_1(capsys):
     assert "channel suite" in err
 
 
+@pytest.mark.parametrize("divergence", ["kl", "itakura_saito"])
+@pytest.mark.parametrize("kind", ["locality", "sufficiency"])
+def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
+    code, out, err = run_cli(
+        capsys, "check", kind, "--space", "complex2", "--divergence", divergence, "--trials", "5"
+    )
+    assert_one_line_error(code, out, err)
+    assert "matrix_negentropy" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "locality", "--space", "simplex3", "--trials", "abc"],
+        [],
+        ["check", "nonsense", "--space", "simplex3"],
+        ["check", "locality", "--space", "simplex3", "--divergence", "nonsense"],
+    ],
+    ids=["bad-int", "no-command", "unknown-check", "unknown-divergence"],
+)
+def test_usage_error_is_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, out, err)
+
+
+def test_help_exit_0(capsys):
+    code, out, err = run_cli(capsys, "check", "--help")
+    assert code == 0
+    assert out.startswith("usage: spectral-cone check") and err == ""
+
+
 CHECK_ARGS = {
     "locality": ("--space", "simplex3", "--divergence", "kl"),
     "sufficiency": ("--space", "simplex3", "--divergence", "kl"),

@@ -241,6 +241,8 @@ def test_enumerate_square_point_majorization():
 def test_enumerate_respects_max_support():
     decs = geo.enumerate_orthogonal_decompositions(SQUARE, sc.State(SQUARE, [0.5, 0.5]), max_support=2)
     assert all(d.size <= 2 for d in decs)
+    # no edge or diagonal passes through (1/2, 1/4): every decomposition needs three vertices
+    assert geo.enumerate_orthogonal_decompositions(SQUARE, sc.State(SQUARE, [0.5, 0.25]), max_support=2) == []
 
 
 def test_enumerate_rejects_large_polytopes():
@@ -302,3 +304,50 @@ def test_random_samplers_produce_members():
             assert space.contains_state(s.coords)
             p = geo.random_pure_state(space, rng)
             assert space.contains_state(p.coords)
+
+
+CUBE = geo.Polytope(tuple((float(a), float(b), float(c)) for a in (0, 1) for b in (0, 1) for c in (0, 1)))
+PENTAGON = geo.Polytope(((2.0, 0.0), (1.0, 2.0), (-1.0, 2.0), (-2.0, 0.0), (0.0, -2.0)))
+
+
+@pytest.mark.parametrize(
+    "space, trace, coords, support",
+    [
+        (SQUARE, 1.0, [0.5, 0.5], (2, 1)),
+        (SQUARE, 1.0, [0.5, 0.25], (1, 2, 0)),
+        (SQUARE, 2.0, [0.25, 0.75], (2, 1)),
+        (SQUARE, 1.0, [0.3, 0.6], (2, 1, 0)),
+        (SQUARE, 0.5, [0.9, 0.2], (1, 2, 3)),
+        (CUBE, 1.0, [0.5, 0.5, 0.5], (3, 4)),
+        (CUBE, 1.0, [0.2, 0.5, 0.7], (3, 0, 5)),
+        (CUBE, 3.0, [0.1, 0.8, 0.4], (2, 3, 1, 5)),
+        (CUBE, 1.0, [0.5, 0.5, 0.25], (4, 2, 3)),
+        (PENTAGON, 1.0, [0.0, 0.8], (2, 0, 4)),
+        (PENTAGON, 1.0, [0.5, 0.5], (1, 4, 3)),
+        (PENTAGON, 2.5, [-1.0, 0.5], (3, 1, 0)),
+        (PENTAGON, 1.0, [0.3, -0.6], (4, 1, 2)),
+    ],
+)
+def test_decompose_frozen_supports(space, trace, coords, support):
+    """Supports (in weight order) are pinned, so ties keep picking the same clique."""
+    dec = geo.decompose(space, sc.ConeElement(space, trace, coords))
+    assert tuple(space.vertices.index(tuple(c.coords)) for c in dec.components) == support
+
+
+@pytest.mark.parametrize(
+    "space", [SIMPLEX3, SQUARE, PENTAGON, DISC, geo.SpinFactor(3)],
+    ids=["simplex3", "square", "pentagon", "disc", "spin3"],
+)
+def test_stacked_contains_state_matches_rows(space):
+    rng = np.random.default_rng(12)
+    base = [geo.random_state(space, rng).coords for _ in range(20)]
+    base += [geo.random_pure_state(space, rng).coords for _ in range(20)]
+    # straddle both tolerances below, and leave the space by far
+    noise = rng.standard_normal((3, len(base), space.coords_len)) * np.array([1e-13, 1e-10, 0.3])[:, None, None]
+    points = np.array(base)[None, :, :] + noise
+    for tol in (1e-12, 1e-9):
+        stacked = space.contains_state(points, tol=tol)
+        assert stacked.shape == points.shape[:-1]
+        rows = [[bool(space.contains_state(p, tol=tol)) for p in block] for block in points]
+        assert stacked.tolist() == rows
+        assert 0 < np.count_nonzero(stacked) < stacked.size

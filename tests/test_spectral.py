@@ -10,6 +10,11 @@ from spectral_cone import geometries as geo
 from spectral_cone.spectral import Ordering, Spectrum, majorizes
 
 SQUARE = geo.unit_square()
+CUBE = geo.Polytope(tuple((float(a), float(b), float(c)) for a in (0, 1) for b in (0, 1) for c in (0, 1)))
+TRIANGLE = geo.Polytope(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+PENTAGON = geo.Polytope(tuple(
+    (math.cos(2.0 * math.pi * k / 5), math.sin(2.0 * math.pi * k / 5)) for k in range(5)
+))
 SIMPLEX3 = geo.Simplex(3)
 DISC = geo.Ball(2)
 
@@ -103,10 +108,11 @@ def test_entropy_square_matches_oracle_on_random_points():
 
 def test_entropy_matches_enumeration_minimum():
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        s = geo.random_state(SQUARE, rng)
-        decs = geo.enumerate_orthogonal_decompositions(SQUARE, s)
-        assert abs(sc.entropy(SQUARE, s) - min(d.spectrum().entropy() for d in decs)) <= 1e-12
+    for space in (SQUARE, CUBE):
+        for _ in range(10):
+            s = geo.random_state(space, rng)
+            decs = geo.enumerate_orthogonal_decompositions(space, s)
+            assert abs(sc.entropy(space, s) - min(d.spectrum().entropy() for d in decs)) <= 1e-12
 
 
 def test_entropy_apex_raises():
@@ -245,3 +251,39 @@ def test_landscape_csv_rows_cover_interior():
     rows = list(land.csv_rows())
     assert all(x * x + y * y <= 1.0 + 1e-9 for x, y, _ in rows)
     assert len(rows) < 21 * 21  # corners excluded
+
+
+def brute_force_maxima(xs, ys, values):
+    """Reference: grid points strictly above every present one of their eight neighbours."""
+    n = len(xs)
+    maxima = []
+    for i in range(n):
+        for j in range(n):
+            v = values[i, j]
+            if math.isnan(v):
+                continue
+            neighbors = [
+                values[i + di, j + dj]
+                for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                if (di, dj) != (0, 0) and 0 <= i + di < n and 0 <= j + dj < n
+                and not math.isnan(values[i + di, j + dj])
+            ]
+            if neighbors and all(v > nv for nv in neighbors):
+                maxima.append((float(xs[i]), float(ys[j]), float(v)))
+    return tuple(maxima)
+
+
+@pytest.mark.parametrize(
+    "space", [SQUARE, TRIANGLE, PENTAGON, DISC, SIMPLEX3],
+    ids=["square", "triangle", "pentagon", "disc", "simplex3"],
+)
+def test_landscape_matches_point_by_point_reference(space):
+    land = sc.entropy_landscape(space, 41)
+    for i, x in enumerate(land.xs):
+        for j, y in enumerate(land.ys):
+            coords = [x, y, 1.0 - x - y] if space == SIMPLEX3 else [x, y]
+            v = land.values[i, j]
+            assert math.isnan(v) != bool(space.contains_state(np.array(coords), tol=1e-12))
+            if not math.isnan(v):
+                assert abs(v - sc.entropy(space, sc.State(space, coords))) <= 1e-12
+    assert land.maxima == brute_force_maxima(land.xs, land.ys, land.values)
