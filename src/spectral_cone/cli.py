@@ -177,9 +177,8 @@ def cmd_landscape(args) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = ["x,y,entropy"]
-    rows += [f"{x:.17g},{y:.17g},{h:.17g}" for x, y, h in land.csv_rows()]
-    csv_text = "\n".join(rows) + "\n"
+    columns = [c.tolist() for c in land.csv_rows()]
+    csv_text = "\n".join(["x,y,entropy", *map("{:.17g},{:.17g},{:.17g}".format, *columns)]) + "\n"
     maxima_text = json.dumps(land.maxima_json(), sort_keys=True) + "\n"
     if args.out:
         _emit(csv_text, args.out)

@@ -109,6 +109,21 @@ def mix(weights: Sequence[float], states: Sequence[State]) -> State:
     return State(states[0].space, coords)
 
 
+def mix_coords(space, t, a, b) -> np.ndarray:
+    """Coordinates (1 - t) a + t b for broadcastable arrays of state coordinates.
+
+    The arithmetic runs in the operation order of ``mix``, and every row
+    must pass the membership test ``State()`` applies.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < -WEIGHT_TOL) or np.any(t > 1.0 + WEIGHT_TOL):
+        raise InvalidWeightsError("mixture weights leave [0, 1]")
+    out = 0.0 + (1.0 - t) * a + t * b
+    if not np.all(space.contains_state(out, tol=MEMBERSHIP_TOL)):
+        raise NotInConeError("state coordinates fail the membership test")
+    return out
+
+
 def cone_add(x: ConeElement, y: ConeElement) -> ConeElement:
     """Sum in the cone: lam*s1 + mu*s2 = (lam+mu) * mixture(lam/(lam+mu), mu/(lam+mu))."""
     _require_same_space(x, y)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import geometries as geo
 from . import jordan
-from .cone import AffineFunctional, State, evaluate, mix
+from .cone import AffineFunctional, State, evaluate, mix, mix_coords
 from .errors import PreconditionError, require_count
 
 INTERIOR_EPS = 1e-12
@@ -207,59 +207,76 @@ def bregman(gen: Generator, s1: State, s2: State) -> float:
 
 @dataclass(frozen=True)
 class Divergence:
-    """Evaluation rule D(s1, s2) >= 0 with provenance and domain flags."""
+    """Evaluation rule D(s1, s2) >= 0 with provenance and domain flags.
+
+    ``rule`` maps two States to a value.  The builtin divergences give
+    ``array_rule`` instead: it maps two equal-shape (..., coords_len)
+    coordinate arrays to the value of every row pair, and their scalar call
+    evaluates one row of it.
+    """
 
     name: str
     provenance: str
-    rule: Callable[[State, State], float]
+    rule: Optional[Callable[[State, State], float]] = None
     requires_interior: bool = False
+    array_rule: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, s1: State, s2: State) -> float:
-        return self.rule(s1, s2)
+        if self.array_rule is None:
+            return self.rule(s1, s2)
+        return float(self.array_rule(s1.coords, s2.coords))
+
+    def values(self, space, p, q) -> np.ndarray:
+        """D between the rows of two broadcastable (..., coords_len) state arrays of a space."""
+        p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+        if self.array_rule is not None:
+            return self.array_rule(p, q)
+        rows = zip(p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]))
+        out = [self.rule(State(space, a), State(space, b)) for a, b in rows]
+        return np.array(out, dtype=float).reshape(p.shape[:-1])
+
+
+def _kl_values(p, q):
+    mask = p > 1e-15
+    off = np.any(mask & (q <= 0.0), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mask, p * np.log(p / q), 0.0)
+    return np.where(off, math.inf, np.sum(terms, axis=-1))
 
 
 def kl_divergence() -> Divergence:
     """Relative entropy sum p ln(p/q) with 0 ln 0 = 0 and inf off support."""
+    return Divergence("kl", "builtin", array_rule=_kl_values)
 
-    def rule(s1, s2):
-        p = np.asarray(s1.coords, dtype=float)
-        q = np.asarray(s2.coords, dtype=float)
-        mask = p > 1e-15
-        if np.any(q[mask] <= 0.0):
-            return math.inf
-        return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
-    return Divergence("kl", "builtin", rule)
+def _squared_euclidean_values(p, q):
+    d = (p - q)[..., None, :]
+    return (d @ d.swapaxes(-1, -2))[..., 0, 0]  # the BLAS dot that np.dot runs on one row
 
 
 def squared_euclidean_divergence() -> Divergence:
-    def rule(s1, s2):
-        d = np.asarray(s1.coords) - np.asarray(s2.coords)
-        return float(np.dot(d, d))
+    return Divergence("squared_euclidean", "builtin", array_rule=_squared_euclidean_values)
 
-    return Divergence("squared_euclidean", "builtin", rule)
+
+def _itakura_saito_values(p, q):
+    outside = (np.min(p, axis=-1) <= 0.0) | (np.min(q, axis=-1) <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = p / q
+        terms = ratio - np.log(ratio) - 1.0
+    return np.where(outside, math.inf, np.sum(terms, axis=-1))
 
 
 def itakura_saito_divergence() -> Divergence:
     """sum (p/q - ln(p/q) - 1) on positive vectors."""
-
-    def rule(s1, s2):
-        p = np.asarray(s1.coords, dtype=float)
-        q = np.asarray(s2.coords, dtype=float)
-        if float(np.min(p)) <= 0.0 or float(np.min(q)) <= 0.0:
-            return math.inf
-        ratio = p / q
-        return float(np.sum(ratio - np.log(ratio) - 1.0))
-
-    return Divergence("itakura_saito", "builtin", rule, requires_interior=True)
+    return Divergence("itakura_saito", "builtin", requires_interior=True,
+                      array_rule=_itakura_saito_values)
 
 
 def matrix_negentropy_divergence(space: geo.DensityMatrices) -> Divergence:
     """Tr rho (ln rho - ln sigma), inf when supp rho exceeds supp sigma."""
 
-    def rule(s1, s2):
-        rho = space.state_matrix(s1)
-        dec = jordan.eigen_hermitian(space.state_matrix(s2))
+    def value(rho, sigma):
+        dec = jordan.eigen_hermitian(sigma)
         supp_tol = 1e-12
         val = -jordan.von_neumann_entropy(rho)
         leak = 0.0
@@ -273,12 +290,20 @@ def matrix_negentropy_divergence(space: geo.DensityMatrices) -> Divergence:
             return math.inf
         return val
 
-    return Divergence("matrix_negentropy", "builtin", rule)
+    def array_rule(p, q):
+        out = np.empty(p.shape[:-1])
+        for i in np.ndindex(out.shape):
+            out[i] = value(space.matrix_from_coords(p[i]), space.matrix_from_coords(q[i]))
+        return out
+
+    return Divergence("matrix_negentropy", "builtin", array_rule=array_rule)
 
 
 def scaled_divergence(c: float, div: Divergence) -> Divergence:
+    array_rule = None if div.array_rule is None else (lambda p, q: c * div.array_rule(p, q))
     return Divergence(
-        f"{c}*{div.name}", div.provenance, lambda s1, s2: c * div(s1, s2), div.requires_interior
+        f"{c}*{div.name}", div.provenance, lambda s1, s2: c * div(s1, s2), div.requires_interior,
+        array_rule,
     )
 
 
@@ -323,19 +348,31 @@ def divergence_zoo(space) -> list:
 # Locality
 # ---------------------------------------------------------------------------
 
-def _extended_gap(a: float, b: float) -> float:
-    """|a - b| in the extended reals; equal infinities are distance 0.
+def _extended_gaps(a, b) -> np.ndarray:
+    """|a - b| elementwise in the extended reals; equal infinities are distance 0.
 
     A NaN on either side is an infinite gap, so no tolerance can pass it.
     """
-    if math.isnan(a) or math.isnan(b):
-        return math.inf
-    a_inf, b_inf = math.isinf(a), math.isinf(b)
-    if a_inf and b_inf:
-        return 0.0 if a == b else math.inf
-    if a_inf or b_inf:
-        return math.inf
-    return abs(a - b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        gap = np.where(np.isinf(a) & (a == b), 0.0, np.abs(a - b))
+    return np.where(np.isnan(gap), math.inf, gap)
+
+
+def _interior_map(div: Divergence, space):
+    """Coordinate map onto the points a divergence is evaluated at.
+
+    For divergences that require the interior, this is the epsilon-mixture
+    with the barycenter; otherwise the identity.
+    """
+    if not div.requires_interior:
+        return lambda coords: coords
+    bary = space.barycenter_coords()
+    return lambda coords: mix_coords(space, INTERIOR_EPS, coords, bary)
+
+
+def _coords_rows(space, states) -> np.ndarray:
+    return np.array([s.coords for s in states], dtype=float).reshape(-1, space.coords_len)
 
 
 def _sample_orthogonal_triple(space, rng: np.random.Generator):
@@ -425,59 +462,53 @@ def check_locality(div: Divergence, space, trials: int = 1000,
     (mixture first) is authoritative for pass/fail, the reversed order
     (pure state first, the one with finite logarithmic values) is reported
     alongside.  Gaps compare extended reals, so two divergences that are
-    both infinite agree.
+    both infinite agree.  All trials are drawn first and every (trial, t)
+    pair is evaluated as one stacked array; the witness is the first
+    largest gap in (trial, t) order.
     """
     require_count("trials", trials)
     rng = np.random.default_rng(seed)
-    bary = State(space, space.barycenter_coords())
-
-    def dom(s):
-        if div.requires_interior:
-            return mix([1.0 - INTERIOR_EPS, INTERIOR_EPS], [s, bary])
-        return s
-
-    max_gap = -1.0
-    max_gap_reversed = -1.0
-    witness = None
-    vacuous = True
-    for trial in range(trials):
-        s0, s1, s2, degenerate = _sample_orthogonal_triple(space, rng)
-        vacuous = vacuous and degenerate
-        for t in t_grid:
-            m1 = mix([1.0 - t, t], [s0, s1])
-            m2 = mix([1.0 - t, t], [s0, s2])
-            a = div(dom(m1), dom(s0))
-            b = div(dom(m2), dom(s0))
-            gap = _extended_gap(a, b)
-            ar = br = None
-            if include_reversed:
-                ar = div(dom(s0), dom(m1))
-                br = div(dom(s0), dom(m2))
-                max_gap_reversed = max(max_gap_reversed, _extended_gap(ar, br))
-            if gap > max_gap:
-                max_gap = gap
-                witness = {
-                    "trial": trial,
-                    "t": float(t),
-                    "s0": [float(c) for c in s0.coords],
-                    "s1": [float(c) for c in s1.coords],
-                    "s2": [float(c) for c in s2.coords],
-                    "values": [a, b],
-                    "reversed_values": [ar, br],
-                }
+    triples = [_sample_orthogonal_triple(space, rng) for _ in range(trials)]
+    s0, s1, s2 = (_coords_rows(space, [tr[k] for tr in triples]) for k in range(3))
+    t = np.asarray(t_grid, dtype=float)[:, None]
+    dom = _interior_map(div, space)
+    # mixtures with s1 and with s2, shape (2, trials, len(t_grid), coords_len)
+    mixed = dom(mix_coords(space, t, s0[None, :, None], np.stack([s1, s2])[:, :, None]))
+    pure = dom(s0)[:, None]
+    a, b = div.values(space, mixed, pure)
+    gaps = _extended_gaps(a, b)
+    max_gap = float(np.max(gaps, initial=-1.0))
+    ar = br = max_gap_reversed = None
+    if include_reversed:
+        ar, br = div.values(space, pure, mixed)
+        max_gap_reversed = float(np.max(_extended_gaps(ar, br), initial=-1.0))
     passed = max_gap <= tol
+    witness = None
+    if not passed:
+        trial, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+        s0_, s1_, s2_, _ = triples[trial]
+        witness = {
+            "trial": int(trial),
+            "t": float(t_grid[k]),
+            "s0": [float(c) for c in s0_.coords],
+            "s1": [float(c) for c in s1_.coords],
+            "s2": [float(c) for c in s2_.coords],
+            "values": [float(a[trial, k]), float(b[trial, k])],
+            "reversed_values": ([float(ar[trial, k]), float(br[trial, k])]
+                                if include_reversed else [None, None]),
+        }
     return {
         "check": "locality",
         "divergence": div.name,
         "space": space.to_json(),
         "pass": bool(passed),
-        "max_gap": float(max_gap),
-        "reversed_max_gap": float(max_gap_reversed) if include_reversed else None,
-        "witness": witness if not passed else None,
+        "max_gap": max_gap,
+        "reversed_max_gap": max_gap_reversed,
+        "witness": witness,
         "trials": int(trials),
         "seed": int(seed),
         "tolerance": float(tol),
-        "vacuous": bool(vacuous),
+        "vacuous": all(tr[3] for tr in triples),
     }
 
 
@@ -645,54 +676,49 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
     Each trial draws two states from a pair's reversible family, verifies
     psi(phi(s)) = s (violations are reported separately as precondition
     failures, not divergence failures) and compares D(phi s1, phi s2)
-    against D(s1, s2).
+    against D(s1, s2).  The divergences of all trials that meet the
+    precondition are evaluated as one stacked array.
     """
     require_count("trials", trials)
     rng = np.random.default_rng(seed)
     suite = channel_suite if channel_suite is not None else builtin_channel_suite(space, rng)
-    bary = State(space, space.barycenter_coords())
-
-    def dom(s):
-        if div.requires_interior:
-            return mix([1.0 - INTERIOR_EPS, INTERIOR_EPS], [s, bary])
-        return s
-
-    max_gap = -1.0
-    witness = None
+    kept = []  # (trial, pair, s1, s2, phi s1, phi s2) of the trials that meet the precondition
     violations = 0
     for trial in range(trials):
         pair = suite[trial % len(suite)]
-        s1 = pair.sample_family(rng)
-        s2 = pair.sample_family(rng)
-        bad = False
-        for s in (s1, s2):
-            back = pair.psi(pair.phi(s))
-            if np.max(np.abs(np.asarray(back.coords) - np.asarray(s.coords))) > 1e-9:
-                violations += 1
-                bad = True
-        if bad:
-            continue
-        base = div(dom(s1), dom(s2))
-        mapped = div(dom(pair.phi(s1)), dom(pair.phi(s2)))
-        gap = _extended_gap(base, mapped)
-        if gap > max_gap:
-            max_gap = gap
-            witness = {
-                "trial": trial,
-                "channel": pair.name,
-                "s1": [float(c) for c in s1.coords],
-                "s2": [float(c) for c in s2.coords],
-                "values": [base, mapped],
-            }
+        states = (pair.sample_family(rng), pair.sample_family(rng))
+        mapped = tuple(pair.phi(s) for s in states)
+        bad = [np.max(np.abs(np.asarray(pair.psi(m).coords) - np.asarray(s.coords))) > 1e-9
+               for s, m in zip(states, mapped)]
+        violations += sum(bad)
+        if not any(bad):
+            kept.append((trial, pair, *states, *mapped))
+    dom = _interior_map(div, space)
+    s1, s2, m1, m2 = (dom(_coords_rows(space, [k[j] for k in kept])) for j in range(2, 6))
+    base = div.values(space, s1, s2)
+    mapped = div.values(space, m1, m2)
+    gaps = _extended_gaps(base, mapped)
+    max_gap = float(np.max(gaps, initial=-1.0))
     passed = violations == 0 and max_gap <= tol
+    witness = None
+    if not passed and kept:
+        i = int(np.argmax(gaps))
+        trial, pair, w1, w2 = kept[i][:4]
+        witness = {
+            "trial": trial,
+            "channel": pair.name,
+            "s1": [float(c) for c in w1.coords],
+            "s2": [float(c) for c in w2.coords],
+            "values": [float(base[i]), float(mapped[i])],
+        }
     exploratory = isinstance(space, geo.DensityMatrices) and space.ring == "quaternion"
     return {
         "check": "sufficiency",
         "divergence": div.name,
         "space": space.to_json(),
         "pass": bool(passed),
-        "max_gap": float(max_gap),
-        "witness": witness if not passed else None,
+        "max_gap": max_gap,
+        "witness": witness,
         "precondition_violations": int(violations),
         "exploratory": bool(exploratory),
         "trials": int(trials),

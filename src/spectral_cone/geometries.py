@@ -29,6 +29,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from . import jordan
+from . import quaternion as quat
 from .cone import AffineFunctional, ConeElement, State
 from .decomposition import OrthogonalDecomposition, Spectrum
 from .errors import ApexError, DecompositionError, NotInConeError
@@ -184,6 +185,10 @@ class SpinFactor(Ball):
         return {"kind": "spin", "d": self.d}
 
 
+# sign of each entry component under conjugation, for the real, complex and quaternion rings
+_ADJOINT_SIGNS = {"real": (1.0,), "complex": (1.0, -1.0), "quaternion": (1.0, -1.0, -1.0, -1.0)}
+
+
 @dataclass(frozen=True)
 class DensityMatrices:
     """Density matrices over a division ring: positive, unit trace."""
@@ -237,18 +242,33 @@ class DensityMatrices:
     def state_from_matrix(self, m: jordan.HermitianMatrix) -> State:
         return State(self, self.coords_from_matrix(m))
 
-    def contains_state(self, coords, tol=1e-9) -> bool:
-        try:
-            m = self.matrix_from_coords(coords)
-        except ValueError:
-            return False
-        raw = coords.reshape(-1)
-        if float(np.max(np.abs(raw - self.coords_from_matrix(m)))) > tol:
-            return False  # not Hermitian within tolerance
-        if abs(jordan.trace(m) - 1.0) > tol:
-            return False
-        w = jordan.eigenvalues_of(m)
-        return float(np.min(w)) >= -tol
+    def contains_state(self, coords, tol=1e-9):
+        """Membership of one point, or of every row of a (..., coords_len) array.
+
+        A row is a state when it is Hermitian within tol, has unit trace
+        within tol and no eigenvalue below -tol; the eigenvalues of all rows
+        that pass the first two tests come from one stacked eigvalsh call.
+        """
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape[-1:] != (self.coords_len,):
+            return np.zeros(coords.shape[:-1], dtype=bool)
+        n, k = self.n, self.components_per_entry
+        rows = coords.reshape(-1, self.coords_len)
+        entries = rows.reshape(-1, n, n, k)
+        herm = (entries + np.swapaxes(entries, 1, 2) * _ADJOINT_SIGNS[self.ring]) / 2.0
+        defect = np.max(np.abs(entries - herm).reshape(rows.shape), axis=1)
+        trace = np.sum(rows[:, :: (n + 1) * k], axis=1)  # the real parts of the diagonal
+        ok = (defect <= tol) & (np.abs(trace - 1.0) <= tol)
+        if not np.all(ok):
+            herm = herm[ok]
+        if self.ring == "quaternion":
+            forms = quat.to_complex(herm)
+        elif self.ring == "complex":
+            forms = herm.view(complex)[..., 0]
+        else:
+            forms = herm[..., 0].astype(complex)
+        ok[ok] = np.min(np.linalg.eigvalsh(forms), axis=-1, initial=np.inf) >= -tol
+        return ok.reshape(coords.shape[:-1])
 
     def barycenter_coords(self) -> np.ndarray:
         return self.coords_from_matrix(jordan.HermitianMatrix.identity(self.ring, self.n).scale(1.0 / self.n))

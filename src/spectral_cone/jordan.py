@@ -622,7 +622,8 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
     second trace derivative of -z ln z along b must be below
     -strictness * ||b||^2, and must match a central second difference of
     Tr f(a + t b).  Midpoint concavity of entropy is checked along random
-    state segments.
+    state segments.  A failing report's witness is the first failing trial:
+    its index, the first condition it breaks and its values.
     """
     kind, n = _parse_algebra(algebra)
     require_count("trials", trials)
@@ -630,7 +631,8 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
     max_second = -math.inf
     max_rel_err = 0.0
     min_slack = math.inf
-    for _ in range(trials):
+    witness = None
+    for trial in range(trials):
         if kind == "spin":
             v = rng.standard_normal(n) * 0.3
             nv = float(np.linalg.norm(v))
@@ -661,16 +663,21 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
         max_second = max(max_second, d2)
         max_rel_err = max(max_rel_err, rel)
         min_slack = min(min_slack, slack)
-    ok = max_second < -strictness and max_rel_err <= 1e-5 and min_slack >= -1e-10
+        failed = [name for name, holds in (("second_derivative", d2 < -strictness),
+                                           ("finite_difference", rel <= 1e-5),
+                                           ("midpoint", slack >= -1e-10)) if not holds]
+        if failed and witness is None:
+            witness = {"trial": trial, "condition": failed[0], "d2": float(d2),
+                       "fd": float(fd), "rel_err": float(rel), "slack": float(slack)}
     return {
         "check": "concavity",
         "algebra": f"{kind}{n}",
-        "pass": bool(ok),
+        "pass": witness is None,
         "max_gap": float(max(0.0, max_second + strictness)),
         "max_second_derivative": float(max_second),
         "fd_max_rel_err": float(max_rel_err),
         "min_midpoint_slack": float(min_slack),
-        "witness": None,
+        "witness": witness,
         "trials": int(trials),
         "seed": int(seed),
     }

@@ -74,16 +74,16 @@ def qmat_conj_transpose(a) -> np.ndarray:
 
 
 def to_complex(q) -> np.ndarray:
-    """Embed an (n, m, 4) quaternion matrix as a (2n, 2m) complex matrix."""
+    """Embed an (..., n, m, 4) quaternion matrix stack as (..., 2n, 2m) complex matrices."""
     q = qarray(q)
     alpha = q[..., 0] + 1j * q[..., 1]
     beta = q[..., 2] + 1j * q[..., 3]
-    n, m = alpha.shape
-    out = np.empty((2 * n, 2 * m), dtype=complex)
-    out[0::2, 0::2] = alpha
-    out[0::2, 1::2] = beta
-    out[1::2, 0::2] = -np.conj(beta)
-    out[1::2, 1::2] = np.conj(alpha)
+    *lead, n, m = alpha.shape
+    out = np.empty((*lead, 2 * n, 2 * m), dtype=complex)
+    out[..., 0::2, 0::2] = alpha
+    out[..., 0::2, 1::2] = beta
+    out[..., 1::2, 0::2] = -np.conj(beta)
+    out[..., 1::2, 1::2] = np.conj(alpha)
     return out
 
 

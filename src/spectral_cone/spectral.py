@@ -145,16 +145,20 @@ class SpectralityReport:
     witness_spectra: Optional[tuple] = None
 
     def to_json(self) -> dict:
+        """Report; max_gap is the sup-norm distance of the zero-padded witness spectra."""
         out = {
             "check": "spectrality",
             "pass": self.spectral,
             "method": self.method,
             "trials": self.samples,
             "seed": self.seed,
-            "max_gap": 0.0 if self.spectral else 1.0,
+            "max_gap": 0.0,
             "witness": None,
         }
         if not self.spectral:
+            a, b = (Spectrum(s) for s in self.witness_spectra)
+            length = max(len(a), len(b))
+            out["max_gap"] = float(np.max(np.abs(a.padded(length) - b.padded(length))))
             out["witness"] = {
                 "coords": [float(c) for c in self.witness_coords],
                 "spectra": [[float(w) for w in s] for s in self.witness_spectra],
@@ -240,9 +244,10 @@ class Landscape:
     maxima: tuple  # ((x, y, entropy), ...)
 
     def csv_rows(self):
-        """(x, y, entropy) for every grid point inside the space."""
-        for i, j in np.argwhere(~np.isnan(self.values)):
-            yield float(self.xs[i]), float(self.ys[j]), float(self.values[i, j])
+        """x, y and entropy columns over the grid points inside the space, in grid order."""
+        inside = ~np.isnan(self.values)
+        x, y = np.meshgrid(self.xs, self.ys, indexing="ij")
+        return x[inside], y[inside], self.values[inside]
 
     def maxima_json(self) -> list:
         return [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spectral_cone as sc
+from spectral_cone import cone
 from spectral_cone import geometries as geo
 
 
@@ -35,6 +36,24 @@ def test_mix_rejects_bad_weights():
         sc.mix([0.6, 0.6], [s, s])
     with pytest.raises(sc.InvalidWeightsError):
         sc.mix([1.5, -0.5], [s, s])
+
+
+@pytest.mark.parametrize("space", [SIMPLEX3, SQUARE, geo.DensityMatrices("complex", 2)],
+                         ids=["simplex3", "square", "complex2"])
+def test_mix_coords_matches_mix(space):
+    rng = np.random.default_rng(4)
+    a = [geo.random_state(space, rng) for _ in range(6)]
+    b = [geo.random_pure_state(space, rng) for _ in range(6)]
+    t = np.array([0.0, 0.1, 0.5, 0.9, 1.0])[:, None, None]
+    rows = cone.mix_coords(space, t, np.array([s.coords for s in a]), np.array([s.coords for s in b]))
+    assert rows.shape == (5, 6, space.coords_len)
+    for i, ti in enumerate(t[:, 0, 0]):
+        for j in range(6):
+            assert rows[i, j].tolist() == sc.mix([1.0 - ti, ti], [a[j], b[j]]).coords.tolist()
+    with pytest.raises(sc.InvalidWeightsError):
+        cone.mix_coords(space, 1.5, a[0].coords, b[0].coords)
+    with pytest.raises(sc.NotInConeError):  # one row outside the space fails the whole stack
+        cone.mix_coords(space, 0.5, np.array([a[0].coords, 5.0 * a[1].coords]), b[0].coords)
 
 
 def test_mix_rejects_mixed_spaces():

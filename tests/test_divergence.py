@@ -293,6 +293,202 @@ def test_nan_divergence_fails_sufficiency():
     assert report["max_gap"] == math.inf
 
 
+# ---------------------------------------------------------------------------
+# batched checkers against the per-trial reference loops
+# ---------------------------------------------------------------------------
+
+def reference_gap(a, b):
+    """|a - b| in the extended reals; equal infinities are 0 and NaN is infinite."""
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    if math.isinf(a) or math.isinf(b):
+        return 0.0 if a == b else math.inf
+    return abs(a - b)
+
+
+def reference_kl(s1, s2):
+    p, q = np.asarray(s1.coords), np.asarray(s2.coords)
+    mask = p > 1e-15
+    if np.any(q[mask] <= 0.0):
+        return math.inf
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def reference_squared_euclidean(s1, s2):
+    d = np.asarray(s1.coords) - np.asarray(s2.coords)
+    return float(np.dot(d, d))
+
+
+def reference_itakura_saito(s1, s2):
+    p, q = np.asarray(s1.coords), np.asarray(s2.coords)
+    if float(np.min(p)) <= 0.0 or float(np.min(q)) <= 0.0:
+        return math.inf
+    ratio = p / q
+    return float(np.sum(ratio - np.log(ratio) - 1.0))
+
+
+REFERENCE_RULES = {
+    "kl": reference_kl,
+    "squared_euclidean": reference_squared_euclidean,
+    "itakura_saito": reference_itakura_saito,
+}
+
+
+def reference_divergence(div):
+    """The divergence with its scalar State-level rule (the builtin one for matrices)."""
+    rule = REFERENCE_RULES.get(div.name, div)
+    return dv.Divergence(div.name, "reference", rule, div.requires_interior)
+
+
+def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, seed=0):
+    """Per-trial loop: one mix, State and scalar divergence call per (trial, t)."""
+    rng = np.random.default_rng(seed)
+    bary = sc.State(space, space.barycenter_coords())
+
+    def dom(s):
+        if div.requires_interior:
+            return sc.mix([1.0 - dv.INTERIOR_EPS, dv.INTERIOR_EPS], [s, bary])
+        return s
+
+    max_gap = max_gap_reversed = -1.0
+    witness = None
+    vacuous = True
+    for trial in range(trials):
+        s0, s1, s2, degenerate = dv._sample_orthogonal_triple(space, rng)
+        vacuous = vacuous and degenerate
+        for t in t_grid:
+            m1 = sc.mix([1.0 - t, t], [s0, s1])
+            m2 = sc.mix([1.0 - t, t], [s0, s2])
+            a, b = div(dom(m1), dom(s0)), div(dom(m2), dom(s0))
+            ar, br = div(dom(s0), dom(m1)), div(dom(s0), dom(m2))
+            max_gap_reversed = max(max_gap_reversed, reference_gap(ar, br))
+            gap = reference_gap(a, b)
+            if gap > max_gap:
+                max_gap = gap
+                witness = {
+                    "trial": trial, "t": float(t),
+                    "s0": [float(c) for c in s0.coords],
+                    "s1": [float(c) for c in s1.coords],
+                    "s2": [float(c) for c in s2.coords],
+                    "values": [a, b], "reversed_values": [ar, br],
+                }
+    passed = max_gap <= tol
+    return {
+        "check": "locality", "divergence": div.name, "space": space.to_json(),
+        "pass": passed, "max_gap": max_gap, "reversed_max_gap": max_gap_reversed,
+        "witness": None if passed else witness, "trials": trials, "seed": seed,
+        "tolerance": tol, "vacuous": vacuous,
+    }
+
+
+def reference_sufficiency(div, space, trials, tol=1e-9, seed=0):
+    """Per-trial loop: phi twice per state and one scalar divergence call per side."""
+    rng = np.random.default_rng(seed)
+    suite = dv.builtin_channel_suite(space, rng)
+    bary = sc.State(space, space.barycenter_coords())
+
+    def dom(s):
+        if div.requires_interior:
+            return sc.mix([1.0 - dv.INTERIOR_EPS, dv.INTERIOR_EPS], [s, bary])
+        return s
+
+    max_gap = -1.0
+    witness = None
+    violations = 0
+    for trial in range(trials):
+        pair = suite[trial % len(suite)]
+        s1, s2 = pair.sample_family(rng), pair.sample_family(rng)
+        bad = False
+        for s in (s1, s2):
+            if np.max(np.abs(pair.psi(pair.phi(s)).coords - s.coords)) > 1e-9:
+                violations += 1
+                bad = True
+        if bad:
+            continue
+        base = div(dom(s1), dom(s2))
+        mapped = div(dom(pair.phi(s1)), dom(pair.phi(s2)))
+        gap = reference_gap(base, mapped)
+        if gap > max_gap:
+            max_gap = gap
+            witness = {
+                "trial": trial, "channel": pair.name,
+                "s1": [float(c) for c in s1.coords],
+                "s2": [float(c) for c in s2.coords],
+                "values": [base, mapped],
+            }
+    passed = violations == 0 and max_gap <= tol
+    return {
+        "check": "sufficiency", "divergence": div.name, "space": space.to_json(),
+        "pass": passed, "max_gap": max_gap, "witness": None if passed else witness,
+        "precondition_violations": violations,
+        "exploratory": isinstance(space, geo.DensityMatrices) and space.ring == "quaternion",
+        "trials": trials, "seed": seed, "tolerance": tol,
+    }
+
+
+def assert_reports_match(got, want, path="report"):
+    """Equal reports, except finite floats may differ by 1e-15 relative."""
+    if isinstance(want, float) or isinstance(got, float):
+        close = got == want or abs(got - want) <= 1e-15 * max(abs(got), abs(want))
+        assert close or (math.isnan(got) and math.isnan(want)), (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), (path, got, want)
+        for key in want:
+            assert_reports_match(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), (path, got, want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_reports_match(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_array_forms_match_scalar_reference():
+    rng = np.random.default_rng(9)
+    rows = rng.dirichlet(np.ones(4), size=(6, 5))
+    rows[0, :, 0] = 0.0  # off support
+    rows[1, :, 1] = 1e-14  # below the support threshold of kl
+    rows[2, :, 2] = 1e-5
+    rows /= np.sum(rows, axis=-1, keepdims=True)
+    space = geo.Simplex(4)
+    for name, rule in REFERENCE_RULES.items():
+        div = dv.builtin_divergence(name, space)
+        for p, q in ((rows, rows[::-1]), (rows[::-1], rows), (rows, rows[:, ::-1])):
+            got = div.values(space, p, q)
+            assert got.shape == p.shape[:-1]
+            want = [[rule(sc.State(space, a), sc.State(space, b)) for a, b in zip(pa, qa)]
+                    for pa, qa in zip(p, q)]
+            assert got.tolist() == want, name
+            assert div(sc.State(space, p[0, 0]), sc.State(space, q[0, 0])) == want[0][0]
+
+
+NAN_DIVERGENCE = dv.Divergence("nan", "test", lambda s1, s2: math.nan)
+VECTOR_CASES = [(name, geo.Simplex(n)) for n in (2, 3, 4)
+                for name in ("kl", "squared_euclidean", "itakura_saito")]
+MATRIX_CASES = [("matrix_negentropy", geo.DensityMatrices(ring, 2)) for ring in ("complex", "quaternion")]
+CASE_IDS = [f"{name}-{space.kind}{getattr(space, 'n', '')}" for name, space in VECTOR_CASES + MATRIX_CASES]
+
+
+@pytest.mark.parametrize("name, space", VECTOR_CASES + MATRIX_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_batched_checkers_match_reference_loops(name, space, seed):
+    div = dv.builtin_divergence(name, space)
+    trials = 5 if isinstance(space, geo.DensityMatrices) else 40
+    assert_reports_match(dv.check_locality(div, space, trials=trials, seed=seed),
+                         reference_locality(reference_divergence(div), space, trials, seed=seed))
+    assert_reports_match(dv.check_sufficiency(div, space, trials=2 * trials, seed=seed),
+                         reference_sufficiency(reference_divergence(div), space, 2 * trials, seed=seed))
+
+
+@pytest.mark.parametrize("space", [geo.Ball(2), geo.unit_square(), SIMPLEX3], ids=["disc", "square", "simplex3"])
+def test_batched_locality_matches_reference_loop(space):
+    for div in (dv.squared_euclidean_divergence(), NAN_DIVERGENCE):
+        assert_reports_match(dv.check_locality(div, space, trials=30, seed=2),
+                             reference_locality(reference_divergence(div), space, 30, seed=2))
+    assert_reports_match(dv.check_sufficiency(NAN_DIVERGENCE, SIMPLEX3, trials=10, seed=2),
+                         reference_sufficiency(NAN_DIVERGENCE, SIMPLEX3, 10, seed=2))
+
+
 def test_sufficiency_implies_locality_over_zoo():
     for space in (SIMPLEX3, QUBITS):
         for div in dv.divergence_zoo(space):

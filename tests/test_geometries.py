@@ -334,9 +334,21 @@ def test_decompose_frozen_supports(space, trace, coords, support):
     assert tuple(space.vertices.index(tuple(c.coords)) for c in dec.components) == support
 
 
+def reference_density_member(space, coords, tol):
+    """Membership of one row through HermitianMatrix and jordan.eigenvalues_of."""
+    m = space.matrix_from_coords(coords)
+    if np.max(np.abs(coords - space.coords_from_matrix(m))) > tol:
+        return False  # not Hermitian within tolerance
+    if abs(sc.jordan.trace(m) - 1.0) > tol:
+        return False
+    return float(np.min(sc.jordan.eigenvalues_of(m))) >= -tol
+
+
 @pytest.mark.parametrize(
-    "space", [SIMPLEX3, SQUARE, PENTAGON, DISC, geo.SpinFactor(3)],
-    ids=["simplex3", "square", "pentagon", "disc", "spin3"],
+    "space",
+    [SIMPLEX3, SQUARE, PENTAGON, DISC, geo.SpinFactor(3), geo.DensityMatrices("real", 3), QUBITS,
+     geo.DensityMatrices("quaternion", 2)],
+    ids=["simplex3", "square", "pentagon", "disc", "spin3", "real3", "complex2", "quaternion2"],
 )
 def test_stacked_contains_state_matches_rows(space):
     rng = np.random.default_rng(12)
@@ -345,9 +357,17 @@ def test_stacked_contains_state_matches_rows(space):
     # straddle both tolerances below, and leave the space by far
     noise = rng.standard_normal((3, len(base), space.coords_len)) * np.array([1e-13, 1e-10, 0.3])[:, None, None]
     points = np.array(base)[None, :, :] + noise
+    # step out of the space away from the barycenter: density matrices stay
+    # Hermitian with unit trace, and pure ones get an eigenvalue near -3e-11
+    outward = np.array(base) + 1e-10 * (np.array(base) - space.barycenter_coords())
+    points = np.concatenate([points, outward[None]])
+    member = space.contains_state
+    if isinstance(space, geo.DensityMatrices):
+        def member(p, tol):
+            return reference_density_member(space, p, tol)
     for tol in (1e-12, 1e-9):
         stacked = space.contains_state(points, tol=tol)
         assert stacked.shape == points.shape[:-1]
-        rows = [[bool(space.contains_state(p, tol=tol)) for p in block] for block in points]
+        rows = [[bool(member(p, tol=tol)) for p in block] for block in points]
         assert stacked.tolist() == rows
         assert 0 < np.count_nonzero(stacked) < stacked.size

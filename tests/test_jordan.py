@@ -481,6 +481,25 @@ def test_check_concavity_passes(algebra):
     assert report["max_second_derivative"] < 0.0
     assert report["fd_max_rel_err"] <= 1e-5
     assert report["min_midpoint_slack"] >= -1e-10
+    assert report["witness"] is None
+
+
+@pytest.mark.parametrize("algebra", [("complex", 2), ("spin", 3)])
+def test_check_concavity_witness_replays(algebra):
+    report = check_concavity(algebra, trials=5, seed=3, strictness=1e3)
+    assert not report["pass"]
+    assert report["witness"]["trial"] == 0 and report["witness"]["condition"] == "second_derivative"
+    # a strictness that only the largest second derivative breaks fails at that trial
+    top = check_concavity(algebra, trials=30, seed=3)["max_second_derivative"]
+    report = check_concavity(algebra, trials=30, seed=3, strictness=-top)
+    witness = report["witness"]
+    assert not report["pass"] and witness["condition"] == "second_derivative"
+    assert witness["d2"] == top and witness["slack"] >= -1e-10
+    assert abs(witness["fd"] - witness["d2"]) <= 1e-5 * abs(witness["d2"])
+    replay = check_concavity(algebra, trials=witness["trial"] + 1, seed=3, strictness=-top)
+    assert replay["witness"] == witness
+    if witness["trial"] > 0:
+        assert check_concavity(algebra, trials=witness["trial"], seed=3, strictness=-top)["pass"]
 
 
 def test_euclidean_check():

@@ -189,11 +189,15 @@ def test_square_not_spectral_with_center_witness():
     assert len(a) != len(b)
     np.testing.assert_allclose(a, [0.5, 0.5], atol=1e-9)
     np.testing.assert_allclose(b, [0.25, 0.25, 0.25, 0.25], atol=1e-9)
+    # sup-norm distance of (0.5, 0.5, 0, 0) and (0.25, 0.25, 0.25, 0.25)
+    assert report.to_json()["max_gap"] == 0.25
 
 
 def test_triangle_polytope_spectral():
     tri = geo.Polytope(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
-    assert sc.is_spectral(tri, samples=25, seed=1).spectral
+    report = sc.is_spectral(tri, samples=25, seed=1)
+    assert report.spectral
+    assert report.to_json()["max_gap"] == 0.0
 
 
 def test_spectral_rank():
@@ -248,9 +252,10 @@ def test_landscape_rejects_non_2d():
 
 def test_landscape_csv_rows_cover_interior():
     land = sc.entropy_landscape(DISC, 21)
-    rows = list(land.csv_rows())
-    assert all(x * x + y * y <= 1.0 + 1e-9 for x, y, _ in rows)
-    assert len(rows) < 21 * 21  # corners excluded
+    x, y, h = land.csv_rows()
+    assert np.all(x * x + y * y <= 1.0 + 1e-9)
+    assert len(x) == len(y) == len(h) == np.count_nonzero(~np.isnan(land.values))
+    assert len(x) < 21 * 21  # corners excluded
 
 
 def brute_force_maxima(xs, ys, values):
