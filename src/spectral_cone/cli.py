@@ -26,7 +26,7 @@ import numpy as np
 from . import divergence as dv
 from . import geometries as geo
 from . import jordan, spectral
-from .cone import ConeElement, State
+from .cone import ConeElement
 from .errors import SpectralConeError
 
 DEFAULT_SEED = 42
@@ -71,9 +71,15 @@ def parse_element(text: str, space) -> ConeElement:
     """Cone element from JSON: a bare coords list (trace 1) or {trace, coords}."""
     data = _load_json_arg(text.strip())
     if isinstance(data, list):
-        return State(space, np.asarray(data, dtype=float))
-    return ConeElement(space, float(data.get("trace", 1.0)),
-                       np.asarray(data["coords"], dtype=float))
+        data = {"coords": data}
+    if not (isinstance(data, dict) and _numbers([data.get("trace", 1.0)]) and _numbers(data.get("coords"))):
+        raise ValueError('element must be a list of numbers or {"trace": number, "coords": [numbers]}')
+    return ConeElement(space, float(data.get("trace", 1.0)), np.asarray(data["coords"], dtype=float))
+
+
+def _numbers(value) -> bool:
+    """Whether a parsed JSON value is a list of numbers."""
+    return isinstance(value, list) and all(isinstance(c, (int, float)) for c in value)
 
 
 def _emit(text: str, out_path):
@@ -150,10 +156,11 @@ def cmd_check(args) -> int:
             if not args.algebra:
                 raise ValueError("check concavity requires --algebra")
             report = jordan.check_concavity(args.algebra, trials=args.trials, seed=seed)
+        elif not args.space:
+            raise ValueError(f"check {args.kind} requires --space")
         elif args.kind == "spectrality":
-            space = parse_space(args.space)
-            report = spectral.is_spectral(space, samples=args.trials, seed=seed).to_json()
-        elif args.kind in ("locality", "sufficiency"):
+            report = spectral.is_spectral(parse_space(args.space), samples=args.trials, seed=seed).to_json()
+        else:
             space = parse_space(args.space)
             div = dv.builtin_divergence(args.divergence, space)
             tol = args.tol if args.tol is not None else (1e-8 if args.kind == "locality" else 1e-9)
@@ -161,8 +168,6 @@ def cmd_check(args) -> int:
                 report = dv.check_locality(div, space, trials=args.trials, tol=tol, seed=seed)
             else:
                 report = dv.check_sufficiency(div, space, tol=tol, trials=args.trials, seed=seed)
-        else:
-            raise ValueError(f"unknown check {args.kind!r}")
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

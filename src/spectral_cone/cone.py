@@ -9,6 +9,7 @@ descriptor object exposing ``coords_len``, ``contains_state`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +35,8 @@ class ConeElement:
 
     def __post_init__(self):
         lam = float(self.trace_weight)
+        if not math.isfinite(lam):
+            raise NotInConeError(f"trace weight {lam} is not finite")
         if lam < -WEIGHT_TOL:
             raise NotInConeError(f"negative trace weight {lam}")
         lam = max(lam, 0.0)

@@ -1,13 +1,24 @@
-"""Spectra and orthogonal decompositions, shared by geometry and entropy code."""
+"""Spectra, majorization and orthogonal decompositions, shared by geometry and entropy code."""
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cone import ConeElement
+
+TOTAL_TOL = 1e-9
+
+
+def weights_entropy(weights) -> np.ndarray:
+    """-sum w ln w down axis 0 of a weight array; entries at or below 0 contribute nothing."""
+    w = np.asarray(weights, dtype=float)
+    positive = w > 0.0
+    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
+    return -np.sum(terms, axis=0) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 @dataclass(frozen=True)
@@ -35,12 +46,39 @@ class Spectrum:
         return out
 
     def entropy(self) -> float:
-        from .spectral import weights_entropy  # local import to avoid a cycle
-
         return float(weights_entropy(self.weights))
 
     def __len__(self) -> int:
         return int(self.weights.size)
+
+
+class Ordering(enum.Enum):
+    DOMINATES = "dominates"
+    DOMINATED = "dominated"
+    EQUAL = "equal"
+    INCOMPARABLE = "incomparable"
+
+
+def majorizes(a: Spectrum, b: Spectrum, tol: float = 1e-12) -> Ordering:
+    """Partial-sum comparison of two spectra of the same element.
+
+    Shorter spectra are padded with zeros.  Raises when the totals differ,
+    since majorization only compares decompositions of one element.
+    """
+    if abs(a.total - b.total) > TOTAL_TOL * max(1.0, abs(a.total), abs(b.total)):
+        raise ValueError(f"spectra have different totals: {a.total} vs {b.total}")
+    length = max(len(a), len(b))
+    delta = np.cumsum(a.padded(length) - b.padded(length))
+    scale = max(1.0, abs(a.total))
+    hi = float(np.max(delta))
+    lo = float(np.min(delta))
+    if hi <= tol * scale and lo >= -tol * scale:
+        return Ordering.EQUAL
+    if lo >= -tol * scale:
+        return Ordering.DOMINATES
+    if hi <= tol * scale:
+        return Ordering.DOMINATED
+    return Ordering.INCOMPARABLE
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import geometries as geo
 from . import jordan
+from . import quaternion as quat
 from .cone import AffineFunctional, State, evaluate, mix, mix_coords
 from .errors import PreconditionError, require_count
 
@@ -320,8 +321,9 @@ def divergence_from_action_set(actions) -> Divergence:
 
 
 def builtin_divergence(name: str, space) -> Divergence:
-    if name in ("kl", "itakura_saito") and isinstance(space, geo.DensityMatrices):
-        raise ValueError(f"{name} is a vector divergence; use matrix_negentropy on a density-matrix space")
+    if name in ("kl", "itakura_saito") and not isinstance(space, geo.Simplex):
+        use = ", ".join(d.name for d in divergence_zoo(space))
+        raise ValueError(f"{name} is a probability-vector divergence; use {use} on {space.kind} spaces")
     if name == "kl":
         return kl_divergence()
     if name == "squared_euclidean":
@@ -375,84 +377,6 @@ def _coords_rows(space, states) -> np.ndarray:
     return np.array([s.coords for s in states], dtype=float).reshape(-1, space.coords_len)
 
 
-def _sample_orthogonal_triple(space, rng: np.random.Generator):
-    """(s0 pure, s1, s2) with s1, s2 orthogonal to s0; s1 = s2 when forced.
-
-    Returns (s0, s1, s2, degenerate) where degenerate marks spaces with
-    fewer than three pairwise orthogonal states, on which distinct s1 and
-    s2 cannot exist and the locality identity holds vacuously.
-    """
-    if isinstance(space, geo.Simplex):
-        n = space.n
-        if n < 3:
-            s0 = space.vertex_state(int(rng.integers(n)))
-            other = space.vertex_state(int((np.argmax(s0.coords) + 1) % n))
-            return s0, other, other, True
-        i = int(rng.integers(n))
-        rest = [j for j in range(n) if j != i]
-
-        def complement_state():
-            k = int(rng.integers(1, len(rest) + 1))
-            support = rng.choice(rest, size=k, replace=False)
-            coords = np.zeros(n)
-            coords[support] = rng.dirichlet(np.ones(k)) if k > 1 else 1.0
-            return State(space, coords)
-
-        s0 = space.vertex_state(i)
-        s1 = complement_state()
-        for _ in range(8):
-            s2 = complement_state()
-            if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
-                break
-        return s0, s1, s2, False
-    if isinstance(space, geo.DensityMatrices):
-        n = space.n
-        s0 = geo.random_pure_state(space, rng)
-        p0 = space.support_projection(s0)
-        comp = jordan.HermitianMatrix.identity(space.ring, n) - p0
-
-        def complement_state():
-            for _ in range(16):
-                raw = jordan.random_density_matrix(space.ring, n, rng)
-                if rng.uniform() < 0.5:
-                    raw = jordan.random_pure_density(space.ring, n, rng)
-                pinched = jordan.ring_matmul(
-                    space.ring, jordan.ring_matmul(space.ring, comp.data, raw.data), comp.data
-                )
-                compressed = jordan.hermitian_part(space.ring, pinched)
-                mass = jordan.trace(compressed)
-                if mass > 1e-6:
-                    return space.state_from_matrix(compressed.scale(1.0 / mass))
-            raise RuntimeError("failed to sample a state in the orthogonal complement")
-
-        s1 = complement_state()
-        if n < 3:
-            return s0, s1, s1, True
-        for _ in range(8):
-            s2 = complement_state()
-            if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
-                break
-        return s0, s1, s2, False
-    if isinstance(space, geo.Ball):
-        s0 = geo.random_pure_state(space, rng)
-        anti = State(space, -np.asarray(s0.coords))
-        return s0, anti, anti, True
-    if isinstance(space, geo.Polytope):
-        adj = geo._orthogonality_graph(space)
-        nv = len(space.vertices)
-        i = int(rng.integers(nv))
-        partners = np.nonzero(adj[i])[0]
-        if partners.size == 0:
-            raise PreconditionError("polytope vertex with no orthogonal partner")
-        s0 = space.vertex_state(i)
-        if partners.size == 1:
-            s1 = space.vertex_state(int(partners[0]))
-            return s0, s1, s1, True
-        j, k = rng.choice(partners, size=2, replace=False)
-        return s0, space.vertex_state(int(j)), space.vertex_state(int(k)), False
-    raise TypeError(f"unsupported space {space!r}")
-
-
 def check_locality(div: Divergence, space, trials: int = 1000,
                    t_grid: Sequence[float] = DEFAULT_T_GRID, tol: float = 1e-8,
                    seed: int = 0, include_reversed: bool = True) -> dict:
@@ -468,7 +392,7 @@ def check_locality(div: Divergence, space, trials: int = 1000,
     """
     require_count("trials", trials)
     rng = np.random.default_rng(seed)
-    triples = [_sample_orthogonal_triple(space, rng) for _ in range(trials)]
+    triples = [space.orthogonal_triple(rng) for _ in range(trials)]
     s0, s1, s2 = (_coords_rows(space, [tr[k] for tr in triples]) for k in range(3))
     t = np.asarray(t_grid, dtype=float)[:, None]
     dom = _interior_map(div, space)
@@ -574,15 +498,12 @@ def _unitary_conjugation_pair(space: geo.DensityMatrices,
                               rng: np.random.Generator, pinch: bool) -> ChannelPair:
     n = space.n
     u = _random_unitary(space.ring, n, rng)
-    u_star = _conj_transpose_ring(space.ring, u)
+    u_star = jordan._conj_transpose(space.ring, u)
     block = n // 2 if n >= 2 else 1
     mask = _block_mask(space.ring, n, block)
 
     def conj(mat_data, v, v_star):
-        if space.ring == "quaternion":
-            from . import quaternion as quat
-            return quat.qmat_mul(quat.qmat_mul(v, mat_data), v_star)
-        return v @ mat_data @ v_star
+        return jordan.ring_matmul(space.ring, jordan.ring_matmul(space.ring, v, mat_data), v_star)
 
     def phi(s):
         data = space.state_matrix(s).data
@@ -613,13 +534,6 @@ def _block_mask(ring: str, n: int, block: int) -> np.ndarray:
     return mask2
 
 
-def _conj_transpose_ring(ring: str, u):
-    if ring == "quaternion":
-        from . import quaternion as quat
-        return quat.qmat_conj_transpose(u)
-    return np.conj(u.T)
-
-
 def _random_unitary(ring: str, n: int, rng: np.random.Generator):
     if ring == "real":
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
@@ -628,7 +542,6 @@ def _random_unitary(ring: str, n: int, rng: np.random.Generator):
         q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         return q * np.exp(-1j * np.angle(np.diag(r)))
     # quaternion: compose unit-quaternion phases with Givens-like rotations
-    from . import quaternion as quat
     u = np.zeros((n, n, 4))
     phases = rng.standard_normal((n, 4))
     phases /= np.linalg.norm(phases, axis=1, keepdims=True)

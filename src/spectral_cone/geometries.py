@@ -15,6 +15,10 @@ Every state is identified by a real coordinate vector:
 With this flattening the trace inner product of Hermitian matrices equals
 the plain dot product of coordinate vectors, so affine functionals transfer
 between pictures without conversion.
+
+Each descriptor class carries the behaviour of its geometry (faces, mutual
+singularity, decomposition, entropy, sampling); the module functions hold
+the logic shared by every geometry and call those methods.
 """
 
 from __future__ import annotations
@@ -31,22 +35,51 @@ from scipy.spatial import ConvexHull
 from . import jordan
 from . import quaternion as quat
 from .cone import AffineFunctional, ConeElement, State
-from .decomposition import OrthogonalDecomposition, Spectrum
-from .errors import ApexError, DecompositionError, NotInConeError
+from .decomposition import OrthogonalDecomposition, Ordering, Spectrum, majorizes, weights_entropy
+from .errors import (ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError,
+                     PreconditionError)
 
 SINGULARITY_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 WEIGHT_DROP_TOL = 1e-11
 MAX_ENUMERATION_VERTICES = 12
 FAMILY_GRID_POINTS = 10
+POINT_BLOCK = 4096  # points per stacked clique solve, bounding its temporaries
 
 
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------
 
+class _Geometry:
+    """Defaults shared by the descriptor classes.
+
+    Each class also defines for its geometry: ``rank``, ``smallest_face``,
+    ``mutually_singular`` (flag, witness) for two distinct states,
+    ``decomposition(x)`` (weights, components) of a non-apex element in any
+    order, ``entropies(coords, total)`` of total * s for every row s,
+    ``random_state``, ``random_pure_state`` and ``orthogonal_triple(rng)``:
+    (s0 pure, s1, s2, degenerate) with s1, s2 orthogonal to s0, where s1 = s2
+    and degenerate is true on spaces with fewer than three pairwise
+    orthogonal states (the locality identity then holds vacuously).
+    """
+
+    # one decomposition spectrum per element, given in closed form
+    canonical_decomposition = True
+
+    def orthogonality_witness(self, s0: State, s1: State) -> Optional[AffineFunctional]:
+        # restricting to the smallest face does not change the criterion:
+        # disjoint supports (simplex), antipodal boundary points (ball),
+        # orthogonal support projections (matrices)
+        return self.mutually_singular(s0, s1)[1]
+
+    def planar_chart(self):
+        """(bounding box, chart) for a 2-dimensional space; chart maps x, y arrays to coords rows."""
+        raise ValueError(f"space {self!r} is not two-dimensional")
+
+
 @dataclass(frozen=True)
-class Simplex:
+class Simplex(_Geometry):
     """Probability vectors of length n (affine dimension n - 1)."""
 
     n: int
@@ -63,6 +96,10 @@ class Simplex:
 
     @property
     def coords_len(self) -> int:
+        return self.n
+
+    @property
+    def rank(self) -> int:
         return self.n
 
     def contains_state(self, coords, tol=1e-9):
@@ -85,9 +122,63 @@ class Simplex:
     def to_json(self) -> dict:
         return {"kind": "simplex", "n": self.n}
 
+    def smallest_face(self, states) -> Face:
+        idx = tuple(np.nonzero(np.any([s.coords > SUPPORT_TOL for s in states], axis=0))[0].tolist())
+        return Face(self, "whole" if len(idx) == self.n else "vertices", vertex_indices=idx)
+
+    def mutually_singular(self, s0: State, s1: State):
+        supp0 = np.asarray(s0.coords) > SUPPORT_TOL
+        supp1 = np.asarray(s1.coords) > SUPPORT_TOL
+        if np.any(supp0 & supp1):
+            return False, None
+        return True, AffineFunctional(supp1.astype(float), 0.0)
+
+    def decomposition(self, x: ConeElement):
+        w = x.trace_weight * np.asarray(x.coords, dtype=float)
+        keep = np.nonzero(w > WEIGHT_DROP_TOL * max(1.0, x.trace_weight))[0]
+        return w[keep], [self.vertex_state(int(i)) for i in keep]
+
+    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
+        return weights_entropy(total * coords.T)
+
+    def planar_chart(self):
+        if self.n != 3:
+            return super().planar_chart()
+        return (0.0, 1.0, 0.0, 1.0), lambda x, y: np.stack([x, y, 1.0 - x - y], axis=-1)
+
+    def random_state(self, rng: np.random.Generator) -> State:
+        return State(self, rng.dirichlet(np.ones(self.n)))
+
+    def random_pure_state(self, rng: np.random.Generator) -> State:
+        return self.vertex_state(int(rng.integers(self.n)))
+
+    def orthogonal_triple(self, rng: np.random.Generator):
+        n = self.n
+        if n < 3:
+            s0 = self.vertex_state(int(rng.integers(n)))
+            other = self.vertex_state(int((np.argmax(s0.coords) + 1) % n))
+            return s0, other, other, True
+        i = int(rng.integers(n))
+        rest = [j for j in range(n) if j != i]
+
+        def complement_state():
+            k = int(rng.integers(1, len(rest) + 1))
+            support = rng.choice(rest, size=k, replace=False)
+            coords = np.zeros(n)
+            coords[support] = rng.dirichlet(np.ones(k)) if k > 1 else 1.0
+            return State(self, coords)
+
+        s0 = self.vertex_state(i)
+        s1 = complement_state()
+        for _ in range(8):
+            s2 = complement_state()
+            if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
+                break
+        return s0, s1, s2, False
+
 
 @dataclass(frozen=True)
-class Polytope:
+class Polytope(_Geometry):
     """Convex hull of a full-dimensional tuple of extreme points."""
 
     vertices: tuple
@@ -103,6 +194,7 @@ class Polytope:
         _polytope_geometry(self)  # validates extremality and full dimension
 
     kind = "polytope"
+    canonical_decomposition = False
 
     @property
     def dim(self) -> int:
@@ -115,6 +207,12 @@ class Polytope:
     @property
     def vertex_array(self) -> np.ndarray:
         return _polytope_geometry(self).vertex_array
+
+    @property
+    def rank(self) -> int:
+        if len(self.vertices) == self.dim + 1:  # affinely independent: a simplex
+            return len(self.vertices)
+        raise NonSpectralSpaceError("polytope is not a simplex; rank undefined")
 
     def contains_state(self, coords, tol=1e-9):
         """Membership of one point, or of every row of a (..., dim) array."""
@@ -135,9 +233,96 @@ class Polytope:
     def to_json(self) -> dict:
         return {"kind": "polytope", "vertices": [list(v) for v in self.vertices]}
 
+    def smallest_face(self, states) -> Face:
+        geo = _polytope_geometry(self)
+        center = np.mean([s.coords for s in states], axis=0)
+        slack = geo.facet_normals @ center + geo.facet_offsets
+        active = np.abs(slack) <= SINGULARITY_TOL
+        if not np.any(active):
+            return Face(self, "whole", vertex_indices=tuple(range(len(self.vertices))))
+        on_face = np.all(
+            np.abs(geo.vertex_array @ geo.facet_normals[active].T + geo.facet_offsets[active]) <= SINGULARITY_TOL,
+            axis=1,
+        )
+        return Face(self, "vertices", vertex_indices=tuple(np.nonzero(on_face)[0].tolist()))
+
+    def mutually_singular(self, s0: State, s1: State):
+        witness = _affine_test_feasible(self.vertex_array, s0.coords, s1.coords)
+        return witness is not None, witness
+
+    def orthogonality_witness(self, s0: State, s1: State) -> Optional[AffineFunctional]:
+        """Mutual singularity restricted to the vertices of the smallest face of the pair."""
+        face = self.smallest_face([s0, s1])
+        return _affine_test_feasible(self.vertex_array[list(face.vertex_indices)], s0.coords, s1.coords)
+
+    def decomposition(self, x: ConeElement):
+        sols = _determined_solutions(self, x.coords, x.trace_weight, self.dim + 1)
+        if not sols:
+            raise DecompositionError("no orthogonal decomposition found; geometry bug?")
+        spectra = [Spectrum(w) for w, _ in sols]
+        maximal = [
+            i for i, spec in enumerate(spectra)
+            if not any(
+                majorizes(other, spec) is Ordering.DOMINATES
+                for j, other in enumerate(spectra) if j != i
+            )
+        ]
+        length = max(len(s) for s in spectra)
+        weights, support = sols[max(maximal, key=lambda i: tuple(spectra[i].padded(length)))]
+        return weights, [self.vertex_state(int(i)) for i in support]
+
+    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
+        """Least decomposition entropy over the determined clique systems, per point.
+
+        Like ``_determined_solutions``, a support that several cliques yield
+        (extra weights dropped) counts once, from the first in clique order.
+        """
+        out = np.empty(len(coords))
+        for start in range(0, len(coords), POINT_BLOCK):
+            h, support = [], []  # support: vertex bitmask per clique and point, 0 if unsolved
+            for idx, w, kept in _clique_solutions(self, coords[start:start + POINT_BLOCK],
+                                                  total, len(self.vertices)):
+                h.append(weights_entropy(np.where(kept, w, 0.0).swapaxes(0, 1)))
+                support.append(np.sum(np.where(kept, 1 << idx[..., None], 0), axis=1))
+            order = np.argsort(np.concatenate(support), axis=0, kind="stable")
+            support = np.take_along_axis(np.concatenate(support), order, axis=0)
+            first = (support != 0) & (np.diff(support, axis=0, prepend=-1) != 0)
+            h = np.take_along_axis(np.concatenate(h), order, axis=0)
+            out[start:start + POINT_BLOCK] = np.min(np.where(first, h, np.inf), axis=0)
+        if not np.all(np.isfinite(out)):
+            raise DecompositionError("no orthogonal decomposition found")
+        return out
+
+    def planar_chart(self):
+        if self.dim != 2:
+            raise ValueError("landscape supports polytopes in a 2D ambient space")
+        verts = self.vertex_array
+        box = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 1].min(), verts[:, 1].max())
+        return box, lambda x, y: np.stack([x, y], axis=-1)
+
+    def random_state(self, rng: np.random.Generator) -> State:
+        w = rng.dirichlet(np.ones(len(self.vertices)))
+        return State(self, w @ self.vertex_array)
+
+    def random_pure_state(self, rng: np.random.Generator) -> State:
+        return self.vertex_state(int(rng.integers(len(self.vertices))))
+
+    def orthogonal_triple(self, rng: np.random.Generator):
+        adj = _orthogonality_graph(self)
+        i = int(rng.integers(len(self.vertices)))
+        partners = np.nonzero(adj[i])[0]
+        if partners.size == 0:
+            raise PreconditionError("polytope vertex with no orthogonal partner")
+        s0 = self.vertex_state(i)
+        if partners.size == 1:
+            s1 = self.vertex_state(int(partners[0]))
+            return s0, s1, s1, True
+        j, k = rng.choice(partners, size=2, replace=False)
+        return s0, self.vertex_state(int(j)), self.vertex_state(int(k)), False
+
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Geometry):
     """The closed unit ball in d dimensions; every boundary point is pure."""
 
     d: int
@@ -147,6 +332,7 @@ class Ball:
             raise ValueError("ball dimension must be positive")
 
     kind = "ball"
+    rank = 2
 
     @property
     def dim(self) -> int:
@@ -170,6 +356,58 @@ class Ball:
     def to_json(self) -> dict:
         return {"kind": "ball", "d": self.d}
 
+    def smallest_face(self, states) -> Face:
+        first = np.asarray(states[0].coords)
+        same = all(np.max(np.abs(np.asarray(s.coords) - first)) <= SINGULARITY_TOL for s in states)
+        if same and abs(np.linalg.norm(first) - 1.0) <= SINGULARITY_TOL:
+            return Face(self, "point", point=first)
+        return Face(self, "whole")
+
+    def mutually_singular(self, s0: State, s1: State):
+        x0, x1 = np.asarray(s0.coords), np.asarray(s1.coords)
+        boundary = abs(np.linalg.norm(x0) - 1.0) <= SINGULARITY_TOL and abs(np.linalg.norm(x1) - 1.0) <= SINGULARITY_TOL
+        if boundary and np.max(np.abs(x0 + x1)) <= SINGULARITY_TOL:
+            return True, AffineFunctional(x1 / 2.0, 0.5)
+        return False, None
+
+    def decomposition(self, x: ConeElement):
+        v = np.asarray(x.coords, dtype=float)
+        r = float(np.linalg.norm(v))
+        lam = x.trace_weight
+        if r <= 1e-12:
+            axis = np.zeros(self.d)
+            axis[0] = 1.0  # fixed diameter for the center, for determinism
+            return [lam / 2.0, lam / 2.0], [State(self, axis), State(self, -axis)]
+        direction = v / r
+        w_lo = lam * (1.0 - r) / 2.0
+        if w_lo <= WEIGHT_DROP_TOL * max(1.0, lam):
+            return [lam], [State(self, direction)]
+        return [lam * (1.0 + r) / 2.0, w_lo], [State(self, direction), State(self, -direction)]
+
+    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
+        r = np.minimum(np.linalg.norm(coords, axis=-1), 1.0)
+        return weights_entropy(np.stack([total * (1.0 + r) / 2.0, total * (1.0 - r) / 2.0]))
+
+    def planar_chart(self):
+        if self.d != 2:
+            return super().planar_chart()
+        return (-1.0, 1.0, -1.0, 1.0), lambda x, y: np.stack([x, y], axis=-1)
+
+    def random_state(self, rng: np.random.Generator) -> State:
+        v = rng.standard_normal(self.d)
+        norm = float(np.linalg.norm(v))
+        radius = rng.uniform() ** (1.0 / self.d)
+        return State(self, (v / norm * radius) if norm > 0 else np.zeros(self.d))
+
+    def random_pure_state(self, rng: np.random.Generator) -> State:
+        v = rng.standard_normal(self.d)
+        return State(self, v / float(np.linalg.norm(v)))
+
+    def orthogonal_triple(self, rng: np.random.Generator):
+        s0 = self.random_pure_state(rng)
+        anti = State(self, -np.asarray(s0.coords))
+        return s0, anti, anti, True
+
 
 @dataclass(frozen=True)
 class SpinFactor(Ball):
@@ -190,7 +428,7 @@ _ADJOINT_SIGNS = {"real": (1.0,), "complex": (1.0, -1.0), "quaternion": (1.0, -1
 
 
 @dataclass(frozen=True)
-class DensityMatrices:
+class DensityMatrices(_Geometry):
     """Density matrices over a division ring: positive, unit trace."""
 
     ring: str
@@ -216,6 +454,10 @@ class DensityMatrices:
     @property
     def coords_len(self) -> int:
         return self.n * self.n * self.components_per_entry
+
+    @property
+    def rank(self) -> int:
+        return self.n
 
     def matrix_from_coords(self, coords) -> jordan.HermitianMatrix:
         coords = np.asarray(coords, dtype=float)
@@ -289,23 +531,99 @@ class DensityMatrices:
     def to_json(self) -> dict:
         return {"kind": "density", "ring": self.ring, "n": self.n}
 
+    def smallest_face(self, states) -> Face:
+        avg = np.mean([s.coords for s in states], axis=0)
+        proj = self.support_projection(State(self, avg))
+        if abs(jordan.trace(proj) - self.n) <= SINGULARITY_TOL:
+            return Face(self, "whole", projection=proj)
+        return Face(self, "support", projection=proj)
+
+    def mutually_singular(self, s0: State, s1: State):
+        p0 = self.support_projection(s0)
+        p1 = self.support_projection(s1)
+        if jordan.trace_product(p0, p1) > SINGULARITY_TOL:
+            return False, None
+        return True, AffineFunctional(self.coords_from_matrix(p1), 0.0)
+
+    def decomposition(self, x: ConeElement):
+        rho = self.state_matrix(x.state())
+        lam = x.trace_weight
+        scale = max(1.0, lam)
+        weights, components = [], []
+        for t, e in jordan.rank_one_components(rho):
+            w = lam * t
+            if w < -SINGULARITY_TOL * scale:
+                raise NotInConeError(f"negative eigenvalue {t} in cone element")
+            if w > WEIGHT_DROP_TOL * scale:
+                weights.append(w)
+                components.append(State(self, self.coords_from_matrix(e)))
+        return weights, components
+
+    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
+        w = total * np.array([jordan.eigenvalues_of(self.matrix_from_coords(c)) for c in coords])
+        return weights_entropy(np.clip(w, 0.0, None).T)
+
+    def random_state(self, rng: np.random.Generator) -> State:
+        return self.state_from_matrix(jordan.random_density_matrix(self.ring, self.n, rng))
+
+    def random_pure_state(self, rng: np.random.Generator) -> State:
+        return self.state_from_matrix(jordan.random_pure_density(self.ring, self.n, rng))
+
+    def orthogonal_triple(self, rng: np.random.Generator):
+        n = self.n
+        s0 = self.random_pure_state(rng)
+        comp = jordan.HermitianMatrix.identity(self.ring, n) - self.support_projection(s0)
+
+        def complement_state():
+            for _ in range(16):
+                raw = jordan.random_density_matrix(self.ring, n, rng)
+                if rng.uniform() < 0.5:
+                    raw = jordan.random_pure_density(self.ring, n, rng)
+                pinched = jordan.ring_matmul(
+                    self.ring, jordan.ring_matmul(self.ring, comp.data, raw.data), comp.data
+                )
+                compressed = jordan.hermitian_part(self.ring, pinched)
+                mass = jordan.trace(compressed)
+                if mass > 1e-6:
+                    return self.state_from_matrix(compressed.scale(1.0 / mass))
+            raise RuntimeError("failed to sample a state in the orthogonal complement")
+
+        s1 = complement_state()
+        if n < 3:
+            return s0, s1, s1, True
+        for _ in range(8):
+            s2 = complement_state()
+            if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
+                break
+        return s0, s1, s2, False
+
 
 def unit_square() -> Polytope:
     return Polytope(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
 
 
 def space_from_json(data: dict):
+    """Space from its JSON descriptor; a malformed descriptor raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("space descriptor must be a JSON object")
+    for key in ("n", "d"):
+        if isinstance(data.get(key, 0), bool) or not isinstance(data.get(key, 0), int):
+            raise ValueError(f"space field {key!r} must be an integer, got {data[key]!r}")
     kind = data["kind"]
     if kind == "simplex":
-        return Simplex(int(data["n"]))
+        return Simplex(data["n"])
     if kind == "polytope":
-        return Polytope(tuple(tuple(v) for v in data["vertices"]))
+        verts = data["vertices"]
+        if not (isinstance(verts, list) and all(isinstance(v, list) for v in verts)
+                and all(isinstance(c, (int, float)) for v in verts for c in v)):
+            raise ValueError("polytope vertices must be a list of coordinate lists")
+        return Polytope(tuple(tuple(v) for v in verts))
     if kind == "ball":
-        return Ball(int(data["d"]))
+        return Ball(data["d"])
     if kind == "spin":
-        return SpinFactor(int(data["d"]))
+        return SpinFactor(data["d"])
     if kind == "density":
-        return DensityMatrices(str(data["ring"]), int(data["n"]))
+        return DensityMatrices(str(data["ring"]), data["n"])
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -482,45 +800,7 @@ def smallest_face(space, states) -> Face:
     states = list(states)
     if not states:
         raise ValueError("need at least one state")
-    if isinstance(space, Simplex):
-        support = set()
-        for s in states:
-            support.update(np.nonzero(np.asarray(s.coords) > SUPPORT_TOL)[0].tolist())
-        idx = tuple(sorted(support))
-        if len(idx) == space.n:
-            return Face(space, "whole", vertex_indices=idx)
-        return Face(space, "vertices", vertex_indices=idx)
-    if isinstance(space, Polytope):
-        geo = _polytope_geometry(space)
-        center = np.mean([s.coords for s in states], axis=0)
-        slack = geo.facet_normals @ center + geo.facet_offsets
-        active = np.abs(slack) <= SINGULARITY_TOL
-        if not np.any(active):
-            return Face(space, "whole", vertex_indices=tuple(range(len(space.vertices))))
-        on_face = np.all(
-            np.abs(geo.vertex_array @ geo.facet_normals[active].T + geo.facet_offsets[active]) <= SINGULARITY_TOL,
-            axis=1,
-        )
-        return Face(space, "vertices", vertex_indices=tuple(np.nonzero(on_face)[0].tolist()))
-    if isinstance(space, Ball):  # covers SpinFactor
-        first = np.asarray(states[0].coords)
-        same = all(np.max(np.abs(np.asarray(s.coords) - first)) <= SINGULARITY_TOL for s in states)
-        if same and abs(np.linalg.norm(first) - 1.0) <= SINGULARITY_TOL:
-            return Face(space, "point", point=first)
-        return Face(space, "whole")
-    if isinstance(space, DensityMatrices):
-        avg = np.mean([s.coords for s in states], axis=0)
-        proj = space.support_projection(State(space, avg))
-        if abs(jordan.trace(proj) - space.n) <= SINGULARITY_TOL:
-            return Face(space, "whole", projection=proj)
-        return Face(space, "support", projection=proj)
-    raise TypeError(f"unsupported space {space!r}")
-
-
-def _singular_in_vertex_set(space: Polytope, idx, s0: State, s1: State):
-    verts = space.vertex_array[list(idx)]
-    witness = _affine_test_feasible(verts, np.asarray(s0.coords), np.asarray(s1.coords))
-    return (witness is not None), witness
+    return space.smallest_face(states)
 
 
 def mutually_singular(s0: State, s1: State, space=None):
@@ -528,103 +808,27 @@ def mutually_singular(s0: State, s1: State, space=None):
     space = space or s0.space
     if s0.space != space or s1.space != space:
         raise ValueError("states must belong to the given space")
-    if np.max(np.abs(np.asarray(s0.coords) - np.asarray(s1.coords))) <= 1e-12:
+    if np.max(np.abs(s0.coords - s1.coords)) <= 1e-12:
         return False, None
-    if isinstance(space, Simplex):
-        supp0 = np.asarray(s0.coords) > SUPPORT_TOL
-        supp1 = np.asarray(s1.coords) > SUPPORT_TOL
-        if np.any(supp0 & supp1):
-            return False, None
-        return True, AffineFunctional(supp1.astype(float), 0.0)
-    if isinstance(space, Polytope):
-        return _singular_in_vertex_set(space, range(len(space.vertices)), s0, s1)
-    if isinstance(space, Ball):
-        x0, x1 = np.asarray(s0.coords), np.asarray(s1.coords)
-        boundary = abs(np.linalg.norm(x0) - 1.0) <= SINGULARITY_TOL and abs(np.linalg.norm(x1) - 1.0) <= SINGULARITY_TOL
-        if boundary and np.max(np.abs(x0 + x1)) <= SINGULARITY_TOL:
-            return True, AffineFunctional(x1 / 2.0, 0.5)
-        return False, None
-    if isinstance(space, DensityMatrices):
-        p0 = space.support_projection(s0)
-        p1 = space.support_projection(s1)
-        if jordan.trace_product(p0, p1) > SINGULARITY_TOL:
-            return False, None
-        return True, AffineFunctional(space.coords_from_matrix(p1), 0.0)
-    raise TypeError(f"unsupported space {space!r}")
+    return space.mutually_singular(s0, s1)
 
 
 def orthogonal(s0: State, s1: State, space=None) -> bool:
     """Mutual singularity inside the smallest face containing both states."""
-    space = space or s0.space
-    if np.max(np.abs(np.asarray(s0.coords) - np.asarray(s1.coords))) <= 1e-12:
-        return False
-    if isinstance(space, (Simplex, Ball, DensityMatrices)):
-        # restricting to the smallest face does not change the criterion:
-        # disjoint supports (simplex), antipodal boundary points (ball),
-        # orthogonal support projections (matrices)
-        return mutually_singular(s0, s1, space)[0]
-    if isinstance(space, Polytope):
-        face = smallest_face(space, [s0, s1])
-        return _singular_in_vertex_set(space, face.vertex_indices, s0, s1)[0]
-    raise TypeError(f"unsupported space {space!r}")
+    return orthogonality_witness(s0, s1, space) is not None
 
 
 def orthogonality_witness(s0: State, s1: State, space=None) -> Optional[AffineFunctional]:
-    """Witness test for orthogonality, valid on the smallest face of the pair."""
+    """Witness test for orthogonality, valid on the smallest face of the pair; None if not orthogonal."""
     space = space or s0.space
-    if isinstance(space, Polytope):
-        face = smallest_face(space, [s0, s1])
-        return _singular_in_vertex_set(space, face.vertex_indices, s0, s1)[1]
-    return mutually_singular(s0, s1, space)[1]
+    if np.max(np.abs(s0.coords - s1.coords)) <= 1e-12:
+        return None
+    return space.orthogonality_witness(s0, s1)
 
 
 # ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------
-
-def _pairwise_witnesses(space, components):
-    out = []
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            out.append(orthogonality_witness(components[i], components[j], space))
-    return tuple(out)
-
-
-def _ball_raw_decomposition(space, x: ConeElement):
-    v = np.asarray(x.coords, dtype=float)
-    r = float(np.linalg.norm(v))
-    lam = x.trace_weight
-    if r <= 1e-12:
-        axis = np.zeros(space.d)
-        axis[0] = 1.0  # fixed diameter for the center, for determinism
-        return [lam / 2.0, lam / 2.0], [axis, -axis]
-    direction = v / r
-    w_hi = lam * (1.0 + r) / 2.0
-    w_lo = lam * (1.0 - r) / 2.0
-    if w_lo <= WEIGHT_DROP_TOL * max(1.0, lam):
-        return [lam], [direction]
-    return [w_hi, w_lo], [direction, -direction]
-
-
-def _density_raw_decomposition(space, x: ConeElement):
-    rho = space.state_matrix(x.state())
-    comps = jordan.rank_one_components(rho)
-    weights, coords = [], []
-    lam = x.trace_weight
-    scale = max(1.0, lam)
-    for t, e in comps:
-        w = lam * t
-        if w < -SINGULARITY_TOL * scale:
-            raise NotInConeError(f"negative eigenvalue {t} in cone element")
-        if w > WEIGHT_DROP_TOL * scale:
-            weights.append(w)
-            coords.append(space.coords_from_matrix(e))
-    return weights, coords
-
-
-def _lex_key(spectrum: Spectrum, length: int):
-    return tuple(spectrum.padded(length))
-
 
 def decompose(space, x: ConeElement, with_witnesses: bool = False) -> OrthogonalDecomposition:
     """Orthogonal decomposition of a cone element into at most dim + 1 pure states.
@@ -635,68 +839,36 @@ def decompose(space, x: ConeElement, with_witnesses: bool = False) -> Orthogonal
     canonical decompositions: vertex weights (simplex), an antipodal pair
     (ball, spin factor) or rank-one eigenprojections (density matrices).
     """
-    from .spectral import Ordering, majorizes  # local import to avoid a cycle
-
     if x.space != space:
         raise ValueError("element does not belong to the given space")
     if x.is_apex:
         raise ApexError("the apex has no orthogonal decomposition")
-
-    if isinstance(space, Simplex):
-        w = x.trace_weight * np.asarray(x.coords, dtype=float)
-        keep = np.nonzero(w > WEIGHT_DROP_TOL * max(1.0, x.trace_weight))[0]
-        weights = w[keep]
-        components = [space.vertex_state(int(i)) for i in keep]
-    elif isinstance(space, Polytope):
-        sols = _determined_solutions(space, x.coords, x.trace_weight, space.dim + 1)
-        if not sols:
-            raise DecompositionError("no orthogonal decomposition found; geometry bug?")
-        spectra = [Spectrum(w) for w, _ in sols]
-        maximal = [
-            i for i, spec in enumerate(spectra)
-            if not any(
-                majorizes(other, spec) is Ordering.DOMINATES
-                for j, other in enumerate(spectra) if j != i
-            )
-        ]
-        length = max(len(s) for s in spectra)
-        best = max(maximal, key=lambda i: _lex_key(spectra[i], length))
-        weights = sols[best][0]
-        components = [space.vertex_state(int(i)) for i in sols[best][1]]
-    elif isinstance(space, Ball):
-        weights, coords = _ball_raw_decomposition(space, x)
-        components = [State(space, c) for c in coords]
-    elif isinstance(space, DensityMatrices):
-        weights, coords = _density_raw_decomposition(space, x)
-        components = [State(space, c) for c in coords]
-    else:
-        raise TypeError(f"unsupported space {space!r}")
-
+    weights, components = space.decomposition(x)
     order = np.argsort(-np.asarray(weights, dtype=float), kind="stable")
     weights = np.asarray(weights, dtype=float)[order]
-    components = [components[int(i)] for i in order]
-    witnesses = _pairwise_witnesses(space, components) if with_witnesses else None
-    dec = OrthogonalDecomposition(space, weights, tuple(components), witnesses)
+    components = tuple(components[int(i)] for i in order)
+    pairs = itertools.combinations(components, 2)
+    witnesses = tuple(orthogonality_witness(a, b, space) for a, b in pairs) if with_witnesses else None
+    dec = OrthogonalDecomposition(space, weights, components, witnesses)
     if dec.size > space.dim + 1:
         raise DecompositionError("decomposition exceeds the dimension bound")
-    if dec.reconstruction_error(x) > 1e-9 * max(1.0, x.trace_weight):
+    if not dec.reconstruction_error(x) <= 1e-9 * max(1.0, x.trace_weight):  # NaN fails too
         raise DecompositionError("decomposition does not reconstruct the element")
     return dec
 
 
 def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Optional[int] = None):
-    """All orthogonal decompositions of a simplex or polytope element.
+    """All orthogonal decompositions of a cone element.
 
+    A space with canonical decompositions yields the one of ``decompose``.
     For polytopes this walks every pairwise-orthogonal vertex subset.  When
     the weight system of a subset is underdetermined its solutions form a
     polytope; the walk returns that polytope's vertices (the determined
     sub-subset solutions) plus interior samples: a grid on every segment
     between two solution vertices and the barycenter of all of them.
     """
-    if isinstance(space, Simplex):
+    if space.canonical_decomposition:
         return [decompose(space, s)]
-    if not isinstance(space, Polytope):
-        raise TypeError("enumeration is supported on simplices and polytopes only")
     if s.is_apex:
         raise ApexError("the apex has no orthogonal decomposition")
     nv = len(space.vertices)
@@ -747,34 +919,11 @@ def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Opti
 # ---------------------------------------------------------------------------
 
 def random_state(space, rng: np.random.Generator) -> State:
-    if isinstance(space, Simplex):
-        return State(space, rng.dirichlet(np.ones(space.n)))
-    if isinstance(space, Polytope):
-        w = rng.dirichlet(np.ones(len(space.vertices)))
-        return State(space, w @ space.vertex_array)
-    if isinstance(space, Ball):
-        v = rng.standard_normal(space.d)
-        norm = float(np.linalg.norm(v))
-        radius = rng.uniform() ** (1.0 / space.d)
-        return State(space, (v / norm * radius) if norm > 0 else np.zeros(space.d))
-    if isinstance(space, DensityMatrices):
-        m = jordan.random_density_matrix(space.ring, space.n, rng)
-        return space.state_from_matrix(m)
-    raise TypeError(f"unsupported space {space!r}")
+    return space.random_state(rng)
 
 
 def random_pure_state(space, rng: np.random.Generator) -> State:
-    if isinstance(space, Simplex):
-        return space.vertex_state(int(rng.integers(space.n)))
-    if isinstance(space, Polytope):
-        return space.vertex_state(int(rng.integers(len(space.vertices))))
-    if isinstance(space, Ball):
-        v = rng.standard_normal(space.d)
-        return State(space, v / float(np.linalg.norm(v)))
-    if isinstance(space, DensityMatrices):
-        m = jordan.random_pure_density(space.ring, space.n, rng)
-        return space.state_from_matrix(m)
-    raise TypeError(f"unsupported space {space!r}")
+    return space.random_pure_state(rng)
 
 
 def random_cone_element(space, rng: np.random.Generator,

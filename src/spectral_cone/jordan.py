@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import quaternion as quat
+from .decomposition import weights_entropy
 from .errors import DomainError, require_count
 
 RINGS = ("real", "complex", "quaternion")
@@ -443,9 +444,7 @@ def von_neumann_entropy(m: HermitianMatrix, zero_tol: float = 1e-12) -> float:
     w = eigenvalues_of(m)
     if float(np.min(w)) < -1e-9 * max(1.0, float(np.max(np.abs(w)))):
         raise DomainError("matrix has a negative eigenvalue")
-    w = w[w > zero_tol]
-    out = float(-np.sum(w * np.log(w)))
-    return abs(out) if out == 0.0 else out
+    return float(weights_entropy(w[w > zero_tol]))
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +527,10 @@ def spin_second_trace_derivative(fn: ScalarFunction, a: SpinElement, b: SpinElem
 
 
 def spin_entropy(a: SpinElement, zero_tol: float = 1e-12) -> float:
-    lo, hi = a.eigenvalues()
-    if lo < -1e-9:
+    w = np.array(a.eigenvalues())  # (lo, hi)
+    if w[0] < -1e-9:
         raise DomainError("spin element is not positive")
-    out = 0.0
-    for t in (lo, hi):
-        if t > zero_tol:
-            out -= t * math.log(t)
-    return out
+    return float(weights_entropy(w[w > zero_tol]))
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,31 @@ def assert_one_line_error(code, out, err):
 
 def test_check_sufficiency_without_channel_suite_exit_1(capsys):
     code, out, err = run_cli(
-        capsys, "check", "sufficiency", "--space", "disc", "--divergence", "kl", "--trials", "5"
+        capsys, "check", "sufficiency", "--space", "disc", "--divergence", "squared_euclidean",
+        "--trials", "5"
     )
     assert_one_line_error(code, out, err)
     assert "channel suite" in err
+
+
+@pytest.mark.parametrize("divergence", ["kl", "itakura_saito"])
+@pytest.mark.parametrize("space", ["disc", "square"])
+def test_vector_divergence_off_simplex_exit_1(capsys, space, divergence):
+    code, out, err = run_cli(
+        capsys, "check", "locality", "--space", space, "--divergence", divergence, "--trials", "5"
+    )
+    assert_one_line_error(code, out, err)
+    assert "squared_euclidean" in err
+
+
+@pytest.mark.parametrize("trace", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("space,coords", [("simplex3", "[5, -3, 7]"),
+                                          ("complex2", "[0.5, 0, 0, 0, 0, 0, 0.5, 0]")])
+def test_decompose_non_finite_trace_exit_2(capsys, space, coords, trace):
+    element = f'{{"trace": {trace}, "coords": {coords}}}'
+    code, out, err = run_cli(capsys, "decompose", "--space", space, "--element", element)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("divergence", ["kl", "itakura_saito"])
@@ -132,8 +153,21 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         [],
         ["check", "nonsense", "--space", "simplex3"],
         ["check", "locality", "--space", "simplex3", "--divergence", "nonsense"],
+        ["check", "locality"],
+        ["check", "sufficiency", "--divergence", "squared_euclidean"],
+        ["check", "spectrality"],
+        ["decompose", "--space", "simplex3", "--element", "5"],
+        ["decompose", "--space", "simplex3", "--element", '{"trace": null, "coords": [1, 0, 0]}'],
+        ["decompose", "--space", "simplex3", "--element", '[{"a": 1}, 0, 0]'],
+        ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": 5}'],
+        ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": [[0, null], [1, 0]]}'],
+        ["check", "spectrality", "--space", '{"kind": "simplex", "n": null}'],
+        ["check", "spectrality", "--space", '{"kind": "ball", "d": Infinity}'],
     ],
-    ids=["bad-int", "no-command", "unknown-check", "unknown-divergence"],
+    ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
+         "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
+         "element-object-coord", "polytope-vertices-number", "polytope-null-coord",
+         "simplex-null-n", "ball-infinite-d"],
 )
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

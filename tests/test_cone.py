@@ -1,5 +1,7 @@
 """Tests for cone arithmetic: mixing, addition, traces, affine functionals."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,15 @@ def test_membership_validation():
         sc.State(SQUARE, [1.5, 0.0])
     with pytest.raises(sc.NotInConeError):
         sc.ConeElement(SIMPLEX3, -1.0, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("trace", [math.nan, math.inf, -math.inf])
+def test_non_finite_trace_weight_rejected(trace):
+    # NaN and infinite weights used to skip the membership test (lam > 0 is false for NaN)
+    with pytest.raises(sc.NotInConeError):
+        sc.ConeElement(SIMPLEX3, trace, [5.0, -3.0, 7.0])
+    with pytest.raises(sc.NotInConeError):
+        sc.ConeElement(geo.DensityMatrices("complex", 2), trace, [0.5, 0, 0, 0, 0, 0, 0.5, 0])
 
 
 def test_state_is_immutable():

@@ -354,7 +354,7 @@ def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, s
     witness = None
     vacuous = True
     for trial in range(trials):
-        s0, s1, s2, degenerate = dv._sample_orthogonal_triple(space, rng)
+        s0, s1, s2, degenerate = space.orthogonal_triple(rng)
         vacuous = vacuous and degenerate
         for t in t_grid:
             m1 = sc.mix([1.0 - t, t], [s0, s1])

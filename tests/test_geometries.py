@@ -206,6 +206,13 @@ def test_decompose_apex_raises():
         geo.decompose(SIMPLEX3, sc.apex(SIMPLEX3))
 
 
+def test_decompose_rejects_nan_reconstruction():
+    x = sc.State(SIMPLEX3, [0.2, 0.3, 0.5])
+    object.__setattr__(x, "trace_weight", float("nan"))  # bypasses the constructor's finiteness test
+    with np.errstate(invalid="ignore"), pytest.raises(sc.DecompositionError):
+        geo.decompose(SIMPLEX3, x)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -215,6 +222,14 @@ def test_enumerate_square_center():
     spectra = {tuple(np.round(d.spectrum().weights, 9)) for d in decs}
     assert (0.5, 0.5) in spectra
     assert (0.25, 0.25, 0.25, 0.25) in spectra
+
+
+@pytest.mark.parametrize("space,coords", [(DISC, [0.3, -0.4]),
+                                          (QUBITS, [0.75, 0, 0, 0, 0, 0, 0.25, 0])])
+def test_enumerate_canonical_space_yields_the_decomposition(space, coords):
+    s = sc.State(space, coords)
+    (dec,) = geo.enumerate_orthogonal_decompositions(space, s)
+    np.testing.assert_array_equal(dec.weights, geo.decompose(space, s).weights)
 
 
 def test_enumerate_simplex_unique():
