@@ -27,7 +27,8 @@ from . import geometries as geo
 from . import jordan
 from . import quaternion as quat
 from .cone import AffineFunctional, State, evaluate, mix, mix_coords
-from .errors import PreconditionError, require_count
+from .decomposition import weights_entropy
+from .errors import DomainError, PreconditionError, require_count
 
 INTERIOR_EPS = 1e-12
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -133,19 +134,27 @@ def burg_generator() -> Generator:
     return Generator("burg", value, gradient)
 
 
+def _matrix_negentropies(space: geo.DensityMatrices, forms: np.ndarray) -> np.ndarray:
+    """Tr rho ln rho of every form in a (..., m, m) stack, from one stacked eigvalsh.
+
+    Eigenvalues at or below 1e-12 count as 0; a form with an eigenvalue below
+    -1e-9 times its spectral radius (at least 1) raises DomainError.
+    """
+    w = np.linalg.eigvalsh(forms)[..., :: space.mult]
+    if np.any(w[..., 0] < -1e-9 * np.maximum(1.0, np.max(np.abs(w), axis=-1))):
+        raise DomainError("matrix has a negative eigenvalue")
+    return -weights_entropy(np.moveaxis(np.where(w > 1e-12, w, 0.0), -1, 0))
+
+
 def matrix_negentropy_generator(space: geo.DensityMatrices) -> Generator:
     """F(rho) = Tr rho ln rho on density matrices; induces the matrix relative entropy."""
 
     def value(s):
-        return -jordan.von_neumann_entropy(space.state_matrix(s))
+        return float(_matrix_negentropies(space, space.forms(s.coords)))
 
     def gradient(s):
-        m = space.state_matrix(clamp(s))
-        dec = jordan.eigen_hermitian(m)
-        acc = jordan.HermitianMatrix.zeros(space.ring, space.n)
-        for t, e in zip(dec.eigenvalues, dec.idempotents):
-            acc = acc + e.scale(math.log(t) + 1.0)
-        return space.coords_from_matrix(acc)
+        mu, v = np.linalg.eigh(space.forms(clamp(s).coords))
+        return space.coords_of((v * (np.log(mu) + 1.0)) @ np.conj(v.T))
 
     return Generator("matrix_negentropy", value, gradient)
 
@@ -274,28 +283,22 @@ def itakura_saito_divergence() -> Divergence:
 
 
 def matrix_negentropy_divergence(space: geo.DensityMatrices) -> Divergence:
-    """Tr rho (ln rho - ln sigma), inf when supp rho exceeds supp sigma."""
+    """Tr rho (ln rho - ln sigma), inf when supp rho exceeds supp sigma.
 
-    def value(rho, sigma):
-        dec = jordan.eigen_hermitian(sigma)
-        supp_tol = 1e-12
-        val = -jordan.von_neumann_entropy(rho)
-        leak = 0.0
-        for t, e in zip(dec.eigenvalues, dec.idempotents):
-            mass = jordan.trace_product(rho, e)
-            if t > supp_tol:
-                val -= math.log(t) * mass
-            else:
-                leak += mass
-        if leak > 1e-10:
-            return math.inf
-        return val
+    With sigma = sum_j mu_j |v_j><v_j| over the eigenvectors of its form,
+    D = Tr rho ln rho - sum_j ln mu_j <v_j|rho|v_j> / mult.  The support of
+    sigma is its eigenvalues above 1e-12; D is inf when rho puts more than
+    1e-10 of its mass outside it.
+    """
 
     def array_rule(p, q):
-        out = np.empty(p.shape[:-1])
-        for i in np.ndindex(out.shape):
-            out[i] = value(space.matrix_from_coords(p[i]), space.matrix_from_coords(q[i]))
-        return out
+        mu, v = np.linalg.eigh(space.forms(q))
+        rho = space.forms(p)
+        mass = np.real(np.sum(np.conj(v) * (rho @ v), axis=-2)) / space.mult  # <v_j|rho|v_j>
+        supp = mu > 1e-12
+        cross = np.sum(np.log(np.where(supp, mu, 1.0)) * mass, axis=-1)
+        leak = np.sum(np.where(supp, 0.0, mass), axis=-1)
+        return np.where(leak > 1e-10, math.inf, _matrix_negentropies(space, rho) - cross)
 
     return Divergence("matrix_negentropy", "builtin", array_rule=array_rule)
 
@@ -391,6 +394,8 @@ def check_locality(div: Divergence, space, trials: int = 1000,
     largest gap in (trial, t) order.
     """
     require_count("trials", trials)
+    if space.dim < 1:  # rank 1 (polytopes may have no rank): one state, no orthogonal pair
+        raise ValueError(f"locality needs a space of rank at least 2, got a {space.kind} space of rank 1")
     rng = np.random.default_rng(seed)
     triples = [space.orthogonal_triple(rng) for _ in range(trials)]
     s0, s1, s2 = (_coords_rows(space, [tr[k] for tr in triples]) for k in range(3))
@@ -498,40 +503,27 @@ def _unitary_conjugation_pair(space: geo.DensityMatrices,
                               rng: np.random.Generator, pinch: bool) -> ChannelPair:
     n = space.n
     u = _random_unitary(space.ring, n, rng)
-    u_star = jordan._conj_transpose(space.ring, u)
-    block = n // 2 if n >= 2 else 1
-    mask = _block_mask(space.ring, n, block)
-
-    def conj(mat_data, v, v_star):
-        return jordan.ring_matmul(space.ring, jordan.ring_matmul(space.ring, v, mat_data), v_star)
+    u = quat.to_complex(u) if space.ring == "quaternion" else u.astype(complex)
+    u_star = np.conj(u.T)
+    side = np.arange(n) < n // 2
+    # coordinate mask of the two diagonal blocks of the pinch
+    mask = np.repeat((side[:, None] == side[None, :]).reshape(-1), space.components_per_entry)
 
     def phi(s):
-        data = space.state_matrix(s).data
-        if pinch:
-            data = data * mask  # kills off-block entries; identity on the family
-        return space.state_from_matrix(jordan.hermitian_part(space.ring, conj(data, u, u_star)))
+        coords = s.coords * mask if pinch else s.coords  # pinching is the identity on the family
+        return State(space, space.coords_of(u @ space.forms(coords) @ u_star))
 
     def psi(s):
-        data = space.state_matrix(s).data
-        return space.state_from_matrix(jordan.hermitian_part(space.ring, conj(data, u_star, u)))
+        return State(space, space.coords_of(u_star @ space.forms(s.coords) @ u))
 
     def sample(rng_):
-        m = jordan.random_density_matrix(space.ring, n, rng_, floor=0.05)
+        coords = space.coords_from_matrix(jordan.random_density_matrix(space.ring, n, rng_, floor=0.05))
         if pinch:
-            m = jordan.hermitian_part(space.ring, m.data * mask)
-            m = m.scale(1.0 / jordan.trace(m))
-        return space.state_from_matrix(m)
+            coords = coords * mask
+            coords = (1.0 / space.traces(coords)) * coords
+        return State(space, coords)
 
     return ChannelPair("pinch+rotate" if pinch else "rotate", phi, psi, sample)
-
-
-def _block_mask(ring: str, n: int, block: int) -> np.ndarray:
-    mask2 = np.zeros((n, n))
-    mask2[:block, :block] = 1.0
-    mask2[block:, block:] = 1.0
-    if ring == "quaternion":
-        return mask2[:, :, None]
-    return mask2
 
 
 def _random_unitary(ring: str, n: int, rng: np.random.Generator):

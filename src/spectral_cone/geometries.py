@@ -14,7 +14,9 @@ Every state is identified by a real coordinate vector:
 
 With this flattening the trace inner product of Hermitian matrices equals
 the plain dot product of coordinate vectors, so affine functionals transfer
-between pictures without conversion.
+between pictures without conversion.  Density-matrix kernels run on stacked
+complex forms built from coordinate rows (``DensityMatrices.forms`` and its
+inverse ``coords_of``), never on per-row HermitianMatrix objects.
 
 Each descriptor class carries the behaviour of its geometry (faces, mutual
 singularity, decomposition, entropy, sampling); the module functions hold
@@ -429,7 +431,16 @@ _ADJOINT_SIGNS = {"real": (1.0,), "complex": (1.0, -1.0), "quaternion": (1.0, -1
 
 @dataclass(frozen=True)
 class DensityMatrices(_Geometry):
-    """Density matrices over a division ring: positive, unit trace."""
+    """Density matrices over a division ring: positive, unit trace.
+
+    Every computation runs on stacks of complex forms (..., m, m): the
+    matrix itself over the real and complex rings (m = n), its complex
+    embedding over the quaternions (m = 2n).  ``forms`` and ``coords_of``
+    convert between coordinate rows and forms; the ring enters only through
+    them and ``mult``, the number of times each ring eigenvalue appears in a
+    form.  HermitianMatrix appears only at the public boundary
+    (``matrix_from_coords`` and its kin, ``Face.projection``, the samplers).
+    """
 
     ring: str
     n: int
@@ -447,6 +458,11 @@ class DensityMatrices(_Geometry):
         return {"real": 1, "complex": 2, "quaternion": 4}[self.ring]
 
     @property
+    def mult(self) -> int:
+        """Copies of each ring eigenvalue in a form; the ring trace is the form trace / mult."""
+        return 2 if self.ring == "quaternion" else 1
+
+    @property
     def dim(self) -> int:
         n, k = self.n, self.components_per_entry
         return n + k * (n * (n - 1)) // 2 - 1
@@ -459,24 +475,44 @@ class DensityMatrices(_Geometry):
     def rank(self) -> int:
         return self.n
 
-    def matrix_from_coords(self, coords) -> jordan.HermitianMatrix:
-        coords = np.asarray(coords, dtype=float)
-        n = self.n
-        if self.ring == "real":
-            data = coords.reshape(n, n)
+    def _hermitian_entries(self, entries: np.ndarray) -> np.ndarray:
+        """(A + A*) / 2 of (..., n, n, k) entry arrays; exactly Hermitian in IEEE arithmetic."""
+        return (entries + np.swapaxes(entries, -2, -3) * _ADJOINT_SIGNS[self.ring]) / 2.0
+
+    def _entries(self, coords: np.ndarray) -> np.ndarray:
+        return coords.reshape(*coords.shape[:-1], self.n, self.n, self.components_per_entry)
+
+    def forms(self, coords) -> np.ndarray:
+        """Complex forms (..., m, m) of the Hermitian parts of (..., coords_len) coordinate rows."""
+        return self._entry_forms(self._hermitian_entries(self._entries(np.asarray(coords, dtype=float))))
+
+    def _entry_forms(self, herm: np.ndarray) -> np.ndarray:
+        if self.ring == "quaternion":
+            return quat.to_complex(herm)
+        if self.ring == "complex":
+            return herm.view(complex)[..., 0]
+        return herm[..., 0].astype(complex)
+
+    def coords_of(self, forms) -> np.ndarray:
+        """Coordinate rows of the Hermitian parts of (..., m, m) complex forms; inverts ``forms``."""
+        z = np.asarray(forms, dtype=complex)
+        if self.ring == "quaternion":
+            entries = quat.from_complex(z)
         elif self.ring == "complex":
-            pairs = coords.reshape(n, n, 2)
-            data = pairs[..., 0] + 1j * pairs[..., 1]
+            entries = np.stack([z.real, z.imag], axis=-1)
         else:
-            data = coords.reshape(n, n, 4)
-        return jordan.hermitian_part(self.ring, data)
+            entries = z.real[..., None]
+        return self._hermitian_entries(entries).reshape(*z.shape[:-2], self.coords_len)
+
+    def traces(self, coords) -> np.ndarray:
+        """Ring trace of every row: the sum of the real parts of the diagonal entries."""
+        return np.sum(np.asarray(coords)[..., :: (self.n + 1) * self.components_per_entry], axis=-1)
+
+    def matrix_from_coords(self, coords) -> jordan.HermitianMatrix:
+        return jordan.from_form(self.ring, self.forms(coords))
 
     def coords_from_matrix(self, m: jordan.HermitianMatrix) -> np.ndarray:
-        if self.ring == "real":
-            return np.asarray(m.data, dtype=float).reshape(-1)
-        if self.ring == "complex":
-            return np.stack([m.data.real, m.data.imag], axis=-1).reshape(-1)
-        return np.asarray(m.data, dtype=float).reshape(-1)
+        return self.coords_of(m.to_complex())
 
     def state_matrix(self, s: State) -> jordan.HermitianMatrix:
         return self.matrix_from_coords(s.coords)
@@ -494,73 +530,60 @@ class DensityMatrices(_Geometry):
         coords = np.asarray(coords, dtype=float)
         if coords.shape[-1:] != (self.coords_len,):
             return np.zeros(coords.shape[:-1], dtype=bool)
-        n, k = self.n, self.components_per_entry
         rows = coords.reshape(-1, self.coords_len)
-        entries = rows.reshape(-1, n, n, k)
-        herm = (entries + np.swapaxes(entries, 1, 2) * _ADJOINT_SIGNS[self.ring]) / 2.0
+        entries = self._entries(rows)
+        herm = self._hermitian_entries(entries)
         defect = np.max(np.abs(entries - herm).reshape(rows.shape), axis=1)
-        trace = np.sum(rows[:, :: (n + 1) * k], axis=1)  # the real parts of the diagonal
-        ok = (defect <= tol) & (np.abs(trace - 1.0) <= tol)
-        if not np.all(ok):
-            herm = herm[ok]
-        if self.ring == "quaternion":
-            forms = quat.to_complex(herm)
-        elif self.ring == "complex":
-            forms = herm.view(complex)[..., 0]
-        else:
-            forms = herm[..., 0].astype(complex)
-        ok[ok] = np.min(np.linalg.eigvalsh(forms), axis=-1, initial=np.inf) >= -tol
+        ok = (defect <= tol) & (np.abs(self.traces(rows) - 1.0) <= tol)
+        ok[ok] = np.min(np.linalg.eigvalsh(self._entry_forms(herm[ok])), axis=-1, initial=np.inf) >= -tol
         return ok.reshape(coords.shape[:-1])
 
     def barycenter_coords(self) -> np.ndarray:
-        return self.coords_from_matrix(jordan.HermitianMatrix.identity(self.ring, self.n).scale(1.0 / self.n))
+        coords = np.zeros(self.coords_len)
+        coords[:: (self.n + 1) * self.components_per_entry] = 1.0 / self.n
+        return coords
 
     def functional_range(self, a: AffineFunctional):
-        g = self.matrix_from_coords(a.linear)
-        w = jordan.eigenvalues_of(g)
-        return a.offset + float(np.min(w)), a.offset + float(np.max(w))
+        w = np.linalg.eigvalsh(self.forms(a.linear))[:: self.mult]
+        return a.offset + float(w[0]), a.offset + float(w[-1])
 
-    def support_projection(self, s: State, tol: float = SUPPORT_TOL) -> jordan.HermitianMatrix:
-        dec = jordan.eigen_hermitian(self.state_matrix(s))
-        acc = jordan.HermitianMatrix.zeros(self.ring, self.n)
-        for t, e in zip(dec.eigenvalues, dec.idempotents):
-            if t > tol:
-                acc = acc + e
-        return acc
+    def _support(self, coords) -> np.ndarray:
+        """Form of the support projection: the eigenvalue clusters above SUPPORT_TOL."""
+        w, v = np.linalg.eigh(self.forms(coords))
+        keep = np.zeros(w.size, dtype=bool)
+        for g in jordan.cluster_indices(w):
+            keep[g] = np.mean(w[g]) > SUPPORT_TOL
+        return v[:, keep] @ np.conj(v[:, keep].T)
 
     def to_json(self) -> dict:
         return {"kind": "density", "ring": self.ring, "n": self.n}
 
     def smallest_face(self, states) -> Face:
-        avg = np.mean([s.coords for s in states], axis=0)
-        proj = self.support_projection(State(self, avg))
-        if abs(jordan.trace(proj) - self.n) <= SINGULARITY_TOL:
-            return Face(self, "whole", projection=proj)
-        return Face(self, "support", projection=proj)
+        proj = self._support(np.mean([s.coords for s in states], axis=0))
+        whole = abs(np.trace(proj).real / self.mult - self.n) <= SINGULARITY_TOL
+        return Face(self, "whole" if whole else "support", projection=jordan.from_form(self.ring, proj))
 
     def mutually_singular(self, s0: State, s1: State):
-        p0 = self.support_projection(s0)
-        p1 = self.support_projection(s1)
-        if jordan.trace_product(p0, p1) > SINGULARITY_TOL:
+        p0, p1 = self._support(s0.coords), self._support(s1.coords)
+        if np.sum(p0 * np.conj(p1)).real / self.mult > SINGULARITY_TOL:  # Tr(p0 p1)
             return False, None
-        return True, AffineFunctional(self.coords_from_matrix(p1), 0.0)
+        return True, AffineFunctional(self.coords_of(p1), 0.0)
 
     def decomposition(self, x: ConeElement):
-        rho = self.state_matrix(x.state())
         lam = x.trace_weight
         scale = max(1.0, lam)
         weights, components = [], []
-        for t, e in jordan.rank_one_components(rho):
+        for t, p in jordan.rank_one_forms(self.forms(x.coords), self.mult):
             w = lam * t
             if w < -SINGULARITY_TOL * scale:
                 raise NotInConeError(f"negative eigenvalue {t} in cone element")
             if w > WEIGHT_DROP_TOL * scale:
                 weights.append(w)
-                components.append(State(self, self.coords_from_matrix(e)))
+                components.append(State(self, self.coords_of(p)))
         return weights, components
 
     def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
-        w = total * np.array([jordan.eigenvalues_of(self.matrix_from_coords(c)) for c in coords])
+        w = total * np.linalg.eigvalsh(self.forms(coords))[..., :: self.mult]
         return weights_entropy(np.clip(w, 0.0, None).T)
 
     def random_state(self, rng: np.random.Generator) -> State:
@@ -572,20 +595,17 @@ class DensityMatrices(_Geometry):
     def orthogonal_triple(self, rng: np.random.Generator):
         n = self.n
         s0 = self.random_pure_state(rng)
-        comp = jordan.HermitianMatrix.identity(self.ring, n) - self.support_projection(s0)
+        comp = np.eye(n * self.mult) - self._support(s0.coords)
 
         def complement_state():
             for _ in range(16):
                 raw = jordan.random_density_matrix(self.ring, n, rng)
                 if rng.uniform() < 0.5:
                     raw = jordan.random_pure_density(self.ring, n, rng)
-                pinched = jordan.ring_matmul(
-                    self.ring, jordan.ring_matmul(self.ring, comp.data, raw.data), comp.data
-                )
-                compressed = jordan.hermitian_part(self.ring, pinched)
-                mass = jordan.trace(compressed)
+                compressed = self.coords_of(comp @ raw.to_complex() @ comp)
+                mass = self.traces(compressed)
                 if mass > 1e-6:
-                    return self.state_from_matrix(compressed.scale(1.0 / mass))
+                    return State(self, (1.0 / mass) * compressed)
             raise RuntimeError("failed to sample a state in the orthogonal complement")
 
         s1 = complement_state()
@@ -602,14 +622,26 @@ def unit_square() -> Polytope:
     return Polytope(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
 
 
+# fields of each space descriptor besides "kind"
+_DESCRIPTOR_FIELDS = {"simplex": ("n",), "polytope": ("vertices",), "ball": ("d",), "spin": ("d",),
+                      "density": ("ring", "n")}
+
+
 def space_from_json(data: dict):
     """Space from its JSON descriptor; a malformed descriptor raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("space descriptor must be a JSON object")
+    if "kind" not in data:
+        raise ValueError("space descriptor lacks the field 'kind'")
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_FIELDS:
+        raise ValueError(f"unknown space kind {kind!r}")
+    missing = [key for key in _DESCRIPTOR_FIELDS[kind] if key not in data]
+    if missing:
+        raise ValueError(f"{kind} space descriptor lacks the field {missing[0]!r}")
     for key in ("n", "d"):
         if isinstance(data.get(key, 0), bool) or not isinstance(data.get(key, 0), int):
             raise ValueError(f"space field {key!r} must be an integer, got {data[key]!r}")
-    kind = data["kind"]
     if kind == "simplex":
         return Simplex(data["n"])
     if kind == "polytope":
@@ -622,9 +654,7 @@ def space_from_json(data: dict):
         return Ball(data["d"])
     if kind == "spin":
         return SpinFactor(data["d"])
-    if kind == "density":
-        return DensityMatrices(str(data["ring"]), data["n"])
-    raise ValueError(f"unknown space kind {kind!r}")
+    return DensityMatrices(str(data["ring"]), data["n"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ functional calculus, directional and trace derivatives of matrix functions
 (divided-difference formulas), and the numerical checkers for strict
 concavity of entropy and positive definiteness of the trace form.
 
-Eigendecompositions run LAPACK heevd (numpy.linalg.eigh) on the complex
-side; real matrices are diagonalized as complex matrices with zero imaginary
-part, and quaternionic matrices through the complex embedding (eigenvalues
-appear with even multiplicity and are deduplicated on pull-back).
+Every computation runs on the complex form of a matrix: real matrices are
+complex matrices with zero imaginary part, and quaternionic matrices go
+through the complex embedding, where each eigenvalue appears twice.
+Eigendecompositions are LAPACK heevd (numpy.linalg.eigh) on that form, and
+:func:`from_form` is the one way back to the ring.  HermitianMatrix is the
+public face of this calculus; the density-matrix geometry works on stacks of
+complex forms directly (see :class:`spectral_cone.geometries.DensityMatrices`).
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ class HermitianMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def mult(self) -> int:
+        """Copies of each eigenvalue in the complex form (2 for quaternions)."""
+        return 2 if self.ring == "quaternion" else 1
 
     # Sums, differences and real multiples of exactly Hermitian matrices are
     # exactly Hermitian in IEEE arithmetic: conjugation only flips signs.
@@ -158,11 +166,9 @@ def hermitian_part(ring: str, raw: np.ndarray) -> HermitianMatrix:
     return HermitianMatrix._trusted(ring, (raw + _conj_transpose(ring, raw)) / 2.0)
 
 
-def ring_matmul(ring: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw matrix product of ring-valued data arrays."""
-    if ring == "quaternion":
-        return quat.qmat_mul(a, b)
-    return a @ b
+def from_form(ring: str, z: np.ndarray) -> HermitianMatrix:
+    """The matrix over the ring whose complex form is the Hermitian part of z."""
+    return hermitian_part(ring, quat.from_complex(z) if ring == "quaternion" else z)
 
 
 def trace(m: HermitianMatrix) -> float:
@@ -199,15 +205,6 @@ def jordan_associator_norm(x: HermitianMatrix, y: HermitianMatrix) -> float:
 # Eigendecomposition
 # ---------------------------------------------------------------------------
 
-def _eigh(m: HermitianMatrix, vectors: bool = True):
-    """Ascending eigenvalues of the complex form of m and, when asked, the
-    matching orthonormal eigenvector columns (LAPACK heevd via numpy)."""
-    z = m.to_complex()
-    if vectors:
-        return np.linalg.eigh(z)
-    return np.linalg.eigvalsh(z), None
-
-
 def cluster_indices(values: np.ndarray, rtol: float = CLUSTER_RTOL) -> list:
     """Group sorted eigenvalues whose gaps are below rtol * spectral radius."""
     values = np.asarray(values, dtype=float)
@@ -240,14 +237,6 @@ class EigenDecomposition:
         return acc
 
 
-def _pull_back_projector(ring: str, proj: np.ndarray) -> HermitianMatrix:
-    if ring == "quaternion":
-        return hermitian_part("quaternion", quat.from_complex(proj))
-    if ring == "real":
-        return hermitian_part("real", np.real(proj))
-    return hermitian_part("complex", proj)
-
-
 def eigen_hermitian(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> EigenDecomposition:
     """Eigendecomposition into distinct eigenvalues and orthogonal idempotents.
 
@@ -255,7 +244,7 @@ def eigen_hermitian(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> E
     every eigenvalue then shows up with even multiplicity and the
     quaternionic multiplicity is half the complex one.
     """
-    w, v = _eigh(m)
+    w, v = np.linalg.eigh(m.to_complex())
     groups = cluster_indices(w, cluster_rtol)
     eigenvalues = []
     multiplicities = []
@@ -263,59 +252,51 @@ def eigen_hermitian(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> E
     for g in groups:
         cols = v[:, g]
         proj = cols @ np.conj(cols.T)
-        mult = len(g)
-        if m.ring == "quaternion":
-            if mult % 2 != 0:
-                raise RuntimeError("embedded quaternionic eigenvalues must pair up")
-            mult //= 2
+        if len(g) % m.mult:
+            raise RuntimeError("embedded quaternionic eigenvalues must pair up")
         eigenvalues.append(float(np.mean(w[g])))
-        multiplicities.append(mult)
-        idempotents.append(_pull_back_projector(m.ring, proj))
+        multiplicities.append(len(g) // m.mult)
+        idempotents.append(from_form(m.ring, proj))
     return EigenDecomposition(m.ring, tuple(eigenvalues), tuple(multiplicities),
                               tuple(idempotents))
 
 
 def rank_one_components(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> list:
-    """Split a Hermitian matrix into (eigenvalue, rank-one idempotent) pairs.
+    """Split a Hermitian matrix into (eigenvalue, rank-one idempotent) pairs."""
+    return [(t, from_form(m.ring, p)) for t, p in rank_one_forms(m.to_complex(), m.mult, cluster_rtol)]
 
-    Within each eigenvalue cluster the idempotents are constructed to be
-    pairwise orthogonal.  For quaternionic matrices each rank-one idempotent
-    is pulled back from an embedded rank-two projector built from an
+
+def rank_one_forms(z: np.ndarray, mult: int = 1, cluster_rtol: float = CLUSTER_RTOL) -> list:
+    """Split a Hermitian complex form into (eigenvalue, rank-one idempotent form) pairs.
+
+    mult is 2 for the form of a quaternionic matrix and 1 otherwise.  Within
+    each eigenvalue cluster the idempotents are pairwise orthogonal.  A
+    quaternionic rank-one idempotent has a rank-two form, built from an
     eigenvector and its quaternionic structure partner.
     """
-    w, v = _eigh(m)
-    if m.ring != "quaternion":
-        out = []
-        for i in range(w.size):
-            col = v[:, i : i + 1]
-            out.append((float(w[i]), _pull_back_projector(m.ring, col @ np.conj(col.T))))
-        return out
-
+    w, v = np.linalg.eigh(z)
+    if mult == 1:
+        return [(float(w[i]), v[:, i : i + 1] @ np.conj(v[:, i : i + 1].T)) for i in range(w.size)]
     out = []
     for g in cluster_indices(w, cluster_rtol):
         cols = v[:, g]
         proj = cols @ np.conj(cols.T)
         t = float(np.mean(w[g]))
-        pairs = len(g) // 2
-        if 2 * pairs != len(g):
+        if len(g) % 2:
             raise RuntimeError("embedded quaternionic eigenvalues must pair up")
-        for _ in range(pairs):
+        for _ in range(len(g) // 2):
             j = int(np.argmax(np.real(np.diag(proj))))
-            u = proj[:, j]
-            u = u / np.linalg.norm(u)
+            u = proj[:, j] / np.linalg.norm(proj[:, j])
             ut = quat.structure_partner(u)
             rank2 = np.outer(u, np.conj(u)) + np.outer(ut, np.conj(ut))
-            out.append((t, _pull_back_projector("quaternion", rank2)))
+            out.append((t, rank2))
             proj = proj - rank2
     return out
 
 
 def eigenvalues_of(m: HermitianMatrix) -> np.ndarray:
     """Ring eigenvalues in ascending order (deduplicated for quaternions)."""
-    w, _ = _eigh(m, vectors=False)
-    if m.ring == "quaternion":
-        return w[::2].copy()
-    return w
+    return np.linalg.eigvalsh(m.to_complex())[:: m.mult]
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +336,9 @@ NEG_XLOGX = ScalarFunction(
 
 def apply_function(fn: ScalarFunction, m: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus: sum of f(eigenvalue) times eigenprojection."""
-    w, v = _eigh(m)
+    w, v = np.linalg.eigh(m.to_complex())
     fn.check_domain(w)
-    out = (v * fn.f(w)) @ np.conj(v.T)
-    if m.ring == "quaternion":
-        return hermitian_part("quaternion", quat.from_complex(out))
-    if m.ring == "real":
-        return hermitian_part("real", np.real(out))
-    return hermitian_part("complex", out)
+    return from_form(m.ring, (v * fn.f(w)) @ np.conj(v.T))
 
 
 def _divided_difference_matrix(fvals: np.ndarray, dfvals: np.ndarray,
@@ -390,29 +366,21 @@ def directional_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianM
     treated as equal, switching the coefficient to f'.
     """
     a._check_compatible(b)
-    w, v = _eigh(a)
+    w, v = np.linalg.eigh(a.to_complex())
     fn.check_domain(w)
     reps = _cluster_representatives(w, cluster_rtol)
     coeff = _divided_difference_matrix(fn.f(reps), fn.df(reps), reps)
     mid = np.conj(v.T) @ b.to_complex() @ v
-    out = v @ (coeff * mid) @ np.conj(v.T)
-    if a.ring == "quaternion":
-        return hermitian_part("quaternion", quat.from_complex(out))
-    if a.ring == "real":
-        return hermitian_part("real", np.real(out))
-    return hermitian_part("complex", out)
+    return from_form(a.ring, v @ (coeff * mid) @ np.conj(v.T))
 
 
 def trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix) -> float:
     """d/dt Tr f(a + t b) at t = 0, computed as Tr(f'(a) b)."""
     a._check_compatible(b)
-    w, v = _eigh(a)
+    w, v = np.linalg.eigh(a.to_complex())
     fn.check_domain(w)
     mid_diag = np.real(np.einsum("ij,jk,ki->i", np.conj(v.T), b.to_complex(), v))
-    val = float(np.dot(fn.df(w), mid_diag))
-    if a.ring == "quaternion":
-        val /= 2.0
-    return val
+    return float(np.dot(fn.df(w), mid_diag)) / a.mult
 
 
 def second_trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix,
@@ -421,15 +389,12 @@ def second_trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: Hermitian
     a._check_compatible(b)
     if fn.d2f is None:
         raise ValueError(f"{fn.name} carries no second derivative oracle")
-    w, v = _eigh(a)
+    w, v = np.linalg.eigh(a.to_complex())
     fn.check_domain(w)
     reps = _cluster_representatives(w, cluster_rtol)
     coeff = _divided_difference_matrix(fn.df(reps), fn.d2f(reps), reps)
     mid = np.conj(v.T) @ b.to_complex() @ v
-    val = float(np.sum(coeff * np.abs(mid) ** 2))
-    if a.ring == "quaternion":
-        val /= 2.0
-    return val
+    return float(np.sum(coeff * np.abs(mid) ** 2)) / a.mult
 
 
 def trace_function(fn: ScalarFunction, m: HermitianMatrix) -> float:
@@ -552,11 +517,7 @@ def random_positive_definite(ring: str, n: int, rng: np.random.Generator,
                              floor: float = 0.2) -> HermitianMatrix:
     """Random positive matrix with eigenvalues at least `floor`."""
     g = random_hermitian(ring, n, rng)
-    if ring == "quaternion":
-        sq = quat.qmat_mul(g.data, quat.qmat_conj_transpose(g.data))
-        m = hermitian_part("quaternion", sq)
-    else:
-        m = hermitian_part(ring, g.data @ np.conj(g.data.T))
+    m = hermitian_part(ring, g.matmul(g))  # g g* with g = g*
     m = m.scale(1.0 / max(1.0, trace(m)))
     return m + HermitianMatrix.identity(ring, n).scale(floor)
 
@@ -565,11 +526,7 @@ def random_density_matrix(ring: str, n: int, rng: np.random.Generator,
                           floor: float = 0.0) -> HermitianMatrix:
     """Random density matrix (positive, unit ring trace)."""
     g = random_hermitian(ring, n, rng)
-    if ring == "quaternion":
-        sq = quat.qmat_mul(g.data, quat.qmat_conj_transpose(g.data))
-        m = hermitian_part("quaternion", sq)
-    else:
-        m = hermitian_part(ring, g.data @ np.conj(g.data.T))
+    m = hermitian_part(ring, g.matmul(g))  # g g* with g = g*
     if floor > 0.0:
         m = m + HermitianMatrix.identity(ring, n).scale(floor)
     return m.scale(1.0 / trace(m))

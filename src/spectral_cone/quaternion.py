@@ -88,14 +88,14 @@ def to_complex(q) -> np.ndarray:
 
 
 def from_complex(z) -> np.ndarray:
-    """Invert :func:`to_complex`, averaging the two redundant copies.
+    """Invert :func:`to_complex` on a (..., 2n, 2m) stack, averaging the two redundant copies.
 
     Only valid for matrices in (or numerically near) the image of the
     embedding; the averaging suppresses rounding noise.
     """
     z = np.asarray(z, dtype=complex)
-    alpha = (z[0::2, 0::2] + np.conj(z[1::2, 1::2])) / 2.0
-    beta = (z[0::2, 1::2] - np.conj(z[1::2, 0::2])) / 2.0
+    alpha = (z[..., 0::2, 0::2] + np.conj(z[..., 1::2, 1::2])) / 2.0
+    beta = (z[..., 0::2, 1::2] - np.conj(z[..., 1::2, 0::2])) / 2.0
     return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
 
 

@@ -163,11 +163,19 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": [[0, null], [1, 0]]}'],
         ["check", "spectrality", "--space", '{"kind": "simplex", "n": null}'],
         ["check", "spectrality", "--space", '{"kind": "ball", "d": Infinity}'],
+        *(["check", "locality", "--space", space, "--divergence", div, "--trials", "3", "--seed", "1"]
+          for space, div in (("complex1", "matrix_negentropy"), ("real1", "matrix_negentropy"),
+                             ("quaternion1", "matrix_negentropy"), ("simplex1", "kl"))),
+        *(["check", "spectrality", "--space", desc]
+          for desc in ('{"n": 3}', '{"kind": "simplex"}', '{"kind": "polytope"}', '{"kind": "ball"}',
+                       '{"kind": "spin"}', '{"kind": "density", "n": 2}', '{"kind": "density", "ring": "real"}')),
     ],
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
          "element-object-coord", "polytope-vertices-number", "polytope-null-coord",
-         "simplex-null-n", "ball-infinite-d"],
+         "simplex-null-n", "ball-infinite-d", "locality-complex1", "locality-real1",
+         "locality-quaternion1", "locality-simplex1", "no-kind", "simplex-no-n", "polytope-no-vertices",
+         "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n"],
 )
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -334,9 +334,24 @@ REFERENCE_RULES = {
 }
 
 
+def reference_matrix_negentropy(s1, s2):
+    """Tr rho (ln rho - ln sigma) per row, through HermitianMatrix and the ring idempotents of sigma."""
+    rho, sigma = s1.space.state_matrix(s1), s2.space.state_matrix(s2)
+    val = -sc.von_neumann_entropy(rho)
+    leak = 0.0
+    dec = sc.eigen_hermitian(sigma)
+    for t, e in zip(dec.eigenvalues, dec.idempotents):
+        mass = sc.jordan.trace_product(rho, e)
+        if t > 1e-12:
+            val -= math.log(t) * mass
+        else:
+            leak += mass
+    return math.inf if leak > 1e-10 else val
+
+
 def reference_divergence(div):
-    """The divergence with its scalar State-level rule (the builtin one for matrices)."""
-    rule = REFERENCE_RULES.get(div.name, div)
+    """The divergence with an independent scalar State-level rule (its own for test divergences)."""
+    rule = {**REFERENCE_RULES, "matrix_negentropy": reference_matrix_negentropy}.get(div.name, div)
     return dv.Divergence(div.name, "reference", rule, div.requires_interior)
 
 
@@ -426,19 +441,19 @@ def reference_sufficiency(div, space, trials, tol=1e-9, seed=0):
     }
 
 
-def assert_reports_match(got, want, path="report"):
-    """Equal reports, except finite floats may differ by 1e-15 relative."""
+def assert_reports_match(got, want, path="report", atol=0.0):
+    """Equal reports, except finite floats may differ by 1e-15 relative or atol absolute."""
     if isinstance(want, float) or isinstance(got, float):
-        close = got == want or abs(got - want) <= 1e-15 * max(abs(got), abs(want))
+        close = got == want or abs(got - want) <= max(1e-15 * max(abs(got), abs(want)), atol)
         assert close or (math.isnan(got) and math.isnan(want)), (path, got, want)
     elif isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), (path, got, want)
         for key in want:
-            assert_reports_match(got[key], want[key], f"{path}.{key}")
+            assert_reports_match(got[key], want[key], f"{path}.{key}", atol)
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), (path, got, want)
         for i, (g, w) in enumerate(zip(got, want)):
-            assert_reports_match(g, w, f"{path}[{i}]")
+            assert_reports_match(g, w, f"{path}[{i}]", atol)
     else:
         assert type(got) is type(want) and got == want, (path, got, want)
 
@@ -465,19 +480,48 @@ def test_array_forms_match_scalar_reference():
 NAN_DIVERGENCE = dv.Divergence("nan", "test", lambda s1, s2: math.nan)
 VECTOR_CASES = [(name, geo.Simplex(n)) for n in (2, 3, 4)
                 for name in ("kl", "squared_euclidean", "itakura_saito")]
-MATRIX_CASES = [("matrix_negentropy", geo.DensityMatrices(ring, 2)) for ring in ("complex", "quaternion")]
+# at n = 2 every locality triple is vacuous, so n = 3 carries the locality comparison
+MATRIX_CASES = [("matrix_negentropy", geo.DensityMatrices(ring, n))
+                for ring, n in (("complex", 2), ("quaternion", 2), ("real", 3), ("complex", 3), ("quaternion", 3))]
 CASE_IDS = [f"{name}-{space.kind}{getattr(space, 'n', '')}" for name, space in VECTOR_CASES + MATRIX_CASES]
 
 
 @pytest.mark.parametrize("name, space", VECTOR_CASES + MATRIX_CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("seed", [0, 7])
 def test_batched_checkers_match_reference_loops(name, space, seed):
+    """Matrix values may move by 1e-12 against the per-row reference; verdicts never."""
     div = dv.builtin_divergence(name, space)
-    trials = 5 if isinstance(space, geo.DensityMatrices) else 40
+    matrix = isinstance(space, geo.DensityMatrices)
+    trials, atol = (5, 1e-12) if matrix else (40, 0.0)
     assert_reports_match(dv.check_locality(div, space, trials=trials, seed=seed),
-                         reference_locality(reference_divergence(div), space, trials, seed=seed))
+                         reference_locality(reference_divergence(div), space, trials, seed=seed), atol=atol)
     assert_reports_match(dv.check_sufficiency(div, space, trials=2 * trials, seed=seed),
-                         reference_sufficiency(reference_divergence(div), space, 2 * trials, seed=seed))
+                         reference_sufficiency(reference_divergence(div), space, 2 * trials, seed=seed),
+                         atol=atol)
+
+
+@pytest.mark.parametrize("ring", ["real", "complex", "quaternion"])
+def test_matrix_negentropy_values_match_reference_rows(ring):
+    """Divergence.values on (4, 6) stacks of full-rank, pure and rank-2 states against the row rule."""
+    space = geo.DensityMatrices(ring, 3)
+    rng = np.random.default_rng(31)
+    mixed = [geo.random_state(space, rng) for _ in range(8)]
+    pure = [geo.random_pure_state(space, rng) for _ in range(8)]
+    rank2 = [sc.mix([0.5, 0.5], pure[i:i + 2]) for i in range(0, 8, 2)]
+    rows = np.array([s.coords for s in mixed + pure + rank2 + mixed[:4]])
+    p, q = rows.reshape(4, 6, -1), rows[::-1].reshape(4, 6, -1)
+    div = dv.builtin_divergence("matrix_negentropy", space)
+    for a, b in ((p, q), (q, p), (p, p)):
+        got = div.values(space, a, b)
+        want = np.array([[reference_matrix_negentropy(sc.State(space, x), sc.State(space, y))
+                          for x, y in zip(xa, ya)] for xa, ya in zip(a, b)])
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.max(np.abs(got[finite] - want[finite])) <= 1e-12
+    # full-rank or pure rho against a rank-deficient sigma off its support is inf
+    assert 0 < np.count_nonzero(np.isinf(div.values(space, p, q))) < 24
+    assert np.max(np.abs(div.values(space, p, p))) <= 1e-12
 
 
 @pytest.mark.parametrize("space", [geo.Ball(2), geo.unit_square(), SIMPLEX3], ids=["disc", "square", "simplex3"])

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
@@ -295,6 +298,17 @@ def test_space_json_roundtrip():
         assert geo.space_from_json(space.to_json()) == space
 
 
+@pytest.mark.parametrize(
+    "desc, field",
+    [({"n": 3}, "'kind'"), ({"kind": "simplex"}, "simplex .* 'n'"), ({"kind": "polytope"}, "polytope .* 'vertices'"),
+     ({"kind": "ball"}, "ball .* 'd'"), ({"kind": "spin"}, "spin .* 'd'"),
+     ({"kind": "density", "n": 2}, "density .* 'ring'"), ({"kind": "density", "ring": "real"}, "density .* 'n'")],
+)
+def test_space_json_names_missing_field(desc, field):
+    with pytest.raises(ValueError, match=f"{field}$"):
+        geo.space_from_json(desc)
+
+
 def test_density_matrix_coords_roundtrip():
     rng = np.random.default_rng(6)
     for ring in ("real", "complex", "quaternion"):
@@ -386,3 +400,83 @@ def test_stacked_contains_state_matches_rows(space):
         rows = [[bool(member(p, tol=tol)) for p in block] for block in points]
         assert stacked.tolist() == rows
         assert 0 < np.count_nonzero(stacked) < stacked.size
+
+
+# ---------------------------------------------------------------------------
+# generated properties of the density-matrix forms
+# ---------------------------------------------------------------------------
+
+# derandomized and bounded, so the suite stays deterministic and quick
+PROPERTIES = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+DENSITY_SPACES = [geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (1, 2, 3)]
+DENSITY_IDS = [f"{space.ring}{space.n}" for space in DENSITY_SPACES]
+
+
+def raw_rows(space):
+    """1 to 4 coordinate rows with entries in [-1, 1]; neither Hermitian nor states."""
+    return arrays(float, st.tuples(st.integers(1, 4), st.just(space.coords_len)),
+                  elements=st.floats(-1.0, 1.0))
+
+
+def ring_data(space, row):
+    """The ring matrix whose row-major entry flattening is row."""
+    entries = row.reshape(space.n, space.n, space.components_per_entry)
+    if space.ring == "complex":
+        return entries[..., 0] + 1j * entries[..., 1]
+    return entries if space.ring == "quaternion" else entries[..., 0]
+
+
+def ring_coords(space, m):
+    """Row-major entry flattening of a HermitianMatrix."""
+    if space.ring == "complex":
+        return np.stack([m.data.real, m.data.imag], axis=-1).reshape(-1)
+    return np.asarray(m.data, dtype=float).reshape(-1)
+
+
+def density_rows(space, rows):
+    """States h^2 / Tr h^2 from the Hermitian parts h of the rows, built in the ring."""
+    out = []
+    for row in rows:
+        h = sc.jordan.hermitian_part(space.ring, ring_data(space, row))
+        sq = sc.jordan.hermitian_part(space.ring, h.matmul(h))
+        assume(sc.jordan.trace(sq) > 1e-6)
+        out.append(ring_coords(space, sq.scale(1.0 / sc.jordan.trace(sq))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("space", DENSITY_SPACES, ids=DENSITY_IDS)
+@PROPERTIES
+@given(data=st.data())
+def test_property_coords_of_forms_is_hermitian_part(space, data):
+    rows = data.draw(raw_rows(space))
+    forms = space.forms(rows)
+    assert forms.shape == (len(rows), space.mult * space.n, space.mult * space.n)
+    np.testing.assert_array_equal(forms, np.conj(np.swapaxes(forms, -1, -2)))
+    want = np.array([ring_coords(space, sc.jordan.hermitian_part(space.ring, ring_data(space, row)))
+                     for row in rows])
+    np.testing.assert_array_equal(space.coords_of(forms), want)
+    # i times a Hermitian form is anti-Hermitian: coords_of drops it with the rest of the non-Hermitian part
+    skew = 1j * space.forms(data.draw(arrays(float, rows.shape, elements=st.floats(-1.0, 1.0))))
+    np.testing.assert_allclose(space.coords_of(forms + skew), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("space", DENSITY_SPACES, ids=DENSITY_IDS)
+@PROPERTIES
+@given(data=st.data(), total=st.floats(0.1, 3.0))
+def test_property_entropies_match_row_entropy(space, data, total):
+    coords = density_rows(space, data.draw(raw_rows(space)))
+    want = [sc.von_neumann_entropy(space.matrix_from_coords(c).scale(total)) for c in coords]
+    # the row path drops eigenvalues at or below 1e-12, which carry at most 1e-12 ln 1e12 each
+    np.testing.assert_allclose(space.entropies(coords, total), want, rtol=0, atol=3 * 2.8e-11 + 1e-13)
+
+
+@pytest.mark.parametrize("space", DENSITY_SPACES, ids=DENSITY_IDS)
+@PROPERTIES
+@given(data=st.data(), scale=st.sampled_from([0.0, 1e-13, 1e-10, 1e-3, 0.3]))
+def test_property_stacked_contains_state_matches_rows(space, data, scale):
+    states = density_rows(space, data.draw(raw_rows(space)))
+    noise = data.draw(arrays(float, states.shape, elements=st.floats(-1.0, 1.0)))
+    points = np.concatenate([states, states + scale * noise, data.draw(raw_rows(space))])
+    for tol in (1e-12, 1e-9):
+        want = [reference_density_member(space, p, tol) for p in points]
+        assert space.contains_state(points, tol=tol).tolist() == want
