@@ -15,6 +15,7 @@ produce byte-identical output.  Exit codes: 0 pass, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,14 +37,14 @@ _SHORTHANDS = {
     "disc": lambda m: geo.Ball(2),
     "disk": lambda m: geo.Ball(2),
 }
-_PATTERNS = (
-    (re.compile(r"^simplex(\d+)$"), lambda n: geo.Simplex(n)),
-    (re.compile(r"^ball(\d+)$"), lambda n: geo.Ball(n)),
-    (re.compile(r"^spin(\d+)$"), lambda n: geo.SpinFactor(n)),
-    (re.compile(r"^real(\d+)$"), lambda n: geo.DensityMatrices("real", n)),
-    (re.compile(r"^complex(\d+)$"), lambda n: geo.DensityMatrices("complex", n)),
-    (re.compile(r"^quaternion(\d+)$"), lambda n: geo.DensityMatrices("quaternion", n)),
-)
+# name + size shorthands; --algebra takes the same form (jordan.ALGEBRA_PATTERN)
+_SIZED = {
+    "simplex": geo.Simplex,
+    "ball": geo.Ball,
+    "spin": geo.SpinFactor,
+    **{ring: functools.partial(geo.DensityMatrices, ring) for ring in jordan.RINGS},
+}
+_SIZED_PATTERN = re.compile(rf"^({'|'.join(_SIZED)})(\d+)$")
 
 
 def _load_json_arg(text: str):
@@ -60,10 +61,9 @@ def parse_space(text: str):
         return geo.space_from_json(_load_json_arg(text))
     if text in _SHORTHANDS:
         return _SHORTHANDS[text](None)
-    for pattern, build in _PATTERNS:
-        m = pattern.match(text)
-        if m:
-            return build(int(m.group(1)))
+    m = _SIZED_PATTERN.match(text)
+    if m:
+        return _SIZED[m.group(1)](int(m.group(2)))
     raise ValueError(f"cannot parse space {text!r}")
 
 
@@ -236,10 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

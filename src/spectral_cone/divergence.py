@@ -26,9 +26,8 @@ import numpy as np
 from . import geometries as geo
 from . import jordan
 from . import quaternion as quat
-from .cone import AffineFunctional, State, evaluate, mix, mix_coords
-from .decomposition import weights_entropy
-from .errors import DomainError, PreconditionError, require_count
+from .cone import MEMBERSHIP_TOL, AffineFunctional, State, evaluate, mix, mix_coords
+from .errors import NotInConeError, PreconditionError, require_count
 
 INTERIOR_EPS = 1e-12
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -140,10 +139,7 @@ def _matrix_negentropies(space: geo.DensityMatrices, forms: np.ndarray) -> np.nd
     Eigenvalues at or below 1e-12 count as 0; a form with an eigenvalue below
     -1e-9 times its spectral radius (at least 1) raises DomainError.
     """
-    w = np.linalg.eigvalsh(forms)[..., :: space.mult]
-    if np.any(w[..., 0] < -1e-9 * np.maximum(1.0, np.max(np.abs(w), axis=-1))):
-        raise DomainError("matrix has a negative eigenvalue")
-    return -weights_entropy(np.moveaxis(np.where(w > 1e-12, w, 0.0), -1, 0))
+    return -jordan.spectral_entropies(np.linalg.eigvalsh(forms)[..., :: space.mult])
 
 
 def matrix_negentropy_generator(space: geo.DensityMatrices) -> Generator:
@@ -447,54 +443,59 @@ def check_locality(div: Divergence, space, trials: int = 1000,
 
 @dataclass(frozen=True)
 class ChannelPair:
-    """Affine maps phi, psi with psi(phi(s)) = s on the sampled family."""
+    """Affine maps phi, psi with psi(phi(s)) = s on the sampled family.
+
+    sample_family draws one coordinate row of the family; phi and psi map
+    (k, coords_len) stacks of coordinate rows.
+    """
 
     name: str
-    phi: Callable[[State], State]
-    psi: Callable[[State], State]
-    sample_family: Callable[[np.random.Generator], State]
+    phi: Callable[[np.ndarray], np.ndarray]
+    psi: Callable[[np.ndarray], np.ndarray]
+    sample_family: Callable[[np.random.Generator], np.ndarray]
+
+
+def _dirichlet_row(space: geo.Simplex, rng: np.random.Generator) -> np.ndarray:
+    return rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
 
 
 def _permutation_pair(space: geo.Simplex, perm: np.ndarray) -> ChannelPair:
     inv = np.argsort(perm)
 
-    def apply(p, s):
-        coords = np.zeros(space.n)
-        coords[p] = np.asarray(s.coords)
-        return State(space, coords)
+    def apply(p, rows):
+        out = np.zeros_like(rows)
+        out[:, p] = rows
+        return out
 
     def sample(rng):
-        coords = rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
-        return State(space, coords / np.sum(coords))
+        coords = _dirichlet_row(space, rng)
+        return coords / np.sum(coords)
 
     return ChannelPair(
         f"permutation{tuple(int(i) for i in perm)}",
-        lambda s: apply(perm, s),
-        lambda s: apply(inv, s),
+        lambda rows: apply(perm, rows),
+        lambda rows: apply(inv, rows),
         sample,
     )
 
 
 def _merge_pair(space: geo.Simplex, i: int, j: int, alpha: float) -> ChannelPair:
-    def phi(s):
-        coords = np.array(s.coords, dtype=float)
-        coords[i] += coords[j]
-        coords[j] = 0.0
-        return State(space, coords)
+    def phi(rows):
+        out = np.array(rows, dtype=float)
+        out[:, i] += out[:, j]
+        out[:, j] = 0.0
+        return out
 
-    def psi(s):
-        coords = np.array(s.coords, dtype=float)
-        mass = coords[i] + coords[j]
-        coords[i] = alpha * mass
-        coords[j] = (1.0 - alpha) * mass
-        return State(space, coords)
+    def psi(rows):
+        out = np.array(rows, dtype=float)
+        mass = out[:, i] + out[:, j]
+        out[:, i] = alpha * mass
+        out[:, j] = (1.0 - alpha) * mass
+        return out
 
     def sample(rng):
-        coords = rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
-        mass = coords[i] + coords[j]
-        coords[i] = alpha * mass
-        coords[j] = (1.0 - alpha) * mass
-        return State(space, coords / np.sum(coords))
+        coords = psi(_dirichlet_row(space, rng)[None])[0]
+        return coords / np.sum(coords)
 
     return ChannelPair(f"merge({i},{j};{alpha})", phi, psi, sample)
 
@@ -509,19 +510,19 @@ def _unitary_conjugation_pair(space: geo.DensityMatrices,
     # coordinate mask of the two diagonal blocks of the pinch
     mask = np.repeat((side[:, None] == side[None, :]).reshape(-1), space.components_per_entry)
 
-    def phi(s):
-        coords = s.coords * mask if pinch else s.coords  # pinching is the identity on the family
-        return State(space, space.coords_of(u @ space.forms(coords) @ u_star))
+    def phi(rows):
+        rows = rows * mask if pinch else rows  # pinching is the identity on the family
+        return space.coords_of(u @ space.forms(rows) @ u_star)
 
-    def psi(s):
-        return State(space, space.coords_of(u_star @ space.forms(s.coords) @ u))
+    def psi(rows):
+        return space.coords_of(u_star @ space.forms(rows) @ u)
 
     def sample(rng_):
         coords = space.coords_from_matrix(jordan.random_density_matrix(space.ring, n, rng_, floor=0.05))
         if pinch:
             coords = coords * mask
             coords = (1.0 / space.traces(coords)) * coords
-        return State(space, coords)
+        return coords
 
     return ChannelPair("pinch+rotate" if pinch else "rotate", phi, psi, sample)
 
@@ -574,6 +575,20 @@ def builtin_channel_suite(space, rng: np.random.Generator) -> list:
     raise ValueError(f"no builtin channel suite for {space!r}")
 
 
+def _pair_rows(space, rows) -> np.ndarray:
+    """(k, 2, coords_len) stack of k row pairs; a row of another length raises as State() does."""
+    rows = [np.asarray(r, dtype=float).reshape(-1) for r in rows]
+    for r in rows:
+        if r.size != space.coords_len:
+            raise NotInConeError(f"expected {space.coords_len} coordinates, got {r.size}")
+    return np.array(rows).reshape(-1, 2, space.coords_len)
+
+
+def _require_states(space, rows) -> None:
+    if not np.all(space.contains_state(rows, tol=MEMBERSHIP_TOL)):
+        raise NotInConeError("state coordinates fail the membership test")
+
+
 def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1e-9,
                       trials: int = 200, seed: int = 0) -> dict:
     """Invariance of the divergence under channels reversible on the family.
@@ -581,40 +596,49 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
     Each trial draws two states from a pair's reversible family, verifies
     psi(phi(s)) = s (violations are reported separately as precondition
     failures, not divergence failures) and compares D(phi s1, phi s2)
-    against D(s1, s2).  The divergences of all trials that meet the
-    precondition are evaluated as one stacked array.
+    against D(s1, s2).  Every trial is drawn first, in the order of a
+    per-trial loop; each pair then maps the rows of its trials as one stack,
+    and the drawn, mapped and pulled-back stacks each take one membership
+    test.  The divergences of all trials that meet the precondition are
+    evaluated as one stacked array.
     """
     require_count("trials", trials)
     rng = np.random.default_rng(seed)
     suite = channel_suite if channel_suite is not None else builtin_channel_suite(space, rng)
-    kept = []  # (trial, pair, s1, s2, phi s1, phi s2) of the trials that meet the precondition
-    violations = 0
-    for trial in range(trials):
-        pair = suite[trial % len(suite)]
-        states = (pair.sample_family(rng), pair.sample_family(rng))
-        mapped = tuple(pair.phi(s) for s in states)
-        bad = [np.max(np.abs(np.asarray(pair.psi(m).coords) - np.asarray(s.coords))) > 1e-9
-               for s, m in zip(states, mapped)]
-        violations += sum(bad)
-        if not any(bad):
-            kept.append((trial, pair, *states, *mapped))
+    owner = np.arange(trials) % len(suite)  # the pair of every trial
+    drawn = _pair_rows(space, [suite[k].sample_family(rng) for k in owner for _ in range(2)])
+    _require_states(space, drawn)
+
+    def by_pair(name, stack):  # apply each pair's phi or psi to the rows of its trials
+        out = np.empty_like(stack)
+        for k, pair in enumerate(suite):
+            mine = owner == k
+            out[mine] = _pair_rows(space, getattr(pair, name)(stack[mine].reshape(-1, space.coords_len)))
+        _require_states(space, out)
+        return out
+
+    mapped = by_pair("phi", drawn)
+    back = by_pair("psi", mapped)
+    bad = np.max(np.abs(back - drawn), axis=-1) > 1e-9
+    violations = int(np.sum(bad))
+    kept = np.flatnonzero(~np.any(bad, axis=1))
     dom = _interior_map(div, space)
-    s1, s2, m1, m2 = (dom(_coords_rows(space, [k[j] for k in kept])) for j in range(2, 6))
+    s1, s2, m1, m2 = (dom(x[kept, j]) for x in (drawn, mapped) for j in (0, 1))
     base = div.values(space, s1, s2)
-    mapped = div.values(space, m1, m2)
-    gaps = _extended_gaps(base, mapped)
+    image = div.values(space, m1, m2)
+    gaps = _extended_gaps(base, image)
     max_gap = float(np.max(gaps, initial=-1.0))
     passed = violations == 0 and max_gap <= tol
     witness = None
-    if not passed and kept:
+    if not passed and kept.size:
         i = int(np.argmax(gaps))
-        trial, pair, w1, w2 = kept[i][:4]
+        trial = int(kept[i])
         witness = {
             "trial": trial,
-            "channel": pair.name,
-            "s1": [float(c) for c in w1.coords],
-            "s2": [float(c) for c in w2.coords],
-            "values": [float(base[i]), float(mapped[i])],
+            "channel": suite[owner[trial]].name,
+            "s1": [float(c) for c in drawn[trial, 0]],
+            "s2": [float(c) for c in drawn[trial, 1]],
+            "values": [float(base[i]), float(image[i])],
         }
     exploratory = isinstance(space, geo.DensityMatrices) and space.ring == "quaternion"
     return {
@@ -624,7 +648,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
         "pass": bool(passed),
         "max_gap": max_gap,
         "witness": witness,
-        "precondition_violations": int(violations),
+        "precondition_violations": violations,
         "exploratory": bool(exploratory),
         "trials": int(trials),
         "seed": int(seed),

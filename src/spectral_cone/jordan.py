@@ -14,11 +14,21 @@ Eigendecompositions are LAPACK heevd (numpy.linalg.eigh) on that form, and
 :func:`from_form` is the one way back to the ring.  HermitianMatrix is the
 public face of this calculus; the density-matrix geometry works on stacks of
 complex forms directly (see :class:`spectral_cone.geometries.DensityMatrices`).
+
+Random positive matrices come from one density kernel over stacks of ring
+data, :func:`positive_matrices`; the single-matrix samplers call it on one
+draw and :func:`check_concavity` on all its trials at once.  The concavity
+checker draws every trial first, in the order of a per-trial loop, and
+evaluates them as stacked arrays: one ``eigh`` of all the ``a`` for the
+second derivatives (the Daleckii-Krein form coeff * |V* B V|^2), stacked
+``eigvalsh`` calls for the finite differences and midpoint entropies, and
+array closed forms on the spin factor.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,15 +109,11 @@ class HermitianMatrix:
     def matmul(self, other: "HermitianMatrix") -> np.ndarray:
         """Raw ring product; the result is generally not Hermitian."""
         self._check_compatible(other)
-        if self.ring == "quaternion":
-            return quat.qmat_mul(self.data, other.data)
-        return self.data @ other.data
+        return _ring_matmul(self.ring, self.data, other.data)
 
     def to_complex(self) -> np.ndarray:
         """Complex matrix with the same spectrum structure (embedding for quaternions)."""
-        if self.ring == "quaternion":
-            return quat.to_complex(self.data)
-        return np.asarray(self.data, dtype=complex)
+        return _complex_forms(self.ring, self.data)
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2)))
@@ -118,12 +124,7 @@ class HermitianMatrix:
 
     @classmethod
     def identity(cls, ring: str, n: int) -> "HermitianMatrix":
-        if ring == "quaternion":
-            data = np.zeros((n, n, 4))
-            data[np.arange(n), np.arange(n), 0] = 1.0
-            return cls(ring, data)
-        dtype = complex if ring == "complex" else float
-        return cls(ring, np.eye(n, dtype=dtype))
+        return cls(ring, _identity_data(ring, n))
 
     @classmethod
     def zeros(cls, ring: str, n: int) -> "HermitianMatrix":
@@ -148,10 +149,46 @@ def _ring_array(ring: str, data) -> np.ndarray:
     return data
 
 
+# Ring data of a stack of matrices has shape (..., n, n), or (..., n, n, 4)
+# over the quaternions; the helpers below act on every matrix of a stack.
+
 def _conj_transpose(ring: str, data: np.ndarray) -> np.ndarray:
     if ring == "quaternion":
         return quat.qmat_conj_transpose(data)
-    return np.conj(data.T)
+    return np.conj(np.swapaxes(data, -1, -2))
+
+
+def _hermitian_data(ring: str, raw) -> np.ndarray:
+    """(A + A*) / 2 of ring data; exactly Hermitian in IEEE arithmetic."""
+    if ring == "real":
+        raw = np.real(raw)
+    raw = np.asarray(raw, dtype=complex if ring == "complex" else float)
+    return (raw + _conj_transpose(ring, raw)) / 2.0
+
+
+def _ring_matmul(ring: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return quat.qmat_mul(a, b) if ring == "quaternion" else a @ b
+
+
+def _complex_forms(ring: str, data: np.ndarray) -> np.ndarray:
+    """Complex forms of ring data: the data itself, the embedding for quaternions."""
+    return quat.to_complex(data) if ring == "quaternion" else np.asarray(data, dtype=complex)
+
+
+def _identity_data(ring: str, n: int) -> np.ndarray:
+    if ring == "quaternion":
+        data = np.zeros((n, n, 4))
+        data[np.arange(n), np.arange(n), 0] = 1.0
+        return data
+    return np.eye(n, dtype=complex if ring == "complex" else float)
+
+
+def _ring_traces(ring: str, data: np.ndarray) -> np.ndarray:
+    """Ring trace of every matrix: the sum of the real parts of the diagonal entries."""
+    if ring == "quaternion":
+        n = data.shape[-2]
+        return np.sum(data[..., np.arange(n), np.arange(n), 0], axis=-1)
+    return np.real(np.trace(data, axis1=-2, axis2=-1))
 
 
 def hermitian_part(ring: str, raw: np.ndarray) -> HermitianMatrix:
@@ -160,10 +197,8 @@ def hermitian_part(ring: str, raw: np.ndarray) -> HermitianMatrix:
     (A + A*) / 2 is exactly Hermitian in IEEE arithmetic, so the result
     needs no defect check.
     """
-    if ring == "real":
-        raw = np.real(raw)
-    raw = _ring_array(ring, raw)
-    return HermitianMatrix._trusted(ring, (raw + _conj_transpose(ring, raw)) / 2.0)
+    raw = _ring_array(ring, np.real(raw) if ring == "real" else raw)
+    return HermitianMatrix._trusted(ring, _hermitian_data(ring, raw))
 
 
 def from_form(ring: str, z: np.ndarray) -> HermitianMatrix:
@@ -173,9 +208,7 @@ def from_form(ring: str, z: np.ndarray) -> HermitianMatrix:
 
 def trace(m: HermitianMatrix) -> float:
     """Ring trace: sum of the real parts of the diagonal entries."""
-    if m.ring == "quaternion":
-        return float(np.sum(m.data[np.arange(m.n), np.arange(m.n), 0]))
-    return float(np.real(np.trace(m.data)))
+    return float(_ring_traces(m.ring, m.data))
 
 
 def trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
@@ -218,6 +251,21 @@ def cluster_indices(values: np.ndarray, rtol: float = CLUSTER_RTOL) -> list:
         else:
             groups.append([i])
     return [np.array(g) for g in groups]
+
+
+def cluster_means(w: np.ndarray, cluster_rtol: float = CLUSTER_RTOL) -> np.ndarray:
+    """Every eigenvalue of each ascending row replaced by the mean of its cluster.
+
+    The rule of :func:`cluster_indices`, row by row: a cluster ends where the
+    next gap exceeds cluster_rtol times the row's spectral radius.
+    """
+    thresh = cluster_rtol * np.maximum(1e-300, np.max(np.abs(w), axis=-1, keepdims=True))
+    starts = np.ones(w.shape, dtype=bool)
+    starts[..., 1:] = ~(np.diff(w, axis=-1) <= thresh)
+    flat = w.reshape(-1)
+    first = np.flatnonzero(starts)
+    counts = np.diff(np.append(first, flat.size))
+    return np.repeat(np.add.reduceat(flat, first) / counts, counts).reshape(w.shape)
 
 
 @dataclass(frozen=True)
@@ -313,10 +361,15 @@ class ScalarFunction:
     d2f: Callable = None
     domain: tuple = (-math.inf, math.inf)
 
+    def outside(self, values) -> np.ndarray:
+        """Flags of the rows of a (..., k) array with a value outside the domain."""
+        lo, hi = self.domain
+        return (np.min(values, axis=-1) <= lo) | (np.max(values, axis=-1) >= hi)
+
     def check_domain(self, values) -> None:
         values = np.asarray(values, dtype=float)
-        lo, hi = self.domain
-        if values.size and (float(np.min(values)) <= lo or float(np.max(values)) >= hi):
+        if values.size and self.outside(values.reshape(-1)):
+            lo, hi = self.domain
             raise DomainError(
                 f"eigenvalues {values} outside the domain ({lo}, {hi}) of {self.name}"
             )
@@ -343,19 +396,12 @@ def apply_function(fn: ScalarFunction, m: HermitianMatrix) -> HermitianMatrix:
 
 def _divided_difference_matrix(fvals: np.ndarray, dfvals: np.ndarray,
                                reps: np.ndarray) -> np.ndarray:
-    """Matrix of (f(t_i) - f(t_j)) / (t_i - t_j) with f' on equal clusters."""
-    diff = reps[:, None] - reps[None, :]
+    """Matrices of (f(t_i) - f(t_j)) / (t_i - t_j) with f' on equal clusters, one per row."""
+    diff = reps[..., :, None] - reps[..., None, :]
     same = diff == 0.0
     safe = np.where(same, 1.0, diff)
-    dd = (fvals[:, None] - fvals[None, :]) / safe
-    return np.where(same, (dfvals[:, None] + dfvals[None, :]) / 2.0, dd)
-
-
-def _cluster_representatives(w: np.ndarray, cluster_rtol: float) -> np.ndarray:
-    reps = np.empty_like(w)
-    for g in cluster_indices(w, cluster_rtol):
-        reps[g] = float(np.mean(w[g]))
-    return reps
+    dd = (fvals[..., :, None] - fvals[..., None, :]) / safe
+    return np.where(same, (dfvals[..., :, None] + dfvals[..., None, :]) / 2.0, dd)
 
 
 def directional_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix,
@@ -368,7 +414,7 @@ def directional_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianM
     a._check_compatible(b)
     w, v = np.linalg.eigh(a.to_complex())
     fn.check_domain(w)
-    reps = _cluster_representatives(w, cluster_rtol)
+    reps = cluster_means(w, cluster_rtol)
     coeff = _divided_difference_matrix(fn.f(reps), fn.df(reps), reps)
     mid = np.conj(v.T) @ b.to_complex() @ v
     return from_form(a.ring, v @ (coeff * mid) @ np.conj(v.T))
@@ -391,10 +437,21 @@ def second_trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: Hermitian
         raise ValueError(f"{fn.name} carries no second derivative oracle")
     w, v = np.linalg.eigh(a.to_complex())
     fn.check_domain(w)
-    reps = _cluster_representatives(w, cluster_rtol)
+    return float(_second_trace_derivatives(fn, w, v, b.to_complex(), cluster_rtol)) / a.mult
+
+
+def _second_trace_derivatives(fn: ScalarFunction, w: np.ndarray, v: np.ndarray, zb: np.ndarray,
+                              cluster_rtol: float = CLUSTER_RTOL) -> np.ndarray:
+    """Sum of coeff * |V* B V|^2 for stacks of eigendecompositions (w, v) and forms zb.
+
+    coeff holds the divided differences of f' (Daleckii-Krein); divided by
+    the multiplicity of the forms, this is d^2/dt^2 Tr f(a + t b) at t = 0.
+    """
+    reps = cluster_means(w, cluster_rtol)
     coeff = _divided_difference_matrix(fn.df(reps), fn.d2f(reps), reps)
-    mid = np.conj(v.T) @ b.to_complex() @ v
-    return float(np.sum(coeff * np.abs(mid) ** 2)) / a.mult
+    mid = np.conj(np.swapaxes(v, -1, -2)) @ zb @ v
+    terms = coeff * np.abs(mid) ** 2
+    return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
 
 
 def trace_function(fn: ScalarFunction, m: HermitianMatrix) -> float:
@@ -406,10 +463,23 @@ def trace_function(fn: ScalarFunction, m: HermitianMatrix) -> float:
 
 def von_neumann_entropy(m: HermitianMatrix, zero_tol: float = 1e-12) -> float:
     """Entropy -sum t ln t of the ring eigenvalues, with 0 ln 0 = 0."""
-    w = eigenvalues_of(m)
-    if float(np.min(w)) < -1e-9 * max(1.0, float(np.max(np.abs(w)))):
+    return float(spectral_entropies(eigenvalues_of(m), zero_tol))
+
+
+def _negative_spectra(w: np.ndarray) -> np.ndarray:
+    """Rows of an ascending eigenvalue stack with an eigenvalue below -1e-9 times their radius (at least 1)."""
+    return w[..., 0] < -1e-9 * np.maximum(1.0, np.max(np.abs(w), axis=-1))
+
+
+def spectral_entropies(w: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
+    """-sum t ln t over the last axis of an ascending ring-eigenvalue stack.
+
+    Eigenvalues at or below zero_tol count as 0; a row with an eigenvalue
+    below -1e-9 times its spectral radius (at least 1) raises DomainError.
+    """
+    if np.any(_negative_spectra(w)):
         raise DomainError("matrix has a negative eigenvalue")
-    return float(weights_entropy(w[w > zero_tol]))
+    return weights_entropy(np.moveaxis(np.where(w > zero_tol, w, 0.0), -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +543,26 @@ def spin_second_trace_derivative(fn: ScalarFunction, a: SpinElement, b: SpinElem
         raise ValueError("spin elements of different dimension")
     if fn.d2f is None:
         raise ValueError(f"{fn.name} carries no second derivative oracle")
-    r = float(np.linalg.norm(a.v))
-    s, u = b.t, b.v
-    if r <= degenerate_tol:
-        fn.check_domain(np.array([a.t]))
-        un = float(np.linalg.norm(u))
-        return float(fn.d2f(a.t) * ((s + un) ** 2 + (s - un) ** 2))
-    lo, hi = a.eigenvalues()
-    fn.check_domain(np.array([lo, hi]))
-    vhat = a.v / r
-    rdot = float(np.dot(vhat, u))
-    rddot = (float(np.dot(u, u)) - rdot ** 2) / r
-    return float(
-        fn.d2f(hi) * (s + rdot) ** 2
-        + fn.d2f(lo) * (s - rdot) ** 2
-        + rddot * (fn.df(hi) - fn.df(lo))
-    )
+    degenerate = float(np.linalg.norm(a.v)) <= degenerate_tol
+    fn.check_domain(np.array([a.t] if degenerate else a.eigenvalues()))
+    return float(_spin_second_derivatives(fn, np.array([a.t]), a.v[None], np.array([b.t]), b.v[None],
+                                          degenerate_tol)[0])
+
+
+def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s: np.ndarray, u: np.ndarray,
+                             degenerate_tol: float = 1e-14) -> np.ndarray:
+    """The closed form of spin_second_trace_derivative at rows a = (t, v) along b = (s, u)."""
+    r = _norms(v)
+    degenerate = r <= degenerate_tol
+    safe_r = np.where(degenerate, 1.0, r)
+    lo, hi = t - r, t + r
+    rdot = _row_dots(v / safe_r[:, None], u)
+    rddot = (_row_dots(u, u) - rdot ** 2) / safe_r
+    un = _norms(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(degenerate, fn.d2f(t) * ((s + un) ** 2 + (s - un) ** 2),
+                        fn.d2f(hi) * (s + rdot) ** 2 + fn.d2f(lo) * (s - rdot) ** 2
+                        + rddot * (fn.df(hi) - fn.df(lo)))
 
 
 def spin_entropy(a: SpinElement, zero_tol: float = 1e-12) -> float:
@@ -502,34 +576,62 @@ def spin_entropy(a: SpinElement, zero_tol: float = 1e-12) -> float:
 # Random sampling helpers (deterministic per seed)
 # ---------------------------------------------------------------------------
 
-def random_hermitian(ring: str, n: int, rng: np.random.Generator) -> HermitianMatrix:
+def gaussian_draws(ring: str, n: int, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
+    """Raw Gaussian ring data of shape (*lead, n, n), or (*lead, n, n, 4) over the quaternions.
+
+    The draws consume the stream exactly as successive single draws do (a
+    complex matrix takes its real part, then its imaginary part), so row k
+    of a stack is the k-th draw of a loop.
+    """
+    lead = tuple(lead)
     if ring == "real":
-        g = rng.standard_normal((n, n))
-        return hermitian_part("real", g)
+        return rng.standard_normal((*lead, n, n))
     if ring == "complex":
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return hermitian_part("complex", g)
-    g = rng.standard_normal((n, n, 4))
-    return hermitian_part("quaternion", g)
+        g = rng.standard_normal((*lead, 2, n, n))
+        return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    return rng.standard_normal((*lead, n, n, 4))
+
+
+def positive_matrices(ring: str, raw: np.ndarray, floor: float = 0.0,
+                      unit_trace: bool = True) -> np.ndarray:
+    """The density kernel: positive ring data from a stack of raw draws.
+
+    With g the Hermitian part of a draw and m the Hermitian part of g g,
+    a unit_trace result is (m + floor I) / Tr(m + floor I), a density matrix;
+    otherwise it is m / max(1, Tr m) + floor I, whose eigenvalues are at
+    least floor.  Every matrix of the stack is computed as it would be alone.
+    """
+    g = _hermitian_data(ring, raw)
+    m = _hermitian_data(ring, _ring_matmul(ring, g, g))
+    eye = floor * _identity_data(ring, raw.shape[-3 if ring == "quaternion" else -1])
+    if unit_trace:
+        if floor > 0.0:
+            m = m + eye
+        return _per_matrix(1.0 / _ring_traces(ring, m), m)
+    return _per_matrix(1.0 / np.maximum(1.0, _ring_traces(ring, m)), m) + eye
+
+
+def _per_matrix(c: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """c[k] * data[k] for every k of a leading-axis stack."""
+    c = np.asarray(c)
+    return c.reshape(c.shape + (1,) * (data.ndim - c.ndim)) * data
+
+
+def random_hermitian(ring: str, n: int, rng: np.random.Generator) -> HermitianMatrix:
+    return HermitianMatrix._trusted(ring, _hermitian_data(ring, gaussian_draws(ring, n, rng)))
 
 
 def random_positive_definite(ring: str, n: int, rng: np.random.Generator,
                              floor: float = 0.2) -> HermitianMatrix:
     """Random positive matrix with eigenvalues at least `floor`."""
-    g = random_hermitian(ring, n, rng)
-    m = hermitian_part(ring, g.matmul(g))  # g g* with g = g*
-    m = m.scale(1.0 / max(1.0, trace(m)))
-    return m + HermitianMatrix.identity(ring, n).scale(floor)
+    return HermitianMatrix._trusted(
+        ring, positive_matrices(ring, gaussian_draws(ring, n, rng), floor, unit_trace=False))
 
 
 def random_density_matrix(ring: str, n: int, rng: np.random.Generator,
                           floor: float = 0.0) -> HermitianMatrix:
     """Random density matrix (positive, unit ring trace)."""
-    g = random_hermitian(ring, n, rng)
-    m = hermitian_part(ring, g.matmul(g))  # g g* with g = g*
-    if floor > 0.0:
-        m = m + HermitianMatrix.identity(ring, n).scale(floor)
-    return m.scale(1.0 / trace(m))
+    return HermitianMatrix._trusted(ring, positive_matrices(ring, gaussian_draws(ring, n, rng), floor))
 
 
 def random_pure_density(ring: str, n: int, rng: np.random.Generator) -> HermitianMatrix:
@@ -551,19 +653,25 @@ def random_pure_density(ring: str, n: int, rng: np.random.Generator) -> Hermitia
 # Checkers
 # ---------------------------------------------------------------------------
 
+ALGEBRA_PATTERN = re.compile(rf"^({'|'.join(RINGS)}|spin)(\d+)$")
+
+
 def _parse_algebra(algebra) -> tuple:
     """Accept ('complex', 3), 'complex3', ('spin', 5) or 'spin5'."""
     if isinstance(algebra, tuple):
         kind, n = algebra
         kind, n = str(kind), int(n)
     else:
-        text = str(algebra)
-        kind = next((k for k in ("real", "complex", "quaternion", "spin") if text.startswith(k)), None)
-        if kind is None:
-            raise ValueError(f"cannot parse algebra descriptor {algebra!r}")
-        n = int(text[len(kind):])
+        m = ALGEBRA_PATTERN.match(str(algebra).strip())
+        if m is None:
+            raise ValueError(f"cannot parse algebra {algebra!r}: expected real, complex, quaternion "
+                             f"or spin followed by a size, e.g. complex3")
+        kind, n = m.group(1), int(m.group(2))
     require_count("algebra size", n)
     return kind, n
+
+
+CONCAVITY_CONDITIONS = ("second_derivative", "finite_difference", "midpoint")
 
 
 def check_concavity(algebra, trials: int = 200, seed: int = 0,
@@ -574,73 +682,141 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
     second trace derivative of -z ln z along b must be below
     -strictness * ||b||^2, and must match a central second difference of
     Tr f(a + t b).  Midpoint concavity of entropy is checked along random
-    state segments.  A failing report's witness is the first failing trial:
-    its index, the first condition it breaks and its values.
+    state segments.  Every trial is drawn first, in the order of a per-trial
+    loop, and all trials are evaluated as stacked arrays.  A failing
+    report's witness is the first failing trial: its index, the first
+    condition it breaks and its values.  The aggregates skip NaN values,
+    which still fail their trial.
     """
     kind, n = _parse_algebra(algebra)
     require_count("trials", trials)
     rng = np.random.default_rng(seed)
-    max_second = -math.inf
-    max_rel_err = 0.0
-    min_slack = math.inf
+    steps = np.array([fd_step, 0.0, -fd_step])
+    terms = _spin_concavity_terms if kind == "spin" else _matrix_concavity_terms
+    d2, g, slack = terms(kind, n, trials, rng, steps)
+    fd = (g[:, 0] - 2.0 * g[:, 1] + g[:, 2]) / fd_step ** 2
+    rel = np.abs(fd - d2) / np.maximum(1e-12, np.abs(d2))
+    holds = np.stack([d2 < -strictness, rel <= 1e-5, slack >= -1e-10], axis=1)
+    failing = np.flatnonzero(~np.all(holds, axis=1))
     witness = None
-    for trial in range(trials):
-        if kind == "spin":
-            v = rng.standard_normal(n) * 0.3
-            nv = float(np.linalg.norm(v))
-            if nv > 0.8:  # keep the smallest eigenvalue clear of zero
-                v *= 0.8 / nv
-            a = SpinElement(1.0, v)
-            b_raw = SpinElement(rng.standard_normal(), rng.standard_normal(n))
-            b = SpinElement(b_raw.t / b_raw.norm(), b_raw.v / b_raw.norm())
-            d2 = spin_second_trace_derivative(NEG_XLOGX, a, b)
-            g = lambda t: spin_trace_function(NEG_XLOGX, SpinElement(a.t + t * b.t, a.v + t * b.v))
-            # midpoint concavity on states (t = 1/2, |v| <= 1/2)
-            s1 = SpinElement(0.5, _random_in_ball(rng, n) / 2.0)
-            s2 = SpinElement(0.5, _random_in_ball(rng, n) / 2.0)
-            mid = SpinElement(0.5, (s1.v + s2.v) / 2.0)
-            slack = spin_entropy(mid) - (spin_entropy(s1) + spin_entropy(s2)) / 2.0
-        else:
-            a = random_positive_definite(kind, n, rng)
-            b = random_hermitian(kind, n, rng)
-            b = b.scale(1.0 / b.frobenius_norm())
-            d2 = second_trace_derivative(NEG_XLOGX, a, b)
-            g = lambda t: trace_function(NEG_XLOGX, a + b.scale(t))
-            s1 = random_density_matrix(kind, n, rng, floor=0.01)
-            s2 = random_density_matrix(kind, n, rng, floor=0.01)
-            mid = (s1 + s2).scale(0.5)
-            slack = von_neumann_entropy(mid) - (von_neumann_entropy(s1) + von_neumann_entropy(s2)) / 2.0
-        fd = (g(fd_step) - 2.0 * g(0.0) + g(-fd_step)) / fd_step ** 2
-        rel = abs(fd - d2) / max(1e-12, abs(d2))
-        max_second = max(max_second, d2)
-        max_rel_err = max(max_rel_err, rel)
-        min_slack = min(min_slack, slack)
-        failed = [name for name, holds in (("second_derivative", d2 < -strictness),
-                                           ("finite_difference", rel <= 1e-5),
-                                           ("midpoint", slack >= -1e-10)) if not holds]
-        if failed and witness is None:
-            witness = {"trial": trial, "condition": failed[0], "d2": float(d2),
-                       "fd": float(fd), "rel_err": float(rel), "slack": float(slack)}
+    if failing.size:
+        trial = int(failing[0])
+        witness = {"trial": trial, "condition": CONCAVITY_CONDITIONS[int(np.argmin(holds[trial]))],
+                   "d2": float(d2[trial]), "fd": float(fd[trial]), "rel_err": float(rel[trial]),
+                   "slack": float(slack[trial])}
+    max_second = float(np.max(d2[~np.isnan(d2)], initial=-math.inf))
     return {
         "check": "concavity",
         "algebra": f"{kind}{n}",
         "pass": witness is None,
         "max_gap": float(max(0.0, max_second + strictness)),
-        "max_second_derivative": float(max_second),
-        "fd_max_rel_err": float(max_rel_err),
-        "min_midpoint_slack": float(min_slack),
+        "max_second_derivative": max_second,
+        "fd_max_rel_err": float(np.max(rel[~np.isnan(rel)], initial=0.0)),
+        "min_midpoint_slack": float(np.min(slack[~np.isnan(slack)], initial=math.inf)),
         "witness": witness,
         "trials": int(trials),
         "seed": int(seed),
     }
 
 
-def _random_in_ball(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return np.zeros(d)
-    return v / norm * rng.uniform() ** (1.0 / d)
+def _matrix_concavity_terms(ring: str, n: int, trials: int, rng: np.random.Generator, steps: np.ndarray):
+    """Second derivatives, Tr f(a + t b) at the steps t and midpoint slacks of every matrix trial.
+
+    A trial draws a (positive, eigenvalues at least 0.2), then b (unit
+    Frobenius norm), then two density matrices with eigenvalues at least
+    0.01 of the segment whose midpoint is tested.
+    """
+    raw = gaussian_draws(ring, n, rng, (trials, 4))
+    a = positive_matrices(ring, raw[:, 0], floor=0.2, unit_trace=False)
+    b = _hermitian_data(ring, raw[:, 1])
+    b = _per_matrix(1.0 / np.sqrt(np.sum(np.abs(b.reshape(trials, -1)) ** 2, axis=1)), b)
+    s = positive_matrices(ring, raw[:, 2:], floor=0.01)
+    mult = 2 if ring == "quaternion" else 1
+    w, v = np.linalg.eigh(_complex_forms(ring, a))
+    points = a[:, None] + _per_matrix(np.broadcast_to(steps, (trials, 3)), b[:, None])
+    pw = np.linalg.eigvalsh(_complex_forms(ring, points))[..., ::mult]
+    states = np.stack([0.5 * (s[:, 0] + s[:, 1]), s[:, 0], s[:, 1]], axis=1)
+    sw = np.linalg.eigvalsh(_complex_forms(ring, states))[..., ::mult]
+    _raise_first_domain_error((w[:, None], NEG_XLOGX.outside(w)[:, None], NEG_XLOGX.check_domain),
+                              (sw, _negative_spectra(sw), spectral_entropies),
+                              (pw, NEG_XLOGX.outside(pw), NEG_XLOGX.check_domain))
+    d2 = _second_trace_derivatives(NEG_XLOGX, w, v, _complex_forms(ring, b)) / mult
+    h = spectral_entropies(sw)
+    return d2, np.sum(NEG_XLOGX.f(pw), axis=-1), h[:, 0] - (h[:, 1] + h[:, 2]) / 2.0
+
+
+def _spin_concavity_terms(kind: str, d: int, trials: int, rng: np.random.Generator, steps: np.ndarray):
+    """The terms of :func:`_matrix_concavity_terms` on the spin factor R + R^d.
+
+    A trial draws a = (1, v) with |v| <= 0.8, then b = (s, u) of unit norm,
+    then two states (1/2, x/2) with x uniform in the unit ball.  The
+    eigenvalues of (t, v) are t -+ |v|; the second derivative is the closed
+    form of differentiating them, with f'' on the single eigenvalue when
+    |v| <= 1e-14.
+    """
+    draws = np.empty((trials, 4 * d + 1))  # v, s, u, then the two ball directions
+    radii = np.zeros((trials, 2))
+
+    def radius(x):  # a zero direction draws no radius
+        return rng.uniform() ** (1.0 / d) if np.dot(x, x) > 0.0 else 0.0
+
+    for trial in range(trials):
+        row = draws[trial]
+        row[: 3 * d + 1] = rng.standard_normal(3 * d + 1)
+        radii[trial, 0] = radius(row[2 * d + 1 : 3 * d + 1])
+        row[3 * d + 1 :] = rng.standard_normal(d)
+        radii[trial, 1] = radius(row[3 * d + 1 :])
+    v = draws[:, :d] * 0.3
+    nv = _norms(v)[:, None]
+    v = np.where(nv > 0.8, v * (0.8 / np.where(nv > 0.8, nv, 1.0)), v)
+    s, u = draws[:, d], draws[:, d + 1 : 2 * d + 1]
+    norm = np.sqrt(s ** 2 + _row_dots(u, u))
+    s, u = s / norm, u / norm[:, None]
+    x = draws[:, 2 * d + 1 :].reshape(trials, 2, d)
+    xn = _norms(x)[..., None]
+    halves = np.where(xn > 0.0, x / np.where(xn > 0.0, xn, 1.0) * radii[..., None], 0.0) / 2.0
+
+    fn = NEG_XLOGX
+    r = _norms(v)
+    tv = 1.0 + steps * s[:, None]
+    tr = _norms(v[:, None] + steps[:, None] * u[:, None])
+    pw = np.stack([tv - tr, tv + tr], axis=-1)
+    mr = _norms(np.stack([(halves[:, 0] + halves[:, 1]) / 2.0, halves[:, 0], halves[:, 1]], axis=1))
+    sw = np.stack([0.5 - mr, 0.5 + mr], axis=-1)
+    aw = np.where((r <= 1e-14)[:, None], 1.0, np.stack([1.0 - r, 1.0 + r], axis=-1))[:, None]
+    _raise_first_domain_error((aw, fn.outside(aw), fn.check_domain),
+                              (sw, _negative_spectra(sw), spectral_entropies),
+                              (pw, fn.outside(pw), fn.check_domain))
+    d2 = _spin_second_derivatives(fn, np.ones(trials), v, s, u)
+    h = spectral_entropies(sw)
+    return d2, fn.f(pw[..., 0]) + fn.f(pw[..., 1]), h[:, 0] - (h[:, 1] + h[:, 2]) / 2.0
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y of every row pair, through the BLAS dot that np.dot runs on one row."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, computed as np.linalg.norm computes it for one."""
+    return np.sqrt(_row_dots(x, x))
+
+
+def _raise_first_domain_error(*checks) -> None:
+    """Raise the error a per-trial loop meets first: its earliest trial, then its first check.
+
+    Each check is (rows, bad, check): a (trials, k, ...) stack of eigenvalue
+    rows in the order a trial evaluates them, the (trials, k) flags of the
+    rows that fail, and the scalar check that raises on such a row.
+    """
+    bad = np.concatenate([flags for _, flags, _ in checks], axis=1)
+    if not np.any(bad):
+        return
+    trial, col = np.argwhere(bad)[0]
+    for rows, flags, check in checks:
+        if col < flags.shape[1]:
+            check(rows[trial, col])
+        col -= flags.shape[1]
 
 
 def euclidean_check(algebra, trials: int = 200, seed: int = 0) -> dict:

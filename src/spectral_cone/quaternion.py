@@ -55,7 +55,7 @@ def qnorm(p) -> np.ndarray:
 
 
 def qmat_mul(a, b) -> np.ndarray:
-    """Product of quaternion matrices, shapes (n, m, 4) @ (m, k, 4)."""
+    """Product of quaternion matrices, shapes (..., n, m, 4) @ (..., m, k, 4)."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack(
@@ -70,7 +70,8 @@ def qmat_mul(a, b) -> np.ndarray:
 
 
 def qmat_conj_transpose(a) -> np.ndarray:
-    return qconj(np.swapaxes(a, 0, 1))
+    """Conjugate transpose of every matrix in an (..., n, m, 4) stack."""
+    return qconj(np.swapaxes(a, -3, -2))
 
 
 def to_complex(q) -> np.ndarray:

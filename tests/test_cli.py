@@ -211,6 +211,32 @@ def test_check_concavity_rejects_empty_algebra(capsys, algebra):
     assert "algebra size" in err
 
 
+@pytest.mark.parametrize("algebra", ["complex", "complex3.0", "complex3x", "octonion3", "spin"])
+def test_check_concavity_malformed_algebra_names_the_form(capsys, algebra):
+    code, out, err = run_cli(capsys, "check", "concavity", "--algebra", algebra, "--trials", "5")
+    assert_one_line_error(code, out, err)
+    assert "e.g. complex3" in err and "invalid literal" not in err
+
+
+def test_main_reuses_one_parser_with_fresh_results(capsys):
+    series = [
+        ("check", "locality", "--space", "simplex3", "--trials", "abc"),
+        ("check", "concavity", "--algebra", "complex2", "--trials", "5", "--seed", "3"),
+        ("decompose", "--space", "simplex3", "--element", "[0.2, 0.3, 0.5]"),
+        ("--help",),
+        ("check", "locality", "--space", "simplex3", "--divergence", "kl", "--trials", "5"),
+    ]
+    reused = [run_cli(capsys, *argv) for argv in series]
+    assert cli._parser.cache_info().currsize == 1
+    fresh = []
+    for argv in series:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0]
+    assert reused[3][1].startswith("usage: spectral-cone")
+
+
 def test_non_integer_seed_env_exit_1(capsys, monkeypatch):
     monkeypatch.setenv("SPECTRAL_CONE_SEED", "abc")
     code, out, err = run_cli(

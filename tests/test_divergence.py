@@ -235,10 +235,10 @@ def test_kl_invariant_under_merge_on_proportional_family():
     # frozen example: alpha = 0.3 family, merging coordinates 2 and 3
     kl = dv.kl_divergence()
     pair = dv._merge_pair(SIMPLEX3, 1, 2, 0.3)
-    s1 = sc.State(SIMPLEX3, [0.2, 0.3 * 0.8, 0.7 * 0.8])
-    s2 = sc.State(SIMPLEX3, [0.5, 0.3 * 0.5, 0.7 * 0.5])
-    np.testing.assert_allclose(pair.psi(pair.phi(s1)).coords, s1.coords, atol=1e-15)
-    assert abs(kl(pair.phi(s1), pair.phi(s2)) - kl(s1, s2)) <= 1e-12
+    rows = np.array([[0.2, 0.3 * 0.8, 0.7 * 0.8], [0.5, 0.3 * 0.5, 0.7 * 0.5]])
+    np.testing.assert_allclose(pair.psi(pair.phi(rows)), rows, atol=1e-15)
+    s1, s2, m1, m2 = (sc.State(SIMPLEX3, r) for r in (*rows, *pair.phi(rows)))
+    assert abs(kl(m1, m2) - kl(s1, s2)) <= 1e-12
 
 
 def test_squared_euclidean_sufficiency_fails_under_merge():
@@ -249,10 +249,10 @@ def test_squared_euclidean_sufficiency_fails_under_merge():
     # direct oracle on the frozen family: the merge inflates the distance
     sq = dv.squared_euclidean_divergence()
     pair = dv._merge_pair(SIMPLEX3, 1, 2, 0.3)
-    s1 = sc.State(SIMPLEX3, [0.2, 0.3 * 0.8, 0.7 * 0.8])
-    s2 = sc.State(SIMPLEX3, [0.5, 0.3 * 0.5, 0.7 * 0.5])
+    rows = np.array([[0.2, 0.3 * 0.8, 0.7 * 0.8], [0.5, 0.3 * 0.5, 0.7 * 0.5]])
+    s1, s2, m1, m2 = (sc.State(SIMPLEX3, r) for r in (*rows, *pair.phi(rows)))
     m_gap = (1.0 - 0.3 ** 2 - 0.7 ** 2) * (0.8 - 0.5) ** 2
-    assert abs(sq(pair.phi(s1), pair.phi(s2)) - sq(s1, s2) - m_gap) <= 1e-12
+    assert abs(sq(m1, m2) - sq(s1, s2) - m_gap) <= 1e-12
 
 
 def test_matrix_sufficiency_unitary_and_pinching():
@@ -277,13 +277,40 @@ def test_sufficiency_precondition_violation_reported():
     # deliberately broken pair: psi does not invert phi on the family
     bad = dv.ChannelPair(
         "broken",
-        phi=lambda s: sc.State(SIMPLEX3, np.asarray(s.coords)[[1, 0, 2]]),
-        psi=lambda s: s,
-        sample_family=lambda rng: sc.State(SIMPLEX3, rng.dirichlet(np.ones(3))),
+        phi=lambda rows: rows[:, [1, 0, 2]],
+        psi=lambda rows: rows,
+        sample_family=lambda rng: rng.dirichlet(np.ones(3)),
     )
     report = dv.check_sufficiency(dv.kl_divergence(), SIMPLEX3, channel_suite=[bad], trials=10, seed=2)
     assert report["precondition_violations"] > 0
     assert not report["pass"]
+
+
+def _simplex_pair(phi=lambda rows: rows, sample=lambda rng: rng.dirichlet(np.ones(3))):
+    return dv.ChannelPair("test", phi=phi, psi=lambda rows: rows, sample_family=sample)
+
+
+@pytest.mark.parametrize("pair", [
+    _simplex_pair(sample=lambda rng: rng.dirichlet(np.ones(3)) * 2.0),  # drawn rows off the simplex
+    _simplex_pair(phi=lambda rows: rows - 0.5),  # mapped rows off the simplex
+    _simplex_pair(sample=lambda rng: rng.dirichlet(np.ones(4))),  # rows of another length
+], ids=["drawn", "mapped", "length"])
+def test_sufficiency_raises_where_a_state_would_fail(pair):
+    with pytest.raises(sc.NotInConeError):
+        dv.check_sufficiency(dv.kl_divergence(), SIMPLEX3, channel_suite=[pair], trials=4, seed=0)
+
+
+def test_sufficiency_tests_membership_once_per_stack(monkeypatch):
+    calls = []
+    contains = geo.DensityMatrices.contains_state
+
+    def counting(self, coords, tol=1e-9):
+        calls.append(np.shape(coords))
+        return contains(self, coords, tol)
+
+    monkeypatch.setattr(geo.DensityMatrices, "contains_state", counting)
+    dv.check_sufficiency(dv.matrix_negentropy_divergence(QUTRITS), QUTRITS, trials=12, seed=1)
+    assert calls == [(12, 2, QUTRITS.coords_len)] * 3  # drawn, mapped, pulled back
 
 
 def test_nan_divergence_fails_sufficiency():
@@ -397,7 +424,7 @@ def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, s
 
 
 def reference_sufficiency(div, space, trials, tol=1e-9, seed=0):
-    """Per-trial loop: phi twice per state and one scalar divergence call per side."""
+    """Per-trial loop: one State (one membership test) per row and one scalar divergence call per side."""
     rng = np.random.default_rng(seed)
     suite = dv.builtin_channel_suite(space, rng)
     bary = sc.State(space, space.barycenter_coords())
@@ -410,18 +437,22 @@ def reference_sufficiency(div, space, trials, tol=1e-9, seed=0):
     max_gap = -1.0
     witness = None
     violations = 0
+    def state(rows):
+        return sc.State(space, rows[0])
+
     for trial in range(trials):
         pair = suite[trial % len(suite)]
-        s1, s2 = pair.sample_family(rng), pair.sample_family(rng)
+        s1, s2 = sc.State(space, pair.sample_family(rng)), sc.State(space, pair.sample_family(rng))
         bad = False
         for s in (s1, s2):
-            if np.max(np.abs(pair.psi(pair.phi(s)).coords - s.coords)) > 1e-9:
+            back = state(pair.psi(state(pair.phi(s.coords[None])).coords[None]))
+            if np.max(np.abs(back.coords - s.coords)) > 1e-9:
                 violations += 1
                 bad = True
         if bad:
             continue
         base = div(dom(s1), dom(s2))
-        mapped = div(dom(pair.phi(s1)), dom(pair.phi(s2)))
+        mapped = div(dom(state(pair.phi(s1.coords[None]))), dom(state(pair.phi(s2.coords[None]))))
         gap = reference_gap(base, mapped)
         if gap > max_gap:
             max_gap = gap

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_cone import jordan, quaternion as quat
 from spectral_cone.errors import DomainError
@@ -502,6 +504,213 @@ def test_check_concavity_witness_replays(algebra):
         assert check_concavity(algebra, trials=witness["trial"], seed=3, strictness=-top)["pass"]
 
 
+# ---------------------------------------------------------------------------
+# the stacked concavity checker against the per-trial loop
+# ---------------------------------------------------------------------------
+
+def reference_random_in_ball(rng, d):
+    v = rng.standard_normal(d)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        return np.zeros(d)
+    return v / norm * rng.uniform() ** (1.0 / d)
+
+
+def reference_check_concavity(algebra, trials=200, seed=0, fd_step=1e-4, strictness=1e-10):
+    """Per-trial loop: seven single-matrix eigensolves (or spin closed forms) per trial."""
+    kind, n = jordan._parse_algebra(algebra)
+    rng = np.random.default_rng(seed)
+    max_second = -math.inf
+    max_rel_err = 0.0
+    min_slack = math.inf
+    witness = None
+    for trial in range(trials):
+        if kind == "spin":
+            v = rng.standard_normal(n) * 0.3
+            nv = float(np.linalg.norm(v))
+            if nv > 0.8:
+                v *= 0.8 / nv
+            a = SpinElement(1.0, v)
+            b_raw = SpinElement(rng.standard_normal(), rng.standard_normal(n))
+            b = SpinElement(b_raw.t / b_raw.norm(), b_raw.v / b_raw.norm())
+            d2 = jordan.spin_second_trace_derivative(NEG_XLOGX, a, b)
+            g = lambda t: jordan.spin_trace_function(NEG_XLOGX, SpinElement(a.t + t * b.t, a.v + t * b.v))
+            s1 = SpinElement(0.5, reference_random_in_ball(rng, n) / 2.0)
+            s2 = SpinElement(0.5, reference_random_in_ball(rng, n) / 2.0)
+            mid = SpinElement(0.5, (s1.v + s2.v) / 2.0)
+            slack = spin_entropy(mid) - (spin_entropy(s1) + spin_entropy(s2)) / 2.0
+        else:
+            a = jordan.random_positive_definite(kind, n, rng)
+            b = jordan.random_hermitian(kind, n, rng)
+            b = b.scale(1.0 / b.frobenius_norm())
+            d2 = second_trace_derivative(NEG_XLOGX, a, b)
+            g = lambda t: trace_function(NEG_XLOGX, a + b.scale(t))
+            s1 = jordan.random_density_matrix(kind, n, rng, floor=0.01)
+            s2 = jordan.random_density_matrix(kind, n, rng, floor=0.01)
+            mid = (s1 + s2).scale(0.5)
+            slack = von_neumann_entropy(mid) - (von_neumann_entropy(s1) + von_neumann_entropy(s2)) / 2.0
+        fd = (g(fd_step) - 2.0 * g(0.0) + g(-fd_step)) / fd_step ** 2
+        rel = abs(fd - d2) / max(1e-12, abs(d2))
+        max_second = max(max_second, d2)
+        max_rel_err = max(max_rel_err, rel)
+        min_slack = min(min_slack, slack)
+        failed = [name for name, holds in (("second_derivative", d2 < -strictness),
+                                           ("finite_difference", rel <= 1e-5),
+                                           ("midpoint", slack >= -1e-10)) if not holds]
+        if failed and witness is None:
+            witness = {"trial": trial, "condition": failed[0], "d2": float(d2),
+                       "fd": float(fd), "rel_err": float(rel), "slack": float(slack)}
+    return {
+        "check": "concavity", "algebra": f"{kind}{n}", "pass": witness is None,
+        "max_gap": float(max(0.0, max_second + strictness)),
+        "max_second_derivative": float(max_second), "fd_max_rel_err": float(max_rel_err),
+        "min_midpoint_slack": float(min_slack), "witness": witness,
+        "trials": int(trials), "seed": int(seed),
+    }
+
+
+# fd_max_rel_err is |fd - d2| / |d2| with fd = (g(h) - 2 g(0) + g(-h)) / h^2 and h = 1e-4.
+# Here |g| = |Tr f| <= 4 * 0.37 and |d2| >= 1 / 1.2, so a change of up to 4 ulps in each
+# g moves fd by at most 16 * 2.2e-16 * 1.5 / 1e-8 = 5.3e-7 and the ratio by at most 6.4e-7:
+# rounding noise that says nothing about the stacked evaluation.  Every other float is
+# compared within 1e-12.
+FD_REL_ERR_NOISE = 1e-6
+CONCAVITY_ALGEBRAS = [(ring, n) for ring in RINGS for n in (1, 2, 3, 4)] + [("spin", d) for d in range(1, 7)]
+
+
+def assert_concavity_reports_match(got, want):
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        if key == "witness" and value is not None:
+            assert sorted(got[key]) == sorted(value)
+            assert (got[key]["trial"], got[key]["condition"]) == (value["trial"], value["condition"])
+            for field in ("d2", "fd", "rel_err", "slack"):
+                assert got[key][field] == pytest.approx(value[field], rel=1e-12, abs=1e-12), field
+        elif key == "fd_max_rel_err":
+            assert abs(got[key] - value) <= FD_REL_ERR_NOISE
+        elif isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+        else:
+            assert got[key] == value, key
+
+
+@pytest.mark.parametrize("algebra", CONCAVITY_ALGEBRAS, ids=lambda a: f"{a[0]}{a[1]}")
+def test_stacked_concavity_matches_reference_loop(algebra):
+    for seed in (0, 1, 5):
+        assert_concavity_reports_match(check_concavity(algebra, trials=25, seed=seed),
+                                       reference_check_concavity(algebra, trials=25, seed=seed))
+
+
+@pytest.mark.parametrize("algebra", [("real", 3), ("complex", 2), ("quaternion", 3), ("spin", 1), ("spin", 4)],
+                         ids=lambda a: f"{a[0]}{a[1]}")
+def test_stacked_concavity_forced_failures_match_reference_and_replay(algebra):
+    top = check_concavity(algebra, trials=30, seed=4)["max_second_derivative"]
+    for kwargs in ({"strictness": 1e3}, {"strictness": -top}, {"fd_step": 0.05}):
+        report = check_concavity(algebra, trials=30, seed=4, **kwargs)
+        assert_concavity_reports_match(report, reference_check_concavity(algebra, trials=30, seed=4, **kwargs))
+        witness = report["witness"]
+        assert not report["pass"] and witness["condition"] == (
+            "finite_difference" if "fd_step" in kwargs else "second_derivative")
+        replay = check_concavity(algebra, trials=witness["trial"] + 1, seed=4, **kwargs)
+        assert replay["witness"] == witness
+
+
+class ZeroedNormals:
+    """A generator whose normal stream has zeros at chosen positions; everything else passes through."""
+
+    def __init__(self, seed, zeroed):
+        self.rng, self.zeroed, self.drawn = np.random.Generator(np.random.PCG64(seed)), zeroed, 0
+
+    def standard_normal(self, size=None):
+        x = np.asarray(self.rng.standard_normal(size), dtype=float)
+        index = self.drawn + np.arange(x.size).reshape(x.shape)
+        self.drawn += x.size
+        x = np.where(np.isin(index, self.zeroed), 0.0, x)
+        return float(x) if size is None else x
+
+    def uniform(self, *args):
+        return self.rng.uniform(*args)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_stacked_spin_concavity_matches_loop_on_zero_draws(monkeypatch, d):
+    # trial 0 draws a = (1, 0) (the |v| <= 1e-14 branch) and a zero first ball direction
+    # (no radius drawn); both read positions of the one normal stream
+    zeroed = [*range(d), *range(2 * d + 1, 3 * d + 1)]
+    reports = []
+    for check in (check_concavity, reference_check_concavity):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroedNormals(seed, zeroed))
+        reports.append(check(("spin", d), trials=6, seed=2))
+        monkeypatch.undo()
+    assert reports[0] == reports[1]
+    assert reports[0]["pass"]
+
+
+def test_stacked_concavity_raises_where_the_loop_raises():
+    # a step of 1 leaves the positive cone along b; both raise the same DomainError
+    for algebra in (("complex", 3), ("spin", 2)):
+        with pytest.raises(DomainError) as want:
+            reference_check_concavity(algebra, trials=20, seed=1, fd_step=1.0)
+        with pytest.raises(DomainError) as got:
+            check_concavity(algebra, trials=20, seed=1, fd_step=1.0)
+        assert str(got.value) == str(want.value)
+
+
+def test_concavity_aggregates_skip_nan_but_the_trial_fails(monkeypatch):
+    clean = check_concavity(("complex", 2), trials=4, seed=0)
+    second_derivatives = jordan._second_trace_derivatives
+    seen = []
+
+    def nan_at_trial_2(*args):
+        out = second_derivatives(*args)
+        seen.append(out.copy())
+        out[2] = math.nan
+        return out
+
+    monkeypatch.setattr(jordan, "_second_trace_derivatives", nan_at_trial_2)
+    report = check_concavity(("complex", 2), trials=4, seed=0)
+    assert not report["pass"]
+    assert (report["witness"]["trial"], report["witness"]["condition"]) == (2, "second_derivative")
+    assert math.isnan(report["witness"]["d2"]) and math.isnan(report["witness"]["rel_err"])
+    # max and min skip the NaN trial, as Python's max and min do in the loop
+    assert report["max_second_derivative"] == max(seen[0][[0, 1, 3]])
+    assert 0.0 < report["fd_max_rel_err"] <= clean["fd_max_rel_err"]
+    assert report["min_midpoint_slack"] == clean["min_midpoint_slack"]
+
+
+def reference_density_matrix(ring, n, rng, floor=0.0):
+    """The density draw built from HermitianMatrix arithmetic, one matrix at a time."""
+    g = jordan.random_hermitian(ring, n, rng)
+    m = jordan.hermitian_part(ring, g.matmul(g))
+    if floor > 0.0:
+        m = m + HermitianMatrix.identity(ring, n).scale(floor)
+    return m.scale(1.0 / trace(m))
+
+
+def reference_positive_definite(ring, n, rng, floor=0.2):
+    g = jordan.random_hermitian(ring, n, rng)
+    m = jordan.hermitian_part(ring, g.matmul(g))
+    m = m.scale(1.0 / max(1.0, trace(m)))
+    return m + HermitianMatrix.identity(ring, n).scale(floor)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(ring=st.sampled_from(RINGS), n=st.integers(1, 4), k=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1), floor=st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+def test_property_density_kernel_stack_equals_rows_bit_for_bit(ring, n, k, seed, floor):
+    stack = jordan.positive_matrices(ring, jordan.gaussian_draws(ring, n, np.random.default_rng(seed), (k,)), floor)
+    rng = np.random.default_rng(seed)
+    rows = np.array([jordan.random_density_matrix(ring, n, rng, floor).data for _ in range(k)])
+    assert stack.tobytes() == rows.tobytes()
+    rng = np.random.default_rng(seed)
+    assert rows.tobytes() == np.array([reference_density_matrix(ring, n, rng, floor).data for _ in range(k)]).tobytes()
+    positive = jordan.positive_matrices(ring, jordan.gaussian_draws(ring, n, np.random.default_rng(seed), (k,)),
+                                        floor, unit_trace=False)
+    rng = np.random.default_rng(seed)
+    assert positive.tobytes() == np.array([reference_positive_definite(ring, n, rng, floor).data
+                                           for _ in range(k)]).tobytes()
+
+
 def test_euclidean_check():
     for algebra in (("real", 2), ("complex", 3), ("quaternion", 2), ("spin", 4)):
         report = euclidean_check(algebra, trials=60, seed=1)
@@ -532,8 +741,9 @@ def test_von_neumann_entropy_matches_numpy():
 def test_parse_algebra_strings():
     assert jordan._parse_algebra("complex3") == ("complex", 3)
     assert jordan._parse_algebra(("spin", 5)) == ("spin", 5)
-    with pytest.raises(ValueError):
-        jordan._parse_algebra("octonion3")
+    for text in ("octonion3", "complex", "complex3.0", "complex3x", "3complex", "complex 3"):
+        with pytest.raises(ValueError, match="e.g. complex3"):
+            jordan._parse_algebra(text)
     with pytest.raises(ValueError, match="algebra size"):
         jordan._parse_algebra(("real", 0))
 

@@ -1,0 +1,49 @@
+"""Record the CLI output of fixed-seed matrix commands as a regression pin.
+
+Run from the repository root on the commit whose output is to be pinned:
+
+    PYTHONPATH=src python3 tools/pin_matrix_outputs.py > tests/data/matrix_outputs.json
+
+Each entry holds the argv, the exit code and the parsed JSON report;
+``tests/test_pinned_outputs.py`` replays the argv and compares.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+
+from spectral_cone import cli
+
+SEEDS = (1, 2, 3)
+COMMANDS = (
+    *(("check", "concavity", "--algebra", a, "--trials", "20")
+      for a in ("real4", "complex3", "quaternion3", "spin3")),
+    *(("check", kind, "--space", s, "--divergence", "matrix_negentropy", "--trials", trials)
+      for kind, trials in (("locality", "8"), ("sufficiency", "20"))
+      for s in ("complex2", "complex3", "quaternion2")),
+    ("check", "sufficiency", "--space", "simplex4", "--divergence", "kl", "--trials", "40"),
+    # failing checks, so that witnesses are pinned too
+    ("check", "locality", "--space", "complex3", "--divergence", "squared_euclidean", "--trials", "8"),
+    ("check", "sufficiency", "--space", "simplex4", "--divergence", "squared_euclidean", "--trials", "40"),
+)
+
+
+def main() -> int:
+    entries = []
+    for argv in COMMANDS:
+        for seed in SEEDS:
+            args = [*argv, "--seed", str(seed)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(args)
+            entries.append({"argv": args, "code": code, "report": json.loads(out.getvalue())})
+    json.dump(entries, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
