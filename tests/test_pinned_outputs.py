@@ -1,9 +1,11 @@
-"""Fixed-seed CLI output of matrix checks, pinned from an earlier version of the code.
+"""Fixed-seed CLI output of the checkers, pinned from an earlier version of the code.
 
 ``tests/data/matrix_outputs.json`` holds the argv, exit code and JSON report
-of 39 commands (concavity, locality and sufficiency on density matrices and
-spin factors, sufficiency on simplex4, seeds 1 to 3), written by
-``tools/pin_matrix_outputs.py``.  Exit codes, verdicts and the witness
+of 74 commands, written by ``tools/pin_matrix_outputs.py``: concavity,
+locality and sufficiency on density matrices and spin factors, locality on
+every geometry (simplices, polytopes, the disc), sufficiency on simplex3 and
+simplex4, each at seeds 1 to 3, plus two locality runs whose per-trial
+loop rejects a draw (a complement mass at or below 1e-6, and s2 equal to s1).  Exit codes, verdicts and the witness
 trial, t, condition and channel must match exactly; floats may differ by
 rounding only.
 """
@@ -56,4 +58,4 @@ def test_matrix_command_matches_pinned_output(pin):
 def test_pins_cover_failing_witnesses():
     witnesses = [p["report"]["witness"] for p in PINS if p["report"]["witness"]]
     assert {"t", "channel"} <= {key for w in witnesses for key in w}
-    assert len(PINS) >= 30
+    assert len(PINS) >= 74

@@ -1,4 +1,4 @@
-"""Record the CLI output of fixed-seed matrix commands as a regression pin.
+"""Record the CLI output of fixed-seed checker commands as a regression pin.
 
 Run from the repository root on the commit whose output is to be pinned:
 
@@ -18,6 +18,7 @@ import sys
 from spectral_cone import cli
 
 SEEDS = (1, 2, 3)
+TRIANGLE = '{"kind": "polytope", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}'
 COMMANDS = (
     *(("check", "concavity", "--algebra", a, "--trials", "20")
       for a in ("real4", "complex3", "quaternion3", "spin3")),
@@ -28,18 +29,33 @@ COMMANDS = (
     # failing checks, so that witnesses are pinned too
     ("check", "locality", "--space", "complex3", "--divergence", "squared_euclidean", "--trials", "8"),
     ("check", "sufficiency", "--space", "simplex4", "--divergence", "squared_euclidean", "--trials", "40"),
+    # locality samplers of every geometry
+    *(("check", "locality", "--space", s, "--divergence", "matrix_negentropy", "--trials", "8")
+      for s in ("real2", "real3", "quaternion3")),
+    *(("check", "locality", "--space", "simplex3", "--divergence", d, "--trials", "40")
+      for d in ("kl", "squared_euclidean")),
+    ("check", "locality", "--space", "simplex4", "--divergence", "kl", "--trials", "40"),
+    *(("check", "locality", "--space", s, "--divergence", "squared_euclidean", "--trials", "20")
+      for s in ("square", TRIANGLE, "disc", "spin3")),
+    ("check", "sufficiency", "--space", "simplex3", "--divergence", "kl", "--trials", "40"),
+)
+# seeds at which the per-trial locality loop rejects a draw: a complement
+# mass at or below 1e-6 (real2, trial 1) and s2 equal to s1 (simplex3, twice in trial 4)
+RETRY_COMMANDS = (
+    ("check", "locality", "--space", "real2", "--divergence", "matrix_negentropy", "--trials", "8",
+     "--seed", "22"),
+    ("check", "locality", "--space", "simplex3", "--divergence", "kl", "--trials", "12", "--seed", "8"),
 )
 
 
 def main() -> int:
     entries = []
-    for argv in COMMANDS:
-        for seed in SEEDS:
-            args = [*argv, "--seed", str(seed)]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(args)
-            entries.append({"argv": args, "code": code, "report": json.loads(out.getvalue())})
+    runs = [[*argv, "--seed", str(seed)] for argv in COMMANDS for seed in SEEDS]
+    for args in runs + [list(argv) for argv in RETRY_COMMANDS]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(args)
+        entries.append({"argv": args, "code": code, "report": json.loads(out.getvalue())})
     json.dump(entries, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
