@@ -372,8 +372,10 @@ def _interior_map(div: Divergence, space):
     return lambda coords: mix_coords(space, INTERIOR_EPS, coords, bary)
 
 
-def _coords_rows(space, states) -> np.ndarray:
-    return np.array([s.coords for s in states], dtype=float).reshape(-1, space.coords_len)
+def _require_states(space, rows) -> None:
+    """Raise NotInConeError, as State() does, unless every row is a state of the space."""
+    if not np.all(space.contains_state(rows, tol=MEMBERSHIP_TOL)):
+        raise NotInConeError("state coordinates fail the membership test")
 
 
 def check_locality(div: Divergence, space, trials: int = 1000,
@@ -385,16 +387,17 @@ def check_locality(div: Divergence, space, trials: int = 1000,
     (mixture first) is authoritative for pass/fail, the reversed order
     (pure state first, the one with finite logarithmic values) is reported
     alongside.  Gaps compare extended reals, so two divergences that are
-    both infinite agree.  All trials are drawn first and every (trial, t)
-    pair is evaluated as one stacked array; the witness is the first
-    largest gap in (trial, t) order.
+    both infinite agree.  The triples are drawn as stacks by the space's
+    ``orthogonal_triples`` and take one membership test together; every
+    (trial, t) pair is evaluated as one stacked array, and the witness is
+    the first largest gap in (trial, t) order.
     """
     require_count("trials", trials)
     if space.dim < 1:  # rank 1 (polytopes may have no rank): one state, no orthogonal pair
         raise ValueError(f"locality needs a space of rank at least 2, got a {space.kind} space of rank 1")
     rng = np.random.default_rng(seed)
-    triples = [space.orthogonal_triple(rng) for _ in range(trials)]
-    s0, s1, s2 = (_coords_rows(space, [tr[k] for tr in triples]) for k in range(3))
+    s0, s1, s2, vacuous = space.orthogonal_triples(rng, trials)
+    _require_states(space, np.stack([s0, s1, s2]))
     t = np.asarray(t_grid, dtype=float)[:, None]
     dom = _interior_map(div, space)
     # mixtures with s1 and with s2, shape (2, trials, len(t_grid), coords_len)
@@ -411,13 +414,12 @@ def check_locality(div: Divergence, space, trials: int = 1000,
     witness = None
     if not passed:
         trial, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-        s0_, s1_, s2_, _ = triples[trial]
         witness = {
             "trial": int(trial),
             "t": float(t_grid[k]),
-            "s0": [float(c) for c in s0_.coords],
-            "s1": [float(c) for c in s1_.coords],
-            "s2": [float(c) for c in s2_.coords],
+            "s0": [float(c) for c in s0[trial]],
+            "s1": [float(c) for c in s1[trial]],
+            "s2": [float(c) for c in s2[trial]],
             "values": [float(a[trial, k]), float(b[trial, k])],
             "reversed_values": ([float(ar[trial, k]), float(br[trial, k])]
                                 if include_reversed else [None, None]),
@@ -433,7 +435,7 @@ def check_locality(div: Divergence, space, trials: int = 1000,
         "trials": int(trials),
         "seed": int(seed),
         "tolerance": float(tol),
-        "vacuous": all(tr[3] for tr in triples),
+        "vacuous": bool(np.all(vacuous)),
     }
 
 
@@ -443,23 +445,39 @@ def check_locality(div: Divergence, space, trials: int = 1000,
 
 @dataclass(frozen=True)
 class ChannelPair:
-    """Affine maps phi, psi with psi(phi(s)) = s on the sampled family.
+    """Affine maps phi, psi with psi(phi(s)) = s on a reversible family of states.
 
-    sample_family draws one coordinate row of the family; phi and psi map
-    (k, coords_len) stacks of coordinate rows.
+    family maps rows of the base draw shared by a suite (``family_draws``)
+    onto the family; family, phi and psi all map (k, coords_len) stacks of
+    coordinate rows.
     """
 
     name: str
     phi: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
-    sample_family: Callable[[np.random.Generator], np.ndarray]
+    family: Callable[[np.ndarray], np.ndarray]
 
 
-def _dirichlet_row(space: geo.Simplex, rng: np.random.Generator) -> np.ndarray:
-    return rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
+def family_draws(space, rng: np.random.Generator, lead: tuple) -> np.ndarray:
+    """Base rows (*lead, coords_len) of the channel families, as successive single draws.
+
+    On a simplex, Dirichlet(1) points mixed with 2 % of the barycenter; on
+    density matrices, the density kernel with eigenvalue floor 0.05.
+    """
+    if isinstance(space, geo.Simplex):
+        return rng.dirichlet(np.ones(space.n), size=lead) * 0.98 + 0.02 / space.n
+    if isinstance(space, geo.DensityMatrices):
+        data = jordan.positive_matrices(space.ring, jordan.gaussian_draws(space.ring, space.n, rng, lead),
+                                        floor=0.05)
+        return space.coords_of(jordan.complex_forms(space.ring, data))
+    raise ValueError(f"no channel families on {space.kind} spaces")
 
 
-def _permutation_pair(space: geo.Simplex, perm: np.ndarray) -> ChannelPair:
+def _normalised(rows: np.ndarray) -> np.ndarray:
+    return rows / np.sum(rows, axis=-1, keepdims=True)
+
+
+def _permutation_pair(perm: np.ndarray) -> ChannelPair:
     inv = np.argsort(perm)
 
     def apply(p, rows):
@@ -467,19 +485,15 @@ def _permutation_pair(space: geo.Simplex, perm: np.ndarray) -> ChannelPair:
         out[:, p] = rows
         return out
 
-    def sample(rng):
-        coords = _dirichlet_row(space, rng)
-        return coords / np.sum(coords)
-
     return ChannelPair(
         f"permutation{tuple(int(i) for i in perm)}",
         lambda rows: apply(perm, rows),
         lambda rows: apply(inv, rows),
-        sample,
+        _normalised,
     )
 
 
-def _merge_pair(space: geo.Simplex, i: int, j: int, alpha: float) -> ChannelPair:
+def _merge_pair(i: int, j: int, alpha: float) -> ChannelPair:
     def phi(rows):
         out = np.array(rows, dtype=float)
         out[:, i] += out[:, j]
@@ -493,11 +507,7 @@ def _merge_pair(space: geo.Simplex, i: int, j: int, alpha: float) -> ChannelPair
         out[:, j] = (1.0 - alpha) * mass
         return out
 
-    def sample(rng):
-        coords = psi(_dirichlet_row(space, rng)[None])[0]
-        return coords / np.sum(coords)
-
-    return ChannelPair(f"merge({i},{j};{alpha})", phi, psi, sample)
+    return ChannelPair(f"merge({i},{j};{alpha})", phi, psi, lambda rows: _normalised(psi(rows)))
 
 
 def _unitary_conjugation_pair(space: geo.DensityMatrices,
@@ -517,14 +527,13 @@ def _unitary_conjugation_pair(space: geo.DensityMatrices,
     def psi(rows):
         return space.coords_of(u_star @ space.forms(rows) @ u)
 
-    def sample(rng_):
-        coords = space.coords_from_matrix(jordan.random_density_matrix(space.ring, n, rng_, floor=0.05))
-        if pinch:
-            coords = coords * mask
-            coords = (1.0 / space.traces(coords)) * coords
-        return coords
+    def family(rows):
+        if not pinch:
+            return rows
+        rows = rows * mask
+        return (1.0 / space.traces(rows))[:, None] * rows
 
-    return ChannelPair("pinch+rotate" if pinch else "rotate", phi, psi, sample)
+    return ChannelPair("pinch+rotate" if pinch else "rotate", phi, psi, family)
 
 
 def _random_unitary(ring: str, n: int, rng: np.random.Generator):
@@ -539,7 +548,7 @@ def _random_unitary(ring: str, n: int, rng: np.random.Generator):
     phases = rng.standard_normal((n, 4))
     phases /= np.linalg.norm(phases, axis=1, keepdims=True)
     u[np.arange(n), np.arange(n)] = phases
-    for _ in range(2 * n):
+    for _ in range(2 * n if n > 1 else 0):  # a 1x1 unitary is its phase alone
         i, j = rng.choice(n, size=2, replace=False)
         theta = rng.uniform(0, 2 * np.pi)
         c, s = math.cos(theta), math.sin(theta)
@@ -556,37 +565,28 @@ def _random_unitary(ring: str, n: int, rng: np.random.Generator):
 
 
 def builtin_channel_suite(space, rng: np.random.Generator) -> list:
-    """Reversible (phi, psi) pairs with family samplers for a space."""
+    """Reversible (phi, psi) pairs with their family maps for a space."""
     if isinstance(space, geo.Simplex):
-        pairs = [
-            _permutation_pair(space, rng.permutation(space.n)),
-            _permutation_pair(space, rng.permutation(space.n)),
-        ]
+        pairs = [_permutation_pair(rng.permutation(space.n)), _permutation_pair(rng.permutation(space.n))]
         if space.n >= 3:
             i, j = rng.choice(space.n, size=2, replace=False)
-            pairs.append(_merge_pair(space, int(i), int(j), float(rng.uniform(0.2, 0.8))))
-            pairs.append(_merge_pair(space, 0, 1, 0.5))
+            pairs.append(_merge_pair(int(i), int(j), float(rng.uniform(0.2, 0.8))))
+            pairs.append(_merge_pair(0, 1, 0.5))
         return pairs
     if isinstance(space, geo.DensityMatrices):
         pairs = [_unitary_conjugation_pair(space, rng, pinch=False)]
         if space.n >= 2:
             pairs.append(_unitary_conjugation_pair(space, rng, pinch=True))
         return pairs
-    raise ValueError(f"no builtin channel suite for {space!r}")
+    raise ValueError(f"no builtin channel suite for {space.kind} spaces")
 
 
 def _pair_rows(space, rows) -> np.ndarray:
-    """(k, 2, coords_len) stack of k row pairs; a row of another length raises as State() does."""
-    rows = [np.asarray(r, dtype=float).reshape(-1) for r in rows]
-    for r in rows:
-        if r.size != space.coords_len:
-            raise NotInConeError(f"expected {space.coords_len} coordinates, got {r.size}")
-    return np.array(rows).reshape(-1, 2, space.coords_len)
-
-
-def _require_states(space, rows) -> None:
-    if not np.all(space.contains_state(rows, tol=MEMBERSHIP_TOL)):
-        raise NotInConeError("state coordinates fail the membership test")
+    """(k, 2, coords_len) stack of k row pairs; rows of another length raise as State() does."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1] != space.coords_len:
+        raise NotInConeError(f"expected {space.coords_len} coordinates, got {rows.shape[-1]}")
+    return rows.reshape(-1, 2, space.coords_len)
 
 
 def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1e-9,
@@ -596,20 +596,19 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
     Each trial draws two states from a pair's reversible family, verifies
     psi(phi(s)) = s (violations are reported separately as precondition
     failures, not divergence failures) and compares D(phi s1, phi s2)
-    against D(s1, s2).  Every trial is drawn first, in the order of a
-    per-trial loop; each pair then maps the rows of its trials as one stack,
-    and the drawn, mapped and pulled-back stacks each take one membership
-    test.  The divergences of all trials that meet the precondition are
-    evaluated as one stacked array.
+    against D(s1, s2).  Trial k belongs to pair k mod len(suite).  The base
+    rows of every trial come from one ``family_draws`` stack; each pair
+    then maps the rows of its trials onto its family, through phi and back
+    through psi as one stack, and the drawn, mapped and pulled-back stacks
+    each take one membership test.  The divergences of all trials that
+    meet the precondition are evaluated as one stacked array.
     """
     require_count("trials", trials)
     rng = np.random.default_rng(seed)
     suite = channel_suite if channel_suite is not None else builtin_channel_suite(space, rng)
     owner = np.arange(trials) % len(suite)  # the pair of every trial
-    drawn = _pair_rows(space, [suite[k].sample_family(rng) for k in owner for _ in range(2)])
-    _require_states(space, drawn)
 
-    def by_pair(name, stack):  # apply each pair's phi or psi to the rows of its trials
+    def by_pair(name, stack):  # apply each pair's family, phi or psi map to the rows of its trials
         out = np.empty_like(stack)
         for k, pair in enumerate(suite):
             mine = owner == k
@@ -617,6 +616,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
         _require_states(space, out)
         return out
 
+    drawn = by_pair("family", family_draws(space, rng, (trials, 2)))
     mapped = by_pair("phi", drawn)
     back = by_pair("psi", mapped)
     bad = np.max(np.abs(back - drawn), axis=-1) > 1e-9

@@ -47,6 +47,9 @@ WEIGHT_DROP_TOL = 1e-11
 MAX_ENUMERATION_VERTICES = 12
 FAMILY_GRID_POINTS = 10
 POINT_BLOCK = 4096  # points per stacked clique solve, bounding its temporaries
+MASS_ATTEMPTS = 16  # draws of one complement state before the locality sampler gives up
+DISTINCT_ATTEMPTS = 8  # complement states drawn for s2 until one differs from s1
+_SETTLED, _S1_REJECTED, _S2_REJECTED, _SAME_AS_S1 = range(4)  # verdicts on a density locality trial
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +63,12 @@ class _Geometry:
     ``mutually_singular`` (flag, witness) for two distinct states,
     ``decomposition(x)`` (weights, components) of a non-apex element in any
     order, ``entropies(coords, total)`` of total * s for every row s,
-    ``random_state``, ``random_pure_state`` and ``orthogonal_triple(rng)``:
-    (s0 pure, s1, s2, degenerate) with s1, s2 orthogonal to s0, where s1 = s2
-    and degenerate is true on spaces with fewer than three pairwise
-    orthogonal states (the locality identity then holds vacuously).
+    ``random_state``, ``random_pure_state`` and ``orthogonal_triples(rng,
+    trials)``: (s0, s1, s2, vacuous), three (trials, coords_len) coordinate
+    stacks with s0 pure and s1, s2 orthogonal to it, and a (trials,) flag
+    that is true where s1 = s2 because the space (or the polytope vertex)
+    has fewer than three pairwise orthogonal states, so that the locality
+    identity holds vacuously.  The rows are not membership-tested.
     """
 
     # one decomposition spectrum per element, given in closed form
@@ -154,29 +159,34 @@ class Simplex(_Geometry):
     def random_pure_state(self, rng: np.random.Generator) -> State:
         return self.vertex_state(int(rng.integers(self.n)))
 
-    def orthogonal_triple(self, rng: np.random.Generator):
-        n = self.n
-        if n < 3:
-            s0 = self.vertex_state(int(rng.integers(n)))
-            other = self.vertex_state(int((np.argmax(s0.coords) + 1) % n))
-            return s0, other, other, True
-        i = int(rng.integers(n))
-        rest = [j for j in range(n) if j != i]
+    def orthogonal_triples(self, rng: np.random.Generator, trials: int):
+        """s0 a vertex; s1, s2 Dirichlet points on random faces of the facet opposite it.
 
-        def complement_state():
+        s2 is drawn again, up to DISTINCT_ATTEMPTS times, while it equals s1;
+        the test needs only the draws, so it runs inside the loop.
+        """
+        n, eye = self.n, np.eye(self.n)
+        if n < 3:
+            i = rng.integers(n, size=trials)
+            return eye[i], eye[(i + 1) % n], eye[(i + 1) % n], np.ones(trials, dtype=bool)
+
+        def fill_face(row, rest):
             k = int(rng.integers(1, len(rest) + 1))
             support = rng.choice(rest, size=k, replace=False)
-            coords = np.zeros(n)
-            coords[support] = rng.dirichlet(np.ones(k)) if k > 1 else 1.0
-            return State(self, coords)
+            row[:] = 0.0
+            row[support] = rng.dirichlet(np.ones(k)) if k > 1 else 1.0
 
-        s0 = self.vertex_state(i)
-        s1 = complement_state()
-        for _ in range(8):
-            s2 = complement_state()
-            if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
-                break
-        return s0, s1, s2, False
+        s0, s1, s2 = np.zeros((3, trials, n))
+        for t in range(trials):
+            i = int(rng.integers(n))
+            rest = [j for j in range(n) if j != i]
+            s0[t, i] = 1.0
+            fill_face(s1[t], rest)
+            for _ in range(DISTINCT_ATTEMPTS):
+                fill_face(s2[t], rest)
+                if np.max(np.abs(s2[t] - s1[t])) > 1e-9:
+                    break
+        return s0, s1, s2, np.zeros(trials, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -309,18 +319,19 @@ class Polytope(_Geometry):
     def random_pure_state(self, rng: np.random.Generator) -> State:
         return self.vertex_state(int(rng.integers(len(self.vertices))))
 
-    def orthogonal_triple(self, rng: np.random.Generator):
+    def orthogonal_triples(self, rng: np.random.Generator, trials: int):
+        """s0 a random vertex; s1, s2 two distinct vertices orthogonal to it (one if it has one)."""
         adj = _orthogonality_graph(self)
-        i = int(rng.integers(len(self.vertices)))
-        partners = np.nonzero(adj[i])[0]
-        if partners.size == 0:
-            raise PreconditionError("polytope vertex with no orthogonal partner")
-        s0 = self.vertex_state(i)
-        if partners.size == 1:
-            s1 = self.vertex_state(int(partners[0]))
-            return s0, s1, s1, True
-        j, k = rng.choice(partners, size=2, replace=False)
-        return s0, self.vertex_state(int(j)), self.vertex_state(int(k)), False
+        idx = np.empty((3, trials), dtype=int)
+        for t in range(trials):
+            i = int(rng.integers(len(self.vertices)))
+            partners = np.nonzero(adj[i])[0]
+            if partners.size == 0:
+                raise PreconditionError("polytope vertex with no orthogonal partner")
+            idx[:, t] = (i, partners[0], partners[0]) if partners.size == 1 else (
+                i, *rng.choice(partners, size=2, replace=False))
+        s0, s1, s2 = self.vertex_array[idx]
+        return s0, s1, s2, idx[1] == idx[2]
 
 
 @dataclass(frozen=True)
@@ -405,10 +416,11 @@ class Ball(_Geometry):
         v = rng.standard_normal(self.d)
         return State(self, v / float(np.linalg.norm(v)))
 
-    def orthogonal_triple(self, rng: np.random.Generator):
-        s0 = self.random_pure_state(rng)
-        anti = State(self, -np.asarray(s0.coords))
-        return s0, anti, anti, True
+    def orthogonal_triples(self, rng: np.random.Generator, trials: int):
+        """s0 a random boundary point; s1 = s2 its antipode."""
+        v = rng.standard_normal((trials, self.d))
+        s0 = v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]  # the BLAS dot of np.linalg.norm
+        return s0, -s0, -s0, np.ones(trials, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -548,12 +560,21 @@ class DensityMatrices(_Geometry):
         return a.offset + float(w[0]), a.offset + float(w[-1])
 
     def _support(self, coords) -> np.ndarray:
-        """Form of the support projection: the eigenvalue clusters above SUPPORT_TOL."""
-        w, v = np.linalg.eigh(self.forms(coords))
-        keep = np.zeros(w.size, dtype=bool)
-        for g in jordan.cluster_indices(w):
-            keep[g] = np.mean(w[g]) > SUPPORT_TOL
-        return v[:, keep] @ np.conj(v[:, keep].T)
+        """Forms of the support projections of (..., coords_len) rows.
+
+        The support is spanned by the eigenvalue clusters (the
+        ``cluster_indices`` rule, row by row) whose mean is above
+        SUPPORT_TOL; cluster means ascend, so these are the top columns of
+        each eigenbasis.
+        """
+        coords = np.asarray(coords, dtype=float)
+        w, v = np.linalg.eigh(self.forms(coords.reshape(-1, self.coords_len)))
+        kept = np.sum(jordan.cluster_means(w) > SUPPORT_TOL, axis=-1)
+        out = np.empty_like(v)
+        for k in np.unique(kept):
+            top = np.ascontiguousarray(v[kept == k][..., v.shape[-1] - k:])
+            out[kept == k] = top @ np.conj(np.swapaxes(top, -1, -2))
+        return out.reshape(*coords.shape[:-1], *v.shape[-2:])
 
     def to_json(self) -> dict:
         return {"kind": "density", "ring": self.ring, "n": self.n}
@@ -592,30 +613,90 @@ class DensityMatrices(_Geometry):
     def random_pure_state(self, rng: np.random.Generator) -> State:
         return self.state_from_matrix(jordan.random_pure_density(self.ring, self.n, rng))
 
-    def orthogonal_triple(self, rng: np.random.Generator):
-        n = self.n
-        s0 = self.random_pure_state(rng)
-        comp = np.eye(n * self.mult) - self._support(s0.coords)
+    def orthogonal_triples(self, rng: np.random.Generator, trials: int):
+        """s0 a random pure state; s1, s2 random states pinched into the complement of its support.
 
-        def complement_state():
-            for _ in range(16):
-                raw = jordan.random_density_matrix(self.ring, n, rng)
-                if rng.uniform() < 0.5:
-                    raw = jordan.random_pure_density(self.ring, n, rng)
-                compressed = self.coords_of(comp @ raw.to_complex() @ comp)
-                mass = self.traces(compressed)
-                if mass > 1e-6:
-                    return State(self, (1.0 / mass) * compressed)
-            raise RuntimeError("failed to sample a state in the orthogonal complement")
+        The per-trial loop draws s0, then complement candidates for s1 and,
+        for n >= 3, for s2: a density matrix, replaced by a pure one with
+        probability 1/2, compressed by the complement projection of s0 and
+        renormalised.  A candidate of mass at most 1e-6 is drawn again, and
+        so is an s2 equal to s1, up to DISTINCT_ATTEMPTS states; after
+        MASS_ATTEMPTS rejected candidates of one state, RuntimeError.
 
-        s1 = complement_state()
-        if n < 3:
-            return s0, s1, s1, True
-        for _ in range(8):
-            s2 = complement_state()
-            if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
+        The loop here only consumes the generator, after a plan of attempts
+        per trial: plan[0] candidates for s1 and plan[j] for the j-th state
+        drawn for s2, of which only the last of each is kept.  All kept
+        draws are then settled as stacks.  At the first trial that the loop
+        would have rejected, the generator goes back to the state saved at
+        the start of that trial, its plan takes one more attempt, and the
+        walk resumes from there.
+        """
+        distinct = self.n >= 3
+        plans = [[1, 1] if distinct else [1] for _ in range(trials)]
+        saved = [None] * trials
+        rows = np.empty((3, trials, self.coords_len))
+        start = 0
+        while start < trials:
+            draws = []
+            for t in range(start, trials):
+                saved[t] = rng.bit_generator.state
+                draws.append(self._draw_trial(rng, plans[t]))
+            capped = np.array([len(plan) > DISTINCT_ATTEMPTS for plan in plans[start:]])
+            rows[:, start:], verdict = self._settle(draws, distinct, capped)
+            rejected = np.flatnonzero(verdict)
+            if not rejected.size:
                 break
-        return s0, s1, s2, False
+            start += int(rejected[0])
+            plan, why = plans[start], verdict[rejected[0]]
+            if why == _SAME_AS_S1:
+                plan.append(1)
+            else:
+                slot = 0 if why == _S1_REJECTED else -1
+                if plan[slot] == MASS_ATTEMPTS:
+                    raise RuntimeError("failed to sample a state in the orthogonal complement")
+                plan[slot] += 1
+            rng.bit_generator.state = saved[start]
+        return rows[0], rows[1], rows[2], np.full(trials, not distinct)
+
+    def _draw_trial(self, rng: np.random.Generator, plan: list) -> list:
+        """Raw draws of one locality trial: [s0, last s1 candidate(, last s2 candidate)].
+
+        A candidate is (pure, raw): a column draw of the pure kernel or a
+        square draw of the density kernel.
+        """
+        ring, n = self.ring, self.n
+        draws = [jordan.gaussian_draws(ring, n, rng, cols=1)]
+        for count in [plan[0]] if len(plan) == 1 else [plan[0], sum(plan[1:])]:
+            for _ in range(count):
+                pick = (False, jordan.gaussian_draws(ring, n, rng))
+                if rng.uniform() < 0.5:
+                    pick = (True, jordan.gaussian_draws(ring, n, rng, cols=1))
+            draws.append(pick)
+        return draws
+
+    def _settle(self, draws: list, distinct: bool, capped: np.ndarray):
+        """(3, k, coords_len) rows of k trials' draws, and the verdict of the loop on each trial."""
+        ring, k = self.ring, len(draws)
+        picks = [c for d in draws for c in d[1:]]
+        pure = np.array([is_pure for is_pure, _ in picks])
+        pure_forms = jordan.complex_forms(ring, jordan.pure_matrices(
+            ring, np.stack([d[0] for d in draws] + [raw for is_pure, raw in picks if is_pure])))
+        s0 = self.coords_of(pure_forms[:k])
+        forms = np.empty((len(picks), *pure_forms.shape[1:]), dtype=complex)
+        forms[pure] = pure_forms[k:]
+        if not np.all(pure):
+            forms[~pure] = jordan.complex_forms(ring, jordan.positive_matrices(
+                ring, np.stack([raw for is_pure, raw in picks if not is_pure])))
+        comp = (np.eye(forms.shape[-1]) - self._support(s0))[:, None]
+        compressed = self.coords_of(comp @ forms.reshape(k, -1, *forms.shape[1:]) @ comp)
+        mass = self.traces(compressed)
+        accepted = mass > 1e-6
+        rows = (1.0 / np.where(accepted, mass, 1.0))[..., None] * compressed
+        s1, s2 = rows[:, 0], rows[:, -1]
+        same = distinct & ~capped & (np.max(np.abs(s2 - s1), axis=-1) <= 1e-9)
+        verdict = np.select([~accepted[:, 0], ~accepted[:, -1], same],
+                            [_S1_REJECTED, _S2_REJECTED, _SAME_AS_S1], _SETTLED)
+        return np.stack([s0, s1, s2]), verdict
 
 
 def unit_square() -> Polytope:

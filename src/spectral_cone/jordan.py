@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class HermitianMatrix:
 
     def to_complex(self) -> np.ndarray:
         """Complex matrix with the same spectrum structure (embedding for quaternions)."""
-        return _complex_forms(self.ring, self.data)
+        return complex_forms(self.ring, self.data)
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2)))
@@ -170,7 +170,7 @@ def _ring_matmul(ring: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return quat.qmat_mul(a, b) if ring == "quaternion" else a @ b
 
 
-def _complex_forms(ring: str, data: np.ndarray) -> np.ndarray:
+def complex_forms(ring: str, data: np.ndarray) -> np.ndarray:
     """Complex forms of ring data: the data itself, the embedding for quaternions."""
     return quat.to_complex(data) if ring == "quaternion" else np.asarray(data, dtype=complex)
 
@@ -576,20 +576,22 @@ def spin_entropy(a: SpinElement, zero_tol: float = 1e-12) -> float:
 # Random sampling helpers (deterministic per seed)
 # ---------------------------------------------------------------------------
 
-def gaussian_draws(ring: str, n: int, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
-    """Raw Gaussian ring data of shape (*lead, n, n), or (*lead, n, n, 4) over the quaternions.
+def gaussian_draws(ring: str, n: int, rng: np.random.Generator, lead: tuple = (),
+                   cols: Optional[int] = None) -> np.ndarray:
+    """Raw Gaussian ring data of shape (*lead, n, cols), or (*lead, n, cols, 4) over the quaternions.
 
-    The draws consume the stream exactly as successive single draws do (a
-    complex matrix takes its real part, then its imaginary part), so row k
+    cols defaults to n (square draws); cols = 1 draws column vectors.  The
+    draws consume the stream exactly as successive single draws do (a
+    complex draw takes its real part, then its imaginary part), so row k
     of a stack is the k-th draw of a loop.
     """
-    lead = tuple(lead)
+    lead, cols = tuple(lead), n if cols is None else cols
     if ring == "real":
-        return rng.standard_normal((*lead, n, n))
+        return rng.standard_normal((*lead, n, cols))
     if ring == "complex":
-        g = rng.standard_normal((*lead, 2, n, n))
+        g = rng.standard_normal((*lead, 2, n, cols))
         return g[..., 0, :, :] + 1j * g[..., 1, :, :]
-    return rng.standard_normal((*lead, n, n, 4))
+    return rng.standard_normal((*lead, n, cols, 4))
 
 
 def positive_matrices(ring: str, raw: np.ndarray, floor: float = 0.0,
@@ -609,6 +611,25 @@ def positive_matrices(ring: str, raw: np.ndarray, floor: float = 0.0,
             m = m + eye
         return _per_matrix(1.0 / _ring_traces(ring, m), m)
     return _per_matrix(1.0 / np.maximum(1.0, _ring_traces(ring, m)), m) + eye
+
+
+def pure_matrices(ring: str, raw: np.ndarray) -> np.ndarray:
+    """The pure-density kernel: v v* for every raw column draw of a stack, v scaled to unit norm.
+
+    raw holds (..., n, 1) columns, or (..., n, 1, 4) over the quaternions.
+    The norm is the one ``np.linalg.norm`` takes of a single vector (BLAS
+    dots of the real and imaginary parts), so every matrix of the stack is
+    computed as it would be alone.
+    """
+    if ring == "quaternion":
+        sq = np.sum((raw ** 2).reshape(*raw.shape[:-3], -1), axis=-1)[..., None, None, None]
+        v = raw / np.sqrt(sq)
+        return _hermitian_data(ring, quat.qmat_mul(v, quat.qmat_conj_transpose(v)))
+    sq = np.swapaxes(raw.real, -1, -2) @ raw.real
+    if ring == "complex":
+        sq = sq + np.swapaxes(raw.imag, -1, -2) @ raw.imag
+    v = raw / np.sqrt(sq)
+    return _hermitian_data(ring, v * np.conj(np.swapaxes(v, -1, -2)))
 
 
 def _per_matrix(c: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -636,17 +657,7 @@ def random_density_matrix(ring: str, n: int, rng: np.random.Generator,
 
 def random_pure_density(ring: str, n: int, rng: np.random.Generator) -> HermitianMatrix:
     """Rank-one density matrix from a random unit vector."""
-    if ring == "real":
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        return hermitian_part("real", np.outer(v, v))
-    if ring == "complex":
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        return hermitian_part("complex", np.outer(v, np.conj(v)))
-    v = rng.standard_normal((n, 1, 4))
-    v /= math.sqrt(float(np.sum(v ** 2)))
-    return hermitian_part("quaternion", quat.qmat_mul(v, quat.qmat_conj_transpose(v)))
+    return HermitianMatrix._trusted(ring, pure_matrices(ring, gaussian_draws(ring, n, rng, cols=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -732,15 +743,15 @@ def _matrix_concavity_terms(ring: str, n: int, trials: int, rng: np.random.Gener
     b = _per_matrix(1.0 / np.sqrt(np.sum(np.abs(b.reshape(trials, -1)) ** 2, axis=1)), b)
     s = positive_matrices(ring, raw[:, 2:], floor=0.01)
     mult = 2 if ring == "quaternion" else 1
-    w, v = np.linalg.eigh(_complex_forms(ring, a))
+    w, v = np.linalg.eigh(complex_forms(ring, a))
     points = a[:, None] + _per_matrix(np.broadcast_to(steps, (trials, 3)), b[:, None])
-    pw = np.linalg.eigvalsh(_complex_forms(ring, points))[..., ::mult]
+    pw = np.linalg.eigvalsh(complex_forms(ring, points))[..., ::mult]
     states = np.stack([0.5 * (s[:, 0] + s[:, 1]), s[:, 0], s[:, 1]], axis=1)
-    sw = np.linalg.eigvalsh(_complex_forms(ring, states))[..., ::mult]
+    sw = np.linalg.eigvalsh(complex_forms(ring, states))[..., ::mult]
     _raise_first_domain_error((w[:, None], NEG_XLOGX.outside(w)[:, None], NEG_XLOGX.check_domain),
                               (sw, _negative_spectra(sw), spectral_entropies),
                               (pw, NEG_XLOGX.outside(pw), NEG_XLOGX.check_domain))
-    d2 = _second_trace_derivatives(NEG_XLOGX, w, v, _complex_forms(ring, b)) / mult
+    d2 = _second_trace_derivatives(NEG_XLOGX, w, v, complex_forms(ring, b)) / mult
     h = spectral_entropies(sw)
     return d2, np.sum(NEG_XLOGX.f(pw), axis=-1), h[:, 0] - (h[:, 1] + h[:, 2]) / 2.0
 

@@ -107,6 +107,14 @@ def assert_one_line_error(code, out, err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("space", [f"{ring}{n}" for ring in ("real", "complex", "quaternion") for n in (1, 2, 3)])
+def test_matrix_sufficiency_exits_0_on_every_ring(capsys, space):
+    code, out, err = run_cli(capsys, "check", "sufficiency", "--space", space,
+                             "--divergence", "matrix_negentropy", "--trials", "6", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
 def test_check_sufficiency_without_channel_suite_exit_1(capsys):
     code, out, err = run_cli(
         capsys, "check", "sufficiency", "--space", "disc", "--divergence", "squared_euclidean",
@@ -169,17 +177,23 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         *(["check", "spectrality", "--space", desc]
           for desc in ('{"n": 3}', '{"kind": "simplex"}', '{"kind": "polytope"}', '{"kind": "ball"}',
                        '{"kind": "spin"}', '{"kind": "density", "n": 2}', '{"kind": "density", "ring": "real"}')),
+        *(["check", "sufficiency", "--space", space, "--divergence", "squared_euclidean", "--trials", "3"]
+          for space in ("square", "disc", "spin3")),
     ],
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
          "element-object-coord", "polytope-vertices-number", "polytope-null-coord",
          "simplex-null-n", "ball-infinite-d", "locality-complex1", "locality-real1",
          "locality-quaternion1", "locality-simplex1", "no-kind", "simplex-no-n", "polytope-no-vertices",
-         "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n"],
+         "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n",
+         "sufficiency-square", "sufficiency-disc", "sufficiency-spin3"],
 )
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert_one_line_error(code, out, err)
+    if "--space" in argv and argv[1] == "sufficiency":  # the space kind, not the descriptor's repr
+        kind = {"square": "polytope", "disc": "ball", "spin3": "spin"}[argv[argv.index("--space") + 1]]
+        assert err == f"error: no builtin channel suite for {kind} spaces\n"
 
 
 def test_help_exit_0(capsys):

@@ -1,5 +1,6 @@
 """Tests for envelopes, regrets, Bregman divergences and the checkers."""
 
+import collections
 import math
 
 import numpy as np
@@ -234,7 +235,7 @@ def test_kl_sufficiency_passes():
 def test_kl_invariant_under_merge_on_proportional_family():
     # frozen example: alpha = 0.3 family, merging coordinates 2 and 3
     kl = dv.kl_divergence()
-    pair = dv._merge_pair(SIMPLEX3, 1, 2, 0.3)
+    pair = dv._merge_pair(1, 2, 0.3)
     rows = np.array([[0.2, 0.3 * 0.8, 0.7 * 0.8], [0.5, 0.3 * 0.5, 0.7 * 0.5]])
     np.testing.assert_allclose(pair.psi(pair.phi(rows)), rows, atol=1e-15)
     s1, s2, m1, m2 = (sc.State(SIMPLEX3, r) for r in (*rows, *pair.phi(rows)))
@@ -248,7 +249,7 @@ def test_squared_euclidean_sufficiency_fails_under_merge():
     assert report["witness"]["channel"].startswith("merge")
     # direct oracle on the frozen family: the merge inflates the distance
     sq = dv.squared_euclidean_divergence()
-    pair = dv._merge_pair(SIMPLEX3, 1, 2, 0.3)
+    pair = dv._merge_pair(1, 2, 0.3)
     rows = np.array([[0.2, 0.3 * 0.8, 0.7 * 0.8], [0.5, 0.3 * 0.5, 0.7 * 0.5]])
     s1, s2, m1, m2 = (sc.State(SIMPLEX3, r) for r in (*rows, *pair.phi(rows)))
     m_gap = (1.0 - 0.3 ** 2 - 0.7 ** 2) * (0.8 - 0.5) ** 2
@@ -279,21 +280,21 @@ def test_sufficiency_precondition_violation_reported():
         "broken",
         phi=lambda rows: rows[:, [1, 0, 2]],
         psi=lambda rows: rows,
-        sample_family=lambda rng: rng.dirichlet(np.ones(3)),
+        family=lambda rows: rows,
     )
     report = dv.check_sufficiency(dv.kl_divergence(), SIMPLEX3, channel_suite=[bad], trials=10, seed=2)
     assert report["precondition_violations"] > 0
     assert not report["pass"]
 
 
-def _simplex_pair(phi=lambda rows: rows, sample=lambda rng: rng.dirichlet(np.ones(3))):
-    return dv.ChannelPair("test", phi=phi, psi=lambda rows: rows, sample_family=sample)
+def _simplex_pair(phi=lambda rows: rows, family=lambda rows: rows):
+    return dv.ChannelPair("test", phi=phi, psi=lambda rows: rows, family=family)
 
 
 @pytest.mark.parametrize("pair", [
-    _simplex_pair(sample=lambda rng: rng.dirichlet(np.ones(3)) * 2.0),  # drawn rows off the simplex
+    _simplex_pair(family=lambda rows: rows * 2.0),  # drawn rows off the simplex
     _simplex_pair(phi=lambda rows: rows - 0.5),  # mapped rows off the simplex
-    _simplex_pair(sample=lambda rng: rng.dirichlet(np.ones(4))),  # rows of another length
+    _simplex_pair(family=lambda rows: np.hstack([rows, rows[:, :1]])),  # rows of another length
 ], ids=["drawn", "mapped", "length"])
 def test_sufficiency_raises_where_a_state_would_fail(pair):
     with pytest.raises(sc.NotInConeError):
@@ -311,6 +312,46 @@ def test_sufficiency_tests_membership_once_per_stack(monkeypatch):
     monkeypatch.setattr(geo.DensityMatrices, "contains_state", counting)
     dv.check_sufficiency(dv.matrix_negentropy_divergence(QUTRITS), QUTRITS, trials=12, seed=1)
     assert calls == [(12, 2, QUTRITS.coords_len)] * 3  # drawn, mapped, pulled back
+
+
+def test_locality_raises_where_a_state_would_fail(monkeypatch):
+    """A drawn triple row off the simplex raises, though every mixture at t = 0.1 is a state."""
+    def off_by_a_little(self, rng, trials):
+        s0, s1, s2, vacuous = draw(self, rng, trials)
+        s1 = s1 + np.where(s1 > 0.0, 0.0, -5e-9)  # negative beyond the membership tolerance
+        return s0, s1 / np.sum(s1, axis=-1, keepdims=True), s2, vacuous
+
+    draw = geo.Simplex.orthogonal_triples
+    monkeypatch.setattr(geo.Simplex, "orthogonal_triples", off_by_a_little)
+    with pytest.raises(sc.NotInConeError):
+        dv.check_locality(dv.kl_divergence(), SIMPLEX3, trials=4, t_grid=(0.1,), seed=0)
+
+
+@pytest.mark.parametrize("space, name", [(SIMPLEX3, "kl"), (SIMPLEX3, "itakura_saito"),
+                                         (QUTRITS, "matrix_negentropy")], ids=["kl", "itakura_saito", "complex3"])
+def test_checkers_test_membership_per_stack_and_build_no_state(monkeypatch, space, name):
+    """A fixed number of contains_state calls whatever the trial count, and no State at all."""
+    memberships, states = [], []
+    contains, init = type(space).contains_state, sc.ConeElement.__init__
+
+    def counting_contains(self, coords, tol=1e-9):
+        memberships.append(np.shape(coords))
+        return contains(self, coords, tol)
+
+    def counting_init(self, *args, **kwargs):
+        states.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(space), "contains_state", counting_contains)
+    monkeypatch.setattr(sc.ConeElement, "__init__", counting_init)
+    div = dv.builtin_divergence(name, space)
+    interior = int(div.requires_interior)  # one more test per epsilon-mixed stack
+    for check, calls in ((dv.check_locality, 2 + 2 * interior), (dv.check_sufficiency, 3 + 4 * interior)):
+        for trials in (4, 40):
+            memberships.clear()
+            check(div, space, trials=trials, seed=1)
+            assert len(memberships) == calls, (check.__name__, trials, memberships)
+    assert states == []
 
 
 def test_nan_divergence_fails_sufficiency():
@@ -382,6 +423,116 @@ def reference_divergence(div):
     return dv.Divergence(div.name, "reference", rule, div.requires_interior)
 
 
+def reference_pure_density(ring, n, rng):
+    """Rank-one density matrix from one random unit vector, normalised by np.linalg.norm."""
+    if ring == "real":
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        return sc.jordan.hermitian_part("real", np.outer(v, v))
+    if ring == "complex":
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        return sc.jordan.hermitian_part("complex", np.outer(v, np.conj(v)))
+    v = rng.standard_normal((n, 1, 4))
+    v /= math.sqrt(float(np.sum(v ** 2)))
+    return sc.jordan.hermitian_part("quaternion", sc.quaternion.qmat_mul(v, sc.quaternion.qmat_conj_transpose(v)))
+
+
+def reference_support(space, coords):
+    """Form of the support projection of one row: eigenvalue clusters with mean above SUPPORT_TOL."""
+    w, v = np.linalg.eigh(space.forms(coords))
+    keep = np.zeros(w.size, dtype=bool)
+    for g in sc.jordan.cluster_indices(w):
+        keep[g] = np.mean(w[g]) > geo.SUPPORT_TOL
+    return v[:, keep] @ np.conj(v[:, keep].T)
+
+
+def reference_distinct_s2(s1, complement_state, retries):
+    """s2 drawn until it differs from s1, at most DISTINCT_ATTEMPTS times (the last one is kept)."""
+    for _ in range(geo.DISTINCT_ATTEMPTS):
+        s2 = complement_state()
+        if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
+            break
+        retries["same"] += 1
+    return s2
+
+
+def reference_orthogonal_triple(space, rng, retries=None):
+    """One locality trial (s0, s1, s2, vacuous), one State per draw.
+
+    retries (a Counter) counts the draws the loop rejects: "mass", a
+    complement of mass at most 1e-6, and "same", an s2 equal to s1.
+    """
+    retries = collections.Counter() if retries is None else retries
+    if isinstance(space, geo.Simplex):
+        n = space.n
+        if n < 3:
+            s0 = space.vertex_state(int(rng.integers(n)))
+            other = space.vertex_state(int((np.argmax(s0.coords) + 1) % n))
+            return s0, other, other, True
+        i = int(rng.integers(n))
+        rest = [j for j in range(n) if j != i]
+
+        def face_state():
+            k = int(rng.integers(1, len(rest) + 1))
+            support = rng.choice(rest, size=k, replace=False)
+            coords = np.zeros(n)
+            coords[support] = rng.dirichlet(np.ones(k)) if k > 1 else 1.0
+            return sc.State(space, coords)
+
+        s1 = face_state()
+        return space.vertex_state(i), s1, reference_distinct_s2(s1, face_state, retries), False
+    if isinstance(space, geo.Polytope):
+        i = int(rng.integers(len(space.vertices)))
+        partners = np.nonzero(geo._orthogonality_graph(space)[i])[0]
+        if partners.size == 1:
+            s1 = space.vertex_state(int(partners[0]))
+            return space.vertex_state(i), s1, s1, True
+        j, k = rng.choice(partners, size=2, replace=False)
+        return space.vertex_state(i), space.vertex_state(int(j)), space.vertex_state(int(k)), False
+    if isinstance(space, geo.Ball):
+        v = rng.standard_normal(space.d)
+        s0 = sc.State(space, v / float(np.linalg.norm(v)))
+        anti = sc.State(space, -np.asarray(s0.coords))
+        return s0, anti, anti, True
+    ring, n = space.ring, space.n
+    s0 = space.state_from_matrix(reference_pure_density(ring, n, rng))
+    comp = np.eye(n * space.mult) - reference_support(space, s0.coords)
+
+    def complement_state():
+        for _ in range(geo.MASS_ATTEMPTS):
+            raw = sc.jordan.random_density_matrix(ring, n, rng)
+            if rng.uniform() < 0.5:
+                raw = reference_pure_density(ring, n, rng)
+            compressed = space.coords_of(comp @ raw.to_complex() @ comp)
+            mass = space.traces(compressed)
+            if mass > 1e-6:
+                return sc.State(space, (1.0 / mass) * compressed)
+            retries["mass"] += 1
+        raise RuntimeError("failed to sample a state in the orthogonal complement")
+
+    s1 = complement_state()
+    if n < 3:
+        return s0, s1, s1, True
+    return s0, s1, reference_distinct_s2(s1, complement_state, retries), False
+
+
+def reference_family_row(space, pair, rng):
+    """One row of a builtin pair's reversible family, drawn on its own."""
+    if isinstance(space, geo.Simplex):
+        coords = rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
+        if pair.name.startswith("merge"):
+            coords = pair.psi(coords[None])[0]
+        return coords / np.sum(coords)
+    coords = space.coords_from_matrix(sc.jordan.random_density_matrix(space.ring, space.n, rng, floor=0.05))
+    if pair.name == "pinch+rotate":
+        side = np.arange(space.n) < space.n // 2
+        mask = np.repeat((side[:, None] == side[None, :]).reshape(-1), space.components_per_entry)
+        coords = coords * mask
+        coords = (1.0 / space.traces(coords)) * coords
+    return coords
+
+
 def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, seed=0):
     """Per-trial loop: one mix, State and scalar divergence call per (trial, t)."""
     rng = np.random.default_rng(seed)
@@ -396,7 +547,7 @@ def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, s
     witness = None
     vacuous = True
     for trial in range(trials):
-        s0, s1, s2, degenerate = space.orthogonal_triple(rng)
+        s0, s1, s2, degenerate = reference_orthogonal_triple(space, rng)
         vacuous = vacuous and degenerate
         for t in t_grid:
             m1 = sc.mix([1.0 - t, t], [s0, s1])
@@ -442,7 +593,7 @@ def reference_sufficiency(div, space, trials, tol=1e-9, seed=0):
 
     for trial in range(trials):
         pair = suite[trial % len(suite)]
-        s1, s2 = sc.State(space, pair.sample_family(rng)), sc.State(space, pair.sample_family(rng))
+        s1, s2 = (sc.State(space, reference_family_row(space, pair, rng)) for _ in range(2))
         bad = False
         for s in (s1, s2):
             back = state(pair.psi(state(pair.phi(s.coords[None])).coords[None]))
@@ -562,6 +713,141 @@ def test_batched_locality_matches_reference_loop(space):
                              reference_locality(reference_divergence(div), space, 30, seed=2))
     assert_reports_match(dv.check_sufficiency(NAN_DIVERGENCE, SIMPLEX3, trials=10, seed=2),
                          reference_sufficiency(NAN_DIVERGENCE, SIMPLEX3, 10, seed=2))
+
+
+# ---------------------------------------------------------------------------
+# stacked samplers against the per-row reference samplers
+# ---------------------------------------------------------------------------
+
+LOCALITY_SPACES = {
+    "simplex2": geo.Simplex(2), "simplex3": SIMPLEX3, "simplex5": geo.Simplex(5), "square": geo.unit_square(),
+    "triangle": geo.Polytope(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), "disc": geo.Ball(2),
+    "spin3": geo.SpinFactor(3),
+    **{f"{ring}{n}": geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (2, 3)},
+}
+
+
+def assert_bit_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_triples_match_reference(space, rng, rng_ref, trials, retries=None):
+    want = [reference_orthogonal_triple(space, rng_ref, retries) for _ in range(trials)]
+    *stacks, vacuous = space.orthogonal_triples(rng, trials)
+    for k, stack in enumerate(stacks):
+        assert_bit_equal(stack, [w[k].coords for w in want])
+    assert vacuous.tolist() == [w[3] for w in want]
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("space", LOCALITY_SPACES.values(), ids=LOCALITY_SPACES.keys())
+@pytest.mark.parametrize("seed", [0, 7])
+def test_orthogonal_triples_match_reference_loop(space, seed):
+    assert_triples_match_reference(space, np.random.default_rng(seed), np.random.default_rng(seed), 12)
+
+
+@pytest.mark.parametrize("space, seed, trials, kind", [
+    (geo.DensityMatrices("real", 2), 22, 8, "mass"),  # trial 1 draws a complement of mass below 1e-6
+    (SIMPLEX3, 8, 12, "same"),  # trial 4 draws s2 = s1 twice
+], ids=["mass-real2", "same-simplex3"])
+def test_orthogonal_triples_retry_like_the_loop(space, seed, trials, kind):
+    retries = collections.Counter()
+    assert_triples_match_reference(space, np.random.default_rng(seed), np.random.default_rng(seed),
+                                   trials, retries)
+    assert retries[kind] > 0
+
+
+class ScriptedRng:
+    """Generator stand-in with fixed draws, for the rejection paths of the locality samplers.
+
+    Normal draws are e1 for a column (a pure state orthogonal to nothing
+    but e1's complement) and the identity for a square draw (the maximally
+    mixed state).  The i-th uniform draw is below 0.5, which picks a pure
+    candidate, when pure[i] is true (false past its end).  Integer, choice
+    and Dirichlet draws always pick the first face vertex.  The state is
+    the number of draws of each kind, saved and restored through
+    bit_generator as the samplers do.
+    """
+
+    def __init__(self, pure=()):
+        self.pure = list(pure)
+        self.state = (0, 0)  # (draws, uniform draws)
+        self.bit_generator = self
+
+    def _draw(self, uniform=0):
+        draws, uniforms = self.state
+        self.state = (draws + 1, uniforms + uniform)
+        return uniforms
+
+    def standard_normal(self, shape):
+        self._draw()
+        n = np.ravel(shape)[0]
+        return (np.eye(n) if np.prod(shape) == n * n and n > 1 else np.eye(n)[:, :1]).reshape(shape)
+
+    def uniform(self):
+        i = self._draw(uniform=1)
+        return 0.0 if i < len(self.pure) and self.pure[i] else 0.9
+
+    def integers(self, low, high=None):
+        self._draw()
+        return 0 if high is None else low
+
+    def choice(self, a, size, replace):
+        self._draw()
+        return np.asarray(a)[:size]
+
+    def dirichlet(self, alpha):
+        self._draw()
+        return np.full(len(alpha), 1.0 / len(alpha))
+
+
+REAL3 = geo.DensityMatrices("real", 3)
+
+
+@pytest.mark.parametrize("space, pure, mass, same", [
+    (SIMPLEX3, (), 0, 3 * geo.DISTINCT_ATTEMPTS),
+    (REAL3, (), 0, 3 * geo.DISTINCT_ATTEMPTS),
+    (REAL3, [True] * (geo.MASS_ATTEMPTS - 1), geo.MASS_ATTEMPTS - 1, 3 * geo.DISTINCT_ATTEMPTS),
+    (REAL3, [False, True, True, False, True], 3, 3 * geo.DISTINCT_ATTEMPTS),
+], ids=["simplex3-distinct-cap", "real3-distinct-cap", "real3-s1-mass", "real3-s2-mass"])
+def test_orthogonal_triples_follow_scripted_rejections(space, pure, mass, same):
+    """s2 = s1 at every try keeps the last s2; rejected masses in s1 and in s2 are drawn again."""
+    retries = collections.Counter()
+    assert_triples_match_reference(space, ScriptedRng(pure), ScriptedRng(pure), 3, retries)
+    assert (retries["mass"], retries["same"]) == (mass, same)
+
+
+@pytest.mark.parametrize("pure", [[True] * geo.MASS_ATTEMPTS, [False] + [True] * geo.MASS_ATTEMPTS],
+                         ids=["s1", "s2"])
+def test_orthogonal_triples_give_up_like_the_loop(pure):
+    with pytest.raises(RuntimeError, match="orthogonal complement"):
+        reference_orthogonal_triple(REAL3, ScriptedRng(pure))
+    with pytest.raises(RuntimeError, match="orthogonal complement"):
+        REAL3.orthogonal_triples(ScriptedRng(pure), 3)
+
+
+SUFFICIENCY_SPACES = {
+    **{f"simplex{n}": geo.Simplex(n) for n in (2, 3, 5)},
+    **{f"{ring}{n}": geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("space", SUFFICIENCY_SPACES.values(), ids=SUFFICIENCY_SPACES.keys())
+def test_family_draws_match_reference_rows(space):
+    """One base stack mapped by each pair equals the rows its per-row sampler draws, trial by trial."""
+    trials = 13
+    rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+    suite, suite_ref = dv.builtin_channel_suite(space, rng), dv.builtin_channel_suite(space, rng_ref)
+    want = [reference_family_row(space, suite_ref[t % len(suite_ref)], rng_ref)
+            for t in range(trials) for _ in range(2)]
+    base = dv.family_draws(space, rng, (trials, 2))
+    owner = np.repeat(np.arange(trials) % len(suite), 2)
+    got = np.empty((2 * trials, space.coords_len))
+    for k, pair in enumerate(suite):
+        got[owner == k] = pair.family(base.reshape(-1, space.coords_len)[owner == k])
+    assert_bit_equal(got, want)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_sufficiency_implies_locality_over_zoo():
