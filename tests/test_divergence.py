@@ -761,13 +761,13 @@ def test_orthogonal_triples_retry_like_the_loop(space, seed, trials, kind):
 class ScriptedRng:
     """Generator stand-in with fixed draws, for the rejection paths of the locality samplers.
 
-    Normal draws are e1 for a column (a pure state orthogonal to nothing
-    but e1's complement) and the identity for a square draw (the maximally
-    mixed state).  The i-th uniform draw is below 0.5, which picks a pure
-    candidate, when pure[i] is true (false past its end).  Integer, choice
-    and Dirichlet draws always pick the first face vertex.  The state is
-    the number of draws of each kind, saved and restored through
-    bit_generator as the samplers do.
+    A column draw is e1, so s0 is e1 e1* and every pure candidate has no
+    mass in its complement; a square draw is the identity, the maximally
+    mixed candidate.  The i-th uniform draw is below 0.5, which picks a
+    pure candidate, when pure[i] is true (false past its end).  Integer,
+    choice and Dirichlet draws always pick the first vertex of the face.
+    The state counts the draws, and the samplers save and restore it
+    through bit_generator.
     """
 
     def __init__(self, pure=()):
@@ -783,7 +783,7 @@ class ScriptedRng:
     def standard_normal(self, shape):
         self._draw()
         n = np.ravel(shape)[0]
-        return (np.eye(n) if np.prod(shape) == n * n and n > 1 else np.eye(n)[:, :1]).reshape(shape)
+        return (np.eye(n) if np.prod(shape) == n * n else np.eye(n)[:, :1]).reshape(shape)
 
     def uniform(self):
         i = self._draw(uniform=1)
