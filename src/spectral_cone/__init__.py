@@ -23,7 +23,6 @@ from .cone import (
 )
 from .decomposition import OrthogonalDecomposition, Spectrum
 from .divergence import (
-    ChannelPair,
     Divergence,
     EntropyFit,
     FiniteActionSet,
@@ -64,6 +63,7 @@ from .errors import (
 )
 from .geometries import (
     Ball,
+    ChannelPair,
     DensityMatrices,
     Face,
     Polytope,

@@ -23,9 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import geometries as geo
 from . import jordan
-from . import quaternion as quat
 from .cone import MEMBERSHIP_TOL, AffineFunctional, State, evaluate, mix, mix_coords
 from .errors import NotInConeError, PreconditionError, require_count
 
@@ -133,7 +131,7 @@ def burg_generator() -> Generator:
     return Generator("burg", value, gradient)
 
 
-def _matrix_negentropies(space: geo.DensityMatrices, forms: np.ndarray) -> np.ndarray:
+def _matrix_negentropies(space: "DensityMatrices", forms: np.ndarray) -> np.ndarray:
     """Tr rho ln rho of every form in a (..., m, m) stack, from one stacked eigvalsh.
 
     Eigenvalues at or below 1e-12 count as 0; a form with an eigenvalue below
@@ -142,7 +140,7 @@ def _matrix_negentropies(space: geo.DensityMatrices, forms: np.ndarray) -> np.nd
     return -jordan.spectral_entropies(np.linalg.eigvalsh(forms)[..., :: space.mult])
 
 
-def matrix_negentropy_generator(space: geo.DensityMatrices) -> Generator:
+def matrix_negentropy_generator(space: "DensityMatrices") -> Generator:
     """F(rho) = Tr rho ln rho on density matrices; induces the matrix relative entropy."""
 
     def value(s):
@@ -278,7 +276,7 @@ def itakura_saito_divergence() -> Divergence:
                       array_rule=_itakura_saito_values)
 
 
-def matrix_negentropy_divergence(space: geo.DensityMatrices) -> Divergence:
+def matrix_negentropy_divergence(space: "DensityMatrices") -> Divergence:
     """Tr rho (ln rho - ln sigma), inf when supp rho exceeds supp sigma.
 
     With sigma = sum_j mu_j |v_j><v_j| over the eigenvectors of its form,
@@ -319,30 +317,30 @@ def divergence_from_action_set(actions) -> Divergence:
     )
 
 
+_BUILTINS = {  # name -> constructor from the space
+    "kl": lambda space: kl_divergence(),
+    "squared_euclidean": lambda space: squared_euclidean_divergence(),
+    "itakura_saito": lambda space: itakura_saito_divergence(),
+    "matrix_negentropy": matrix_negentropy_divergence,
+}
+_VECTOR_ONLY = "{name} is a probability-vector divergence; use {use} on {kind} spaces"
+_OFF_DOMAIN = {"kl": _VECTOR_ONLY, "itakura_saito": _VECTOR_ONLY,
+               "matrix_negentropy": "matrix_negentropy needs a density-matrix space"}
+
+
 def builtin_divergence(name: str, space) -> Divergence:
-    if name in ("kl", "itakura_saito") and not isinstance(space, geo.Simplex):
-        use = ", ".join(d.name for d in divergence_zoo(space))
-        raise ValueError(f"{name} is a probability-vector divergence; use {use} on {space.kind} spaces")
-    if name == "kl":
-        return kl_divergence()
-    if name == "squared_euclidean":
-        return squared_euclidean_divergence()
-    if name == "itakura_saito":
-        return itakura_saito_divergence()
-    if name == "matrix_negentropy":
-        if not isinstance(space, geo.DensityMatrices):
-            raise ValueError("matrix_negentropy needs a density-matrix space")
-        return matrix_negentropy_divergence(space)
-    raise ValueError(f"unknown divergence {name!r}")
+    """The builtin divergence called name, on a space whose zoo holds it (squared_euclidean on any)."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown divergence {name!r}")
+    if name not in (*space.divergences, "squared_euclidean"):
+        use = ", ".join(space.divergences)
+        raise ValueError(_OFF_DOMAIN[name].format(name=name, use=use, kind=space.kind))
+    return _BUILTINS[name](space)
 
 
 def divergence_zoo(space) -> list:
-    """The builtin divergences applicable to a space."""
-    if isinstance(space, geo.Simplex):
-        return [kl_divergence(), squared_euclidean_divergence(), itakura_saito_divergence()]
-    if isinstance(space, geo.DensityMatrices):
-        return [matrix_negentropy_divergence(space)]
-    return [squared_euclidean_divergence()]
+    """The builtin divergences of a space, in the order of ``space.divergences``."""
+    return [_BUILTINS[name](space) for name in space.divergences]
 
 
 # ---------------------------------------------------------------------------
@@ -443,144 +441,6 @@ def check_locality(div: Divergence, space, trials: int = 1000,
 # Sufficiency
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelPair:
-    """Affine maps phi, psi with psi(phi(s)) = s on a reversible family of states.
-
-    family maps rows of the base draw shared by a suite (``family_draws``)
-    onto the family; family, phi and psi all map (k, coords_len) stacks of
-    coordinate rows.
-    """
-
-    name: str
-    phi: Callable[[np.ndarray], np.ndarray]
-    psi: Callable[[np.ndarray], np.ndarray]
-    family: Callable[[np.ndarray], np.ndarray]
-
-
-def family_draws(space, rng: np.random.Generator, lead: tuple) -> np.ndarray:
-    """Base rows (*lead, coords_len) of the channel families, as successive single draws.
-
-    On a simplex, Dirichlet(1) points mixed with 2 % of the barycenter; on
-    density matrices, the density kernel with eigenvalue floor 0.05.
-    """
-    if isinstance(space, geo.Simplex):
-        return rng.dirichlet(np.ones(space.n), size=lead) * 0.98 + 0.02 / space.n
-    if isinstance(space, geo.DensityMatrices):
-        data = jordan.positive_matrices(space.ring, jordan.gaussian_draws(space.ring, space.n, rng, lead),
-                                        floor=0.05)
-        return space.coords_of(jordan.complex_forms(space.ring, data))
-    raise ValueError(f"no channel families on {space.kind} spaces")
-
-
-def _normalised(rows: np.ndarray) -> np.ndarray:
-    return rows / np.sum(rows, axis=-1, keepdims=True)
-
-
-def _permutation_pair(perm: np.ndarray) -> ChannelPair:
-    inv = np.argsort(perm)
-
-    def apply(p, rows):
-        out = np.zeros_like(rows)
-        out[:, p] = rows
-        return out
-
-    return ChannelPair(
-        f"permutation{tuple(int(i) for i in perm)}",
-        lambda rows: apply(perm, rows),
-        lambda rows: apply(inv, rows),
-        _normalised,
-    )
-
-
-def _merge_pair(i: int, j: int, alpha: float) -> ChannelPair:
-    def phi(rows):
-        out = np.array(rows, dtype=float)
-        out[:, i] += out[:, j]
-        out[:, j] = 0.0
-        return out
-
-    def psi(rows):
-        out = np.array(rows, dtype=float)
-        mass = out[:, i] + out[:, j]
-        out[:, i] = alpha * mass
-        out[:, j] = (1.0 - alpha) * mass
-        return out
-
-    return ChannelPair(f"merge({i},{j};{alpha})", phi, psi, lambda rows: _normalised(psi(rows)))
-
-
-def _unitary_conjugation_pair(space: geo.DensityMatrices,
-                              rng: np.random.Generator, pinch: bool) -> ChannelPair:
-    n = space.n
-    u = _random_unitary(space.ring, n, rng)
-    u = quat.to_complex(u) if space.ring == "quaternion" else u.astype(complex)
-    u_star = np.conj(u.T)
-    side = np.arange(n) < n // 2
-    # coordinate mask of the two diagonal blocks of the pinch
-    mask = np.repeat((side[:, None] == side[None, :]).reshape(-1), space.components_per_entry)
-
-    def phi(rows):
-        rows = rows * mask if pinch else rows  # pinching is the identity on the family
-        return space.coords_of(u @ space.forms(rows) @ u_star)
-
-    def psi(rows):
-        return space.coords_of(u_star @ space.forms(rows) @ u)
-
-    def family(rows):
-        if not pinch:
-            return rows
-        rows = rows * mask
-        return (1.0 / space.traces(rows))[:, None] * rows
-
-    return ChannelPair("pinch+rotate" if pinch else "rotate", phi, psi, family)
-
-
-def _random_unitary(ring: str, n: int, rng: np.random.Generator):
-    if ring == "real":
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        return q * np.sign(np.diag(r))
-    if ring == "complex":
-        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return q * np.exp(-1j * np.angle(np.diag(r)))
-    # quaternion: compose unit-quaternion phases with Givens-like rotations
-    u = np.zeros((n, n, 4))
-    phases = rng.standard_normal((n, 4))
-    phases /= np.linalg.norm(phases, axis=1, keepdims=True)
-    u[np.arange(n), np.arange(n)] = phases
-    for _ in range(2 * n if n > 1 else 0):  # a 1x1 unitary is its phase alone
-        i, j = rng.choice(n, size=2, replace=False)
-        theta = rng.uniform(0, 2 * np.pi)
-        c, s = math.cos(theta), math.sin(theta)
-        qph = rng.standard_normal(4)
-        qph /= np.linalg.norm(qph)
-        g = np.zeros((n, n, 4))
-        g[np.arange(n), np.arange(n), 0] = 1.0
-        g[i, i] = c * np.array([1.0, 0, 0, 0])
-        g[j, j] = c * np.array([1.0, 0, 0, 0])
-        g[i, j] = s * qph
-        g[j, i] = -s * quat.qconj(qph)
-        u = quat.qmat_mul(u, g)
-    return u
-
-
-def builtin_channel_suite(space, rng: np.random.Generator) -> list:
-    """Reversible (phi, psi) pairs with their family maps for a space."""
-    if isinstance(space, geo.Simplex):
-        pairs = [_permutation_pair(rng.permutation(space.n)), _permutation_pair(rng.permutation(space.n))]
-        if space.n >= 3:
-            i, j = rng.choice(space.n, size=2, replace=False)
-            pairs.append(_merge_pair(int(i), int(j), float(rng.uniform(0.2, 0.8))))
-            pairs.append(_merge_pair(0, 1, 0.5))
-        return pairs
-    if isinstance(space, geo.DensityMatrices):
-        pairs = [_unitary_conjugation_pair(space, rng, pinch=False)]
-        if space.n >= 2:
-            pairs.append(_unitary_conjugation_pair(space, rng, pinch=True))
-        return pairs
-    raise ValueError(f"no builtin channel suite for {space.kind} spaces")
-
-
 def _pair_rows(space, rows) -> np.ndarray:
     """(k, 2, coords_len) stack of k row pairs; rows of another length raise as State() does."""
     rows = np.asarray(rows, dtype=float)
@@ -597,7 +457,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
     psi(phi(s)) = s (violations are reported separately as precondition
     failures, not divergence failures) and compares D(phi s1, phi s2)
     against D(s1, s2).  Trial k belongs to pair k mod len(suite).  The base
-    rows of every trial come from one ``family_draws`` stack; each pair
+    rows of every trial come from one ``space.family_draws`` stack; each pair
     then maps the rows of its trials onto its family, through phi and back
     through psi as one stack, and the drawn, mapped and pulled-back stacks
     each take one membership test.  The divergences of all trials that
@@ -605,7 +465,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
     """
     require_count("trials", trials)
     rng = np.random.default_rng(seed)
-    suite = channel_suite if channel_suite is not None else builtin_channel_suite(space, rng)
+    suite = channel_suite if channel_suite is not None else space.channel_suite(rng)
     owner = np.arange(trials) % len(suite)  # the pair of every trial
 
     def by_pair(name, stack):  # apply each pair's family, phi or psi map to the rows of its trials
@@ -616,7 +476,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
         _require_states(space, out)
         return out
 
-    drawn = by_pair("family", family_draws(space, rng, (trials, 2)))
+    drawn = by_pair("family", space.family_draws(rng, (trials, 2)))
     mapped = by_pair("phi", drawn)
     back = by_pair("psi", mapped)
     bad = np.max(np.abs(back - drawn), axis=-1) > 1e-9
@@ -640,7 +500,6 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
             "s2": [float(c) for c in drawn[trial, 1]],
             "values": [float(base[i]), float(image[i])],
         }
-    exploratory = isinstance(space, geo.DensityMatrices) and space.ring == "quaternion"
     return {
         "check": "sufficiency",
         "divergence": div.name,
@@ -649,7 +508,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
         "max_gap": max_gap,
         "witness": witness,
         "precondition_violations": violations,
-        "exploratory": bool(exploratory),
+        "exploratory": bool(space.exploratory),
         "trials": int(trials),
         "seed": int(seed),
         "tolerance": float(tol),
@@ -674,7 +533,7 @@ class EntropyFit:
         }
 
 
-def fit_entropy_constant(div: Divergence, space: geo.Simplex, tol: float = 1e-10,
+def fit_entropy_constant(div: Divergence, space: "Simplex", tol: float = 1e-10,
                          samples: int = 200, seed: int = 0,
                          locality_trials: int = 50) -> EntropyFit:
     """Least-squares fit of a local divergence against the KL divergence.
@@ -685,7 +544,7 @@ def fit_entropy_constant(div: Divergence, space: geo.Simplex, tol: float = 1e-10
     "not entropy-generated", which contradicts locality and flags a
     numerical problem.
     """
-    if not isinstance(space, geo.Simplex) or space.n < 3:
+    if "kl" not in space.divergences or space.rank < 3:
         raise PreconditionError("entropy-constant recovery needs a simplex with n >= 3")
     if locality_trials:
         report = check_locality(div, space, trials=locality_trials, seed=seed + 1)
@@ -693,23 +552,12 @@ def fit_entropy_constant(div: Divergence, space: geo.Simplex, tol: float = 1e-10
             raise PreconditionError(
                 f"divergence {div.name} is not local (max gap {report['max_gap']:.3e})"
             )
-    rng = np.random.default_rng(seed)
-    kl = kl_divergence()
-    num = 0.0
-    den = 0.0
-    pairs = []
-    for _ in range(samples):
-        p = rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
-        q = rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
-        s1 = State(space, p / np.sum(p))
-        s2 = State(space, q / np.sum(q))
-        d = div(s1, s2)
-        k = kl(s1, s2)
-        pairs.append((d, k))
-        num += d * k
-        den += k * k
-    c = num / den
-    residual = max(abs(d - c * k) for d, k in pairs)
+    rows = space.family_draws(np.random.default_rng(seed), (samples, 2))
+    rows = rows / np.sum(rows, axis=-1, keepdims=True)
+    _require_states(space, rows)
+    d, k = (f.values(space, rows[:, 0], rows[:, 1]) for f in (div, kl_divergence()))
+    c = sum((d * k).tolist()) / sum((k * k).tolist())  # summed in sample order
+    residual = max(np.abs(d - c * k).tolist())
     if c <= 0.0:
         raise PreconditionError(f"fitted constant {c} is not positive")
     return EntropyFit(float(c), float(residual), bool(residual <= tol))

@@ -19,16 +19,18 @@ complex forms built from coordinate rows (``DensityMatrices.forms`` and its
 inverse ``coords_of``), never on per-row HermitianMatrix objects.
 
 Each descriptor class carries the behaviour of its geometry (faces, mutual
-singularity, decomposition, entropy, sampling); the module functions hold
-the logic shared by every geometry and call those methods.
+singularity, decomposition, entropy, sampling, its builtin divergence names,
+channel suite and family draws); the module functions hold the logic shared
+by every geometry and call those methods.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -73,6 +75,10 @@ class _Geometry:
 
     # one decomposition spectrum per element, given in closed form
     canonical_decomposition = True
+    # names of the builtin divergences of the space; squared_euclidean applies on every space
+    divergences = ("squared_euclidean",)
+    # whether sufficiency reports on the space carry "exploratory": true
+    exploratory = False
 
     def orthogonality_witness(self, s0: State, s1: State) -> Optional[AffineFunctional]:
         # restricting to the smallest face does not change the criterion:
@@ -83,6 +89,14 @@ class _Geometry:
     def planar_chart(self):
         """(bounding box, chart) for a 2-dimensional space; chart maps x, y arrays to coords rows."""
         raise ValueError(f"space {self!r} is not two-dimensional")
+
+    def family_draws(self, rng: np.random.Generator, lead: tuple) -> np.ndarray:
+        """Base rows (*lead, coords_len) of the channel families, as successive single draws."""
+        raise ValueError(f"no channel families on {self.kind} spaces")
+
+    def channel_suite(self, rng: np.random.Generator) -> list:
+        """Reversible (phi, psi) pairs with their family maps, drawn from rng."""
+        raise ValueError(f"no builtin channel suite for {self.kind} spaces")
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,7 @@ class Simplex(_Geometry):
             raise ValueError("simplex needs at least one vertex")
 
     kind = "simplex"
+    divergences = ("kl", "squared_euclidean", "itakura_saito")
 
     @property
     def dim(self) -> int:
@@ -187,6 +202,19 @@ class Simplex(_Geometry):
                 if np.max(np.abs(s2[t] - s1[t])) > 1e-9:
                     break
         return s0, s1, s2, np.zeros(trials, dtype=bool)
+
+    def family_draws(self, rng: np.random.Generator, lead: tuple) -> np.ndarray:
+        """Dirichlet(1) points mixed with 2 % of the barycenter."""
+        return rng.dirichlet(np.ones(self.n), size=lead) * 0.98 + 0.02 / self.n
+
+    def channel_suite(self, rng: np.random.Generator) -> list:
+        """Two random permutations and, for n >= 3, a random and a fixed merge of two vertices."""
+        pairs = [_permutation_pair(rng.permutation(self.n)), _permutation_pair(rng.permutation(self.n))]
+        if self.n >= 3:
+            i, j = rng.choice(self.n, size=2, replace=False)
+            pairs.append(_merge_pair(int(i), int(j), float(rng.uniform(0.2, 0.8))))
+            pairs.append(_merge_pair(0, 1, 0.5))
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -464,6 +492,11 @@ class DensityMatrices(_Geometry):
             raise ValueError("matrix size must be positive")
 
     kind = "density"
+    divergences = ("matrix_negentropy",)
+
+    @property
+    def exploratory(self) -> bool:
+        return self.ring == "quaternion"
 
     @property
     def components_per_entry(self) -> int:
@@ -698,6 +731,18 @@ class DensityMatrices(_Geometry):
                             [_S1_REJECTED, _S2_REJECTED, _SAME_AS_S1], _SETTLED)
         return np.stack([s0, s1, s2]), verdict
 
+    def family_draws(self, rng: np.random.Generator, lead: tuple) -> np.ndarray:
+        """The density kernel with eigenvalue floor 0.05."""
+        data = jordan.positive_matrices(self.ring, jordan.gaussian_draws(self.ring, self.n, rng, lead), floor=0.05)
+        return self.coords_of(jordan.complex_forms(self.ring, data))
+
+    def channel_suite(self, rng: np.random.Generator) -> list:
+        """Conjugation by a random unitary and, for n >= 2, a pinch followed by another."""
+        pairs = [_unitary_conjugation_pair(self, rng, pinch=False)]
+        if self.n >= 2:
+            pairs.append(_unitary_conjugation_pair(self, rng, pinch=True))
+        return pairs
+
 
 def unit_square() -> Polytope:
     return Polytope(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
@@ -736,6 +781,115 @@ def space_from_json(data: dict):
     if kind == "spin":
         return SpinFactor(data["d"])
     return DensityMatrices(str(data["ring"]), data["n"])
+
+
+# ---------------------------------------------------------------------------
+# Channel suites
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChannelPair:
+    """Affine maps phi, psi with psi(phi(s)) = s on a reversible family of states.
+
+    family maps rows of the base draw shared by a suite (the space's
+    ``family_draws``) onto the family; family, phi and psi all map
+    (k, coords_len) stacks of coordinate rows.
+    """
+
+    name: str
+    phi: Callable[[np.ndarray], np.ndarray]
+    psi: Callable[[np.ndarray], np.ndarray]
+    family: Callable[[np.ndarray], np.ndarray]
+
+
+def _normalised(rows: np.ndarray) -> np.ndarray:
+    return rows / np.sum(rows, axis=-1, keepdims=True)
+
+
+def _permutation_pair(perm: np.ndarray) -> ChannelPair:
+    inv = np.argsort(perm)
+
+    def apply(p, rows):
+        out = np.zeros_like(rows)
+        out[:, p] = rows
+        return out
+
+    return ChannelPair(
+        f"permutation{tuple(int(i) for i in perm)}",
+        lambda rows: apply(perm, rows),
+        lambda rows: apply(inv, rows),
+        _normalised,
+    )
+
+
+def _merge_pair(i: int, j: int, alpha: float) -> ChannelPair:
+    def phi(rows):
+        out = np.array(rows, dtype=float)
+        out[:, i] += out[:, j]
+        out[:, j] = 0.0
+        return out
+
+    def psi(rows):
+        out = np.array(rows, dtype=float)
+        mass = out[:, i] + out[:, j]
+        out[:, i] = alpha * mass
+        out[:, j] = (1.0 - alpha) * mass
+        return out
+
+    return ChannelPair(f"merge({i},{j};{alpha})", phi, psi, lambda rows: _normalised(psi(rows)))
+
+
+def _unitary_conjugation_pair(space: DensityMatrices, rng: np.random.Generator, pinch: bool) -> ChannelPair:
+    n = space.n
+    u = _random_unitary(space.ring, n, rng)
+    u = quat.to_complex(u) if space.ring == "quaternion" else u.astype(complex)
+    u_star = np.conj(u.T)
+    side = np.arange(n) < n // 2
+    # coordinate mask of the two diagonal blocks of the pinch
+    mask = np.repeat((side[:, None] == side[None, :]).reshape(-1), space.components_per_entry)
+
+    def phi(rows):
+        rows = rows * mask if pinch else rows  # pinching is the identity on the family
+        return space.coords_of(u @ space.forms(rows) @ u_star)
+
+    def psi(rows):
+        return space.coords_of(u_star @ space.forms(rows) @ u)
+
+    def family(rows):
+        if not pinch:
+            return rows
+        rows = rows * mask
+        return (1.0 / space.traces(rows))[:, None] * rows
+
+    return ChannelPair("pinch+rotate" if pinch else "rotate", phi, psi, family)
+
+
+def _random_unitary(ring: str, n: int, rng: np.random.Generator):
+    if ring == "real":
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        return q * np.sign(np.diag(r))
+    if ring == "complex":
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q * np.exp(-1j * np.angle(np.diag(r)))
+    # quaternion: compose unit-quaternion phases with Givens-like rotations
+    u = np.zeros((n, n, 4))
+    phases = rng.standard_normal((n, 4))
+    phases /= np.linalg.norm(phases, axis=1, keepdims=True)
+    u[np.arange(n), np.arange(n)] = phases
+    for _ in range(2 * n if n > 1 else 0):  # a 1x1 unitary is its phase alone
+        i, j = rng.choice(n, size=2, replace=False)
+        theta = rng.uniform(0, 2 * np.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        qph = rng.standard_normal(4)
+        qph /= np.linalg.norm(qph)
+        g = np.zeros((n, n, 4))
+        g[np.arange(n), np.arange(n), 0] = 1.0
+        g[i, i] = c * np.array([1.0, 0, 0, 0])
+        g[j, j] = c * np.array([1.0, 0, 0, 0])
+        g[i, j] = s * qph
+        g[j, i] = -s * quat.qconj(qph)
+        u = quat.qmat_mul(u, g)
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -238,30 +238,25 @@ def jordan_associator_norm(x: HermitianMatrix, y: HermitianMatrix) -> float:
 # Eigendecomposition
 # ---------------------------------------------------------------------------
 
+def _cluster_starts(w: np.ndarray, rtol: float) -> np.ndarray:
+    """Where each cluster of every ascending row starts: where the gap exceeds rtol times its spectral radius."""
+    thresh = rtol * np.maximum(1e-300, np.max(np.abs(w), axis=-1, keepdims=True))
+    starts = np.ones(w.shape, dtype=bool)
+    starts[..., 1:] = ~(np.diff(w, axis=-1) <= thresh)
+    return starts
+
+
 def cluster_indices(values: np.ndarray, rtol: float = CLUSTER_RTOL) -> list:
     """Group sorted eigenvalues whose gaps are below rtol * spectral radius."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
-    thresh = rtol * max(1e-300, float(np.max(np.abs(values))))
-    groups = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[groups[-1][-1]] <= thresh:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.array(g) for g in groups]
+    return np.split(np.arange(values.size), np.flatnonzero(_cluster_starts(values, rtol))[1:])
 
 
 def cluster_means(w: np.ndarray, cluster_rtol: float = CLUSTER_RTOL) -> np.ndarray:
-    """Every eigenvalue of each ascending row replaced by the mean of its cluster.
-
-    The rule of :func:`cluster_indices`, row by row: a cluster ends where the
-    next gap exceeds cluster_rtol times the row's spectral radius.
-    """
-    thresh = cluster_rtol * np.maximum(1e-300, np.max(np.abs(w), axis=-1, keepdims=True))
-    starts = np.ones(w.shape, dtype=bool)
-    starts[..., 1:] = ~(np.diff(w, axis=-1) <= thresh)
+    """Every eigenvalue of each ascending row replaced by the mean of its cluster (the cluster_indices rule)."""
+    starts = _cluster_starts(w, cluster_rtol)
     flat = w.reshape(-1)
     first = np.flatnonzero(starts)
     counts = np.diff(np.append(first, flat.size))
@@ -566,10 +561,8 @@ def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s
 
 
 def spin_entropy(a: SpinElement, zero_tol: float = 1e-12) -> float:
-    w = np.array(a.eigenvalues())  # (lo, hi)
-    if w[0] < -1e-9:
-        raise DomainError("spin element is not positive")
-    return float(weights_entropy(w[w > zero_tol]))
+    """-sum t ln t over the eigenvalues t -+ |v|, under the rule of spectral_entropies."""
+    return float(spectral_entropies(np.array(a.eigenvalues()), zero_tol))
 
 
 # ---------------------------------------------------------------------------

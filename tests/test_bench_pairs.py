@@ -11,6 +11,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
+WORK_PER_S = {"work_per_s": {"better": "higher", "bound": 0.22}}
 ENV = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "blas": "openblas", "nproc": 2}
 
 
@@ -42,6 +43,7 @@ def test_summary_medians_quartiles_and_wins(tmp_path):
     p50 = bench["workloads"]["matrix-checks"]["op_ms_p50"]
     assert p50["better"] == "lower" and p50["wins"] == 4  # the first pair got slower
     assert bench["workloads"]["matrix-checks"]["setup_s"]["wins"] == 0  # ties are not wins
+    assert work["verdict"] == "unchanged"  # 4 of 5 pairs won is short of a gain
 
 
 def test_rejects_unpaired_mixed_or_failed_runs(tmp_path):
@@ -49,7 +51,39 @@ def test_rejects_unpaired_mixed_or_failed_runs(tmp_path):
     b = fake_run(tmp_path, "b", "queries", 100, 10.0)
     bad = fake_run(tmp_path, "bad", "matrix-checks", 100, 10.0, correct=False)
     with pytest.raises(ValueError, match="same"):
-        bench_pairs.summarise([bench_pairs.read_run(a)], [], {"work_per_s": "higher"})
+        bench_pairs.summarise([bench_pairs.read_run(a)], [], WORK_PER_S)
     with pytest.raises(ValueError, match="mixes"):
-        bench_pairs.summarise([bench_pairs.read_run(a)], [bench_pairs.read_run(b)], {"work_per_s": "higher"})
+        bench_pairs.summarise([bench_pairs.read_run(a)], [bench_pairs.read_run(b)], WORK_PER_S)
     assert bench_pairs.main(["--parent", str(a), "--change", str(bad), "--out", str(tmp_path / "x.json")]) == 1
+
+
+NARROW = [95, 97, 99, 100, 100, 101, 102, 103, 104, 105]
+WIDE = [50, 60, 80, 100, 100, 120, 140, 150, 160, 170]
+SPLIT = [10, 10, 10, 10, 10, 90, 90, 90, 90, 100]  # quartiles 10 and 90
+
+
+@pytest.mark.parametrize("parent,change,want", [
+    (NARROW, [w + 50 for w in NARROW], "gain"),
+    (NARROW, [w + 50 for w in NARROW[:8]] + NARROW[8:], "unchanged"),  # 8 of 10 pairs won
+    (NARROW, [w * 0.7 for w in NARROW], "regression"),
+    (NARROW, [w * 0.8 for w in NARROW], "unchanged"),  # 20 % worse, inside the 22 % bound
+    (NARROW, NARROW, "unchanged"),
+    (WIDE, WIDE[::-1], "unresolved"),
+    (SPLIT, [101] * 10, "unchanged"),  # spread wider than the bound, but every change run is better
+], ids=["gain", "few-wins", "regression", "inside-bound", "same", "wide", "wide-separated"])
+def test_verdict_per_metric(tmp_path, parent, change, want):
+    runs = [[bench_pairs.read_run(fake_run(tmp_path, f"{side}{i}", "queries", w, 1.0)) for i, w in enumerate(values)]
+            for side, values in (("p", parent), ("c", change))]
+    assert bench_pairs.summarise(*runs, WORK_PER_S)["workloads"]["queries"]["work_per_s"]["verdict"] == want
+
+
+def test_verdict_follows_lower_is_better(tmp_path):
+    spec = {"op_ms_p50": {"better": "lower", "bound": 0.24}}
+    parent = [bench_pairs.read_run(fake_run(tmp_path, f"p{i}", "queries", 100, ms)) for i, ms in enumerate(NARROW)]
+
+    def verdict(scale):
+        change = [bench_pairs.read_run(fake_run(tmp_path, f"c{i}", "queries", 100, ms * scale))
+                  for i, ms in enumerate(NARROW)]
+        return bench_pairs.summarise(parent, change, spec)["workloads"]["queries"]["op_ms_p50"]["verdict"]
+
+    assert (verdict(0.5), verdict(1.3), verdict(1.2)) == ("gain", "regression", "unchanged")

@@ -134,6 +134,23 @@ def test_vector_divergence_off_simplex_exit_1(capsys, space, divergence):
     assert "squared_euclidean" in err
 
 
+OFF_DOMAIN_ERRORS = {
+    **{(space, div): f"{div} is a probability-vector divergence; use {use} on {kind} spaces"
+       for space, kind, use in (("disc", "ball", "squared_euclidean"), ("square", "polytope", "squared_euclidean"),
+                                ("complex2", "density", "matrix_negentropy"))
+       for div in ("kl", "itakura_saito")},
+    **{(space, "matrix_negentropy"): "matrix_negentropy needs a density-matrix space"
+       for space in ("simplex3", "disc")},
+}
+
+
+@pytest.mark.parametrize("space,divergence", sorted(OFF_DOMAIN_ERRORS))
+@pytest.mark.parametrize("kind", ["locality", "sufficiency"])
+def test_divergence_off_its_spaces_exact_error(capsys, kind, space, divergence):
+    code, out, err = run_cli(capsys, "check", kind, "--space", space, "--divergence", divergence, "--trials", "3")
+    assert (code, out, err) == (1, "", f"error: {OFF_DOMAIN_ERRORS[space, divergence]}\n")
+
+
 @pytest.mark.parametrize("trace", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("space,coords", [("simplex3", "[5, -3, 7]"),
                                           ("complex2", "[0.5, 0, 0, 0, 0, 0, 0.5, 0]")])

@@ -235,7 +235,7 @@ def test_kl_sufficiency_passes():
 def test_kl_invariant_under_merge_on_proportional_family():
     # frozen example: alpha = 0.3 family, merging coordinates 2 and 3
     kl = dv.kl_divergence()
-    pair = dv._merge_pair(1, 2, 0.3)
+    pair = geo._merge_pair(1, 2, 0.3)
     rows = np.array([[0.2, 0.3 * 0.8, 0.7 * 0.8], [0.5, 0.3 * 0.5, 0.7 * 0.5]])
     np.testing.assert_allclose(pair.psi(pair.phi(rows)), rows, atol=1e-15)
     s1, s2, m1, m2 = (sc.State(SIMPLEX3, r) for r in (*rows, *pair.phi(rows)))
@@ -249,7 +249,7 @@ def test_squared_euclidean_sufficiency_fails_under_merge():
     assert report["witness"]["channel"].startswith("merge")
     # direct oracle on the frozen family: the merge inflates the distance
     sq = dv.squared_euclidean_divergence()
-    pair = dv._merge_pair(1, 2, 0.3)
+    pair = geo._merge_pair(1, 2, 0.3)
     rows = np.array([[0.2, 0.3 * 0.8, 0.7 * 0.8], [0.5, 0.3 * 0.5, 0.7 * 0.5]])
     s1, s2, m1, m2 = (sc.State(SIMPLEX3, r) for r in (*rows, *pair.phi(rows)))
     m_gap = (1.0 - 0.3 ** 2 - 0.7 ** 2) * (0.8 - 0.5) ** 2
@@ -276,7 +276,7 @@ def test_quaternion_sufficiency_is_exploratory():
 
 def test_sufficiency_precondition_violation_reported():
     # deliberately broken pair: psi does not invert phi on the family
-    bad = dv.ChannelPair(
+    bad = geo.ChannelPair(
         "broken",
         phi=lambda rows: rows[:, [1, 0, 2]],
         psi=lambda rows: rows,
@@ -288,7 +288,7 @@ def test_sufficiency_precondition_violation_reported():
 
 
 def _simplex_pair(phi=lambda rows: rows, family=lambda rows: rows):
-    return dv.ChannelPair("test", phi=phi, psi=lambda rows: rows, family=family)
+    return geo.ChannelPair("test", phi=phi, psi=lambda rows: rows, family=family)
 
 
 @pytest.mark.parametrize("pair", [
@@ -577,7 +577,7 @@ def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, s
 def reference_sufficiency(div, space, trials, tol=1e-9, seed=0):
     """Per-trial loop: one State (one membership test) per row and one scalar divergence call per side."""
     rng = np.random.default_rng(seed)
-    suite = dv.builtin_channel_suite(space, rng)
+    suite = space.channel_suite(rng)
     bary = sc.State(space, space.barycenter_coords())
 
     def dom(s):
@@ -838,10 +838,10 @@ def test_family_draws_match_reference_rows(space):
     """One base stack mapped by each pair equals the rows its per-row sampler draws, trial by trial."""
     trials = 13
     rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
-    suite, suite_ref = dv.builtin_channel_suite(space, rng), dv.builtin_channel_suite(space, rng_ref)
+    suite, suite_ref = space.channel_suite(rng), space.channel_suite(rng_ref)
     want = [reference_family_row(space, suite_ref[t % len(suite_ref)], rng_ref)
             for t in range(trials) for _ in range(2)]
-    base = dv.family_draws(space, rng, (trials, 2))
+    base = space.family_draws(rng, (trials, 2))
     owner = np.repeat(np.arange(trials) % len(suite), 2)
     got = np.empty((2 * trials, space.coords_len))
     for k, pair in enumerate(suite):
@@ -870,6 +870,45 @@ def test_fit_entropy_constant_recovers_scale(c):
     assert abs(fit.constant - c) <= 1e-8
     assert fit.residual <= 1e-10
     assert fit.entropy_generated
+
+
+def reference_fit_entropy_constant(div, space, tol=1e-10, samples=200, seed=0, locality_trials=50):
+    """Per-sample loop: two Dirichlet draws, two States and two scalar divergence calls per sample."""
+    if not isinstance(space, geo.Simplex) or space.n < 3:
+        raise sc.PreconditionError("entropy-constant recovery needs a simplex with n >= 3")
+    if locality_trials:
+        report = dv.check_locality(div, space, trials=locality_trials, seed=seed + 1)
+        if not report["pass"]:
+            raise sc.PreconditionError(f"divergence {div.name} is not local (max gap {report['max_gap']:.3e})")
+    rng = np.random.default_rng(seed)
+    kl = dv.kl_divergence()
+    num = 0.0
+    den = 0.0
+    pairs = []
+    for _ in range(samples):
+        p = rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
+        q = rng.dirichlet(np.ones(space.n)) * 0.98 + 0.02 / space.n
+        s1 = sc.State(space, p / np.sum(p))
+        s2 = sc.State(space, q / np.sum(q))
+        d = div(s1, s2)
+        k = kl(s1, s2)
+        pairs.append((d, k))
+        num += d * k
+        den += k * k
+    c = num / den
+    residual = max(abs(d - c * k) for d, k in pairs)
+    if c <= 0.0:
+        raise sc.PreconditionError(f"fitted constant {c} is not positive")
+    return dv.EntropyFit(float(c), float(residual), bool(residual <= tol))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_fit_entropy_constant_matches_reference_loop(n, c, seed):
+    div = dv.scaled_divergence(c, dv.kl_divergence())
+    space = geo.Simplex(n)
+    assert dv.fit_entropy_constant(div, space, seed=seed) == reference_fit_entropy_constant(div, space, seed=seed)
 
 
 def test_fit_entropy_constant_rejects_nonlocal_divergence():

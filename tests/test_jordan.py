@@ -472,6 +472,16 @@ def test_spin_entropy_is_binary_entropy_of_radius():
         assert spin_entropy(s) == pytest.approx(expect, abs=1e-12)
 
 
+def test_spin_entropy_negative_eigenvalue_rule_is_relative():
+    """A negative eigenvalue within 1e-9 of the spectral radius counts as 0, as in spectral_entropies."""
+    a = SpinElement(1e3, [1e3 + 1e-7, 0.0])
+    lo, hi = a.eigenvalues()
+    assert -1e-6 < lo < -1e-9
+    assert spin_entropy(a) == float(jordan.spectral_entropies(np.array([lo, hi]))) == -hi * math.log(hi)
+    with pytest.raises(DomainError):
+        spin_entropy(SpinElement(1.0, [1.0 + 1e-6, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # checkers and entropy consistency
 # ---------------------------------------------------------------------------

@@ -5,7 +5,16 @@ Each input file is the complete stdout of one ``perfbench/run.py`` run with
 environment.  Runs pair up by position: the i-th ``--parent`` file with the
 i-th ``--change`` file.  For every workload and end-to-end metric the output
 holds the parent and change medians and quartiles, the number of pairs the
-change wins (by the metric's direction in BENCHMARK.json) and the raw values.
+change wins (by the metric's direction in BENCHMARK.json), the raw values and
+a verdict from the metric's BENCHMARK.json bound:
+
+* ``gain``: the change wins at least 9 of every 10 pairs and its median is
+  better than the parent's by more than the parent's interquartile range;
+* ``regression``: the change's median is worse than the parent's by more than
+  the bound (a fraction of the parent's median);
+* ``unresolved``: the parent's interquartile range exceeds the bound times its
+  median, and not every change run is better than every parent run;
+* ``unchanged``: anything else.
 
     python3 tools/bench_pairs.py --parent p1.out p2.out --change c1.out c2.out \\
         --note "matrix-checks, seeds 101-110" --out BENCH_7.json
@@ -43,7 +52,24 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": list(values)}
 
 
-def summarise(parent_runs, change_runs, better: dict, note: str = "") -> dict:
+def verdict(metric: dict, bound: float) -> str:
+    """gain, regression, unresolved or unchanged for one metric's summary (see the module docstring)."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    parent, change = metric["parent"], metric["change"]
+    spread = parent["q3"] - parent["q1"]
+    better_by = sign * (change["median"] - parent["median"])
+    if metric["wins"] >= 0.9 * metric["pairs"] and better_by > spread:
+        return "gain"
+    if better_by < -bound * abs(parent["median"]):
+        return "regression"
+    separated = min(sign * a for a in change["values"]) > max(sign * b for b in parent["values"])
+    if spread > bound * abs(parent["median"]) and not separated:
+        return "unresolved"
+    return "unchanged"
+
+
+def summarise(parent_runs, change_runs, spec: dict, note: str = "") -> dict:
+    """BENCH summary of paired runs; spec maps each metric name to its BENCHMARK.json entry."""
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same, nonzero number of parent and change runs")
     workloads = {}
@@ -54,17 +80,18 @@ def summarise(parent_runs, change_runs, better: dict, note: str = "") -> dict:
     out = {"note": note, "environment": parent_runs[0]["env"], "workloads": {}}
     for workload, pairs in workloads.items():
         metrics = {}
-        for name, direction in better.items():
+        for name, metric in spec.items():
             before = [p["metrics"][name] for p, _ in pairs]
             after = [c["metrics"][name] for _, c in pairs]
-            sign = 1.0 if direction == "higher" else -1.0
+            sign = 1.0 if metric["better"] == "higher" else -1.0
             metrics[name] = {
-                "better": direction,
+                "better": metric["better"],
                 "parent": quartiles(before),
                 "change": quartiles(after),
                 "wins": sum(sign * (a - b) > 0.0 for b, a in zip(before, after)),
                 "pairs": len(pairs),
             }
+            metrics[name]["verdict"] = verdict(metrics[name], metric["bound"])
         out["workloads"][workload] = metrics
     return out
 
@@ -77,10 +104,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     try:
         bench = summarise([read_run(f) for f in args.parent], [read_run(f) for f in args.change],
-                          better, args.note)
+                          {m["name"]: m for m in spec["end_to_end"]}, args.note)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
