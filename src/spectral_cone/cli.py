@@ -31,6 +31,8 @@ from .cone import ConeElement
 from .errors import SpectralConeError
 
 DEFAULT_SEED = 42
+# bad input: exit 1 with a one-line error (json.JSONDecodeError is a ValueError)
+_USAGE_ERRORS = (ValueError, KeyError, OSError)
 
 _SHORTHANDS = {
     "square": lambda m: geo.unit_square(),
@@ -108,7 +110,7 @@ def _report_json(report: dict) -> str:
 def cmd_decompose(args) -> int:
     try:
         space = parse_space(args.space)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -118,7 +120,7 @@ def cmd_decompose(args) -> int:
         # membership or decomposition invariant failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = dec.to_json()
@@ -163,12 +165,10 @@ def cmd_check(args) -> int:
         else:
             space = parse_space(args.space)
             div = dv.builtin_divergence(args.divergence, space)
-            tol = args.tol if args.tol is not None else (1e-8 if args.kind == "locality" else 1e-9)
-            if args.kind == "locality":
-                report = dv.check_locality(div, space, trials=args.trials, tol=tol, seed=seed)
-            else:
-                report = dv.check_sufficiency(div, space, tol=tol, trials=args.trials, seed=seed)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            check = dv.check_locality if args.kind == "locality" else dv.check_sufficiency
+            tol = {} if args.tol is None else {"tol": args.tol}  # else the checker's default
+            report = check(div, space, trials=args.trials, seed=seed, **tol)
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(_report_json(report), args.out)
@@ -179,7 +179,7 @@ def cmd_landscape(args) -> int:
     try:
         space = parse_space(args.space)
         land = spectral.entropy_landscape(space, grid_resolution=args.grid)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     columns = [c.tolist() for c in land.csv_rows()]

@@ -16,9 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ApexError, InvalidWeightsError, NotInConeError, SpaceMismatchError
-
-MEMBERSHIP_TOL = 1e-9
-WEIGHT_TOL = 1e-12
+from .tolerances import MEMBERSHIP_TOL, WEIGHT_TOL
 
 
 @dataclass(frozen=True)
@@ -170,11 +168,11 @@ def evaluate(a: AffineFunctional, s: State) -> float:
     return a(s)
 
 
-def is_test(a: AffineFunctional, space, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True when a maps every state of the space into [0, 1].
+def is_test(a: AffineFunctional, space) -> bool:
+    """True when a maps every state of the space into [0, 1], within MEMBERSHIP_TOL.
 
     The extreme-point range is computed by the geometry: exactly over
     polytope vertices, analytically for balls and matrix spaces.
     """
     lo, hi = space.functional_range(a)
-    return lo >= -tol and hi <= 1.0 + tol
+    return lo >= -MEMBERSHIP_TOL and hi <= 1.0 + MEMBERSHIP_TOL

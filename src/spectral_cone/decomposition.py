@@ -9,8 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .cone import ConeElement
-
-TOTAL_TOL = 1e-9
+from .tolerances import MAJORIZATION_TOL, TOTAL_TOL, WEIGHT_TOL
 
 
 def weights_entropy(weights) -> np.ndarray:
@@ -29,7 +28,7 @@ class Spectrum:
 
     def __post_init__(self):
         w = np.sort(np.asarray(self.weights, dtype=float).reshape(-1))[::-1].copy()
-        if w.size and w[-1] < -1e-12:
+        if w.size and w[-1] < -WEIGHT_TOL:
             raise ValueError(f"spectrum entries must be nonnegative, got {w[-1]}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -59,7 +58,7 @@ class Ordering(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def majorizes(a: Spectrum, b: Spectrum, tol: float = 1e-12) -> Ordering:
+def majorizes(a: Spectrum, b: Spectrum) -> Ordering:
     """Partial-sum comparison of two spectra of the same element.
 
     Shorter spectra are padded with zeros.  Raises when the totals differ,
@@ -69,14 +68,14 @@ def majorizes(a: Spectrum, b: Spectrum, tol: float = 1e-12) -> Ordering:
         raise ValueError(f"spectra have different totals: {a.total} vs {b.total}")
     length = max(len(a), len(b))
     delta = np.cumsum(a.padded(length) - b.padded(length))
-    scale = max(1.0, abs(a.total))
+    slack = MAJORIZATION_TOL * max(1.0, abs(a.total))
     hi = float(np.max(delta))
     lo = float(np.min(delta))
-    if hi <= tol * scale and lo >= -tol * scale:
+    if hi <= slack and lo >= -slack:
         return Ordering.EQUAL
-    if lo >= -tol * scale:
+    if lo >= -slack:
         return Ordering.DOMINATES
-    if hi <= tol * scale:
+    if hi <= slack:
         return Ordering.DOMINATED
     return Ordering.INCOMPARABLE
 

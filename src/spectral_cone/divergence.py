@@ -24,10 +24,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import jordan
-from .cone import MEMBERSHIP_TOL, AffineFunctional, State, evaluate, mix, mix_coords
+from .cone import AffineFunctional, State, evaluate, mix, mix_coords
 from .errors import NotInConeError, PreconditionError, require_count
+from .tolerances import (ENTROPY_FIT_TOL, FD_GRADIENT_STEP, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL,
+                         MEMBERSHIP_TOL, OPTIMAL_ACTION_TOL, REVERSIBILITY_TOL, SUFFICIENCY_TOL,
+                         SUPPORT_LEAK_TOL, ZERO_EIGENVALUE_TOL)
 
-INTERIOR_EPS = 1e-12
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
@@ -54,28 +56,26 @@ class Generator:
         return AffineFunctional(g, self.value(s) - float(np.dot(g, s.coords)))
 
 
-def clamp(s: State, eps: float = INTERIOR_EPS) -> State:
-    """Mix a state toward the barycenter to keep gradients finite."""
+def clamp(s: State) -> State:
+    """Mix a state toward the barycenter, with weight INTERIOR_EPS, to keep gradients finite."""
     bary = State(s.space, s.space.barycenter_coords())
-    return mix([1.0 - eps, eps], [s, bary])
+    return mix([1.0 - INTERIOR_EPS, INTERIOR_EPS], [s, bary])
 
 
-def numeric_gradient(value_at_coords: Callable[[np.ndarray], float], coords,
-                     step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient of a raw-coordinate function."""
+def numeric_gradient(value_at_coords: Callable[[np.ndarray], float], coords) -> np.ndarray:
+    """Central finite-difference gradient of a raw-coordinate function, step FD_GRADIENT_STEP."""
     coords = np.asarray(coords, dtype=float)
     out = np.zeros_like(coords)
     for i in range(coords.size):
         hi = coords.copy()
         lo = coords.copy()
-        hi[i] += step
-        lo[i] -= step
-        out[i] = (value_at_coords(hi) - value_at_coords(lo)) / (2.0 * step)
+        hi[i] += FD_GRADIENT_STEP
+        lo[i] -= FD_GRADIENT_STEP
+        out[i] = (value_at_coords(hi) - value_at_coords(lo)) / (2.0 * FD_GRADIENT_STEP)
     return out
 
 
-def generator_from_coords_value(name: str, value_at_coords: Callable[[np.ndarray], float],
-                                step: float = 1e-6) -> Generator:
+def generator_from_coords_value(name: str, value_at_coords: Callable[[np.ndarray], float]) -> Generator:
     """Generator whose gradient oracle is a central finite difference.
 
     value_at_coords must extend off the state set to a neighborhood in the
@@ -86,7 +86,7 @@ def generator_from_coords_value(name: str, value_at_coords: Callable[[np.ndarray
         return float(value_at_coords(np.asarray(s.coords, dtype=float)))
 
     def gradient(s):
-        return numeric_gradient(value_at_coords, np.asarray(clamp(s).coords), step)
+        return numeric_gradient(value_at_coords, np.asarray(clamp(s).coords))
 
     return Generator(name, value, gradient)
 
@@ -134,8 +134,8 @@ def burg_generator() -> Generator:
 def _matrix_negentropies(space: "DensityMatrices", forms: np.ndarray) -> np.ndarray:
     """Tr rho ln rho of every form in a (..., m, m) stack, from one stacked eigvalsh.
 
-    Eigenvalues at or below 1e-12 count as 0; a form with an eigenvalue below
-    -1e-9 times its spectral radius (at least 1) raises DomainError.
+    Eigenvalues at or below ZERO_EIGENVALUE_TOL count as 0; a form with a
+    negative eigenvalue (NEGATIVE_EIGENVALUE_TOL) raises DomainError.
     """
     return -jordan.spectral_entropies(np.linalg.eigvalsh(forms)[..., :: space.mult])
 
@@ -159,10 +159,10 @@ class FiniteActionSet:
 
     actions: tuple
 
-    def optimal_for(self, s: State, tol: float = 1e-12):
+    def optimal_for(self, s: State):
         values = [evaluate(a, s) for a in self.actions]
         best = max(values)
-        return best, [a for a, v in zip(self.actions, values) if v >= best - tol]
+        return best, [a for a, v in zip(self.actions, values) if v >= best - OPTIMAL_ACTION_TOL]
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class TangentActionSet:
 
     generator: Generator
 
-    def optimal_for(self, s: State, tol: float = 1e-12):
+    def optimal_for(self, s: State):
         a = self.generator.tangent(s)
         return self.generator.value(s), [a]
 
@@ -241,7 +241,7 @@ class Divergence:
 
 
 def _kl_values(p, q):
-    mask = p > 1e-15
+    mask = p > KL_ZERO_MASS
     off = np.any(mask & (q <= 0.0), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(mask, p * np.log(p / q), 0.0)
@@ -281,18 +281,18 @@ def matrix_negentropy_divergence(space: "DensityMatrices") -> Divergence:
 
     With sigma = sum_j mu_j |v_j><v_j| over the eigenvectors of its form,
     D = Tr rho ln rho - sum_j ln mu_j <v_j|rho|v_j> / mult.  The support of
-    sigma is its eigenvalues above 1e-12; D is inf when rho puts more than
-    1e-10 of its mass outside it.
+    sigma is its eigenvalues above ZERO_EIGENVALUE_TOL; D is inf when rho puts
+    more than SUPPORT_LEAK_TOL of its mass outside it.
     """
 
     def array_rule(p, q):
         mu, v = np.linalg.eigh(space.forms(q))
         rho = space.forms(p)
         mass = np.real(np.sum(np.conj(v) * (rho @ v), axis=-2)) / space.mult  # <v_j|rho|v_j>
-        supp = mu > 1e-12
+        supp = mu > ZERO_EIGENVALUE_TOL
         cross = np.sum(np.log(np.where(supp, mu, 1.0)) * mass, axis=-1)
         leak = np.sum(np.where(supp, 0.0, mass), axis=-1)
-        return np.where(leak > 1e-10, math.inf, _matrix_negentropies(space, rho) - cross)
+        return np.where(leak > SUPPORT_LEAK_TOL, math.inf, _matrix_negentropies(space, rho) - cross)
 
     return Divergence("matrix_negentropy", "builtin", array_rule=array_rule)
 
@@ -377,8 +377,8 @@ def _require_states(space, rows) -> None:
 
 
 def check_locality(div: Divergence, space, trials: int = 1000,
-                   t_grid: Sequence[float] = DEFAULT_T_GRID, tol: float = 1e-8,
-                   seed: int = 0, include_reversed: bool = True) -> dict:
+                   t_grid: Sequence[float] = DEFAULT_T_GRID, tol: float = LOCALITY_TOL,
+                   seed: int = 0) -> dict:
     """Test whether D((1-t)s0 + t*s1, s0) is independent of the orthogonal s1.
 
     Both argument orders are evaluated; the order of the defining identity
@@ -404,10 +404,8 @@ def check_locality(div: Divergence, space, trials: int = 1000,
     a, b = div.values(space, mixed, pure)
     gaps = _extended_gaps(a, b)
     max_gap = float(np.max(gaps, initial=-1.0))
-    ar = br = max_gap_reversed = None
-    if include_reversed:
-        ar, br = div.values(space, pure, mixed)
-        max_gap_reversed = float(np.max(_extended_gaps(ar, br), initial=-1.0))
+    ar, br = div.values(space, pure, mixed)
+    max_gap_reversed = float(np.max(_extended_gaps(ar, br), initial=-1.0))
     passed = max_gap <= tol
     witness = None
     if not passed:
@@ -419,8 +417,7 @@ def check_locality(div: Divergence, space, trials: int = 1000,
             "s1": [float(c) for c in s1[trial]],
             "s2": [float(c) for c in s2[trial]],
             "values": [float(a[trial, k]), float(b[trial, k])],
-            "reversed_values": ([float(ar[trial, k]), float(br[trial, k])]
-                                if include_reversed else [None, None]),
+            "reversed_values": [float(ar[trial, k]), float(br[trial, k])],
         }
     return {
         "check": "locality",
@@ -449,7 +446,7 @@ def _pair_rows(space, rows) -> np.ndarray:
     return rows.reshape(-1, 2, space.coords_len)
 
 
-def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1e-9,
+def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = SUFFICIENCY_TOL,
                       trials: int = 200, seed: int = 0) -> dict:
     """Invariance of the divergence under channels reversible on the family.
 
@@ -479,7 +476,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = 1
     drawn = by_pair("family", space.family_draws(rng, (trials, 2)))
     mapped = by_pair("phi", drawn)
     back = by_pair("psi", mapped)
-    bad = np.max(np.abs(back - drawn), axis=-1) > 1e-9
+    bad = np.max(np.abs(back - drawn), axis=-1) > REVERSIBILITY_TOL
     violations = int(np.sum(bad))
     kept = np.flatnonzero(~np.any(bad, axis=1))
     dom = _interior_map(div, space)
@@ -533,25 +530,22 @@ class EntropyFit:
         }
 
 
-def fit_entropy_constant(div: Divergence, space: "Simplex", tol: float = 1e-10,
-                         samples: int = 200, seed: int = 0,
-                         locality_trials: int = 50) -> EntropyFit:
+def fit_entropy_constant(div: Divergence, space: "Simplex", tol: float = ENTROPY_FIT_TOL,
+                         samples: int = 200, seed: int = 0) -> EntropyFit:
     """Least-squares fit of a local divergence against the KL divergence.
 
     A local regret on a simplex with at least three vertices must be c times
     the KL divergence with c > 0 (the generator is -c times the entropy).
-    Raises when the locality precheck fails; a residual above tol reports
-    "not entropy-generated", which contradicts locality and flags a
-    numerical problem.
+    Raises when the locality precheck (50 trials) fails; a residual above
+    tol reports "not entropy-generated", which contradicts locality and
+    flags a numerical problem.
     """
+    require_count("samples", samples)
     if "kl" not in space.divergences or space.rank < 3:
         raise PreconditionError("entropy-constant recovery needs a simplex with n >= 3")
-    if locality_trials:
-        report = check_locality(div, space, trials=locality_trials, seed=seed + 1)
-        if not report["pass"]:
-            raise PreconditionError(
-                f"divergence {div.name} is not local (max gap {report['max_gap']:.3e})"
-            )
+    report = check_locality(div, space, trials=50, seed=seed + 1)
+    if not report["pass"]:
+        raise PreconditionError(f"divergence {div.name} is not local (max gap {report['max_gap']:.3e})")
     rows = space.family_draws(np.random.default_rng(seed), (samples, 2))
     rows = rows / np.sum(rows, axis=-1, keepdims=True)
     _require_states(space, rows)

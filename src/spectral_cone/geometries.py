@@ -42,10 +42,10 @@ from .cone import AffineFunctional, ConeElement, State
 from .decomposition import OrthogonalDecomposition, Ordering, Spectrum, majorizes, weights_entropy
 from .errors import (ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError,
                      PreconditionError)
+from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COMPLEMENT_MASS_MIN, DISTINCT_STATE_TOL,
+                         FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL, RECONSTRUCTION_TOL,
+                         SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS, WEIGHT_DROP_TOL)
 
-SINGULARITY_TOL = 1e-9
-SUPPORT_TOL = 1e-9
-WEIGHT_DROP_TOL = 1e-11
 MAX_ENUMERATION_VERTICES = 12
 FAMILY_GRID_POINTS = 10
 POINT_BLOCK = 4096  # points per stacked clique solve, bounding its temporaries
@@ -124,7 +124,7 @@ class Simplex(_Geometry):
     def rank(self) -> int:
         return self.n
 
-    def contains_state(self, coords, tol=1e-9):
+    def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., n) array."""
         coords = np.asarray(coords, dtype=float)
         return (np.min(coords, axis=-1) >= -tol) & (np.abs(np.sum(coords, axis=-1) - 1.0) <= tol)
@@ -199,7 +199,7 @@ class Simplex(_Geometry):
             fill_face(s1[t], rest)
             for _ in range(DISTINCT_ATTEMPTS):
                 fill_face(s2[t], rest)
-                if np.max(np.abs(s2[t] - s1[t])) > 1e-9:
+                if np.max(np.abs(s2[t] - s1[t])) > DISTINCT_STATE_TOL:
                     break
         return s0, s1, s2, np.zeros(trials, dtype=bool)
 
@@ -254,7 +254,7 @@ class Polytope(_Geometry):
             return len(self.vertices)
         raise NonSpectralSpaceError("polytope is not a simplex; rank undefined")
 
-    def contains_state(self, coords, tol=1e-9):
+    def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., dim) array."""
         geo = _polytope_geometry(self)
         coords = np.asarray(coords, dtype=float)
@@ -383,7 +383,7 @@ class Ball(_Geometry):
     def coords_len(self) -> int:
         return self.d
 
-    def contains_state(self, coords, tol=1e-9):
+    def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., d) array."""
         return np.linalg.norm(coords, axis=-1) <= 1.0 + tol
 
@@ -415,7 +415,7 @@ class Ball(_Geometry):
         v = np.asarray(x.coords, dtype=float)
         r = float(np.linalg.norm(v))
         lam = x.trace_weight
-        if r <= 1e-12:
+        if r <= BALL_CENTER_TOL:
             axis = np.zeros(self.d)
             axis[0] = 1.0  # fixed diameter for the center, for determinism
             return [lam / 2.0, lam / 2.0], [State(self, axis), State(self, -axis)]
@@ -565,7 +565,7 @@ class DensityMatrices(_Geometry):
     def state_from_matrix(self, m: jordan.HermitianMatrix) -> State:
         return State(self, self.coords_from_matrix(m))
 
-    def contains_state(self, coords, tol=1e-9):
+    def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., coords_len) array.
 
         A row is a state when it is Hermitian within tol, has unit trace
@@ -629,7 +629,7 @@ class DensityMatrices(_Geometry):
         weights, components = [], []
         for t, p in jordan.rank_one_forms(self.forms(x.coords), self.mult):
             w = lam * t
-            if w < -SINGULARITY_TOL * scale:
+            if w < -NEGATIVE_EIGENVALUE_TOL * scale:
                 raise NotInConeError(f"negative eigenvalue {t} in cone element")
             if w > WEIGHT_DROP_TOL * scale:
                 weights.append(w)
@@ -652,9 +652,10 @@ class DensityMatrices(_Geometry):
         The per-trial loop draws s0, then complement candidates for s1 and,
         for n >= 3, for s2: a density matrix, replaced by a pure one with
         probability 1/2, compressed by the complement projection of s0 and
-        renormalised.  A candidate of mass at most 1e-6 is drawn again, and
-        so is an s2 equal to s1, up to DISTINCT_ATTEMPTS states; after
-        MASS_ATTEMPTS rejected candidates of one state, RuntimeError.
+        renormalised.  A candidate of mass at most COMPLEMENT_MASS_MIN is
+        drawn again, and so is an s2 equal to s1, up to DISTINCT_ATTEMPTS
+        states; after MASS_ATTEMPTS rejected candidates of one state,
+        RuntimeError.
 
         The loop here only consumes the generator, after a plan of attempts
         per trial: plan[0] candidates for s1 and plan[j] for the j-th state
@@ -723,10 +724,10 @@ class DensityMatrices(_Geometry):
         comp = (np.eye(forms.shape[-1]) - self._support(s0))[:, None]
         compressed = self.coords_of(comp @ forms.reshape(k, -1, *forms.shape[1:]) @ comp)
         mass = self.traces(compressed)
-        accepted = mass > 1e-6
+        accepted = mass > COMPLEMENT_MASS_MIN
         rows = (1.0 / np.where(accepted, mass, 1.0))[..., None] * compressed
         s1, s2 = rows[:, 0], rows[:, -1]
-        same = distinct & ~capped & (np.max(np.abs(s2 - s1), axis=-1) <= 1e-9)
+        same = distinct & ~capped & (np.max(np.abs(s2 - s1), axis=-1) <= DISTINCT_STATE_TOL)
         verdict = np.select([~accepted[:, 0], ~accepted[:, -1], same],
                             [_S1_REJECTED, _S2_REJECTED, _SAME_AS_S1], _SETTLED)
         return np.stack([s0, s1, s2]), verdict
@@ -915,7 +916,7 @@ class _PolytopeGeometry:
                 raise ValueError(f"vertex list is not full-dimensional: {exc}") from exc
             if len(hull.vertices) != nv:
                 raise ValueError("vertex list contains non-extreme points")
-            eqs = np.unique(np.round(hull.equations, 12), axis=0)
+            eqs = np.unique(np.round(hull.equations, FACET_DIGITS), axis=0)
             self.facet_normals = eqs[:, :-1]
             self.facet_offsets = eqs[:, -1]
         self.vertex_array = verts
@@ -961,7 +962,7 @@ class _CliqueSystem:
         self.idx = tuple(idx)
         cols = vertex_array[list(idx)].T  # m x k
         self.matrix = np.vstack([cols, np.ones((1, len(idx)))])
-        self.rank = int(np.linalg.matrix_rank(self.matrix, tol=1e-10))
+        self.rank = int(np.linalg.matrix_rank(self.matrix, tol=CLIQUE_RANK_TOL))
         self.determined = self.rank == len(idx)
         self.pinv = np.linalg.pinv(self.matrix) if self.determined else None
 
@@ -1033,7 +1034,7 @@ def _determined_solutions(space: Polytope, state_coords, total, max_size):
     for idx, w, kept in _clique_solutions(space, coords, total, max_size):
         for clique, wc, keep in zip(idx, w[..., 0], kept[..., 0]):
             support = tuple(int(i) for i in clique[keep])
-            key = (support, tuple(np.round(wc[keep], 12)))
+            key = (support, tuple(np.round(wc[keep], WEIGHT_DIGITS)))
             if key in seen or not support:
                 continue
             seen.add(key)
@@ -1073,7 +1074,7 @@ def mutually_singular(s0: State, s1: State, space=None):
     space = space or s0.space
     if s0.space != space or s1.space != space:
         raise ValueError("states must belong to the given space")
-    if np.max(np.abs(s0.coords - s1.coords)) <= 1e-12:
+    if np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL:
         return False, None
     return space.mutually_singular(s0, s1)
 
@@ -1086,7 +1087,7 @@ def orthogonal(s0: State, s1: State, space=None) -> bool:
 def orthogonality_witness(s0: State, s1: State, space=None) -> Optional[AffineFunctional]:
     """Witness test for orthogonality, valid on the smallest face of the pair; None if not orthogonal."""
     space = space or s0.space
-    if np.max(np.abs(s0.coords - s1.coords)) <= 1e-12:
+    if np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL:
         return None
     return space.orthogonality_witness(s0, s1)
 
@@ -1117,7 +1118,7 @@ def decompose(space, x: ConeElement, with_witnesses: bool = False) -> Orthogonal
     dec = OrthogonalDecomposition(space, weights, components, witnesses)
     if dec.size > space.dim + 1:
         raise DecompositionError("decomposition exceeds the dimension bound")
-    if not dec.reconstruction_error(x) <= 1e-9 * max(1.0, x.trace_weight):  # NaN fails too
+    if not dec.reconstruction_error(x) <= RECONSTRUCTION_TOL * max(1.0, x.trace_weight):  # NaN fails too
         raise DecompositionError("decomposition does not reconstruct the element")
     return dec
 
@@ -1143,7 +1144,7 @@ def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Opti
     scale = max(1.0, s.trace_weight)
     solutions = {}
     for w, support in determined:
-        solutions[(support, tuple(np.round(w, 12)))] = (np.asarray(w, dtype=float), support)
+        solutions[(support, tuple(np.round(w, WEIGHT_DIGITS)))] = (np.asarray(w, dtype=float), support)
 
     def add_sample(full_weights, clique_idx):
         keep = full_weights > WEIGHT_DROP_TOL * scale
@@ -1151,7 +1152,7 @@ def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Opti
         if not support:
             return
         w = full_weights[keep]
-        key = (support, tuple(np.round(w, 12)))
+        key = (support, tuple(np.round(w, WEIGHT_DIGITS)))
         solutions.setdefault(key, (w, support))
 
     for sys_ in _clique_systems(space):
@@ -1191,7 +1192,7 @@ def random_pure_state(space, rng: np.random.Generator) -> State:
     return space.random_pure_state(rng)
 
 
-def random_cone_element(space, rng: np.random.Generator,
-                        trace_range=(0.1, 3.0)) -> ConeElement:
+def random_cone_element(space, rng: np.random.Generator) -> ConeElement:
+    """A random state scaled by a trace drawn uniformly from [0.1, 3)."""
     s = random_state(space, rng)
-    return ConeElement(space, rng.uniform(*trace_range), s.coords)
+    return ConeElement(space, rng.uniform(0.1, 3.0), s.coords)

@@ -37,11 +37,11 @@ import numpy as np
 from . import quaternion as quat
 from .decomposition import weights_entropy
 from .errors import DomainError, require_count
+from .tolerances import (CLUSTER_RADIUS_FLOOR, CLUSTER_RTOL, CONCAVITY_FD_RTOL, CONCAVITY_FD_STEP,
+                         CONCAVITY_REL_FLOOR, CONCAVITY_STRICTNESS, HERMITIAN_TOL, MIDPOINT_SLACK_TOL,
+                         NEGATIVE_EIGENVALUE_TOL, SPIN_DEGENERATE_TOL, ZERO_EIGENVALUE_TOL)
 
 RINGS = ("real", "complex", "quaternion")
-
-HERMITIAN_TOL = 1e-12
-CLUSTER_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +238,25 @@ def jordan_associator_norm(x: HermitianMatrix, y: HermitianMatrix) -> float:
 # Eigendecomposition
 # ---------------------------------------------------------------------------
 
-def _cluster_starts(w: np.ndarray, rtol: float) -> np.ndarray:
-    """Where each cluster of every ascending row starts: where the gap exceeds rtol times its spectral radius."""
-    thresh = rtol * np.maximum(1e-300, np.max(np.abs(w), axis=-1, keepdims=True))
+def _cluster_starts(w: np.ndarray) -> np.ndarray:
+    """Where each cluster of every ascending row starts: where the gap exceeds CLUSTER_RTOL times its radius."""
+    thresh = CLUSTER_RTOL * np.maximum(CLUSTER_RADIUS_FLOOR, np.max(np.abs(w), axis=-1, keepdims=True))
     starts = np.ones(w.shape, dtype=bool)
     starts[..., 1:] = ~(np.diff(w, axis=-1) <= thresh)
     return starts
 
 
-def cluster_indices(values: np.ndarray, rtol: float = CLUSTER_RTOL) -> list:
-    """Group sorted eigenvalues whose gaps are below rtol * spectral radius."""
+def cluster_indices(values: np.ndarray) -> list:
+    """Group sorted eigenvalues whose gaps are below CLUSTER_RTOL * spectral radius."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
-    return np.split(np.arange(values.size), np.flatnonzero(_cluster_starts(values, rtol))[1:])
+    return np.split(np.arange(values.size), np.flatnonzero(_cluster_starts(values))[1:])
 
 
-def cluster_means(w: np.ndarray, cluster_rtol: float = CLUSTER_RTOL) -> np.ndarray:
+def cluster_means(w: np.ndarray) -> np.ndarray:
     """Every eigenvalue of each ascending row replaced by the mean of its cluster (the cluster_indices rule)."""
-    starts = _cluster_starts(w, cluster_rtol)
+    starts = _cluster_starts(w)
     flat = w.reshape(-1)
     first = np.flatnonzero(starts)
     counts = np.diff(np.append(first, flat.size))
@@ -280,7 +280,7 @@ class EigenDecomposition:
         return acc
 
 
-def eigen_hermitian(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> EigenDecomposition:
+def eigen_hermitian(m: HermitianMatrix) -> EigenDecomposition:
     """Eigendecomposition into distinct eigenvalues and orthogonal idempotents.
 
     Quaternionic matrices are diagonalized through the complex embedding;
@@ -288,7 +288,7 @@ def eigen_hermitian(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> E
     quaternionic multiplicity is half the complex one.
     """
     w, v = np.linalg.eigh(m.to_complex())
-    groups = cluster_indices(w, cluster_rtol)
+    groups = cluster_indices(w)
     eigenvalues = []
     multiplicities = []
     idempotents = []
@@ -304,12 +304,12 @@ def eigen_hermitian(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> E
                               tuple(idempotents))
 
 
-def rank_one_components(m: HermitianMatrix, cluster_rtol: float = CLUSTER_RTOL) -> list:
+def rank_one_components(m: HermitianMatrix) -> list:
     """Split a Hermitian matrix into (eigenvalue, rank-one idempotent) pairs."""
-    return [(t, from_form(m.ring, p)) for t, p in rank_one_forms(m.to_complex(), m.mult, cluster_rtol)]
+    return [(t, from_form(m.ring, p)) for t, p in rank_one_forms(m.to_complex(), m.mult)]
 
 
-def rank_one_forms(z: np.ndarray, mult: int = 1, cluster_rtol: float = CLUSTER_RTOL) -> list:
+def rank_one_forms(z: np.ndarray, mult: int = 1) -> list:
     """Split a Hermitian complex form into (eigenvalue, rank-one idempotent form) pairs.
 
     mult is 2 for the form of a quaternionic matrix and 1 otherwise.  Within
@@ -321,7 +321,7 @@ def rank_one_forms(z: np.ndarray, mult: int = 1, cluster_rtol: float = CLUSTER_R
     if mult == 1:
         return [(float(w[i]), v[:, i : i + 1] @ np.conj(v[:, i : i + 1].T)) for i in range(w.size)]
     out = []
-    for g in cluster_indices(w, cluster_rtol):
+    for g in cluster_indices(w):
         cols = v[:, g]
         proj = cols @ np.conj(cols.T)
         t = float(np.mean(w[g]))
@@ -399,17 +399,16 @@ def _divided_difference_matrix(fvals: np.ndarray, dfvals: np.ndarray,
     return np.where(same, (dfvals[..., :, None] + dfvals[..., None, :]) / 2.0, dd)
 
 
-def directional_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix,
-                           cluster_rtol: float = CLUSTER_RTOL) -> HermitianMatrix:
+def directional_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     """Derivative of f(a + t b) at t = 0 via divided differences.
 
-    Eigenvalues closer than cluster_rtol times the spectral radius are
+    Eigenvalues closer than CLUSTER_RTOL times the spectral radius are
     treated as equal, switching the coefficient to f'.
     """
     a._check_compatible(b)
     w, v = np.linalg.eigh(a.to_complex())
     fn.check_domain(w)
-    reps = cluster_means(w, cluster_rtol)
+    reps = cluster_means(w)
     coeff = _divided_difference_matrix(fn.f(reps), fn.df(reps), reps)
     mid = np.conj(v.T) @ b.to_complex() @ v
     return from_form(a.ring, v @ (coeff * mid) @ np.conj(v.T))
@@ -424,25 +423,23 @@ def trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix)
     return float(np.dot(fn.df(w), mid_diag)) / a.mult
 
 
-def second_trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix,
-                            cluster_rtol: float = CLUSTER_RTOL) -> float:
+def second_trace_derivative(fn: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix) -> float:
     """d^2/dt^2 Tr f(a + t b) at t = 0 via divided differences of f'."""
     a._check_compatible(b)
     if fn.d2f is None:
         raise ValueError(f"{fn.name} carries no second derivative oracle")
     w, v = np.linalg.eigh(a.to_complex())
     fn.check_domain(w)
-    return float(_second_trace_derivatives(fn, w, v, b.to_complex(), cluster_rtol)) / a.mult
+    return float(_second_trace_derivatives(fn, w, v, b.to_complex())) / a.mult
 
 
-def _second_trace_derivatives(fn: ScalarFunction, w: np.ndarray, v: np.ndarray, zb: np.ndarray,
-                              cluster_rtol: float = CLUSTER_RTOL) -> np.ndarray:
+def _second_trace_derivatives(fn: ScalarFunction, w: np.ndarray, v: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """Sum of coeff * |V* B V|^2 for stacks of eigendecompositions (w, v) and forms zb.
 
     coeff holds the divided differences of f' (Daleckii-Krein); divided by
     the multiplicity of the forms, this is d^2/dt^2 Tr f(a + t b) at t = 0.
     """
-    reps = cluster_means(w, cluster_rtol)
+    reps = cluster_means(w)
     coeff = _divided_difference_matrix(fn.df(reps), fn.d2f(reps), reps)
     mid = np.conj(np.swapaxes(v, -1, -2)) @ zb @ v
     terms = coeff * np.abs(mid) ** 2
@@ -456,25 +453,26 @@ def trace_function(fn: ScalarFunction, m: HermitianMatrix) -> float:
     return float(np.sum(fn.f(w)))
 
 
-def von_neumann_entropy(m: HermitianMatrix, zero_tol: float = 1e-12) -> float:
+def von_neumann_entropy(m: HermitianMatrix) -> float:
     """Entropy -sum t ln t of the ring eigenvalues, with 0 ln 0 = 0."""
-    return float(spectral_entropies(eigenvalues_of(m), zero_tol))
+    return float(spectral_entropies(eigenvalues_of(m)))
 
 
 def _negative_spectra(w: np.ndarray) -> np.ndarray:
-    """Rows of an ascending eigenvalue stack with an eigenvalue below -1e-9 times their radius (at least 1)."""
-    return w[..., 0] < -1e-9 * np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    """Rows of an ascending eigenvalue stack with an eigenvalue below -NEGATIVE_EIGENVALUE_TOL * max(1, radius)."""
+    return w[..., 0] < -NEGATIVE_EIGENVALUE_TOL * np.maximum(1.0, np.max(np.abs(w), axis=-1))
 
 
-def spectral_entropies(w: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
+def spectral_entropies(w: np.ndarray) -> np.ndarray:
     """-sum t ln t over the last axis of an ascending ring-eigenvalue stack.
 
-    Eigenvalues at or below zero_tol count as 0; a row with an eigenvalue
-    below -1e-9 times its spectral radius (at least 1) raises DomainError.
+    Eigenvalues at or below ZERO_EIGENVALUE_TOL count as 0; a row with an
+    eigenvalue below -NEGATIVE_EIGENVALUE_TOL times its spectral radius (at
+    least 1) raises DomainError.
     """
     if np.any(_negative_spectra(w)):
         raise DomainError("matrix has a negative eigenvalue")
-    return weights_entropy(np.moveaxis(np.where(w > zero_tol, w, 0.0), -1, 0))
+    return weights_entropy(np.moveaxis(np.where(w > ZERO_EIGENVALUE_TOL, w, 0.0), -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -526,29 +524,27 @@ def spin_trace_function(fn: ScalarFunction, a: SpinElement) -> float:
     return float(fn.f(np.array([lo, hi])).sum())
 
 
-def spin_second_trace_derivative(fn: ScalarFunction, a: SpinElement, b: SpinElement,
-                                 degenerate_tol: float = 1e-14) -> float:
+def spin_second_trace_derivative(fn: ScalarFunction, a: SpinElement, b: SpinElement) -> float:
     """d^2/dt^2 [f(lam_-(a + t b)) + f(lam_+(a + t b))] at t = 0.
 
     Closed form from differentiating the eigenvalues t +- |v|; the
-    degenerate branch (|v| = 0) uses f'' on the single eigenvalue,
+    degenerate branch (|v| <= SPIN_DEGENERATE_TOL) uses f'' on the single eigenvalue,
     mirroring the equal-eigenvalue rule of the matrix calculus.
     """
     if a.d != b.d:
         raise ValueError("spin elements of different dimension")
     if fn.d2f is None:
         raise ValueError(f"{fn.name} carries no second derivative oracle")
-    degenerate = float(np.linalg.norm(a.v)) <= degenerate_tol
+    degenerate = float(np.linalg.norm(a.v)) <= SPIN_DEGENERATE_TOL
     fn.check_domain(np.array([a.t] if degenerate else a.eigenvalues()))
-    return float(_spin_second_derivatives(fn, np.array([a.t]), a.v[None], np.array([b.t]), b.v[None],
-                                          degenerate_tol)[0])
+    return float(_spin_second_derivatives(fn, np.array([a.t]), a.v[None], np.array([b.t]), b.v[None])[0])
 
 
-def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s: np.ndarray, u: np.ndarray,
-                             degenerate_tol: float = 1e-14) -> np.ndarray:
+def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s: np.ndarray,
+                             u: np.ndarray) -> np.ndarray:
     """The closed form of spin_second_trace_derivative at rows a = (t, v) along b = (s, u)."""
     r = _norms(v)
-    degenerate = r <= degenerate_tol
+    degenerate = r <= SPIN_DEGENERATE_TOL
     safe_r = np.where(degenerate, 1.0, r)
     lo, hi = t - r, t + r
     rdot = _row_dots(v / safe_r[:, None], u)
@@ -560,9 +556,9 @@ def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s
                         + rddot * (fn.df(hi) - fn.df(lo)))
 
 
-def spin_entropy(a: SpinElement, zero_tol: float = 1e-12) -> float:
+def spin_entropy(a: SpinElement) -> float:
     """-sum t ln t over the eigenvalues t -+ |v|, under the rule of spectral_entropies."""
-    return float(spectral_entropies(np.array(a.eigenvalues()), zero_tol))
+    return float(spectral_entropies(np.array(a.eigenvalues())))
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +675,7 @@ CONCAVITY_CONDITIONS = ("second_derivative", "finite_difference", "midpoint")
 
 
 def check_concavity(algebra, trials: int = 200, seed: int = 0,
-                    fd_step: float = 1e-4, strictness: float = 1e-10) -> dict:
+                    fd_step: float = CONCAVITY_FD_STEP, strictness: float = CONCAVITY_STRICTNESS) -> dict:
     """Verify strict concavity of entropy on the positive cone of an algebra.
 
     For random positive a and nonzero Hermitian b (unit Frobenius norm) the
@@ -699,8 +695,8 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
     terms = _spin_concavity_terms if kind == "spin" else _matrix_concavity_terms
     d2, g, slack = terms(kind, n, trials, rng, steps)
     fd = (g[:, 0] - 2.0 * g[:, 1] + g[:, 2]) / fd_step ** 2
-    rel = np.abs(fd - d2) / np.maximum(1e-12, np.abs(d2))
-    holds = np.stack([d2 < -strictness, rel <= 1e-5, slack >= -1e-10], axis=1)
+    rel = np.abs(fd - d2) / np.maximum(CONCAVITY_REL_FLOOR, np.abs(d2))
+    holds = np.stack([d2 < -strictness, rel <= CONCAVITY_FD_RTOL, slack >= -MIDPOINT_SLACK_TOL], axis=1)
     failing = np.flatnonzero(~np.all(holds, axis=1))
     witness = None
     if failing.size:
@@ -756,7 +752,7 @@ def _spin_concavity_terms(kind: str, d: int, trials: int, rng: np.random.Generat
     then two states (1/2, x/2) with x uniform in the unit ball.  The
     eigenvalues of (t, v) are t -+ |v|; the second derivative is the closed
     form of differentiating them, with f'' on the single eigenvalue when
-    |v| <= 1e-14.
+    |v| <= SPIN_DEGENERATE_TOL.
     """
     draws = np.empty((trials, 4 * d + 1))  # v, s, u, then the two ball directions
     radii = np.zeros((trials, 2))
@@ -787,7 +783,7 @@ def _spin_concavity_terms(kind: str, d: int, trials: int, rng: np.random.Generat
     pw = np.stack([tv - tr, tv + tr], axis=-1)
     mr = _norms(np.stack([(halves[:, 0] + halves[:, 1]) / 2.0, halves[:, 0], halves[:, 1]], axis=1))
     sw = np.stack([0.5 - mr, 0.5 + mr], axis=-1)
-    aw = np.where((r <= 1e-14)[:, None], 1.0, np.stack([1.0 - r, 1.0 + r], axis=-1))[:, None]
+    aw = np.where((r <= SPIN_DEGENERATE_TOL)[:, None], 1.0, np.stack([1.0 - r, 1.0 + r], axis=-1))[:, None]
     _raise_first_domain_error((aw, fn.outside(aw), fn.check_domain),
                               (sw, _negative_spectra(sw), spectral_entropies),
                               (pw, fn.outside(pw), fn.check_domain))

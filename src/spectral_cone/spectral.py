@@ -19,10 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import geometries as geo
 from .cone import ConeElement, State
-# TOTAL_TOL and weights_entropy are re-exported for callers of this module
-from .decomposition import (TOTAL_TOL, Ordering, OrthogonalDecomposition, Spectrum,  # noqa: F401
-                            majorizes, weights_entropy)
+from .decomposition import Ordering, OrthogonalDecomposition, Spectrum, majorizes
 from .errors import ApexError, require_count
+from .tolerances import GRID_MEMBERSHIP_TOL, SPECTRUM_DIGITS, SPECTRUM_GAP_TOL
 
 __all__ = [
     "Spectrum",
@@ -86,16 +85,16 @@ class SpectralityReport:
         return out
 
 
-def _distinct_spectra(space, state: State, tol: float = 1e-8):
-    """Sorted distinct spectra over all enumerated decompositions of a state."""
+def _distinct_spectra(space, state: State):
+    """Sorted distinct spectra over all enumerated decompositions of a state, SPECTRUM_GAP_TOL apart."""
     specs = []
     for dec in geo.enumerate_orthogonal_decompositions(space, state):
-        specs.append(tuple(np.round(dec.spectrum().weights, 9)))
+        specs.append(tuple(np.round(dec.spectrum().weights, SPECTRUM_DIGITS)))
     unique = sorted(set(specs), key=lambda s: (len(s), s))
     pruned = []
     for s in unique:
         if not any(
-            len(s) == len(t) and max(abs(a - b) for a, b in zip(s, t)) <= tol for t in pruned
+            len(s) == len(t) and max(abs(a - b) for a, b in zip(s, t)) <= SPECTRUM_GAP_TOL for t in pruned
         ):
             pruned.append(s)
     return pruned
@@ -176,7 +175,7 @@ def entropy_landscape(space, grid_resolution: int = 101) -> Landscape:
     xs = np.linspace(x0, x1, grid_resolution)
     ys = np.linspace(y0, y1, grid_resolution)
     coords = chart(*np.meshgrid(xs, ys, indexing="ij"))
-    inside = space.contains_state(coords, tol=1e-12)
+    inside = space.contains_state(coords, tol=GRID_MEMBERSHIP_TOL)
     values = np.full((grid_resolution, grid_resolution), np.nan)
     values[inside] = space.entropies(coords[inside], 1.0)
 

@@ -9,6 +9,7 @@ import pytest
 import spectral_cone as sc
 from spectral_cone import divergence as dv
 from spectral_cone import geometries as geo
+from spectral_cone import tolerances
 
 SIMPLEX3 = geo.Simplex(3)
 QUBITS = geo.DensityMatrices("complex", 2)
@@ -443,7 +444,7 @@ def reference_support(space, coords):
     w, v = np.linalg.eigh(space.forms(coords))
     keep = np.zeros(w.size, dtype=bool)
     for g in sc.jordan.cluster_indices(w):
-        keep[g] = np.mean(w[g]) > geo.SUPPORT_TOL
+        keep[g] = np.mean(w[g]) > tolerances.SUPPORT_TOL
     return v[:, keep] @ np.conj(v[:, keep].T)
 
 
@@ -540,7 +541,7 @@ def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, s
 
     def dom(s):
         if div.requires_interior:
-            return sc.mix([1.0 - dv.INTERIOR_EPS, dv.INTERIOR_EPS], [s, bary])
+            return sc.mix([1.0 - tolerances.INTERIOR_EPS, tolerances.INTERIOR_EPS], [s, bary])
         return s
 
     max_gap = max_gap_reversed = -1.0
@@ -582,7 +583,7 @@ def reference_sufficiency(div, space, trials, tol=1e-9, seed=0):
 
     def dom(s):
         if div.requires_interior:
-            return sc.mix([1.0 - dv.INTERIOR_EPS, dv.INTERIOR_EPS], [s, bary])
+            return sc.mix([1.0 - tolerances.INTERIOR_EPS, tolerances.INTERIOR_EPS], [s, bary])
         return s
 
     max_gap = -1.0
@@ -914,6 +915,12 @@ def test_fit_entropy_constant_matches_reference_loop(n, c, seed):
 def test_fit_entropy_constant_rejects_nonlocal_divergence():
     with pytest.raises(sc.PreconditionError):
         dv.fit_entropy_constant(dv.squared_euclidean_divergence(), SIMPLEX3, seed=4)
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+def test_fit_entropy_constant_rejects_sample_count_below_one(samples):
+    with pytest.raises(ValueError, match=rf"^samples must be at least 1, got {samples}$"):
+        dv.fit_entropy_constant(dv.kl_divergence(), SIMPLEX3, samples=samples)
 
 
 def test_fit_entropy_constant_needs_three_orthogonal_states():
