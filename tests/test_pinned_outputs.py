@@ -1,13 +1,16 @@
 """Fixed-seed CLI output of the checkers, pinned from an earlier version of the code.
 
 ``tests/data/matrix_outputs.json`` holds the argv, exit code and JSON report
-of 74 commands, written by ``tools/pin_matrix_outputs.py``: concavity,
+of 98 commands, written by ``tools/pin_matrix_outputs.py``: concavity,
 locality and sufficiency on density matrices and spin factors, locality on
 every geometry (simplices, polytopes, the disc), sufficiency on simplex3 and
-simplex4, each at seeds 1 to 3, plus two locality runs whose per-trial
-loop rejects a draw (a complement mass at or below 1e-6, and s2 equal to s1).  Exit codes, verdicts and the witness
-trial, t, condition and channel must match exactly; floats may differ by
-rounding only.
+simplex4, spectrality on the square, a triangle and the regular pentagon,
+each at seeds 1 to 3, plus two locality runs whose per-trial loop rejects a
+draw (a complement mass at or below 1e-6, and s2 equal to s1), and 15
+polytope decompositions with their witnesses (square, triangle, regular
+pentagon and 12-gon, two irregular polygons, the cube).  Exit codes,
+verdicts and the witness trial, t, condition and channel must match
+exactly; floats, witness coefficients included, may differ by rounding only.
 """
 
 import io
@@ -56,6 +59,7 @@ def test_matrix_command_matches_pinned_output(pin):
 
 
 def test_pins_cover_failing_witnesses():
-    witnesses = [p["report"]["witness"] for p in PINS if p["report"]["witness"]]
+    witnesses = [p["report"]["witness"] for p in PINS if p["report"].get("witness")]
     assert {"t", "channel"} <= {key for w in witnesses for key in w}
-    assert len(PINS) >= 74
+    assert len(PINS) >= 98
+    assert sum(len(p["report"].get("witnesses", ())) for p in PINS if p["argv"][0] == "decompose") >= 30

@@ -13,12 +13,35 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 
 from spectral_cone import cli
 
 SEEDS = (1, 2, 3)
-TRIANGLE = '{"kind": "polytope", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}'
+
+
+def polytope(vertices) -> str:
+    return json.dumps({"kind": "polytope", "vertices": [[float(c) for c in v] for v in vertices]})
+
+
+def regular_polygon(k: int) -> str:
+    return polytope([(math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k)) for i in range(k)])
+
+
+TRIANGLE = polytope([(0, 0), (1, 0), (0, 1)])
+PENTAGON = regular_polygon(5)
+CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+# polytope decompositions print HiGHS witness coefficients; (space, elements) with and without a trace
+DECOMPOSITIONS = (
+    ("square", ("[0.3, 0.6]", '{"trace": 2.5, "coords": [0.5, 0.5]}', "[1.0, 0.25]")),
+    (TRIANGLE, ("[0.2, 0.3]", '{"trace": 0.4, "coords": [0.5, 0.5]}')),
+    (PENTAGON, ("[0.1, 0.2]", '{"trace": 3.0, "coords": [-0.3, -0.1]}')),
+    (regular_polygon(12), ("[0.0, 0.0]", '{"trace": 1.5, "coords": [0.4, -0.2]}')),
+    (polytope([(0, 0), (3, 0), (4, 2), (1, 3)]), ("[2.0, 1.0]", "[0.5, 0.2]")),
+    (polytope([(0, 0), (2, -1), (4, 0), (5, 2), (2, 4), (-1, 2)]), ("[2.0, 1.5]", '{"trace": 2.0, "coords": [0.0, 1.0]}')),
+    (CUBE, ("[0.5, 0.5, 0.5]", '{"trace": 2.0, "coords": [0.2, 0.7, 0.4]}')),
+)
 COMMANDS = (
     *(("check", "concavity", "--algebra", a, "--trials", "20")
       for a in ("real4", "complex3", "quaternion3", "spin3")),
@@ -38,6 +61,7 @@ COMMANDS = (
     *(("check", "locality", "--space", s, "--divergence", "squared_euclidean", "--trials", "20")
       for s in ("square", TRIANGLE, "disc", "spin3")),
     ("check", "sufficiency", "--space", "simplex3", "--divergence", "kl", "--trials", "40"),
+    *(("check", "spectrality", "--space", s, "--trials", "20") for s in ("square", TRIANGLE, PENTAGON)),
 )
 # seeds at which the per-trial locality loop rejects a draw: a complement
 # mass at or below 1e-6 (real2, trial 1) and s2 equal to s1 (simplex3, twice in trial 4)
@@ -51,7 +75,9 @@ RETRY_COMMANDS = (
 def main() -> int:
     entries = []
     runs = [[*argv, "--seed", str(seed)] for argv in COMMANDS for seed in SEEDS]
-    for args in runs + [list(argv) for argv in RETRY_COMMANDS]:
+    runs += [list(argv) for argv in RETRY_COMMANDS]
+    runs += [["decompose", "--space", space, "--element", x] for space, xs in DECOMPOSITIONS for x in xs]
+    for args in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(args)
