@@ -22,6 +22,14 @@ Each descriptor class carries the behaviour of its geometry (faces, mutual
 singularity, decomposition, entropy, sampling, its builtin divergence names,
 channel suite and family draws); the module functions hold the logic shared
 by every geometry and call those methods.
+
+Only polytopes use scipy, and it is imported on the first call of the
+``linprog`` or ``ConvexHull`` wrapper below.  A polygon takes its facets
+from Andrew's monotone chain and its orthogonality graph from a closed-form
+interval test, so it solves a linear program only for the witnesses that
+``decompose`` prints; a polytope of dimension 3 or more takes its facets
+from qhull and its orthogonality graph from one HiGHS program per vertex
+pair.
 """
 
 from __future__ import annotations
@@ -33,8 +41,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
 from . import jordan
 from . import quaternion as quat
@@ -44,7 +50,8 @@ from .errors import (ApexError, DecompositionError, NonSpectralSpaceError, NotIn
                      PreconditionError)
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COMPLEMENT_MASS_MIN, DISTINCT_STATE_TOL,
                          FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL, RECONSTRUCTION_TOL,
-                         SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS, WEIGHT_DROP_TOL)
+                         SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS, WEIGHT_DROP_TOL,
+                         WITNESS_FEASIBILITY_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
 FAMILY_GRID_POINTS = 10
@@ -897,10 +904,26 @@ def _random_unitary(ring: str, n: int, rng: np.random.Generator):
 # Cached polytope machinery
 # ---------------------------------------------------------------------------
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
+def ConvexHull(points):
+    """scipy.spatial.ConvexHull, imported on the first call."""
+    from scipy.spatial import ConvexHull as hull
+
+    return hull(points)
+
+
 class _PolytopeGeometry:
     def __init__(self, space: Polytope):
         verts = np.array(space.vertices, dtype=float)
         nv, m = verts.shape
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("polytope vertices must be finite")
         if nv < m + 1:
             raise ValueError("polytope must be full-dimensional in its ambient space")
         if m == 1:
@@ -910,16 +933,52 @@ class _PolytopeGeometry:
             self.facet_normals = np.array([[-1.0], [1.0]])
             self.facet_offsets = np.array([lo, -hi])
         else:
-            try:
-                hull = ConvexHull(verts)
-            except Exception as exc:
-                raise ValueError(f"vertex list is not full-dimensional: {exc}") from exc
-            if len(hull.vertices) != nv:
+            n_extreme, equations = _polygon_hull(verts) if m == 2 else _qhull_facets(verts)
+            if n_extreme != nv:
                 raise ValueError("vertex list contains non-extreme points")
-            eqs = np.unique(np.round(hull.equations, FACET_DIGITS), axis=0)
+            eqs = np.unique(np.round(equations, FACET_DIGITS), axis=0)
             self.facet_normals = eqs[:, :-1]
             self.facet_offsets = eqs[:, -1]
         self.vertex_array = verts
+
+
+def _polygon_hull(verts: np.ndarray):
+    """(hull vertex count, facet equations) of 2-D points, by Andrew's monotone chain.
+
+    The chain (Andrew, IPL 9(5), 1979) walks the points in lexicographic
+    order and drops every point where the boundary does not turn left, so a
+    repeated point or one inside an edge is not a hull vertex.  Each row of
+    the equations is an outward unit normal and its offset, as in qhull's
+    ``equations``: normal . x + offset <= 0 inside.
+    """
+    pts = verts[np.lexsort((verts[:, 1], verts[:, 0]))].tolist()
+
+    def half(points):
+        chain = []
+        for x, y in points:
+            while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
+                                       - (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])) <= 0.0:
+                chain.pop()
+            chain.append((x, y))
+        return chain[:-1]
+
+    hull = np.array(half(pts) + half(pts[::-1]))  # counter-clockwise
+    if len(hull) < 3:
+        raise ValueError("vertex list is not full-dimensional")
+    edge = np.roll(hull, -1, axis=0) - hull
+    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
+    return len(hull), np.column_stack([normals, -np.sum(normals * hull, axis=1)])
+
+
+def _qhull_facets(verts: np.ndarray):
+    """(hull vertex count, facet equations) of points in 3 or more dimensions, by qhull."""
+    from scipy.spatial import QhullError
+
+    try:
+        hull = ConvexHull(verts)
+    except QhullError as exc:  # its message continues with a dump of qhull's state
+        raise ValueError(f"vertex list is not full-dimensional: {str(exc).strip().splitlines()[0]}") from None
+    return len(hull.vertices), hull.equations
 
 
 @lru_cache(maxsize=None)
@@ -971,11 +1030,43 @@ class _CliqueSystem:
 def _orthogonality_graph(space: Polytope) -> np.ndarray:
     nv = len(space.vertices)
     adj = np.zeros((nv, nv), dtype=bool)
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            adj[i, j] = adj[j, i] = orthogonal(space.vertex_state(i), space.vertex_state(j))
+    if space.dim == 2:
+        i, j = np.triu_indices(nv, 1)
+        adj[i, j] = adj[j, i] = _polygon_orthogonal(_polytope_geometry(space), i, j)
+    else:
+        for i in range(nv):
+            for j in range(i + 1, nv):
+                adj[i, j] = adj[j, i] = orthogonal(space.vertex_state(i), space.vertex_state(j))
     adj.setflags(write=False)
     return adj
+
+
+def _polygon_orthogonal(geo: _PolytopeGeometry, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Orthogonality of the polygon vertex pairs (i[p], j[p]), in closed form.
+
+    This is the verdict of ``orthogonal`` on the two vertex states.  On the
+    vertices vk of the pair's smallest face, found as ``smallest_face`` does,
+    the witness f(x) = c . (x - vi) of ``_affine_test_feasible`` must have
+    f(vj) = 1, so c = d / |d|^2 + t d_perp with d = vj - vi, and f(vk) =
+    a_k + t g_k.  The witness exists exactly when the intervals of t on which
+    every f(vk) lies in [0, 1], within WITNESS_FEASIBILITY_TOL, meet.
+    """
+    verts, normals, offsets = geo.vertex_array, geo.facet_normals, geo.facet_offsets
+    active = np.abs((verts[i] + verts[j]) / 2.0 @ normals.T + offsets) <= SINGULARITY_TOL
+    on_facet = np.abs(verts @ normals.T + offsets) <= SINGULARITY_TOL
+    face = np.all(~active[:, None, :] | on_facet, axis=-1)  # (pairs, vertices); no active facet: all
+    d = verts[j] - verts[i]
+    rel = verts - verts[i][:, None, :]
+    a = np.sum(rel * d[:, None, :], axis=-1) / np.sum(d * d, axis=-1)[:, None]
+    g = rel[..., 1] * d[:, None, 0] - rel[..., 0] * d[:, None, 1]
+    lo, hi = -WITNESS_FEASIBILITY_TOL - a, 1.0 + WITNESS_FEASIBILITY_TOL - a  # bounds on t * g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = np.where(g > 0, lo / g, np.where(g < 0, hi / g, -np.inf))
+        upper = np.where(g > 0, hi / g, np.where(g < 0, lo / g, np.inf))
+    fixed_ok = (g != 0) | ((lo <= 0.0) & (hi >= 0.0))  # f(vk) = a_k for every t
+    meet = np.max(np.where(face, lower, -np.inf), axis=1) <= np.min(np.where(face, upper, np.inf), axis=1)
+    distinct = np.max(np.abs(d), axis=1) > SAME_STATE_TOL
+    return distinct & meet & np.all(~face | fixed_ok, axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -151,6 +151,24 @@ def test_divergence_off_its_spaces_exact_error(capsys, kind, space, divergence):
     assert (code, out, err) == (1, "", f"error: {OFF_DOMAIN_ERRORS[space, divergence]}\n")
 
 
+FLAT_POLYTOPE_ERRORS = {
+    # collinear in the plane: the monotone chain keeps two points
+    "[[0, 0], [1, 1], [2, 2]]": "vertex list is not full-dimensional",
+    # coplanar in space: the first line of qhull's error, without its dump of qhull's state
+    "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]":
+        "vertex list is not full-dimensional: QH6154 Qhull precision error: Initial simplex is flat "
+        "(facet 1 is coplanar with the interior point)",
+    "[[0, 0], [1, 0], [NaN, 1]]": "polytope vertices must be finite",
+}
+
+
+@pytest.mark.parametrize("vertices", sorted(FLAT_POLYTOPE_ERRORS))
+def test_decompose_flat_polytope_exact_error(capsys, vertices):
+    space = f'{{"kind": "polytope", "vertices": {vertices}}}'
+    code, out, err = run_cli(capsys, "decompose", "--space", space, "--element", "[1, 1]")
+    assert (code, out, err) == (1, "", f"error: {FLAT_POLYTOPE_ERRORS[vertices]}\n")
+
+
 @pytest.mark.parametrize("trace", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("space,coords", [("simplex3", "[5, -3, 7]"),
                                           ("complex2", "[0.5, 0, 0, 0, 0, 0, 0.5, 0]")])
