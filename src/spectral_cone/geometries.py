@@ -1041,7 +1041,7 @@ def _orthogonality_graph(space: Polytope) -> np.ndarray:
     return adj
 
 
-def _polygon_orthogonal(geo: _PolytopeGeometry, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _polygon_orthogonal(geometry: _PolytopeGeometry, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Orthogonality of the polygon vertex pairs (i[p], j[p]), in closed form.
 
     This is the verdict of ``orthogonal`` on the two vertex states.  On the
@@ -1051,16 +1051,16 @@ def _polygon_orthogonal(geo: _PolytopeGeometry, i: np.ndarray, j: np.ndarray) ->
     a_k + t g_k.  The witness exists exactly when the intervals of t on which
     every f(vk) lies in [0, 1], within WITNESS_FEASIBILITY_TOL, meet.
     """
-    verts, normals, offsets = geo.vertex_array, geo.facet_normals, geo.facet_offsets
+    verts, normals, offsets = geometry.vertex_array, geometry.facet_normals, geometry.facet_offsets
     active = np.abs((verts[i] + verts[j]) / 2.0 @ normals.T + offsets) <= SINGULARITY_TOL
     on_facet = np.abs(verts @ normals.T + offsets) <= SINGULARITY_TOL
     face = np.all(~active[:, None, :] | on_facet, axis=-1)  # (pairs, vertices); no active facet: all
     d = verts[j] - verts[i]
     rel = verts - verts[i][:, None, :]
-    a = np.sum(rel * d[:, None, :], axis=-1) / np.sum(d * d, axis=-1)[:, None]
     g = rel[..., 1] * d[:, None, 0] - rel[..., 0] * d[:, None, 1]
-    lo, hi = -WITNESS_FEASIBILITY_TOL - a, 1.0 + WITNESS_FEASIBILITY_TOL - a  # bounds on t * g
     with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sum(rel * d[:, None, :], axis=-1) / np.sum(d * d, axis=-1)[:, None]
+        lo, hi = -WITNESS_FEASIBILITY_TOL - a, 1.0 + WITNESS_FEASIBILITY_TOL - a  # bounds on t * g
         lower = np.where(g > 0, lo / g, np.where(g < 0, hi / g, -np.inf))
         upper = np.where(g > 0, hi / g, np.where(g < 0, lo / g, np.inf))
     fixed_ok = (g != 0) | ((lo <= 0.0) & (hi >= 0.0))  # f(vk) = a_k for every t

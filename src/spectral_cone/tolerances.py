@@ -29,7 +29,7 @@ FACET_DIGITS = 12  # hull facet equations equal to this many decimals are one fa
 BALL_CENTER_TOL = 1e-12  # a ball point this close to the centre decomposes along the fixed diameter
 CLIQUE_RANK_TOL = 1e-10  # singular-value cut-off of the rank that decides a clique system is determined
 RECONSTRUCTION_TOL = 1e-9  # relative error within which a decomposition must rebuild its element
-WITNESS_FEASIBILITY_TOL = 1e-7  # a polygon orthogonality witness may leave [0, 1] by this, as the HiGHS LP it stands for may
+WITNESS_FEASIBILITY_TOL = 1e-7  # slack on [0, 1] of a polygon witness: the HiGHS feasibility tolerance of its LP
 COMPLEMENT_MASS_MIN = 1e-6  # a density locality candidate needs more than this trace in the complement of s0
 
 # Matrices and spin factors

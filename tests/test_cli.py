@@ -159,6 +159,7 @@ FLAT_POLYTOPE_ERRORS = {
         "vertex list is not full-dimensional: QH6154 Qhull precision error: Initial simplex is flat "
         "(facet 1 is coplanar with the interior point)",
     "[[0, 0], [1, 0], [NaN, 1]]": "polytope vertices must be finite",
+    "[[NaN], [1]]": "polytope vertices must be finite",  # a segment used to accept it
 }
 
 

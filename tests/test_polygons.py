@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-import spectral_cone
 from spectral_cone import geometries as geo
+from spectral_cone.spectral import is_spectral
 from spectral_cone.tolerances import FACET_DIGITS
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -129,7 +129,7 @@ def test_polygon_graph_calls_no_scipy(monkeypatch):
     monkeypatch.setattr(geo, "ConvexHull", refuse)
     space = polytope(regular_polygon(7) * 1.25)  # not built elsewhere, so no cache holds it
     assert geo._orthogonality_graph(space).any()
-    assert spectral_cone.spectral.is_spectral(space, samples=5, seed=1).spectral is False
+    assert is_spectral(space, samples=5, seed=1).spectral is False
 
 
 # ---------------------------------------------------------------------------
