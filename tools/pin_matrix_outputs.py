@@ -1,4 +1,4 @@
-"""Record the CLI output of fixed-seed checker commands as a regression pin.
+"""Record the CLI output of fixed-seed checker commands and polytope decompositions as a regression pin.
 
 Run from the repository root on the commit whose output is to be pinned:
 
@@ -39,7 +39,8 @@ DECOMPOSITIONS = (
     (PENTAGON, ("[0.1, 0.2]", '{"trace": 3.0, "coords": [-0.3, -0.1]}')),
     (regular_polygon(12), ("[0.0, 0.0]", '{"trace": 1.5, "coords": [0.4, -0.2]}')),
     (polytope([(0, 0), (3, 0), (4, 2), (1, 3)]), ("[2.0, 1.0]", "[0.5, 0.2]")),
-    (polytope([(0, 0), (2, -1), (4, 0), (5, 2), (2, 4), (-1, 2)]), ("[2.0, 1.5]", '{"trace": 2.0, "coords": [0.0, 1.0]}')),
+    (polytope([(0, 0), (2, -1), (4, 0), (5, 2), (2, 4), (-1, 2)]),
+     ("[2.0, 1.5]", '{"trace": 2.0, "coords": [0.0, 1.0]}')),
     (CUBE, ("[0.5, 0.5, 0.5]", '{"trace": 2.0, "coords": [0.2, 0.7, 0.4]}')),
 )
 COMMANDS = (
