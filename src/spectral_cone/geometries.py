@@ -29,7 +29,9 @@ from Andrew's monotone chain and its orthogonality graph from a closed-form
 interval test, so it solves a linear program only for the witnesses that
 ``decompose`` prints; a polytope of dimension 3 or more takes its facets
 from qhull and its orthogonality graph from one HiGHS program per vertex
-pair.
+pair.  Each witness program is solved once per polytope and ordered pair of
+states (``_face_witness``), and every polytope cache is a bounded LRU cache:
+``POLYTOPE_CACHE_SIZE`` polytopes, ``WITNESS_CACHE_SIZE`` witnesses.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COMPLEMENT_MASS_MIN, 
                          WITNESS_FEASIBILITY_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
+POLYTOPE_CACHE_SIZE = 64  # polytopes whose geometry, orthogonality graph and clique systems stay cached
+WITNESS_CACHE_SIZE = 4096  # (polytope, ordered state pair) witness programs kept solved
 FAMILY_GRID_POINTS = 10
 POINT_BLOCK = 4096  # points per stacked clique solve, bounding its temporaries
 MASS_ATTEMPTS = 16  # draws of one complement state before the locality sampler gives up
@@ -281,26 +285,21 @@ class Polytope(_Geometry):
         return {"kind": "polytope", "vertices": [list(v) for v in self.vertices]}
 
     def smallest_face(self, states) -> Face:
-        geo = _polytope_geometry(self)
-        center = np.mean([s.coords for s in states], axis=0)
-        slack = geo.facet_normals @ center + geo.facet_offsets
-        active = np.abs(slack) <= SINGULARITY_TOL
-        if not np.any(active):
+        face = _face_vertices(self, np.mean([s.coords for s in states], axis=0))
+        if face is None:
             return Face(self, "whole", vertex_indices=tuple(range(len(self.vertices))))
-        on_face = np.all(
-            np.abs(geo.vertex_array @ geo.facet_normals[active].T + geo.facet_offsets[active]) <= SINGULARITY_TOL,
-            axis=1,
-        )
-        return Face(self, "vertices", vertex_indices=tuple(np.nonzero(on_face)[0].tolist()))
+        return Face(self, "vertices", vertex_indices=face)
 
     def mutually_singular(self, s0: State, s1: State):
         witness = _affine_test_feasible(self.vertex_array, s0.coords, s1.coords)
         return witness is not None, witness
 
     def orthogonality_witness(self, s0: State, s1: State) -> Optional[AffineFunctional]:
-        """Mutual singularity restricted to the vertices of the smallest face of the pair."""
-        face = self.smallest_face([s0, s1])
-        return _affine_test_feasible(self.vertex_array[list(face.vertex_indices)], s0.coords, s1.coords)
+        """Mutual singularity restricted to the vertices of the smallest face of the pair.
+
+        Solved once per ordered pair of coordinate vectors (see ``_face_witness``).
+        """
+        return _face_witness(self, s0.coords.tobytes(), s1.coords.tobytes())
 
     def decomposition(self, x: ConeElement):
         sols = _determined_solutions(self, x.coords, x.trace_weight, self.dim + 1)
@@ -981,9 +980,36 @@ def _qhull_facets(verts: np.ndarray):
     return len(hull.vertices), hull.equations
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
 def _polytope_geometry(space: Polytope) -> _PolytopeGeometry:
     return _PolytopeGeometry(space)
+
+
+def _face_vertices(space: Polytope, center: np.ndarray) -> Optional[tuple]:
+    """Vertex indices of the smallest face of the polytope containing center; None for the whole polytope."""
+    geo = _polytope_geometry(space)
+    active = np.abs(geo.facet_normals @ center + geo.facet_offsets) <= SINGULARITY_TOL
+    if not np.any(active):
+        return None
+    on_face = np.all(
+        np.abs(geo.vertex_array @ geo.facet_normals[active].T + geo.facet_offsets[active]) <= SINGULARITY_TOL,
+        axis=1,
+    )
+    return tuple(np.nonzero(on_face)[0].tolist())
+
+
+@lru_cache(maxsize=WITNESS_CACHE_SIZE)
+def _face_witness(space: Polytope, zero_at: bytes, one_at: bytes) -> Optional[AffineFunctional]:
+    """The witness program of ``Polytope.orthogonality_witness`` for two states' coordinate bytes.
+
+    Keyed by the bytes, -0.0 and 0.0 stay apart, so a hit returns the
+    coefficients HiGHS printed for the same inputs.  The swapped pair is a
+    program of its own: 1 - f would change the printed digits.
+    """
+    zero_at, one_at = np.frombuffer(zero_at), np.frombuffer(one_at)
+    face = _face_vertices(space, np.mean([zero_at, one_at], axis=0))
+    verts = space.vertex_array if face is None else space.vertex_array[list(face)]
+    return _affine_test_feasible(verts, zero_at, one_at)
 
 
 def _affine_test_feasible(vertex_array: np.ndarray, zero_at: np.ndarray,
@@ -1026,7 +1052,7 @@ class _CliqueSystem:
         self.pinv = np.linalg.pinv(self.matrix) if self.determined else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
 def _orthogonality_graph(space: Polytope) -> np.ndarray:
     nv = len(space.vertices)
     adj = np.zeros((nv, nv), dtype=bool)
@@ -1069,7 +1095,7 @@ def _polygon_orthogonal(geometry: _PolytopeGeometry, i: np.ndarray, j: np.ndarra
     return distinct & meet & np.all(~face | fixed_ok, axis=1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
 def _clique_systems(space: Polytope) -> tuple:
     """All pairwise-orthogonal vertex subsets with pre-factored systems."""
     nv = len(space.vertices)
@@ -1077,17 +1103,36 @@ def _clique_systems(space: Polytope) -> tuple:
         raise ValueError(
             f"decomposition search supports at most {MAX_ENUMERATION_VERTICES} vertices, got {nv}"
         )
-    adj = _orthogonality_graph(space)
     verts = space.vertex_array
-    cliques = []
-    for size in range(1, nv + 1):
-        for idx in itertools.combinations(range(nv), size):
-            if all(adj[a, b] for a, b in itertools.combinations(idx, 2)):
-                cliques.append(_CliqueSystem(idx, verts))
-    return tuple(cliques)
+    return tuple(_CliqueSystem(idx, verts) for idx in _cliques(_orthogonality_graph(space)))
 
 
-@lru_cache(maxsize=None)
+def _cliques(adj: np.ndarray) -> list:
+    """Every nonempty clique of the graph as an index tuple, by size and then lexicographically.
+
+    Bron–Kerbosch (CACM 16(9), 1973) with Tomita's pivot (TCS 363, 2006)
+    lists each maximal clique once; the cliques are their nonempty subsets.
+    """
+    nbrs = [set(np.nonzero(row)[0].tolist()) for row in adj]
+    cliques = set()
+
+    def expand(clique: set, cand: set, done: set):
+        if not cand and not done:
+            members = sorted(clique)
+            for size in range(1, len(members) + 1):
+                cliques.update(itertools.combinations(members, size))
+            return
+        pivot = max(cand | done, key=lambda u: len(cand & nbrs[u]))
+        for v in cand - nbrs[pivot]:
+            expand(clique | {v}, cand & nbrs[v], done & nbrs[v])
+            cand = cand - {v}
+            done = done | {v}
+
+    expand(set(), set(range(len(adj))), set())
+    return sorted(cliques, key=lambda idx: (len(idx), idx))
+
+
+@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
 def _clique_stacks(space: Polytope) -> tuple:
     """(idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of the determined cliques, per size k."""
     determined = [s for s in _clique_systems(space) if s.determined]

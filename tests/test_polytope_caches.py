@@ -1,0 +1,164 @@
+"""Polytope caches: the witness memo, the one cache bound, and the clique enumeration.
+
+``decompose`` prints one HiGHS witness per ordered component pair, and each
+witness program is solved once per polytope and ordered pair of states.  The
+clique enumeration (Bron–Kerbosch with pivoting) is checked against the
+subset walk it replaced, kept here as the oracle.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_polygons import PROPERTIES, SQUARE, convex_polygons, polytope, regular_polygon
+
+import spectral_cone as sc
+from spectral_cone import geometries as geo
+
+CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+PENTAGON = polytope(regular_polygon(5))
+DODECAGON = polytope(regular_polygon(12))
+POLYTOPE_CACHES = (geo._polytope_geometry, geo._orthogonality_graph, geo._clique_systems, geo._clique_stacks)
+
+
+def subset_walk(adj: np.ndarray) -> list:
+    """Every pairwise-adjacent vertex subset, by size and then lexicographically, from all 2^n subsets."""
+    nv = len(adj)
+    return [idx for size in range(1, nv + 1) for idx in itertools.combinations(range(nv), size)
+            if all(adj[a, b] for a, b in itertools.combinations(idx, 2))]
+
+
+def clique_order(space: geo.Polytope) -> list:
+    return [system.idx for system in geo._clique_systems(space)]
+
+
+# ---------------------------------------------------------------------------
+# clique enumeration: Bron–Kerbosch against the subset walk
+# ---------------------------------------------------------------------------
+
+@PROPERTIES
+@given(verts=convex_polygons())
+def test_property_polygon_cliques_match_walk(verts):
+    space = polytope(verts)
+    assert clique_order(space) == subset_walk(geo._orthogonality_graph(space))
+
+
+@pytest.mark.parametrize("space", [SQUARE, CUBE, *(polytope(regular_polygon(k)) for k in range(3, 13))],
+                         ids=["square", "cube", *(f"{k}-gon" for k in range(3, 13))])
+def test_cliques_match_walk(space):
+    assert clique_order(space) == subset_walk(geo._orthogonality_graph(space))
+
+
+@PROPERTIES
+@given(data=st.data())
+def test_property_graph_cliques_match_walk(data):
+    # any graph, not only orthogonality graphs: dense ones have large cliques
+    nv = data.draw(st.integers(1, 10))
+    upper = data.draw(st.lists(st.booleans(), min_size=nv * (nv - 1) // 2, max_size=nv * (nv - 1) // 2))
+    adj = np.zeros((nv, nv), dtype=bool)
+    i, j = np.triu_indices(nv, 1)
+    adj[i, j] = adj[j, i] = upper
+    assert geo._cliques(adj) == subset_walk(adj)
+
+
+# ---------------------------------------------------------------------------
+# one bound on every polytope cache
+# ---------------------------------------------------------------------------
+
+def test_polytope_caches_share_one_bound():
+    assert {cache.cache_info().maxsize for cache in POLYTOPE_CACHES} == {geo.POLYTOPE_CACHE_SIZE}
+    assert geo._face_witness.cache_info().maxsize == geo.WITNESS_CACHE_SIZE
+
+
+def test_polytope_caches_stay_within_bound():
+    for k in range(geo.POLYTOPE_CACHE_SIZE + 10):
+        space = polytope(regular_polygon(5, scale=1.5 + k / 1000))  # not built elsewhere
+        geo.decompose(space, sc.ConeElement(space, 1.0, [0.1, 0.2]))
+    # every cache took more polygons than it holds, so each is full and no fuller
+    assert [cache.cache_info().currsize for cache in POLYTOPE_CACHES] == [geo.POLYTOPE_CACHE_SIZE] * 4
+
+
+# ---------------------------------------------------------------------------
+# the witness memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    calls = []
+    solve = geo.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "linprog", counted)
+    return calls
+
+
+def ordered_pairs(dec) -> list:
+    return [(a.coords.tobytes(), b.coords.tobytes()) for a, b in itertools.combinations(dec.components, 2)]
+
+
+@pytest.mark.parametrize("space, coords", [(SQUARE, [0.2, 0.3]), (CUBE, [0.2, 0.5, 0.7]),
+                                           (DODECAGON, [0.1, 0.2])], ids=["square", "cube", "12-gon"])
+def test_second_decompose_solves_no_program(space, coords, linprog_calls):
+    first = geo.decompose(space, sc.ConeElement(space, 1.0, coords), with_witnesses=True)
+    # the same components with weights spread further apart: a new element, the same pairs
+    weights = first.weights * np.linspace(1.0, 0.9, first.size)
+    other = sc.ConeElement(space, 2.0, weights @ np.array([c.coords for c in first.components]) / np.sum(weights))
+    linprog_calls.clear()
+    second = geo.decompose(space, other, with_witnesses=True)
+    assert ordered_pairs(second) == ordered_pairs(first)
+    assert not np.array_equal(second.weights / second.weights.sum(), first.weights / first.weights.sum())
+    assert linprog_calls == []
+    assert all(a is b for a, b in zip(second.witnesses, first.witnesses, strict=True))
+
+
+def vertex_pairs(space: geo.Polytope) -> list:
+    adj = geo._orthogonality_graph(space)
+    return [(i, j) for i, j in itertools.permutations(range(len(space.vertices)), 2) if adj[i, j]]
+
+
+def witness(space: geo.Polytope, i: int, j: int):
+    return geo.orthogonality_witness(space.vertex_state(i), space.vertex_state(j))
+
+
+@pytest.mark.parametrize("space", [SQUARE, CUBE, PENTAGON], ids=["square", "cube", "pentagon"])
+def test_memo_witnesses_equal_cold_solves(space):
+    pairs = vertex_pairs(space)
+    assert pairs
+    memo = [witness(space, i, j) for i, j in pairs]
+    assert all(witness(space, i, j) is w for (i, j), w in zip(pairs, memo))  # second call: a hit
+    cold = []
+    for i, j in pairs:
+        geo._face_witness.cache_clear()
+        cold.append(witness(space, i, j))
+    for w, c in zip(memo, cold):
+        assert w.linear.tobytes() == c.linear.tobytes()
+        assert np.float64(w.offset).tobytes() == np.float64(c.offset).tobytes()
+
+
+def test_swapped_pair_is_its_own_program(linprog_calls):
+    geo._face_witness.cache_clear()
+    forward = witness(SQUARE, 0, 3)
+    backward = witness(SQUARE, 3, 0)
+    assert len(linprog_calls) == 2
+    assert geo._face_witness.cache_info().currsize == 2
+    geo._face_witness.cache_clear()
+    cold = witness(SQUARE, 3, 0)
+    assert backward.linear.tobytes() == cold.linear.tobytes() and backward.offset == cold.offset
+    # the swapped witness maps vertex 3 to 0 and vertex 0 to 1, as 1 - forward would
+    s0, s3 = SQUARE.vertex_state(0), SQUARE.vertex_state(3)
+    assert (forward(s0), forward(s3), backward(s3), backward(s0)) == pytest.approx((0.0, 1.0, 0.0, 1.0))
+
+
+def test_negative_zero_is_its_own_key(linprog_calls):
+    plus = sc.State(SQUARE, [0.0, 0.0])
+    minus = sc.State(SQUARE, [-0.0, 0.0])
+    far = SQUARE.vertex_state(3)
+    geo.orthogonality_witness(plus, far)
+    linprog_calls.clear()
+    geo.orthogonality_witness(minus, far)
+    assert len(linprog_calls) == 1
