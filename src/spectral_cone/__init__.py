@@ -14,12 +14,9 @@ from .cone import (
     AffineFunctional,
     ConeElement,
     State,
-    apex,
-    cone_add,
     evaluate,
     is_test,
     mix,
-    trace,
 )
 from .decomposition import OrthogonalDecomposition, Spectrum
 from .divergence import (
@@ -30,20 +27,16 @@ from .divergence import (
     TangentActionSet,
     bregman,
     builtin_divergence,
-    burg_generator,
     check_locality,
     check_sufficiency,
     divergence_from_generator,
     divergence_zoo,
     envelope,
     fit_entropy_constant,
-    generator_from_coords_value,
     itakura_saito_divergence,
     kl_divergence,
     matrix_negentropy_divergence,
-    matrix_negentropy_generator,
     negentropy_generator,
-    numeric_gradient,
     regret_action,
     regret_state,
     scaled_divergence,
@@ -74,7 +67,6 @@ from .geometries import (
     mutually_singular,
     orthogonal,
     random_cone_element,
-    random_pure_state,
     random_state,
     smallest_face,
     space_from_json,
@@ -84,19 +76,14 @@ from .jordan import (
     EigenDecomposition,
     HermitianMatrix,
     ScalarFunction,
-    SpinElement,
-    apply_function,
     check_concavity,
     directional_derivative,
     eigen_hermitian,
-    euclidean_check,
     jordan_product,
     second_trace_derivative,
-    spin_product,
     trace_derivative,
     von_neumann_entropy,
 )
-from .jordan import trace as matrix_trace
 from .spectral import (
     Landscape,
     Ordering,
@@ -105,8 +92,6 @@ from .spectral import (
     entropy_landscape,
     is_spectral,
     majorizes,
-    spectral_rank,
-    spectrum_of,
 )
 
 __version__ = "0.1.0"

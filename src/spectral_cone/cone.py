@@ -77,15 +77,6 @@ class State(ConeElement):
         super().__init__(space, 1.0, coords)
 
 
-def apex(space) -> ConeElement:
-    return ConeElement(space, 0.0, space.barycenter_coords())
-
-
-def trace(x: ConeElement) -> float:
-    """Trace of a positive element: the weight lam of lam * s."""
-    return x.trace_weight
-
-
 def _require_same_space(*elements) -> None:
     first = elements[0].space
     for e in elements[1:]:
@@ -123,16 +114,6 @@ def mix_coords(space, t, a, b) -> np.ndarray:
     if not np.all(space.contains_state(out, tol=MEMBERSHIP_TOL)):
         raise NotInConeError("state coordinates fail the membership test")
     return out
-
-
-def cone_add(x: ConeElement, y: ConeElement) -> ConeElement:
-    """Sum in the cone: lam*s1 + mu*s2 = (lam+mu) * mixture(lam/(lam+mu), mu/(lam+mu))."""
-    _require_same_space(x, y)
-    total = x.trace_weight + y.trace_weight
-    if total == 0.0:
-        return apex(x.space)
-    coords = (x.trace_weight * x.coords + y.trace_weight * y.coords) / total
-    return ConeElement(x.space, total, coords)
 
 
 @dataclass(frozen=True)

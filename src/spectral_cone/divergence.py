@@ -26,9 +26,9 @@ import numpy as np
 from . import jordan
 from .cone import AffineFunctional, State, evaluate, mix, mix_coords
 from .errors import NotInConeError, PreconditionError, require_count
-from .tolerances import (ENTROPY_FIT_TOL, FD_GRADIENT_STEP, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL,
-                         MEMBERSHIP_TOL, OPTIMAL_ACTION_TOL, REVERSIBILITY_TOL, SUFFICIENCY_TOL,
-                         SUPPORT_LEAK_TOL, ZERO_EIGENVALUE_TOL)
+from .tolerances import (ENTROPY_FIT_TOL, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL, MEMBERSHIP_TOL,
+                         OPTIMAL_ACTION_TOL, REVERSIBILITY_TOL, SUFFICIENCY_TOL, SUPPORT_LEAK_TOL,
+                         ZERO_EIGENVALUE_TOL)
 
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -62,35 +62,6 @@ def clamp(s: State) -> State:
     return mix([1.0 - INTERIOR_EPS, INTERIOR_EPS], [s, bary])
 
 
-def numeric_gradient(value_at_coords: Callable[[np.ndarray], float], coords) -> np.ndarray:
-    """Central finite-difference gradient of a raw-coordinate function, step FD_GRADIENT_STEP."""
-    coords = np.asarray(coords, dtype=float)
-    out = np.zeros_like(coords)
-    for i in range(coords.size):
-        hi = coords.copy()
-        lo = coords.copy()
-        hi[i] += FD_GRADIENT_STEP
-        lo[i] -= FD_GRADIENT_STEP
-        out[i] = (value_at_coords(hi) - value_at_coords(lo)) / (2.0 * FD_GRADIENT_STEP)
-    return out
-
-
-def generator_from_coords_value(name: str, value_at_coords: Callable[[np.ndarray], float]) -> Generator:
-    """Generator whose gradient oracle is a central finite difference.
-
-    value_at_coords must extend off the state set to a neighborhood in the
-    embedding, as numeric differentiation steps outside it.
-    """
-
-    def value(s):
-        return float(value_at_coords(np.asarray(s.coords, dtype=float)))
-
-    def gradient(s):
-        return numeric_gradient(value_at_coords, np.asarray(clamp(s).coords))
-
-    return Generator(name, value, gradient)
-
-
 def negentropy_generator() -> Generator:
     """F(p) = sum p ln p on the simplex; induces the KL divergence."""
 
@@ -113,44 +84,6 @@ def squared_norm_generator() -> Generator:
         lambda s: float(np.dot(s.coords, s.coords)),
         lambda s: 2.0 * np.asarray(s.coords),
     )
-
-
-def burg_generator() -> Generator:
-    """F(p) = -sum ln p on positive vectors; induces Itakura-Saito."""
-
-    def value(s):
-        p = np.asarray(s.coords)
-        if float(np.min(p)) <= 0.0:
-            return math.inf
-        return float(-np.sum(np.log(p)))
-
-    def gradient(s):
-        p = np.asarray(clamp(s).coords)
-        return -1.0 / p
-
-    return Generator("burg", value, gradient)
-
-
-def _matrix_negentropies(space: "DensityMatrices", forms: np.ndarray) -> np.ndarray:
-    """Tr rho ln rho of every form in a (..., m, m) stack, from one stacked eigvalsh.
-
-    Eigenvalues at or below ZERO_EIGENVALUE_TOL count as 0; a form with a
-    negative eigenvalue (NEGATIVE_EIGENVALUE_TOL) raises DomainError.
-    """
-    return -jordan.spectral_entropies(np.linalg.eigvalsh(forms)[..., :: space.mult])
-
-
-def matrix_negentropy_generator(space: "DensityMatrices") -> Generator:
-    """F(rho) = Tr rho ln rho on density matrices; induces the matrix relative entropy."""
-
-    def value(s):
-        return float(_matrix_negentropies(space, space.forms(s.coords)))
-
-    def gradient(s):
-        mu, v = np.linalg.eigh(space.forms(clamp(s).coords))
-        return space.coords_of((v * (np.log(mu) + 1.0)) @ np.conj(v.T))
-
-    return Generator("matrix_negentropy", value, gradient)
 
 
 @dataclass(frozen=True)
@@ -282,7 +215,8 @@ def matrix_negentropy_divergence(space: "DensityMatrices") -> Divergence:
     With sigma = sum_j mu_j |v_j><v_j| over the eigenvectors of its form,
     D = Tr rho ln rho - sum_j ln mu_j <v_j|rho|v_j> / mult.  The support of
     sigma is its eigenvalues above ZERO_EIGENVALUE_TOL; D is inf when rho puts
-    more than SUPPORT_LEAK_TOL of its mass outside it.
+    more than SUPPORT_LEAK_TOL of its mass outside it.  Tr rho ln rho comes
+    from one stacked eigvalsh under the rule of ``jordan.spectral_entropies``.
     """
 
     def array_rule(p, q):
@@ -292,7 +226,8 @@ def matrix_negentropy_divergence(space: "DensityMatrices") -> Divergence:
         supp = mu > ZERO_EIGENVALUE_TOL
         cross = np.sum(np.log(np.where(supp, mu, 1.0)) * mass, axis=-1)
         leak = np.sum(np.where(supp, 0.0, mass), axis=-1)
-        return np.where(leak > SUPPORT_LEAK_TOL, math.inf, _matrix_negentropies(space, rho) - cross)
+        negentropy = -jordan.spectral_entropies(np.linalg.eigvalsh(rho)[..., :: space.mult])
+        return np.where(leak > SUPPORT_LEAK_TOL, math.inf, negentropy - cross)
 
     return Divergence("matrix_negentropy", "builtin", array_rule=array_rule)
 

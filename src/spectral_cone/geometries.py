@@ -135,8 +135,9 @@ class Simplex(_Geometry):
     def rank(self) -> int:
         return self.n
 
+    @np.errstate(over="ignore")
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
-        """Membership of one point, or of every row of a (..., n) array."""
+        """Membership of one point, or of every row of a (..., n) array; a sum that overflows fails."""
         coords = np.asarray(coords, dtype=float)
         return (np.min(coords, axis=-1) >= -tol) & (np.abs(np.sum(coords, axis=-1) - 1.0) <= tol)
 
@@ -389,8 +390,9 @@ class Ball(_Geometry):
     def coords_len(self) -> int:
         return self.d
 
+    @np.errstate(over="ignore")
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
-        """Membership of one point, or of every row of a (..., d) array."""
+        """Membership of one point, or of every row of a (..., d) array; a norm that overflows fails."""
         return np.linalg.norm(coords, axis=-1) <= 1.0 + tol
 
     def barycenter_coords(self) -> np.ndarray:
@@ -485,7 +487,7 @@ class DensityMatrices(_Geometry):
     convert between coordinate rows and forms; the ring enters only through
     them and ``mult``, the number of times each ring eigenvalue appears in a
     form.  HermitianMatrix appears only at the public boundary
-    (``matrix_from_coords`` and its kin, ``Face.projection``, the samplers).
+    (``state_matrix``, ``state_from_matrix``, ``Face.projection``, the samplers).
     """
 
     ring: str
@@ -559,24 +561,20 @@ class DensityMatrices(_Geometry):
         """Ring trace of every row: the sum of the real parts of the diagonal entries."""
         return np.sum(np.asarray(coords)[..., :: (self.n + 1) * self.components_per_entry], axis=-1)
 
-    def matrix_from_coords(self, coords) -> jordan.HermitianMatrix:
-        return jordan.from_form(self.ring, self.forms(coords))
-
-    def coords_from_matrix(self, m: jordan.HermitianMatrix) -> np.ndarray:
-        return self.coords_of(m.to_complex())
-
     def state_matrix(self, s: State) -> jordan.HermitianMatrix:
-        return self.matrix_from_coords(s.coords)
+        return jordan.from_form(self.ring, self.forms(s.coords))
 
     def state_from_matrix(self, m: jordan.HermitianMatrix) -> State:
-        return State(self, self.coords_from_matrix(m))
+        return State(self, self.coords_of(m.to_complex()))
 
+    @np.errstate(over="ignore")
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., coords_len) array.
 
         A row is a state when it is Hermitian within tol, has unit trace
         within tol and no eigenvalue below -tol; the eigenvalues of all rows
         that pass the first two tests come from one stacked eigvalsh call.
+        Entries so large that these sums overflow fail the first two tests.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.shape[-1:] != (self.coords_len,):
@@ -1162,6 +1160,7 @@ def _clique_solutions(space: Polytope, coords, total, max_size):
         yield idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)
 
 
+@np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
 def _determined_solutions(space: Polytope, state_coords, total, max_size):
     """(weights, support) for every determined clique system that solves x."""
     coords = np.asarray(state_coords, dtype=float)[None, :]
@@ -1322,10 +1321,6 @@ def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Opti
 
 def random_state(space, rng: np.random.Generator) -> State:
     return space.random_state(rng)
-
-
-def random_pure_state(space, rng: np.random.Generator) -> State:
-    return space.random_pure_state(rng)
 
 
 def random_cone_element(space, rng: np.random.Generator) -> ConeElement:

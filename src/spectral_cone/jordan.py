@@ -4,8 +4,8 @@ Hermitian matrices over the three division rings form Euclidean Jordan
 algebras under the symmetrized product x o y = (xy + yx) / 2.  This module
 provides the eigendecomposition into orthogonal idempotents, the matrix
 functional calculus, directional and trace derivatives of matrix functions
-(divided-difference formulas), and the numerical checkers for strict
-concavity of entropy and positive definiteness of the trace form.
+(divided-difference formulas), and the numerical checker for strict
+concavity of entropy.
 
 Every computation runs on the complex form of a matrix: real matrices are
 complex matrices with zero imaginary part, and quaternionic matrices go
@@ -206,32 +206,11 @@ def from_form(ring: str, z: np.ndarray) -> HermitianMatrix:
     return hermitian_part(ring, quat.from_complex(z) if ring == "quaternion" else z)
 
 
-def trace(m: HermitianMatrix) -> float:
-    """Ring trace: sum of the real parts of the diagonal entries."""
-    return float(_ring_traces(m.ring, m.data))
-
-
-def trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    """Tr(ab) for Hermitian a, b; equals the real component-wise dot product."""
-    a._check_compatible(b)
-    if a.ring == "quaternion":
-        return float(np.sum(a.data * b.data))
-    return float(np.real(np.sum(a.data * np.conj(b.data))))
-
-
 def jordan_product(x: HermitianMatrix, y: HermitianMatrix) -> HermitianMatrix:
     """Symmetrized product x o y = (xy + yx) / 2; Hermitian and commutative."""
     xy = x.matmul(y)
     yx = y.matmul(x)
     return hermitian_part(x.ring, (xy + yx) / 2.0)
-
-
-def jordan_associator_norm(x: HermitianMatrix, y: HermitianMatrix) -> float:
-    """Frobenius norm of (x o y) o (x o x) - x o (y o (x o x))."""
-    xx = jordan_product(x, x)
-    lhs = jordan_product(jordan_product(x, y), xx)
-    rhs = jordan_product(x, jordan_product(y, xx))
-    return (lhs - rhs).frobenius_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +361,6 @@ NEG_XLOGX = ScalarFunction(
 )
 
 
-def apply_function(fn: ScalarFunction, m: HermitianMatrix) -> HermitianMatrix:
-    """Functional calculus: sum of f(eigenvalue) times eigenprojection."""
-    w, v = np.linalg.eigh(m.to_complex())
-    fn.check_domain(w)
-    return from_form(m.ring, (v * fn.f(w)) @ np.conj(v.T))
-
-
 def _divided_difference_matrix(fvals: np.ndarray, dfvals: np.ndarray,
                                reps: np.ndarray) -> np.ndarray:
     """Matrices of (f(t_i) - f(t_j)) / (t_i - t_j) with f' on equal clusters, one per row."""
@@ -473,92 +445,6 @@ def spectral_entropies(w: np.ndarray) -> np.ndarray:
     if np.any(_negative_spectra(w)):
         raise DomainError("matrix has a negative eigenvalue")
     return weights_entropy(np.moveaxis(np.where(w > ZERO_EIGENVALUE_TOL, w, 0.0), -1, 0))
-
-
-# ---------------------------------------------------------------------------
-# Spin factor
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpinElement:
-    """Element (t, v) of the spin factor R + R^d with eigenvalues t +- |v|."""
-
-    t: float
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def d(self) -> int:
-        return self.v.shape[0]
-
-    def eigenvalues(self) -> tuple:
-        r = float(np.linalg.norm(self.v))
-        return (self.t - r, self.t + r)
-
-    def trace_value(self) -> float:
-        return 2.0 * self.t
-
-    def norm(self) -> float:
-        return math.sqrt(self.t ** 2 + float(np.dot(self.v, self.v)))
-
-
-def spin_identity(d: int) -> SpinElement:
-    return SpinElement(1.0, np.zeros(d))
-
-
-def spin_product(a: SpinElement, b: SpinElement) -> SpinElement:
-    """Spin-factor composition (s, u) o (t, v) = (s t + u.v, s v + t u)."""
-    if a.d != b.d:
-        raise ValueError("spin elements of different dimension")
-    return SpinElement(a.t * b.t + float(np.dot(a.v, b.v)), a.t * b.v + b.t * a.v)
-
-
-def spin_trace_function(fn: ScalarFunction, a: SpinElement) -> float:
-    lo, hi = a.eigenvalues()
-    fn.check_domain(np.array([lo, hi]))
-    return float(fn.f(np.array([lo, hi])).sum())
-
-
-def spin_second_trace_derivative(fn: ScalarFunction, a: SpinElement, b: SpinElement) -> float:
-    """d^2/dt^2 [f(lam_-(a + t b)) + f(lam_+(a + t b))] at t = 0.
-
-    Closed form from differentiating the eigenvalues t +- |v|; the
-    degenerate branch (|v| <= SPIN_DEGENERATE_TOL) uses f'' on the single eigenvalue,
-    mirroring the equal-eigenvalue rule of the matrix calculus.
-    """
-    if a.d != b.d:
-        raise ValueError("spin elements of different dimension")
-    if fn.d2f is None:
-        raise ValueError(f"{fn.name} carries no second derivative oracle")
-    degenerate = float(np.linalg.norm(a.v)) <= SPIN_DEGENERATE_TOL
-    fn.check_domain(np.array([a.t] if degenerate else a.eigenvalues()))
-    return float(_spin_second_derivatives(fn, np.array([a.t]), a.v[None], np.array([b.t]), b.v[None])[0])
-
-
-def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s: np.ndarray,
-                             u: np.ndarray) -> np.ndarray:
-    """The closed form of spin_second_trace_derivative at rows a = (t, v) along b = (s, u)."""
-    r = _norms(v)
-    degenerate = r <= SPIN_DEGENERATE_TOL
-    safe_r = np.where(degenerate, 1.0, r)
-    lo, hi = t - r, t + r
-    rdot = _row_dots(v / safe_r[:, None], u)
-    rddot = (_row_dots(u, u) - rdot ** 2) / safe_r
-    un = _norms(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(degenerate, fn.d2f(t) * ((s + un) ** 2 + (s - un) ** 2),
-                        fn.d2f(hi) * (s + rdot) ** 2 + fn.d2f(lo) * (s - rdot) ** 2
-                        + rddot * (fn.df(hi) - fn.df(lo)))
-
-
-def spin_entropy(a: SpinElement) -> float:
-    """-sum t ln t over the eigenvalues t -+ |v|, under the rule of spectral_entropies."""
-    return float(spectral_entropies(np.array(a.eigenvalues())))
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +678,27 @@ def _spin_concavity_terms(kind: str, d: int, trials: int, rng: np.random.Generat
     return d2, fn.f(pw[..., 0]) + fn.f(pw[..., 1]), h[:, 0] - (h[:, 1] + h[:, 2]) / 2.0
 
 
+def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s: np.ndarray,
+                             u: np.ndarray) -> np.ndarray:
+    """d^2/dh^2 [f(lam_-(a + h b)) + f(lam_+(a + h b))] at h = 0 for rows a = (t, v), b = (s, u).
+
+    Closed form from differentiating the eigenvalues t +- |v|; the
+    degenerate branch (|v| <= SPIN_DEGENERATE_TOL) uses f'' on the single
+    eigenvalue, mirroring the equal-eigenvalue rule of the matrix calculus.
+    """
+    r = _norms(v)
+    degenerate = r <= SPIN_DEGENERATE_TOL
+    safe_r = np.where(degenerate, 1.0, r)
+    lo, hi = t - r, t + r
+    rdot = _row_dots(v / safe_r[:, None], u)
+    rddot = (_row_dots(u, u) - rdot ** 2) / safe_r
+    un = _norms(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(degenerate, fn.d2f(t) * ((s + un) ** 2 + (s - un) ** 2),
+                        fn.d2f(hi) * (s + rdot) ** 2 + fn.d2f(lo) * (s - rdot) ** 2
+                        + rddot * (fn.df(hi) - fn.df(lo)))
+
+
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x . y of every row pair, through the BLAS dot that np.dot runs on one row."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
@@ -817,31 +724,3 @@ def _raise_first_domain_error(*checks) -> None:
         if col < flags.shape[1]:
             check(rows[trial, col])
         col -= flags.shape[1]
-
-
-def euclidean_check(algebra, trials: int = 200, seed: int = 0) -> dict:
-    """Positive definiteness of the trace form: Tr(x o x) > 0 for x != 0."""
-    kind, n = _parse_algebra(algebra)
-    require_count("trials", trials)
-    rng = np.random.default_rng(seed)
-    min_value = math.inf
-    for _ in range(trials):
-        if kind == "spin":
-            x = SpinElement(rng.standard_normal(), rng.standard_normal(n))
-            sq = spin_product(x, x)
-            value = sq.trace_value() / x.norm() ** 2
-        else:
-            x = random_hermitian(kind, n, rng)
-            value = trace_product(x, x) / x.frobenius_norm() ** 2
-        min_value = min(min_value, value)
-    ok = min_value > 0.0
-    return {
-        "check": "euclidean",
-        "algebra": f"{kind}{n}",
-        "pass": bool(ok),
-        "max_gap": float(max(0.0, -min_value)),
-        "min_normalized_trace_form": float(min_value),
-        "witness": None,
-        "trials": int(trials),
-        "seed": int(seed),
-    }

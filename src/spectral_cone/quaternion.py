@@ -28,30 +28,10 @@ def qarray(values) -> np.ndarray:
     return arr
 
 
-def qmul(p, q) -> np.ndarray:
-    """Hamilton product, broadcasting over leading axes."""
-    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy + py * qw + pz * qx - px * qz,
-            pw * qz + pz * qw + px * qy - py * qx,
-        ],
-        axis=-1,
-    )
-
-
 def qconj(p) -> np.ndarray:
     out = np.array(p, dtype=float)
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def qnorm(p) -> np.ndarray:
-    """Pointwise quaternion norm |p|."""
-    return np.sqrt(np.sum(np.asarray(p, dtype=float) ** 2, axis=-1))
 
 
 def qmat_mul(a, b) -> np.ndarray:

@@ -27,20 +27,13 @@ __all__ = [
     "Spectrum",
     "OrthogonalDecomposition",
     "Ordering",
-    "spectrum_of",
     "majorizes",
     "entropy",
     "is_spectral",
     "SpectralityReport",
-    "spectral_rank",
     "entropy_landscape",
     "Landscape",
 ]
-
-
-def spectrum_of(dec: OrthogonalDecomposition) -> Spectrum:
-    """Weight vector of a decomposition, sorted descending."""
-    return dec.spectrum()
 
 
 def entropy(space, x: ConeElement) -> float:
@@ -131,11 +124,6 @@ def is_spectral(space, samples: int = 40, seed: int = 0) -> SpectralityReport:
                 witness_spectra=(shortest, longest),
             )
     return SpectralityReport(True, "enumeration", samples, seed)
-
-
-def spectral_rank(space) -> int:
-    """Maximal number of pairwise orthogonal states of a spectral space."""
-    return space.rank
 
 
 # ---------------------------------------------------------------------------

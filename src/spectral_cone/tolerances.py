@@ -42,7 +42,6 @@ SPIN_DEGENERATE_TOL = 1e-14  # a spin element (t, v) with |v| at most this has t
 
 # Divergences and checkers
 INTERIOR_EPS = 1e-12  # barycenter weight of the mixture that keeps gradients and interior divergences finite
-FD_GRADIENT_STEP = 1e-6  # central-difference step of numeric generator gradients
 KL_ZERO_MASS = 1e-15  # entries of p at or below this carry no mass in sum p ln(p / q)
 SUPPORT_LEAK_TOL = 1e-10  # mass of rho outside the support of sigma above which D(rho, sigma) is inf
 OPTIMAL_ACTION_TOL = 1e-12  # actions within this of the best payoff are all optimal

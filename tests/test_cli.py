@@ -180,6 +180,21 @@ def test_decompose_non_finite_trace_exit_2(capsys, space, coords, trace):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("space,coords", [("disc", "[1e308, 1e308]"), ("spin3", "[1e308, 1e308, 1e308]"),
+                                          ("complex2", "[1e308, 0, 0, 0, 0, 0, 1e308, 0]")])
+def test_decompose_overflowing_coords_fail_membership_quietly(capsys, space, coords):
+    # sums and norms of these coordinates overflow; the membership test fails without a numpy warning
+    code, out, err = run_cli(capsys, "decompose", "--space", space, "--element", coords)
+    assert (code, out, err) == (2, "", "error: state coordinates fail the membership test\n")
+
+
+def test_decompose_trace_near_the_float_limit_is_quiet(capsys):
+    code, out, err = run_cli(capsys, "decompose", "--space", "square", "--element",
+                             '{"trace": 1e308, "coords": [0.5, 0.5]}')
+    assert code == 0 and err == ""
+    assert json.loads(out)["trace"] == 1e308
+
+
 @pytest.mark.parametrize("divergence", ["kl", "itakura_saito"])
 @pytest.mark.parametrize("kind", ["locality", "sufficiency"])
 def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):

@@ -1,4 +1,4 @@
-"""Tests for cone arithmetic: mixing, addition, traces, affine functionals."""
+"""Tests for cone elements: mixing, traces, membership, affine functionals."""
 
 import math
 
@@ -45,7 +45,7 @@ def test_mix_rejects_bad_weights():
 def test_mix_coords_matches_mix(space):
     rng = np.random.default_rng(4)
     a = [geo.random_state(space, rng) for _ in range(6)]
-    b = [geo.random_pure_state(space, rng) for _ in range(6)]
+    b = [space.random_pure_state(rng) for _ in range(6)]
     t = np.array([0.0, 0.1, 0.5, 0.9, 1.0])[:, None, None]
     rows = cone.mix_coords(space, t, np.array([s.coords for s in a]), np.array([s.coords for s in b]))
     assert rows.shape == (5, 6, space.coords_len)
@@ -65,55 +65,11 @@ def test_mix_rejects_mixed_spaces():
         sc.mix([0.5, 0.5], [a, b])
 
 
-def test_cone_add_identity_and_doubling():
-    s = sc.State(SIMPLEX3, [0.2, 0.3, 0.5])
-    t = sc.State(SIMPLEX3, [1.0, 0.0, 0.0])
-    zero_t = sc.ConeElement(SIMPLEX3, 0.0, t.coords)
-    out = sc.cone_add(s, zero_t)
-    assert out.trace_weight == 1.0
-    np.testing.assert_allclose(out.coords, s.coords, atol=0)
-    double = sc.cone_add(s, s)
-    assert double.trace_weight == 2.0
-    np.testing.assert_allclose(double.coords, s.coords, atol=0)
-
-
-def test_cone_add_two_vertices():
-    out = sc.cone_add(SIMPLEX3.vertex_state(0), SIMPLEX3.vertex_state(1))
-    assert out.trace_weight == 2.0
-    np.testing.assert_allclose(out.coords, [0.5, 0.5, 0.0], atol=0)
-
-
-def test_cone_add_apex_plus_apex_is_apex():
-    a = sc.apex(SIMPLEX3)
-    out = sc.cone_add(a, a)
-    assert out.is_apex
-
-
 def test_trace_values():
     s = sc.State(SIMPLEX3, [0.2, 0.3, 0.5])
-    assert sc.trace(s) == 1.0
-    assert sc.trace(sc.ConeElement(SIMPLEX3, 2.5, s.coords)) == 2.5
-    assert sc.trace(sc.cone_add(s, SIMPLEX3.vertex_state(0))) == 2.0
-
-
-def test_trace_additive_exact():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = geo.random_cone_element(SIMPLEX3, rng)
-        y = geo.random_cone_element(SIMPLEX3, rng)
-        assert sc.trace(sc.cone_add(x, y)) == sc.trace(x) + sc.trace(y)
-
-
-def test_cone_add_commutative_associative():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        x, y, z = (geo.random_cone_element(SQUARE, rng) for _ in range(3))
-        xy = sc.cone_add(x, y)
-        yx = sc.cone_add(y, x)
-        np.testing.assert_allclose(xy.embedded(), yx.embedded(), atol=1e-12)
-        left = sc.cone_add(sc.cone_add(x, y), z)
-        right = sc.cone_add(x, sc.cone_add(y, z))
-        np.testing.assert_allclose(left.embedded(), right.embedded(), atol=1e-12)
+    assert s.trace_weight == 1.0
+    assert sc.ConeElement(SIMPLEX3, 2.5, s.coords).trace_weight == 2.5
+    assert sc.ConeElement(SIMPLEX3, 0.0, s.coords).is_apex
 
 
 def test_evaluate_constant():
@@ -185,7 +141,7 @@ def test_is_test_validation():
     assert not sc.is_test(sc.AffineFunctional([0.6, 0.0], 0.5), ball)
     # density matrices: eigenvalue range of the Hermitian part
     dm = geo.DensityMatrices("complex", 2)
-    proj = dm.coords_from_matrix(sc.HermitianMatrix("complex", np.diag([1.0, 0.0]).astype(complex)))
+    proj = dm.state_from_matrix(sc.HermitianMatrix("complex", np.diag([1.0, 0.0]).astype(complex))).coords
     assert sc.is_test(sc.AffineFunctional(proj, 0.0), dm)
     assert not sc.is_test(sc.AffineFunctional(2.0 * proj, 0.0), dm)
 

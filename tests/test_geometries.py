@@ -20,6 +20,11 @@ def qubit_state(matrix) -> sc.State:
     return QUBITS.state_from_matrix(sc.HermitianMatrix("complex", np.asarray(matrix, dtype=complex)))
 
 
+def ring_trace(m) -> float:
+    """Ring trace of a HermitianMatrix from its complex form, where each eigenvalue appears m.mult times."""
+    return float(np.trace(m.to_complex()).real) / m.mult
+
+
 # ---------------------------------------------------------------------------
 # mutual singularity
 # ---------------------------------------------------------------------------
@@ -71,7 +76,7 @@ def test_qubit_pure_support_face():
     s = qubit_state(np.diag([1.0, 0.0]))
     face = geo.smallest_face(QUBITS, [s])
     assert face.kind == "support"
-    assert abs(sc.matrix_trace(face.projection) - 1.0) <= 1e-9
+    assert abs(ring_trace(face.projection) - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +105,8 @@ def test_orthogonality_symmetric():
     rng = np.random.default_rng(3)
     for space in (SQUARE, SIMPLEX3, QUBITS):
         for _ in range(10):
-            a = geo.random_pure_state(space, rng)
-            b = geo.random_pure_state(space, rng)
+            a = space.random_pure_state(rng)
+            b = space.random_pure_state(rng)
             assert geo.orthogonal(a, b) == geo.orthogonal(b, a)
 
 
@@ -110,7 +115,7 @@ def test_density_orthogonality_matches_numpy_support_oracle():
     rng = np.random.default_rng(4)
     for _ in range(25):
         a = geo.random_state(QUBITS, rng)
-        b = geo.random_pure_state(QUBITS, rng)
+        b = QUBITS.random_pure_state(rng)
         ours = geo.orthogonal(a, b)
         ma = QUBITS.state_matrix(a).data
         mb = QUBITS.state_matrix(b).data
@@ -201,12 +206,12 @@ def test_decomposition_invariants(space):
         for i in range(dec.size):
             for j in range(i + 1, dec.size):
                 assert geo.orthogonal(dec.components[i], dec.components[j])
-        assert abs(float(np.sum(dec.weights)) - sc.trace(x)) <= 1e-9
+        assert abs(float(np.sum(dec.weights)) - x.trace_weight) <= 1e-9
 
 
 def test_decompose_apex_raises():
     with pytest.raises(sc.ApexError):
-        geo.decompose(SIMPLEX3, sc.apex(SIMPLEX3))
+        geo.decompose(SIMPLEX3, sc.ConeElement(SIMPLEX3, 0.0, SIMPLEX3.barycenter_coords()))
 
 
 def test_decompose_rejects_nan_reconstruction():
@@ -314,14 +319,13 @@ def test_density_matrix_coords_roundtrip():
     for ring in ("real", "complex", "quaternion"):
         space = geo.DensityMatrices(ring, 3)
         m = sc.jordan.random_density_matrix(ring, 3, rng)
-        coords = space.coords_from_matrix(m)
-        back = space.matrix_from_coords(coords)
-        assert (back - m).frobenius_norm() <= 1e-12
+        s = space.state_from_matrix(m)
+        assert (space.state_matrix(s) - m).frobenius_norm() <= 1e-12
         # trace inner product equals the coordinate dot product
         other = sc.jordan.random_density_matrix(ring, 3, rng)
         assert abs(
-            sc.jordan.trace_product(m, other)
-            - float(np.dot(coords, space.coords_from_matrix(other)))
+            float(np.trace(m.to_complex() @ other.to_complex()).real) / m.mult
+            - float(np.dot(s.coords, space.state_from_matrix(other).coords))
         ) <= 1e-12
 
 
@@ -331,7 +335,7 @@ def test_random_samplers_produce_members():
         for _ in range(10):
             s = geo.random_state(space, rng)
             assert space.contains_state(s.coords)
-            p = geo.random_pure_state(space, rng)
+            p = space.random_pure_state(rng)
             assert space.contains_state(p.coords)
 
 
@@ -365,10 +369,10 @@ def test_decompose_frozen_supports(space, trace, coords, support):
 
 def reference_density_member(space, coords, tol):
     """Membership of one row through HermitianMatrix and jordan.eigenvalues_of."""
-    m = space.matrix_from_coords(coords)
-    if np.max(np.abs(coords - space.coords_from_matrix(m))) > tol:
+    m = sc.jordan.from_form(space.ring, space.forms(coords))
+    if np.max(np.abs(coords - space.coords_of(m.to_complex()))) > tol:
         return False  # not Hermitian within tolerance
-    if abs(sc.jordan.trace(m) - 1.0) > tol:
+    if abs(ring_trace(m) - 1.0) > tol:
         return False
     return float(np.min(sc.jordan.eigenvalues_of(m))) >= -tol
 
@@ -382,7 +386,7 @@ def reference_density_member(space, coords, tol):
 def test_stacked_contains_state_matches_rows(space):
     rng = np.random.default_rng(12)
     base = [geo.random_state(space, rng).coords for _ in range(20)]
-    base += [geo.random_pure_state(space, rng).coords for _ in range(20)]
+    base += [space.random_pure_state(rng).coords for _ in range(20)]
     # straddle both tolerances below, and leave the space by far
     noise = rng.standard_normal((3, len(base), space.coords_len)) * np.array([1e-13, 1e-10, 0.3])[:, None, None]
     points = np.array(base)[None, :, :] + noise
@@ -439,8 +443,8 @@ def density_rows(space, rows):
     for row in rows:
         h = sc.jordan.hermitian_part(space.ring, ring_data(space, row))
         sq = sc.jordan.hermitian_part(space.ring, h.matmul(h))
-        assume(sc.jordan.trace(sq) > 1e-6)
-        out.append(ring_coords(space, sq.scale(1.0 / sc.jordan.trace(sq))))
+        assume(ring_trace(sq) > 1e-6)
+        out.append(ring_coords(space, sq.scale(1.0 / ring_trace(sq))))
     return np.array(out)
 
 
@@ -465,7 +469,7 @@ def test_property_coords_of_forms_is_hermitian_part(space, data):
 @given(data=st.data(), total=st.floats(0.1, 3.0))
 def test_property_entropies_match_row_entropy(space, data, total):
     coords = density_rows(space, data.draw(raw_rows(space)))
-    want = [sc.von_neumann_entropy(space.matrix_from_coords(c).scale(total)) for c in coords]
+    want = [sc.von_neumann_entropy(space.state_matrix(sc.State(space, c)).scale(total)) for c in coords]
     # the row path drops eigenvalues at or below 1e-12, which carry at most 1e-12 ln 1e12 each
     np.testing.assert_allclose(space.entropies(coords, total), want, rtol=0, atol=3 * 2.8e-11 + 1e-13)
 

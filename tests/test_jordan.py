@@ -3,7 +3,9 @@
 Closed forms, numpy.linalg eigvalsh on the complex embedding and central
 finite differences serve as the independent oracles: the eigendecomposition
 into idempotents, divided-difference derivatives and entropy formulas are
-checked against them.
+checked against them.  The scalar forms below (the Hamilton product, ring
+traces and the spin factor) are the references the stacked kernels are
+checked against.
 """
 
 import math
@@ -21,29 +23,99 @@ from spectral_cone.jordan import (
     NEG_XLOGX,
     SQUARE,
     HermitianMatrix,
-    SpinElement,
-    apply_function,
     check_concavity,
     directional_derivative,
     eigen_hermitian,
-    euclidean_check,
     jordan_product,
     rank_one_components,
     second_trace_derivative,
-    spin_entropy,
-    spin_product,
-    trace,
     trace_derivative,
     trace_function,
-    trace_product,
     von_neumann_entropy,
 )
+from spectral_cone.tolerances import SPIN_DEGENERATE_TOL
 
 RINGS = ("real", "complex", "quaternion")
 
 
 def embedded(m: HermitianMatrix) -> np.ndarray:
     return m.to_complex()
+
+
+# ---------------------------------------------------------------------------
+# scalar reference forms
+# ---------------------------------------------------------------------------
+
+def qmul(p, q) -> np.ndarray:
+    """Hamilton product of two quaternions (a, b, c, d) = a + bi + cj + dk."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return np.array([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                     a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                     a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2])
+
+
+def trace(m: HermitianMatrix) -> float:
+    """Ring trace: the sum of the real parts of the diagonal entries."""
+    diagonal = m.data[np.arange(m.n), np.arange(m.n)]
+    return float(np.sum(diagonal[:, 0] if m.ring == "quaternion" else diagonal.real))
+
+
+def trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
+    """Tr(ab) for Hermitian a, b: the real component-wise dot product of their entries."""
+    if a.ring == "quaternion":
+        return float(np.sum(a.data * b.data))
+    return float(np.real(np.sum(a.data * np.conj(b.data))))
+
+
+class SpinElement:
+    """Element (t, v) of the spin factor R + R^d, with eigenvalues t -+ |v|."""
+
+    def __init__(self, t, v):
+        self.t, self.v = float(t), np.asarray(v, dtype=float)
+
+    def eigenvalues(self) -> tuple:
+        r = float(np.linalg.norm(self.v))
+        return self.t - r, self.t + r
+
+    def norm(self) -> float:
+        return math.sqrt(self.t ** 2 + float(np.dot(self.v, self.v)))
+
+
+def spin_product(a: SpinElement, b: SpinElement) -> SpinElement:
+    """Spin-factor composition (s, u) o (t, v) = (s t + u.v, s v + t u)."""
+    return SpinElement(a.t * b.t + float(np.dot(a.v, b.v)), a.t * b.v + b.t * a.v)
+
+
+def spin_trace_function(fn, a: SpinElement) -> float:
+    w = np.array(a.eigenvalues())
+    fn.check_domain(w)
+    return float(fn.f(w).sum())
+
+
+def spin_second_trace_derivative(fn, a: SpinElement, b: SpinElement) -> float:
+    """d^2/dh^2 [f(t - |v + h u|) + f(t + |v + h u|)] at h = 0, for a = (t, v) and b = (s, u).
+
+    |v + h u| has first derivative v.u / |v| and second (|u|^2 - (v.u / |v|)^2) / |v|;
+    when |v| <= SPIN_DEGENERATE_TOL both eigenvalues are t and move at the rates s -+ |u|.
+    """
+    r = float(np.linalg.norm(a.v))
+    if r <= SPIN_DEGENERATE_TOL:
+        fn.check_domain(np.array([a.t]))
+        un = float(np.linalg.norm(b.v))
+        return float(fn.d2f(a.t) * ((b.t + un) ** 2 + (b.t - un) ** 2))
+    lo, hi = a.eigenvalues()
+    fn.check_domain(np.array([lo, hi]))
+    rdot = float(np.dot(a.v / r, b.v))
+    rddot = (float(np.dot(b.v, b.v)) - rdot ** 2) / r
+    return float(fn.d2f(hi) * (b.t + rdot) ** 2 + fn.d2f(lo) * (b.t - rdot) ** 2
+                 + rddot * (fn.df(hi) - fn.df(lo)))
+
+
+def spin_entropy(a: SpinElement) -> float:
+    """-sum t ln t over the eigenvalues t -+ |v|, under the rule of spectral_entropies."""
+    return float(jordan.spectral_entropies(np.array(a.eigenvalues())))
 
 
 # ---------------------------------------------------------------------------
@@ -54,21 +126,31 @@ def test_quaternion_units():
     i = np.array([0.0, 1.0, 0.0, 0.0])
     j = np.array([0.0, 0.0, 1.0, 0.0])
     k = np.array([0.0, 0.0, 0.0, 1.0])
-    np.testing.assert_allclose(quat.qmul(i, j), k, atol=0)
-    np.testing.assert_allclose(quat.qmul(j, i), -k, atol=0)
-    np.testing.assert_allclose(quat.qmul(i, i), -quat.ONE, atol=0)
-    np.testing.assert_allclose(quat.qmul(j, k), i, atol=0)
-    np.testing.assert_allclose(quat.qmul(k, i), j, atol=0)
+    np.testing.assert_allclose(qmul(i, j), k, atol=0)
+    np.testing.assert_allclose(qmul(j, i), -k, atol=0)
+    np.testing.assert_allclose(qmul(i, i), -quat.ONE, atol=0)
+    np.testing.assert_allclose(qmul(j, k), i, atol=0)
+    np.testing.assert_allclose(qmul(k, i), j, atol=0)
 
 
 def test_quaternion_associative_and_norm_multiplicative():
     rng = np.random.default_rng(0)
     for _ in range(50):
         p, q, r = rng.standard_normal((3, 4))
-        left = quat.qmul(quat.qmul(p, q), r)
-        right = quat.qmul(p, quat.qmul(q, r))
+        left = qmul(qmul(p, q), r)
+        right = qmul(p, qmul(q, r))
         np.testing.assert_allclose(left, right, atol=1e-12)
-        assert abs(quat.qnorm(quat.qmul(p, q)) - quat.qnorm(p) * quat.qnorm(q)) <= 1e-12
+        assert abs(np.linalg.norm(qmul(p, q)) - np.linalg.norm(p) * np.linalg.norm(q)) <= 1e-12
+
+
+def test_qmat_mul_is_the_matrix_product_of_hamilton_products():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((2, 3, 4))
+    b = rng.standard_normal((3, 2, 4))
+    want = [[sum(qmul(a[i, j], b[j, k]) for j in range(3)) for k in range(2)] for i in range(2)]
+    np.testing.assert_allclose(quat.qmat_mul(a, b), want, rtol=0, atol=1e-12)
+    stacked = quat.qmat_mul(np.stack([a, 2.0 * a]), b)
+    np.testing.assert_allclose(stacked, [want, 2.0 * np.array(want)], rtol=0, atol=1e-12)
 
 
 def test_embedding_is_ring_homomorphism():
@@ -164,13 +246,15 @@ def test_jordan_identity_all_rings():
         for _ in range(10):
             x = jordan.random_hermitian(ring, 3, rng)
             y = jordan.random_hermitian(ring, 3, rng)
-            assert jordan.jordan_associator_norm(x, y) <= 1e-10
+            xx = jordan_product(x, x)
+            associator = jordan_product(jordan_product(x, y), xx) - jordan_product(x, jordan_product(y, xx))
+            assert associator.frobenius_norm() <= 1e-10
 
 
 def test_spin_product_rules():
     rng = np.random.default_rng(5)
     a = SpinElement(rng.standard_normal(), rng.standard_normal(4))
-    e = jordan.spin_identity(4)
+    e = SpinElement(1.0, np.zeros(4))
     out = spin_product(a, e)
     assert out.t == pytest.approx(a.t) and np.allclose(out.v, a.v)
     u = rng.standard_normal(4)
@@ -287,27 +371,15 @@ def test_rank_one_components_degenerate_spectrum():
 # functional calculus and derivatives
 # ---------------------------------------------------------------------------
 
-def test_apply_function_identity_and_square():
-    rng = np.random.default_rng(10)
-    ident = jordan.ScalarFunction("id", lambda z: z, lambda z: np.ones_like(z))
-    for ring in RINGS:
-        a = jordan.random_hermitian(ring, 3, rng)
-        assert (apply_function(ident, a) - a).frobenius_norm() <= 1e-10
-        sq = apply_function(SQUARE, a)
-        np.testing.assert_allclose(embedded(sq), embedded(a) @ embedded(a), atol=1e-10)
-
-
-def test_apply_function_entropy_diagonal():
+def test_trace_function_entropy_diagonal():
     m = HermitianMatrix("real", np.diag([0.5, 0.5]))
-    out = apply_function(NEG_XLOGX, m)
-    np.testing.assert_allclose(out.data, np.diag([0.5 * math.log(2)] * 2), atol=1e-12)
-    assert trace(out) == pytest.approx(math.log(2))
+    assert trace_function(NEG_XLOGX, m) == pytest.approx(math.log(2))
 
 
-def test_apply_function_domain_violation():
+def test_trace_function_domain_violation():
     m = HermitianMatrix("real", np.diag([0.5, -0.5]))
     with pytest.raises(DomainError):
-        apply_function(NEG_XLOGX, m)
+        trace_function(NEG_XLOGX, m)
 
 
 def test_directional_derivative_zero_direction():
@@ -448,11 +520,11 @@ def test_spin_second_trace_derivative_matches_fd():
         a = SpinElement(1.0, v)
         b = SpinElement(rng.standard_normal(), rng.standard_normal(5))
         b = SpinElement(b.t / b.norm(), b.v / b.norm())
-        d2 = jordan.spin_second_trace_derivative(NEG_XLOGX, a, b)
+        d2 = spin_second_trace_derivative(NEG_XLOGX, a, b)
         assert d2 < 0.0
 
         def g(t):
-            return jordan.spin_trace_function(NEG_XLOGX, SpinElement(a.t + t * b.t, a.v + t * b.v))
+            return spin_trace_function(NEG_XLOGX, SpinElement(a.t + t * b.t, a.v + t * b.v))
 
         fd = (g(h) - 2 * g(0.0) + g(-h)) / h ** 2
         assert abs(fd - d2) / abs(d2) <= 1e-5
@@ -543,8 +615,8 @@ def reference_check_concavity(algebra, trials=200, seed=0, fd_step=1e-4, strictn
             a = SpinElement(1.0, v)
             b_raw = SpinElement(rng.standard_normal(), rng.standard_normal(n))
             b = SpinElement(b_raw.t / b_raw.norm(), b_raw.v / b_raw.norm())
-            d2 = jordan.spin_second_trace_derivative(NEG_XLOGX, a, b)
-            g = lambda t: jordan.spin_trace_function(NEG_XLOGX, SpinElement(a.t + t * b.t, a.v + t * b.v))
+            d2 = spin_second_trace_derivative(NEG_XLOGX, a, b)
+            g = lambda t: spin_trace_function(NEG_XLOGX, SpinElement(a.t + t * b.t, a.v + t * b.v))
             s1 = SpinElement(0.5, reference_random_in_ball(rng, n) / 2.0)
             s2 = SpinElement(0.5, reference_random_in_ball(rng, n) / 2.0)
             mid = SpinElement(0.5, (s1.v + s2.v) / 2.0)
@@ -721,20 +793,6 @@ def test_property_density_kernel_stack_equals_rows_bit_for_bit(ring, n, k, seed,
                                            for _ in range(k)]).tobytes()
 
 
-def test_euclidean_check():
-    for algebra in (("real", 2), ("complex", 3), ("quaternion", 2), ("spin", 4)):
-        report = euclidean_check(algebra, trials=60, seed=1)
-        assert report["pass"]
-        assert report["min_normalized_trace_form"] > 0.0
-    # zero element has zero trace form
-    z = HermitianMatrix.zeros("complex", 2)
-    assert trace_product(z, z) == 0.0
-    # spin trace form is 2(t^2 + |v|^2)
-    x = SpinElement(0.7, np.array([0.1, -0.2]))
-    sq = spin_product(x, x)
-    assert sq.trace_value() == pytest.approx(2 * (0.7 ** 2 + 0.05))
-
-
 def test_von_neumann_entropy_matches_numpy():
     rng = np.random.default_rng(22)
     for ring in RINGS:
@@ -756,11 +814,6 @@ def test_parse_algebra_strings():
             jordan._parse_algebra(text)
     with pytest.raises(ValueError, match="algebra size"):
         jordan._parse_algebra(("real", 0))
-
-
-def test_euclidean_check_rejects_zero_trials():
-    with pytest.raises(ValueError, match="trials"):
-        euclidean_check("complex2", trials=0)
 
 
 def test_scalar_function_derivative_oracles():
