@@ -32,6 +32,17 @@ def test_mix_simplex_vertices():
     np.testing.assert_allclose(out.coords, [0.5, 0.5, 0.0], atol=0)
 
 
+def test_mix_symmetric_and_nested_mixtures_flatten():
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        x, y, z = (geo.random_state(SQUARE, rng) for _ in range(3))
+        a, b = rng.uniform(0.0, 1.0, 2)
+        np.testing.assert_allclose(sc.mix([a, 1 - a], [x, y]).coords, sc.mix([1 - a, a], [y, x]).coords, atol=1e-12)
+        nested = sc.mix([b, 1 - b], [sc.mix([a, 1 - a], [x, y]), z])
+        flat = sc.mix([b * a, b * (1 - a), 1 - b], [x, y, z])
+        np.testing.assert_allclose(nested.coords, flat.coords, atol=1e-12)
+
+
 def test_mix_rejects_bad_weights():
     s = sc.State(SIMPLEX3, [1.0, 0.0, 0.0])
     with pytest.raises(sc.InvalidWeightsError):

@@ -964,6 +964,21 @@ def test_fit_entropy_constant_needs_three_orthogonal_states():
         dv.fit_entropy_constant(dv.kl_divergence(), geo.Simplex(2), seed=4)
 
 
+@pytest.mark.parametrize("make_gen", [dv.negentropy_generator, dv.squared_norm_generator, burg_generator],
+                         ids=["negentropy", "squared_norm", "burg"])
+def test_generator_gradient_matches_central_differences(make_gen):
+    # <grad F(s), u> is the derivative of F along any in-simplex direction u
+    gen = make_gen()
+    rng = np.random.default_rng(5)
+    h = 1e-5
+    for _ in range(15):
+        s, t = interior_state(SIMPLEX3, rng), interior_state(SIMPLEX3, rng)
+        u = t.coords - s.coords
+        ahead = gen.value(sc.State(SIMPLEX3, s.coords + h * u))
+        behind = gen.value(sc.State(SIMPLEX3, s.coords - h * u))
+        assert abs((ahead - behind) / (2 * h) - float(np.dot(gen.gradient(s), u))) <= 1e-6
+
+
 def test_generators_midpoint_convex():
     rng = np.random.default_rng(6)
     gens = [dv.negentropy_generator(), dv.squared_norm_generator(), burg_generator()]
