@@ -12,6 +12,7 @@ from .cone import ConeElement
 from .tolerances import MAJORIZATION_TOL, TOTAL_TOL, WEIGHT_TOL
 
 
+@np.errstate(over="ignore")  # a weight near the float limit gives -inf
 def weights_entropy(weights) -> np.ndarray:
     """-sum w ln w down axis 0 of a weight array; entries at or below 0 contribute nothing."""
     w = np.asarray(weights, dtype=float)
@@ -78,6 +79,21 @@ def majorizes(a: Spectrum, b: Spectrum) -> Ordering:
     if hi <= slack:
         return Ordering.DOMINATED
     return Ordering.INCOMPARABLE
+
+
+def maximal_spectra(spectra) -> np.ndarray:
+    """Mask of the spectra of one element that no other dominates: ``majorizes`` of every pair at once."""
+    totals = np.array([s.total for s in spectra])
+    length = max(len(s) for s in spectra)
+    padded = np.array([s.padded(length) for s in spectra])
+    scale = np.maximum(1.0, np.abs(totals))
+    apart = np.abs(totals[:, None] - totals[None]) > TOTAL_TOL * np.maximum(scale[:, None], scale[None])
+    if np.any(apart):
+        i, j = np.argwhere(apart)[0]  # the first pair majorizes(spectra[j], spectra[i]) would meet
+        raise ValueError(f"spectra have different totals: {totals[j]} vs {totals[i]}")
+    delta = np.cumsum(padded[:, None] - padded[None], axis=-1)  # [a, b]: partial sums of a - b
+    slack = MAJORIZATION_TOL * scale[:, None]
+    return ~np.any((np.min(delta, axis=-1) >= -slack) & (np.max(delta, axis=-1) > slack), axis=0)
 
 
 @dataclass(frozen=True)

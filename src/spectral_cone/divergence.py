@@ -477,7 +477,9 @@ def fit_entropy_constant(div: Divergence, space: "Simplex", tol: float = ENTROPY
     """
     require_count("samples", samples)
     if "kl" not in space.divergences or space.rank < 3:
-        raise PreconditionError("entropy-constant recovery needs a simplex with n >= 3")
+        raise PreconditionError("entropy-constant recovery needs a simplex with n >= 3: on two outcomes every "
+                                "permutation-invariant divergence satisfies sufficiency, so locality does not "
+                                "single out kl and there is no constant to recover")
     report = check_locality(div, space, trials=50, seed=seed + 1)
     if not report["pass"]:
         raise PreconditionError(f"divergence {div.name} is not local (max gap {report['max_gap']:.3e})")

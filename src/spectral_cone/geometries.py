@@ -47,7 +47,7 @@ import numpy as np
 from . import jordan
 from . import quaternion as quat
 from .cone import AffineFunctional, ConeElement, State
-from .decomposition import OrthogonalDecomposition, Ordering, Spectrum, majorizes, weights_entropy
+from .decomposition import OrthogonalDecomposition, Spectrum, maximal_spectra, weights_entropy
 from .errors import (ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError,
                      PreconditionError)
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COMPLEMENT_MASS_MIN, DISTINCT_STATE_TOL,
@@ -307,14 +307,8 @@ class Polytope(_Geometry):
         if not sols:
             raise DecompositionError("no orthogonal decomposition found; geometry bug?")
         spectra = [Spectrum(w) for w, _ in sols]
-        maximal = [
-            i for i, spec in enumerate(spectra)
-            if not any(
-                majorizes(other, spec) is Ordering.DOMINATES
-                for j, other in enumerate(spectra) if j != i
-            )
-        ]
         length = max(len(s) for s in spectra)
+        maximal = np.flatnonzero(maximal_spectra(spectra))
         weights, support = sols[max(maximal, key=lambda i: tuple(spectra[i].padded(length)))]
         return weights, [self.vertex_state(int(i)) for i in support]
 
@@ -326,17 +320,15 @@ class Polytope(_Geometry):
         """
         out = np.empty(len(coords))
         for start in range(0, len(coords), POINT_BLOCK):
-            h, support = [], []  # support: vertex bitmask per clique and point, 0 if unsolved
-            for idx, w, kept in _clique_solutions(self, coords[start:start + POINT_BLOCK],
-                                                  total, len(self.vertices)):
-                h.append(weights_entropy(np.where(kept, w, 0.0).swapaxes(0, 1)))
-                support.append(np.sum(np.where(kept, 1 << idx[..., None], 0), axis=1))
-            order = np.argsort(np.concatenate(support), axis=0, kind="stable")
-            support = np.take_along_axis(np.concatenate(support), order, axis=0)
+            stacks, support = _clique_solutions(self, coords[start:start + POINT_BLOCK], total,
+                                                len(self.vertices))
+            h = np.concatenate([weights_entropy(np.where(kept, w, 0.0).swapaxes(0, 1)) for _, w, kept in stacks])
+            order = np.argsort(support, axis=0, kind="stable")
+            support = np.take_along_axis(support, order, axis=0)
             first = (support != 0) & (np.diff(support, axis=0, prepend=-1) != 0)
-            h = np.take_along_axis(np.concatenate(h), order, axis=0)
+            h = np.take_along_axis(h, order, axis=0)
             out[start:start + POINT_BLOCK] = np.min(np.where(first, h, np.inf), axis=0)
-        if not np.all(np.isfinite(out)):
+        if not np.all(out < np.inf):  # -inf is a solved point near the float limit
             raise DecompositionError("no orthogonal decomposition found")
         return out
 
@@ -346,6 +338,23 @@ class Polytope(_Geometry):
         verts = self.vertex_array
         box = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 1].min(), verts[:, 1].max())
         return box, lambda x, y: np.stack([x, y], axis=-1)
+
+    def ambiguous_probes(self, rng: np.random.Generator, samples: int):
+        """(coords, every decomposition) of each spectrality probe that two clique systems solve, in order.
+
+        The probes are the barycenter, then samples states drawn and tested as ``random_state`` draws
+        them one by one.  A probe that at most one clique system solves has at most one decomposition,
+        since every underdetermined family needs two determined members; the others are enumerated
+        from the same block solve.
+        """
+        nv, verts = len(self.vertices), self.vertex_array
+        probes = np.array([self.barycenter_coords(), *(w @ verts for w in rng.dirichlet(np.ones(nv), samples))])
+        if not np.all(self.contains_state(probes)):
+            raise NotInConeError("state coordinates fail the membership test")
+        for start in range(0, len(probes), POINT_BLOCK):
+            stacks, support = _clique_solutions(self, probes[start:start + POINT_BLOCK], 1.0, nv)
+            for j in np.flatnonzero(np.count_nonzero(support, axis=0) > 1):
+                yield probes[start + j], _decompositions(self, _column_solutions(stacks, j), 1.0, nv)
 
     def random_state(self, rng: np.random.Generator) -> State:
         w = rng.dirichlet(np.ones(len(self.vertices)))
@@ -1142,13 +1151,15 @@ def _clique_stacks(space: Polytope) -> tuple:
 def _clique_solutions(space: Polytope, coords, total, max_size):
     """Solve every determined clique system for the N points total * coords[i] at once.
 
-    Yields per clique size k <= max_size, in clique order, (idx, w, kept):
+    Returns per clique size k <= max_size, in clique order, (idx, w, kept):
     vertex indices (G, k), weights clipped at 0 (G, k, N), and kept, true
     for weights above WEIGHT_DROP_TOL * scale of systems that solve the point
-    (no weight below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL).
+    (no weight below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL);
+    and support (cliques, N), the bitmask of the kept vertices per clique and point.
     """
     scale = max(1.0, total)
     rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
+    stacks = []
     for idx, pinv, matrix in _clique_stacks(space):
         if idx.shape[1] > max_size:
             break
@@ -1157,24 +1168,30 @@ def _clique_solutions(space: Polytope, coords, total, max_size):
         ok = (np.min(w, axis=1) >= -WEIGHT_DROP_TOL * scale) & (
             residual <= SINGULARITY_TOL * max(1.0, scale))
         w = np.clip(w, 0.0, None)
-        yield idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)
+        stacks.append((idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)))
+    return stacks, np.concatenate([np.sum(np.where(kept, 1 << idx[..., None], 0), axis=1)
+                                   for idx, _, kept in stacks])
 
 
 @np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
+def _column_solutions(stacks, j):
+    """(weights, support) of point j from every clique system that solves it, one per rounded key."""
+    seen, out = set(), []
+    for idx, w, kept in stacks:
+        for c in np.flatnonzero(np.any(kept[..., j], axis=1)):  # cliques with a kept weight only
+            keep = kept[c, :, j]
+            support = tuple(int(i) for i in idx[c][keep])
+            key = (support, tuple(np.round(w[c, keep, j], WEIGHT_DIGITS)))
+            if key not in seen:
+                seen.add(key)
+                out.append((w[c, keep, j], support))
+    return out
+
+
 def _determined_solutions(space: Polytope, state_coords, total, max_size):
     """(weights, support) for every determined clique system that solves x."""
     coords = np.asarray(state_coords, dtype=float)[None, :]
-    seen = set()
-    out = []
-    for idx, w, kept in _clique_solutions(space, coords, total, max_size):
-        for clique, wc, keep in zip(idx, w[..., 0], kept[..., 0]):
-            support = tuple(int(i) for i in clique[keep])
-            key = (support, tuple(np.round(wc[keep], WEIGHT_DIGITS)))
-            if key in seen or not support:
-                continue
-            seen.add(key)
-            out.append((wc[keep], support))
-    return out
+    return _column_solutions(_clique_solutions(space, coords, total, max_size)[0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1274,12 +1291,16 @@ def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Opti
         raise ApexError("the apex has no orthogonal decomposition")
     nv = len(space.vertices)
     max_support = nv if max_support is None else min(max_support, nv)
-
     determined = _determined_solutions(space, s.coords, s.trace_weight, max_support)
-    scale = max(1.0, s.trace_weight)
-    solutions = {}
-    for w, support in determined:
-        solutions[(support, tuple(np.round(w, WEIGHT_DIGITS)))] = (np.asarray(w, dtype=float), support)
+    return _decompositions(space, determined, s.trace_weight, max_support)
+
+
+@np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
+def _decompositions(space: Polytope, determined: list, total: float, max_support: int) -> list:
+    """The decompositions of ``enumerate_orthogonal_decompositions`` from the determined solutions."""
+    scale = max(1.0, total)
+    solutions = {(support, tuple(np.round(w, WEIGHT_DIGITS))): (np.asarray(w, dtype=float), support)
+                 for w, support in determined}
 
     def add_sample(full_weights, clique_idx):
         keep = full_weights > WEIGHT_DROP_TOL * scale

@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import geometries as geo
-from .cone import ConeElement, State
+from .cone import ConeElement
 from .decomposition import Ordering, OrthogonalDecomposition, Spectrum, majorizes
 from .errors import ApexError, require_count
 from .tolerances import GRID_MEMBERSHIP_TOL, SPECTRUM_DIGITS, SPECTRUM_GAP_TOL
@@ -37,7 +36,7 @@ __all__ = [
 
 
 def entropy(space, x: ConeElement) -> float:
-    """Minimal -sum w ln w over orthogonal decompositions of x, in nats."""
+    """Minimal -sum w ln w over orthogonal decompositions of x, in nats; -inf below the float range."""
     if x.is_apex:
         raise ApexError("entropy of the apex is undefined")
     return float(space.entropies(x.coords[None, :], x.trace_weight)[0])
@@ -78,17 +77,14 @@ class SpectralityReport:
         return out
 
 
-def _distinct_spectra(space, state: State):
-    """Sorted distinct spectra over all enumerated decompositions of a state, SPECTRUM_GAP_TOL apart."""
-    specs = []
-    for dec in geo.enumerate_orthogonal_decompositions(space, state):
-        specs.append(tuple(np.round(dec.spectrum().weights, SPECTRUM_DIGITS)))
-    unique = sorted(set(specs), key=lambda s: (len(s), s))
+def _distinct_spectra(decompositions):
+    """Sorted distinct spectra of the decompositions of one state, SPECTRUM_GAP_TOL apart."""
+    specs = {tuple(np.round(dec.spectrum().weights, SPECTRUM_DIGITS)) for dec in decompositions}
+    unique = sorted(specs, key=lambda s: (len(s), s))
     pruned = []
     for s in unique:
-        if not any(
-            len(s) == len(t) and max(abs(a - b) for a, b in zip(s, t)) <= SPECTRUM_GAP_TOL for t in pruned
-        ):
+        if not any(len(s) == len(t) and max(abs(a - b) for a, b in zip(s, t)) <= SPECTRUM_GAP_TOL
+                   for t in pruned):
             pruned.append(s)
     return pruned
 
@@ -99,30 +95,22 @@ def is_spectral(space, samples: int = 40, seed: int = 0) -> SpectralityReport:
     Simplices, balls, spin factors and density matrices are spectral
     analytically (unique coordinates, antipodal pairs, unitarily invariant
     eigenvalues).  Polytopes are probed at the vertex barycenter first and
-    then at random states; two decompositions of one state with different
-    spectra witness failure.
+    then at random states; one stacked clique solve screens the probes, and
+    the exact enumeration runs on those that two clique systems solve (see
+    ``Polytope.ambiguous_probes``).  Two decompositions of one state with
+    different spectra witness failure.
     """
     require_count("samples", samples)
     if space.canonical_decomposition:
         return SpectralityReport(True, "analytic", 0, seed)
-    rng = np.random.default_rng(seed)
-    probes = [State(space, space.barycenter_coords())]
-    probes += [geo.random_state(space, rng) for _ in range(samples)]
-    for state in probes:
-        distinct = _distinct_spectra(space, state)
+    for coords, decompositions in space.ambiguous_probes(np.random.default_rng(seed), samples):
+        distinct = _distinct_spectra(decompositions)
         if len(distinct) > 1:
-            shortest = distinct[0]
-            longest_len = len(distinct[-1])
+            shortest, longest_len = distinct[0], len(distinct[-1])
             candidates = [s for s in distinct if len(s) == longest_len and s != shortest]
             longest = min(candidates) if candidates else distinct[-1]
-            return SpectralityReport(
-                False,
-                "enumeration",
-                samples,
-                seed,
-                witness_coords=np.asarray(state.coords),
-                witness_spectra=(shortest, longest),
-            )
+            return SpectralityReport(False, "enumeration", samples, seed, witness_coords=coords,
+                                     witness_spectra=(shortest, longest))
     return SpectralityReport(True, "enumeration", samples, seed)
 
 

@@ -964,6 +964,15 @@ def test_fit_entropy_constant_needs_three_orthogonal_states():
         dv.fit_entropy_constant(dv.kl_divergence(), geo.Simplex(2), seed=4)
 
 
+def test_fit_entropy_constant_says_why_it_refuses_rank_two():
+    # on two outcomes itakura_saito and squared_euclidean pass sufficiency as kl does: no constant exists
+    for div in (dv.itakura_saito_divergence(), dv.squared_euclidean_divergence()):
+        assert dv.check_sufficiency(div, geo.Simplex(2), trials=20, seed=3)["pass"]
+    with pytest.raises(sc.PreconditionError, match=r"permutation-invariant divergence satisfies sufficiency, "
+                                                   r"so locality does not single out kl"):
+        dv.fit_entropy_constant(dv.kl_divergence(), geo.Simplex(2), seed=4)
+
+
 @pytest.mark.parametrize("make_gen", [dv.negentropy_generator, dv.squared_norm_generator, burg_generator],
                          ids=["negentropy", "squared_norm", "burg"])
 def test_generator_gradient_matches_central_differences(make_gen):

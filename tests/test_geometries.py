@@ -232,6 +232,13 @@ def test_enumerate_square_center():
     assert (0.25, 0.25, 0.25, 0.25) in spectra
 
 
+@pytest.mark.filterwarnings("error")
+def test_enumerate_square_center_near_the_float_limit_without_warning():
+    # the rounded keys of weights near 5e307 overflow to inf
+    decs = geo.enumerate_orthogonal_decompositions(SQUARE, sc.ConeElement(SQUARE, 1e308, [0.5, 0.5]))
+    assert any(d.size == 2 and np.allclose(d.weights, 5e307, rtol=1e-12) for d in decs)
+
+
 @pytest.mark.parametrize("space,coords", [(DISC, [0.3, -0.4]),
                                           (QUBITS, [0.75, 0, 0, 0, 0, 0, 0.25, 0])])
 def test_enumerate_canonical_space_yields_the_decomposition(space, coords):

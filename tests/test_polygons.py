@@ -61,9 +61,10 @@ def chain_facets(space: geo.Polytope) -> np.ndarray:
 
 
 @st.composite
-def convex_polygons(draw):
-    """3 to 10 points on an ellipse, at least 0.05 rad apart, rounded to 6 digits, moved and turned."""
-    k = draw(st.integers(3, 10))
+def convex_polygons(draw, min_size=3, max_size=10):
+    """3 to 10 points (or min_size to max_size) on an ellipse, at least 0.05 rad apart,
+    rounded to 6 digits, moved and turned."""
+    k = draw(st.integers(min_size, max_size))
     gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
     angles = np.cumsum(gaps) * (2 * math.pi) / np.sum(gaps) + draw(st.floats(0.0, 2 * math.pi))
     a, b, turn = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, math.pi))

@@ -171,6 +171,14 @@ def test_entropy_of_cone_elements():
     assert abs(sc.entropy(SIMPLEX3, x) - expect) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space, coords", [(DISC, [0.5, 0.0]), (SQUARE, [0.5, 0.5]), (SIMPLEX3, [0.5, 0.5, 0.0])],
+                         ids=["disc", "square", "simplex3"])
+def test_entropy_near_the_float_limit_is_minus_inf_without_warning(space, coords):
+    # -w ln w at w = 5e307 is about -3.5e310, beyond the float range
+    assert sc.entropy(space, sc.ConeElement(space, 1e308, coords)) == -math.inf
+
+
 # ---------------------------------------------------------------------------
 # spectrality
 # ---------------------------------------------------------------------------

@@ -32,16 +32,19 @@ def regular_polygon(k: int) -> str:
 TRIANGLE = polytope([(0, 0), (1, 0), (0, 1)])
 PENTAGON = regular_polygon(5)
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+QUADRILATERAL = polytope([(0, 0), (3, 0), (4, 2), (1, 3)])
+HEXAGON = polytope([(0, 0), (2, -1), (4, 0), (5, 2), (2, 4), (-1, 2)])
 # polytope decompositions print HiGHS witness coefficients; (space, elements) with and without a trace
 DECOMPOSITIONS = (
     ("square", ("[0.3, 0.6]", '{"trace": 2.5, "coords": [0.5, 0.5]}', "[1.0, 0.25]")),
     (TRIANGLE, ("[0.2, 0.3]", '{"trace": 0.4, "coords": [0.5, 0.5]}')),
     (PENTAGON, ("[0.1, 0.2]", '{"trace": 3.0, "coords": [-0.3, -0.1]}')),
     (regular_polygon(12), ("[0.0, 0.0]", '{"trace": 1.5, "coords": [0.4, -0.2]}')),
-    (polytope([(0, 0), (3, 0), (4, 2), (1, 3)]), ("[2.0, 1.0]", "[0.5, 0.2]")),
-    (polytope([(0, 0), (2, -1), (4, 0), (5, 2), (2, 4), (-1, 2)]),
-     ("[2.0, 1.5]", '{"trace": 2.0, "coords": [0.0, 1.0]}')),
-    (CUBE, ("[0.5, 0.5, 0.5]", '{"trace": 2.0, "coords": [0.2, 0.7, 0.4]}')),
+    (QUADRILATERAL, ("[2.0, 1.0]", "[0.5, 0.2]")),
+    (HEXAGON, ("[2.0, 1.5]", '{"trace": 2.0, "coords": [0.0, 1.0]}')),
+    (CUBE, ("[0.5, 0.5, 0.5]", '{"trace": 2.0, "coords": [0.2, 0.7, 0.4]}', "[0.5, 0.5, 0.0]",
+            '{"trace": 0.5, "coords": [0.25, 0.75, 0.5]}', "[0.9, 0.1, 0.3]")),
 )
 COMMANDS = (
     *(("check", "concavity", "--algebra", a, "--trials", "20")
@@ -63,6 +66,10 @@ COMMANDS = (
       for s in ("square", TRIANGLE, "disc", "spin3")),
     ("check", "sufficiency", "--space", "simplex3", "--divergence", "kl", "--trials", "40"),
     *(("check", "spectrality", "--space", s, "--trials", "20") for s in ("square", TRIANGLE, PENTAGON)),
+    # the vector-grid size, a passing 3-D polytope, and failing polytopes beyond the regular polygons
+    ("check", "spectrality", "--space", TRIANGLE, "--trials", "200"),
+    *(("check", "spectrality", "--space", s, "--trials", "20")
+      for s in (TETRAHEDRON, CUBE, QUADRILATERAL, HEXAGON)),
 )
 # seeds at which the per-trial locality loop rejects a draw: a complement
 # mass at or below 1e-6 (real2, trial 1) and s2 equal to s1 (simplex3, twice in trial 4)
