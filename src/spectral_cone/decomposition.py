@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -122,8 +123,9 @@ class OrthogonalDecomposition:
     def spectrum(self) -> Spectrum:
         return Spectrum(self.weights)
 
+    @cached_property
     def element(self) -> ConeElement:
-        """Reconstruct the decomposed cone element."""
+        """The reconstructed cone element, built (with its membership test) once per decomposition."""
         total = float(np.sum(self.weights))
         coords = np.zeros(self.space.coords_len)
         for w, s in zip(self.weights, self.components):
@@ -131,7 +133,7 @@ class OrthogonalDecomposition:
         return ConeElement(self.space, total, coords / total)
 
     def reconstruction_error(self, x: ConeElement) -> float:
-        mine = self.element()
+        mine = self.element
         return float(np.max(np.abs(mine.embedded() - x.embedded())))
 
     def to_json(self) -> dict:

@@ -97,6 +97,10 @@ class _Geometry:
         # orthogonal support projections (matrices)
         return self.mutually_singular(s0, s1)[1]
 
+    def orthogonality_witnesses(self, states) -> tuple:
+        """``orthogonality_witness`` of every pair (a, b) of the states, a before b, in combinations order."""
+        return tuple(orthogonality_witness(a, b, self) for a, b in itertools.combinations(states, 2))
+
     def planar_chart(self):
         """(bounding box, chart) for a 2-dimensional space; chart maps x, y arrays to coords rows."""
         raise ValueError(f"space {self!r} is not two-dimensional")
@@ -276,7 +280,8 @@ class Polytope(_Geometry):
         return np.mean(self.vertex_array, axis=0)
 
     def vertex_state(self, i: int) -> State:
-        return State(self, np.array(self.vertices[i]))
+        """The i-th vertex as a State, built once per polytope (``_vertex_states``)."""
+        return _vertex_states(self)[i]
 
     def functional_range(self, a: AffineFunctional):
         values = self.vertex_array @ a.linear + a.offset
@@ -631,10 +636,26 @@ class DensityMatrices(_Geometry):
         return Face(self, "whole" if whole else "support", projection=jordan.from_form(self.ring, proj))
 
     def mutually_singular(self, s0: State, s1: State):
-        p0, p1 = self._support(s0.coords), self._support(s1.coords)
-        if np.sum(p0 * np.conj(p1)).real / self.mult > SINGULARITY_TOL:  # Tr(p0 p1)
-            return False, None
-        return True, AffineFunctional(self.coords_of(p1), 0.0)
+        witness = self.orthogonality_witnesses([s0, s1])[0]
+        return witness is not None, witness
+
+    def orthogonality_witnesses(self, states) -> tuple:
+        """``orthogonality_witness`` of every state pair, from one stacked support eigensolve.
+
+        Distinct states a, b are orthogonal when the trace of the product of their support
+        projections, Tr(p_a p_b), is 0 within SINGULARITY_TOL; the witness is then p_b.
+        """
+        if len(states) < 2:
+            return ()
+        coords = np.array([s.coords for s in states])
+        supports = self._support(coords)
+        tests = self.coords_of(supports)
+        out = []
+        for a, b in itertools.combinations(range(len(coords)), 2):
+            same = np.max(np.abs(coords[a] - coords[b])) <= SAME_STATE_TOL
+            overlap = np.sum(supports[a] * np.conj(supports[b])).real / self.mult > SINGULARITY_TOL
+            out.append(None if same or overlap else AffineFunctional(tests[b], 0.0))
+        return tuple(out)
 
     def decomposition(self, x: ConeElement):
         lam = x.trace_weight
@@ -1047,16 +1068,10 @@ def _affine_test_feasible(vertex_array: np.ndarray, zero_at: np.ndarray,
     return AffineFunctional(res.x[:m], float(res.x[m]))
 
 
-class _CliqueSystem:
-    """Pre-factored linear system for one pairwise-orthogonal vertex subset."""
-
-    def __init__(self, idx, vertex_array):
-        self.idx = tuple(idx)
-        cols = vertex_array[list(idx)].T  # m x k
-        self.matrix = np.vstack([cols, np.ones((1, len(idx)))])
-        self.rank = int(np.linalg.matrix_rank(self.matrix, tol=CLIQUE_RANK_TOL))
-        self.determined = self.rank == len(idx)
-        self.pinv = np.linalg.pinv(self.matrix) if self.determined else None
+@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
+def _vertex_states(space: Polytope) -> tuple:
+    """The vertex States of a polytope; a State is frozen with read-only coords, so they are shared."""
+    return tuple(State(space, np.array(v)) for v in space.vertices)
 
 
 @lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
@@ -1104,14 +1119,28 @@ def _polygon_orthogonal(geometry: _PolytopeGeometry, i: np.ndarray, j: np.ndarra
 
 @lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
 def _clique_systems(space: Polytope) -> tuple:
-    """All pairwise-orthogonal vertex subsets with pre-factored systems."""
+    """(determined, underdetermined) weight systems of the pairwise-orthogonal vertex subsets (cliques).
+
+    A clique's system is its vertex columns over a row of ones, (m+1, k); the cliques of one size are
+    factored as one stack, by one ``matrix_rank`` and one ``pinv`` call.  determined holds per size, in
+    clique order, (idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of the cliques of full column
+    rank; underdetermined the index tuples of the others, in clique order.
+    """
     nv = len(space.vertices)
     if nv > MAX_ENUMERATION_VERTICES:
         raise ValueError(
             f"decomposition search supports at most {MAX_ENUMERATION_VERTICES} vertices, got {nv}"
         )
     verts = space.vertex_array
-    return tuple(_CliqueSystem(idx, verts) for idx in _cliques(_orthogonality_graph(space)))
+    determined, underdetermined = [], []
+    for k, group in itertools.groupby(_cliques(_orthogonality_graph(space)), key=len):
+        idx = np.array(list(group))
+        matrix = np.concatenate([verts[idx].swapaxes(1, 2), np.ones((len(idx), 1, k))], axis=1)
+        full = np.linalg.matrix_rank(matrix, tol=CLIQUE_RANK_TOL) == k
+        if np.any(full):
+            determined.append((idx[full], np.linalg.pinv(matrix[full]), matrix[full]))
+        underdetermined.extend(map(tuple, idx[~full].tolist()))
+    return tuple(determined), tuple(underdetermined)
 
 
 def _cliques(adj: np.ndarray) -> list:
@@ -1139,15 +1168,6 @@ def _cliques(adj: np.ndarray) -> list:
     return sorted(cliques, key=lambda idx: (len(idx), idx))
 
 
-@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
-def _clique_stacks(space: Polytope) -> tuple:
-    """(idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of the determined cliques, per size k."""
-    determined = [s for s in _clique_systems(space) if s.determined]
-    groups = [list(g) for _, g in itertools.groupby(determined, key=lambda s: len(s.idx))]
-    return tuple((np.array([s.idx for s in g]), np.stack([s.pinv for s in g]),
-                  np.stack([s.matrix for s in g])) for g in groups)
-
-
 def _clique_solutions(space: Polytope, coords, total, max_size):
     """Solve every determined clique system for the N points total * coords[i] at once.
 
@@ -1160,7 +1180,7 @@ def _clique_solutions(space: Polytope, coords, total, max_size):
     scale = max(1.0, total)
     rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
     stacks = []
-    for idx, pinv, matrix in _clique_stacks(space):
+    for idx, pinv, matrix in _clique_systems(space)[0]:
         if idx.shape[1] > max_size:
             break
         w = pinv @ rhs
@@ -1265,8 +1285,7 @@ def decompose(space, x: ConeElement, with_witnesses: bool = False) -> Orthogonal
     order = np.argsort(-np.asarray(weights, dtype=float), kind="stable")
     weights = np.asarray(weights, dtype=float)[order]
     components = tuple(components[int(i)] for i in order)
-    pairs = itertools.combinations(components, 2)
-    witnesses = tuple(orthogonality_witness(a, b, space) for a, b in pairs) if with_witnesses else None
+    witnesses = space.orthogonality_witnesses(components) if with_witnesses else None
     dec = OrthogonalDecomposition(space, weights, components, witnesses)
     if dec.size > space.dim + 1:
         raise DecompositionError("decomposition exceeds the dimension bound")
@@ -1311,27 +1330,27 @@ def _decompositions(space: Polytope, determined: list, total: float, max_support
         key = (support, tuple(np.round(w, WEIGHT_DIGITS)))
         solutions.setdefault(key, (w, support))
 
-    for sys_ in _clique_systems(space):
-        if sys_.determined or len(sys_.idx) > max_support:
-            continue
+    for clique in _clique_systems(space)[1]:
+        if len(clique) > max_support:  # cliques come by size
+            break
         # basic solutions of this clique: determined solutions supported inside it
         members = [
-            np.array([dict(zip(sup, w)).get(i, 0.0) for i in sys_.idx])
+            np.array([dict(zip(sup, w)).get(i, 0.0) for i in clique])
             for w, sup in determined
-            if set(sup) <= set(sys_.idx)
+            if set(sup) <= set(clique)
         ]
         if len(members) < 2:
             continue
         for wa, wb in itertools.combinations(members, 2):
             for k in range(1, FAMILY_GRID_POINTS + 1):
                 t = k / (FAMILY_GRID_POINTS + 1.0)
-                add_sample((1.0 - t) * wa + t * wb, sys_.idx)
-        add_sample(np.mean(members, axis=0), sys_.idx)
+                add_sample((1.0 - t) * wa + t * wb, clique)
+        add_sample(np.mean(members, axis=0), clique)
 
-    out = []
+    out, states = [], _vertex_states(space)
     for w, support in sorted(solutions.values(), key=lambda ws: (ws[1], tuple(ws[0]))):
         order = np.argsort(-w, kind="stable")
-        components = tuple(space.vertex_state(int(support[int(i)])) for i in order)
+        components = tuple(states[support[i]] for i in order)
         out.append(OrthogonalDecomposition(space, w[order], components))
     return out
 

@@ -1,0 +1,234 @@
+"""The stacked parts of ``decompose`` against the loops they replaced.
+
+Density-matrix witnesses come from one support eigensolve over all
+components (``DensityMatrices.orthogonality_witnesses``), and a polytope's
+clique systems are factored one stack per clique size (``_clique_systems``).
+The references below are the pairwise ``orthogonality_witness`` loop and the
+per-clique ``matrix_rank``/``pinv`` of the earlier code, kept here as
+oracles; both must agree bit for bit.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given
+from test_polygons import PROPERTIES, SQUARE, convex_polygons, polytope, regular_polygon
+
+import spectral_cone as sc
+from spectral_cone import cli, cone
+from spectral_cone import geometries as geo
+from spectral_cone.tolerances import CLIQUE_RANK_TOL, SAME_STATE_TOL, SINGULARITY_TOL
+
+CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+DENSITY = [geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (2, 3, 4)]
+DENSITY_IDS = [f"{s.ring}{s.n}" for s in DENSITY]
+
+
+# ---------------------------------------------------------------------------
+# density witnesses: one stacked support eigensolve against the pairwise loop
+# ---------------------------------------------------------------------------
+
+def reference_witness(space, s0, s1):
+    """``orthogonality_witness`` as the earlier code computed it: one support eigensolve per state."""
+    if np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL:
+        return None
+    if not isinstance(space, geo.DensityMatrices):
+        return space.orthogonality_witness(s0, s1)
+    p0, p1 = space._support(s0.coords), space._support(s1.coords)
+    if np.sum(p0 * np.conj(p1)).real / space.mult > SINGULARITY_TOL:  # Tr(p0 p1)
+        return None
+    return sc.AffineFunctional(space.coords_of(p1), 0.0)
+
+
+def reference_witnesses(space, states) -> tuple:
+    """The pairwise loop ``decompose`` ran before: one witness per pair."""
+    return tuple(reference_witness(space, a, b) for a, b in itertools.combinations(states, 2))
+
+
+def assert_same_witnesses(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.linear.tobytes() == w.linear.tobytes()
+            assert np.float64(g.offset).tobytes() == np.float64(w.offset).tobytes()
+
+
+def from_form(space, form) -> np.ndarray:
+    """Coordinates of the unit-trace rescaling of a Hermitian form."""
+    return space.coords_of(form / np.trace(form).real * space.mult)
+
+
+def eigenbasis(space, rng) -> np.ndarray:
+    return np.linalg.eigh(space.forms(space.random_state(rng).coords))[1]
+
+
+def repeated_eigenvalues(space, rng) -> np.ndarray:
+    """Equal weight on the top and bottom eigenvectors of a random state (ring eigenvalue 1/2 twice)."""
+    v, k = eigenbasis(space, rng), space.mult
+    return from_form(space, v[:, -k:] @ v[:, -k:].conj().T + v[:, :k] @ v[:, :k].conj().T)
+
+
+def rank_deficient(space, rng) -> np.ndarray:
+    """A random state with its smallest ring eigenvalue set to zero."""
+    w, v = np.linalg.eigh(space.forms(space.random_state(rng).coords))
+    w[: space.mult] = 0.0
+    return from_form(space, (v * w) @ v.conj().T)
+
+
+ELEMENTS = {
+    "pure": lambda space, rng: space.random_pure_state(rng).coords,
+    "maximally-mixed": lambda space, rng: space.barycenter_coords(),
+    "repeated-eigenvalues": repeated_eigenvalues,
+    "rank-deficient": rank_deficient,
+    "random": lambda space, rng: space.random_state(rng).coords,
+}
+
+
+@pytest.mark.parametrize("kind", list(ELEMENTS))
+@pytest.mark.parametrize("space", DENSITY, ids=DENSITY_IDS)
+def test_decompose_witnesses_match_pairwise(space, kind):
+    rng = np.random.default_rng(15)
+    for trace in (1.0, 0.37, 2.5):
+        x = sc.ConeElement(space, trace, ELEMENTS[kind](space, rng))
+        dec = geo.decompose(space, x, with_witnesses=True)
+        assert_same_witnesses(dec.witnesses, reference_witnesses(space, dec.components))
+        assert all(w is not None for w in dec.witnesses)  # components are pairwise orthogonal
+
+
+@pytest.mark.parametrize("space", DENSITY, ids=DENSITY_IDS)
+def test_witnesses_match_pairwise_on_any_states(space):
+    # overlapping supports, repeated states and orthogonal pure states in one list
+    rng = np.random.default_rng(150)
+    v, k = eigenbasis(space, rng), space.mult
+    pure = [sc.State(space, from_form(space, v[:, i:i + k] @ v[:, i:i + k].conj().T))
+            for i in range(0, v.shape[1], k)]
+    mixed = [space.random_state(rng) for _ in range(3)]
+    states = [pure[0], mixed[0], pure[-1], mixed[0], space.random_pure_state(rng), *pure[1:], *mixed[1:],
+              sc.State(space, rank_deficient(space, rng)), sc.State(space, space.barycenter_coords())]
+    want = reference_witnesses(space, states)
+    assert_same_witnesses(space.orthogonality_witnesses(states), want)
+    assert any(w is None for w in want) and any(w is not None for w in want)
+    # the pair form goes through the same stack
+    for (a, b), w in zip(itertools.combinations(states, 2), want):
+        assert_same_witnesses([geo.orthogonality_witness(a, b, space)], [w])
+        assert_same_witnesses([geo.mutually_singular(a, b, space)[1]], [w])
+
+
+@pytest.mark.parametrize("space", [geo.Simplex(3), geo.Ball(2), geo.SpinFactor(3), SQUARE, CUBE],
+                         ids=["simplex3", "disc", "spin3", "square", "cube"])
+def test_other_geometries_keep_the_pairwise_witnesses(space):
+    rng = np.random.default_rng(151)
+    states = [space.random_pure_state(rng) for _ in range(3)] + [space.random_state(rng)]
+    assert_same_witnesses(space.orthogonality_witnesses(states), reference_witnesses(space, states))
+
+
+def test_fewer_than_two_states_have_no_witnesses():
+    space = geo.DensityMatrices("complex", 3)
+    assert space.orthogonality_witnesses([]) == ()
+    assert space.orthogonality_witnesses([space.random_pure_state(np.random.default_rng(0))]) == ()
+
+
+# ---------------------------------------------------------------------------
+# clique systems: one stack per clique size against the per-clique factoring
+# ---------------------------------------------------------------------------
+
+def reference_clique_systems(space) -> list:
+    """(idx, matrix, rank, pinv or None) per clique in clique order, factored one clique at a time."""
+    systems = []
+    for idx in geo._cliques(geo._orthogonality_graph(space)):
+        matrix = np.vstack([space.vertex_array[list(idx)].T, np.ones((1, len(idx)))])
+        rank = int(np.linalg.matrix_rank(matrix, tol=CLIQUE_RANK_TOL))
+        systems.append((idx, matrix, rank, np.linalg.pinv(matrix) if rank == len(idx) else None))
+    return systems
+
+
+def assert_clique_systems_match(space):
+    reference = reference_clique_systems(space)
+    determined, underdetermined = geo._clique_systems(space)
+    assert list(underdetermined) == [idx for idx, _, rank, _ in reference if rank < len(idx)]
+    full = [(idx, matrix, pinv) for idx, matrix, rank, pinv in reference if rank == len(idx)]
+    for k, group in itertools.groupby(full, key=lambda system: len(system[0])):
+        idx, pinv, matrix = determined[0]
+        determined = determined[1:]
+        group = list(group)
+        assert idx.shape == (len(group), k)
+        assert [tuple(i) for i in idx.tolist()] == [g[0] for g in group]
+        assert matrix.tobytes() == np.stack([g[1] for g in group]).tobytes()
+        assert pinv.tobytes() == np.stack([g[2] for g in group]).tobytes()
+    assert determined == ()
+
+
+@PROPERTIES
+@given(verts=convex_polygons(4, 12))
+def test_property_polygon_clique_stacks_match_per_clique(verts):
+    assert_clique_systems_match(polytope(verts))
+
+
+@pytest.mark.parametrize("space", [SQUARE, CUBE, TETRAHEDRON, *(polytope(regular_polygon(k)) for k in (5, 8, 12))],
+                         ids=["square", "cube", "tetrahedron", "5-gon", "8-gon", "12-gon"])
+def test_clique_stacks_match_per_clique(space):
+    assert_clique_systems_match(space)
+
+
+def test_cube_has_underdetermined_cliques():
+    # a clique of more than m + 1 = 4 vertices, or a square face, has no determined weights
+    determined, underdetermined = geo._clique_systems(CUBE)
+    assert (0, 1, 2, 3) in underdetermined and all(len(idx) >= 4 for idx in underdetermined)
+    assert {idx.shape[1] for idx, _, _ in determined} == {1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# states and reconstructions built once
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cone_elements(monkeypatch):
+    """Count every ConeElement (and State) built."""
+    built = []
+    init = cone.ConeElement.__post_init__
+
+    def counted(self):
+        built.append(1)
+        init(self)
+
+    monkeypatch.setattr(cone.ConeElement, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("space", [SQUARE, CUBE, TETRAHEDRON], ids=["square", "cube", "tetrahedron"])
+def test_vertex_states_are_built_once(space):
+    for i, v in enumerate(space.vertices):
+        s = space.vertex_state(i)
+        assert s is space.vertex_state(i)
+        assert s.coords.tobytes() == sc.State(space, np.array(v)).coords.tobytes()
+
+
+def test_enumeration_builds_no_state(cone_elements):
+    rng = np.random.default_rng(3)
+    point = geo.random_state(CUBE, rng)
+    first = geo.enumerate_orthogonal_decompositions(CUBE, point)
+    cone_elements.clear()
+    again = geo.enumerate_orthogonal_decompositions(CUBE, point)
+    assert cone_elements == [] and len(again) == len(first) > 100
+    assert all(a is b for da, db in zip(again, first, strict=True) for a, b in zip(da.components, db.components))
+
+
+def test_decompose_command_reconstructs_once(cone_elements):
+    space = geo.DensityMatrices("complex", 3)
+    coords = space.random_state(np.random.default_rng(5)).coords
+    argv = ["decompose", "--space", "complex3", "--element", json.dumps({"trace": 1.5, "coords": coords.tolist()})]
+    out = io.StringIO()
+    cone_elements.clear()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    payload = json.loads(out.getvalue())
+    # the element, its three components and one reconstruction
+    assert len(cone_elements) == 1 + payload["n"] + 1 == 5
+    x = sc.ConeElement(space, 1.5, coords)
+    assert payload["reconstruction_error"] == geo.decompose(space, x).reconstruction_error(x)

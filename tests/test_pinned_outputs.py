@@ -1,15 +1,16 @@
 """Fixed-seed CLI output of the checkers, pinned from an earlier version of the code.
 
 ``tests/data/matrix_outputs.json`` holds the argv, exit code and JSON report
-of 116 commands, written by ``tools/pin_matrix_outputs.py``: concavity,
+of 121 commands, written by ``tools/pin_matrix_outputs.py``: concavity,
 locality and sufficiency on density matrices and spin factors, locality on
 every geometry (simplices, polytopes, the disc), sufficiency on simplex3 and
 simplex4, spectrality on the square, a triangle (at 20 and 200 trials), the
 regular pentagon, the tetrahedron, the cube and two irregular polygons,
 each at seeds 1 to 3, plus two locality runs whose per-trial loop rejects a
-draw (a complement mass at or below 1e-6, and s2 equal to s1), and 18
+draw (a complement mass at or below 1e-6, and s2 equal to s1), 18
 polytope decompositions with their witnesses (square, triangle, regular
-pentagon and 12-gon, two irregular polygons, the cube).  Exit codes,
+pentagon and 12-gon, two irregular polygons, the cube) and 5 density-matrix
+decompositions with theirs (complex2, real3, quaternion2).  Exit codes,
 verdicts and the witness trial, t, condition and channel must match
 exactly; floats, witness coefficients included, may differ by rounding only.
 """

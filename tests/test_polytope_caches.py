@@ -20,7 +20,7 @@ from spectral_cone import geometries as geo
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 PENTAGON = polytope(regular_polygon(5))
 DODECAGON = polytope(regular_polygon(12))
-POLYTOPE_CACHES = (geo._polytope_geometry, geo._orthogonality_graph, geo._clique_systems, geo._clique_stacks)
+POLYTOPE_CACHES = (geo._polytope_geometry, geo._orthogonality_graph, geo._clique_systems, geo._vertex_states)
 
 
 def subset_walk(adj: np.ndarray) -> list:
@@ -31,7 +31,12 @@ def subset_walk(adj: np.ndarray) -> list:
 
 
 def clique_order(space: geo.Polytope) -> list:
-    return [system.idx for system in geo._clique_systems(space)]
+    """Every clique of the cached systems in clique order; each of the two parts must already be in it."""
+    determined, underdetermined = geo._clique_systems(space)
+    determined = [tuple(i) for idx, _, _ in determined for i in idx.tolist()]
+    for part in (determined, list(underdetermined)):
+        assert part == sorted(part, key=lambda idx: (len(idx), idx))
+    return sorted(determined + list(underdetermined), key=lambda idx: (len(idx), idx))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 QUADRILATERAL = polytope([(0, 0), (3, 0), (4, 2), (1, 3)])
 HEXAGON = polytope([(0, 0), (2, -1), (4, 0), (5, 2), (2, 4), (-1, 2)])
-# polytope decompositions print HiGHS witness coefficients; (space, elements) with and without a trace
+# decompositions print a witness per component pair (HiGHS coefficients on polytopes, support
+# projections on density matrices); (space, elements) with and without a trace
 DECOMPOSITIONS = (
     ("square", ("[0.3, 0.6]", '{"trace": 2.5, "coords": [0.5, 0.5]}', "[1.0, 0.25]")),
     (TRIANGLE, ("[0.2, 0.3]", '{"trace": 0.4, "coords": [0.5, 0.5]}')),
@@ -45,6 +46,10 @@ DECOMPOSITIONS = (
     (HEXAGON, ("[2.0, 1.5]", '{"trace": 2.0, "coords": [0.0, 1.0]}')),
     (CUBE, ("[0.5, 0.5, 0.5]", '{"trace": 2.0, "coords": [0.2, 0.7, 0.4]}', "[0.5, 0.5, 0.0]",
             '{"trace": 0.5, "coords": [0.25, 0.75, 0.5]}', "[0.9, 0.1, 0.3]")),
+    ("complex2", ("[0.6, 0, 0.2, 0.1, 0.2, -0.1, 0.4, 0]", "[0.5, 0, 0, 0, 0, 0, 0.5, 0]")),
+    ("real3", ('{"trace": 2.0, "coords": [0.5, 0.1, 0.0, 0.1, 0.3, 0.05, 0.0, 0.05, 0.2]}',
+               "[0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5]")),
+    ("quaternion2", ("[0.6, 0, 0, 0, 0.1, 0.1, -0.1, 0.05, 0.1, -0.1, 0.1, -0.05, 0.4, 0, 0, 0]",)),
 )
 COMMANDS = (
     *(("check", "concavity", "--algebra", a, "--trials", "20")
