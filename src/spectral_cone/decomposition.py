@@ -133,8 +133,7 @@ class OrthogonalDecomposition:
         return ConeElement(self.space, total, coords / total)
 
     def reconstruction_error(self, x: ConeElement) -> float:
-        mine = self.element
-        return float(np.max(np.abs(mine.embedded() - x.embedded())))
+        return float(np.max(np.abs(self.element.embedded() - x.embedded())))
 
     def to_json(self) -> dict:
         return {
