@@ -104,7 +104,10 @@ def _json_safe(value):
 
 
 def _report_json(report: dict) -> str:
-    return json.dumps(_json_safe(report), sort_keys=True, allow_nan=False) + "\n"
+    try:  # walk the report only when it holds a non-finite float
+        return json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        return json.dumps(_json_safe(report), sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_decompose(args) -> int:
@@ -182,14 +185,11 @@ def cmd_landscape(args) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    columns = [c.tolist() for c in land.csv_rows()]
-    csv_text = "\n".join(["x,y,entropy", *map("{:.17g},{:.17g},{:.17g}".format, *columns)]) + "\n"
     maxima_text = json.dumps(land.maxima_json(), sort_keys=True) + "\n"
+    _emit(land.csv_text(), args.out)
     if args.out:
-        _emit(csv_text, args.out)
         _emit(maxima_text, args.out + ".maxima.json")
     else:
-        sys.stdout.write(csv_text)
         sys.stderr.write(maxima_text)
     return 0
 

@@ -196,26 +196,27 @@ class Simplex(_Geometry):
         s2 is drawn again, up to DISTINCT_ATTEMPTS times, while it equals s1;
         the test needs only the draws, so it runs inside the loop.
         """
-        n, eye = self.n, np.eye(self.n)
+        n = self.n
         if n < 3:
-            i = rng.integers(n, size=trials)
+            eye, i = np.eye(n), rng.integers(n, size=trials)
             return eye[i], eye[(i + 1) % n], eye[(i + 1) % n], np.ones(trials, dtype=bool)
+        ones, others = np.ones(n - 1), np.arange(n - 1)
+        rests = others + (others >= np.arange(n)[:, None])  # row i: the vertices other than i
 
         def fill_face(row, rest):
-            k = int(rng.integers(1, len(rest) + 1))
+            k = int(rng.integers(1, n))
             support = rng.choice(rest, size=k, replace=False)
             row[:] = 0.0
-            row[support] = rng.dirichlet(np.ones(k)) if k > 1 else 1.0
+            row[support] = rng.dirichlet(ones[:k]) if k > 1 else 1.0
 
         s0, s1, s2 = np.zeros((3, trials, n))
         for t in range(trials):
             i = int(rng.integers(n))
-            rest = [j for j in range(n) if j != i]
             s0[t, i] = 1.0
-            fill_face(s1[t], rest)
+            fill_face(s1[t], rests[i])
             for _ in range(DISTINCT_ATTEMPTS):
-                fill_face(s2[t], rest)
-                if np.max(np.abs(s2[t] - s1[t])) > DISTINCT_STATE_TOL:
+                fill_face(s2[t], rests[i])
+                if max(abs(a - b) for a, b in zip(s2[t].tolist(), s1[t].tolist())) > DISTINCT_STATE_TOL:
                     break
         return s0, s1, s2, np.zeros(trials, dtype=bool)
 
@@ -247,7 +248,11 @@ class Polytope(_Geometry):
         if any(len(v) != m for v in verts):
             raise ValueError("vertices must share one ambient dimension")
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_hash", hash(verts))  # every polytope cache lookup hashes the polytope
         _polytope_geometry(self)  # validates extremality and full dimension
+
+    def __hash__(self):
+        return self._hash
 
     kind = "polytope"
     canonical_decomposition = False

@@ -125,11 +125,16 @@ class Landscape:
     values: np.ndarray  # shape (len(xs), len(ys)), NaN outside the space
     maxima: tuple  # ((x, y, entropy), ...)
 
-    def csv_rows(self):
-        """x, y and entropy columns over the grid points inside the space, in grid order."""
-        inside = ~np.isnan(self.values)
-        x, y = np.meshgrid(self.xs, self.ys, indexing="ij")
-        return x[inside], y[inside], self.values[inside]
+    def csv_text(self) -> str:
+        """x,y,entropy CSV (17 significant digits) of the grid points inside, in grid order.
+
+        Each coordinate and each distinct entropy, keyed on its bits (-0.0 stays "-0"), is formatted once.
+        """
+        i, j = np.nonzero(~np.isnan(self.values))
+        bits, index = np.unique(self.values[i, j].view(np.int64), return_inverse=True)
+        x, y = (np.array([f"{v:.17g}," for v in axis.tolist()], dtype=object) for axis in (self.xs, self.ys))
+        h = np.array([f"{v:.17g}\n" for v in bits.view(np.float64).tolist()], dtype=object)
+        return "x,y,entropy\n" + "".join(np.stack([x[i], y[j], h[index]], axis=-1).ravel().tolist())
 
     def maxima_json(self) -> list:
         return [

@@ -380,3 +380,32 @@ def test_space_file_argument(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     np.testing.assert_allclose(sorted(payload["weights"]), [0.25, 0.75], atol=1e-12)
+
+
+def reference_report_json(report: dict) -> str:
+    """The report writer before the strict first pass: _json_safe on every report."""
+    return json.dumps(cli._json_safe(report), sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_report_json_non_finite_bytes_match_reference():
+    nan, inf = math.nan, math.inf
+    report = {"pass": False, "max_gap": nan, "values": [1.0, inf, (-inf, {"z": nan, "a": 0.5})],
+              "witness": {"spectra": ((inf, -0.0), [nan]), "n": 3, "name": "kl"}}
+    text = cli._report_json(report)
+    assert text == reference_report_json(report)
+    assert json.loads(text) == {"pass": False, "max_gap": "nan",
+                                "values": [1.0, "inf", ["-inf", {"a": 0.5, "z": "nan"}]],
+                                "witness": {"name": "kl", "n": 3, "spectra": [["inf", -0.0], ["nan"]]}}
+
+
+def test_report_json_finite_reports_skip_the_walk(capsys, monkeypatch):
+    report = {"b": [1.5, (2, -0.0)], "a": {"c": None, "d": "x"}, "e": True}
+    want = reference_report_json(report)
+
+    def refuse(value):
+        raise AssertionError("_json_safe ran on a finite report")
+
+    monkeypatch.setattr(cli, "_json_safe", refuse)
+    assert cli._report_json(report) == want
+    code, out, err = run_cli(capsys, "check", "locality", "--space", "simplex3", "--trials", "5")
+    assert code == 0 and err == "" and json.loads(out)["pass"] is True

@@ -864,6 +864,64 @@ def test_orthogonal_triples_give_up_like_the_loop(pure):
         REAL3.orthogonal_triples(ScriptedRng(pure), 3)
 
 
+def reference_simplex_triples(space, rng, trials):
+    """The Simplex.orthogonal_triples loop that built its index list and Dirichlet vector per draw."""
+    n = space.n
+
+    def fill_face(row, rest):
+        k = int(rng.integers(1, len(rest) + 1))
+        support = rng.choice(rest, size=k, replace=False)
+        row[:] = 0.0
+        row[support] = rng.dirichlet(np.ones(k)) if k > 1 else 1.0
+
+    s0, s1, s2 = np.zeros((3, trials, n))
+    for t in range(trials):
+        i = int(rng.integers(n))
+        rest = [j for j in range(n) if j != i]
+        s0[t, i] = 1.0
+        fill_face(s1[t], rest)
+        for _ in range(geo.DISTINCT_ATTEMPTS):
+            fill_face(s2[t], rest)
+            if np.max(np.abs(s2[t] - s1[t])) > tolerances.DISTINCT_STATE_TOL:
+                break
+    return s0, s1, s2, np.zeros(trials, dtype=bool)
+
+
+class CountingRng:
+    """A Generator that counts the draws made through it, by method name."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), collections.Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("trials", [1, 12, 220])
+def test_simplex_triples_keep_the_draw_stream(n, trials):
+    space = geo.Simplex(n)
+    for seed in range(50):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = space.orthogonal_triples(rng, trials), reference_simplex_triples(space, rng_ref, trials)
+        assert len(got) == 4 and all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_simplex_triples_retry_on_the_draw_stream():
+    """simplex3 at seed 8: trial 4 draws s2 = s1 twice and trials 5 and 6 once each, four redraws in all."""
+    rng, rng_ref = CountingRng(8), CountingRng(8)
+    got, want = SIMPLEX3.orthogonal_triples(rng, 12), reference_simplex_triples(SIMPLEX3, rng_ref, 12)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert rng.calls == rng_ref.calls
+    assert (rng.calls["integers"], rng.calls["choice"]) == (3 * 12 + 4, 2 * 12 + 4)
+    four, five = CountingRng(8), CountingRng(8)
+    SIMPLEX3.orthogonal_triples(four, 4)
+    SIMPLEX3.orthogonal_triples(five, 5)
+    assert five.calls["integers"] - four.calls["integers"] == 5  # the vertex, s1 and three s2 draws
+
+
 SUFFICIENCY_SPACES = {
     **{f"simplex{n}": geo.Simplex(n) for n in (2, 3, 5)},
     **{f"{ring}{n}": geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (1, 2, 3)},

@@ -6,7 +6,9 @@ clique enumeration (Bron–Kerbosch with pivoting) is checked against the
 subset walk it replaced, kept here as the oracle.
 """
 
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from test_polygons import PROPERTIES, SQUARE, convex_polygons, polytope, regular_polygon
 
 import spectral_cone as sc
+from spectral_cone import cli
 from spectral_cone import geometries as geo
 
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
@@ -167,3 +170,25 @@ def test_negative_zero_is_its_own_key(linprog_calls):
     linprog_calls.clear()
     geo.orthogonality_witness(minus, far)
     assert len(linprog_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the cached hash
+# ---------------------------------------------------------------------------
+
+def test_equal_vertex_tuples_hash_and_compare_equal():
+    verts = regular_polygon(7, scale=1.25)
+    a, b = polytope(verts), geo.Polytope([list(v) for v in verts])  # numpy floats, lists
+    assert a is not b and a == b and hash(a) == hash(b) == hash(a.vertices)
+    assert polytope(regular_polygon(7, scale=1.5)) != a
+    assert "_hash" not in repr(a) and [f.name for f in dataclasses.fields(a)] == ["vertices"]
+
+
+def test_reparsed_polytope_hits_clique_systems():
+    text = json.dumps({"kind": "polytope", "vertices": [[0, 0], [2, 0.5], [2.5, 2], [0.3, 1.6]]})
+    first = cli.parse_space(text)
+    systems = geo._clique_systems(first)
+    hits = geo._clique_systems.cache_info().hits
+    again = cli.parse_space(text)
+    assert again is not first and geo._clique_systems(again) is systems
+    assert geo._clique_systems.cache_info().hits == hits + 1

@@ -258,12 +258,60 @@ def test_landscape_rejects_non_2d():
         sc.entropy_landscape(geo.Ball(3), 11)
 
 
+def parse_csv(text):
+    header, *rows = text.splitlines()
+    assert header == "x,y,entropy"
+    return np.array([[float(c) for c in row.split(",")] for row in rows]).reshape(-1, 3).T
+
+
 def test_landscape_csv_rows_cover_interior():
     land = sc.entropy_landscape(DISC, 21)
-    x, y, h = land.csv_rows()
+    x, y, h = parse_csv(land.csv_text())
     assert np.all(x * x + y * y <= 1.0 + 1e-9)
     assert len(x) == len(y) == len(h) == np.count_nonzero(~np.isnan(land.values))
     assert len(x) < 21 * 21  # corners excluded
+    np.testing.assert_array_equal(h, land.values[~np.isnan(land.values)])
+
+
+def reference_csv(land):
+    """The writer csv_text replaced: every grid point formatted on its own, in grid order."""
+    inside = ~np.isnan(land.values)
+    x, y = np.meshgrid(land.xs, land.ys, indexing="ij")
+    columns = [c.tolist() for c in (x[inside], y[inside], land.values[inside])]
+    return "\n".join(["x,y,entropy", *map("{:.17g},{:.17g},{:.17g}".format, *columns)]) + "\n"
+
+
+QUADRILATERAL = geo.Polytope(((0.0, 0.0), (1.0, 0.2), (1.3, 1.0), (0.1, 0.8)))
+README_SPACES = {"square": SQUARE, "disc": DISC, "simplex3": SIMPLEX3}
+CSV_CASES = {
+    "square-101": (SQUARE, 101), "disc-101": (DISC, 101), "simplex3-100": (SIMPLEX3, 100),
+    **{f"{name}-{grid}": (space, grid) for name, space in README_SPACES.items() for grid in (2, 3)},
+    "pentagon-41": (PENTAGON, 41), "pentagon-101": (PENTAGON, 101),
+    "quadrilateral-57": (QUADRILATERAL, 57), "quadrilateral-101": (QUADRILATERAL, 101),
+}
+
+
+@pytest.mark.parametrize("space, grid", CSV_CASES.values(), ids=CSV_CASES.keys())
+def test_landscape_csv_text_matches_reference_bytes(space, grid):
+    land = sc.entropy_landscape(space, grid)
+    assert land.csv_text() == reference_csv(land)
+
+
+def test_landscape_csv_text_keeps_signed_zeros_infinities_and_repeats():
+    nan, inf = math.nan, math.inf
+    values = np.array([[0.0, -0.0, nan], [-inf, 0.0, -0.0], [LN2, nan, LN2], [nan, nan, nan]])
+    land = sc.Landscape(np.array([-0.0, 0.5, 1.0 / 3.0, 2.0]), np.array([0.0, 0.1, -1e-300]), values, ())
+    text = land.csv_text()
+    assert text == reference_csv(land)
+    assert text.splitlines() == [
+        "x,y,entropy",
+        "-0,0,0", "-0,0.10000000000000001,-0",
+        "0.5,0,-inf", "0.5,0.10000000000000001,0", "0.5,-1e-300,-0",
+        "0.33333333333333331,0,0.69314718055994529",
+        "0.33333333333333331,-1e-300,0.69314718055994529",
+    ]
+    empty = sc.Landscape(np.zeros(2), np.zeros(2), np.full((2, 2), nan), ())
+    assert empty.csv_text() == reference_csv(empty) == "x,y,entropy\n"
 
 
 def brute_force_maxima(xs, ys, values):
