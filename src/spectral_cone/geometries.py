@@ -23,14 +23,13 @@ singularity, decomposition, entropy, sampling, its builtin divergence names,
 channel suite and family draws); the module functions hold the logic shared
 by every geometry and call those methods.
 
-Only polytopes use scipy, and it is imported on the first call of the
-``linprog`` or ``ConvexHull`` wrapper below.  A polygon takes its facets
-from Andrew's monotone chain and its orthogonality graph from a closed-form
-interval test, so it solves a linear program only for the witnesses that
-``decompose`` prints; a polytope of dimension 3 or more takes its facets
-from qhull and its orthogonality graph from one HiGHS program per vertex
-pair.  Each witness program is solved once per polytope and ordered pair of
-states (``_face_witness``), and every polytope cache is a bounded LRU cache:
+Only segments and polytopes of dimension 3 or more use scipy, imported on the
+first call of the ``linprog`` or ``ConvexHull`` wrapper below.  A polygon
+takes its facets from Andrew's monotone chain, and its orthogonality graph
+and every witness from one closed-form interval test; a polytope of dimension
+3 or more takes its facets from qhull and each witness from a HiGHS program.
+Each witness is found once per polytope and ordered pair of states
+(``_face_witness``), and every polytope cache is a bounded LRU cache:
 ``POLYTOPE_CACHE_SIZE`` polytopes, ``WITNESS_CACHE_SIZE`` witnesses.
 """
 
@@ -302,7 +301,7 @@ class Polytope(_Geometry):
         return Face(self, "vertices", vertex_indices=face)
 
     def mutually_singular(self, s0: State, s1: State):
-        witness = _affine_test_feasible(self.vertex_array, s0.coords, s1.coords)
+        witness = _face_witness(self, s0.coords.tobytes(), s1.coords.tobytes(), True)
         return witness is not None, witness
 
     def orthogonality_witness(self, s0: State, s1: State) -> Optional[AffineFunctional]:
@@ -1032,15 +1031,22 @@ def _face_vertices(space: Polytope, center: np.ndarray) -> Optional[tuple]:
 
 
 @lru_cache(maxsize=WITNESS_CACHE_SIZE)
-def _face_witness(space: Polytope, zero_at: bytes, one_at: bytes) -> Optional[AffineFunctional]:
-    """The witness program of ``Polytope.orthogonality_witness`` for two states' coordinate bytes.
+def _face_witness(space: Polytope, zero_at: bytes, one_at: bytes, whole: bool = False) -> Optional[AffineFunctional]:
+    """An affine map with value 0 at zero_at, 1 at one_at (coordinate bytes) and [0, 1] on the vertices of
+    their smallest face (all when whole), or None: in closed form on polygons, else from HiGHS.
 
-    Keyed by the bytes, -0.0 and 0.0 stay apart, so a hit returns the
-    coefficients HiGHS printed for the same inputs.  The swapped pair is a
-    program of its own: 1 - f would change the printed digits.
+    Keyed by the bytes, -0.0 and 0.0 stay apart, so a hit returns the coefficients a cold call prints.
+    The swapped pair is a key of its own: 1 - f would change the printed digits.
     """
     zero_at, one_at = np.frombuffer(zero_at), np.frombuffer(one_at)
-    face = _face_vertices(space, np.mean([zero_at, one_at], axis=0))
+    if space.dim == 2:
+        found, t = _polygon_orthogonal(_polytope_geometry(space), zero_at[None], one_at[None], whole)
+        if not found[0]:
+            return None
+        d = one_at - zero_at
+        c = d / (d @ d) + t[0] * np.array([-d[1], d[0]])
+        return AffineFunctional(c, -float(c @ zero_at))
+    face = None if whole else _face_vertices(space, np.mean([zero_at, one_at], axis=0))
     verts = space.vertex_array if face is None else space.vertex_array[list(face)]
     return _affine_test_feasible(verts, zero_at, one_at)
 
@@ -1081,11 +1087,11 @@ def _vertex_states(space: Polytope) -> tuple:
 
 @lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
 def _orthogonality_graph(space: Polytope) -> np.ndarray:
-    nv = len(space.vertices)
+    verts, nv = space.vertex_array, len(space.vertices)
     adj = np.zeros((nv, nv), dtype=bool)
     if space.dim == 2:
         i, j = np.triu_indices(nv, 1)
-        adj[i, j] = adj[j, i] = _polygon_orthogonal(_polytope_geometry(space), i, j)
+        adj[i, j] = adj[j, i] = _polygon_orthogonal(_polytope_geometry(space), verts[i], verts[j])[0]
     else:
         for i in range(nv):
             for j in range(i + 1, nv):
@@ -1094,32 +1100,36 @@ def _orthogonality_graph(space: Polytope) -> np.ndarray:
     return adj
 
 
-def _polygon_orthogonal(geometry: _PolytopeGeometry, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Orthogonality of the polygon vertex pairs (i[p], j[p]), in closed form.
+def _polygon_orthogonal(geometry: _PolytopeGeometry, p0: np.ndarray, p1: np.ndarray, whole: bool = False):
+    """(orthogonal, t) of the polygon point pairs (p0[p], p1[p]), in closed form.
 
-    This is the verdict of ``orthogonal`` on the two vertex states.  On the
-    vertices vk of the pair's smallest face, found as ``smallest_face`` does,
-    the witness f(x) = c . (x - vi) of ``_affine_test_feasible`` must have
-    f(vj) = 1, so c = d / |d|^2 + t d_perp with d = vj - vi, and f(vk) =
-    a_k + t g_k.  The witness exists exactly when the intervals of t on which
-    every f(vk) lies in [0, 1], within WITNESS_FEASIBILITY_TOL, meet.
+    orthogonal is the verdict of ``orthogonal`` (``mutually_singular`` when whole) on the two states.  On
+    the vertices vk of their smallest face (all when whole), f(p0) = 0 and f(p1) = 1 make a witness
+    f(x) = c . (x - p0) with c = d / |d|^2 + t d_perp, d = p1 - p0, so f(vk) = a_k + t g_k (g_k = 0 within
+    SINGULARITY_TOL of the line p0 p1).  It exists when the intervals of t where each f(vk) lies in [0, 1],
+    within WITNESS_FEASIBILITY_TOL, meet in [L, U].  t is the point of [L, U] where the two vertices
+    bounding it are equally far, in f, from the ends of [0, 1] (the tolerance cancels); 0 if t is free.
     """
     verts, normals, offsets = geometry.vertex_array, geometry.facet_normals, geometry.facet_offsets
-    active = np.abs((verts[i] + verts[j]) / 2.0 @ normals.T + offsets) <= SINGULARITY_TOL
+    active = np.abs((p0 + p1) / 2.0 @ normals.T + offsets) <= (-1.0 if whole else SINGULARITY_TOL)
     on_facet = np.abs(verts @ normals.T + offsets) <= SINGULARITY_TOL
-    face = np.all(~active[:, None, :] | on_facet, axis=-1)  # (pairs, vertices); no active facet: all
-    d = verts[j] - verts[i]
-    rel = verts - verts[i][:, None, :]
+    face = np.all(~active[:, None, :] | on_facet, axis=-1)  # (pairs, vertices); no active facet (whole): all
+    d = p1 - p0
+    rel = verts - p0[:, None, :]
     g = rel[..., 1] * d[:, None, 0] - rel[..., 0] * d[:, None, 1]
+    g[~face | (np.abs(g) <= SINGULARITY_TOL * np.hypot(d[:, 0], d[:, 1])[:, None])] = 0.0
+    rows = np.arange(len(d))
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.sum(rel * d[:, None, :], axis=-1) / np.sum(d * d, axis=-1)[:, None]
         lo, hi = -WITNESS_FEASIBILITY_TOL - a, 1.0 + WITNESS_FEASIBILITY_TOL - a  # bounds on t * g
         lower = np.where(g > 0, lo / g, np.where(g < 0, hi / g, -np.inf))
         upper = np.where(g > 0, hi / g, np.where(g < 0, lo / g, np.inf))
+        k, m = np.argmax(lower, axis=1), np.argmin(upper, axis=1)  # the vertices bounding t
+        (low, w_low), (up, w_up) = (lower[rows, k], np.abs(g[rows, k])), (upper[rows, m], np.abs(g[rows, m]))
+        t = np.where(np.isfinite(low), (w_low * low + w_up * up) / (w_low + w_up), 0.0)
     fixed_ok = (g != 0) | ((lo <= 0.0) & (hi >= 0.0))  # f(vk) = a_k for every t
-    meet = np.max(np.where(face, lower, -np.inf), axis=1) <= np.min(np.where(face, upper, np.inf), axis=1)
     distinct = np.max(np.abs(d), axis=1) > SAME_STATE_TOL
-    return distinct & meet & np.all(~face | fixed_ok, axis=1)
+    return distinct & (low <= up) & np.all(~face | fixed_ok, axis=1), t
 
 
 @lru_cache(maxsize=POLYTOPE_CACHE_SIZE)

@@ -170,7 +170,15 @@ def test_decompose_flat_polytope_exact_error(capsys, vertices):
     assert (code, out, err) == (1, "", f"error: {FLAT_POLYTOPE_ERRORS[vertices]}\n")
 
 
-@pytest.mark.parametrize("trace", ["NaN", "Infinity", "-Infinity"])
+def test_decompose_past_the_vertex_cap_exit_1(capsys):
+    # MAX_ENUMERATION_VERTICES = 12: a regular 13-gon is turned away with one line naming the limit
+    vertices = [[math.cos(2 * math.pi * i / 13), math.sin(2 * math.pi * i / 13)] for i in range(13)]
+    space = json.dumps({"kind": "polytope", "vertices": vertices})
+    code, out, err = run_cli(capsys, "decompose", "--space", space, "--element", "[0.1, 0.2]")
+    assert (code, out, err) == (1, "", "error: decomposition search supports at most 12 vertices, got 13\n")
+
+
+@pytest.mark.parametrize("trace",["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("space,coords", [("simplex3", "[5, -3, 7]"),
                                           ("complex2", "[0.5, 0, 0, 0, 0, 0, 0.5, 0]")])
 def test_decompose_non_finite_trace_exit_2(capsys, space, coords, trace):

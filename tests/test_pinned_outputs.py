@@ -10,7 +10,9 @@ each at seeds 1 to 3, plus two locality runs whose per-trial loop rejects a
 draw (a complement mass at or below 1e-6, and s2 equal to s1), 18
 polytope decompositions with their witnesses (square, triangle, regular
 pentagon and 12-gon, two irregular polygons, the cube) and 5 density-matrix
-decompositions with theirs (complex2, real3, quaternion2).  Exit codes,
+decompositions with theirs (complex2, real3, quaternion2).  Polygon
+witnesses are the closed-form interval solutions, the cube's are HiGHS
+solutions.  Exit codes,
 verdicts and the witness trial, t, condition and channel must match
 exactly; floats, witness coefficients included, may differ by rounding only.
 """

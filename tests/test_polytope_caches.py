@@ -1,7 +1,8 @@
 """Polytope caches: the witness memo, the one cache bound, and the clique enumeration.
 
-``decompose`` prints one HiGHS witness per ordered component pair, and each
-witness program is solved once per polytope and ordered pair of states.  The
+``decompose`` prints one witness per ordered component pair (in closed form
+on polygons, from HiGHS on the cube), and each witness is found once per
+polytope and ordered pair of states.  The
 clique enumeration (Bron–Kerbosch with pivoting) is checked against the
 subset walk it replaced, kept here as the oracle.
 """
@@ -149,23 +150,24 @@ def test_memo_witnesses_equal_cold_solves(space):
 
 
 def test_swapped_pair_is_its_own_program(linprog_calls):
+    # the cube, where the memo still holds HiGHS programs; 0 and 3 are a diagonal of the face x = 0
     geo._face_witness.cache_clear()
-    forward = witness(SQUARE, 0, 3)
-    backward = witness(SQUARE, 3, 0)
+    forward = witness(CUBE, 0, 3)
+    backward = witness(CUBE, 3, 0)
     assert len(linprog_calls) == 2
     assert geo._face_witness.cache_info().currsize == 2
     geo._face_witness.cache_clear()
-    cold = witness(SQUARE, 3, 0)
+    cold = witness(CUBE, 3, 0)
     assert backward.linear.tobytes() == cold.linear.tobytes() and backward.offset == cold.offset
     # the swapped witness maps vertex 3 to 0 and vertex 0 to 1, as 1 - forward would
-    s0, s3 = SQUARE.vertex_state(0), SQUARE.vertex_state(3)
+    s0, s3 = CUBE.vertex_state(0), CUBE.vertex_state(3)
     assert (forward(s0), forward(s3), backward(s3), backward(s0)) == pytest.approx((0.0, 1.0, 0.0, 1.0))
 
 
 def test_negative_zero_is_its_own_key(linprog_calls):
-    plus = sc.State(SQUARE, [0.0, 0.0])
-    minus = sc.State(SQUARE, [-0.0, 0.0])
-    far = SQUARE.vertex_state(3)
+    plus = sc.State(CUBE, [0.0, 0.0, 0.0])
+    minus = sc.State(CUBE, [-0.0, 0.0, 0.0])
+    far = CUBE.vertex_state(7)
     geo.orthogonality_witness(plus, far)
     linprog_calls.clear()
     geo.orthogonality_witness(minus, far)
