@@ -15,8 +15,9 @@ Every state is identified by a real coordinate vector:
 With this flattening the trace inner product of Hermitian matrices equals
 the plain dot product of coordinate vectors, so affine functionals transfer
 between pictures without conversion.  Density-matrix kernels run on stacked
-complex forms built from coordinate rows (``DensityMatrices.forms`` and its
-inverse ``coords_of``), never on per-row HermitianMatrix objects.
+complex forms that jordan's ring layer builds from coordinate rows
+(``DensityMatrices.forms`` and its inverse ``coords_of``), never on per-row
+HermitianMatrix objects.
 
 Each descriptor class carries the behaviour of its geometry (faces, mutual
 singularity, decomposition, entropy, sampling, its builtin divergence names,
@@ -49,10 +50,10 @@ from .cone import AffineFunctional, ConeElement, State
 from .decomposition import OrthogonalDecomposition, Spectrum, maximal_spectra, weights_entropy
 from .errors import (ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError,
                      PreconditionError)
-from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COMPLEMENT_MASS_MIN, DISTINCT_STATE_TOL,
-                         FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL, RECONSTRUCTION_TOL,
-                         SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS, WEIGHT_DROP_TOL,
-                         WITNESS_FEASIBILITY_TOL)
+from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPLEMENT_MASS_MIN,
+                         DISTINCT_STATE_TOL, FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL,
+                         RECONSTRUCTION_TOL, SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS,
+                         WEIGHT_DROP_TOL, WITNESS_FEASIBILITY_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
 POLYTOPE_CACHE_SIZE = 64  # polytopes whose geometry, orthogonality graph and clique systems stay cached
@@ -491,21 +492,17 @@ class SpinFactor(Ball):
         return {"kind": "spin", "d": self.d}
 
 
-# sign of each entry component under conjugation, for the real, complex and quaternion rings
-_ADJOINT_SIGNS = {"real": (1.0,), "complex": (1.0, -1.0), "quaternion": (1.0, -1.0, -1.0, -1.0)}
-
-
 @dataclass(frozen=True)
 class DensityMatrices(_Geometry):
     """Density matrices over a division ring: positive, unit trace.
 
     Every computation runs on stacks of complex forms (..., m, m): the
     matrix itself over the real and complex rings (m = n), its complex
-    embedding over the quaternions (m = 2n).  ``forms`` and ``coords_of``
-    convert between coordinate rows and forms; the ring enters only through
-    them and ``mult``, the number of times each ring eigenvalue appears in a
-    form.  HermitianMatrix appears only at the public boundary
-    (``state_matrix``, ``state_from_matrix``, ``Face.projection``, the samplers).
+    embedding over the quaternions (m = 2n).  The class only reshapes
+    coordinate rows to (..., n, n, k) entries and back (``_entries``,
+    ``_rows``); the ring enters through jordan's ring layer alone.
+    HermitianMatrix appears only at the public boundary (``state_matrix``,
+    ``state_from_matrix``, ``Face.projection``, ``random_state``).
     """
 
     ring: str
@@ -516,6 +513,9 @@ class DensityMatrices(_Geometry):
             raise ValueError(f"unknown ring {self.ring!r}")
         if self.n < 1:
             raise ValueError("matrix size must be positive")
+        # the ring's entry width and eigenvalue multiplicity, read by every reshape and spectrum
+        object.__setattr__(self, "components_per_entry", jordan.entry_width(self.ring))
+        object.__setattr__(self, "mult", jordan.multiplicity(self.ring))
 
     kind = "density"
     divergences = ("matrix_negentropy",)
@@ -523,15 +523,6 @@ class DensityMatrices(_Geometry):
     @property
     def exploratory(self) -> bool:
         return self.ring == "quaternion"
-
-    @property
-    def components_per_entry(self) -> int:
-        return {"real": 1, "complex": 2, "quaternion": 4}[self.ring]
-
-    @property
-    def mult(self) -> int:
-        """Copies of each ring eigenvalue in a form; the ring trace is the form trace / mult."""
-        return 2 if self.ring == "quaternion" else 1
 
     @property
     def dim(self) -> int:
@@ -546,44 +537,30 @@ class DensityMatrices(_Geometry):
     def rank(self) -> int:
         return self.n
 
-    def _hermitian_entries(self, entries: np.ndarray) -> np.ndarray:
-        """(A + A*) / 2 of (..., n, n, k) entry arrays; exactly Hermitian in IEEE arithmetic."""
-        return (entries + np.swapaxes(entries, -2, -3) * _ADJOINT_SIGNS[self.ring]) / 2.0
-
     def _entries(self, coords: np.ndarray) -> np.ndarray:
         return coords.reshape(*coords.shape[:-1], self.n, self.n, self.components_per_entry)
 
+    def _rows(self, entries: np.ndarray) -> np.ndarray:
+        return entries.reshape(*entries.shape[:-3], self.coords_len)
+
     def forms(self, coords) -> np.ndarray:
         """Complex forms (..., m, m) of the Hermitian parts of (..., coords_len) coordinate rows."""
-        return self._entry_forms(self._hermitian_entries(self._entries(np.asarray(coords, dtype=float))))
-
-    def _entry_forms(self, herm: np.ndarray) -> np.ndarray:
-        if self.ring == "quaternion":
-            return quat.to_complex(herm)
-        if self.ring == "complex":
-            return herm.view(complex)[..., 0]
-        return herm[..., 0].astype(complex)
+        herm = jordan.hermitian_entries(self.ring, self._entries(np.asarray(coords, dtype=float)))
+        return jordan.complex_forms(self.ring, jordan.entry_data(self.ring, herm))
 
     def coords_of(self, forms) -> np.ndarray:
         """Coordinate rows of the Hermitian parts of (..., m, m) complex forms; inverts ``forms``."""
-        z = np.asarray(forms, dtype=complex)
-        if self.ring == "quaternion":
-            entries = quat.from_complex(z)
-        elif self.ring == "complex":
-            entries = np.stack([z.real, z.imag], axis=-1)
-        else:
-            entries = z.real[..., None]
-        return self._hermitian_entries(entries).reshape(*z.shape[:-2], self.coords_len)
+        return self._rows(jordan.form_entries(self.ring, forms))
 
     def traces(self, coords) -> np.ndarray:
-        """Ring trace of every row: the sum of the real parts of the diagonal entries."""
-        return np.sum(np.asarray(coords)[..., :: (self.n + 1) * self.components_per_entry], axis=-1)
+        """Ring trace of every row."""
+        return jordan.entry_traces(self._entries(np.asarray(coords)))
 
     def state_matrix(self, s: State) -> jordan.HermitianMatrix:
         return jordan.from_form(self.ring, self.forms(s.coords))
 
     def state_from_matrix(self, m: jordan.HermitianMatrix) -> State:
-        return State(self, self.coords_of(m.to_complex()))
+        return State(self, self._rows(jordan.ring_entries(self.ring, m.data)))
 
     @np.errstate(over="ignore")
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
@@ -599,10 +576,11 @@ class DensityMatrices(_Geometry):
             return np.zeros(coords.shape[:-1], dtype=bool)
         rows = coords.reshape(-1, self.coords_len)
         entries = self._entries(rows)
-        herm = self._hermitian_entries(entries)
+        herm = jordan.hermitian_entries(self.ring, entries)
         defect = np.max(np.abs(entries - herm).reshape(rows.shape), axis=1)
         ok = (defect <= tol) & (np.abs(self.traces(rows) - 1.0) <= tol)
-        ok[ok] = np.min(np.linalg.eigvalsh(self._entry_forms(herm[ok])), axis=-1, initial=np.inf) >= -tol
+        forms = jordan.complex_forms(self.ring, jordan.entry_data(self.ring, herm[ok]))
+        ok[ok] = np.min(np.linalg.eigvalsh(forms), axis=-1, initial=np.inf) >= -tol
         return ok.reshape(coords.shape[:-1])
 
     def barycenter_coords(self) -> np.ndarray:
@@ -682,7 +660,8 @@ class DensityMatrices(_Geometry):
         return self.state_from_matrix(jordan.random_density_matrix(self.ring, self.n, rng))
 
     def random_pure_state(self, rng: np.random.Generator) -> State:
-        return self.state_from_matrix(jordan.random_pure_density(self.ring, self.n, rng))
+        raw = jordan.gaussian_draws(self.ring, self.n, rng, cols=1)
+        return State(self, self._rows(jordan.ring_entries(self.ring, jordan.pure_matrices(self.ring, raw))))
 
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
         """s0 a random pure state; s1, s2 random states pinched into the complement of its support.
@@ -751,14 +730,14 @@ class DensityMatrices(_Geometry):
         ring, k = self.ring, len(draws)
         picks = [c for d in draws for c in d[1:]]
         pure = np.array([is_pure for is_pure, _ in picks])
-        pure_forms = jordan.complex_forms(ring, jordan.pure_matrices(
-            ring, np.stack([d[0] for d in draws] + [raw for is_pure, raw in picks if is_pure])))
-        s0 = self.coords_of(pure_forms[:k])
-        forms = np.empty((len(picks), *pure_forms.shape[1:]), dtype=complex)
-        forms[pure] = pure_forms[k:]
+        pure_data = jordan.pure_matrices(
+            ring, np.stack([d[0] for d in draws] + [raw for is_pure, raw in picks if is_pure]))
+        s0 = self._rows(jordan.ring_entries(ring, pure_data[:k]))
+        data = np.empty((len(picks), *pure_data.shape[1:]), dtype=pure_data.dtype)
+        data[pure] = pure_data[k:]
         if not np.all(pure):
-            forms[~pure] = jordan.complex_forms(ring, jordan.positive_matrices(
-                ring, np.stack([raw for is_pure, raw in picks if not is_pure])))
+            data[~pure] = jordan.positive_matrices(ring, np.stack([raw for is_pure, raw in picks if not is_pure]))
+        forms = jordan.complex_forms(ring, data)
         comp = (np.eye(forms.shape[-1]) - self._support(s0))[:, None]
         compressed = self.coords_of(comp @ forms.reshape(k, -1, *forms.shape[1:]) @ comp)
         mass = self.traces(compressed)
@@ -773,7 +752,7 @@ class DensityMatrices(_Geometry):
     def family_draws(self, rng: np.random.Generator, lead: tuple) -> np.ndarray:
         """The density kernel with eigenvalue floor 0.05."""
         data = jordan.positive_matrices(self.ring, jordan.gaussian_draws(self.ring, self.n, rng, lead), floor=0.05)
-        return self.coords_of(jordan.complex_forms(self.ring, data))
+        return self._rows(jordan.ring_entries(self.ring, data))
 
     def channel_suite(self, rng: np.random.Generator) -> list:
         """Conjugation by a random unitary and, for n >= 2, a pinch followed by another."""
@@ -880,8 +859,7 @@ def _merge_pair(i: int, j: int, alpha: float) -> ChannelPair:
 
 def _unitary_conjugation_pair(space: DensityMatrices, rng: np.random.Generator, pinch: bool) -> ChannelPair:
     n = space.n
-    u = _random_unitary(space.ring, n, rng)
-    u = quat.to_complex(u) if space.ring == "quaternion" else u.astype(complex)
+    u = jordan.complex_forms(space.ring, _random_unitary(space.ring, n, rng))
     u_star = np.conj(u.T)
     side = np.arange(n) < n // 2
     # coordinate mask of the two diagonal blocks of the pinch
@@ -978,7 +956,9 @@ def _polygon_hull(verts: np.ndarray):
 
     The chain (Andrew, IPL 9(5), 1979) walks the points in lexicographic
     order and drops every point where the boundary does not turn left, so a
-    repeated point or one inside an edge is not a hull vertex.  Each row of
+    repeated point or one inside an edge is not a hull vertex; a cross
+    product l - r within COLLINEAR_RTOL * (|l| + |r|), its rounding error,
+    is no turn, so points collinear in decimal go as in qhull.  Each row of
     the equations is an outward unit normal and its offset, as in qhull's
     ``equations``: normal . x + offset <= 0 inside.
     """
@@ -987,8 +967,11 @@ def _polygon_hull(verts: np.ndarray):
     def half(points):
         chain = []
         for x, y in points:
-            while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
-                                       - (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])) <= 0.0:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                left, right = (bx - ax) * (y - ay), (by - ay) * (x - ax)
+                if left - right > COLLINEAR_RTOL * (abs(left) + abs(right)):
+                    break
                 chain.pop()
             chain.append((x, y))
         return chain[:-1]

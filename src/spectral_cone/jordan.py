@@ -10,10 +10,16 @@ concavity of entropy.
 Every computation runs on the complex form of a matrix: real matrices are
 complex matrices with zero imaginary part, and quaternionic matrices go
 through the complex embedding, where each eigenvalue appears twice.
-Eigendecompositions are LAPACK heevd (numpy.linalg.eigh) on that form, and
-:func:`from_form` is the one way back to the ring.  HermitianMatrix is the
-public face of this calculus; the density-matrix geometry works on stacks of
-complex forms directly (see :class:`spectral_cone.geometries.DensityMatrices`).
+Eigendecompositions are LAPACK heevd (numpy.linalg.eigh) on that form.
+
+The ring layer is the one place that knows a ring: each entry component's
+sign under conjugation (and so the entry width), the multiplicity of
+eigenvalues in the complex form, the conversions between ring data, its
+(..., n, n, k) real entries and complex forms, and the Hermitian part
+(A + A*) / 2, taken on entries in float arithmetic so that it is exact and
+keeps signed zeros (complex division by 2 would not).  HermitianMatrix is
+the public face of this calculus; the density-matrix geometry reshapes its
+coordinate rows to entries and calls the ring layer on whole stacks.
 
 Random positive matrices come from one density kernel over stacks of ring
 data, :func:`positive_matrices`; the single-matrix samplers call it on one
@@ -42,6 +48,18 @@ from .tolerances import (CLUSTER_RADIUS_FLOOR, CLUSTER_RTOL, CONCAVITY_FD_RTOL, 
                          NEGATIVE_EIGENVALUE_TOL, SPIN_DEGENERATE_TOL, ZERO_EIGENVALUE_TOL)
 
 RINGS = ("real", "complex", "quaternion")
+# the sign each real component of an entry takes under conjugation: the imaginary units flip
+_ADJOINT_SIGNS = {ring: np.array([1.0] + [-1.0] * (k - 1)) for ring, k in zip(RINGS, (1, 2, 4))}
+
+
+def entry_width(ring: str) -> int:
+    """Real components of an entry: 1, 2 or 4."""
+    return len(_ADJOINT_SIGNS[ring])
+
+
+def multiplicity(ring: str) -> int:
+    """Copies of each ring eigenvalue in a complex form: 2 for quaternions, else 1."""
+    return 2 if ring == "quaternion" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +83,7 @@ class HermitianMatrix:
         defect = np.max(np.abs(data - _conj_transpose(self.ring, data)))
         if defect > HERMITIAN_TOL * scale:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-        data = (data + _conj_transpose(self.ring, data)) / 2.0
+        data = _hermitian_data(self.ring, data)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -90,8 +108,7 @@ class HermitianMatrix:
 
     @property
     def mult(self) -> int:
-        """Copies of each eigenvalue in the complex form (2 for quaternions)."""
-        return 2 if self.ring == "quaternion" else 1
+        return multiplicity(self.ring)
 
     # Sums, differences and real multiples of exactly Hermitian matrices are
     # exactly Hermitian in IEEE arithmetic: conjugation only flips signs.
@@ -128,42 +145,63 @@ class HermitianMatrix:
 
     @classmethod
     def zeros(cls, ring: str, n: int) -> "HermitianMatrix":
-        if ring == "quaternion":
-            return cls(ring, np.zeros((n, n, 4)))
-        dtype = complex if ring == "complex" else float
-        return cls(ring, np.zeros((n, n), dtype=dtype))
+        return cls(ring, np.zeros_like(_identity_data(ring, n)))
 
 
 def _ring_array(ring: str, data) -> np.ndarray:
-    """Matrix data coerced to the ring's dtype, checked to be square."""
+    """Matrix data coerced to the ring's dtype, checked to be square and finite."""
     if ring not in RINGS:
         raise ValueError(f"unknown ring {ring!r}")
-    if ring == "quaternion":
-        data = quat.qarray(data)
-        if data.ndim != 3 or data.shape[0] != data.shape[1]:
-            raise ValueError("quaternion matrix data must have shape (n, n, 4)")
-        return data
-    data = np.asarray(data, dtype=complex if ring == "complex" else float)
-    if data.ndim != 2 or data.shape[0] != data.shape[1]:
-        raise ValueError("matrix data must be square")
+    quaternion = ring == "quaternion"
+    data = quat.qarray(data) if quaternion else np.asarray(data, dtype=complex if ring == "complex" else float)
+    if data.ndim != 2 + quaternion or data.shape[0] != data.shape[1]:
+        raise ValueError("quaternion matrix data must have shape (n, n, 4)" if quaternion
+                         else "matrix data must be square")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("matrix entries must be finite")
     return data
 
 
-# Ring data of a stack of matrices has shape (..., n, n), or (..., n, n, 4)
-# over the quaternions; the helpers below act on every matrix of a stack.
+# The ring layer; every helper acts on every matrix of a stack.
+
+def ring_entries(ring: str, data) -> np.ndarray:
+    """The (..., n, n, k) real entries of ring data; a view of contiguous data."""
+    data = np.ascontiguousarray(data, dtype=complex if ring == "complex" else float)
+    if ring == "complex":
+        return data.view(float).reshape(*data.shape, 2)
+    return data if ring == "quaternion" else data[..., None]
+
+
+def entry_data(ring: str, entries: np.ndarray) -> np.ndarray:
+    """Ring data of (..., n, n, k) entries; inverts ring_entries."""
+    if ring == "complex":
+        return np.ascontiguousarray(entries).view(complex)[..., 0]
+    return entries if ring == "quaternion" else entries[..., 0]
+
+
+def hermitian_entries(ring: str, entries: np.ndarray) -> np.ndarray:
+    """(A + A*) / 2 of (..., n, n, k) entries; exactly Hermitian in IEEE arithmetic."""
+    return (entries + np.swapaxes(entries, -2, -3) * _ADJOINT_SIGNS[ring]) / 2.0
+
+
+def entry_traces(entries: np.ndarray) -> np.ndarray:
+    """Ring trace of every matrix of (..., n, n, k) entries: the sum of the real parts of its diagonal."""
+    return np.sum(np.diagonal(entries[..., 0], axis1=-2, axis2=-1), axis=-1)
+
 
 def _conj_transpose(ring: str, data: np.ndarray) -> np.ndarray:
-    if ring == "quaternion":
-        return quat.qmat_conj_transpose(data)
-    return np.conj(np.swapaxes(data, -1, -2))
+    return entry_data(ring, np.swapaxes(ring_entries(ring, data), -2, -3) * _ADJOINT_SIGNS[ring])
 
 
 def _hermitian_data(ring: str, raw) -> np.ndarray:
-    """(A + A*) / 2 of ring data; exactly Hermitian in IEEE arithmetic."""
-    if ring == "real":
-        raw = np.real(raw)
-    raw = np.asarray(raw, dtype=complex if ring == "complex" else float)
-    return (raw + _conj_transpose(ring, raw)) / 2.0
+    """(A + A*) / 2 of ring data."""
+    return entry_data(ring, hermitian_entries(ring, ring_entries(ring, raw)))
+
+
+def _identity_data(ring: str, n: int) -> np.ndarray:
+    entries = np.zeros((n, n, entry_width(ring)))
+    entries[np.arange(n), np.arange(n), 0] = 1.0
+    return entry_data(ring, entries)
 
 
 def _ring_matmul(ring: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,42 +213,26 @@ def complex_forms(ring: str, data: np.ndarray) -> np.ndarray:
     return quat.to_complex(data) if ring == "quaternion" else np.asarray(data, dtype=complex)
 
 
-def _identity_data(ring: str, n: int) -> np.ndarray:
-    if ring == "quaternion":
-        data = np.zeros((n, n, 4))
-        data[np.arange(n), np.arange(n), 0] = 1.0
-        return data
-    return np.eye(n, dtype=complex if ring == "complex" else float)
-
-
-def _ring_traces(ring: str, data: np.ndarray) -> np.ndarray:
-    """Ring trace of every matrix: the sum of the real parts of the diagonal entries."""
-    if ring == "quaternion":
-        n = data.shape[-2]
-        return np.sum(data[..., np.arange(n), np.arange(n), 0], axis=-1)
-    return np.real(np.trace(data, axis1=-2, axis2=-1))
+def form_entries(ring: str, z) -> np.ndarray:
+    """Entries of the Hermitian parts of (..., m, m) complex forms, through the inverse of complex_forms."""
+    data = quat.from_complex(z) if ring == "quaternion" else z if ring == "complex" else np.real(z)
+    return hermitian_entries(ring, ring_entries(ring, data))
 
 
 def hermitian_part(ring: str, raw: np.ndarray) -> HermitianMatrix:
-    """Build a HermitianMatrix from raw data by symmetrizing.
-
-    (A + A*) / 2 is exactly Hermitian in IEEE arithmetic, so the result
-    needs no defect check.
-    """
+    """The HermitianMatrix (A + A*) / 2 of raw data; exactly Hermitian, so it needs no defect check."""
     raw = _ring_array(ring, np.real(raw) if ring == "real" else raw)
     return HermitianMatrix._trusted(ring, _hermitian_data(ring, raw))
 
 
 def from_form(ring: str, z: np.ndarray) -> HermitianMatrix:
     """The matrix over the ring whose complex form is the Hermitian part of z."""
-    return hermitian_part(ring, quat.from_complex(z) if ring == "quaternion" else z)
+    return HermitianMatrix._trusted(ring, entry_data(ring, form_entries(ring, z)))
 
 
 def jordan_product(x: HermitianMatrix, y: HermitianMatrix) -> HermitianMatrix:
     """Symmetrized product x o y = (xy + yx) / 2; Hermitian and commutative."""
-    xy = x.matmul(y)
-    yx = y.matmul(x)
-    return hermitian_part(x.ring, (xy + yx) / 2.0)
+    return hermitian_part(x.ring, x.matmul(y) + y.matmul(x)).scale(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +506,8 @@ def positive_matrices(ring: str, raw: np.ndarray, floor: float = 0.0,
     if unit_trace:
         if floor > 0.0:
             m = m + eye
-        return _per_matrix(1.0 / _ring_traces(ring, m), m)
-    return _per_matrix(1.0 / np.maximum(1.0, _ring_traces(ring, m)), m) + eye
+        return _per_matrix(1.0 / entry_traces(ring_entries(ring, m)), m)
+    return _per_matrix(1.0 / np.maximum(1.0, entry_traces(ring_entries(ring, m))), m) + eye
 
 
 def pure_matrices(ring: str, raw: np.ndarray) -> np.ndarray:
@@ -499,12 +521,12 @@ def pure_matrices(ring: str, raw: np.ndarray) -> np.ndarray:
     if ring == "quaternion":
         sq = np.sum((raw ** 2).reshape(*raw.shape[:-3], -1), axis=-1)[..., None, None, None]
         v = raw / np.sqrt(sq)
-        return _hermitian_data(ring, quat.qmat_mul(v, quat.qmat_conj_transpose(v)))
+        return _hermitian_data(ring, quat.qmat_mul(v, _conj_transpose(ring, v)))
     sq = np.swapaxes(raw.real, -1, -2) @ raw.real
     if ring == "complex":
         sq = sq + np.swapaxes(raw.imag, -1, -2) @ raw.imag
     v = raw / np.sqrt(sq)
-    return _hermitian_data(ring, v * np.conj(np.swapaxes(v, -1, -2)))
+    return _hermitian_data(ring, v * _conj_transpose(ring, v))
 
 
 def _per_matrix(c: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -528,11 +550,6 @@ def random_density_matrix(ring: str, n: int, rng: np.random.Generator,
                           floor: float = 0.0) -> HermitianMatrix:
     """Random density matrix (positive, unit ring trace)."""
     return HermitianMatrix._trusted(ring, positive_matrices(ring, gaussian_draws(ring, n, rng), floor))
-
-
-def random_pure_density(ring: str, n: int, rng: np.random.Generator) -> HermitianMatrix:
-    """Rank-one density matrix from a random unit vector."""
-    return HermitianMatrix._trusted(ring, pure_matrices(ring, gaussian_draws(ring, n, rng, cols=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +634,7 @@ def _matrix_concavity_terms(ring: str, n: int, trials: int, rng: np.random.Gener
     b = _hermitian_data(ring, raw[:, 1])
     b = _per_matrix(1.0 / np.sqrt(np.sum(np.abs(b.reshape(trials, -1)) ** 2, axis=1)), b)
     s = positive_matrices(ring, raw[:, 2:], floor=0.01)
-    mult = 2 if ring == "quaternion" else 1
+    mult = multiplicity(ring)
     w, v = np.linalg.eigh(complex_forms(ring, a))
     points = a[:, None] + _per_matrix(np.broadcast_to(steps, (trials, 3)), b[:, None])
     pw = np.linalg.eigvalsh(complex_forms(ring, points))[..., ::mult]

@@ -49,22 +49,16 @@ def qmat_mul(a, b) -> np.ndarray:
     )
 
 
-def qmat_conj_transpose(a) -> np.ndarray:
-    """Conjugate transpose of every matrix in an (..., n, m, 4) stack."""
-    return qconj(np.swapaxes(a, -3, -2))
-
-
 def to_complex(q) -> np.ndarray:
-    """Embed an (..., n, m, 4) quaternion matrix stack as (..., 2n, 2m) complex matrices."""
+    """Embed an (..., n, m, 4) quaternion matrix stack as (..., 2n, 2m) complex matrices, signed zeros too."""
     q = qarray(q)
-    alpha = q[..., 0] + 1j * q[..., 1]
-    beta = q[..., 2] + 1j * q[..., 3]
-    *lead, n, m = alpha.shape
+    *lead, n, m, _ = q.shape
     out = np.empty((*lead, 2 * n, 2 * m), dtype=complex)
-    out[..., 0::2, 0::2] = alpha
-    out[..., 0::2, 1::2] = beta
-    out[..., 1::2, 0::2] = -np.conj(beta)
-    out[..., 1::2, 1::2] = np.conj(alpha)
+    re, im = out.real, out.imag
+    re[..., 0::2, 0::2], im[..., 0::2, 0::2] = q[..., 0], q[..., 1]
+    re[..., 0::2, 1::2], im[..., 0::2, 1::2] = q[..., 2], q[..., 3]
+    re[..., 1::2, 0::2], im[..., 1::2, 0::2] = -q[..., 2], q[..., 3]
+    re[..., 1::2, 1::2], im[..., 1::2, 1::2] = q[..., 0], -q[..., 1]
     return out
 
 
@@ -72,12 +66,14 @@ def from_complex(z) -> np.ndarray:
     """Invert :func:`to_complex` on a (..., 2n, 2m) stack, averaging the two redundant copies.
 
     Only valid for matrices in (or numerically near) the image of the
-    embedding; the averaging suppresses rounding noise.
+    embedding; the averaging suppresses rounding noise.  Float arithmetic
+    keeps signed zeros, so it inverts the embedding bit for bit.
     """
     z = np.asarray(z, dtype=complex)
-    alpha = (z[..., 0::2, 0::2] + np.conj(z[..., 1::2, 1::2])) / 2.0
-    beta = (z[..., 0::2, 1::2] - np.conj(z[..., 1::2, 0::2])) / 2.0
-    return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
+    re, im = z.real, z.imag
+    return np.stack([re[..., 0::2, 0::2] + re[..., 1::2, 1::2], im[..., 0::2, 0::2] - im[..., 1::2, 1::2],
+                     re[..., 0::2, 1::2] - re[..., 1::2, 0::2], im[..., 0::2, 1::2] + im[..., 1::2, 0::2]],
+                    axis=-1) / 2.0
 
 
 def structure_partner(u) -> np.ndarray:

@@ -26,6 +26,7 @@ SUPPORT_TOL = 1e-9  # a simplex weight or eigenvalue cluster mean above this is 
 WEIGHT_DROP_TOL = 1e-11  # relative weight at or below which a decomposition drops a component
 WEIGHT_DIGITS = 12  # polytope decompositions with one support and weights equal to this many decimals are one
 FACET_DIGITS = 12  # hull facet equations equal to this many decimals are one facet
+COLLINEAR_RTOL = 1e-12  # a polygon hull turn within this times |l| + |r| of its two cross-product terms is none
 BALL_CENTER_TOL = 1e-12  # a ball point this close to the centre decomposes along the fixed diameter
 CLIQUE_RANK_TOL = 1e-10  # singular-value cut-off of the rank that decides a clique system is determined
 RECONSTRUCTION_TOL = 1e-9  # relative error within which a decomposition must rebuild its element

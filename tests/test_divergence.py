@@ -472,7 +472,7 @@ def reference_pure_density(ring, n, rng):
         return sc.jordan.hermitian_part("complex", np.outer(v, np.conj(v)))
     v = rng.standard_normal((n, 1, 4))
     v /= math.sqrt(float(np.sum(v ** 2)))
-    return sc.jordan.hermitian_part("quaternion", sc.quaternion.qmat_mul(v, sc.quaternion.qmat_conj_transpose(v)))
+    return sc.jordan.hermitian_part("quaternion", sc.quaternion.qmat_mul(v, sc.quaternion.qconj(np.swapaxes(v, 0, 1))))
 
 
 def reference_support(space, coords):

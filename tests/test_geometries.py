@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -429,11 +429,20 @@ def raw_rows(space):
                   elements=st.floats(-1.0, 1.0))
 
 
+# rows as wide as the widest space, cut to each space's coords_len, so that examples can be given
+WIDEST = max(space.coords_len for space in DENSITY_SPACES)
+WIDE_ROWS = arrays(float, st.tuples(st.integers(1, 4), st.just(WIDEST)), elements=st.floats(-1.0, 1.0))
+# rows of signed zeros, alone and among other values: a Hermitian part keeps -0.0 only where both
+# entries it averages are -0.0 after conjugation, since -0.0 + 0.0 rounds to +0.0
+SIGNED_ZERO_ROWS = tuple(np.resize(pattern, (k, WIDEST)) for k, pattern in enumerate(
+    ([-0.0], [-0.0, 0.0], [-0.0, -0.0, 0.0, 0.0], [0.5, -0.0, -0.25, 0.0, -0.0]), start=1))
+
+
 def ring_data(space, row):
-    """The ring matrix whose row-major entry flattening is row."""
+    """The ring matrix whose row-major entry flattening is row, bit for bit."""
     entries = row.reshape(space.n, space.n, space.components_per_entry)
-    if space.ring == "complex":
-        return entries[..., 0] + 1j * entries[..., 1]
+    if space.ring == "complex":  # a + 1j * b would turn a -0.0 into 0.0
+        return np.ascontiguousarray(entries).view(complex)[..., 0]
     return entries if space.ring == "quaternion" else entries[..., 0]
 
 
@@ -457,18 +466,41 @@ def density_rows(space, rows):
 
 @pytest.mark.parametrize("space", DENSITY_SPACES, ids=DENSITY_IDS)
 @PROPERTIES
-@given(data=st.data())
-def test_property_coords_of_forms_is_hermitian_part(space, data):
-    rows = data.draw(raw_rows(space))
+@given(rows=WIDE_ROWS, other=WIDE_ROWS)
+@example(rows=SIGNED_ZERO_ROWS[0], other=SIGNED_ZERO_ROWS[1])
+@example(rows=SIGNED_ZERO_ROWS[2], other=SIGNED_ZERO_ROWS[3])
+@example(rows=SIGNED_ZERO_ROWS[3], other=SIGNED_ZERO_ROWS[0])
+def test_property_coords_of_forms_is_hermitian_part(space, rows, other):
+    rows = rows[:, : space.coords_len]
     forms = space.forms(rows)
     assert forms.shape == (len(rows), space.mult * space.n, space.mult * space.n)
     np.testing.assert_array_equal(forms, np.conj(np.swapaxes(forms, -1, -2)))
     want = np.array([ring_coords(space, sc.jordan.hermitian_part(space.ring, ring_data(space, row)))
                      for row in rows])
-    np.testing.assert_array_equal(space.coords_of(forms), want)
+    assert space.coords_of(forms).tobytes() == want.tobytes()  # bytes tell -0.0 from 0.0
     # i times a Hermitian form is anti-Hermitian: coords_of drops it with the rest of the non-Hermitian part
-    skew = 1j * space.forms(data.draw(arrays(float, rows.shape, elements=st.floats(-1.0, 1.0))))
+    skew = 1j * space.forms(np.resize(other[:, : space.coords_len], rows.shape))
     np.testing.assert_allclose(space.coords_of(forms + skew), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("space", DENSITY_SPACES, ids=DENSITY_IDS)
+@PROPERTIES
+@given(rows=WIDE_ROWS)
+@example(rows=SIGNED_ZERO_ROWS[0])
+@example(rows=SIGNED_ZERO_ROWS[1])
+@example(rows=SIGNED_ZERO_ROWS[2])
+@example(rows=SIGNED_ZERO_ROWS[3])
+def test_property_state_matrix_round_trip_keeps_every_bit(space, rows):
+    # diagonally dominant Hermitian parts, so the rows are states, taken in float arithmetic so that
+    # zeros keep their signs: -0.0 stays where both averaged components are -0.0 after conjugation
+    entries = rows[:, : space.coords_len].reshape(-1, space.n, space.n, space.components_per_entry)
+    signs = np.array([1.0] + [-1.0] * (space.components_per_entry - 1))  # the real part keeps its sign
+    herm = (entries + np.swapaxes(entries, 1, 2) * signs) / 2.0
+    herm[:, np.arange(space.n), np.arange(space.n), 0] += 4.0 * space.n
+    herm = herm.reshape(len(rows), -1)
+    for coords in herm / space.traces(herm)[:, None]:
+        s = sc.State(space, coords)
+        assert space.state_from_matrix(space.state_matrix(s)).coords.tobytes() == coords.tobytes()
 
 
 @pytest.mark.parametrize("space", DENSITY_SPACES, ids=DENSITY_IDS)

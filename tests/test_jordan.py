@@ -163,8 +163,11 @@ def test_embedding_is_ring_homomorphism():
         atol=1e-12,
     )
     np.testing.assert_allclose(quat.from_complex(quat.to_complex(a)), a, atol=0)
+    # the inverse keeps every bit, signed zeros included
+    signed = np.where(rng.uniform(size=a.shape) < 0.5, np.copysign(0.0, a), a)
+    assert quat.from_complex(quat.to_complex(signed)).tobytes() == signed.tobytes()
     np.testing.assert_allclose(
-        quat.to_complex(quat.qmat_conj_transpose(a)),
+        quat.to_complex(quat.qconj(np.swapaxes(a, 0, 1))),
         quat.to_complex(a).conj().T,
         atol=0,
     )
@@ -210,6 +213,17 @@ def test_public_constructor_rejects_non_hermitian(ring):
         HermitianMatrix(ring, raw)
     with pytest.raises(ValueError):
         jordan.hermitian_part(ring, raw[:2])
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_are_refused(ring, bad):
+    # a NaN defect compares false against the tolerance, and inf - inf warns; both must refuse with one line
+    data = jordan._identity_data(ring, 2)
+    data[(1, 0, 0) if ring == "quaternion" else (1, 0)] = bad
+    for build in (HermitianMatrix, jordan.hermitian_part):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            build(ring, data)
 
 
 def _defect(m: HermitianMatrix) -> float:

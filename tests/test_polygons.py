@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 import spectral_cone as sc
-from spectral_cone import geometries as geo
+from spectral_cone import cli, geometries as geo
 from spectral_cone.spectral import is_spectral
 from spectral_cone.tolerances import FACET_DIGITS, MEMBERSHIP_TOL, SAME_STATE_TOL, WITNESS_FEASIBILITY_TOL
 
@@ -286,6 +286,52 @@ def test_property_chain_and_qhull_agree_on_extra_points(data):
     for extra in (verts[i], w @ verts / np.sum(w), (verts[i] + verts[i - 1]) / 2.0):
         with_extra = np.vstack([verts, extra])
         assert chain_accepts(with_extra) is qhull_accepts(with_extra) is False
+
+
+# the first three vertices are collinear in decimal, but their float cross product is slightly positive
+DECIMAL_COLLINEAR_11GON = [[4.73, 3.33], [4.83, 3.23], [4.84, 3.22], [5.08, 3.21], [5.22, 3.35], [5.22, 3.59],
+                           [4.97, 3.78], [4.93, 3.78], [4.87, 3.77], [4.69, 3.56], [4.69, 3.53]]
+
+
+def test_decimal_collinear_vertex_is_not_extreme(capsys):
+    assert len(ConvexHull(np.array(DECIMAL_COLLINEAR_11GON)).vertices) == 10
+    space = json.dumps({"kind": "polytope", "vertices": DECIMAL_COLLINEAR_11GON})
+    code = cli.main(["decompose", "--space", space, "--element", "[5.0, 3.5]"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: vertex list contains non-extreme points\n")
+
+
+@st.composite
+def decimal_polygons(draw):
+    """convex_polygons rounded to 1 to 8 decimals; in half of them a point is added on an edge, in decimal.
+
+    Every point is the float nearest a decimal, as a user writes it: the vertices have d decimals and the
+    added point, a decimal fraction t of the way along an edge, d + 1.
+    """
+    d = draw(st.integers(1, 8))
+    ints = np.round(draw(convex_polygons()) * 10 ** d).astype(int).tolist()
+    points = [[x / 10 ** d for x in p] for p in ints]
+    if draw(st.booleans()):
+        i, t = draw(st.integers(0, len(ints) - 1)), draw(st.integers(1, 9))
+        p, q = ints[i], ints[i - 1]
+        points.append([((10 - t) * a + t * b) / 10 ** (d + 1) for a, b in zip(p, q)])
+    return np.array(points)
+
+
+def hull_count(hull, verts):
+    """The extreme-point count of a hull routine, or None where it finds the points flat."""
+    try:
+        return hull(verts)
+    except (ValueError, QhullError):
+        return None
+
+
+@settings(PROPERTIES, max_examples=100)
+@given(verts=decimal_polygons())
+def test_property_chain_and_qhull_agree_on_decimal_vertices(verts):
+    # beside the integer vertices above: the turn test must see through the rounding of decimal inputs
+    assert hull_count(lambda v: geo._polygon_hull(v)[0], verts) == hull_count(
+        lambda v: len(ConvexHull(v).vertices), verts)
 
 
 # ---------------------------------------------------------------------------
