@@ -80,8 +80,8 @@ def parse_element(text: str, space) -> ConeElement:
 
 
 def _numbers(value) -> bool:
-    """Whether a parsed JSON value is a list of numbers."""
-    return isinstance(value, list) and all(isinstance(c, (int, float)) for c in value)
+    """Whether a parsed JSON value is a list of numbers (JSON true and false are not numbers)."""
+    return isinstance(value, list) and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
 
 
 def _emit(text: str, out_path):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ApexError, InvalidWeightsError, NotInConeError, SpaceMismatchError
+from .errors import InvalidWeightsError, NotInConeError, SpaceMismatchError
 from .tolerances import MEMBERSHIP_TOL, WEIGHT_TOL
 
 
@@ -52,11 +52,6 @@ class ConeElement:
     @property
     def is_apex(self) -> bool:
         return self.trace_weight == 0.0
-
-    def state(self) -> "State":
-        if self.is_apex:
-            raise ApexError("the apex has no underlying state")
-        return State(self.space, self.coords)
 
     def embedded(self) -> np.ndarray:
         """Coordinates of the element in the ambient vector space (lam * coords)."""

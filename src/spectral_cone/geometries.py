@@ -29,9 +29,10 @@ first call of the ``linprog`` or ``ConvexHull`` wrapper below.  A polygon
 takes its facets from Andrew's monotone chain, and its orthogonality graph
 and every witness from one closed-form interval test; a polytope of dimension
 3 or more takes its facets from qhull and each witness from a HiGHS program.
-Each witness is found once per polytope and ordered pair of states
-(``_face_witness``), and every polytope cache is a bounded LRU cache:
-``POLYTOPE_CACHE_SIZE`` polytopes, ``WITNESS_CACHE_SIZE`` witnesses.
+Two bounded LRU caches hold the polytope machinery: one record per polytope
+of everything derived from its vertices (``_polytope_geometry``, at most
+``POLYTOPE_CACHE_SIZE``), and the witness memo, one witness per polytope and
+ordered pair of states (``_face_witness``, at most ``WITNESS_CACHE_SIZE``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,7 +57,7 @@ from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPL
                          WEIGHT_DROP_TOL, WITNESS_FEASIBILITY_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
-POLYTOPE_CACHE_SIZE = 64  # polytopes whose geometry, orthogonality graph and clique systems stay cached
+POLYTOPE_CACHE_SIZE = 64  # polytope records (facets, vertex states, orthogonality graph, clique systems) kept
 WITNESS_CACHE_SIZE = 4096  # (polytope, ordered state pair) witness programs kept solved
 FAMILY_GRID_POINTS = 10
 POINT_BLOCK = 4096  # points per stacked clique solve, bounding its temporaries
@@ -277,16 +278,15 @@ class Polytope(_Geometry):
 
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., dim) array."""
-        geo = _polytope_geometry(self)
-        coords = np.asarray(coords, dtype=float)
+        geo, coords = _polytope_geometry(self), np.asarray(coords, dtype=float)
         return np.max(coords @ geo.facet_normals.T + geo.facet_offsets, axis=-1) <= tol
 
     def barycenter_coords(self) -> np.ndarray:
         return np.mean(self.vertex_array, axis=0)
 
     def vertex_state(self, i: int) -> State:
-        """The i-th vertex as a State, built once per polytope (``_vertex_states``)."""
-        return _vertex_states(self)[i]
+        """The i-th vertex as a State, built once per polytope record."""
+        return _polytope_geometry(self).vertex_states[i]
 
     def functional_range(self, a: AffineFunctional):
         values = self.vertex_array @ a.linear + a.offset
@@ -313,7 +313,7 @@ class Polytope(_Geometry):
         return _face_witness(self, s0.coords.tobytes(), s1.coords.tobytes())
 
     def decomposition(self, x: ConeElement):
-        sols = _determined_solutions(self, x.coords, x.trace_weight, self.dim + 1)
+        sols = list(_determined_solutions(self, x.coords, x.trace_weight, self.dim + 1).values())
         if not sols:
             raise DecompositionError("no orthogonal decomposition found; geometry bug?")
         spectra = [Spectrum(w) for w, _ in sols]
@@ -375,7 +375,7 @@ class Polytope(_Geometry):
 
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
         """s0 a random vertex; s1, s2 two distinct vertices orthogonal to it (one if it has one)."""
-        adj = _orthogonality_graph(self)
+        adj = _polytope_geometry(self).graph
         idx = np.empty((3, trials), dtype=int)
         for t in range(trials):
             i = int(rng.integers(len(self.vertices)))
@@ -791,7 +791,7 @@ def space_from_json(data: dict):
     if kind == "polytope":
         verts = data["vertices"]
         if not (isinstance(verts, list) and all(isinstance(v, list) for v in verts)
-                and all(isinstance(c, (int, float)) for v in verts for c in v)):
+                and all(isinstance(c, (int, float)) and not isinstance(c, bool) for v in verts for c in v)):
             raise ValueError("polytope vertices must be a list of coordinate lists")
         return Polytope(tuple(tuple(v) for v in verts))
     if kind == "ball":
@@ -928,6 +928,14 @@ def ConvexHull(points):
 
 
 class _PolytopeGeometry:
+    """Everything derived from a polytope's vertices: one record per polytope (``_polytope_geometry``).
+
+    The facets are found when the record is built, which validates the vertex list; the vertex
+    States, the orthogonality graph and the clique systems are built on first use.  A polytope
+    looks its record up instead of holding it, so the witness memo, whose keys hold polytopes,
+    keeps no evicted record alive; an equal polytope parsed again shares the record.
+    """
+
     def __init__(self, space: Polytope):
         verts = np.array(space.vertices, dtype=float)
         nv, m = verts.shape
@@ -949,6 +957,50 @@ class _PolytopeGeometry:
             self.facet_normals = eqs[:, :-1]
             self.facet_offsets = eqs[:, -1]
         self.vertex_array = verts
+        self.space = space
+
+    @cached_property
+    def vertex_states(self) -> tuple:
+        """The vertex States; a State is frozen with read-only coords, so they are shared."""
+        return tuple(State(self.space, np.array(v)) for v in self.space.vertices)
+
+    @cached_property
+    def graph(self) -> np.ndarray:
+        """The orthogonality graph of the vertices, as a read-only boolean adjacency matrix."""
+        verts, nv = self.vertex_array, len(self.vertex_array)
+        adj = np.zeros((nv, nv), dtype=bool)
+        if self.space.dim == 2:
+            i, j = np.triu_indices(nv, 1)
+            adj[i, j] = adj[j, i] = _polygon_orthogonal(self, verts[i], verts[j])[0]
+        else:
+            for i in range(nv):
+                for j in range(i + 1, nv):
+                    adj[i, j] = adj[j, i] = orthogonal(self.vertex_states[i], self.vertex_states[j])
+        adj.setflags(write=False)
+        return adj
+
+    @cached_property
+    def clique_systems(self) -> tuple:
+        """(determined, underdetermined) weight systems of the pairwise-orthogonal vertex subsets (cliques).
+
+        A clique's system is its vertex columns over a row of ones, (m+1, k); the cliques of one size are
+        factored as one stack, by one ``matrix_rank`` and one ``pinv`` call.  determined holds per size, in
+        clique order, (idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of the cliques of full column
+        rank; underdetermined the index tuples of the others, in clique order.
+        """
+        verts = self.vertex_array
+        if len(verts) > MAX_ENUMERATION_VERTICES:
+            raise ValueError(f"decomposition search supports at most {MAX_ENUMERATION_VERTICES} vertices, "
+                             f"got {len(verts)}")
+        determined, underdetermined = [], []
+        for k, group in itertools.groupby(_cliques(self.graph), key=len):
+            idx = np.array(list(group))
+            matrix = np.concatenate([verts[idx].swapaxes(1, 2), np.ones((len(idx), 1, k))], axis=1)
+            full = np.linalg.matrix_rank(matrix, tol=CLIQUE_RANK_TOL) == k
+            if np.any(full):
+                determined.append((idx[full], np.linalg.pinv(matrix[full]), matrix[full]))
+            underdetermined.extend(map(tuple, idx[~full].tolist()))
+        return tuple(determined), tuple(underdetermined)
 
 
 def _polygon_hull(verts: np.ndarray):
@@ -1062,27 +1114,6 @@ def _affine_test_feasible(vertex_array: np.ndarray, zero_at: np.ndarray,
     return AffineFunctional(res.x[:m], float(res.x[m]))
 
 
-@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
-def _vertex_states(space: Polytope) -> tuple:
-    """The vertex States of a polytope; a State is frozen with read-only coords, so they are shared."""
-    return tuple(State(space, np.array(v)) for v in space.vertices)
-
-
-@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
-def _orthogonality_graph(space: Polytope) -> np.ndarray:
-    verts, nv = space.vertex_array, len(space.vertices)
-    adj = np.zeros((nv, nv), dtype=bool)
-    if space.dim == 2:
-        i, j = np.triu_indices(nv, 1)
-        adj[i, j] = adj[j, i] = _polygon_orthogonal(_polytope_geometry(space), verts[i], verts[j])[0]
-    else:
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                adj[i, j] = adj[j, i] = orthogonal(space.vertex_state(i), space.vertex_state(j))
-    adj.setflags(write=False)
-    return adj
-
-
 def _polygon_orthogonal(geometry: _PolytopeGeometry, p0: np.ndarray, p1: np.ndarray, whole: bool = False):
     """(orthogonal, t) of the polygon point pairs (p0[p], p1[p]), in closed form.
 
@@ -1113,32 +1144,6 @@ def _polygon_orthogonal(geometry: _PolytopeGeometry, p0: np.ndarray, p1: np.ndar
     fixed_ok = (g != 0) | ((lo <= 0.0) & (hi >= 0.0))  # f(vk) = a_k for every t
     distinct = np.max(np.abs(d), axis=1) > SAME_STATE_TOL
     return distinct & (low <= up) & np.all(~face | fixed_ok, axis=1), t
-
-
-@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
-def _clique_systems(space: Polytope) -> tuple:
-    """(determined, underdetermined) weight systems of the pairwise-orthogonal vertex subsets (cliques).
-
-    A clique's system is its vertex columns over a row of ones, (m+1, k); the cliques of one size are
-    factored as one stack, by one ``matrix_rank`` and one ``pinv`` call.  determined holds per size, in
-    clique order, (idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of the cliques of full column
-    rank; underdetermined the index tuples of the others, in clique order.
-    """
-    nv = len(space.vertices)
-    if nv > MAX_ENUMERATION_VERTICES:
-        raise ValueError(
-            f"decomposition search supports at most {MAX_ENUMERATION_VERTICES} vertices, got {nv}"
-        )
-    verts = space.vertex_array
-    determined, underdetermined = [], []
-    for k, group in itertools.groupby(_cliques(_orthogonality_graph(space)), key=len):
-        idx = np.array(list(group))
-        matrix = np.concatenate([verts[idx].swapaxes(1, 2), np.ones((len(idx), 1, k))], axis=1)
-        full = np.linalg.matrix_rank(matrix, tol=CLIQUE_RANK_TOL) == k
-        if np.any(full):
-            determined.append((idx[full], np.linalg.pinv(matrix[full]), matrix[full]))
-        underdetermined.extend(map(tuple, idx[~full].tolist()))
-    return tuple(determined), tuple(underdetermined)
 
 
 def _cliques(adj: np.ndarray) -> list:
@@ -1178,7 +1183,7 @@ def _clique_solutions(space: Polytope, coords, total, max_size):
     scale = max(1.0, total)
     rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
     stacks = []
-    for idx, pinv, matrix in _clique_systems(space)[0]:
+    for idx, pinv, matrix in _polytope_geometry(space).clique_systems[0]:
         if idx.shape[1] > max_size:
             break
         w = pinv @ rhs
@@ -1192,22 +1197,29 @@ def _clique_solutions(space: Polytope, coords, total, max_size):
 
 
 @np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
-def _column_solutions(stacks, j):
-    """(weights, support) of point j from every clique system that solves it, one per rounded key."""
-    seen, out = set(), []
+def _add_solutions(solutions: dict, idx: np.ndarray, w: np.ndarray, keep: np.ndarray):
+    """Add the (weights, support) of each row, the vertices idx[r] weighted by w[r] where keep[r] holds.
+
+    Two decompositions are one when they share the key (support, weights rounded to WEIGHT_DIGITS);
+    the first row with a key keeps it, and a row that keeps no vertex adds nothing.
+    """
+    rounded = np.round(w, WEIGHT_DIGITS)
+    for r in np.flatnonzero(np.any(keep, axis=1)).tolist():
+        k = keep[r]
+        support = tuple(idx[r][k].tolist())
+        solutions.setdefault((support, tuple(rounded[r][k].tolist())), (w[r][k], support))
+
+
+def _column_solutions(stacks, j) -> dict:
+    """The decompositions of point j from every clique system that solves it, keyed as ``_add_solutions``."""
+    solutions = {}
     for idx, w, kept in stacks:
-        for c in np.flatnonzero(np.any(kept[..., j], axis=1)):  # cliques with a kept weight only
-            keep = kept[c, :, j]
-            support = tuple(int(i) for i in idx[c][keep])
-            key = (support, tuple(np.round(w[c, keep, j], WEIGHT_DIGITS)))
-            if key not in seen:
-                seen.add(key)
-                out.append((w[c, keep, j], support))
-    return out
+        _add_solutions(solutions, idx, w[..., j], kept[..., j])
+    return solutions
 
 
-def _determined_solutions(space: Polytope, state_coords, total, max_size):
-    """(weights, support) for every determined clique system that solves x."""
+def _determined_solutions(space: Polytope, state_coords, total, max_size) -> dict:
+    """The (weights, support) of every determined clique system that solves x, keyed as ``_add_solutions``."""
     coords = np.asarray(state_coords, dtype=float)[None, :]
     return _column_solutions(_clique_solutions(space, coords, total, max_size)[0], 0)
 
@@ -1312,40 +1324,27 @@ def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Opti
     return _decompositions(space, determined, s.trace_weight, max_support)
 
 
-@np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
-def _decompositions(space: Polytope, determined: list, total: float, max_support: int) -> list:
-    """The decompositions of ``enumerate_orthogonal_decompositions`` from the determined solutions."""
-    scale = max(1.0, total)
-    solutions = {(support, tuple(np.round(w, WEIGHT_DIGITS))): (np.asarray(w, dtype=float), support)
-                 for w, support in determined}
-
-    def add_sample(full_weights, clique_idx):
-        keep = full_weights > WEIGHT_DROP_TOL * scale
-        support = tuple(i for i, k in zip(clique_idx, keep) if k)
-        if not support:
-            return
-        w = full_weights[keep]
-        key = (support, tuple(np.round(w, WEIGHT_DIGITS)))
-        solutions.setdefault(key, (w, support))
-
-    for clique in _clique_systems(space)[1]:
+@np.errstate(over="ignore")  # weights near the float limit overflow in the family grid
+def _decompositions(space: Polytope, determined: dict, total: float, max_support: int) -> list:
+    """The decompositions of ``enumerate_orthogonal_decompositions`` from the keyed determined solutions."""
+    solutions = dict(determined)
+    basic = np.zeros((len(determined), len(space.vertices)))  # full weight rows, nonzero on the support
+    for r, (w, support) in enumerate(determined.values()):
+        basic[r, list(support)] = w
+    t = (np.arange(1, FAMILY_GRID_POINTS + 1) / (FAMILY_GRID_POINTS + 1.0))[:, None]
+    for clique in _polytope_geometry(space).clique_systems[1]:
         if len(clique) > max_support:  # cliques come by size
             break
-        # basic solutions of this clique: determined solutions supported inside it
-        members = [
-            np.array([dict(zip(sup, w)).get(i, 0.0) for i in clique])
-            for w, sup in determined
-            if set(sup) <= set(clique)
-        ]
+        # basic solutions of this clique (determined ones supported inside it), in C order for np.mean
+        members = basic[:, clique][np.all(np.delete(basic, clique, axis=1) == 0, axis=1)]
         if len(members) < 2:
             continue
-        for wa, wb in itertools.combinations(members, 2):
-            for k in range(1, FAMILY_GRID_POINTS + 1):
-                t = k / (FAMILY_GRID_POINTS + 1.0)
-                add_sample((1.0 - t) * wa + t * wb, clique)
-        add_sample(np.mean(members, axis=0), clique)
+        a, b = np.triu_indices(len(members), 1)  # the pairs in combinations order
+        grid = ((1.0 - t) * members[a][:, None] + t * members[b][:, None]).reshape(-1, len(clique))
+        grid = np.vstack([grid, np.mean(members, axis=0)])
+        _add_solutions(solutions, np.broadcast_to(clique, grid.shape), grid, grid > WEIGHT_DROP_TOL * max(1.0, total))
 
-    out, states = [], _vertex_states(space)
+    out, states = [], _polytope_geometry(space).vertex_states
     for w, support in sorted(solutions.values(), key=lambda ws: (ws[1], tuple(ws[0]))):
         order = np.argsort(-w, kind="stable")
         components = tuple(states[support[i]] for i in order)

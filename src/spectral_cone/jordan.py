@@ -153,6 +153,11 @@ def _ring_array(ring: str, data) -> np.ndarray:
     if ring not in RINGS:
         raise ValueError(f"unknown ring {ring!r}")
     quaternion = ring == "quaternion"
+    data = np.asarray(data)
+    if ring != "complex" and np.iscomplexobj(data):  # real and quaternion entries have no imaginary part
+        if np.any(data.imag != 0):
+            raise ValueError(f"{ring} matrix entries must have no imaginary part")
+        data = data.real
     data = quat.qarray(data) if quaternion else np.asarray(data, dtype=complex if ring == "complex" else float)
     if data.ndim != 2 + quaternion or data.shape[0] != data.shape[1]:
         raise ValueError("quaternion matrix data must have shape (n, n, 4)" if quaternion

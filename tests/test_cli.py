@@ -226,6 +226,9 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         ["decompose", "--space", "simplex3", "--element", "5"],
         ["decompose", "--space", "simplex3", "--element", '{"trace": null, "coords": [1, 0, 0]}'],
         ["decompose", "--space", "simplex3", "--element", '[{"a": 1}, 0, 0]'],
+        ["decompose", "--space", "square", "--element", "[true, false]"],
+        ["decompose", "--space", "simplex3", "--element", '{"trace": true, "coords": [1, 0, 0]}'],
+        ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": [[0, 0], [true, 0], [0, 1]]}'],
         ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": 5}'],
         ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": [[0, null], [1, 0]]}'],
         ["check", "spectrality", "--space", '{"kind": "simplex", "n": null}'],
@@ -241,7 +244,8 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
     ],
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
-         "element-object-coord", "polytope-vertices-number", "polytope-null-coord",
+         "element-object-coord", "element-boolean-coords", "element-boolean-trace",
+         "polytope-boolean-coord", "polytope-vertices-number", "polytope-null-coord",
          "simplex-null-n", "ball-infinite-d", "locality-complex1", "locality-real1",
          "locality-quaternion1", "locality-simplex1", "no-kind", "simplex-no-n", "polytope-no-vertices",
          "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n",

@@ -2,10 +2,12 @@
 
 Density-matrix witnesses come from one support eigensolve over all
 components (``DensityMatrices.orthogonality_witnesses``), and a polytope's
-clique systems are factored one stack per clique size (``_clique_systems``).
-The references below are the pairwise ``orthogonality_witness`` loop and the
-per-clique ``matrix_rank``/``pinv`` of the earlier code, kept here as
-oracles; both must agree bit for bit.
+clique systems are factored one stack per clique size
+(``_PolytopeGeometry.clique_systems``), and the family grid of each
+underdetermined clique is one array.  The references below are the pairwise
+``orthogonality_witness`` loop, the per-clique ``matrix_rank``/``pinv`` and
+the per-sample family loop of the earlier code, kept here as oracles; each
+must agree bit for bit.
 """
 
 import contextlib
@@ -16,15 +18,18 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from test_polygons import PROPERTIES, SQUARE, convex_polygons, polytope, regular_polygon
 
 import spectral_cone as sc
 from spectral_cone import cli, cone
 from spectral_cone import geometries as geo
-from spectral_cone.tolerances import CLIQUE_RANK_TOL, SAME_STATE_TOL, SINGULARITY_TOL
+from spectral_cone.tolerances import (CLIQUE_RANK_TOL, SAME_STATE_TOL, SINGULARITY_TOL, WEIGHT_DIGITS,
+                                      WEIGHT_DROP_TOL)
 
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+PRISM = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)])
 DENSITY = [geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (2, 3, 4)]
 DENSITY_IDS = [f"{s.ring}{s.n}" for s in DENSITY]
 
@@ -141,7 +146,7 @@ def test_fewer_than_two_states_have_no_witnesses():
 def reference_clique_systems(space) -> list:
     """(idx, matrix, rank, pinv or None) per clique in clique order, factored one clique at a time."""
     systems = []
-    for idx in geo._cliques(geo._orthogonality_graph(space)):
+    for idx in geo._cliques(geo._polytope_geometry(space).graph):
         matrix = np.vstack([space.vertex_array[list(idx)].T, np.ones((1, len(idx)))])
         rank = int(np.linalg.matrix_rank(matrix, tol=CLIQUE_RANK_TOL))
         systems.append((idx, matrix, rank, np.linalg.pinv(matrix) if rank == len(idx) else None))
@@ -150,7 +155,7 @@ def reference_clique_systems(space) -> list:
 
 def assert_clique_systems_match(space):
     reference = reference_clique_systems(space)
-    determined, underdetermined = geo._clique_systems(space)
+    determined, underdetermined = geo._polytope_geometry(space).clique_systems
     assert list(underdetermined) == [idx for idx, _, rank, _ in reference if rank < len(idx)]
     full = [(idx, matrix, pinv) for idx, matrix, rank, pinv in reference if rank == len(idx)]
     for k, group in itertools.groupby(full, key=lambda system: len(system[0])):
@@ -178,9 +183,96 @@ def test_clique_stacks_match_per_clique(space):
 
 def test_cube_has_underdetermined_cliques():
     # a clique of more than m + 1 = 4 vertices, or a square face, has no determined weights
-    determined, underdetermined = geo._clique_systems(CUBE)
+    determined, underdetermined = geo._polytope_geometry(CUBE).clique_systems
     assert (0, 1, 2, 3) in underdetermined and all(len(idx) >= 4 for idx in underdetermined)
     assert {idx.shape[1] for idx, _, _ in determined} == {1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# enumeration: one key helper and array family grids against the per-sample loop
+# ---------------------------------------------------------------------------
+
+@np.errstate(over="ignore")
+def reference_enumeration(space, x, max_support=None) -> list:
+    """(weights, component coords) of every decomposition, by the earlier per-clique and per-sample loops."""
+    nv = len(space.vertices)
+    max_support = nv if max_support is None else min(max_support, nv)
+    total, scale = x.trace_weight, max(1.0, x.trace_weight)
+    stacks, _ = geo._clique_solutions(space, np.asarray(x.coords, dtype=float)[None, :], total, max_support)
+    seen, determined = set(), []
+    for idx, w, kept in stacks:
+        for c in np.flatnonzero(np.any(kept[..., 0], axis=1)):
+            keep = kept[c, :, 0]
+            support = tuple(int(i) for i in idx[c][keep])
+            key = (support, tuple(np.round(w[c, keep, 0], WEIGHT_DIGITS)))
+            if key not in seen:
+                seen.add(key)
+                determined.append((w[c, keep, 0], support))
+    solutions = {(support, tuple(np.round(w, WEIGHT_DIGITS))): (np.asarray(w, dtype=float), support)
+                 for w, support in determined}
+
+    def add_sample(full_weights, clique_idx):
+        keep = full_weights > WEIGHT_DROP_TOL * scale
+        support = tuple(i for i, k in zip(clique_idx, keep) if k)
+        if not support:
+            return
+        w = full_weights[keep]
+        solutions.setdefault((support, tuple(np.round(w, WEIGHT_DIGITS))), (w, support))
+
+    for clique in geo._polytope_geometry(space).clique_systems[1]:
+        if len(clique) > max_support:
+            break
+        members = [np.array([dict(zip(sup, w)).get(i, 0.0) for i in clique])
+                   for w, sup in determined if set(sup) <= set(clique)]
+        if len(members) < 2:
+            continue
+        for wa, wb in itertools.combinations(members, 2):
+            for k in range(1, geo.FAMILY_GRID_POINTS + 1):
+                t = k / (geo.FAMILY_GRID_POINTS + 1.0)
+                add_sample((1.0 - t) * wa + t * wb, clique)
+        add_sample(np.mean(members, axis=0), clique)
+
+    out = []
+    for w, support in sorted(solutions.values(), key=lambda ws: (ws[1], tuple(ws[0]))):
+        order = np.argsort(-w, kind="stable")
+        out.append((w[order], tuple(np.array(space.vertices[support[i]]) for i in order)))
+    return out
+
+
+def assert_enumeration_matches(space, x):
+    for max_support in (None, 2, 3):
+        got = geo.enumerate_orthogonal_decompositions(space, x, max_support)
+        want = reference_enumeration(space, x, max_support)
+        assert len(got) == len(want)
+        for dec, (weights, coords) in zip(got, want):
+            assert dec.weights.tobytes() == weights.tobytes()
+            assert [c.coords.tobytes() for c in dec.components] == [c.tobytes() for c in coords]
+
+
+@PROPERTIES
+@given(verts=convex_polygons(), seed=st.integers(0, 2**32 - 1), total=st.sampled_from([1.0, 0.4, 2.5]))
+def test_property_polygon_enumeration_matches_per_sample_loop(verts, seed, total):
+    space = polytope(verts)
+    rng = np.random.default_rng(seed)
+    for coords in (space.barycenter_coords(), rng.dirichlet(np.ones(len(verts))) @ space.vertex_array):
+        assert_enumeration_matches(space, sc.ConeElement(space, total, coords))
+
+
+@pytest.mark.parametrize("space", [CUBE, TETRAHEDRON, PRISM], ids=["cube", "tetrahedron", "prism"])
+def test_enumeration_matches_per_sample_loop(space):
+    rng = np.random.default_rng(19)
+    verts = space.vertex_array
+    points = [space.barycenter_coords(), (verts[0] + verts[1]) / 2, np.mean(verts[:3], axis=0),
+              *(rng.dirichlet(np.ones(len(verts))) @ verts for _ in range(2))]
+    for coords, total in zip(points, (1.0, 2.5, 0.4, 1.0, 1.7)):
+        assert_enumeration_matches(space, sc.ConeElement(space, total, coords))
+
+
+def test_cube_enumeration_walks_family_grids():
+    # the barycenter of the cube is reached through underdetermined cliques, so the grids are exercised
+    x = sc.State(CUBE, CUBE.barycenter_coords())
+    determined = geo._determined_solutions(CUBE, x.coords, 1.0, 8)
+    assert len(geo.enumerate_orthogonal_decompositions(CUBE, x)) > len(determined) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -521,7 +521,7 @@ def reference_orthogonal_triple(space, rng, retries=None):
         return space.vertex_state(i), s1, reference_distinct_s2(s1, face_state, retries), False
     if isinstance(space, geo.Polytope):
         i = int(rng.integers(len(space.vertices)))
-        partners = np.nonzero(geo._orthogonality_graph(space)[i])[0]
+        partners = np.nonzero(geo._polytope_geometry(space).graph[i])[0]
         if partners.size == 1:
             s1 = space.vertex_state(int(partners[0]))
             return space.vertex_state(i), s1, s1, True

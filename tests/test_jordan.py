@@ -226,6 +226,34 @@ def test_non_finite_entries_are_refused(ring, bad):
             build(ring, data)
 
 
+def _complex_data(ring: str) -> np.ndarray:
+    """The identity of the ring as complex data, with an imaginary part on one off-diagonal entry."""
+    data = jordan._identity_data(ring, 2).astype(complex)
+    data[(0, 1, 2) if ring == "quaternion" else (0, 1)] += 1j
+    data[(1, 0, 2) if ring == "quaternion" else (1, 0)] -= 1j
+    return data
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize("ring", RINGS)
+def test_imaginary_parts_are_refused_off_the_complex_ring(ring, as_list):
+    # the real and quaternion rings coerced to float, which dropped them with only a ComplexWarning
+    data = _complex_data(ring)
+    arg = data.tolist() if as_list else data
+    if ring == "complex":
+        assert HermitianMatrix(ring, arg).data.tobytes() == data.tobytes()
+        return
+    builds = (HermitianMatrix,) if ring == "real" else (HermitianMatrix, jordan.hermitian_part)
+    for build in builds:
+        with pytest.raises(ValueError, match=f"^{ring} matrix entries must have no imaginary part$"):
+            build(ring, arg)
+    # complex data whose imaginary parts are zero is real data
+    real = jordan._identity_data(ring, 2)
+    zero = real.astype(complex)
+    for build in builds:
+        assert build(ring, zero.tolist() if as_list else zero).data.tobytes() == build(ring, real).data.tobytes()
+
+
 def _defect(m: HermitianMatrix) -> float:
     return float(np.max(np.abs(m.data - jordan._conj_transpose(m.ring, m.data))))
 

@@ -97,12 +97,12 @@ def convex_polygons(draw, min_size=3, max_size=10):
 @given(verts=convex_polygons())
 def test_property_polygon_graph_matches_lp(verts):
     space = polytope(verts)
-    np.testing.assert_array_equal(geo._orthogonality_graph(space), lp_graph(space))
+    np.testing.assert_array_equal(geo._polytope_geometry(space).graph, lp_graph(space))
 
 
 @pytest.mark.parametrize("space", [SQUARE, TRIANGLE], ids=["square", "triangle"])
 def test_square_and_triangle_graphs_match_lp(space):
-    graph = geo._orthogonality_graph(space)
+    graph = geo._polytope_geometry(space).graph
     np.testing.assert_array_equal(graph, lp_graph(space))
     assert np.all(graph[~np.eye(len(space.vertices), dtype=bool)])
 
@@ -111,7 +111,7 @@ def test_square_and_triangle_graphs_match_lp(space):
 def test_regular_polygon_graph_matches_lp(k):
     # the graph of a regular polygon is circulant, so the pairs (0, m) carry every verdict
     space = polytope(regular_polygon(k))
-    graph = geo._orthogonality_graph(space)
+    graph = geo._polytope_geometry(space).graph
     i, j = np.indices((k, k))
     np.testing.assert_array_equal(graph, graph[0][(j - i) % k])
     assert [bool(graph[0, m]) for m in range(1, k // 2 + 1)] == [
@@ -124,7 +124,7 @@ def test_near_parallel_edges_match_lp(k, eps):
     # opposite edges of an even regular polygon are parallel, and the witness interval of
     # some pairs is a single point; moving one vertex by eps closes it or opens it slightly
     space = polytope(regular_polygon(k, scale=1.0 + eps))
-    np.testing.assert_array_equal(geo._orthogonality_graph(space), lp_graph(space))
+    np.testing.assert_array_equal(geo._polytope_geometry(space).graph, lp_graph(space))
 
 
 @PROPERTIES
@@ -147,7 +147,7 @@ def test_polygon_graph_calls_no_scipy(monkeypatch):
     monkeypatch.setattr(geo, "linprog", refuse)
     monkeypatch.setattr(geo, "ConvexHull", refuse)
     space = polytope(regular_polygon(7) * 1.25)  # not built elsewhere, so no cache holds it
-    assert geo._orthogonality_graph(space).any()
+    assert geo._polytope_geometry(space).graph.any()
     assert is_spectral(space, samples=5, seed=1).spectral is False
     dec = geo.decompose(space, sc.ConeElement(space, 1.0, [0.1, 0.2]), with_witnesses=True)
     assert dec.size >= 2 and all(w is not None for w in dec.witnesses)

@@ -1,15 +1,19 @@
-"""Polytope caches: the witness memo, the one cache bound, and the clique enumeration.
+"""Polytope caches: the witness memo, the one polytope record cache, and the clique enumeration.
 
-``decompose`` prints one witness per ordered component pair (in closed form
-on polygons, from HiGHS on the cube), and each witness is found once per
-polytope and ordered pair of states.  The
-clique enumeration (Bron–Kerbosch with pivoting) is checked against the
-subset walk it replaced, kept here as the oracle.
+Everything derived from a polytope's vertices (facets, vertex states,
+orthogonality graph, clique systems) lives in one record per polytope,
+cached by ``_polytope_geometry`` and evicted as a unit.  ``decompose``
+prints one witness per ordered component pair (in closed form on polygons,
+from HiGHS on the cube), and each witness is found once per polytope and
+ordered pair of states (``_face_witness``).  The clique enumeration
+(Bron–Kerbosch with pivoting) is checked against the subset walk it
+replaced, kept here as the oracle.
 """
 
 import dataclasses
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from spectral_cone import geometries as geo
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 PENTAGON = polytope(regular_polygon(5))
 DODECAGON = polytope(regular_polygon(12))
-POLYTOPE_CACHES = (geo._polytope_geometry, geo._orthogonality_graph, geo._clique_systems, geo._vertex_states)
+DERIVED = {"vertex_states", "graph", "clique_systems"}  # the record's attributes built on first use
 
 
 def subset_walk(adj: np.ndarray) -> list:
@@ -36,7 +40,7 @@ def subset_walk(adj: np.ndarray) -> list:
 
 def clique_order(space: geo.Polytope) -> list:
     """Every clique of the cached systems in clique order; each of the two parts must already be in it."""
-    determined, underdetermined = geo._clique_systems(space)
+    determined, underdetermined = geo._polytope_geometry(space).clique_systems
     determined = [tuple(i) for idx, _, _ in determined for i in idx.tolist()]
     for part in (determined, list(underdetermined)):
         assert part == sorted(part, key=lambda idx: (len(idx), idx))
@@ -51,13 +55,13 @@ def clique_order(space: geo.Polytope) -> list:
 @given(verts=convex_polygons())
 def test_property_polygon_cliques_match_walk(verts):
     space = polytope(verts)
-    assert clique_order(space) == subset_walk(geo._orthogonality_graph(space))
+    assert clique_order(space) == subset_walk(geo._polytope_geometry(space).graph)
 
 
 @pytest.mark.parametrize("space", [SQUARE, CUBE, *(polytope(regular_polygon(k)) for k in range(3, 13))],
                          ids=["square", "cube", *(f"{k}-gon" for k in range(3, 13))])
 def test_cliques_match_walk(space):
-    assert clique_order(space) == subset_walk(geo._orthogonality_graph(space))
+    assert clique_order(space) == subset_walk(geo._polytope_geometry(space).graph)
 
 
 @PROPERTIES
@@ -73,20 +77,34 @@ def test_property_graph_cliques_match_walk(data):
 
 
 # ---------------------------------------------------------------------------
-# one bound on every polytope cache
+# one record cache per polytope, one witness memo
 # ---------------------------------------------------------------------------
 
 def test_polytope_caches_share_one_bound():
-    assert {cache.cache_info().maxsize for cache in POLYTOPE_CACHES} == {geo.POLYTOPE_CACHE_SIZE}
+    # the record cache is the one polytope cache; the witness memo is keyed by state pairs too
+    assert [name for name in dir(geo) if hasattr(getattr(geo, name), "cache_info")] == [
+        "_face_witness", "_polytope_geometry"]
+    assert geo._polytope_geometry.cache_info().maxsize == geo.POLYTOPE_CACHE_SIZE
     assert geo._face_witness.cache_info().maxsize == geo.WITNESS_CACHE_SIZE
 
 
 def test_polytope_caches_stay_within_bound():
+    first = polytope(regular_polygon(5, scale=1.45))  # not built elsewhere
+    geo.decompose(first, sc.ConeElement(first, 1.0, [0.1, 0.2]), with_witnesses=True)
+    record = geo._polytope_geometry(first)
+    assert DERIVED <= set(vars(record)) and record.space is first
+    record = weakref.ref(record)
     for k in range(geo.POLYTOPE_CACHE_SIZE + 10):
         space = polytope(regular_polygon(5, scale=1.5 + k / 1000))  # not built elsewhere
-        geo.decompose(space, sc.ConeElement(space, 1.0, [0.1, 0.2]))
-    # every cache took more polygons than it holds, so each is full and no fuller
-    assert [cache.cache_info().currsize for cache in POLYTOPE_CACHES] == [geo.POLYTOPE_CACHE_SIZE] * 4
+        geo.decompose(space, sc.ConeElement(space, 1.0, [0.1, 0.2]), with_witnesses=True)
+    # the cache took more polygons than it holds, so it is full and no fuller
+    assert geo._polytope_geometry.cache_info().currsize == geo.POLYTOPE_CACHE_SIZE
+    # the first record went as a unit, although the polytope lives on in this test and in the witness memo
+    assert record() is None
+    misses = geo._polytope_geometry.cache_info().misses
+    rebuilt = geo._polytope_geometry(polytope(regular_polygon(5, scale=1.45)))
+    assert geo._polytope_geometry.cache_info().misses == misses + 1 and not DERIVED & set(vars(rebuilt))
+    assert geo._polytope_geometry(first) is rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +144,7 @@ def test_second_decompose_solves_no_program(space, coords, linprog_calls):
 
 
 def vertex_pairs(space: geo.Polytope) -> list:
-    adj = geo._orthogonality_graph(space)
+    adj = geo._polytope_geometry(space).graph
     return [(i, j) for i, j in itertools.permutations(range(len(space.vertices)), 2) if adj[i, j]]
 
 
@@ -189,8 +207,10 @@ def test_equal_vertex_tuples_hash_and_compare_equal():
 def test_reparsed_polytope_hits_clique_systems():
     text = json.dumps({"kind": "polytope", "vertices": [[0, 0], [2, 0.5], [2.5, 2], [0.3, 1.6]]})
     first = cli.parse_space(text)
-    systems = geo._clique_systems(first)
-    hits = geo._clique_systems.cache_info().hits
+    systems = geo._polytope_geometry(first).clique_systems
+    info = geo._polytope_geometry.cache_info()
     again = cli.parse_space(text)
-    assert again is not first and geo._clique_systems(again) is systems
-    assert geo._clique_systems.cache_info().hits == hits + 1
+    after = geo._polytope_geometry.cache_info()
+    assert again is not first and (after.hits, after.misses) == (info.hits + 1, info.misses)
+    assert geo._polytope_geometry(again) is geo._polytope_geometry(first)
+    assert geo._polytope_geometry(again).clique_systems is systems

@@ -64,7 +64,7 @@ def reference_is_spectral(space, samples, seed):
 
 def reference_decomposition(space, x):
     """Pairwise majorizes loop over the determined solutions, then the lexicographic tie-break."""
-    sols = geo._determined_solutions(space, x.coords, x.trace_weight, space.dim + 1)
+    sols = list(geo._determined_solutions(space, x.coords, x.trace_weight, space.dim + 1).values())
     spectra = [Spectrum(w) for w, _ in sols]
     maximal = [
         i for i, spec in enumerate(spectra)
