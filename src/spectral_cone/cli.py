@@ -157,6 +157,8 @@ def _seed(args) -> int:
 def cmd_check(args) -> int:
     try:
         seed = _seed(args)
+        if args.tol is not None and args.kind in ("spectrality", "concavity"):
+            raise ValueError(f"check {args.kind} takes no --tol")
         if args.kind == "concavity":
             if not args.algebra:
                 raise ValueError("check concavity requires --algebra")

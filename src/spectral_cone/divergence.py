@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jordan
 from .cone import AffineFunctional, State, evaluate, mix, mix_coords
-from .errors import NotInConeError, PreconditionError, require_count
+from .errors import NotInConeError, PreconditionError, require_count, require_tolerance
 from .tolerances import (ENTROPY_FIT_TOL, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL, MEMBERSHIP_TOL,
                          OPTIMAL_ACTION_TOL, REVERSIBILITY_TOL, SUFFICIENCY_TOL, SUPPORT_LEAK_TOL,
                          ZERO_EIGENVALUE_TOL)
@@ -326,6 +326,7 @@ def check_locality(div: Divergence, space, trials: int = 1000,
     the first largest gap in (trial, t) order.
     """
     require_count("trials", trials)
+    require_tolerance("tol", tol)
     if space.dim < 1:  # rank 1 (polytopes may have no rank): one state, no orthogonal pair
         raise ValueError(f"locality needs a space of rank at least 2, got a {space.kind} space of rank 1")
     rng = np.random.default_rng(seed)
@@ -396,6 +397,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = S
     meet the precondition are evaluated as one stacked array.
     """
     require_count("trials", trials)
+    require_tolerance("tol", tol)
     rng = np.random.default_rng(seed)
     suite = channel_suite if channel_suite is not None else space.channel_suite(rng)
     owner = np.arange(trials) % len(suite)  # the pair of every trial
@@ -456,13 +458,6 @@ class EntropyFit:
     constant: float
     residual: float
     entropy_generated: bool
-
-    def to_json(self) -> dict:
-        return {
-            "constant": self.constant,
-            "residual": self.residual,
-            "entropy_generated": self.entropy_generated,
-        }
 
 
 def fit_entropy_constant(div: Divergence, space: "Simplex", tol: float = ENTROPY_FIT_TOL,

@@ -41,3 +41,9 @@ def require_count(name: str, value: int) -> None:
     """Reject a trial count or size below 1: a check over nothing passes vacuously."""
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def require_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance that is NaN, infinite or negative: the verdict would follow from it alone."""
+    if not 0.0 <= value < float("inf"):  # NaN fails every comparison
+        raise ValueError(f"{name} must be a finite number at least 0, got {value}")

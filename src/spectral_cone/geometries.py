@@ -136,9 +136,7 @@ class Simplex(_Geometry):
     def coords_len(self) -> int:
         return self.n
 
-    @property
-    def rank(self) -> int:
-        return self.n
+    rank = coords_len  # the n vertices are pairwise orthogonal
 
     @np.errstate(over="ignore")
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
@@ -192,34 +190,34 @@ class Simplex(_Geometry):
         return self.vertex_state(int(rng.integers(self.n)))
 
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
-        """s0 a vertex; s1, s2 Dirichlet points on random faces of the facet opposite it.
+        """s0 a vertex; s1, s2 Dirichlet(1) points on random faces of the facet opposite it, drawn as stacks.
 
-        s2 is drawn again, up to DISTINCT_ATTEMPTS times, while it equals s1;
-        the test needs only the draws, so it runs inside the loop.
+        A face is the first k of the facet's vertices in a uniform random order, k uniform in 1..n-1,
+        and its weights are standard exponentials normalised over it.  The s2 rows within
+        DISTINCT_STATE_TOL of s1 are drawn again as one stack, DISTINCT_ATTEMPTS draws in all.
         """
         n = self.n
         if n < 3:
             eye, i = np.eye(n), rng.integers(n, size=trials)
             return eye[i], eye[(i + 1) % n], eye[(i + 1) % n], np.ones(trials, dtype=bool)
-        ones, others = np.ones(n - 1), np.arange(n - 1)
-        rests = others + (others >= np.arange(n)[:, None])  # row i: the vertices other than i
+        i, others = rng.integers(n, size=trials), np.arange(n - 1)
+        rests = others + (others >= i[:, None])  # row t: the vertices other than i[t]
 
-        def fill_face(row, rest):
-            k = int(rng.integers(1, n))
-            support = rng.choice(rest, size=k, replace=False)
-            row[:] = 0.0
-            row[support] = rng.dirichlet(ones[:k]) if k > 1 else 1.0
+        def face_points(rest):
+            k = rng.integers(1, n, size=(len(rest), 1))
+            face = np.take_along_axis(rest, np.argsort(rng.random(rest.shape), axis=1), axis=1)
+            gaps = np.where(others < k, rng.standard_exponential(rest.shape), 0.0)
+            rows = np.zeros((len(rest), n))
+            np.put_along_axis(rows, face, gaps / np.sum(gaps, axis=1, keepdims=True), axis=1)
+            return rows
 
-        s0, s1, s2 = np.zeros((3, trials, n))
-        for t in range(trials):
-            i = int(rng.integers(n))
-            s0[t, i] = 1.0
-            fill_face(s1[t], rests[i])
-            for _ in range(DISTINCT_ATTEMPTS):
-                fill_face(s2[t], rests[i])
-                if max(abs(a - b) for a, b in zip(s2[t].tolist(), s1[t].tolist())) > DISTINCT_STATE_TOL:
-                    break
-        return s0, s1, s2, np.zeros(trials, dtype=bool)
+        s1, s2 = face_points(rests), face_points(rests)
+        redo = np.arange(trials)
+        for _ in range(DISTINCT_ATTEMPTS - 1):
+            redo = redo[np.max(np.abs(s2[redo] - s1[redo]), axis=1) <= DISTINCT_STATE_TOL]
+            if redo.size:
+                s2[redo] = face_points(rests[redo])
+        return np.eye(n)[i], s1, s2, np.zeros(trials, dtype=bool)
 
     def family_draws(self, rng: np.random.Generator, lead: tuple) -> np.ndarray:
         """Dirichlet(1) points mixed with 2 % of the barycenter."""
@@ -262,9 +260,7 @@ class Polytope(_Geometry):
     def dim(self) -> int:
         return len(self.vertices[0])
 
-    @property
-    def coords_len(self) -> int:
-        return len(self.vertices[0])
+    coords_len = dim
 
     @property
     def vertex_array(self) -> np.ndarray:
@@ -364,7 +360,7 @@ class Polytope(_Geometry):
         for start in range(0, len(probes), POINT_BLOCK):
             stacks, support = _clique_solutions(self, probes[start:start + POINT_BLOCK], 1.0, nv)
             for j in np.flatnonzero(np.count_nonzero(support, axis=0) > 1):
-                yield probes[start + j], _decompositions(self, _column_solutions(stacks, j), 1.0, nv)
+                yield probes[start + j], _decompositions(self, _column_solutions(stacks, j, nv), 1.0, nv)
 
     def random_state(self, rng: np.random.Generator) -> State:
         w = rng.dirichlet(np.ones(len(self.vertices)))
@@ -405,9 +401,7 @@ class Ball(_Geometry):
     def dim(self) -> int:
         return self.d
 
-    @property
-    def coords_len(self) -> int:
-        return self.d
+    coords_len = dim
 
     @np.errstate(over="ignore")
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
@@ -422,7 +416,7 @@ class Ball(_Geometry):
         return a.offset - r, a.offset + r
 
     def to_json(self) -> dict:
-        return {"kind": "ball", "d": self.d}
+        return {"kind": self.kind, "d": self.d}
 
     def smallest_face(self, states) -> Face:
         first = np.asarray(states[0].coords)
@@ -487,9 +481,6 @@ class SpinFactor(Ball):
     """
 
     kind = "spin"
-
-    def to_json(self) -> dict:
-        return {"kind": "spin", "d": self.d}
 
 
 @dataclass(frozen=True)
@@ -1197,31 +1188,35 @@ def _clique_solutions(space: Polytope, coords, total, max_size):
 
 
 @np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
-def _add_solutions(solutions: dict, idx: np.ndarray, w: np.ndarray, keep: np.ndarray):
-    """Add the (weights, support) of each row, the vertices idx[r] weighted by w[r] where keep[r] holds.
-
-    Two decompositions are one when they share the key (support, weights rounded to WEIGHT_DIGITS);
-    the first row with a key keeps it, and a row that keeps no vertex adds nothing.
+def _add_solutions(solutions: dict, idx: np.ndarray, w: np.ndarray, keep: np.ndarray, nv: int):
+    """Add the (weights, support) of each row: the vertices idx[r] (ascending, below nv) weighted by w[r]
+    where keep[r] holds.  Two decompositions are one when they share the key, the bytes of a row of nv
+    with the weights rounded to WEIGHT_DIGITS on the support and -0.0, which no positive weight rounds
+    to, off it.  The first row with a key keeps it, and a row that keeps no vertex adds nothing.
     """
-    rounded = np.round(w, WEIGHT_DIGITS)
-    for r in np.flatnonzero(np.any(keep, axis=1)).tolist():
-        k = keep[r]
-        support = tuple(idx[r][k].tolist())
-        solutions.setdefault((support, tuple(rounded[r][k].tolist())), (w[r][k], support))
+    rows = keep.any(axis=1).nonzero()[0].tolist()
+    if not rows:  # most clique systems of one point solve nothing: build no keys
+        return
+    wide = np.full((len(idx), nv), -0.0)
+    wide[np.arange(len(idx))[:, None], idx] = np.where(keep, w.round(WEIGHT_DIGITS), -0.0)
+    keys = wide.view(np.dtype((np.void, 8 * nv)))[:, 0].tolist()  # the bytes of each row
+    for r in rows:
+        if keys[r] not in solutions:
+            solutions[keys[r]] = (w[r][keep[r]], tuple(idx[r][keep[r]].tolist()))
 
 
-def _column_solutions(stacks, j) -> dict:
+def _column_solutions(stacks, j, nv) -> dict:
     """The decompositions of point j from every clique system that solves it, keyed as ``_add_solutions``."""
     solutions = {}
     for idx, w, kept in stacks:
-        _add_solutions(solutions, idx, w[..., j], kept[..., j])
+        _add_solutions(solutions, idx, w[..., j], kept[..., j], nv)
     return solutions
 
 
 def _determined_solutions(space: Polytope, state_coords, total, max_size) -> dict:
     """The (weights, support) of every determined clique system that solves x, keyed as ``_add_solutions``."""
     coords = np.asarray(state_coords, dtype=float)[None, :]
-    return _column_solutions(_clique_solutions(space, coords, total, max_size)[0], 0)
+    return _column_solutions(_clique_solutions(space, coords, total, max_size)[0], 0, len(space.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -1342,7 +1337,8 @@ def _decompositions(space: Polytope, determined: dict, total: float, max_support
         a, b = np.triu_indices(len(members), 1)  # the pairs in combinations order
         grid = ((1.0 - t) * members[a][:, None] + t * members[b][:, None]).reshape(-1, len(clique))
         grid = np.vstack([grid, np.mean(members, axis=0)])
-        _add_solutions(solutions, np.broadcast_to(clique, grid.shape), grid, grid > WEIGHT_DROP_TOL * max(1.0, total))
+        _add_solutions(solutions, np.broadcast_to(clique, grid.shape), grid, grid > WEIGHT_DROP_TOL * max(1.0, total),
+                       basic.shape[1])
 
     out, states = [], _polytope_geometry(space).vertex_states
     for w, support in sorted(solutions.values(), key=lambda ws: (ws[1], tuple(ws[0]))):

@@ -241,6 +241,12 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
                        '{"kind": "spin"}', '{"kind": "density", "n": 2}', '{"kind": "density", "ring": "real"}')),
         *(["check", "sufficiency", "--space", space, "--divergence", "squared_euclidean", "--trials", "3"]
           for space in ("square", "disc", "spin3")),
+        *(["check", kind, "--space", "simplex3", "--divergence", div, "--trials", "5", "--tol", tol]
+          for kind, div, tol in (("locality", "squared_euclidean", "inf"), ("locality", "kl", "nan"),
+                                 ("locality", "kl", "-1"), ("sufficiency", "squared_euclidean", "inf"),
+                                 ("sufficiency", "kl", "-inf"))),
+        ["check", "concavity", "--algebra", "complex2", "--trials", "5", "--tol", "-3"],
+        ["check", "spectrality", "--space", "square", "--trials", "5", "--tol", "1e-6"],
     ],
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
@@ -249,14 +255,19 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
          "simplex-null-n", "ball-infinite-d", "locality-complex1", "locality-real1",
          "locality-quaternion1", "locality-simplex1", "no-kind", "simplex-no-n", "polytope-no-vertices",
          "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n",
-         "sufficiency-square", "sufficiency-disc", "sufficiency-spin3"],
+         "sufficiency-square", "sufficiency-disc", "sufficiency-spin3", "locality-tol-inf", "locality-tol-nan",
+         "locality-tol-negative", "sufficiency-tol-inf", "sufficiency-tol-minus-inf", "concavity-tol",
+         "spectrality-tol"],
 )
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert_one_line_error(code, out, err)
-    if "--space" in argv and argv[1] == "sufficiency":  # the space kind, not the descriptor's repr
-        kind = {"square": "polytope", "disc": "ball", "spin3": "spin"}[argv[argv.index("--space") + 1]]
+    kinds = {"square": "polytope", "disc": "ball", "spin3": "spin"}
+    if "--space" in argv and argv[1] == "sufficiency" and argv[argv.index("--space") + 1] in kinds:
+        kind = kinds[argv[argv.index("--space") + 1]]  # the space kind, not the descriptor's repr
         assert err == f"error: no builtin channel suite for {kind} spaces\n"
+    if "--tol" in argv:
+        assert "tol" in err
 
 
 def test_help_exit_0(capsys):

@@ -495,30 +495,16 @@ def reference_distinct_s2(s1, complement_state, retries):
 
 
 def reference_orthogonal_triple(space, rng, retries=None):
-    """One locality trial (s0, s1, s2, vacuous), one State per draw.
+    """One locality trial (s0, s1, s2, vacuous), one State per draw, on any space but a simplex of n >= 3.
 
     retries (a Counter) counts the draws the loop rejects: "mass", a
     complement of mass at most 1e-6, and "same", an s2 equal to s1.
     """
     retries = collections.Counter() if retries is None else retries
-    if isinstance(space, geo.Simplex):
-        n = space.n
-        if n < 3:
-            s0 = space.vertex_state(int(rng.integers(n)))
-            other = space.vertex_state(int((np.argmax(s0.coords) + 1) % n))
-            return s0, other, other, True
-        i = int(rng.integers(n))
-        rest = [j for j in range(n) if j != i]
-
-        def face_state():
-            k = int(rng.integers(1, len(rest) + 1))
-            support = rng.choice(rest, size=k, replace=False)
-            coords = np.zeros(n)
-            coords[support] = rng.dirichlet(np.ones(k)) if k > 1 else 1.0
-            return sc.State(space, coords)
-
-        s1 = face_state()
-        return space.vertex_state(i), s1, reference_distinct_s2(s1, face_state, retries), False
+    if isinstance(space, geo.Simplex):  # n < 3; larger simplices draw in reference_orthogonal_triples
+        s0 = space.vertex_state(int(rng.integers(space.n)))
+        other = space.vertex_state(int((np.argmax(s0.coords) + 1) % space.n))
+        return s0, other, other, True
     if isinstance(space, geo.Polytope):
         i = int(rng.integers(len(space.vertices)))
         partners = np.nonzero(geo._polytope_geometry(space).graph[i])[0]
@@ -554,6 +540,51 @@ def reference_orthogonal_triple(space, rng, retries=None):
     return s0, s1, reference_distinct_s2(s1, complement_state, retries), False
 
 
+def reference_orthogonal_triples(space, rng, trials, retries=None):
+    """Every locality trial (s0, s1, s2, vacuous), one State per row.
+
+    A simplex of n >= 3 draws its trials as stacks, in the order of
+    ``Simplex.orthogonal_triples``: the vertices, then for s1 and for s2 the
+    face sizes, the uniform keys that order each facet and the exponential
+    gaps, and then again for the s2 rows still equal to s1, at most
+    DISTINCT_ATTEMPTS draws of s2 in all.  Each row is assembled on its own
+    from its slice of the stacks.  Other spaces draw trial by trial
+    (``reference_orthogonal_triple``).  retries counts as there.
+    """
+    retries = collections.Counter() if retries is None else retries
+    if not (isinstance(space, geo.Simplex) and space.n >= 3):
+        return [reference_orthogonal_triple(space, rng, retries) for _ in range(trials)]
+    n = space.n
+    vertices = rng.integers(n, size=trials).tolist()
+
+    def face_states(rows):
+        sizes = rng.integers(1, n, size=len(rows)).tolist()
+        keys = rng.random((len(rows), n - 1))
+        gaps = rng.standard_exponential((len(rows), n - 1))
+        states = []
+        for t, k, key, gap in zip(rows, sizes, keys, gaps):
+            rest = [j for j in range(n) if j != vertices[t]]
+            kept = np.where(np.arange(n - 1) < k, gap, 0.0)  # the first k gaps, on the first k keys
+            weights = kept / np.sum(kept)
+            coords = np.zeros(n)
+            for position, slot in enumerate(np.argsort(key).tolist()):
+                coords[rest[slot]] = weights[position]
+            states.append(sc.State(space, coords))
+        return states
+
+    s1, s2 = face_states(range(trials)), face_states(range(trials))
+    same = range(trials)
+    for attempt in range(geo.DISTINCT_ATTEMPTS):
+        if attempt:
+            for t, state in zip(same, face_states(same)):
+                s2[t] = state
+        same = [t for t in same if np.max(np.abs(s2[t].coords - s1[t].coords)) <= 1e-9]
+        retries["same"] += len(same)
+        if not same:
+            break
+    return [(space.vertex_state(i), a, b, False) for i, a, b in zip(vertices, s1, s2)]
+
+
 def reference_family_row(space, pair, rng):
     """One row of a builtin pair's reversible family, drawn on its own."""
     if isinstance(space, geo.Simplex):
@@ -571,7 +602,7 @@ def reference_family_row(space, pair, rng):
 
 
 def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, seed=0):
-    """Per-trial loop: one mix, State and scalar divergence call per (trial, t)."""
+    """Per-trial loop over reference_orthogonal_triples: one mix, State and scalar divergence call per (trial, t)."""
     rng = np.random.default_rng(seed)
     bary = sc.State(space, space.barycenter_coords())
 
@@ -583,8 +614,7 @@ def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, s
     max_gap = max_gap_reversed = -1.0
     witness = None
     vacuous = True
-    for trial in range(trials):
-        s0, s1, s2, degenerate = reference_orthogonal_triple(space, rng)
+    for trial, (s0, s1, s2, degenerate) in enumerate(reference_orthogonal_triples(space, rng, trials)):
         vacuous = vacuous and degenerate
         for t in t_grid:
             m1 = sc.mix([1.0 - t, t], [s0, s1])
@@ -770,7 +800,7 @@ def assert_bit_equal(got, want):
 
 
 def assert_triples_match_reference(space, rng, rng_ref, trials, retries=None):
-    want = [reference_orthogonal_triple(space, rng_ref, retries) for _ in range(trials)]
+    want = reference_orthogonal_triples(space, rng_ref, trials, retries)
     *stacks, vacuous = space.orthogonal_triples(rng, trials)
     for k, stack in enumerate(stacks):
         assert_bit_equal(stack, [w[k].coords for w in want])
@@ -786,7 +816,7 @@ def test_orthogonal_triples_match_reference_loop(space, seed):
 
 @pytest.mark.parametrize("space, seed, trials, kind", [
     (geo.DensityMatrices("real", 2), 22, 8, "mass"),  # trial 1 draws a complement of mass below 1e-6
-    (SIMPLEX3, 8, 12, "same"),  # trial 4 draws s2 = s1 twice
+    (SIMPLEX3, 5, 12, "same"),  # s2 = s1 in 4 trials, then in 2 of them, then in 1
 ], ids=["mass-real2", "same-simplex3"])
 def test_orthogonal_triples_retry_like_the_loop(space, seed, trials, kind):
     retries = collections.Counter()
@@ -801,10 +831,11 @@ class ScriptedRng:
     A column draw is e1, so s0 is e1 e1* and every pure candidate has no
     mass in its complement; a square draw is the identity, the maximally
     mixed candidate.  The i-th uniform draw is below 0.5, which picks a
-    pure candidate, when pure[i] is true (false past its end).  Integer,
-    choice and Dirichlet draws always pick the first vertex of the face.
-    The state counts the draws, and the samplers save and restore it
-    through bit_generator.
+    pure candidate, when pure[i] is true (false past its end).  Integer
+    draws are their lowest value, key rows increase along the row and
+    exponential gaps are ones, so a simplex triple is (e0, e1, e1) at every
+    draw.  The state counts the draws, and the samplers save and restore
+    it through bit_generator.
     """
 
     def __init__(self, pure=()):
@@ -826,17 +857,17 @@ class ScriptedRng:
         i = self._draw(uniform=1)
         return 0.0 if i < len(self.pure) and self.pure[i] else 0.9
 
-    def integers(self, low, high=None):
+    def integers(self, low, high=None, size=None):
         self._draw()
-        return 0 if high is None else low
+        return np.full(size, 0 if high is None else low)
 
-    def choice(self, a, size, replace):
+    def random(self, shape):
         self._draw()
-        return np.asarray(a)[:size]
+        return np.broadcast_to(np.arange(shape[-1], dtype=float), shape)
 
-    def dirichlet(self, alpha):
+    def standard_exponential(self, shape):
         self._draw()
-        return np.full(len(alpha), 1.0 / len(alpha))
+        return np.ones(shape)
 
 
 REAL3 = geo.DensityMatrices("real", 3)
@@ -865,7 +896,12 @@ def test_orthogonal_triples_give_up_like_the_loop(pure):
 
 
 def reference_simplex_triples(space, rng, trials):
-    """The Simplex.orthogonal_triples loop that built its index list and Dirichlet vector per draw."""
+    """The per-trial loop that Simplex.orthogonal_triples replaced, kept as the reference for its law.
+
+    Trial by trial: a vertex, then the face size, support (``choice``) and
+    Dirichlet weights of s1, then of s2, drawn until s2 differs from s1, at
+    most DISTINCT_ATTEMPTS times.
+    """
     n = space.n
 
     def fill_face(row, rest):
@@ -898,28 +934,111 @@ class CountingRng:
         return getattr(self.rng, name)
 
 
+SIMPLEX_DRAWS = ("integers", "random", "standard_exponential")
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 @pytest.mark.parametrize("trials", [1, 12, 220])
 def test_simplex_triples_keep_the_draw_stream(n, trials):
-    space = geo.Simplex(n)
     for seed in range(50):
-        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, want = space.orthogonal_triples(rng, trials), reference_simplex_triples(space, rng_ref, trials)
-        assert len(got) == 4 and all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert_triples_match_reference(geo.Simplex(n), np.random.default_rng(seed), np.random.default_rng(seed),
+                                       trials)
 
 
 def test_simplex_triples_retry_on_the_draw_stream():
-    """simplex3 at seed 8: trial 4 draws s2 = s1 twice and trials 5 and 6 once each, four redraws in all."""
-    rng, rng_ref = CountingRng(8), CountingRng(8)
-    got, want = SIMPLEX3.orthogonal_triples(rng, 12), reference_simplex_triples(SIMPLEX3, rng_ref, 12)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    """simplex3 at seed 5: s2 = s1 in 4 trials, then in 2 of them, then in 1; one redraw stack each time."""
+    rng, rng_ref, retries = CountingRng(5), CountingRng(5), collections.Counter()
+    assert_triples_match_reference(SIMPLEX3, rng, rng_ref, 12, retries)
     assert rng.calls == rng_ref.calls
-    assert (rng.calls["integers"], rng.calls["choice"]) == (3 * 12 + 4, 2 * 12 + 4)
-    four, five = CountingRng(8), CountingRng(8)
-    SIMPLEX3.orthogonal_triples(four, 4)
-    SIMPLEX3.orthogonal_triples(five, 5)
-    assert five.calls["integers"] - four.calls["integers"] == 5  # the vertex, s1 and three s2 draws
+    assert [rng.calls[name] for name in SIMPLEX_DRAWS] == [3 + 3, 2 + 3, 2 + 3]
+    assert retries["same"] == 4 + 2 + 1
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_simplex_triple_draws_do_not_grow_with_trials(n):
+    """One vertex stack, then (sizes, keys, gaps) stacks for s1, for s2 and for each redraw of s2."""
+    for trials in (1, 12, 220, 5000):
+        rng = CountingRng(3)
+        geo.Simplex(n).orthogonal_triples(rng, trials)
+        redraws = rng.calls["random"] - 2
+        assert 0 <= redraws < geo.DISTINCT_ATTEMPTS
+        assert rng.calls == dict(zip(SIMPLEX_DRAWS, [3 + redraws, 2 + redraws, 2 + redraws]))
+
+
+def assert_same_mean(a, b):
+    """The means of two independent samples differ by at most five standard errors of the difference."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    bound = 5.0 * math.sqrt(np.var(a) / a.size + np.var(b) / b.size)
+    assert abs(np.mean(a) - np.mean(b)) <= bound, (np.mean(a), np.mean(b), bound)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_simplex_triples_keep_the_law_of_the_loop(n):
+    """The stacked draws against the per-trial loop, 20 000 trials each, within 5 sigma.
+
+    Compared for s0 and, for s1 and for s2: the histogram of face sizes,
+    how often each vertex is in the support, and per face size k the mean
+    largest weight (the mean weight is 1/k under any law).  The largest of
+    k Dirichlet(1) weights has mean H_k / k, which both samplers meet too.
+    """
+    space, trials = geo.Simplex(n), 20_000
+    got = space.orthogonal_triples(np.random.default_rng(11), trials)
+    want = reference_simplex_triples(space, np.random.default_rng(12), trials)
+    for v in range(n):
+        assert_same_mean(got[0][:, v], want[0][:, v])
+    for a, b in zip(got[1:3], want[1:3]):
+        sizes_a, sizes_b = np.count_nonzero(a, axis=1), np.count_nonzero(b, axis=1)
+        for v in range(n):
+            assert_same_mean(a[:, v] > 0, b[:, v] > 0)
+        for k in range(1, n):
+            assert_same_mean(sizes_a == k, sizes_b == k)
+            top_a, top_b = np.max(a[sizes_a == k], axis=1), np.max(b[sizes_b == k], axis=1)
+            assert_same_mean(top_a, top_b)
+            harmonic = sum(1.0 / j for j in range(1, k + 1)) / k
+            for top in (top_a, top_b):
+                assert abs(np.mean(top) - harmonic) <= 5.0 * np.std(top) / math.sqrt(top.size)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_simplex_triples_lie_on_the_opposite_facet(n):
+    """s0 is a vertex; s1 and s2 vanish there and are probability vectors.
+
+    s2 differs from s1 in every trial, except after DISTINCT_ATTEMPTS draws
+    of s2: at n = 3 a vertex s1 is drawn again as s2 eight times running
+    with probability 4^-8, once in the 20 000 trials at seed 13.
+    """
+    rng = CountingRng(13)
+    s0, s1, s2, vacuous = geo.Simplex(n).orthogonal_triples(rng, 20_000)
+    assert np.all(np.count_nonzero(s0, axis=1) == 1) and np.all(np.max(s0, axis=1) == 1.0)
+    for rows in (s1, s2):
+        assert np.all(rows[s0 == 1.0] == 0.0) and np.all(rows >= 0.0)
+        assert np.max(np.abs(np.sum(rows, axis=1) - 1.0)) <= n * np.finfo(float).eps
+    same = np.max(np.abs(s2 - s1), axis=1) <= tolerances.DISTINCT_STATE_TOL
+    assert np.count_nonzero(same) == (n == 3)
+    assert not np.any(same) or rng.calls["random"] == 1 + geo.DISTINCT_ATTEMPTS
+    assert not np.any(vacuous)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["kl", "squared_euclidean", "itakura_saito"])
+def test_simplex_locality_verdicts(n, name):
+    """Rank 2 passes every divergence, all its triples vacuous; from rank 3 on only kl is local."""
+    space = geo.Simplex(n)
+    div = dv.builtin_divergence(name, space)
+    for seed in range(1, 6):
+        report = dv.check_locality(div, space, trials=40, seed=seed)
+        assert (report["pass"], report["vacuous"]) == (n == 2 or name == "kl", n == 2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_checkers_reject_tolerances_that_decide_alone(tol):
+    """A NaN, infinite or negative tol would pass or fail every check by itself: ValueError."""
+    div = dv.squared_euclidean_divergence()
+    with pytest.raises(ValueError, match="tol must be a finite number at least 0"):
+        dv.check_locality(div, SIMPLEX3, trials=3, tol=tol)
+    with pytest.raises(ValueError, match="tol must be a finite number at least 0"):
+        dv.check_sufficiency(div, SIMPLEX3, trials=3, tol=tol)
+    assert dv.check_locality(div, SIMPLEX3, trials=3, tol=0.0)["tolerance"] == 0.0
 
 
 SUFFICIENCY_SPACES = {

@@ -6,15 +6,19 @@ locality and sufficiency on density matrices and spin factors, locality on
 every geometry (simplices, polytopes, the disc), sufficiency on simplex3 and
 simplex4, spectrality on the square, a triangle (at 20 and 200 trials), the
 regular pentagon, the tetrahedron, the cube and two irregular polygons,
-each at seeds 1 to 3, plus two locality runs whose per-trial loop rejects a
-draw (a complement mass at or below 1e-6, and s2 equal to s1), 18
-polytope decompositions with their witnesses (square, triangle, regular
-pentagon and 12-gon, two irregular polygons, the cube) and 5 density-matrix
-decompositions with theirs (complex2, real3, quaternion2).  Polygon
-witnesses are the closed-form interval solutions, the cube's are HiGHS
-solutions.  Exit codes,
-verdicts and the witness trial, t, condition and channel must match
-exactly; floats, witness coefficients included, may differ by rounding only.
+each at seeds 1 to 3, plus two locality runs whose sampler rejects a draw:
+a complement mass at or below 1e-6 (real2 at seed 22), and s2 equal to s1
+(simplex3 at seed 5, where s2 is drawn again in 4 trials, then in 2 of
+them, then in 1).  Simplex locality is pinned on the stacked simplex draws,
+re-pinned once when they replaced the per-trial loop; its kl reports did not
+change, since kl gives the same value for every orthogonal state.  Also
+pinned: 18 polytope decompositions with their witnesses (square, triangle,
+regular pentagon and 12-gon, two irregular polygons, the cube) and 5
+density-matrix decompositions with theirs (complex2, real3, quaternion2).
+Polygon witnesses are the closed-form interval solutions, the cube's are
+HiGHS solutions.  Exit codes, verdicts and the witness trial, t, condition
+and channel must match exactly; floats, witness coefficients included, may
+differ by rounding only.
 """
 
 import io
