@@ -40,9 +40,7 @@ class ConeElement:
         lam = max(lam, 0.0)
         coords = np.asarray(self.coords, dtype=float).reshape(-1).copy()
         if coords.shape[0] != self.space.coords_len:
-            raise NotInConeError(
-                f"expected {self.space.coords_len} coordinates, got {coords.shape[0]}"
-            )
+            raise NotInConeError(f"expected {self.space.coords_len} coordinates, got {coords.shape[0]}")
         if lam > 0.0 and not self.space.contains_state(coords, tol=MEMBERSHIP_TOL):
             raise NotInConeError("state coordinates fail the membership test")
         coords.setflags(write=False)
@@ -71,12 +69,18 @@ class State(ConeElement):
     def __init__(self, space, coords):
         super().__init__(space, 1.0, coords)
 
+    @classmethod
+    def _trusted(cls, space, coords: np.ndarray) -> "State":
+        """A State of a float row that is a state by construction, without the membership test.
 
-def _require_same_space(*elements) -> None:
-    first = elements[0].space
-    for e in elements[1:]:
-        if e.space != first:
-            raise SpaceMismatchError("elements live in different state spaces")
+        The row is frozen in place, so callers pass one that nothing else holds.
+        """
+        coords.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "trace_weight", 1.0)
+        object.__setattr__(out, "coords", coords)
+        return out
 
 
 def mix(weights: Sequence[float], states: Sequence[State]) -> State:
@@ -89,7 +93,8 @@ def mix(weights: Sequence[float], states: Sequence[State]) -> State:
     total = float(np.sum(weights))
     if abs(total - 1.0) > WEIGHT_TOL:
         raise InvalidWeightsError(f"weights sum to {total}, expected 1")
-    _require_same_space(*states)
+    if any(s.space != states[0].space for s in states[1:]):
+        raise SpaceMismatchError("elements live in different state spaces")
     coords = np.zeros(states[0].space.coords_len)
     for w, s in zip(weights, states):
         coords += w * s.coords

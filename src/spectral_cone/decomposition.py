@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -123,17 +122,13 @@ class OrthogonalDecomposition:
     def spectrum(self) -> Spectrum:
         return Spectrum(self.weights)
 
-    @cached_property
-    def element(self) -> ConeElement:
-        """The reconstructed cone element, built (with its membership test) once per decomposition."""
+    def reconstruction_error(self, x: ConeElement) -> float:
+        """Sup-norm gap between sum w_i s_i, taken as total * (sum / total), and the embedding of x."""
         total = float(np.sum(self.weights))
         coords = np.zeros(self.space.coords_len)
         for w, s in zip(self.weights, self.components):
             coords += w * s.coords
-        return ConeElement(self.space, total, coords / total)
-
-    def reconstruction_error(self, x: ConeElement) -> float:
-        return float(np.max(np.abs(self.element.embedded() - x.embedded())))
+        return float(np.max(np.abs(total * (coords / total) - x.embedded())))
 
     def to_json(self) -> dict:
         return {

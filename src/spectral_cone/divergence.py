@@ -471,6 +471,7 @@ def fit_entropy_constant(div: Divergence, space: "Simplex", tol: float = ENTROPY
     flags a numerical problem.
     """
     require_count("samples", samples)
+    require_tolerance("tol", tol)
     if "kl" not in space.divergences or space.rank < 3:
         raise PreconditionError("entropy-constant recovery needs a simplex with n >= 3: on two outcomes every "
                                 "permutation-invariant divergence satisfies sufficiency, so locality does not "

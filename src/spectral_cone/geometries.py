@@ -54,7 +54,7 @@ from .errors import (ApexError, DecompositionError, NonSpectralSpaceError, NotIn
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPLEMENT_MASS_MIN,
                          DISTINCT_STATE_TOL, FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL,
                          RECONSTRUCTION_TOL, SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS,
-                         WEIGHT_DROP_TOL, WITNESS_FEASIBILITY_TOL)
+                         WEIGHT_DROP_TOL, WITNESS_FEASIBILITY_TOL, ZERO_EIGENVALUE_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
 POLYTOPE_CACHE_SIZE = 64  # polytope records (facets, vertex states, orthogonality graph, clique systems) kept
@@ -73,16 +73,19 @@ _SETTLED, _S1_REJECTED, _S2_REJECTED, _SAME_AS_S1 = range(4)  # verdicts on a de
 class _Geometry:
     """Defaults shared by the descriptor classes.
 
-    Each class also defines for its geometry: ``rank``, ``smallest_face``,
-    ``mutually_singular`` (flag, witness) for two distinct states,
-    ``decomposition(x)`` (weights, components) of a non-apex element in any
-    order, ``entropies(coords, total)`` of total * s for every row s,
-    ``random_state``, ``random_pure_state`` and ``orthogonal_triples(rng,
-    trials)``: (s0, s1, s2, vacuous), three (trials, coords_len) coordinate
-    stacks with s0 pure and s1, s2 orthogonal to it, and a (trials,) flag
-    that is true where s1 = s2 because the space (or the polytope vertex)
-    has fewer than three pairwise orthogonal states, so that the locality
-    identity holds vacuously.  The rows are not membership-tested.
+    Each class defines the decomposition kernel ``decompositions(coords, total)``: for (N, coords_len) state
+    rows s, the weights (N, r) of an orthogonal decomposition of total * s and the coordinates (N, r,
+    coords_len) of its components, pure states by construction, in any order; a row with fewer than r
+    components pads with weights that ``decompose`` drops.  On the canonical geometries the weights are the
+    spectrum, whose -sum w ln w is ``entropies``; polytopes override it with the least entropy over all
+    their decompositions.
+
+    Each class also defines ``rank``, ``smallest_face``, ``mutually_singular`` (flag, witness) for two
+    distinct states, ``random_state``, ``random_pure_state`` and ``orthogonal_triples(rng, trials)``: (s0,
+    s1, s2, vacuous), three (trials, coords_len) coordinate stacks with s0 pure and s1, s2 orthogonal to it,
+    and a (trials,) flag that is true where s1 = s2 because the space (or the polytope vertex) has fewer
+    than three pairwise orthogonal states, so that the locality identity holds vacuously.  The rows are not
+    membership-tested.
     """
 
     # one decomposition spectrum per element, given in closed form
@@ -91,6 +94,10 @@ class _Geometry:
     divergences = ("squared_euclidean",)
     # whether sufficiency reports on the space carry "exploratory": true
     exploratory = False
+
+    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
+        """Entropy of total * s for every row s: -sum w ln w of its ``decompositions`` weights."""
+        return weights_entropy(self.decompositions(coords, total)[0].T)
 
     def orthogonality_witness(self, s0: State, s1: State) -> Optional[AffineFunctional]:
         # restricting to the smallest face does not change the criterion:
@@ -147,10 +154,13 @@ class Simplex(_Geometry):
     def barycenter_coords(self) -> np.ndarray:
         return np.full(self.n, 1.0 / self.n)
 
+    @cached_property
+    def _vertex_states(self) -> tuple:
+        return tuple(State._trusted(self, row) for row in np.eye(self.n))
+
     def vertex_state(self, i: int) -> State:
-        coords = np.zeros(self.n)
-        coords[i] = 1.0
-        return State(self, coords)
+        """The i-th vertex as a State, built once per space."""
+        return self._vertex_states[i]
 
     def functional_range(self, a: AffineFunctional):
         values = a.linear + a.offset
@@ -170,13 +180,9 @@ class Simplex(_Geometry):
             return False, None
         return True, AffineFunctional(supp1.astype(float), 0.0)
 
-    def decomposition(self, x: ConeElement):
-        w = x.trace_weight * np.asarray(x.coords, dtype=float)
-        keep = np.nonzero(w > WEIGHT_DROP_TOL * max(1.0, x.trace_weight))[0]
-        return w[keep], [self.vertex_state(int(i)) for i in keep]
-
-    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
-        return weights_entropy(total * coords.T)
+    def decompositions(self, coords: np.ndarray, total: float):
+        """The weights total * s of every row s, on the vertices."""
+        return total * coords, np.broadcast_to(np.eye(self.n), (len(coords), self.n, self.n))
 
     def planar_chart(self):
         if self.n != 3:
@@ -308,15 +314,20 @@ class Polytope(_Geometry):
         """
         return _face_witness(self, s0.coords.tobytes(), s1.coords.tobytes())
 
-    def decomposition(self, x: ConeElement):
-        sols = list(_determined_solutions(self, x.coords, x.trace_weight, self.dim + 1).values())
-        if not sols:
-            raise DecompositionError("no orthogonal decomposition found; geometry bug?")
-        spectra = [Spectrum(w) for w, _ in sols]
-        length = max(len(s) for s in spectra)
-        maximal = np.flatnonzero(maximal_spectra(spectra))
-        weights, support = sols[max(maximal, key=lambda i: tuple(spectra[i].padded(length)))]
-        return weights, [self.vertex_state(int(i)) for i in support]
+    def decompositions(self, coords: np.ndarray, total: float):
+        """Per row, of the clique solutions no other majorizes, the lexicographically largest spectrum."""
+        size = self.dim + 1
+        weights, components = np.zeros((len(coords), size)), np.zeros((len(coords), size, self.dim))
+        for row, point in enumerate(coords):
+            sols = list(_determined_solutions(self, point, total, size).values())
+            if not sols:
+                raise DecompositionError("no orthogonal decomposition found; geometry bug?")
+            spectra = [Spectrum(w) for w, _ in sols]
+            length = max(len(s) for s in spectra)
+            w, support = sols[max(np.flatnonzero(maximal_spectra(spectra)),
+                                  key=lambda i: tuple(spectra[i].padded(length)))]
+            weights[row, : len(w)], components[row, : len(w)] = w, self.vertex_array[list(support)]
+        return weights, components
 
     def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
         """Least decomposition entropy over the determined clique systems, per point.
@@ -432,23 +443,19 @@ class Ball(_Geometry):
             return True, AffineFunctional(x1 / 2.0, 0.5)
         return False, None
 
-    def decomposition(self, x: ConeElement):
-        v = np.asarray(x.coords, dtype=float)
-        r = float(np.linalg.norm(v))
-        lam = x.trace_weight
-        if r <= BALL_CENTER_TOL:
-            axis = np.zeros(self.d)
-            axis[0] = 1.0  # fixed diameter for the center, for determinism
-            return [lam / 2.0, lam / 2.0], [State(self, axis), State(self, -axis)]
-        direction = v / r
-        w_lo = lam * (1.0 - r) / 2.0
-        if w_lo <= WEIGHT_DROP_TOL * max(1.0, lam):
-            return [lam], [State(self, direction)]
-        return [lam * (1.0 + r) / 2.0, w_lo], [State(self, direction), State(self, -direction)]
+    def decompositions(self, coords: np.ndarray, total: float):
+        """The antipodal pair through each row x, weighted total * (1 +- r) / 2, r = |x| clipped at 1.
 
-    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
-        r = np.minimum(np.linalg.norm(coords, axis=-1), 1.0)
-        return weights_entropy(np.stack([total * (1.0 + r) / 2.0, total * (1.0 - r) / 2.0]))
+        r is 0 within BALL_CENTER_TOL of the center (taking the first axis) and 1 where ``decompose`` drops 1 - r.
+        """
+        norm = np.linalg.norm(coords, axis=-1)
+        center = norm <= BALL_CENTER_TOL
+        r = np.where(center, 0.0, np.minimum(norm, 1.0))
+        r[total * (1.0 - r) / 2.0 <= WEIGHT_DROP_TOL * max(1.0, total)] = 1.0
+        direction = coords / np.where(center, 1.0, norm)[:, None]
+        direction[center] = np.eye(self.d)[0]
+        weights = np.stack([total * (1.0 + r) / 2.0, total * (1.0 - r) / 2.0])  # (2, N): entropies add 2 rows
+        return weights.T, np.stack([direction, -direction], axis=-2)
 
     def planar_chart(self):
         if self.d != 2:
@@ -630,22 +637,15 @@ class DensityMatrices(_Geometry):
             out.append(None if same or overlap else AffineFunctional(tests[b], 0.0))
         return tuple(out)
 
-    def decomposition(self, x: ConeElement):
-        lam = x.trace_weight
-        scale = max(1.0, lam)
-        weights, components = [], []
-        for t, p in jordan.rank_one_forms(self.forms(x.coords), self.mult):
-            w = lam * t
-            if w < -NEGATIVE_EIGENVALUE_TOL * scale:
-                raise NotInConeError(f"negative eigenvalue {t} in cone element")
-            if w > WEIGHT_DROP_TOL * scale:
-                weights.append(w)
-                components.append(State(self, self.coords_of(p)))
-        return weights, components
+    def decompositions(self, coords: np.ndarray, total: float):
+        """Ring eigenvalues of total * s and the coordinates of their rank-one idempotents, from one ``eigh``.
 
-    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
-        w = total * np.linalg.eigvalsh(self.forms(coords))[..., :: self.mult]
-        return weights_entropy(np.clip(w, 0.0, None).T)
+        Weights within ZERO_EIGENVALUE_TOL of 0 count as 0, as in ``jordan.spectral_entropies``; deeper
+        negative ones are left for ``decompose`` to refuse.
+        """
+        t, forms = jordan.rank_one_forms(*np.linalg.eigh(self.forms(coords)), self.mult)
+        weights = total * t
+        return np.where(np.abs(weights) > ZERO_EIGENVALUE_TOL, weights, 0.0), self.coords_of(forms)
 
     def random_state(self, rng: np.random.Generator) -> State:
         return self.state_from_matrix(jordan.random_density_matrix(self.ring, self.n, rng))
@@ -953,7 +953,7 @@ class _PolytopeGeometry:
     @cached_property
     def vertex_states(self) -> tuple:
         """The vertex States; a State is frozen with read-only coords, so they are shared."""
-        return tuple(State(self.space, np.array(v)) for v in self.space.vertices)
+        return tuple(State._trusted(self.space, np.array(v)) for v in self.space.vertices)
 
     @cached_property
     def graph(self) -> np.ndarray:
@@ -1276,25 +1276,30 @@ def orthogonality_witness(s0: State, s1: State, space=None) -> Optional[AffineFu
 def decompose(space, x: ConeElement, with_witnesses: bool = False) -> OrthogonalDecomposition:
     """Orthogonal decomposition of a cone element into at most dim + 1 pure states.
 
-    Polytopes search pairwise-orthogonal vertex subsets and return a
-    decomposition maximal in the majorization ordering (lexicographically
-    largest spectrum among incomparable maxima).  The other geometries have
-    canonical decompositions: vertex weights (simplex), an antipodal pair
-    (ball, spin factor) or rank-one eigenprojections (density matrices).
+    One row of the space's ``decompositions`` kernel, its weights at or below WEIGHT_DROP_TOL * max(1,
+    trace) dropped and the rest sorted descending.  Polytopes search pairwise-orthogonal vertex subsets for
+    a decomposition maximal in the majorization ordering (lexicographically largest spectrum among
+    incomparable maxima); the other geometries have canonical decompositions: vertex weights (simplex),
+    an antipodal pair (ball, spin factor) or rank-one eigenprojections (density matrices).
     """
     if x.space != space:
         raise ValueError("element does not belong to the given space")
     if x.is_apex:
         raise ApexError("the apex has no orthogonal decomposition")
-    weights, components = space.decomposition(x)
-    order = np.argsort(-np.asarray(weights, dtype=float), kind="stable")
-    weights = np.asarray(weights, dtype=float)[order]
-    components = tuple(components[int(i)] for i in order)
+    weights, rows = (a[0] for a in space.decompositions(x.coords[None, :], x.trace_weight))
+    scale = max(1.0, x.trace_weight)
+    if np.min(weights) < -NEGATIVE_EIGENVALUE_TOL * scale:
+        raise NotInConeError(f"negative weight {np.min(weights)} in the spectrum of a cone element")
+    kept = np.flatnonzero(weights > WEIGHT_DROP_TOL * scale)
+    if not kept.size:  # only a trace of at most r * WEIGHT_DROP_TOL drops every weight
+        raise DecompositionError("no decomposition weight above the drop tolerance WEIGHT_DROP_TOL * max(1, trace)")
+    order = kept[np.argsort(-weights[kept], kind="stable")]
+    components = tuple(State._trusted(space, rows[i]) for i in order)
     witnesses = space.orthogonality_witnesses(components) if with_witnesses else None
-    dec = OrthogonalDecomposition(space, weights, components, witnesses)
+    dec = OrthogonalDecomposition(space, weights[order], components, witnesses)
     if dec.size > space.dim + 1:
         raise DecompositionError("decomposition exceeds the dimension bound")
-    if not dec.reconstruction_error(x) <= RECONSTRUCTION_TOL * max(1.0, x.trace_weight):  # NaN fails too
+    if not dec.reconstruction_error(x) <= RECONSTRUCTION_TOL * scale:  # NaN fails too
         raise DecompositionError("decomposition does not reconstruct the element")
     return dec
 

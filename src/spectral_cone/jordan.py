@@ -42,7 +42,7 @@ import numpy as np
 
 from . import quaternion as quat
 from .decomposition import weights_entropy
-from .errors import DomainError, require_count
+from .errors import DomainError, require_count, require_tolerance
 from .tolerances import (CLUSTER_RADIUS_FLOOR, CLUSTER_RTOL, CONCAVITY_FD_RTOL, CONCAVITY_FD_STEP,
                          CONCAVITY_REL_FLOOR, CONCAVITY_STRICTNESS, HERMITIAN_TOL, MIDPOINT_SLACK_TOL,
                          NEGATIVE_EIGENVALUE_TOL, SPIN_DEGENERATE_TOL, ZERO_EIGENVALUE_TOL)
@@ -279,11 +279,8 @@ class EigenDecomposition:
     idempotents: tuple
 
     def reconstruct(self) -> HermitianMatrix:
-        n = self.idempotents[0].n
-        acc = HermitianMatrix.zeros(self.ring, n)
-        for t, e in zip(self.eigenvalues, self.idempotents):
-            acc = acc + e.scale(t)
-        return acc
+        zero = HermitianMatrix.zeros(self.ring, self.idempotents[0].n)
+        return sum((e.scale(t) for t, e in zip(self.eigenvalues, self.idempotents)), zero)
 
 
 def eigen_hermitian(m: HermitianMatrix) -> EigenDecomposition:
@@ -295,52 +292,46 @@ def eigen_hermitian(m: HermitianMatrix) -> EigenDecomposition:
     """
     w, v = np.linalg.eigh(m.to_complex())
     groups = cluster_indices(w)
-    eigenvalues = []
-    multiplicities = []
-    idempotents = []
-    for g in groups:
-        cols = v[:, g]
-        proj = cols @ np.conj(cols.T)
-        if len(g) % m.mult:
-            raise RuntimeError("embedded quaternionic eigenvalues must pair up")
-        eigenvalues.append(float(np.mean(w[g])))
-        multiplicities.append(len(g) // m.mult)
-        idempotents.append(from_form(m.ring, proj))
-    return EigenDecomposition(m.ring, tuple(eigenvalues), tuple(multiplicities),
-                              tuple(idempotents))
+    if any(len(g) % m.mult for g in groups):
+        raise RuntimeError("embedded quaternionic eigenvalues must pair up")
+    return EigenDecomposition(m.ring, tuple(float(np.mean(w[g])) for g in groups),
+                              tuple(len(g) // m.mult for g in groups),
+                              tuple(from_form(m.ring, v[:, g] @ np.conj(v[:, g].T)) for g in groups))
 
 
 def rank_one_components(m: HermitianMatrix) -> list:
     """Split a Hermitian matrix into (eigenvalue, rank-one idempotent) pairs."""
-    return [(t, from_form(m.ring, p)) for t, p in rank_one_forms(m.to_complex(), m.mult)]
+    t, forms = rank_one_forms(*np.linalg.eigh(m.to_complex()), m.mult)
+    return [(float(a), from_form(m.ring, p)) for a, p in zip(t, forms)]
 
 
-def rank_one_forms(z: np.ndarray, mult: int = 1) -> list:
-    """Split a Hermitian complex form into (eigenvalue, rank-one idempotent form) pairs.
+def rank_one_forms(w: np.ndarray, v: np.ndarray, mult: int = 1):
+    """Ring eigenvalues (..., m // mult) and rank-one idempotent forms (..., m // mult, m, m) of ``eigh`` stacks.
 
-    mult is 2 for the form of a quaternionic matrix and 1 otherwise.  Within
-    each eigenvalue cluster the idempotents are pairwise orthogonal.  A
-    quaternionic rank-one idempotent has a rank-two form, built from an
-    eigenvector and its quaternionic structure partner.
+    w (..., m), v (..., m, m) are eigenpairs of Hermitian complex forms; mult
+    is 2 for quaternionic matrices, whose rank-one idempotents have rank-two
+    forms, built one cluster at a time from an eigenvector and its structure
+    partner, with the cluster mean as eigenvalue.  Within each eigenvalue
+    cluster the idempotents are pairwise orthogonal.
     """
-    w, v = np.linalg.eigh(z)
-    if mult == 1:
-        return [(float(w[i]), v[:, i : i + 1] @ np.conj(v[:, i : i + 1].T)) for i in range(w.size)]
-    out = []
-    for g in cluster_indices(w):
-        cols = v[:, g]
-        proj = cols @ np.conj(cols.T)
-        t = float(np.mean(w[g]))
-        if len(g) % 2:
-            raise RuntimeError("embedded quaternionic eigenvalues must pair up")
-        for _ in range(len(g) // 2):
-            j = int(np.argmax(np.real(np.diag(proj))))
-            u = proj[:, j] / np.linalg.norm(proj[:, j])
-            ut = quat.structure_partner(u)
-            rank2 = np.outer(u, np.conj(u)) + np.outer(ut, np.conj(ut))
-            out.append((t, rank2))
-            proj = proj - rank2
-    return out
+    if mult == 1:  # one (m, 1) @ (1, m) product per eigenvector, as for a single form
+        return w, np.stack([c @ np.conj(np.swapaxes(c, -1, -2)) for c in np.split(v, w.shape[-1], -1)], axis=-3)
+    t, forms = [], []
+    for row in np.ndindex(w.shape[:-1]):
+        for g in cluster_indices(w[row]):
+            cols = v[row][:, g]
+            proj = cols @ np.conj(cols.T)
+            if len(g) % 2:
+                raise RuntimeError("embedded quaternionic eigenvalues must pair up")
+            for _ in range(len(g) // 2):
+                j = int(np.argmax(np.real(np.diag(proj))))
+                u = proj[:, j] / np.linalg.norm(proj[:, j])
+                ut = quat.structure_partner(u)
+                forms.append(np.outer(u, np.conj(u)) + np.outer(ut, np.conj(ut)))
+                t.append(np.mean(w[row][g]))
+                proj = proj - forms[-1]
+    shape = (*w.shape[:-1], w.shape[-1] // 2)
+    return np.reshape(t, shape), np.reshape(np.array(forms, dtype=complex), (*shape, *v.shape[-2:]))
 
 
 def eigenvalues_of(m: HermitianMatrix) -> np.ndarray:
@@ -598,6 +589,7 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
     """
     kind, n = _parse_algebra(algebra)
     require_count("trials", trials)
+    require_tolerance("strictness", strictness)
     rng = np.random.default_rng(seed)
     steps = np.array([fd_step, 0.0, -fd_step])
     terms = _spin_concavity_terms if kind == "spin" else _matrix_concavity_terms

@@ -51,6 +51,9 @@ def assert_reconstructs(space, x):
     dec = geo.decompose(space, x)
     assert 1 <= dec.size <= space.dim + 1
     assert np.all(dec.weights > 0)
+    # decompose builds its components without the membership test: they must pass it all the same
+    for c in dec.components:
+        assert space.contains_state(c.coords) and not c.coords.flags.writeable
     rebuilt = dec.weights @ np.array([c.coords for c in dec.components])
     assert np.max(np.abs(rebuilt - x.embedded())) <= RECONSTRUCTION_TOL * max(1.0, x.trace_weight)
 

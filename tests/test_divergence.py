@@ -1086,6 +1086,13 @@ def test_fit_entropy_constant_recovers_scale(c):
     assert fit.entropy_generated
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_fit_entropy_constant_rejects_tolerances_that_decide_alone(tol):
+    """A NaN tol reported "not entropy-generated" with residual 0; NaN, negative and infinite all raise."""
+    with pytest.raises(ValueError, match="tol must be a finite number at least 0"):
+        dv.fit_entropy_constant(dv.kl_divergence(), SIMPLEX3, tol=tol)
+
+
 def reference_fit_entropy_constant(div, space, tol=1e-10, samples=200, seed=0, locality_trials=50):
     """Per-sample loop: two Dirichlet draws, two States and two scalar divergence calls per sample."""
     if not isinstance(space, geo.Simplex) or space.n < 3:

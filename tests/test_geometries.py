@@ -221,6 +221,14 @@ def test_decompose_rejects_nan_reconstruction():
         geo.decompose(SIMPLEX3, x)
 
 
+@pytest.mark.parametrize("space", [SIMPLEX3, geo.Ball(2), geo.DensityMatrices("complex", 2)],
+                         ids=["simplex3", "disc", "complex2"])
+def test_decompose_refuses_a_trace_whose_weights_all_drop(space):
+    """Every weight at or below WEIGHT_DROP_TOL * max(1, trace) leaves no component: one error, no 0 / 0."""
+    with pytest.raises(sc.DecompositionError, match="no decomposition weight above the drop tolerance"):
+        geo.decompose(space, sc.ConeElement(space, 1e-12, space.barycenter_coords()))
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -511,6 +519,23 @@ def test_property_entropies_match_row_entropy(space, data, total):
     want = [sc.von_neumann_entropy(space.state_matrix(sc.State(space, c)).scale(total)) for c in coords]
     # the row path drops eigenvalues at or below 1e-12, which carry at most 1e-12 ln 1e12 each
     np.testing.assert_allclose(space.entropies(coords, total), want, rtol=0, atol=3 * 2.8e-11 + 1e-13)
+
+
+@pytest.mark.parametrize("ring", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_entropy_follows_the_zero_eigenvalue_rule_of_von_neumann_entropy(ring, n):
+    """Both count eigenvalues at or below ZERO_EIGENVALUE_TOL as 0, so pure and mixed states agree to rounding.
+
+    Clipping at 0 instead kept the ~1e-17 eigenvalues of pure states, about 1e-14 off.
+    """
+    space, rng = geo.DensityMatrices(ring, n), np.random.default_rng(n)
+    states = [space.random_pure_state(rng) if k % 2 else space.random_state(rng) for k in range(300)]
+    coords = np.array([s.coords for s in states])
+    for total in (1.0, 0.3, 2.7):
+        want = [sc.von_neumann_entropy(space.state_matrix(s).scale(total)) for s in states]
+        got = [sc.entropy(space, sc.ConeElement(space, total, s.coords)) for s in states[:20]]
+        np.testing.assert_allclose(space.entropies(coords, total), want, rtol=0, atol=5e-15 * max(1.0, total))
+        np.testing.assert_array_equal(got, space.entropies(coords[:20], total))
 
 
 @pytest.mark.parametrize("space", DENSITY_SPACES, ids=DENSITY_IDS)

@@ -610,6 +610,13 @@ def test_check_concavity_passes(algebra):
     assert report["witness"] is None
 
 
+@pytest.mark.parametrize("strictness", [math.nan, -1.0, math.inf])
+def test_check_concavity_rejects_strictness_that_decides_alone(strictness):
+    """A NaN strictness failed every trial; NaN, negative and infinite all raise."""
+    with pytest.raises(ValueError, match="strictness must be a finite number at least 0"):
+        check_concavity("complex2", trials=5, strictness=strictness)
+
+
 @pytest.mark.parametrize("algebra", [("complex", 2), ("spin", 3)])
 def test_check_concavity_witness_replays(algebra):
     report = check_concavity(algebra, trials=5, seed=3, strictness=1e3)

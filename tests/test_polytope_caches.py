@@ -91,6 +91,7 @@ def test_polytope_caches_share_one_bound():
 def test_polytope_caches_stay_within_bound():
     first = polytope(regular_polygon(5, scale=1.45))  # not built elsewhere
     geo.decompose(first, sc.ConeElement(first, 1.0, [0.1, 0.2]), with_witnesses=True)
+    first.vertex_state(0)  # decompose reads the vertex array, not the vertex states
     record = geo._polytope_geometry(first)
     assert DERIVED <= set(vars(record)) and record.space is first
     record = weakref.ref(record)
