@@ -41,8 +41,8 @@ class ConeElement:
         coords = np.asarray(self.coords, dtype=float).reshape(-1).copy()
         if coords.shape[0] != self.space.coords_len:
             raise NotInConeError(f"expected {self.space.coords_len} coordinates, got {coords.shape[0]}")
-        if lam > 0.0 and not self.space.contains_state(coords, tol=MEMBERSHIP_TOL):
-            raise NotInConeError("state coordinates fail the membership test")
+        if lam > 0.0:
+            require_states(self.space, coords)
         coords.setflags(write=False)
         object.__setattr__(self, "trace_weight", lam)
         object.__setattr__(self, "coords", coords)
@@ -93,8 +93,7 @@ def mix(weights: Sequence[float], states: Sequence[State]) -> State:
     total = float(np.sum(weights))
     if abs(total - 1.0) > WEIGHT_TOL:
         raise InvalidWeightsError(f"weights sum to {total}, expected 1")
-    if any(s.space != states[0].space for s in states[1:]):
-        raise SpaceMismatchError("elements live in different state spaces")
+    require_space(states[0].space, states[1:])
     coords = np.zeros(states[0].space.coords_len)
     for w, s in zip(weights, states):
         coords += w * s.coords
@@ -111,9 +110,21 @@ def mix_coords(space, t, a, b) -> np.ndarray:
     if np.any(t < -WEIGHT_TOL) or np.any(t > 1.0 + WEIGHT_TOL):
         raise InvalidWeightsError("mixture weights leave [0, 1]")
     out = 0.0 + (1.0 - t) * a + t * b
-    if not np.all(space.contains_state(out, tol=MEMBERSHIP_TOL)):
-        raise NotInConeError("state coordinates fail the membership test")
+    require_states(space, out)
     return out
+
+
+def require_space(space, elements) -> None:
+    """Raise SpaceMismatchError unless every element lives in the space."""
+    if any(x.space != space for x in elements):
+        raise SpaceMismatchError("elements live in different state spaces")
+
+
+def require_states(space, rows) -> None:
+    """Raise NotInConeError unless every coordinate row passes the membership test of the space."""
+    ok = space.contains_state(rows, tol=MEMBERSHIP_TOL)
+    if not (ok if ok.ndim == 0 else ok.all()):  # a State's one row skips the cost of a reduction
+        raise NotInConeError("state coordinates fail the membership test")
 
 
 @dataclass(frozen=True)

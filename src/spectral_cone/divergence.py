@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import jordan
-from .cone import AffineFunctional, State, evaluate, mix, mix_coords
+from .cone import AffineFunctional, State, evaluate, mix, mix_coords, require_states
 from .errors import NotInConeError, PreconditionError, require_count, require_tolerance
-from .tolerances import (ENTROPY_FIT_TOL, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL, MEMBERSHIP_TOL,
-                         OPTIMAL_ACTION_TOL, REVERSIBILITY_TOL, SUFFICIENCY_TOL, SUPPORT_LEAK_TOL,
-                         ZERO_EIGENVALUE_TOL)
+from .tolerances import (ENTROPY_FIT_TOL, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL, OPTIMAL_ACTION_TOL,
+                         REVERSIBILITY_TOL, SUFFICIENCY_TOL, SUPPORT_LEAK_TOL, ZERO_EIGENVALUE_TOL)
 
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -240,10 +239,8 @@ def scaled_divergence(c: float, div: Divergence) -> Divergence:
     )
 
 
-def divergence_from_generator(gen: Generator, requires_interior: bool = False) -> Divergence:
-    return Divergence(
-        gen.name, "from_generator", lambda s1, s2: bregman(gen, s1, s2), requires_interior
-    )
+def divergence_from_generator(gen: Generator) -> Divergence:
+    return Divergence(gen.name, "from_generator", lambda s1, s2: bregman(gen, s1, s2))
 
 
 def divergence_from_action_set(actions) -> Divergence:
@@ -305,21 +302,14 @@ def _interior_map(div: Divergence, space):
     return lambda coords: mix_coords(space, INTERIOR_EPS, coords, bary)
 
 
-def _require_states(space, rows) -> None:
-    """Raise NotInConeError, as State() does, unless every row is a state of the space."""
-    if not np.all(space.contains_state(rows, tol=MEMBERSHIP_TOL)):
-        raise NotInConeError("state coordinates fail the membership test")
-
-
-def check_locality(div: Divergence, space, trials: int = 1000,
-                   t_grid: Sequence[float] = DEFAULT_T_GRID, tol: float = LOCALITY_TOL,
+def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCALITY_TOL,
                    seed: int = 0) -> dict:
     """Test whether D((1-t)s0 + t*s1, s0) is independent of the orthogonal s1.
 
-    Both argument orders are evaluated; the order of the defining identity
-    (mixture first) is authoritative for pass/fail, the reversed order
-    (pure state first, the one with finite logarithmic values) is reported
-    alongside.  Gaps compare extended reals, so two divergences that are
+    The mixing weights t are DEFAULT_T_GRID.  Both argument orders are
+    evaluated; the order of the defining identity (mixture first) is
+    authoritative for pass/fail, the reversed order (pure state first, the
+    one with finite logarithmic values) is reported alongside.  Gaps compare extended reals, so two divergences that are
     both infinite agree.  The triples are drawn as stacks by the space's
     ``orthogonal_triples`` and take one membership test together; every
     (trial, t) pair is evaluated as one stacked array, and the witness is
@@ -331,10 +321,10 @@ def check_locality(div: Divergence, space, trials: int = 1000,
         raise ValueError(f"locality needs a space of rank at least 2, got a {space.kind} space of rank 1")
     rng = np.random.default_rng(seed)
     s0, s1, s2, vacuous = space.orthogonal_triples(rng, trials)
-    _require_states(space, np.stack([s0, s1, s2]))
-    t = np.asarray(t_grid, dtype=float)[:, None]
+    require_states(space, np.stack([s0, s1, s2]))
+    t = np.asarray(DEFAULT_T_GRID)[:, None]
     dom = _interior_map(div, space)
-    # mixtures with s1 and with s2, shape (2, trials, len(t_grid), coords_len)
+    # mixtures with s1 and with s2, shape (2, trials, len(DEFAULT_T_GRID), coords_len)
     mixed = dom(mix_coords(space, t, s0[None, :, None], np.stack([s1, s2])[:, :, None]))
     pure = dom(s0)[:, None]
     a, b = div.values(space, mixed, pure)
@@ -348,7 +338,7 @@ def check_locality(div: Divergence, space, trials: int = 1000,
         trial, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
         witness = {
             "trial": int(trial),
-            "t": float(t_grid[k]),
+            "t": DEFAULT_T_GRID[k],
             "s0": [float(c) for c in s0[trial]],
             "s1": [float(c) for c in s1[trial]],
             "s2": [float(c) for c in s2[trial]],
@@ -407,7 +397,7 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = S
         for k, pair in enumerate(suite):
             mine = owner == k
             out[mine] = _pair_rows(space, getattr(pair, name)(stack[mine].reshape(-1, space.coords_len)))
-        _require_states(space, out)
+        require_states(space, out)
         return out
 
     drawn = by_pair("family", space.family_draws(rng, (trials, 2)))
@@ -481,7 +471,7 @@ def fit_entropy_constant(div: Divergence, space: "Simplex", tol: float = ENTROPY
         raise PreconditionError(f"divergence {div.name} is not local (max gap {report['max_gap']:.3e})")
     rows = space.family_draws(np.random.default_rng(seed), (samples, 2))
     rows = rows / np.sum(rows, axis=-1, keepdims=True)
-    _require_states(space, rows)
+    require_states(space, rows)
     d, k = (f.values(space, rows[:, 0], rows[:, 1]) for f in (div, kl_divergence()))
     c = sum((d * k).tolist()) / sum((k * k).tolist())  # summed in sample order
     residual = max(np.abs(d - c * k).tolist())

@@ -38,7 +38,6 @@ ordered pair of states (``_face_witness``, at most ``WITNESS_CACHE_SIZE``).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -46,11 +45,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jordan
-from . import quaternion as quat
-from .cone import AffineFunctional, ConeElement, State
+from .cone import AffineFunctional, ConeElement, State, require_space, require_states
 from .decomposition import OrthogonalDecomposition, Spectrum, maximal_spectra, weights_entropy
-from .errors import (ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError,
-                     PreconditionError)
+from .errors import ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError, PreconditionError
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPLEMENT_MASS_MIN,
                          DISTINCT_STATE_TOL, FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL,
                          RECONSTRUCTION_TOL, SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS,
@@ -71,21 +68,22 @@ _SETTLED, _S1_REJECTED, _S2_REJECTED, _SAME_AS_S1 = range(4)  # verdicts on a de
 # ---------------------------------------------------------------------------
 
 class _Geometry:
-    """Defaults shared by the descriptor classes.
+    """Defaults shared by the descriptor classes.  Each class defines
 
-    Each class defines the decomposition kernel ``decompositions(coords, total)``: for (N, coords_len) state
-    rows s, the weights (N, r) of an orthogonal decomposition of total * s and the coordinates (N, r,
-    coords_len) of its components, pure states by construction, in any order; a row with fewer than r
-    components pads with weights that ``decompose`` drops.  On the canonical geometries the weights are the
-    spectrum, whose -sum w ln w is ``entropies``; polytopes override it with the least entropy over all
-    their decompositions.
-
-    Each class also defines ``rank``, ``smallest_face``, ``mutually_singular`` (flag, witness) for two
-    distinct states, ``random_state``, ``random_pure_state`` and ``orthogonal_triples(rng, trials)``: (s0,
-    s1, s2, vacuous), three (trials, coords_len) coordinate stacks with s0 pure and s1, s2 orthogonal to it,
-    and a (trials,) flag that is true where s1 = s2 because the space (or the polytope vertex) has fewer
-    than three pairwise orthogonal states, so that the locality identity holds vacuously.  The rows are not
-    membership-tested.
+    * ``decompositions(coords, total)``, the decomposition kernel: for (N, coords_len) state rows s, the
+      weights (N, r) of an orthogonal decomposition of total * s and the coordinates (N, r, coords_len) of
+      its components, pure states by construction, in any order; a row with fewer than r components pads
+      with weights that ``decompose`` drops.  On the canonical geometries the weights are the spectrum,
+      whose -sum w ln w is ``entropies``; polytopes override it with the least entropy over all their
+      decompositions;
+    * ``mutually_singular(s0, s1)``, (flag, witness) of two distinct states on the whole space; with
+      ``orthogonality_witnesses(states)``, which tests each pair on its smallest face, the only two ways a
+      geometry is asked whether states are orthogonal;
+    * ``rank``, ``smallest_face(states)``, ``random_state(rng)`` and ``random_pure_state(rng)``;
+    * ``orthogonal_triples(rng, trials)``: (s0, s1, s2, vacuous), three (trials, coords_len) coordinate
+      stacks with s0 pure and s1, s2 orthogonal to it, and a (trials,) flag that is true where s1 = s2
+      because the space (or the polytope vertex) has fewer than three pairwise orthogonal states, so that
+      the locality identity holds vacuously.  The rows are not membership-tested.
     """
 
     # one decomposition spectrum per element, given in closed form
@@ -99,15 +97,15 @@ class _Geometry:
         """Entropy of total * s for every row s: -sum w ln w of its ``decompositions`` weights."""
         return weights_entropy(self.decompositions(coords, total)[0].T)
 
-    def orthogonality_witness(self, s0: State, s1: State) -> Optional[AffineFunctional]:
-        # restricting to the smallest face does not change the criterion:
-        # disjoint supports (simplex), antipodal boundary points (ball),
-        # orthogonal support projections (matrices)
-        return self.mutually_singular(s0, s1)[1]
-
     def orthogonality_witnesses(self, states) -> tuple:
-        """``orthogonality_witness`` of every pair (a, b) of the states, a before b, in combinations order."""
-        return tuple(orthogonality_witness(a, b, self) for a, b in itertools.combinations(states, 2))
+        """Per pair (a, b) of the states, in combinations order, a test with value 0 at a and 1 at b on their
+        smallest face; None for one state (within SAME_STATE_TOL) or a pair that is not orthogonal.
+
+        Restricting to the smallest face does not change the criterion of ``mutually_singular`` here:
+        disjoint supports (simplex), antipodal boundary points (ball).
+        """
+        return tuple(None if _same_state(a, b) else self.mutually_singular(a, b)[1]
+                     for a, b in itertools.combinations(states, 2))
 
     def planar_chart(self):
         """(bounding box, chart) for a 2-dimensional space; chart maps x, y arrays to coords rows."""
@@ -307,19 +305,20 @@ class Polytope(_Geometry):
         witness = _face_witness(self, s0.coords.tobytes(), s1.coords.tobytes(), True)
         return witness is not None, witness
 
-    def orthogonality_witness(self, s0: State, s1: State) -> Optional[AffineFunctional]:
-        """Mutual singularity restricted to the vertices of the smallest face of the pair.
+    def orthogonality_witnesses(self, states) -> tuple:
+        """Per pair, mutual singularity restricted to the vertices of the pair's smallest face.
 
         Solved once per ordered pair of coordinate vectors (see ``_face_witness``).
         """
-        return _face_witness(self, s0.coords.tobytes(), s1.coords.tobytes())
+        return tuple(None if _same_state(a, b) else _face_witness(self, a.coords.tobytes(), b.coords.tobytes())
+                     for a, b in itertools.combinations(states, 2))
 
     def decompositions(self, coords: np.ndarray, total: float):
         """Per row, of the clique solutions no other majorizes, the lexicographically largest spectrum."""
         size = self.dim + 1
         weights, components = np.zeros((len(coords), size)), np.zeros((len(coords), size, self.dim))
         for row, point in enumerate(coords):
-            sols = list(_determined_solutions(self, point, total, size).values())
+            sols = list(_determined_solutions(self, point, total).values())
             if not sols:
                 raise DecompositionError("no orthogonal decomposition found; geometry bug?")
             spectra = [Spectrum(w) for w, _ in sols]
@@ -337,8 +336,7 @@ class Polytope(_Geometry):
         """
         out = np.empty(len(coords))
         for start in range(0, len(coords), POINT_BLOCK):
-            stacks, support = _clique_solutions(self, coords[start:start + POINT_BLOCK], total,
-                                                len(self.vertices))
+            stacks, support = _clique_solutions(self, coords[start:start + POINT_BLOCK], total)
             h = np.concatenate([weights_entropy(np.where(kept, w, 0.0).swapaxes(0, 1)) for _, w, kept in stacks])
             order = np.argsort(support, axis=0, kind="stable")
             support = np.take_along_axis(support, order, axis=0)
@@ -366,12 +364,11 @@ class Polytope(_Geometry):
         """
         nv, verts = len(self.vertices), self.vertex_array
         probes = np.array([self.barycenter_coords(), *(w @ verts for w in rng.dirichlet(np.ones(nv), samples))])
-        if not np.all(self.contains_state(probes)):
-            raise NotInConeError("state coordinates fail the membership test")
+        require_states(self, probes)
         for start in range(0, len(probes), POINT_BLOCK):
-            stacks, support = _clique_solutions(self, probes[start:start + POINT_BLOCK], 1.0, nv)
+            stacks, support = _clique_solutions(self, probes[start:start + POINT_BLOCK], 1.0)
             for j in np.flatnonzero(np.count_nonzero(support, axis=0) > 1):
-                yield probes[start + j], _decompositions(self, _column_solutions(stacks, j, nv), 1.0, nv)
+                yield probes[start + j], _decompositions(self, _column_solutions(stacks, j, nv), 1.0)
 
     def random_state(self, rng: np.random.Generator) -> State:
         w = rng.dirichlet(np.ones(len(self.vertices)))
@@ -620,7 +617,7 @@ class DensityMatrices(_Geometry):
         return witness is not None, witness
 
     def orthogonality_witnesses(self, states) -> tuple:
-        """``orthogonality_witness`` of every state pair, from one stacked support eigensolve.
+        """The witness of every state pair, from one stacked support eigensolve.
 
         Distinct states a, b are orthogonal when the trace of the product of their support
         projections, Tr(p_a p_b), is 0 within SINGULARITY_TOL; the witness is then p_b.
@@ -632,9 +629,8 @@ class DensityMatrices(_Geometry):
         tests = self.coords_of(supports)
         out = []
         for a, b in itertools.combinations(range(len(coords)), 2):
-            same = np.max(np.abs(coords[a] - coords[b])) <= SAME_STATE_TOL
             overlap = np.sum(supports[a] * np.conj(supports[b])).real / self.mult > SINGULARITY_TOL
-            out.append(None if same or overlap else AffineFunctional(tests[b], 0.0))
+            out.append(None if _same_state(states[a], states[b]) or overlap else AffineFunctional(tests[b], 0.0))
         return tuple(out)
 
     def decompositions(self, coords: np.ndarray, total: float):
@@ -850,7 +846,7 @@ def _merge_pair(i: int, j: int, alpha: float) -> ChannelPair:
 
 def _unitary_conjugation_pair(space: DensityMatrices, rng: np.random.Generator, pinch: bool) -> ChannelPair:
     n = space.n
-    u = jordan.complex_forms(space.ring, _random_unitary(space.ring, n, rng))
+    u = jordan.complex_forms(space.ring, jordan.random_unitary(space.ring, n, rng))
     u_star = np.conj(u.T)
     side = np.arange(n) < n // 2
     # coordinate mask of the two diagonal blocks of the pinch
@@ -870,34 +866,6 @@ def _unitary_conjugation_pair(space: DensityMatrices, rng: np.random.Generator, 
         return (1.0 / space.traces(rows))[:, None] * rows
 
     return ChannelPair("pinch+rotate" if pinch else "rotate", phi, psi, family)
-
-
-def _random_unitary(ring: str, n: int, rng: np.random.Generator):
-    if ring == "real":
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        return q * np.sign(np.diag(r))
-    if ring == "complex":
-        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return q * np.exp(-1j * np.angle(np.diag(r)))
-    # quaternion: compose unit-quaternion phases with Givens-like rotations
-    u = np.zeros((n, n, 4))
-    phases = rng.standard_normal((n, 4))
-    phases /= np.linalg.norm(phases, axis=1, keepdims=True)
-    u[np.arange(n), np.arange(n)] = phases
-    for _ in range(2 * n if n > 1 else 0):  # a 1x1 unitary is its phase alone
-        i, j = rng.choice(n, size=2, replace=False)
-        theta = rng.uniform(0, 2 * np.pi)
-        c, s = math.cos(theta), math.sin(theta)
-        qph = rng.standard_normal(4)
-        qph /= np.linalg.norm(qph)
-        g = np.zeros((n, n, 4))
-        g[np.arange(n), np.arange(n), 0] = 1.0
-        g[i, i] = c * np.array([1.0, 0, 0, 0])
-        g[j, j] = c * np.array([1.0, 0, 0, 0])
-        g[i, j] = s * qph
-        g[j, i] = -s * quat.qconj(qph)
-        u = quat.qmat_mul(u, g)
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -1162,10 +1130,10 @@ def _cliques(adj: np.ndarray) -> list:
     return sorted(cliques, key=lambda idx: (len(idx), idx))
 
 
-def _clique_solutions(space: Polytope, coords, total, max_size):
+def _clique_solutions(space: Polytope, coords, total):
     """Solve every determined clique system for the N points total * coords[i] at once.
 
-    Returns per clique size k <= max_size, in clique order, (idx, w, kept):
+    Returns per clique size, in clique order, (idx, w, kept):
     vertex indices (G, k), weights clipped at 0 (G, k, N), and kept, true
     for weights above WEIGHT_DROP_TOL * scale of systems that solve the point
     (no weight below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL);
@@ -1175,8 +1143,6 @@ def _clique_solutions(space: Polytope, coords, total, max_size):
     rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
     stacks = []
     for idx, pinv, matrix in _polytope_geometry(space).clique_systems[0]:
-        if idx.shape[1] > max_size:
-            break
         w = pinv @ rhs
         residual = np.max(np.abs(matrix @ w - rhs), axis=1)
         ok = (np.min(w, axis=1) >= -WEIGHT_DROP_TOL * scale) & (
@@ -1213,10 +1179,10 @@ def _column_solutions(stacks, j, nv) -> dict:
     return solutions
 
 
-def _determined_solutions(space: Polytope, state_coords, total, max_size) -> dict:
+def _determined_solutions(space: Polytope, state_coords, total) -> dict:
     """The (weights, support) of every determined clique system that solves x, keyed as ``_add_solutions``."""
     coords = np.asarray(state_coords, dtype=float)[None, :]
-    return _column_solutions(_clique_solutions(space, coords, total, max_size)[0], 0, len(space.vertices))
+    return _column_solutions(_clique_solutions(space, coords, total)[0], 0, len(space.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -1238,35 +1204,37 @@ class Face:
     point: Optional[np.ndarray] = None
 
 
+def _same_state(s0: State, s1: State) -> bool:
+    """Whether two states are one: coordinates within SAME_STATE_TOL, so never orthogonal."""
+    return np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL
+
+
 def smallest_face(space, states) -> Face:
     """Smallest face of the space containing all given states."""
     states = list(states)
     if not states:
         raise ValueError("need at least one state")
+    require_space(space, states)
     return space.smallest_face(states)
 
 
-def mutually_singular(s0: State, s1: State, space=None):
-    """Whether some test maps s0 to 0 and s1 to 1; returns (flag, witness)."""
-    space = space or s0.space
-    if s0.space != space or s1.space != space:
-        raise ValueError("states must belong to the given space")
-    if np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL:
+def mutually_singular(s0: State, s1: State):
+    """Whether some test on the space of the states maps s0 to 0 and s1 to 1; returns (flag, witness)."""
+    require_space(s0.space, (s1,))
+    if _same_state(s0, s1):
         return False, None
-    return space.mutually_singular(s0, s1)
+    return s0.space.mutually_singular(s0, s1)
 
 
-def orthogonal(s0: State, s1: State, space=None) -> bool:
+def orthogonal(s0: State, s1: State) -> bool:
     """Mutual singularity inside the smallest face containing both states."""
-    return orthogonality_witness(s0, s1, space) is not None
+    return orthogonality_witness(s0, s1) is not None
 
 
-def orthogonality_witness(s0: State, s1: State, space=None) -> Optional[AffineFunctional]:
+def orthogonality_witness(s0: State, s1: State) -> Optional[AffineFunctional]:
     """Witness test for orthogonality, valid on the smallest face of the pair; None if not orthogonal."""
-    space = space or s0.space
-    if np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL:
-        return None
-    return space.orthogonality_witness(s0, s1)
+    require_space(s0.space, (s1,))
+    return s0.space.orthogonality_witnesses((s0, s1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1282,8 +1250,7 @@ def decompose(space, x: ConeElement, with_witnesses: bool = False) -> Orthogonal
     incomparable maxima); the other geometries have canonical decompositions: vertex weights (simplex),
     an antipodal pair (ball, spin factor) or rank-one eigenprojections (density matrices).
     """
-    if x.space != space:
-        raise ValueError("element does not belong to the given space")
+    require_space(space, (x,))
     if x.is_apex:
         raise ApexError("the apex has no orthogonal decomposition")
     weights, rows = (a[0] for a in space.decompositions(x.coords[None, :], x.trace_weight))
@@ -1304,7 +1271,7 @@ def decompose(space, x: ConeElement, with_witnesses: bool = False) -> Orthogonal
     return dec
 
 
-def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Optional[int] = None):
+def enumerate_orthogonal_decompositions(space, s: ConeElement):
     """All orthogonal decompositions of a cone element.
 
     A space with canonical decompositions yields the one of ``decompose``.
@@ -1314,18 +1281,16 @@ def enumerate_orthogonal_decompositions(space, s: ConeElement, max_support: Opti
     sub-subset solutions) plus interior samples: a grid on every segment
     between two solution vertices and the barycenter of all of them.
     """
+    require_space(space, (s,))
     if space.canonical_decomposition:
         return [decompose(space, s)]
     if s.is_apex:
         raise ApexError("the apex has no orthogonal decomposition")
-    nv = len(space.vertices)
-    max_support = nv if max_support is None else min(max_support, nv)
-    determined = _determined_solutions(space, s.coords, s.trace_weight, max_support)
-    return _decompositions(space, determined, s.trace_weight, max_support)
+    return _decompositions(space, _determined_solutions(space, s.coords, s.trace_weight), s.trace_weight)
 
 
 @np.errstate(over="ignore")  # weights near the float limit overflow in the family grid
-def _decompositions(space: Polytope, determined: dict, total: float, max_support: int) -> list:
+def _decompositions(space: Polytope, determined: dict, total: float) -> list:
     """The decompositions of ``enumerate_orthogonal_decompositions`` from the keyed determined solutions."""
     solutions = dict(determined)
     basic = np.zeros((len(determined), len(space.vertices)))  # full weight rows, nonzero on the support
@@ -1333,8 +1298,6 @@ def _decompositions(space: Polytope, determined: dict, total: float, max_support
         basic[r, list(support)] = w
     t = (np.arange(1, FAMILY_GRID_POINTS + 1) / (FAMILY_GRID_POINTS + 1.0))[:, None]
     for clique in _polytope_geometry(space).clique_systems[1]:
-        if len(clique) > max_support:  # cliques come by size
-            break
         # basic solutions of this clique (determined ones supported inside it), in C order for np.mean
         members = basic[:, clique][np.all(np.delete(basic, clique, axis=1) == 0, axis=1)]
         if len(members) < 2:

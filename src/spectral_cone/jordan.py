@@ -487,6 +487,37 @@ def gaussian_draws(ring: str, n: int, rng: np.random.Generator, lead: tuple = ()
     return rng.standard_normal((*lead, n, cols, 4))
 
 
+def random_unitary(ring: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Ring data (n, n), or (n, n, 4) over the quaternions, of a random unitary.
+
+    Over the real and complex rings, the Q factor of a Gaussian draw with the
+    phases of R's diagonal moved into it; over the quaternions, unit-quaternion
+    phases on the diagonal composed with 2n Givens-like rotations.
+    """
+    if ring == "real":
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        return q * np.sign(np.diag(r))
+    if ring == "complex":
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q * np.exp(-1j * np.angle(np.diag(r)))
+    u = np.zeros((n, n, 4))
+    phases = rng.standard_normal((n, 4))
+    phases /= np.linalg.norm(phases, axis=1, keepdims=True)
+    u[np.arange(n), np.arange(n)] = phases
+    for _ in range(2 * n if n > 1 else 0):  # a 1x1 unitary is its phase alone
+        i, j = rng.choice(n, size=2, replace=False)
+        theta = rng.uniform(0, 2 * np.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        qph = rng.standard_normal(4)
+        qph /= np.linalg.norm(qph)
+        g = _identity_data(ring, n)
+        g[i, i] = g[j, j] = c * quat.ONE
+        g[i, j] = s * qph
+        g[j, i] = -s * quat.qconj(qph)
+        u = quat.qmat_mul(u, g)
+    return u
+
+
 def positive_matrices(ring: str, raw: np.ndarray, floor: float = 0.0,
                       unit_trace: bool = True) -> np.ndarray:
     """The density kernel: positive ring data from a stack of raw draws.

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cone import ConeElement
+from .cone import ConeElement, require_space
 from .decomposition import Ordering, OrthogonalDecomposition, Spectrum, majorizes
 from .errors import ApexError, require_count
 from .tolerances import GRID_MEMBERSHIP_TOL, SPECTRUM_DIGITS, SPECTRUM_GAP_TOL
@@ -37,6 +37,7 @@ __all__ = [
 
 def entropy(space, x: ConeElement) -> float:
     """Minimal -sum w ln w over orthogonal decompositions of x, in nats; -inf below the float range."""
+    require_space(space, (x,))
     if x.is_apex:
         raise ApexError("entropy of the apex is undefined")
     return float(space.entropies(x.coords[None, :], x.trace_weight)[0])

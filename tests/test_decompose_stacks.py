@@ -42,8 +42,10 @@ def reference_witness(space, s0, s1):
     """``orthogonality_witness`` as the earlier code computed it: one support eigensolve per state."""
     if np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL:
         return None
-    if not isinstance(space, geo.DensityMatrices):
-        return space.orthogonality_witness(s0, s1)
+    if isinstance(space, geo.Polytope):  # the program on the vertices of the pair's smallest face
+        return geo._face_witness(space, s0.coords.tobytes(), s1.coords.tobytes())
+    if not isinstance(space, geo.DensityMatrices):  # the face does not change the criterion
+        return space.mutually_singular(s0, s1)[1]
     p0, p1 = space._support(s0.coords), space._support(s1.coords)
     if np.sum(p0 * np.conj(p1)).real / space.mult > SINGULARITY_TOL:  # Tr(p0 p1)
         return None
@@ -121,8 +123,8 @@ def test_witnesses_match_pairwise_on_any_states(space):
     assert any(w is None for w in want) and any(w is not None for w in want)
     # the pair form goes through the same stack
     for (a, b), w in zip(itertools.combinations(states, 2), want):
-        assert_same_witnesses([geo.orthogonality_witness(a, b, space)], [w])
-        assert_same_witnesses([geo.mutually_singular(a, b, space)[1]], [w])
+        assert_same_witnesses([geo.orthogonality_witness(a, b)], [w])
+        assert_same_witnesses([geo.mutually_singular(a, b)[1]], [w])
 
 
 @pytest.mark.parametrize("space", [geo.Simplex(3), geo.Ball(2), geo.SpinFactor(3), SQUARE, CUBE],
@@ -193,12 +195,10 @@ def test_cube_has_underdetermined_cliques():
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore")
-def reference_enumeration(space, x, max_support=None) -> list:
+def reference_enumeration(space, x) -> list:
     """(weights, component coords) of every decomposition, by the earlier per-clique and per-sample loops."""
-    nv = len(space.vertices)
-    max_support = nv if max_support is None else min(max_support, nv)
     total, scale = x.trace_weight, max(1.0, x.trace_weight)
-    stacks, _ = geo._clique_solutions(space, np.asarray(x.coords, dtype=float)[None, :], total, max_support)
+    stacks, _ = geo._clique_solutions(space, np.asarray(x.coords, dtype=float)[None, :], total)
     seen, determined = set(), []
     for idx, w, kept in stacks:
         for c in np.flatnonzero(np.any(kept[..., 0], axis=1)):
@@ -220,8 +220,6 @@ def reference_enumeration(space, x, max_support=None) -> list:
         solutions.setdefault((support, tuple(np.round(w, WEIGHT_DIGITS))), (w, support))
 
     for clique in geo._polytope_geometry(space).clique_systems[1]:
-        if len(clique) > max_support:
-            break
         members = [np.array([dict(zip(sup, w)).get(i, 0.0) for i in clique])
                    for w, sup in determined if set(sup) <= set(clique)]
         if len(members) < 2:
@@ -240,13 +238,12 @@ def reference_enumeration(space, x, max_support=None) -> list:
 
 
 def assert_enumeration_matches(space, x):
-    for max_support in (None, 2, 3):
-        got = geo.enumerate_orthogonal_decompositions(space, x, max_support)
-        want = reference_enumeration(space, x, max_support)
-        assert len(got) == len(want)
-        for dec, (weights, coords) in zip(got, want):
-            assert dec.weights.tobytes() == weights.tobytes()
-            assert [c.coords.tobytes() for c in dec.components] == [c.tobytes() for c in coords]
+    got = geo.enumerate_orthogonal_decompositions(space, x)
+    want = reference_enumeration(space, x)
+    assert len(got) == len(want)
+    for dec, (weights, coords) in zip(got, want):
+        assert dec.weights.tobytes() == weights.tobytes()
+        assert [c.coords.tobytes() for c in dec.components] == [c.tobytes() for c in coords]
 
 
 @PROPERTIES
@@ -271,7 +268,7 @@ def test_enumeration_matches_per_sample_loop(space):
 def test_cube_enumeration_walks_family_grids():
     # the barycenter of the cube is reached through underdetermined cliques, so the grids are exercised
     x = sc.State(CUBE, CUBE.barycenter_coords())
-    determined = geo._determined_solutions(CUBE, x.coords, 1.0, 8)
+    determined = geo._determined_solutions(CUBE, x.coords, 1.0)
     assert len(geo.enumerate_orthogonal_decompositions(CUBE, x)) > len(determined) > 1
 
 

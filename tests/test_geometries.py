@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from test_polygons import polytope, regular_polygon
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
@@ -54,6 +55,25 @@ def test_self_never_mutually_singular():
     for space, coords in [(SQUARE, [0.3, 0.7]), (SIMPLEX3, [0.2, 0.5, 0.3]), (DISC, [1.0, 0.0])]:
         s = sc.State(space, coords)
         assert not geo.mutually_singular(s, s)[0]
+
+
+SQUARE_POINT, DISC_POINT = sc.State(SQUARE, [0.5, 0.25]), sc.State(DISC, [0.5, 0.25])
+VERTEX, BALL3_POINT = SIMPLEX3.vertex_state(0), sc.State(geo.Ball(3), [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("function, args", [
+    (geo.decompose, (SQUARE, DISC_POINT)),
+    (geo.enumerate_orthogonal_decompositions, (SQUARE, DISC_POINT)),
+    (geo.smallest_face, (SQUARE, [SQUARE_POINT, DISC_POINT])),
+    (sc.entropy, (SQUARE, DISC_POINT)),
+    (geo.mutually_singular, (VERTEX, BALL3_POINT)),
+    (geo.orthogonal, (VERTEX, BALL3_POINT)),
+    (geo.orthogonality_witness, (VERTEX, BALL3_POINT)),
+], ids=["decompose", "enumerate", "smallest_face", "entropy", "mutually_singular", "orthogonal",
+        "orthogonality_witness"])
+def test_elements_of_another_space_are_refused(function, args):
+    with pytest.raises(sc.SpaceMismatchError):
+        function(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +296,21 @@ def test_enumerate_square_point_majorization():
                 assert geo.orthogonal(d.components[i], d.components[j])
 
 
-def test_enumerate_respects_max_support():
-    decs = geo.enumerate_orthogonal_decompositions(SQUARE, sc.State(SQUARE, [0.5, 0.5]), max_support=2)
-    assert all(d.size <= 2 for d in decs)
+def test_enumerate_needs_three_vertices_off_the_edges_and_diagonals():
     # no edge or diagonal passes through (1/2, 1/4): every decomposition needs three vertices
-    assert geo.enumerate_orthogonal_decompositions(SQUARE, sc.State(SQUARE, [0.5, 0.25]), max_support=2) == []
+    decs = geo.enumerate_orthogonal_decompositions(SQUARE, sc.State(SQUARE, [0.5, 0.25]))
+    assert decs and all(d.size >= 3 for d in decs)
+
+
+@pytest.mark.parametrize("verts", [SQUARE.vertices, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                                   [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+                                   *(regular_polygon(k) for k in (5, 8, 12))],
+                         ids=["square", "tetrahedron", "cube", "pentagon", "octagon", "dodecagon"])
+def test_determined_cliques_have_at_most_dim_plus_one_vertices(verts):
+    # a determined clique system is a (dim + 1) x k matrix of full column rank, so no size bound cuts one
+    space = polytope(verts)
+    determined, _ = geo._polytope_geometry(space).clique_systems
+    assert max(idx.shape[1] for idx, _, _ in determined) == space.dim + 1
 
 
 def test_enumerate_rejects_large_polytopes():

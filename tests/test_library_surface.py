@@ -5,10 +5,13 @@ somewhere in the package besides its own definition (a re-export in
 ``__init__`` does not count), be an entry point the benchmark tracer wraps,
 be used by the acceptance tests, or be one of the paper's constructions
 listed in ``PAPER_API`` and documented in README.  Anything else is API that
-only its own tests call.
+only its own tests call.  Likewise every defaulted parameter of a public
+top-level function must be passed at some call site in the package or the
+acceptance tests, or be listed in ``TEST_ONLY_KNOBS`` with its reason.
 """
 
 import ast
+import math
 import pathlib
 
 import spectral_cone
@@ -30,6 +33,16 @@ PAPER_API = (
     "mutually_singular",
     "jordan_product",
 )
+
+# defaulted parameters that only tests set, and why each stays
+TEST_ONLY_KNOBS = {
+    "cli.main(argv)": "the console script runs main() on sys.argv; the CLI tests pass their argument lists",
+    "divergence.check_sufficiency(channel_suite)": "the only way tests reach channel pairs that break the "
+                                                   "reversibility precondition or leave the state space",
+    "jordan.check_concavity(fd_step)": "the only way tests reach a failing finite-difference witness",
+    "jordan.check_concavity(strictness)": "the only way tests reach a failing second-derivative witness",
+    "jordan.random_density_matrix(floor)": "tests draw full-rank density matrices, away from the boundary",
+}
 
 
 def _parse(path: pathlib.Path) -> ast.Module:
@@ -94,3 +107,42 @@ def test_paper_api_is_defined_and_documented():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert [name for name in PAPER_API if name not in defined] == []
     assert [name for name in PAPER_API if f"`{name}`" not in readme] == []
+
+
+def _defaulted_parameters() -> dict:
+    """Every defaulted parameter of a public top-level function of the package, keyed
+    "module.function(parameter)", as (function, parameter, position or None if keyword-only)."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                knobs = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+                knobs += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+                out.update({f"{path.stem}.{node.name}({name})": (node.name, name, i) for name, i in knobs})
+    return out
+
+
+def _call_sites() -> list:
+    """(called name, positional argument count, keyword names) of every call in the package and the
+    acceptance tests; a starred argument may fill every positional parameter from its place on."""
+    sites = []
+    for path in [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                count = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                sites.append((name, count, {k.arg for k in node.keywords}))
+    return sites
+
+
+def test_every_defaulted_parameter_is_passed_or_only_tests_set_it():
+    sites = _call_sites()
+    unpassed = {knob for knob, (function, param, position) in _defaulted_parameters().items()
+                if not any(name == function and (param in keywords or position is not None and position < count)
+                           for name, count, keywords in sites)}
+    assert sorted(unpassed - TEST_ONLY_KNOBS.keys()) == []  # a knob nothing sets: delete it or list it
+    assert sorted(TEST_ONLY_KNOBS.keys() - unpassed) == []  # a listed knob that is now passed, or gone

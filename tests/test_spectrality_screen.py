@@ -64,7 +64,7 @@ def reference_is_spectral(space, samples, seed):
 
 def reference_decomposition(space, x):
     """Pairwise majorizes loop over the determined solutions, then the lexicographic tie-break."""
-    sols = list(geo._determined_solutions(space, x.coords, x.trace_weight, space.dim + 1).values())
+    sols = list(geo._determined_solutions(space, x.coords, x.trace_weight).values())
     spectra = [Spectrum(w) for w, _ in sols]
     maximal = [
         i for i, spec in enumerate(spectra)
@@ -77,7 +77,7 @@ def reference_decomposition(space, x):
 
 def solving_cliques(space, coords) -> int:
     """Clique systems that solve one point with a kept weight, from its own column solve."""
-    _, support = geo._clique_solutions(space, coords[None, :], 1.0, len(space.vertices))
+    _, support = geo._clique_solutions(space, coords[None, :], 1.0)
     return int(np.count_nonzero(support))
 
 
