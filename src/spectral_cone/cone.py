@@ -116,8 +116,9 @@ def mix_coords(space, t, a, b) -> np.ndarray:
 
 def require_space(space, elements) -> None:
     """Raise SpaceMismatchError unless every element lives in the space."""
-    if any(x.space != space for x in elements):
-        raise SpaceMismatchError("elements live in different state spaces")
+    for x in elements:  # a loop, and identity before equality: Divergence.__call__ runs this per evaluation
+        if x.space is not space and x.space != space:
+            raise SpaceMismatchError("elements live in different state spaces")
 
 
 def require_states(space, rows) -> None:
@@ -166,5 +167,7 @@ def is_test(a: AffineFunctional, space) -> bool:
     The extreme-point range is computed by the geometry: exactly over
     polytope vertices, analytically for balls and matrix spaces.
     """
+    if a.linear.shape != (space.coords_len,):
+        raise ValueError(f"functional has {a.linear.size} coefficients, the space {space.coords_len} coordinates")
     lo, hi = space.functional_range(a)
     return lo >= -MEMBERSHIP_TOL and hi <= 1.0 + MEMBERSHIP_TOL

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jordan
-from .cone import AffineFunctional, State, evaluate, mix, mix_coords, require_states
+from .cone import AffineFunctional, State, evaluate, mix, mix_coords, require_space, require_states
 from .errors import NotInConeError, PreconditionError, require_count, require_tolerance
 from .tolerances import (ENTROPY_FIT_TOL, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL, OPTIMAL_ACTION_TOL,
                          REVERSIBILITY_TOL, SUFFICIENCY_TOL, SUPPORT_LEAK_TOL, ZERO_EIGENVALUE_TOL)
@@ -124,6 +124,7 @@ def regret_action(s: State, a: AffineFunctional, actions) -> float:
 
 def regret_state(s1: State, s2: State, actions) -> float:
     """Infimum of regret_action(s1, a) over actions a optimal for s2."""
+    require_space(s1.space, (s2,))
     value_s1, _ = envelope(actions, s1)
     _, optimal = actions.optimal_for(s2)
     if not optimal:
@@ -133,6 +134,7 @@ def regret_state(s1: State, s2: State, actions) -> float:
 
 def bregman(gen: Generator, s1: State, s2: State) -> float:
     """F(s1) - F(s2) - <grad F(s2), s1 - s2>; tangent gap of the generator."""
+    require_space(s1.space, (s2,))
     tangent = gen.tangent(s2)
     return gen.value(s1) - evaluate(tangent, s1)
 
@@ -158,6 +160,7 @@ class Divergence:
     array_rule: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, s1: State, s2: State) -> float:
+        require_space(s1.space, (s2,))
         if self.array_rule is None:
             return self.rule(s1, s2)
         return float(self.array_rule(s1.coords, s2.coords))

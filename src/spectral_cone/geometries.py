@@ -328,21 +328,33 @@ class Polytope(_Geometry):
             weights[row, : len(w)], components[row, : len(w)] = w, self.vertex_array[list(support)]
         return weights, components
 
+    @np.errstate(over="ignore")  # a weight near the float limit gives -inf
     def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
         """Least decomposition entropy over the determined clique systems, per point.
 
         Like ``_determined_solutions``, a support that several cliques yield
         (extra weights dropped) counts once, from the first in clique order.
+        Two cliques that keep all their weights differ in support, so that
+        rule is applied only to the points where some clique drops a weight.
         """
         out = np.empty(len(coords))
         for start in range(0, len(coords), POINT_BLOCK):
-            stacks, support = _clique_solutions(self, coords[start:start + POINT_BLOCK], total)
-            h = np.concatenate([weights_entropy(np.where(kept, w, 0.0).swapaxes(0, 1)) for _, w, kept in stacks])
+            stacks, solved = _clique_solutions(self, coords[start:start + POINT_BLOCK], total)
+            h, partial = [], []
+            for _, w, kept in stacks:
+                terms = np.log(w, out=np.zeros_like(w), where=kept)
+                h.append(-np.sum(np.multiply(w, terms, out=terms, where=kept), axis=1) + 0.0)
+                partial.append(~np.all(kept, axis=1))
+            h = np.concatenate(h)
+            np.min(np.where(solved, h, np.inf), axis=0, out=out[start:start + POINT_BLOCK])
+            cols = np.flatnonzero(np.any(solved & np.concatenate(partial), axis=0))
+            support = np.concatenate([np.sum(np.where(kept[..., cols], 1 << idx[..., None], 0), axis=1)
+                                      for idx, _, kept in stacks])
             order = np.argsort(support, axis=0, kind="stable")
             support = np.take_along_axis(support, order, axis=0)
             first = (support != 0) & (np.diff(support, axis=0, prepend=-1) != 0)
-            h = np.take_along_axis(h, order, axis=0)
-            out[start:start + POINT_BLOCK] = np.min(np.where(first, h, np.inf), axis=0)
+            h = np.take_along_axis(h[:, cols], order, axis=0)
+            out[start + cols] = np.min(np.where(first, h, np.inf), axis=0)
         if not np.all(out < np.inf):  # -inf is a solved point near the float limit
             raise DecompositionError("no orthogonal decomposition found")
         return out
@@ -366,8 +378,8 @@ class Polytope(_Geometry):
         probes = np.array([self.barycenter_coords(), *(w @ verts for w in rng.dirichlet(np.ones(nv), samples))])
         require_states(self, probes)
         for start in range(0, len(probes), POINT_BLOCK):
-            stacks, support = _clique_solutions(self, probes[start:start + POINT_BLOCK], 1.0)
-            for j in np.flatnonzero(np.count_nonzero(support, axis=0) > 1):
+            stacks, solved = _clique_solutions(self, probes[start:start + POINT_BLOCK], 1.0)
+            for j in np.flatnonzero(np.count_nonzero(solved, axis=0) > 1):
                 yield probes[start + j], _decompositions(self, _column_solutions(stacks, j, nv), 1.0)
 
     def random_state(self, rng: np.random.Generator) -> State:
@@ -634,14 +646,21 @@ class DensityMatrices(_Geometry):
         return tuple(out)
 
     def decompositions(self, coords: np.ndarray, total: float):
-        """Ring eigenvalues of total * s and the coordinates of their rank-one idempotents, from one ``eigh``.
-
-        Weights within ZERO_EIGENVALUE_TOL of 0 count as 0, as in ``jordan.spectral_entropies``; deeper
-        negative ones are left for ``decompose`` to refuse.
-        """
+        """Ring eigenvalues of total * s and the coordinates of their rank-one idempotents, from one ``eigh``."""
         t, forms = jordan.rank_one_forms(*np.linalg.eigh(self.forms(coords)), self.mult)
+        return self._weights(t, total), self.coords_of(forms)
+
+    def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
+        """-sum w ln w of the ``decompositions`` weights, from the same ``eigh`` without the idempotents."""
+        t = jordan.ring_eigenvalues(np.linalg.eigh(self.forms(coords))[0], self.mult)
+        return weights_entropy(self._weights(t, total).T)
+
+    @staticmethod
+    def _weights(t: np.ndarray, total: float) -> np.ndarray:
+        """total * t, weights within ZERO_EIGENVALUE_TOL of 0 counted as 0, as in ``jordan.spectral_entropies``;
+        deeper negative ones are left for ``decompose`` to refuse."""
         weights = total * t
-        return np.where(np.abs(weights) > ZERO_EIGENVALUE_TOL, weights, 0.0), self.coords_of(forms)
+        return np.where(np.abs(weights) > ZERO_EIGENVALUE_TOL, weights, 0.0)
 
     def random_state(self, rng: np.random.Generator) -> State:
         return self.state_from_matrix(jordan.random_density_matrix(self.ring, self.n, rng))
@@ -1134,10 +1153,11 @@ def _clique_solutions(space: Polytope, coords, total):
     """Solve every determined clique system for the N points total * coords[i] at once.
 
     Returns per clique size, in clique order, (idx, w, kept):
-    vertex indices (G, k), weights clipped at 0 (G, k, N), and kept, true
-    for weights above WEIGHT_DROP_TOL * scale of systems that solve the point
-    (no weight below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL);
-    and support (cliques, N), the bitmask of the kept vertices per clique and point.
+    vertex indices (G, k), weights (G, k, N), and kept, true for weights
+    above WEIGHT_DROP_TOL * scale of systems that solve the point (no weight
+    below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL); and
+    solved (cliques, N), true where a clique keeps a vertex of the point.
+    Only kept weights are meaningful.
     """
     scale = max(1.0, total)
     rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
@@ -1147,10 +1167,8 @@ def _clique_solutions(space: Polytope, coords, total):
         residual = np.max(np.abs(matrix @ w - rhs), axis=1)
         ok = (np.min(w, axis=1) >= -WEIGHT_DROP_TOL * scale) & (
             residual <= SINGULARITY_TOL * max(1.0, scale))
-        w = np.clip(w, 0.0, None)
         stacks.append((idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)))
-    return stacks, np.concatenate([np.sum(np.where(kept, 1 << idx[..., None], 0), axis=1)
-                                   for idx, _, kept in stacks])
+    return stacks, np.concatenate([np.any(kept, axis=1) for _, _, kept in stacks])
 
 
 @np.errstate(over="ignore")  # weights near the float limit round to inf in the keys

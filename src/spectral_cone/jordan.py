@@ -305,33 +305,42 @@ def rank_one_components(m: HermitianMatrix) -> list:
     return [(float(a), from_form(m.ring, p)) for a, p in zip(t, forms)]
 
 
+def ring_eigenvalues(w: np.ndarray, mult: int = 1) -> np.ndarray:
+    """Ring eigenvalues (..., m // mult) of ascending ``eigh`` stacks w (..., m); quaternionic ones (mult 2),
+    whose complex eigenvalues come in pairs, are each cluster's mean once per pair."""
+    if mult == 1:
+        return w
+    clusters = [(row, g) for row in np.ndindex(w.shape[:-1]) for g in cluster_indices(w[row])]
+    if any(len(g) % 2 for _, g in clusters):
+        raise RuntimeError("embedded quaternionic eigenvalues must pair up")
+    t = [np.mean(w[row][g]) for row, g in clusters for _ in range(len(g) // 2)]
+    return np.reshape(t, (*w.shape[:-1], w.shape[-1] // 2))
+
+
 def rank_one_forms(w: np.ndarray, v: np.ndarray, mult: int = 1):
     """Ring eigenvalues (..., m // mult) and rank-one idempotent forms (..., m // mult, m, m) of ``eigh`` stacks.
 
     w (..., m), v (..., m, m) are eigenpairs of Hermitian complex forms; mult
     is 2 for quaternionic matrices, whose rank-one idempotents have rank-two
     forms, built one cluster at a time from an eigenvector and its structure
-    partner, with the cluster mean as eigenvalue.  Within each eigenvalue
-    cluster the idempotents are pairwise orthogonal.
+    partner (see ``ring_eigenvalues``).  Within each eigenvalue cluster the
+    idempotents are pairwise orthogonal.
     """
+    t = ring_eigenvalues(w, mult)
     if mult == 1:  # one (m, 1) @ (1, m) product per eigenvector, as for a single form
-        return w, np.stack([c @ np.conj(np.swapaxes(c, -1, -2)) for c in np.split(v, w.shape[-1], -1)], axis=-3)
-    t, forms = [], []
+        return t, np.stack([c @ np.conj(np.swapaxes(c, -1, -2)) for c in np.split(v, w.shape[-1], -1)], axis=-3)
+    forms = []
     for row in np.ndindex(w.shape[:-1]):
         for g in cluster_indices(w[row]):
             cols = v[row][:, g]
             proj = cols @ np.conj(cols.T)
-            if len(g) % 2:
-                raise RuntimeError("embedded quaternionic eigenvalues must pair up")
             for _ in range(len(g) // 2):
                 j = int(np.argmax(np.real(np.diag(proj))))
                 u = proj[:, j] / np.linalg.norm(proj[:, j])
                 ut = quat.structure_partner(u)
                 forms.append(np.outer(u, np.conj(u)) + np.outer(ut, np.conj(ut)))
-                t.append(np.mean(w[row][g]))
                 proj = proj - forms[-1]
-    shape = (*w.shape[:-1], w.shape[-1] // 2)
-    return np.reshape(t, shape), np.reshape(np.array(forms, dtype=complex), (*shape, *v.shape[-2:]))
+    return t, np.reshape(np.array(forms, dtype=complex), (*t.shape, *v.shape[-2:]))
 
 
 def eigenvalues_of(m: HermitianMatrix) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cone import ConeElement, require_space
 from .decomposition import Ordering, OrthogonalDecomposition, Spectrum, majorizes
@@ -133,8 +132,8 @@ class Landscape:
         """
         i, j = np.nonzero(~np.isnan(self.values))
         bits, index = np.unique(self.values[i, j].view(np.int64), return_inverse=True)
-        x, y = (np.array([f"{v:.17g}," for v in axis.tolist()], dtype=object) for axis in (self.xs, self.ys))
-        h = np.array([f"{v:.17g}\n" for v in bits.view(np.float64).tolist()], dtype=object)
+        x, y = (np.array(_formatted(axis, ","), dtype=object) for axis in (self.xs, self.ys))
+        h = np.array(_formatted(bits.view(np.float64), "\n"), dtype=object)
         return "x,y,entropy\n" + "".join(np.stack([x[i], y[j], h[index]], axis=-1).ravel().tolist())
 
     def maxima_json(self) -> list:
@@ -161,12 +160,21 @@ def entropy_landscape(space, grid_resolution: int = 101) -> Landscape:
     values = np.full((grid_resolution, grid_resolution), np.nan)
     values[inside] = space.entropies(coords[inside], 1.0)
 
-    windows = sliding_window_view(np.pad(values, 1, constant_values=np.nan), (3, 3))
-    neighbors = np.delete(windows.reshape(grid_resolution, grid_resolution, 9), 4, axis=-1)
-    present = ~np.isnan(neighbors)
-    strict = np.all(~present | (values[..., None] > neighbors), axis=-1)
-    maxima = tuple(
-        (float(xs[i]), float(ys[j]), float(values[i, j]))
-        for i, j in np.argwhere(inside & strict & np.any(present, axis=-1))
-    )
+    maxima = tuple((float(xs[i]), float(ys[j]), float(values[i, j])) for i, j in np.argwhere(_strict_maxima(values)))
     return Landscape(xs, ys, values, maxima)
+
+
+def _formatted(values: np.ndarray, end: str) -> list:
+    """Each value to 17 significant digits followed by end, formatted in one pass."""
+    return (f"%.17g{end}\0" * len(values) % tuple(values.tolist())).split("\0")[:-1]
+
+
+def _strict_maxima(values: np.ndarray) -> np.ndarray:
+    """Present (non-NaN) points of a 2D grid with a present neighbor, above each of their eight present neighbors."""
+    padded = np.pad(values, 1, constant_values=np.nan)
+    strict, alone = ~np.isnan(values), np.ones(values.shape, dtype=bool)
+    for di, dj in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
+        neighbor = padded[di:di + values.shape[0], dj:dj + values.shape[1]]
+        strict &= ~(neighbor >= values)  # an absent (NaN) neighbor compares false
+        alone &= np.isnan(neighbor)
+    return strict & ~alone

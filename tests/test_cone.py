@@ -157,6 +157,13 @@ def test_is_test_validation():
     assert not sc.is_test(sc.AffineFunctional(2.0 * proj, 0.0), dm)
 
 
+
+@pytest.mark.parametrize("space", [geo.Simplex(2), SQUARE], ids=["simplex2", "square"])
+def test_is_test_refuses_a_functional_of_the_wrong_length(space):
+    # three coefficients on two coordinates: the simplex read them as vertex values, the square failed in matmul
+    with pytest.raises(ValueError, match="^functional has 3 coefficients, the space 2 coordinates$"):
+        sc.is_test(sc.AffineFunctional([0.5, 0.5, 0.5], 0.0), space)
+
 def test_state_json_roundtrip():
     s = sc.State(SQUARE, [0.5, 0.25])
     data = s.to_json()

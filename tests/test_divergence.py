@@ -133,6 +133,19 @@ def test_bregman_negentropy_frozen_value():
     assert abs(dv.bregman(gen, s1, s2) - LN2) <= 1e-9
 
 
+
+def test_divergences_refuse_states_of_different_spaces():
+    simplex, ball = sc.State(geo.Simplex(2), [0.5, 0.5]), sc.State(geo.Ball(2), [0.5, 0.5])
+    gen = dv.squared_norm_generator()
+    divergences = (dv.kl_divergence(), dv.squared_euclidean_divergence(), dv.divergence_from_generator(gen))
+    for a, b in ((simplex, ball), (ball, simplex)):
+        for evaluate in [*divergences, lambda s1, s2: dv.bregman(gen, s1, s2),
+                         lambda s1, s2: dv.regret_state(s1, s2, dv.TangentActionSet(gen))]:
+            with pytest.raises(sc.SpaceMismatchError):
+                evaluate(a, b)
+    # an equal space built again is the same space
+    assert dv.kl_divergence()(simplex, sc.State(geo.Simplex(2), [0.25, 0.75])) > 0.0
+
 def test_matrix_negentropy_frozen_value():
     div = dv.matrix_negentropy_divergence(QUBITS)
     rho = QUBITS.state_from_matrix(sc.HermitianMatrix("complex", np.diag([1.0, 0.0]).astype(complex)))

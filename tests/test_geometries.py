@@ -1,5 +1,7 @@
 """Tests for geometries: singularity, faces, orthogonality, decomposition."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -566,6 +568,35 @@ def test_entropy_follows_the_zero_eigenvalue_rule_of_von_neumann_entropy(ring, n
         got = [sc.entropy(space, sc.ConeElement(space, total, s.coords)) for s in states[:20]]
         np.testing.assert_allclose(space.entropies(coords, total), want, rtol=0, atol=5e-15 * max(1.0, total))
         np.testing.assert_array_equal(got, space.entropies(coords[:20], total))
+
+
+def spectrum_rows(space, rng):
+    """Random and pure states, and a random state's idempotents reweighted to spectra with repeated and
+    zero entries: uniform, pure, two equal halves, and random with one weight zeroed."""
+    n = space.n
+    _, comps = space.decompositions(space.random_state(rng).coords[None], 1.0)
+    zeroed = rng.dirichlet(np.ones(n))
+    zeroed[rng.integers(n)] = 0.0 if n > 1 else zeroed[0]
+    spectra = [rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n), np.eye(n)[0], np.eye(n)[0] / 2 + np.eye(n)[-1] / 2,
+               zeroed / np.sum(zeroed)]
+    states = [space.random_state(rng).coords for _ in range(4)] + [space.random_pure_state(rng).coords]
+    return np.concatenate([np.array(spectra) @ comps[0], states])
+
+
+@pytest.mark.parametrize("ring", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_density_entropies_take_the_decomposition_weights_bit_for_bit(ring, n):
+    space = geo.DensityMatrices(ring, n)
+    coords = spectrum_rows(space, np.random.default_rng(n))
+    t = sc.jordan.ring_eigenvalues(np.linalg.eigh(space.forms(coords))[0], space.mult)
+    if n > 1:  # the rows carry repeated eigenvalues (one cluster) and zero weights
+        assert np.any(np.all(np.abs(t - t[..., :1]) < 1e-9, axis=-1))
+        assert np.any(space.decompositions(coords, 1.0)[0] == 0.0)
+    for total in (1.0, 0.3, 2.7):
+        weights = space.decompositions(coords, total)[0]
+        with mock.patch.object(sc.jordan, "rank_one_forms", side_effect=AssertionError("idempotents built")):
+            got = space.entropies(coords, total)
+        assert got.tobytes() == sc.decomposition.weights_entropy(weights.T).tobytes()
 
 
 @pytest.mark.parametrize("space", DENSITY_SPACES, ids=DENSITY_IDS)
