@@ -24,11 +24,10 @@ singularity, decomposition, entropy, sampling, its builtin divergence names,
 channel suite and family draws); the module functions hold the logic shared
 by every geometry and call those methods.
 
-Only segments and polytopes of dimension 3 or more use scipy, imported on the
-first call of the ``linprog`` or ``ConvexHull`` wrapper below.  A polygon
-takes its facets from Andrew's monotone chain, and its orthogonality graph
-and every witness from one closed-form interval test; a polytope of dimension
-3 or more takes its facets from qhull and each witness from a HiGHS program.
+No geometry uses scipy.  A polygon takes its facets from Andrew's monotone
+chain, and its orthogonality graph and every witness from one closed-form
+interval test; a polytope of dimension 3 or more takes its facets from its
+vertex m-subsets, and it and a segment each witness from a phase-1 simplex.
 Two bounded LRU caches hold the polytope machinery: one record per polytope
 of everything derived from its vertices (``_polytope_geometry``, at most
 ``POLYTOPE_CACHE_SIZE``), and the witness memo, one witness per polytope and
@@ -38,6 +37,7 @@ ordered pair of states (``_face_witness``, at most ``WITNESS_CACHE_SIZE``).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -54,10 +54,11 @@ from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPL
                          WEIGHT_DROP_TOL, WITNESS_FEASIBILITY_TOL, ZERO_EIGENVALUE_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
+MAX_FACET_SUBSETS = 150_000  # vertex m-subsets the facet search of a polytope in m >= 3 dimensions may test
 POLYTOPE_CACHE_SIZE = 64  # polytope records (facets, vertex states, orthogonality graph, clique systems) kept
 WITNESS_CACHE_SIZE = 4096  # (polytope, ordered state pair) witness programs kept solved
 FAMILY_GRID_POINTS = 10
-POINT_BLOCK = 4096  # points per stacked clique solve, bounding its temporaries
+POINT_BLOCK = 4096  # points per stacked clique solve, or vertex subsets times dimension per facet-search SVD
 MASS_ATTEMPTS = 16  # draws of one complement state before the locality sampler gives up
 DISTINCT_ATTEMPTS = 8  # complement states drawn for s2 until one differs from s1
 _SETTLED, _S1_REJECTED, _S2_REJECTED, _SAME_AS_S1 = range(4)  # verdicts on a density locality trial
@@ -143,9 +144,9 @@ class Simplex(_Geometry):
 
     rank = coords_len  # the n vertices are pairwise orthogonal
 
-    @np.errstate(over="ignore")
+    @np.errstate(over="ignore", invalid="ignore")
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
-        """Membership of one point, or of every row of a (..., n) array; a sum that overflows fails."""
+        """Membership of one point, or of every row of a (..., n) array; a sum that overflows or is NaN fails."""
         coords = np.asarray(coords, dtype=float)
         return (np.min(coords, axis=-1) >= -tol) & (np.abs(np.sum(coords, axis=-1) - 1.0) <= tol)
 
@@ -276,6 +277,7 @@ class Polytope(_Geometry):
             return len(self.vertices)
         raise NonSpectralSpaceError("polytope is not a simplex; rank undefined")
 
+    @np.errstate(invalid="ignore")  # an infinite coordinate times a zero normal entry is NaN, and fails
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., dim) array."""
         geo, coords = _polytope_geometry(self), np.asarray(coords, dtype=float)
@@ -348,6 +350,8 @@ class Polytope(_Geometry):
             h = np.concatenate(h)
             np.min(np.where(solved, h, np.inf), axis=0, out=out[start:start + POINT_BLOCK])
             cols = np.flatnonzero(np.any(solved & np.concatenate(partial), axis=0))
+            if not cols.size:
+                continue
             support = np.concatenate([np.sum(np.where(kept[..., cols], 1 << idx[..., None], 0), axis=1)
                                       for idx, _, kept in stacks])
             order = np.argsort(support, axis=0, kind="stable")
@@ -569,14 +573,14 @@ class DensityMatrices(_Geometry):
     def state_from_matrix(self, m: jordan.HermitianMatrix) -> State:
         return State(self, self._rows(jordan.ring_entries(self.ring, m.data)))
 
-    @np.errstate(over="ignore")
+    @np.errstate(over="ignore", invalid="ignore")
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., coords_len) array.
 
         A row is a state when it is Hermitian within tol, has unit trace
         within tol and no eigenvalue below -tol; the eigenvalues of all rows
         that pass the first two tests come from one stacked eigvalsh call.
-        Entries so large that these sums overflow fail the first two tests.
+        Entries whose sums overflow or are NaN (inf - inf) fail the first two tests.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.shape[-1:] != (self.coords_len,):
@@ -892,14 +896,14 @@ def _unitary_conjugation_pair(space: DensityMatrices, rng: np.random.Generator, 
 # ---------------------------------------------------------------------------
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call."""
+    """scipy.optimize.linprog, imported on the first call; nothing in the package calls it."""
     from scipy.optimize import linprog as solve
 
     return solve(*args, **kwargs)
 
 
 def ConvexHull(points):
-    """scipy.spatial.ConvexHull, imported on the first call."""
+    """scipy.spatial.ConvexHull, imported on the first call; nothing in the package calls it."""
     from scipy.spatial import ConvexHull as hull
 
     return hull(points)
@@ -928,7 +932,7 @@ class _PolytopeGeometry:
             self.facet_normals = np.array([[-1.0], [1.0]])
             self.facet_offsets = np.array([lo, -hi])
         else:
-            n_extreme, equations = _polygon_hull(verts) if m == 2 else _qhull_facets(verts)
+            n_extreme, equations = _polygon_hull(verts) if m == 2 else _subset_facets(verts)
             if n_extreme != nv:
                 raise ValueError("vertex list contains non-extreme points")
             eqs = np.unique(np.round(equations, FACET_DIGITS), axis=0)
@@ -946,14 +950,11 @@ class _PolytopeGeometry:
     def graph(self) -> np.ndarray:
         """The orthogonality graph of the vertices, as a read-only boolean adjacency matrix."""
         verts, nv = self.vertex_array, len(self.vertex_array)
-        adj = np.zeros((nv, nv), dtype=bool)
+        adj, (i, j) = np.zeros((nv, nv), dtype=bool), np.triu_indices(nv, 1)
         if self.space.dim == 2:
-            i, j = np.triu_indices(nv, 1)
             adj[i, j] = adj[j, i] = _polygon_orthogonal(self, verts[i], verts[j])[0]
         else:
-            for i in range(nv):
-                for j in range(i + 1, nv):
-                    adj[i, j] = adj[j, i] = orthogonal(self.vertex_states[i], self.vertex_states[j])
+            adj[i, j] = adj[j, i] = [orthogonal(self.vertex_states[a], self.vertex_states[b]) for a, b in zip(i, j)]
         adj.setflags(write=False)
         return adj
 
@@ -1014,15 +1015,34 @@ def _polygon_hull(verts: np.ndarray):
     return len(hull), np.column_stack([normals, -np.sum(normals * hull, axis=1)])
 
 
-def _qhull_facets(verts: np.ndarray):
-    """(hull vertex count, facet equations) of points in 3 or more dimensions, by qhull."""
-    from scipy.spatial import QhullError
+def _subset_facets(verts: np.ndarray):
+    """(extreme vertex count, facet equations as in ``_polygon_hull``) of points in m >= 3 dimensions.
 
-    try:
-        hull = ConvexHull(verts)
-    except QhullError as exc:  # its message continues with a dump of qhull's state
-        raise ValueError(f"vertex list is not full-dimensional: {str(exc).strip().splitlines()[0]}") from None
-    return len(hull.vertices), hull.equations
+    Each vertex m-subset whose least singular value exceeds the slack (COLLINEAR_RTOL times the extent)
+    spans the hyperplane normal to its edges, from a stacked SVD; it is a facet when every vertex is on
+    one side within the slack, kept once per vertex set on it, from its best-conditioned subset.  A
+    vertex is extreme when its facets' normals have rank m; copies of a point count once."""
+    nv, m = verts.shape
+    if math.comb(nv, m) > MAX_FACET_SUBSETS:
+        raise ValueError(f"facet search supports at most {MAX_FACET_SUBSETS} vertex subsets, "
+                         f"got {math.comb(nv, m)} ({nv} vertices in {m} dimensions)")
+    slack, subsets, found = COLLINEAR_RTOL * np.max(np.ptp(verts, axis=0)), itertools.combinations(range(nv), m), []
+    while (idx := np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, max(1, POINT_BLOCK // m))),
+                              dtype=np.intp).reshape(-1, m)).size:
+        _, sv, vh = np.linalg.svd(verts[idx[:, 1:]] - verts[idx[:, :1]])
+        eqs = np.column_stack([vh[:, -1], -np.sum(vh[:, -1] * verts[idx[:, 0]], axis=1)])
+        dist = eqs[:, :-1] @ verts.T + eqs[:, -1:]
+        below, above = np.all(dist <= slack, axis=1), np.all(dist >= -slack, axis=1)
+        keep = (sv[:, -1] > slack) & (below | above)
+        found.append((np.where(below, 1.0, -1.0)[keep, None] * eqs[keep], np.abs(dist[keep]) <= slack, -sv[keep, -1]))
+    eqs, on, cond = (np.concatenate(part) for part in zip(*found))
+    if not len(eqs) or np.any(np.all(on, axis=1)):  # every subset degenerate, or every point on one plane
+        raise ValueError("vertex list is not full-dimensional")
+    order = np.argsort(cond, kind="stable")
+    on, first = np.unique(on[order], axis=0, return_index=True)
+    eqs = eqs[order[first]]
+    extreme = np.linalg.matrix_rank(eqs[:, :-1] * on.T[:, :, None]) == m
+    return len(np.unique(on.T[extreme], axis=0)), eqs
 
 
 @lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
@@ -1046,7 +1066,7 @@ def _face_vertices(space: Polytope, center: np.ndarray) -> Optional[tuple]:
 @lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _face_witness(space: Polytope, zero_at: bytes, one_at: bytes, whole: bool = False) -> Optional[AffineFunctional]:
     """An affine map with value 0 at zero_at, 1 at one_at (coordinate bytes) and [0, 1] on the vertices of
-    their smallest face (all when whole), or None: in closed form on polygons, else from HiGHS.
+    their smallest face (all when whole), or None: in closed form on polygons, else ``_affine_test_feasible``.
 
     Keyed by the bytes, -0.0 and 0.0 stay apart, so a hit returns the coefficients a cold call prints.
     The swapped pair is a key of its own: 1 - f would change the printed digits.
@@ -1066,30 +1086,49 @@ def _face_witness(space: Polytope, zero_at: bytes, one_at: bytes, whole: bool = 
 
 def _affine_test_feasible(vertex_array: np.ndarray, zero_at: np.ndarray,
                           one_at: np.ndarray) -> Optional[AffineFunctional]:
-    """Find an affine map with value 0 at zero_at, 1 at one_at and [0, 1] on vertices.
-
-    Solved as a linear feasibility problem in the (linear part, offset)
-    unknowns; returns the witness functional or None.
-    """
-    nv, m = vertex_array.shape
-    # unknowns z = (c in R^m, b)
-    ab = np.hstack([vertex_array, np.ones((nv, 1))])
-    a_ub = np.vstack([ab, -ab])
-    b_ub = np.concatenate([np.ones(nv), np.zeros(nv)])
-    a_eq = np.array([np.append(zero_at, 1.0), np.append(one_at, 1.0)])
-    b_eq = np.array([0.0, 1.0])
-    res = linprog(
-        c=np.zeros(m + 1),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * (m + 1),
-        method="highs",
-    )
-    if not res.success:
+    """An affine map with value 0 at zero_at, 1 at one_at and [0, 1] on the vertices within WITNESS_FEASIBILITY_TOL,
+    or None: f(x) = c . (x - zero_at), c = d / |d|^2 + y . basis as in ``_polygon_orthogonal`` (d = one_at - zero_at,
+    basis orthonormal rows spanning d's complement, no y term for a vertex within SINGULARITY_TOL of the pair's
+    line), at the y of ``_least_violation``."""
+    d = one_at - zero_at
+    if np.max(np.abs(d)) <= SAME_STATE_TOL:
         return None
-    return AffineFunctional(res.x[:m], float(res.x[m]))
+    basis, rel = np.linalg.svd(d[None])[2][1:], vertex_array - zero_at
+    g = rel @ basis.T
+    g[np.linalg.norm(g, axis=1) <= SINGULARITY_TOL] = 0.0
+    y, violation = _least_violation(g, rel @ d / (d @ d))
+    c = d / (d @ d) + y @ basis
+    return None if violation > WITNESS_FEASIBILITY_TOL else AffineFunctional(c, -float(c @ zero_at))
+
+
+def _least_violation(g: np.ndarray, a: np.ndarray):
+    """(y, t): the least t >= 0 with -t <= a + g y <= 1 + t in every row, and a y attaining it.
+
+    Chvatal's auxiliary (phase-1) program, min t subject to g y - t <= 1 - a and -g y - t <= a (y = y+ - y-),
+    is feasible once t enters the row of the most negative right-hand side; a dense tableau simplex under
+    Bland's rule (Math. Oper. Res. 2(2), 1977) then terminates without a limit, at once if t leaves the
+    basis.  While t is basic its row is minus the cost row, so an improving column has a pivot there.
+    With g scaled to entries of at most 1, entries within row length * epsilon of 0 count as 0."""
+    (k, n), scale = g.shape, np.max(np.abs(g), initial=0.0) or 1.0
+    side = np.vstack([g, -g]) / scale
+    table = np.vstack([np.column_stack([side, -side, -np.ones(2 * k), np.eye(2 * k), np.concatenate([1.0 - a, a])]),
+                       np.eye(1, 2 * n + 2 * k + 2, 2 * n)])  # columns y+, y-, t, slacks, rhs; then t's costs
+    basis, zero = np.arange(2 * n + 1, 2 * n + 2 * k + 1), table.shape[1] * np.finfo(float).eps
+
+    def pivot(r, j):
+        table[r] /= table[r, j]
+        table[:] -= np.outer(table[:, j] - (np.arange(len(table)) == r), table[r])
+        basis[r] = j
+
+    if np.min(table[:-1, -1]) < 0.0:
+        pivot(int(np.argmin(table[:-1, -1])), 2 * n)
+    while 2 * n in basis and (enter := np.flatnonzero(table[-1, :-1] < -zero)).size:
+        cand = np.flatnonzero(table[:-1, enter[0]] > zero)
+        ratio = table[cand, -1] / table[cand, enter[0]]
+        tied = cand[ratio == ratio.min()]
+        pivot(tied[np.argmin(basis[tied])], enter[0])
+    values = np.bincount(basis, weights=table[:-1, -1], minlength=table.shape[1] - 1)  # 0 off the basis
+    return (values[:n] - values[n: 2 * n]) / scale, max(values[2 * n], 0.0)
 
 
 def _polygon_orthogonal(geometry: _PolytopeGeometry, p0: np.ndarray, p1: np.ndarray, whole: bool = False):
@@ -1149,6 +1188,7 @@ def _cliques(adj: np.ndarray) -> list:
     return sorted(cliques, key=lambda idx: (len(idx), idx))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # near the float limit: a NaN residual solves nothing
 def _clique_solutions(space: Polytope, coords, total):
     """Solve every determined clique system for the N points total * coords[i] at once.
 

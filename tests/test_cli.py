@@ -1,12 +1,17 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectral_cone import cli
+import spectral_cone as sc
+from spectral_cone import cli, geometries as geo
 
 
 def run_cli(capsys, *argv):
@@ -154,10 +159,8 @@ def test_divergence_off_its_spaces_exact_error(capsys, kind, space, divergence):
 FLAT_POLYTOPE_ERRORS = {
     # collinear in the plane: the monotone chain keeps two points
     "[[0, 0], [1, 1], [2, 2]]": "vertex list is not full-dimensional",
-    # coplanar in space: the first line of qhull's error, without its dump of qhull's state
-    "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]":
-        "vertex list is not full-dimensional: QH6154 Qhull precision error: Initial simplex is flat "
-        "(facet 1 is coplanar with the interior point)",
+    # coplanar in space: every hyperplane of a vertex triple holds all four points
+    "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]": "vertex list is not full-dimensional",
     "[[0, 0], [1, 0], [NaN, 1]]": "polytope vertices must be finite",
     "[[NaN], [1]]": "polytope vertices must be finite",  # a segment used to accept it
 }
@@ -189,9 +192,12 @@ def test_decompose_non_finite_trace_exit_2(capsys, space, coords, trace):
 
 
 @pytest.mark.parametrize("space,coords", [("disc", "[1e308, 1e308]"), ("spin3", "[1e308, 1e308, 1e308]"),
-                                          ("complex2", "[1e308, 0, 0, 0, 0, 0, 1e308, 0]")])
+                                          ("complex2", "[1e308, 0, 0, 0, 0, 0, 1e308, 0]"),
+                                          ("simplex3", "[Infinity, -Infinity, 0]"), ("square", "[Infinity, 0.5]"),
+                                          ("real2", "[Infinity, 0, 0, 0.5]"),
+                                          ("complex2", "[Infinity, 0, 0, 0, 0, 0, -Infinity, 0]")])
 def test_decompose_overflowing_coords_fail_membership_quietly(capsys, space, coords):
-    # sums and norms of these coordinates overflow; the membership test fails without a numpy warning
+    # sums and norms of these coordinates overflow or are NaN; the membership test fails without a numpy warning
     code, out, err = run_cli(capsys, "decompose", "--space", space, "--element", coords)
     assert (code, out, err) == (2, "", "error: state coordinates fail the membership test\n")
 
@@ -201,6 +207,16 @@ def test_decompose_trace_near_the_float_limit_is_quiet(capsys):
                              '{"trace": 1e308, "coords": [0.5, 0.5]}')
     assert code == 0 and err == ""
     assert json.loads(out)["trace"] == 1e308
+
+
+def test_polytope_vertex_at_the_float_limit_is_quiet(capsys):
+    # the clique solves overflow there: the decomposition is printed as before, and nothing is warned
+    code, out, err = run_cli(capsys, "decompose", "--space", "square", "--element",
+                             '{"trace": 1e308, "coords": [1, 1]}')
+    assert (code, err) == (0, "")
+    assert json.loads(out)["weights"] == [1.0000000000000002e308]
+    square = geo.unit_square()
+    assert sc.entropy(square, sc.ConeElement(square, 1e308, [1.0, 1.0])) == -math.inf
 
 
 @pytest.mark.parametrize("divergence", ["kl", "itakura_saito"])
@@ -432,3 +448,101 @@ def test_report_json_finite_reports_skip_the_walk(capsys, monkeypatch):
     assert cli._report_json(report) == want
     code, out, err = run_cli(capsys, "check", "locality", "--space", "simplex3", "--trials", "5")
     assert code == 0 and err == "" and json.loads(out)["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# the grammar of every command, as a generated property
+# ---------------------------------------------------------------------------
+
+GRAMMAR = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+SIZED_NAMES = ("simplex", "ball", "spin", "real", "complex", "quaternion")
+ODD_VALUES = (math.nan, math.inf, -math.inf, True, False, None, "1", [1])
+
+
+def shorthand(data) -> str:
+    """A name with a size of 0 to 6 (unknown names included), or one of the bare names."""
+    if data.draw(st.integers(0, 3)):
+        name = data.draw(st.sampled_from(SIZED_NAMES + SIZED_NAMES + ("octonion", "cube", "")))
+        return f"{name}{data.draw(st.integers(0, 6))}"
+    return data.draw(st.sampled_from(["square", "disc", "disk", "simplex", "Simplex3", "simplex-1", " disc "]))
+
+
+def vertex_list(data) -> list:
+    """2 to 4-dimensional integer vertices, often with a flat, duplicate, non-extreme or odd entry."""
+    m = data.draw(st.integers(2, 4))
+    verts = np.array(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                                        min_size=m + 1, max_size=m + 4)), dtype=float)
+    edit = data.draw(st.sampled_from(["none", "none", "flat", "duplicate", "inside", "odd"]))
+    if edit == "flat":
+        verts[:, -1] = 0.0
+    elif edit == "duplicate":
+        verts = np.vstack([verts, verts[:1]])
+    elif edit == "inside":
+        verts = np.vstack([verts, np.mean(verts, axis=0)])
+    rows = verts.tolist()
+    if edit == "odd":
+        rows[0][0] = data.draw(st.sampled_from(ODD_VALUES))
+    return rows
+
+
+def descriptor(data) -> str:
+    """A JSON space descriptor: a polytope, or a kind whose fields may have the wrong type."""
+    kind = data.draw(st.sampled_from(["polytope", "polytope", "simplex", "ball", "spin", "density", "cube", 3]))
+    if kind == "polytope":
+        desc = {"kind": kind, "vertices": vertex_list(data)}
+    else:
+        size = data.draw(st.one_of(st.integers(0, 4), st.sampled_from(ODD_VALUES)))
+        desc = {"kind": kind, "n": size, "d": size,
+                "ring": data.draw(st.sampled_from(["real", "complex", "quaternion", "octonion", 2]))}
+        if data.draw(st.booleans()):
+            desc.pop(data.draw(st.sampled_from(sorted(desc))))
+    return json.dumps(desc)
+
+
+def element(data, space_text: str) -> str:
+    """Mostly the space's barycenter, moved, scaled or cut short; else numbers or odd values."""
+    try:
+        coords = cli.parse_space(space_text).barycenter_coords().tolist()
+    except ValueError:
+        coords = [0.5, 0.5]
+    how = data.draw(st.sampled_from(["center", "center", "moved", "short", "odd"]))
+    if how == "moved":
+        coords = [c + data.draw(st.floats(-1.0, 1.0)) for c in coords]
+    elif how == "short":
+        coords = coords[:-1]
+    elif how == "odd":
+        coords[0] = data.draw(st.sampled_from(ODD_VALUES))
+    if data.draw(st.booleans()):
+        return json.dumps(coords)
+    trace = data.draw(st.one_of(st.floats(0.0, 3.0), st.sampled_from(ODD_VALUES + (-1.0, 1e308))))
+    return json.dumps({"trace": trace, "coords": coords})
+
+
+def argv(data) -> list:
+    space = shorthand(data) if data.draw(st.booleans()) else descriptor(data)
+    command = data.draw(st.sampled_from(["decompose", "check", "check", "landscape"]))
+    if command == "decompose":
+        return ["decompose", "--space", space, "--element", element(data, space)]
+    if command == "landscape":
+        return ["landscape", "--space", space, "--grid", str(data.draw(st.integers(0, 15)))]
+    kind = data.draw(st.sampled_from(["locality", "sufficiency", "spectrality", "concavity"]))
+    where = ["--algebra", shorthand(data)] if kind == "concavity" else ["--space", space]
+    args = ["check", kind, *where, "--trials", str(data.draw(st.integers(-1, 12))), "--seed", "1"]
+    if kind in ("locality", "sufficiency"):
+        args += ["--divergence", data.draw(st.sampled_from(["kl", "squared_euclidean", "itakura_saito",
+                                                             "matrix_negentropy"]))]
+    if data.draw(st.integers(0, 3)) == 0:
+        args += ["--tol", str(data.draw(st.sampled_from([1e-8, 0.0, -1.0, math.inf, math.nan])))]
+    return args
+
+
+@GRAMMAR
+@given(data=st.data())
+def test_property_every_command_exits_0_1_or_2(data):
+    args = argv(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    assert code in (0, 1, 2), args
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, args

@@ -15,21 +15,26 @@ change, since kl gives the same value for every orthogonal state.  Also
 pinned: 18 polytope decompositions with their witnesses (square, triangle,
 regular pentagon and 12-gon, two irregular polygons, the cube) and 5
 density-matrix decompositions with theirs (complex2, real3, quaternion2).
-Polygon witnesses are the closed-form interval solutions, the cube's are
-HiGHS solutions.  Exit codes, verdicts and the witness trial, t, condition
+Polygon witnesses are the closed-form interval solutions, the cube's come
+from the phase-1 simplex (re-pinned when it replaced HiGHS, in those five
+entries' witnesses alone), and every polytope witness is checked to be a
+test on the face of its pair.  Exit codes, verdicts and the witness trial, t, condition
 and channel must match exactly; floats, witness coefficients included, may
 differ by rounding only.
 """
 
 import io
+import itertools
 import json
 import math
 import pathlib
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
-from spectral_cone import cli
+from spectral_cone import cli, geometries as geo
+from spectral_cone.tolerances import WITNESS_FEASIBILITY_TOL
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "matrix_outputs.json").read_text())
 EXACT_WITNESS_FIELDS = ("trial", "t", "condition", "channel")
@@ -71,3 +76,21 @@ def test_pins_cover_failing_witnesses():
     assert {"t", "channel"} <= {key for w in witnesses for key in w}
     assert len(PINS) >= 98
     assert sum(len(p["report"].get("witnesses", ())) for p in PINS if p["argv"][0] == "decompose") >= 30
+
+
+POLYTOPE_DECOMPOSITIONS = [p for p in PINS
+                           if p["argv"][0] == "decompose" and p["report"]["space"]["kind"] == "polytope"]
+
+
+@pytest.mark.parametrize("pin", POLYTOPE_DECOMPOSITIONS, ids=lambda p: " ".join(p["argv"][2:]))
+def test_pinned_polytope_witnesses_are_tests_on_their_faces(pin):
+    report = pin["report"]
+    space = geo.space_from_json(report["space"])
+    pairs = list(itertools.combinations(np.array(report["components"], dtype=float), 2))
+    assert len(report["witnesses"]) == len(pairs) and pairs
+    for (p0, p1), w in zip(pairs, report["witnesses"]):
+        linear = np.array(w["linear"])
+        assert abs(linear @ p0 + w["offset"]) <= 1e-12 and abs(linear @ p1 + w["offset"] - 1.0) <= 1e-12
+        face = geo._face_vertices(space, (p0 + p1) / 2.0)
+        values = space.vertex_array[list(face) if face else slice(None)] @ linear + w["offset"]
+        assert np.all(values >= -WITNESS_FEASIBILITY_TOL) and np.all(values <= 1.0 + WITNESS_FEASIBILITY_TOL)

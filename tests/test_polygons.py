@@ -1,11 +1,10 @@
-"""Polygons against their scipy oracles, and no scipy on any polygon path.
+"""Polygons against their scipy oracles, and no scipy on any command.
 
 A polygon's orthogonality graph and its witnesses come from one closed-form
 interval test, and its facets from a monotone chain.  The oracles are the
-ones they replace: the HiGHS witness program (``_affine_test_feasible`` on
-the vertices of the pair's smallest face, which 3-D polytopes still solve)
-for the graph and the witnesses, and ``scipy.spatial.ConvexHull`` for the
-facets.
+ones they replace: the HiGHS witness program (``highs_witness`` on the
+vertices of the pair's smallest face) for the graph and the witnesses, and
+``scipy.spatial.ConvexHull`` for the facets.
 """
 
 import json
@@ -18,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 import spectral_cone as sc
@@ -47,10 +47,22 @@ def face_vertices(space: geo.Polytope, p0, p1, whole=False) -> np.ndarray:
     return space.vertex_array if face is None else space.vertex_array[list(face)]
 
 
+def highs_witness(verts, p0, p1):
+    """An affine map with value 0 at p0, 1 at p1 and [0, 1] on the vertices, from one HiGHS feasibility
+    program in the (linear part, offset) unknowns, or None: the solver every polytope used before the
+    closed form and the phase-1 simplex."""
+    nv, m = verts.shape
+    rows = np.hstack([verts, np.ones((nv, 1))])
+    res = linprog(np.zeros(m + 1), A_ub=np.vstack([rows, -rows]), b_ub=np.concatenate([np.ones(nv), np.zeros(nv)]),
+                  A_eq=np.array([np.append(p0, 1.0), np.append(p1, 1.0)]), b_eq=np.array([0.0, 1.0]),
+                  bounds=[(None, None)] * (m + 1), method="highs")
+    return sc.AffineFunctional(res.x[:m], float(res.x[m])) if res.success else None
+
+
 def lp_witness(space: geo.Polytope, p0, p1, whole=False):
     """The HiGHS witness program on the pair's face: what ``orthogonality_witness``
     (``mutually_singular`` when whole) solved on polygons before the closed form."""
-    return geo._affine_test_feasible(face_vertices(space, p0, p1, whole), np.asarray(p0), np.asarray(p1))
+    return highs_witness(face_vertices(space, p0, p1, whole), np.asarray(p0), np.asarray(p1))
 
 
 def lp_orthogonal(space: geo.Polytope, i: int, j: int) -> bool:
@@ -335,7 +347,7 @@ def test_property_chain_and_qhull_agree_on_decimal_vertices(verts):
 
 
 # ---------------------------------------------------------------------------
-# scipy is imported only where a polytope needs it
+# no command imports scipy
 # ---------------------------------------------------------------------------
 
 LAZY_SCRIPT = """
@@ -373,5 +385,6 @@ def test_scipy_loaded_only_for_polytopes():
                        ["decompose", "--space", PENTAGON, "--element", "[0.1, 0.2]"])
     # after the import and every command, the polygon decompose with its witnesses included, neither is loaded
     assert run == {"steps": [[False, False]] * 5, "hulls": 0}
+    # nor on polytopes outside the plane: numpy facets and phase-1 witnesses
     cube = loaded_after(["decompose", "--space", CUBE, "--element", "[0.2, 0.7, 0.4]"])
-    assert cube == {"steps": [[False, False], [True, True]], "hulls": 1}
+    assert cube == {"steps": [[False, False], [False, False]], "hulls": 0}

@@ -4,7 +4,7 @@ Everything derived from a polytope's vertices (facets, vertex states,
 orthogonality graph, clique systems) lives in one record per polytope,
 cached by ``_polytope_geometry`` and evicted as a unit.  ``decompose``
 prints one witness per ordered component pair (in closed form on polygons,
-from HiGHS on the cube), and each witness is found once per polytope and
+from the phase-1 simplex on the cube), and each witness is found once per polytope and
 ordered pair of states (``_face_witness``).  The clique enumeration
 (Bron–Kerbosch with pivoting) is checked against the subset walk it
 replaced, kept here as the oracle.
@@ -113,15 +113,16 @@ def test_polytope_caches_stay_within_bound():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def linprog_calls(monkeypatch):
+def program_calls(monkeypatch):
+    """The witness programs solved (``_affine_test_feasible`` calls) while the test runs."""
     calls = []
-    solve = geo.linprog
+    solve = geo._affine_test_feasible
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(geo, "linprog", counted)
+    monkeypatch.setattr(geo, "_affine_test_feasible", counted)
     return calls
 
 
@@ -131,16 +132,16 @@ def ordered_pairs(dec) -> list:
 
 @pytest.mark.parametrize("space, coords", [(SQUARE, [0.2, 0.3]), (CUBE, [0.2, 0.5, 0.7]),
                                            (DODECAGON, [0.1, 0.2])], ids=["square", "cube", "12-gon"])
-def test_second_decompose_solves_no_program(space, coords, linprog_calls):
+def test_second_decompose_solves_no_program(space, coords, program_calls):
     first = geo.decompose(space, sc.ConeElement(space, 1.0, coords), with_witnesses=True)
     # the same components with weights spread further apart: a new element, the same pairs
     weights = first.weights * np.linspace(1.0, 0.9, first.size)
     other = sc.ConeElement(space, 2.0, weights @ np.array([c.coords for c in first.components]) / np.sum(weights))
-    linprog_calls.clear()
+    program_calls.clear()
     second = geo.decompose(space, other, with_witnesses=True)
     assert ordered_pairs(second) == ordered_pairs(first)
     assert not np.array_equal(second.weights / second.weights.sum(), first.weights / first.weights.sum())
-    assert linprog_calls == []
+    assert program_calls == []
     assert all(a is b for a, b in zip(second.witnesses, first.witnesses, strict=True))
 
 
@@ -168,12 +169,12 @@ def test_memo_witnesses_equal_cold_solves(space):
         assert np.float64(w.offset).tobytes() == np.float64(c.offset).tobytes()
 
 
-def test_swapped_pair_is_its_own_program(linprog_calls):
-    # the cube, where the memo still holds HiGHS programs; 0 and 3 are a diagonal of the face x = 0
+def test_swapped_pair_is_its_own_program(program_calls):
+    # the cube, where the memo holds phase-1 programs; 0 and 3 are a diagonal of the face x = 0
     geo._face_witness.cache_clear()
     forward = witness(CUBE, 0, 3)
     backward = witness(CUBE, 3, 0)
-    assert len(linprog_calls) == 2
+    assert len(program_calls) == 2
     assert geo._face_witness.cache_info().currsize == 2
     geo._face_witness.cache_clear()
     cold = witness(CUBE, 3, 0)
@@ -183,14 +184,14 @@ def test_swapped_pair_is_its_own_program(linprog_calls):
     assert (forward(s0), forward(s3), backward(s3), backward(s0)) == pytest.approx((0.0, 1.0, 0.0, 1.0))
 
 
-def test_negative_zero_is_its_own_key(linprog_calls):
+def test_negative_zero_is_its_own_key(program_calls):
     plus = sc.State(CUBE, [0.0, 0.0, 0.0])
     minus = sc.State(CUBE, [-0.0, 0.0, 0.0])
     far = CUBE.vertex_state(7)
     geo.orthogonality_witness(plus, far)
-    linprog_calls.clear()
+    program_calls.clear()
     geo.orthogonality_witness(minus, far)
-    assert len(linprog_calls) == 1
+    assert len(program_calls) == 1
 
 
 # ---------------------------------------------------------------------------

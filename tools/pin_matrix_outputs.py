@@ -35,8 +35,8 @@ CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 QUADRILATERAL = polytope([(0, 0), (3, 0), (4, 2), (1, 3)])
 HEXAGON = polytope([(0, 0), (2, -1), (4, 0), (5, 2), (2, 4), (-1, 2)])
-# decompositions print a witness per component pair (closed-form coefficients on polygons, HiGHS
-# coefficients on the cube, support projections on density matrices); (space, elements) with and
+# decompositions print a witness per component pair (closed-form coefficients on polygons, phase-1
+# simplex coefficients on the cube, support projections on density matrices); (space, elements) with and
 # without a trace
 DECOMPOSITIONS = (
     ("square", ("[0.3, 0.6]", '{"trace": 2.5, "coords": [0.5, 0.5]}', "[1.0, 0.25]")),
