@@ -59,41 +59,43 @@ class Ordering(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def majorizes(a: Spectrum, b: Spectrum) -> Ordering:
-    """Partial-sum comparison of two spectra of the same element.
+def _weak_majorization(spectra) -> tuple:
+    """(a weakly majorizes b, b weakly majorizes a) of every ordered pair [a, b] of spectra of one element.
 
-    Shorter spectra are padded with zeros.  Raises when the totals differ,
-    since majorization only compares decompositions of one element.
+    Shorter spectra are padded with zeros, and the partial sums of a - b are compared with a slack of
+    MAJORIZATION_TOL times a's total (at least 1).  Raises when two totals differ, since majorization only
+    compares decompositions of one element; the message names the later spectrum of the first such pair first.
     """
-    if abs(a.total - b.total) > TOTAL_TOL * max(1.0, abs(a.total), abs(b.total)):
-        raise ValueError(f"spectra have different totals: {a.total} vs {b.total}")
-    length = max(len(a), len(b))
-    delta = np.cumsum(a.padded(length) - b.padded(length))
-    slack = MAJORIZATION_TOL * max(1.0, abs(a.total))
-    hi = float(np.max(delta))
-    lo = float(np.min(delta))
-    if hi <= slack and lo >= -slack:
-        return Ordering.EQUAL
-    if lo >= -slack:
-        return Ordering.DOMINATES
-    if hi <= slack:
-        return Ordering.DOMINATED
-    return Ordering.INCOMPARABLE
-
-
-def maximal_spectra(spectra) -> np.ndarray:
-    """Mask of the spectra of one element that no other dominates: ``majorizes`` of every pair at once."""
     totals = np.array([s.total for s in spectra])
     length = max(len(s) for s in spectra)
     padded = np.array([s.padded(length) for s in spectra])
     scale = np.maximum(1.0, np.abs(totals))
     apart = np.abs(totals[:, None] - totals[None]) > TOTAL_TOL * np.maximum(scale[:, None], scale[None])
     if np.any(apart):
-        i, j = np.argwhere(apart)[0]  # the first pair majorizes(spectra[j], spectra[i]) would meet
+        i, j = np.argwhere(apart)[0]
         raise ValueError(f"spectra have different totals: {totals[j]} vs {totals[i]}")
     delta = np.cumsum(padded[:, None] - padded[None], axis=-1)  # [a, b]: partial sums of a - b
     slack = MAJORIZATION_TOL * scale[:, None]
-    return ~np.any((np.min(delta, axis=-1) >= -slack) & (np.max(delta, axis=-1) > slack), axis=0)
+    return np.min(delta, axis=-1) >= -slack, np.max(delta, axis=-1) <= slack
+
+
+def majorizes(a: Spectrum, b: Spectrum) -> Ordering:
+    """Partial-sum comparison of two spectra of the same element: ``_weak_majorization`` of [b, a] read at
+    (a, b), so that a refusal names a's total first."""
+    dominates, dominated = (m[1, 0] for m in _weak_majorization([b, a]))
+    if dominates and dominated:
+        return Ordering.EQUAL
+    if dominates:
+        return Ordering.DOMINATES
+    if dominated:
+        return Ordering.DOMINATED
+    return Ordering.INCOMPARABLE
+
+
+def maximal_spectra(spectra) -> np.ndarray:
+    """Mask of the spectra of one element that no other dominates: ``majorizes`` of every pair at once."""
+    dominates, dominated = _weak_majorization(spectra)
+    return ~np.any(dominates & ~dominated, axis=0)
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,13 @@ from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPL
                          WEIGHT_DROP_TOL, WITNESS_FEASIBILITY_TOL, ZERO_EIGENVALUE_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
-MAX_FACET_SUBSETS = 150_000  # vertex m-subsets the facet search of a polytope in m >= 3 dimensions may test
+MAX_FACET_COST = 450_000  # vertex m-subsets times m that the facet search of a polytope in m >= 3 dimensions may test
 POLYTOPE_CACHE_SIZE = 64  # polytope records (facets, vertex states, orthogonality graph, clique systems) kept
 WITNESS_CACHE_SIZE = 4096  # (polytope, ordered state pair) witness programs kept solved
 FAMILY_GRID_POINTS = 10
 POINT_BLOCK = 4096  # points per stacked clique solve, or vertex subsets times dimension per facet-search SVD
 MASS_ATTEMPTS = 16  # draws of one complement state before the locality sampler gives up
-DISTINCT_ATTEMPTS = 8  # complement states drawn for s2 until one differs from s1
-_SETTLED, _S1_REJECTED, _S2_REJECTED, _SAME_AS_S1 = range(4)  # verdicts on a density locality trial
+DISTINCT_ATTEMPTS = 8  # draws of an s2 row of a locality trial until it differs from s1
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +197,8 @@ class Simplex(_Geometry):
         """s0 a vertex; s1, s2 Dirichlet(1) points on random faces of the facet opposite it, drawn as stacks.
 
         A face is the first k of the facet's vertices in a uniform random order, k uniform in 1..n-1,
-        and its weights are standard exponentials normalised over it.  The s2 rows within
-        DISTINCT_STATE_TOL of s1 are drawn again as one stack, DISTINCT_ATTEMPTS draws in all.
+        and its weights are standard exponentials normalised over it; s2 is redrawn by
+        ``_redraw_equal_rows``.
         """
         n = self.n
         if n < 3:
@@ -216,12 +215,8 @@ class Simplex(_Geometry):
             np.put_along_axis(rows, face, gaps / np.sum(gaps, axis=1, keepdims=True), axis=1)
             return rows
 
-        s1, s2 = face_points(rests), face_points(rests)
-        redo = np.arange(trials)
-        for _ in range(DISTINCT_ATTEMPTS - 1):
-            redo = redo[np.max(np.abs(s2[redo] - s1[redo]), axis=1) <= DISTINCT_STATE_TOL]
-            if redo.size:
-                s2[redo] = face_points(rests[redo])
+        s1 = face_points(rests)
+        s2 = _redraw_equal_rows(s1, face_points(rests), lambda redo: face_points(rests[redo]))
         return np.eye(n)[i], s1, s2, np.zeros(trials, dtype=bool)
 
     def family_draws(self, rng: np.random.Generator, lead: tuple) -> np.ndarray:
@@ -394,18 +389,16 @@ class Polytope(_Geometry):
         return self.vertex_state(int(rng.integers(len(self.vertices))))
 
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
-        """s0 a random vertex; s1, s2 two distinct vertices orthogonal to it (one if it has one)."""
-        adj = _polytope_geometry(self).graph
-        idx = np.empty((3, trials), dtype=int)
-        for t in range(trials):
-            i = int(rng.integers(len(self.vertices)))
-            partners = np.nonzero(adj[i])[0]
-            if partners.size == 0:
-                raise PreconditionError("polytope vertex with no orthogonal partner")
-            idx[:, t] = (i, partners[0], partners[0]) if partners.size == 1 else (
-                i, *rng.choice(partners, size=2, replace=False))
-        s0, s1, s2 = self.vertex_array[idx]
-        return s0, s1, s2, idx[1] == idx[2]
+        """s0 a random vertex; s1, s2 the first two vertices orthogonal to it in the order of uniform keys
+        (both the one partner if it has one), drawn as stacks."""
+        i = rng.integers(len(self.vertices), size=trials)
+        partners = _polytope_geometry(self).graph[i]
+        if not np.all(np.any(partners, axis=1)):
+            raise PreconditionError("polytope vertex with no orthogonal partner")
+        order = np.argsort(np.where(partners, rng.random(partners.shape), np.inf), axis=1)
+        single = np.count_nonzero(partners, axis=1) == 1
+        s0, s1, s2 = self.vertex_array[[i, order[:, 0], np.where(single, order[:, 0], order[:, 1])]]
+        return s0, s1, s2, single
 
 
 @dataclass(frozen=True)
@@ -488,7 +481,7 @@ class Ball(_Geometry):
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
         """s0 a random boundary point; s1 = s2 its antipode."""
         v = rng.standard_normal((trials, self.d))
-        s0 = v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]  # the BLAS dot of np.linalg.norm
+        s0 = v / np.linalg.norm(v, axis=-1, keepdims=True)
         return s0, -s0, -s0, np.ones(trials, dtype=bool)
 
 
@@ -674,90 +667,41 @@ class DensityMatrices(_Geometry):
         return State(self, self._rows(jordan.ring_entries(self.ring, jordan.pure_matrices(self.ring, raw))))
 
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
-        """s0 a random pure state; s1, s2 random states pinched into the complement of its support.
+        """s0 a random pure state; s1, s2 random states pinched into the complement of its support, drawn as stacks.
 
-        The per-trial loop draws s0, then complement candidates for s1 and,
-        for n >= 3, for s2: a density matrix, replaced by a pure one with
-        probability 1/2, compressed by the complement projection of s0 and
-        renormalised.  A candidate of mass at most COMPLEMENT_MASS_MIN is
-        drawn again, and so is an s2 equal to s1, up to DISTINCT_ATTEMPTS
-        states; after MASS_ATTEMPTS rejected candidates of one state,
-        RuntimeError.
-
-        The loop here only consumes the generator, after a plan of attempts
-        per trial: plan[0] candidates for s1 and plan[j] for the j-th state
-        drawn for s2, of which only the last of each is kept.  All kept
-        draws are then settled as stacks.  At the first trial that the loop
-        would have rejected, the generator goes back to the state saved at
-        the start of that trial, its plan takes one more attempt, and the
-        walk resumes from there.
-        """
-        distinct = self.n >= 3
-        plans = [[1, 1] if distinct else [1] for _ in range(trials)]
-        saved = [None] * trials
-        rows = np.empty((3, trials, self.coords_len))
-        start = 0
-        while start < trials:
-            draws = []
-            for t in range(start, trials):
-                saved[t] = rng.bit_generator.state
-                draws.append(self._draw_trial(rng, plans[t]))
-            capped = np.array([len(plan) > DISTINCT_ATTEMPTS for plan in plans[start:]])
-            rows[:, start:], verdict = self._settle(draws, distinct, capped)
-            rejected = np.flatnonzero(verdict)
-            if not rejected.size:
-                break
-            start += int(rejected[0])
-            plan, why = plans[start], verdict[rejected[0]]
-            if why == _SAME_AS_S1:
-                plan.append(1)
-            else:
-                slot = 0 if why == _S1_REJECTED else -1
-                if plan[slot] == MASS_ATTEMPTS:
-                    raise RuntimeError("failed to sample a state in the orthogonal complement")
-                plan[slot] += 1
-            rng.bit_generator.state = saved[start]
-        return rows[0], rows[1], rows[2], np.full(trials, not distinct)
-
-    def _draw_trial(self, rng: np.random.Generator, plan: list) -> list:
-        """Raw draws of one locality trial: [s0, last s1 candidate(, last s2 candidate)].
-
-        A candidate is (pure, raw): a column draw of the pure kernel or a
-        square draw of the density kernel.
+        A stack of complement candidates is a density stack, a uniform stack and a pure stack: a row is
+        the pure draw where its uniform is below 1/2 and the density draw otherwise, compressed by the
+        complement projection of s0 and renormalised.  The rows of mass at most COMPLEMENT_MASS_MIN are
+        drawn again as one stack of just those rows, MASS_ATTEMPTS draws in all before RuntimeError; for
+        n >= 3 s2 is redrawn by ``_redraw_equal_rows``.
         """
         ring, n = self.ring, self.n
-        draws = [jordan.gaussian_draws(ring, n, rng, cols=1)]
-        for count in [plan[0]] if len(plan) == 1 else [plan[0], sum(plan[1:])]:
-            for _ in range(count):
-                pick = (False, jordan.gaussian_draws(ring, n, rng))
-                if rng.uniform() < 0.5:
-                    pick = (True, jordan.gaussian_draws(ring, n, rng, cols=1))
-            draws.append(pick)
-        return draws
+        s0 = self._rows(jordan.ring_entries(ring, jordan.pure_matrices(
+            ring, jordan.gaussian_draws(ring, n, rng, (trials,), cols=1))))
+        comp = np.eye(n * self.mult) - self._support(s0)
 
-    def _settle(self, draws: list, distinct: bool, capped: np.ndarray):
-        """(3, k, coords_len) rows of k trials' draws, and the verdict of the loop on each trial."""
-        ring, k = self.ring, len(draws)
-        picks = [c for d in draws for c in d[1:]]
-        pure = np.array([is_pure for is_pure, _ in picks])
-        pure_data = jordan.pure_matrices(
-            ring, np.stack([d[0] for d in draws] + [raw for is_pure, raw in picks if is_pure]))
-        s0 = self._rows(jordan.ring_entries(ring, pure_data[:k]))
-        data = np.empty((len(picks), *pure_data.shape[1:]), dtype=pure_data.dtype)
-        data[pure] = pure_data[k:]
-        if not np.all(pure):
-            data[~pure] = jordan.positive_matrices(ring, np.stack([raw for is_pure, raw in picks if not is_pure]))
-        forms = jordan.complex_forms(ring, data)
-        comp = (np.eye(forms.shape[-1]) - self._support(s0))[:, None]
-        compressed = self.coords_of(comp @ forms.reshape(k, -1, *forms.shape[1:]) @ comp)
-        mass = self.traces(compressed)
-        accepted = mass > COMPLEMENT_MASS_MIN
-        rows = (1.0 / np.where(accepted, mass, 1.0))[..., None] * compressed
-        s1, s2 = rows[:, 0], rows[:, -1]
-        same = distinct & ~capped & (np.max(np.abs(s2 - s1), axis=-1) <= DISTINCT_STATE_TOL)
-        verdict = np.select([~accepted[:, 0], ~accepted[:, -1], same],
-                            [_S1_REJECTED, _S2_REJECTED, _SAME_AS_S1], _SETTLED)
-        return np.stack([s0, s1, s2]), verdict
+        def complement_states(rows):
+            out, todo = np.empty((len(rows), self.coords_len)), np.arange(len(rows))
+            for _ in range(MASS_ATTEMPTS):
+                data = jordan.positive_matrices(ring, jordan.gaussian_draws(ring, n, rng, (todo.size,)))
+                pure = rng.uniform(size=todo.size) < 0.5
+                picks = jordan.pure_matrices(ring, jordan.gaussian_draws(ring, n, rng, (todo.size,), cols=1))
+                data[pure] = picks[pure]
+                c = comp[rows[todo]]
+                compressed = self.coords_of(c @ jordan.complex_forms(ring, data) @ c)
+                mass = self.traces(compressed)
+                kept = mass > COMPLEMENT_MASS_MIN
+                out[todo[kept]] = (1.0 / mass[kept])[:, None] * compressed[kept]
+                if np.all(kept):
+                    return out
+                todo = todo[~kept]
+            raise RuntimeError("failed to sample a state in the orthogonal complement")
+
+        s1 = complement_states(np.arange(trials))
+        if n < 3:
+            return s0, s1, s1, np.ones(trials, dtype=bool)
+        s2 = _redraw_equal_rows(s1, complement_states(np.arange(trials)), complement_states)
+        return s0, s1, s2, np.zeros(trials, dtype=bool)
 
     def family_draws(self, rng: np.random.Generator, lead: tuple) -> np.ndarray:
         """The density kernel with eigenvalue floor 0.05."""
@@ -770,6 +714,17 @@ class DensityMatrices(_Geometry):
         if self.n >= 2:
             pairs.append(_unitary_conjugation_pair(self, rng, pinch=True))
         return pairs
+
+
+def _redraw_equal_rows(s1: np.ndarray, s2: np.ndarray, draw: Callable) -> np.ndarray:
+    """s2 with its rows within DISTINCT_STATE_TOL of s1 drawn again, ``draw(rows)`` as one stack of just
+    those rows, DISTINCT_ATTEMPTS draws of s2 in all (the last one is kept)."""
+    redo = np.arange(len(s1))
+    for _ in range(DISTINCT_ATTEMPTS - 1):
+        redo = redo[np.max(np.abs(s2[redo] - s1[redo]), axis=1) <= DISTINCT_STATE_TOL]
+        if redo.size:
+            s2[redo] = draw(redo)
+    return s2
 
 
 def unit_square() -> Polytope:
@@ -1023,9 +978,9 @@ def _subset_facets(verts: np.ndarray):
     one side within the slack, kept once per vertex set on it, from its best-conditioned subset.  A
     vertex is extreme when its facets' normals have rank m; copies of a point count once."""
     nv, m = verts.shape
-    if math.comb(nv, m) > MAX_FACET_SUBSETS:
-        raise ValueError(f"facet search supports at most {MAX_FACET_SUBSETS} vertex subsets, "
-                         f"got {math.comb(nv, m)} ({nv} vertices in {m} dimensions)")
+    if (count := math.comb(nv, m)) * m > MAX_FACET_COST:
+        raise ValueError(f"facet search supports at most {MAX_FACET_COST} vertex subsets times dimension, "
+                         f"got {count * m} ({count} subsets of {nv} vertices in {m} dimensions)")
     slack, subsets, found = COLLINEAR_RTOL * np.max(np.ptp(verts, axis=0)), itertools.combinations(range(nv), m), []
     while (idx := np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, max(1, POINT_BLOCK // m))),
                               dtype=np.intp).reshape(-1, m)).size:

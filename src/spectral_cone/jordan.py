@@ -24,11 +24,11 @@ coordinate rows to entries and calls the ring layer on whole stacks.
 Random positive matrices come from one density kernel over stacks of ring
 data, :func:`positive_matrices`; the single-matrix samplers call it on one
 draw and :func:`check_concavity` on all its trials at once.  The concavity
-checker draws every trial first, in the order of a per-trial loop, and
-evaluates them as stacked arrays: one ``eigh`` of all the ``a`` for the
-second derivatives (the Daleckii-Krein form coeff * |V* B V|^2), stacked
-``eigvalsh`` calls for the finite differences and midpoint entropies, and
-array closed forms on the spin factor.
+checker draws every trial first, as stacks, and evaluates them as stacked
+arrays: one ``eigh`` of all the ``a`` for the second derivatives (the
+Daleckii-Krein form coeff * |V* B V|^2), stacked ``eigvalsh`` calls for the
+finite differences and midpoint entropies, and array closed forms on the
+spin factor.
 """
 
 from __future__ import annotations
@@ -621,11 +621,10 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
     second trace derivative of -z ln z along b must be below
     -strictness * ||b||^2, and must match a central second difference of
     Tr f(a + t b).  Midpoint concavity of entropy is checked along random
-    state segments.  Every trial is drawn first, in the order of a per-trial
-    loop, and all trials are evaluated as stacked arrays.  A failing
-    report's witness is the first failing trial: its index, the first
-    condition it breaks and its values.  The aggregates skip NaN values,
-    which still fail their trial.
+    state segments.  All trials are drawn first, as stacks, and evaluated
+    as stacked arrays.  A failing report's witness is the first failing
+    trial: its index, the first condition it breaks and its values.  The
+    aggregates skip NaN values, which still fail their trial.
     """
     kind, n = _parse_algebra(algebra)
     require_count("trials", trials)
@@ -688,40 +687,35 @@ def _matrix_concavity_terms(ring: str, n: int, trials: int, rng: np.random.Gener
 def _spin_concavity_terms(kind: str, d: int, trials: int, rng: np.random.Generator, steps: np.ndarray):
     """The terms of :func:`_matrix_concavity_terms` on the spin factor R + R^d.
 
-    A trial draws a = (1, v) with |v| <= 0.8, then b = (s, u) of unit norm,
-    then two states (1/2, x/2) with x uniform in the unit ball.  The
+    A trial is a = (1, v) with |v| <= 0.8, b = (s, u) of unit norm and two
+    states (1/2, x/2) with x uniform in the unit ball, from one row of
+    standard normals (v, s, u and the directions of the two x) and one row
+    of two uniforms (their radii).  Each kind is one stack, the uniforms
+    from a spawned child generator, so the first k trials are the same
+    whatever the trial count and a witness replays from its index.  The
     eigenvalues of (t, v) are t -+ |v|; the second derivative is the closed
     form of differentiating them, with f'' on the single eigenvalue when
     |v| <= SPIN_DEGENERATE_TOL.
     """
-    draws = np.empty((trials, 4 * d + 1))  # v, s, u, then the two ball directions
-    radii = np.zeros((trials, 2))
-
-    def radius(x):  # a zero direction draws no radius
-        return rng.uniform() ** (1.0 / d) if np.dot(x, x) > 0.0 else 0.0
-
-    for trial in range(trials):
-        row = draws[trial]
-        row[: 3 * d + 1] = rng.standard_normal(3 * d + 1)
-        radii[trial, 0] = radius(row[2 * d + 1 : 3 * d + 1])
-        row[3 * d + 1 :] = rng.standard_normal(d)
-        radii[trial, 1] = radius(row[3 * d + 1 :])
+    draws = rng.standard_normal((trials, 4 * d + 1))  # v, s, u, then the two ball directions
+    radii = rng.spawn(1)[0].uniform(size=(trials, 2)) ** (1.0 / d)
     v = draws[:, :d] * 0.3
-    nv = _norms(v)[:, None]
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
     v = np.where(nv > 0.8, v * (0.8 / np.where(nv > 0.8, nv, 1.0)), v)
     s, u = draws[:, d], draws[:, d + 1 : 2 * d + 1]
     norm = np.sqrt(s ** 2 + _row_dots(u, u))
     s, u = s / norm, u / norm[:, None]
     x = draws[:, 2 * d + 1 :].reshape(trials, 2, d)
-    xn = _norms(x)[..., None]
+    xn = np.linalg.norm(x, axis=-1, keepdims=True)
     halves = np.where(xn > 0.0, x / np.where(xn > 0.0, xn, 1.0) * radii[..., None], 0.0) / 2.0
 
     fn = NEG_XLOGX
-    r = _norms(v)
+    r = np.linalg.norm(v, axis=-1)
     tv = 1.0 + steps * s[:, None]
-    tr = _norms(v[:, None] + steps[:, None] * u[:, None])
+    tr = np.linalg.norm(v[:, None] + steps[:, None] * u[:, None], axis=-1)
     pw = np.stack([tv - tr, tv + tr], axis=-1)
-    mr = _norms(np.stack([(halves[:, 0] + halves[:, 1]) / 2.0, halves[:, 0], halves[:, 1]], axis=1))
+    mr = np.linalg.norm(np.stack([(halves[:, 0] + halves[:, 1]) / 2.0, halves[:, 0], halves[:, 1]], axis=1),
+                        axis=-1)
     sw = np.stack([0.5 - mr, 0.5 + mr], axis=-1)
     aw = np.where((r <= SPIN_DEGENERATE_TOL)[:, None], 1.0, np.stack([1.0 - r, 1.0 + r], axis=-1))[:, None]
     _raise_first_domain_error((aw, fn.outside(aw), fn.check_domain),
@@ -740,13 +734,13 @@ def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s
     degenerate branch (|v| <= SPIN_DEGENERATE_TOL) uses f'' on the single
     eigenvalue, mirroring the equal-eigenvalue rule of the matrix calculus.
     """
-    r = _norms(v)
+    r = np.linalg.norm(v, axis=-1)
     degenerate = r <= SPIN_DEGENERATE_TOL
     safe_r = np.where(degenerate, 1.0, r)
     lo, hi = t - r, t + r
     rdot = _row_dots(v / safe_r[:, None], u)
     rddot = (_row_dots(u, u) - rdot ** 2) / safe_r
-    un = _norms(u)
+    un = np.linalg.norm(u, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(degenerate, fn.d2f(t) * ((s + un) ** 2 + (s - un) ** 2),
                         fn.d2f(hi) * (s + rdot) ** 2 + fn.d2f(lo) * (s - rdot) ** 2
@@ -756,11 +750,6 @@ def _spin_second_derivatives(fn: ScalarFunction, t: np.ndarray, v: np.ndarray, s
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x . y of every row pair, through the BLAS dot that np.dot runs on one row."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, computed as np.linalg.norm computes it for one."""
-    return np.sqrt(_row_dots(x, x))
 
 
 def _raise_first_domain_error(*checks) -> None:

@@ -473,19 +473,14 @@ def reference_divergence(div):
     return dv.Divergence(div.name, "reference", rule, div.requires_interior)
 
 
-def reference_pure_density(ring, n, rng):
-    """Rank-one density matrix from one random unit vector, normalised by np.linalg.norm."""
-    if ring == "real":
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        return sc.jordan.hermitian_part("real", np.outer(v, v))
-    if ring == "complex":
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        return sc.jordan.hermitian_part("complex", np.outer(v, np.conj(v)))
-    v = rng.standard_normal((n, 1, 4))
-    v /= math.sqrt(float(np.sum(v ** 2)))
-    return sc.jordan.hermitian_part("quaternion", sc.quaternion.qmat_mul(v, sc.quaternion.qconj(np.swapaxes(v, 0, 1))))
+def reference_pure_density(ring, raw):
+    """Rank-one density matrix of one raw column draw, (n, 1) or (n, 1, 4), normalised by np.linalg.norm."""
+    if ring == "quaternion":
+        v = raw / math.sqrt(float(np.sum(raw ** 2)))
+        outer = sc.quaternion.qmat_mul(v, sc.quaternion.qconj(np.swapaxes(v, 0, 1)))
+        return sc.jordan.hermitian_part("quaternion", outer)
+    v = raw[:, 0] / np.linalg.norm(raw[:, 0])
+    return sc.jordan.hermitian_part(ring, np.outer(v, np.conj(v)))
 
 
 def reference_support(space, coords):
@@ -497,78 +492,140 @@ def reference_support(space, coords):
     return v[:, keep] @ np.conj(v[:, keep].T)
 
 
-def reference_distinct_s2(s1, complement_state, retries):
-    """s2 drawn until it differs from s1, at most DISTINCT_ATTEMPTS times (the last one is kept)."""
-    for _ in range(geo.DISTINCT_ATTEMPTS):
-        s2 = complement_state()
-        if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
-            break
-        retries["same"] += 1
-    return s2
+def reference_complement_state(space, comp, form):
+    """A form compressed by the complement projection comp and renormalised, or None at mass <= 1e-6."""
+    compressed = space.coords_of(comp @ form @ comp)
+    mass = space.traces(compressed)
+    return sc.State(space, (1.0 / mass) * compressed) if mass > 1e-6 else None
 
 
-def reference_orthogonal_triple(space, rng, retries=None):
-    """One locality trial (s0, s1, s2, vacuous), one State per draw, on any space but a simplex of n >= 3.
+def reference_density_triple_loop(space, rng):
+    """The per-trial loop that DensityMatrices.orthogonal_triples replaced, kept as the reference for its law.
 
-    retries (a Counter) counts the draws the loop rejects: "mass", a
-    complement of mass at most 1e-6, and "same", an s2 equal to s1.
+    s0 is a pure state; a complement candidate is a density matrix, replaced
+    by a pure state when a uniform draw is below 1/2, drawn again at mass
+    <= 1e-6 (MASS_ATTEMPTS draws in all), and s2 is drawn until it differs
+    from s1, at most DISTINCT_ATTEMPTS times (the last one is kept).
     """
-    retries = collections.Counter() if retries is None else retries
-    if isinstance(space, geo.Simplex):  # n < 3; larger simplices draw in reference_orthogonal_triples
-        s0 = space.vertex_state(int(rng.integers(space.n)))
-        other = space.vertex_state(int((np.argmax(s0.coords) + 1) % space.n))
-        return s0, other, other, True
-    if isinstance(space, geo.Polytope):
-        i = int(rng.integers(len(space.vertices)))
-        partners = np.nonzero(geo._polytope_geometry(space).graph[i])[0]
-        if partners.size == 1:
-            s1 = space.vertex_state(int(partners[0]))
-            return space.vertex_state(i), s1, s1, True
-        j, k = rng.choice(partners, size=2, replace=False)
-        return space.vertex_state(i), space.vertex_state(int(j)), space.vertex_state(int(k)), False
-    if isinstance(space, geo.Ball):
-        v = rng.standard_normal(space.d)
-        s0 = sc.State(space, v / float(np.linalg.norm(v)))
-        anti = sc.State(space, -np.asarray(s0.coords))
-        return s0, anti, anti, True
     ring, n = space.ring, space.n
-    s0 = space.state_from_matrix(reference_pure_density(ring, n, rng))
+    s0 = space.state_from_matrix(reference_pure_density(ring, sc.jordan.gaussian_draws(ring, n, rng, cols=1)))
     comp = np.eye(n * space.mult) - reference_support(space, s0.coords)
 
     def complement_state():
         for _ in range(geo.MASS_ATTEMPTS):
-            raw = sc.jordan.random_density_matrix(ring, n, rng)
+            m = sc.jordan.random_density_matrix(ring, n, rng)
             if rng.uniform() < 0.5:
-                raw = reference_pure_density(ring, n, rng)
-            compressed = space.coords_of(comp @ raw.to_complex() @ comp)
-            mass = space.traces(compressed)
-            if mass > 1e-6:
-                return sc.State(space, (1.0 / mass) * compressed)
-            retries["mass"] += 1
+                m = reference_pure_density(ring, sc.jordan.gaussian_draws(ring, n, rng, cols=1))
+            state = reference_complement_state(space, comp, m.to_complex())
+            if state is not None:
+                return state
         raise RuntimeError("failed to sample a state in the orthogonal complement")
 
     s1 = complement_state()
     if n < 3:
         return s0, s1, s1, True
-    return s0, s1, reference_distinct_s2(s1, complement_state, retries), False
+    for _ in range(geo.DISTINCT_ATTEMPTS):
+        s2 = complement_state()
+        if np.max(np.abs(s2.coords - s1.coords)) > 1e-9:
+            break
+    return s0, s1, s2, False
+
+
+def reference_polytope_triple_loop(space, rng):
+    """The per-trial loop that Polytope.orthogonal_triples replaced, kept as the reference for its law:
+    a vertex, then two distinct partners by ``choice`` (its one partner twice if it has one)."""
+    i = int(rng.integers(len(space.vertices)))
+    partners = np.nonzero(geo._polytope_geometry(space).graph[i])[0]
+    if partners.size == 1:
+        return i, int(partners[0]), int(partners[0])
+    j, k = rng.choice(partners, size=2, replace=False)
+    return i, int(j), int(k)
+
+
+def reference_redraw_equal(s1, s2, draw, retries):
+    """s2[t] drawn again (draw(rows), one state per row) while it equals s1[t], DISTINCT_ATTEMPTS draws in all."""
+    same = range(len(s1))
+    for attempt in range(geo.DISTINCT_ATTEMPTS):
+        if attempt:
+            for t, state in zip(same, draw(same)):
+                s2[t] = state
+        same = [t for t in same if np.max(np.abs(s2[t].coords - s1[t].coords)) <= 1e-9]
+        retries["same"] += len(same)
+        if not same:
+            break
+    return s2
 
 
 def reference_orthogonal_triples(space, rng, trials, retries=None):
-    """Every locality trial (s0, s1, s2, vacuous), one State per row.
+    """Every locality trial (s0, s1, s2, vacuous), one State per row, each assembled on its own from its
+    slice of the stacks the space's sampler draws, in the sampler's order:
 
-    A simplex of n >= 3 draws its trials as stacks, in the order of
-    ``Simplex.orthogonal_triples``: the vertices, then for s1 and for s2 the
-    face sizes, the uniform keys that order each facet and the exponential
-    gaps, and then again for the s2 rows still equal to s1, at most
-    DISTINCT_ATTEMPTS draws of s2 in all.  Each row is assembled on its own
-    from its slice of the stacks.  Other spaces draw trial by trial
-    (``reference_orthogonal_triple``).  retries counts as there.
+    * simplex: the vertices, then for s1 and for s2 the face sizes, the
+      uniform keys that order each facet and the exponential gaps;
+    * polytope: the vertices, then one uniform key per vertex;
+    * ball: the normals of s0;
+    * density: the s0 columns, then for s1 and for s2 a density stack, a
+      uniform stack and a column stack, again for the rows of mass at most
+      1e-6 (MASS_ATTEMPTS draws in all).
+
+    On simplices and density matrices of n >= 3, the s2 rows still equal to
+    s1 are drawn again as a stack, at most DISTINCT_ATTEMPTS draws of s2 in
+    all.  retries (a Counter) counts the rows drawn again: "mass", a
+    complement of mass at most 1e-6, and "same", an s2 equal to s1.
     """
     retries = collections.Counter() if retries is None else retries
-    if not (isinstance(space, geo.Simplex) and space.n >= 3):
-        return [reference_orthogonal_triple(space, rng, retries) for _ in range(trials)]
+    if isinstance(space, geo.Polytope):
+        vertices, keys = rng.integers(len(space.vertices), size=trials), rng.random((trials, len(space.vertices)))
+        graph, out = geo._polytope_geometry(space).graph, []
+        for i, key in zip(vertices.tolist(), keys):
+            partners = sorted(np.nonzero(graph[i])[0].tolist(), key=lambda p: key[p])
+            s1, s2 = space.vertex_state(partners[0]), space.vertex_state(partners[min(1, len(partners) - 1)])
+            out.append((space.vertex_state(i), s1, s2, len(partners) == 1))
+        return out
+    if isinstance(space, geo.Ball):
+        out = []
+        for v in rng.standard_normal((trials, space.d)):
+            s0 = sc.State(space, v / math.sqrt(float(np.sum(v * v))))
+            anti = sc.State(space, -np.asarray(s0.coords))
+            out.append((s0, anti, anti, True))
+        return out
+    if isinstance(space, geo.Simplex):
+        return reference_simplex_triples_stream(space, rng, trials, retries)
+    ring, n = space.ring, space.n
+    s0 = [space.state_from_matrix(reference_pure_density(ring, raw))
+          for raw in sc.jordan.gaussian_draws(ring, n, rng, (trials,), cols=1)]
+    comps = [np.eye(n * space.mult) - reference_support(space, s.coords) for s in s0]
+
+    def complement_states(rows):
+        states, todo = {}, list(rows)
+        for _ in range(geo.MASS_ATTEMPTS):
+            squares = sc.jordan.gaussian_draws(ring, n, rng, (len(todo),))
+            uniforms = rng.uniform(size=len(todo))
+            columns = sc.jordan.gaussian_draws(ring, n, rng, (len(todo),), cols=1)
+            for t, square, u, column in zip(todo, squares, uniforms, columns):
+                form = reference_pure_density(ring, column).to_complex() if u < 0.5 else \
+                    sc.jordan.complex_forms(ring, sc.jordan.positive_matrices(ring, square))  # the kernel on one draw
+                states[t] = reference_complement_state(space, comps[t], form)
+            todo = [t for t in todo if states[t] is None]
+            retries["mass"] += len(todo)
+            if not todo:
+                return [states[t] for t in rows]
+        raise RuntimeError("failed to sample a state in the orthogonal complement")
+
+    s1 = complement_states(range(trials))
+    if n < 3:
+        return [(a, b, b, True) for a, b in zip(s0, s1)]
+    s2 = reference_redraw_equal(s1, complement_states(range(trials)), complement_states, retries)
+    return [(a, b, c, False) for a, b, c in zip(s0, s1, s2)]
+
+
+def reference_simplex_triples_stream(space, rng, trials, retries):
+    """The simplex rows of ``reference_orthogonal_triples``."""
     n = space.n
     vertices = rng.integers(n, size=trials).tolist()
+    if n < 3:
+        return [(space.vertex_state(i), space.vertex_state((i + 1) % n), space.vertex_state((i + 1) % n), True)
+                for i in vertices]
 
     def face_states(rows):
         sizes = rng.integers(1, n, size=len(rows)).tolist()
@@ -585,16 +642,8 @@ def reference_orthogonal_triples(space, rng, trials, retries=None):
             states.append(sc.State(space, coords))
         return states
 
-    s1, s2 = face_states(range(trials)), face_states(range(trials))
-    same = range(trials)
-    for attempt in range(geo.DISTINCT_ATTEMPTS):
-        if attempt:
-            for t, state in zip(same, face_states(same)):
-                s2[t] = state
-        same = [t for t in same if np.max(np.abs(s2[t].coords - s1[t].coords)) <= 1e-9]
-        retries["same"] += len(same)
-        if not same:
-            break
+    s1 = face_states(range(trials))
+    s2 = reference_redraw_equal(s1, face_states(range(trials)), face_states, retries)
     return [(space.vertex_state(i), a, b, False) for i, a, b in zip(vertices, s1, s2)]
 
 
@@ -828,7 +877,7 @@ def test_orthogonal_triples_match_reference_loop(space, seed):
 
 
 @pytest.mark.parametrize("space, seed, trials, kind", [
-    (geo.DensityMatrices("real", 2), 22, 8, "mass"),  # trial 1 draws a complement of mass below 1e-6
+    (geo.DensityMatrices("real", 2), 192, 8, "mass"),  # one s1 row has a complement of mass below 1e-6
     (SIMPLEX3, 5, 12, "same"),  # s2 = s1 in 4 trials, then in 2 of them, then in 1
 ], ids=["mass-real2", "same-simplex3"])
 def test_orthogonal_triples_retry_like_the_loop(space, seed, trials, kind):
@@ -841,34 +890,36 @@ def test_orthogonal_triples_retry_like_the_loop(space, seed, trials, kind):
 class ScriptedRng:
     """Generator stand-in with fixed draws, for the rejection paths of the locality samplers.
 
-    A column draw is e1, so s0 is e1 e1* and every pure candidate has no
-    mass in its complement; a square draw is the identity, the maximally
-    mixed candidate.  The i-th uniform draw is below 0.5, which picks a
-    pure candidate, when pure[i] is true (false past its end).  Integer
-    draws are their lowest value, key rows increase along the row and
-    exponential gaps are ones, so a simplex triple is (e0, e1, e1) at every
-    draw.  The state counts the draws, and the samplers save and restore
-    it through bit_generator.
+    A column draw is e1 in every row, so s0 is e1 e1* and every pure
+    candidate has no mass in its complement; a square draw is the identity,
+    the maximally mixed candidate.  The i-th uniform value drawn (counting
+    along every stack) is below 0.5, which picks a pure candidate, when
+    pure[i] is true (false past its end).  Integer draws are their lowest
+    value, key rows increase along the row and exponential gaps are ones, so
+    a simplex triple is (e0, e1, e1) at every draw.  The state counts the
+    draws and the uniform values, and is read through bit_generator.
     """
 
     def __init__(self, pure=()):
         self.pure = list(pure)
-        self.state = (0, 0)  # (draws, uniform draws)
+        self.state = (0, 0)  # (draws, uniform values)
         self.bit_generator = self
 
-    def _draw(self, uniform=0):
+    def _draw(self, values=0):
         draws, uniforms = self.state
-        self.state = (draws + 1, uniforms + uniform)
+        self.state = (draws + 1, uniforms + values)
         return uniforms
 
     def standard_normal(self, shape):
         self._draw()
-        n = np.ravel(shape)[0]
-        return (np.eye(n) if np.prod(shape) == n * n else np.eye(n)[:, :1]).reshape(shape)
+        n, cols = shape[-2:]
+        return np.broadcast_to(np.eye(n)[:, :cols], shape).copy()
 
-    def uniform(self):
-        i = self._draw(uniform=1)
-        return 0.0 if i < len(self.pure) and self.pure[i] else 0.9
+    def uniform(self, size):
+        count = int(np.prod(size))
+        first = self._draw(values=count)
+        picked = [i < len(self.pure) and self.pure[i] for i in range(first, first + count)]
+        return np.where(picked, 0.0, 0.9).reshape(size)
 
     def integers(self, low, high=None, size=None):
         self._draw()
@@ -884,26 +935,30 @@ class ScriptedRng:
 
 
 REAL3 = geo.DensityMatrices("real", 3)
+REJECTED_S1 = [True] * (3 * (geo.MASS_ATTEMPTS - 1))  # every s1 row, MASS_ATTEMPTS - 1 times
 
 
 @pytest.mark.parametrize("space, pure, mass, same", [
     (SIMPLEX3, (), 0, 3 * geo.DISTINCT_ATTEMPTS),
     (REAL3, (), 0, 3 * geo.DISTINCT_ATTEMPTS),
-    (REAL3, [True] * (geo.MASS_ATTEMPTS - 1), geo.MASS_ATTEMPTS - 1, 3 * geo.DISTINCT_ATTEMPTS),
-    (REAL3, [False, True, True, False, True], 3, 3 * geo.DISTINCT_ATTEMPTS),
+    (REAL3, REJECTED_S1, len(REJECTED_S1), 3 * geo.DISTINCT_ATTEMPTS),
+    (REAL3, [False] * 3 + [True, False, True, True], 3, 3 * geo.DISTINCT_ATTEMPTS),
 ], ids=["simplex3-distinct-cap", "real3-distinct-cap", "real3-s1-mass", "real3-s2-mass"])
 def test_orthogonal_triples_follow_scripted_rejections(space, pure, mass, same):
-    """s2 = s1 at every try keeps the last s2; rejected masses in s1 and in s2 are drawn again."""
+    """s2 = s1 at every try keeps the last s2; rows of rejected mass in s1 and in s2 are drawn again
+    (in s2: rows 0 and 2, then row 0 again, each time as a stack of just those rows)."""
     retries = collections.Counter()
     assert_triples_match_reference(space, ScriptedRng(pure), ScriptedRng(pure), 3, retries)
     assert (retries["mass"], retries["same"]) == (mass, same)
 
 
-@pytest.mark.parametrize("pure", [[True] * geo.MASS_ATTEMPTS, [False] + [True] * geo.MASS_ATTEMPTS],
-                         ids=["s1", "s2"])
+@pytest.mark.parametrize("pure", [
+    [True, False, False] + [True] * (geo.MASS_ATTEMPTS - 1),  # s1 row 0 at every draw
+    [False] * 3 + [False, True, False] + [True] * (geo.MASS_ATTEMPTS - 1),  # s2 row 1 at every draw
+], ids=["s1", "s2"])
 def test_orthogonal_triples_give_up_like_the_loop(pure):
     with pytest.raises(RuntimeError, match="orthogonal complement"):
-        reference_orthogonal_triple(REAL3, ScriptedRng(pure))
+        reference_orthogonal_triples(REAL3, ScriptedRng(pure), 3)
     with pytest.raises(RuntimeError, match="orthogonal complement"):
         REAL3.orthogonal_triples(ScriptedRng(pure), 3)
 
@@ -1010,6 +1065,52 @@ def test_simplex_triples_keep_the_law_of_the_loop(n):
             harmonic = sum(1.0 / j for j in range(1, k + 1)) / k
             for top in (top_a, top_b):
                 assert abs(np.mean(top) - harmonic) <= 5.0 * np.std(top) / math.sqrt(top.size)
+
+
+@pytest.mark.parametrize("ring", ["real", "complex", "quaternion"])
+def test_density_triples_keep_the_law_of_the_loop(ring):
+    """The stacked draws (20 000 trials) against the per-trial loop (1 500), within 5 sigma, on n = 3.
+
+    Compared for s1 and for s2: the purity Tr(s^2) (the squared coordinate norm), the share of pure
+    states (a pure candidate stays pure when compressed, a density candidate is almost surely not)
+    and the mean of each diagonal entry; for s0, the mean of each diagonal entry.
+    """
+    space = geo.DensityMatrices(ring, 3)
+    got = space.orthogonal_triples(np.random.default_rng(31), 20_000)[:3]
+    rng = np.random.default_rng(32)
+    loop = [reference_density_triple_loop(space, rng) for _ in range(1_500)]
+    want = [np.array([trial[k].coords for trial in loop]) for k in range(3)]
+    diagonal = np.arange(3) * 4 * space.components_per_entry  # entry (i, i) starts at (3 i + i) * width
+    for k, (a, b) in enumerate(zip(got, want)):
+        for column in diagonal:
+            assert_same_mean(a[:, column], b[:, column])
+        if k:
+            purity_a, purity_b = np.sum(a ** 2, axis=1), np.sum(b ** 2, axis=1)
+            assert_same_mean(purity_a, purity_b)
+            assert_same_mean(purity_a > 1.0 - 1e-9, purity_b > 1.0 - 1e-9)
+            assert 0.3 < np.mean(purity_a > 1.0 - 1e-9) < 0.7
+
+
+POLYTOPES = {
+    "square": geo.unit_square(),
+    "hexagon": geo.Polytope(((0.0, 0.0), (2.0, -1.0), (4.0, 0.0), (5.0, 2.0), (2.0, 4.0), (-1.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("space", POLYTOPES.values(), ids=POLYTOPES.keys())
+def test_polytope_triples_keep_the_law_of_the_loop(space):
+    """The frequency of every (s0, s1, s2) vertex triple, stacked draws against the per-trial loop
+    (``choice`` of two partners), 20 000 trials each, within 5 sigma; the irregular hexagon's vertices
+    have 3, 4 and 5 orthogonal partners."""
+    vertices = space.vertex_array
+    rows = space.orthogonal_triples(np.random.default_rng(41), 20_000)[:3]
+    got = np.stack([np.argmax(np.all(r[:, None] == vertices[None], axis=-1), axis=1) for r in rows], axis=1)
+    rng = np.random.default_rng(42)
+    want = np.array([reference_polytope_triple_loop(space, rng) for _ in range(20_000)])
+    cells = set(map(tuple, want.tolist())) | set(map(tuple, got.tolist()))
+    assert len(cells) == sum(d * (d - 1) for d in np.sum(geo._polytope_geometry(space).graph, axis=1))
+    for cell in cells:
+        assert_same_mean(np.all(got == cell, axis=1), np.all(want == cell, axis=1))
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_divergence import assert_same_mean
 
 from spectral_cone import jordan, quaternion as quat
 from spectral_cone.errors import DomainError
@@ -70,13 +71,16 @@ def trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
 
 
 class SpinElement:
-    """Element (t, v) of the spin factor R + R^d, with eigenvalues t -+ |v|."""
+    """Element (t, v) of the spin factor R + R^d, with eigenvalues t -+ |v|.
+
+    |v| is the checker's Euclidean norm rule, ``np.linalg.norm`` along an axis (a sum of squares, where
+    ``np.linalg.norm`` of a whole vector takes a BLAS dot)."""
 
     def __init__(self, t, v):
         self.t, self.v = float(t), np.asarray(v, dtype=float)
 
     def eigenvalues(self) -> tuple:
-        r = float(np.linalg.norm(self.v))
+        r = float(np.linalg.norm(self.v, axis=-1))
         return self.t - r, self.t + r
 
     def norm(self) -> float:
@@ -100,10 +104,10 @@ def spin_second_trace_derivative(fn, a: SpinElement, b: SpinElement) -> float:
     |v + h u| has first derivative v.u / |v| and second (|u|^2 - (v.u / |v|)^2) / |v|;
     when |v| <= SPIN_DEGENERATE_TOL both eigenvalues are t and move at the rates s -+ |u|.
     """
-    r = float(np.linalg.norm(a.v))
+    r = float(np.linalg.norm(a.v, axis=-1))
     if r <= SPIN_DEGENERATE_TOL:
         fn.check_domain(np.array([a.t]))
-        un = float(np.linalg.norm(b.v))
+        un = float(np.linalg.norm(b.v, axis=-1))
         return float(fn.d2f(a.t) * ((b.t + un) ** 2 + (b.t - un) ** 2))
     lo, hi = a.eigenvalues()
     fn.check_domain(np.array([lo, hi]))
@@ -639,35 +643,58 @@ def test_check_concavity_witness_replays(algebra):
 # the stacked concavity checker against the per-trial loop
 # ---------------------------------------------------------------------------
 
-def reference_random_in_ball(rng, d):
-    v = rng.standard_normal(d)
-    norm = np.linalg.norm(v)
+def reference_in_ball(direction, radius):
+    """The point at radius along a normal draw's direction; the center for a zero draw."""
+    norm = np.linalg.norm(direction, axis=-1)
     if norm == 0.0:
-        return np.zeros(d)
-    return v / norm * rng.uniform() ** (1.0 / d)
+        return np.zeros(direction.size)
+    return direction / norm * radius
+
+
+def reference_spin_radii_loop(d, trials, rng):
+    """The per-trial draw loop that the stacked spin draws replaced, kept as the reference for their law:
+    normals for v, s and u, then for each ball point a direction and, unless it is zero, a uniform radius.
+    Returns the radii of the two points of every trial."""
+    radii = np.zeros((trials, 2))
+    for t in range(trials):
+        rng.standard_normal(2 * d + 1)
+        for k in range(2):
+            direction = rng.standard_normal(d)
+            if np.any(direction != 0.0):
+                radii[t, k] = rng.uniform() ** (1.0 / d)
+    return radii
 
 
 def reference_check_concavity(algebra, trials=200, seed=0, fd_step=1e-4, strictness=1e-10):
-    """Per-trial loop: seven single-matrix eigensolves (or spin closed forms) per trial."""
+    """Per-trial loop: seven single-matrix eigensolves (or spin closed forms) per trial.
+
+    A matrix trial draws its matrices in turn; spin trials take their rows
+    from two stacks, the normals of v, s, u and the two ball directions and,
+    from a spawned generator, the uniforms of the two radii, as the checker
+    draws them."""
     kind, n = jordan._parse_algebra(algebra)
     rng = np.random.default_rng(seed)
+    if kind == "spin":
+        normals, uniforms = rng.standard_normal((trials, 4 * n + 1)), rng.spawn(1)[0].uniform(size=(trials, 2))
     max_second = -math.inf
     max_rel_err = 0.0
     min_slack = math.inf
     witness = None
     for trial in range(trials):
         if kind == "spin":
-            v = rng.standard_normal(n) * 0.3
-            nv = float(np.linalg.norm(v))
+            row = normals[trial]
+            v = row[:n] * 0.3
+            nv = float(np.linalg.norm(v, axis=-1))
             if nv > 0.8:
                 v *= 0.8 / nv
             a = SpinElement(1.0, v)
-            b_raw = SpinElement(rng.standard_normal(), rng.standard_normal(n))
+            b_raw = SpinElement(row[n], row[n + 1 : 2 * n + 1])
             b = SpinElement(b_raw.t / b_raw.norm(), b_raw.v / b_raw.norm())
             d2 = spin_second_trace_derivative(NEG_XLOGX, a, b)
             g = lambda t: spin_trace_function(NEG_XLOGX, SpinElement(a.t + t * b.t, a.v + t * b.v))
-            s1 = SpinElement(0.5, reference_random_in_ball(rng, n) / 2.0)
-            s2 = SpinElement(0.5, reference_random_in_ball(rng, n) / 2.0)
+            radii = uniforms[trial] ** (1.0 / n)
+            s1 = SpinElement(0.5, reference_in_ball(row[2 * n + 1 : 3 * n + 1], radii[0]) / 2.0)
+            s2 = SpinElement(0.5, reference_in_ball(row[3 * n + 1 :], radii[1]) / 2.0)
             mid = SpinElement(0.5, (s1.v + s2.v) / 2.0)
             slack = spin_entropy(mid) - (spin_entropy(s1) + spin_entropy(s2)) / 2.0
         else:
@@ -762,11 +789,14 @@ class ZeroedNormals:
     def uniform(self, *args):
         return self.rng.uniform(*args)
 
+    def spawn(self, n):
+        return self.rng.spawn(n)
+
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_stacked_spin_concavity_matches_loop_on_zero_draws(monkeypatch, d):
     # trial 0 draws a = (1, 0) (the |v| <= 1e-14 branch) and a zero first ball direction
-    # (no radius drawn); both read positions of the one normal stream
+    # (the center, whatever its radius); both read positions of the one normal stack
     zeroed = [*range(d), *range(2 * d + 1, 3 * d + 1)]
     reports = []
     for check in (check_concavity, reference_check_concavity):
@@ -775,6 +805,24 @@ def test_stacked_spin_concavity_matches_loop_on_zero_draws(monkeypatch, d):
         monkeypatch.undo()
     assert reports[0] == reports[1]
     assert reports[0]["pass"]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_stacked_spin_radii_keep_the_law_of_the_loop(monkeypatch, d):
+    """The radii of the two ball points of the stacked draws against the per-trial loop, 20 000 trials
+    each, within 5 sigma: their mean, the share below 1/2 (2^-d, uniform in the ball) and the mean
+    radius^d (1/2).  The stacked radii are read off the midpoint entropies' spectra (1 -+ |x|) / 2."""
+    spectra = []
+    entropies = jordan.spectral_entropies
+    monkeypatch.setattr(jordan, "spectral_entropies", lambda w: spectra.append(w) or entropies(w))
+    check_concavity(("spin", d), trials=20_000, seed=21)
+    got = 2.0 * spectra[0][:, 1:, 1] - 1.0
+    want = reference_spin_radii_loop(d, 20_000, np.random.default_rng(22))
+    for k in range(2):
+        assert_same_mean(got[:, k], want[:, k])
+        assert_same_mean(got[:, k] < 0.5, want[:, k] < 0.5)
+        assert_same_mean(got[:, k] ** d, want[:, k] ** d)
+        assert abs(np.mean(got[:, k] < 0.5) - 0.5 ** d) <= 5.0 * math.sqrt(0.5 ** d * (1 - 0.5 ** d) / 20_000)
 
 
 def test_stacked_concavity_raises_where_the_loop_raises():

@@ -102,8 +102,8 @@ REFUSED = {
     "flat in 4-D": ([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]],
                     "vertex list is not full-dimensional"),
     "too many subsets": ([[math.cos(i), math.sin(i), (i % 7) / 7] for i in range(98)],
-                         "facet search supports at most 150000 vertex subsets, got 152096 (98 vertices in 3 "
-                         "dimensions)"),
+                         "facet search supports at most 450000 vertex subsets times dimension, got 456288 "
+                         "(152096 subsets of 98 vertices in 3 dimensions)"),
 }
 
 
@@ -117,6 +117,22 @@ def test_refused_vertex_lists_exit_1_with_one_line(capsys, name):
     if name != "too many subsets":  # qhull agrees on every list it can see
         oracle = qhull(np.array(verts, dtype=float))
         assert oracle is None if "full-dimensional" in message else oracle[0] < len(verts)
+
+
+def test_facet_search_cost_refused_before_any_svd(capsys, monkeypatch):
+    """19 points in 10-D are 92 378 subsets, under the 3-D subset count but 923 780 subset entries:
+    refused with one line before the first stacked SVD."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the facet search ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    verts = np.random.default_rng(5).standard_normal((19, 10))
+    space = json.dumps({"kind": "polytope", "vertices": verts.tolist()})
+    code = cli.main(["decompose", "--space", space, "--element", json.dumps([0.0] * 10)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: facet search supports at most 450000 vertex subsets times dimension, got 923780 "
+                            "(92378 subsets of 19 vertices in 10 dimensions)\n")
 
 
 # ---------------------------------------------------------------------------
