@@ -35,9 +35,9 @@ DEFAULT_SEED = 42
 _USAGE_ERRORS = (ValueError, KeyError, OSError)
 
 _SHORTHANDS = {
-    "square": lambda m: geo.unit_square(),
-    "disc": lambda m: geo.Ball(2),
-    "disk": lambda m: geo.Ball(2),
+    "square": geo.unit_square,
+    "disc": functools.partial(geo.Ball, 2),
+    "disk": functools.partial(geo.Ball, 2),
 }
 # name + size shorthands; --algebra takes the same form (jordan.ALGEBRA_PATTERN)
 _SIZED = {
@@ -62,7 +62,7 @@ def parse_space(text: str):
     if text.startswith("{") or text.startswith("@"):
         return geo.space_from_json(_load_json_arg(text))
     if text in _SHORTHANDS:
-        return _SHORTHANDS[text](None)
+        return _SHORTHANDS[text]()
     m = _SIZED_PATTERN.match(text)
     if m:
         return _SIZED[m.group(1)](int(m.group(2)))

@@ -228,7 +228,7 @@ def matrix_negentropy_divergence(space: "DensityMatrices") -> Divergence:
         supp = mu > ZERO_EIGENVALUE_TOL
         cross = np.sum(np.log(np.where(supp, mu, 1.0)) * mass, axis=-1)
         leak = np.sum(np.where(supp, 0.0, mass), axis=-1)
-        negentropy = -jordan.spectral_entropies(np.linalg.eigvalsh(rho)[..., :: space.mult])
+        negentropy = -jordan.spectral_entropies(jordan.ring_eigenvalues(np.linalg.eigvalsh(rho), space.mult))
         return np.where(leak > SUPPORT_LEAK_TOL, math.inf, negentropy - cross)
 
     return Divergence("matrix_negentropy", "builtin", array_rule=array_rule)

@@ -79,7 +79,7 @@ class _Geometry:
     * ``mutually_singular(s0, s1)``, (flag, witness) of two distinct states on the whole space; with
       ``orthogonality_witnesses(states)``, which tests each pair on its smallest face, the only two ways a
       geometry is asked whether states are orthogonal;
-    * ``rank``, ``smallest_face(states)``, ``random_state(rng)`` and ``random_pure_state(rng)``;
+    * ``rank``, ``smallest_face(states)`` and ``random_state(rng)``;
     * ``orthogonal_triples(rng, trials)``: (s0, s1, s2, vacuous), three (trials, coords_len) coordinate
       stacks with s0 pure and s1, s2 orthogonal to it, and a (trials,) flag that is true where s1 = s2
       because the space (or the polytope vertex) has fewer than three pairwise orthogonal states, so that
@@ -189,9 +189,6 @@ class Simplex(_Geometry):
 
     def random_state(self, rng: np.random.Generator) -> State:
         return State(self, rng.dirichlet(np.ones(self.n)))
-
-    def random_pure_state(self, rng: np.random.Generator) -> State:
-        return self.vertex_state(int(rng.integers(self.n)))
 
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
         """s0 a vertex; s1, s2 Dirichlet(1) points on random faces of the facet opposite it, drawn as stacks.
@@ -385,9 +382,6 @@ class Polytope(_Geometry):
         w = rng.dirichlet(np.ones(len(self.vertices)))
         return State(self, w @ self.vertex_array)
 
-    def random_pure_state(self, rng: np.random.Generator) -> State:
-        return self.vertex_state(int(rng.integers(len(self.vertices))))
-
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
         """s0 a random vertex; s1, s2 the first two vertices orthogonal to it in the order of uniform keys
         (both the one partner if it has one), drawn as stacks."""
@@ -473,10 +467,6 @@ class Ball(_Geometry):
         norm = float(np.linalg.norm(v))
         radius = rng.uniform() ** (1.0 / self.d)
         return State(self, (v / norm * radius) if norm > 0 else np.zeros(self.d))
-
-    def random_pure_state(self, rng: np.random.Generator) -> State:
-        v = rng.standard_normal(self.d)
-        return State(self, v / float(np.linalg.norm(v)))
 
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
         """s0 a random boundary point; s1 = s2 its antipode."""
@@ -593,7 +583,7 @@ class DensityMatrices(_Geometry):
         return coords
 
     def functional_range(self, a: AffineFunctional):
-        w = np.linalg.eigvalsh(self.forms(a.linear))[:: self.mult]
+        w = jordan.ring_eigenvalues(np.linalg.eigvalsh(self.forms(a.linear)), self.mult)
         return a.offset + float(w[0]), a.offset + float(w[-1])
 
     def _support(self, coords) -> np.ndarray:
@@ -661,10 +651,6 @@ class DensityMatrices(_Geometry):
 
     def random_state(self, rng: np.random.Generator) -> State:
         return self.state_from_matrix(jordan.random_density_matrix(self.ring, self.n, rng))
-
-    def random_pure_state(self, rng: np.random.Generator) -> State:
-        raw = jordan.gaussian_draws(self.ring, self.n, rng, cols=1)
-        return State(self, self._rows(jordan.ring_entries(self.ring, jordan.pure_matrices(self.ring, raw))))
 
     def orthogonal_triples(self, rng: np.random.Generator, trials: int):
         """s0 a random pure state; s1, s2 random states pinched into the complement of its support, drawn as stacks.
@@ -824,7 +810,7 @@ def _merge_pair(i: int, j: int, alpha: float) -> ChannelPair:
 
 def _unitary_conjugation_pair(space: DensityMatrices, rng: np.random.Generator, pinch: bool) -> ChannelPair:
     n = space.n
-    u = jordan.complex_forms(space.ring, jordan.random_unitary(space.ring, n, rng))
+    u = jordan.random_unitary(space.ring, n, rng)
     u_star = np.conj(u.T)
     side = np.arange(n) < n // 2
     # coordinate mask of the two diagonal blocks of the pinch

@@ -10,7 +10,9 @@ concavity of entropy.
 Every computation runs on the complex form of a matrix: real matrices are
 complex matrices with zero imaginary part, and quaternionic matrices go
 through the complex embedding, where each eigenvalue appears twice.
-Eigendecompositions are LAPACK heevd (numpy.linalg.eigh) on that form.
+Eigendecompositions are LAPACK heevd (numpy.linalg.eigh) on that form;
+:func:`ring_eigenvalues` reads the ring's eigenvalues off it (every
+multiplicity-th one), and :func:`cluster_means` is the one cluster-mean rule.
 
 The ring layer is the one place that knows a ring: each entry component's
 sign under conjugation (and so the entry width), the multiplicity of
@@ -23,12 +25,13 @@ coordinate rows to entries and calls the ring layer on whole stacks.
 
 Random positive matrices come from one density kernel over stacks of ring
 data, :func:`positive_matrices`; the single-matrix samplers call it on one
-draw and :func:`check_concavity` on all its trials at once.  The concavity
-checker draws every trial first, as stacks, and evaluates them as stacked
-arrays: one ``eigh`` of all the ``a`` for the second derivatives (the
-Daleckii-Krein form coeff * |V* B V|^2), stacked ``eigvalsh`` calls for the
-finite differences and midpoint entropies, and array closed forms on the
-spin factor.
+draw and :func:`check_concavity` on all its trials at once; a random
+unitary is the polar factor of a Gaussian draw's complex form, one rule on
+every ring.  The concavity checker draws every trial first, as stacks, and
+evaluates them as stacked arrays: one ``eigh`` of all the ``a`` for the
+second derivatives (the Daleckii-Krein form coeff * |V* B V|^2), stacked
+``eigvalsh`` calls for the finite differences and midpoint entropies, and
+array closed forms on the spin factor.
 """
 
 from __future__ import annotations
@@ -294,7 +297,8 @@ def eigen_hermitian(m: HermitianMatrix) -> EigenDecomposition:
     groups = cluster_indices(w)
     if any(len(g) % m.mult for g in groups):
         raise RuntimeError("embedded quaternionic eigenvalues must pair up")
-    return EigenDecomposition(m.ring, tuple(float(np.mean(w[g])) for g in groups),
+    means = cluster_means(w)
+    return EigenDecomposition(m.ring, tuple(float(means[g[0]]) for g in groups),
                               tuple(len(g) // m.mult for g in groups),
                               tuple(from_form(m.ring, v[:, g] @ np.conj(v[:, g].T)) for g in groups))
 
@@ -306,15 +310,9 @@ def rank_one_components(m: HermitianMatrix) -> list:
 
 
 def ring_eigenvalues(w: np.ndarray, mult: int = 1) -> np.ndarray:
-    """Ring eigenvalues (..., m // mult) of ascending ``eigh`` stacks w (..., m); quaternionic ones (mult 2),
-    whose complex eigenvalues come in pairs, are each cluster's mean once per pair."""
-    if mult == 1:
-        return w
-    clusters = [(row, g) for row in np.ndindex(w.shape[:-1]) for g in cluster_indices(w[row])]
-    if any(len(g) % 2 for _, g in clusters):
-        raise RuntimeError("embedded quaternionic eigenvalues must pair up")
-    t = [np.mean(w[row][g]) for row, g in clusters for _ in range(len(g) // 2)]
-    return np.reshape(t, (*w.shape[:-1], w.shape[-1] // 2))
+    """Ring eigenvalues (..., m // mult) of ascending eigenvalue stacks w (..., m) of complex forms: every
+    mult-th one, since each ring eigenvalue appears mult times (twice over the quaternions)."""
+    return w[..., ::mult]
 
 
 def rank_one_forms(w: np.ndarray, v: np.ndarray, mult: int = 1):
@@ -323,7 +321,8 @@ def rank_one_forms(w: np.ndarray, v: np.ndarray, mult: int = 1):
     w (..., m), v (..., m, m) are eigenpairs of Hermitian complex forms; mult
     is 2 for quaternionic matrices, whose rank-one idempotents have rank-two
     forms, built one cluster at a time from an eigenvector and its structure
-    partner (see ``ring_eigenvalues``).  Within each eigenvalue cluster the
+    partner (a cluster of odd size raises RuntimeError).  The eigenvalues
+    are ``ring_eigenvalues(w, mult)``.  Within each eigenvalue cluster the
     idempotents are pairwise orthogonal.
     """
     t = ring_eigenvalues(w, mult)
@@ -332,6 +331,8 @@ def rank_one_forms(w: np.ndarray, v: np.ndarray, mult: int = 1):
     forms = []
     for row in np.ndindex(w.shape[:-1]):
         for g in cluster_indices(w[row]):
+            if len(g) % 2:
+                raise RuntimeError("embedded quaternionic eigenvalues must pair up")
             cols = v[row][:, g]
             proj = cols @ np.conj(cols.T)
             for _ in range(len(g) // 2):
@@ -345,7 +346,7 @@ def rank_one_forms(w: np.ndarray, v: np.ndarray, mult: int = 1):
 
 def eigenvalues_of(m: HermitianMatrix) -> np.ndarray:
     """Ring eigenvalues in ascending order (deduplicated for quaternions)."""
-    return np.linalg.eigvalsh(m.to_complex())[:: m.mult]
+    return ring_eigenvalues(np.linalg.eigvalsh(m.to_complex()), m.mult)
 
 
 # ---------------------------------------------------------------------------
@@ -497,34 +498,12 @@ def gaussian_draws(ring: str, n: int, rng: np.random.Generator, lead: tuple = ()
 
 
 def random_unitary(ring: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Ring data (n, n), or (n, n, 4) over the quaternions, of a random unitary.
-
-    Over the real and complex rings, the Q factor of a Gaussian draw with the
-    phases of R's diagonal moved into it; over the quaternions, unit-quaternion
-    phases on the diagonal composed with 2n Givens-like rotations.
-    """
-    if ring == "real":
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        return q * np.sign(np.diag(r))
-    if ring == "complex":
-        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return q * np.exp(-1j * np.angle(np.diag(r)))
-    u = np.zeros((n, n, 4))
-    phases = rng.standard_normal((n, 4))
-    phases /= np.linalg.norm(phases, axis=1, keepdims=True)
-    u[np.arange(n), np.arange(n)] = phases
-    for _ in range(2 * n if n > 1 else 0):  # a 1x1 unitary is its phase alone
-        i, j = rng.choice(n, size=2, replace=False)
-        theta = rng.uniform(0, 2 * np.pi)
-        c, s = math.cos(theta), math.sin(theta)
-        qph = rng.standard_normal(4)
-        qph /= np.linalg.norm(qph)
-        g = _identity_data(ring, n)
-        g[i, i] = g[j, j] = c * quat.ONE
-        g[i, j] = s * qph
-        g[j, i] = -s * quat.qconj(qph)
-        u = quat.qmat_mul(u, g)
-    return u
+    """Complex form (m, m) of a Haar-random unitary over the ring: the polar factor a b of the SVD a s b
+    of a Gaussian draw's form, Haar on O(n), U(n) and Sp(n) alike (Mezzadri, Notices AMS 54, 2007) and in
+    the ring's image, the embedding being a *-homomorphism.  Unlike g (g* g)^(-1/2) through an ``eigh``
+    of g* g, whose error grows with the square of g's condition, it is unitary to rounding."""
+    a, _, b = np.linalg.svd(complex_forms(ring, gaussian_draws(ring, n, rng)))
+    return a @ b
 
 
 def positive_matrices(ring: str, raw: np.ndarray, floor: float = 0.0,
@@ -555,7 +534,7 @@ def pure_matrices(ring: str, raw: np.ndarray) -> np.ndarray:
     computed as it would be alone.
     """
     if ring == "quaternion":
-        sq = np.sum((raw ** 2).reshape(*raw.shape[:-3], -1), axis=-1)[..., None, None, None]
+        sq = np.sum(raw ** 2, axis=(-3, -2, -1))[..., None, None, None]
         v = raw / np.sqrt(sq)
         return _hermitian_data(ring, quat.qmat_mul(v, _conj_transpose(ring, v)))
     sq = np.swapaxes(raw.real, -1, -2) @ raw.real
@@ -673,9 +652,9 @@ def _matrix_concavity_terms(ring: str, n: int, trials: int, rng: np.random.Gener
     mult = multiplicity(ring)
     w, v = np.linalg.eigh(complex_forms(ring, a))
     points = a[:, None] + _per_matrix(np.broadcast_to(steps, (trials, 3)), b[:, None])
-    pw = np.linalg.eigvalsh(complex_forms(ring, points))[..., ::mult]
+    pw = ring_eigenvalues(np.linalg.eigvalsh(complex_forms(ring, points)), mult)
     states = np.stack([0.5 * (s[:, 0] + s[:, 1]), s[:, 0], s[:, 1]], axis=1)
-    sw = np.linalg.eigvalsh(complex_forms(ring, states))[..., ::mult]
+    sw = ring_eigenvalues(np.linalg.eigvalsh(complex_forms(ring, states)), mult)
     _raise_first_domain_error((w[:, None], NEG_XLOGX.outside(w)[:, None], NEG_XLOGX.check_domain),
                               (sw, _negative_spectra(sw), spectral_entropies),
                               (pw, NEG_XLOGX.outside(pw), NEG_XLOGX.check_domain))

@@ -17,21 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-ONE = np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def qarray(values) -> np.ndarray:
     """Coerce to a float array whose last axis has length 4."""
     arr = np.asarray(values, dtype=float)
     if arr.shape[-1] != 4:
         raise ValueError(f"quaternion components must come in 4-tuples, got shape {arr.shape}")
     return arr
-
-
-def qconj(p) -> np.ndarray:
-    out = np.array(p, dtype=float)
-    out[..., 1:] = -out[..., 1:]
-    return out
 
 
 def qmat_mul(a, b) -> np.ndarray:

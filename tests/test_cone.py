@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from test_geometries import pure_states
 
 import spectral_cone as sc
 from spectral_cone import cone
@@ -56,7 +57,7 @@ def test_mix_rejects_bad_weights():
 def test_mix_coords_matches_mix(space):
     rng = np.random.default_rng(4)
     a = [geo.random_state(space, rng) for _ in range(6)]
-    b = [space.random_pure_state(rng) for _ in range(6)]
+    b = pure_states(space, rng, 6)
     t = np.array([0.0, 0.1, 0.5, 0.9, 1.0])[:, None, None]
     rows = cone.mix_coords(space, t, np.array([s.coords for s in a]), np.array([s.coords for s in b]))
     assert rows.shape == (5, 6, space.coords_len)

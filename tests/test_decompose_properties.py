@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from test_geometries import DENSITY_IDS, DENSITY_SPACES, PROPERTIES
+from test_geometries import DENSITY_IDS, DENSITY_SPACES, PROPERTIES, pure_states
 from test_polygons import SQUARE, convex_polygons, polytope
 
 import spectral_cone as sc
@@ -40,7 +40,7 @@ def elements(draw, space):
         i = draw(st.integers(0, len(space.vertices) - 1))
         pure = [space.vertex_state(i), space.vertex_state((i + 1) % len(space.vertices))]
     else:
-        pure = [space.random_pure_state(rng) for _ in range(draw(st.integers(1, space.dim + 1)))]
+        pure = pure_states(space, rng, draw(st.integers(1, space.dim + 1)))
     weights = np.array(draw(st.lists(WEIGHTS, min_size=len(pure), max_size=len(pure))))
     assume(np.sum(weights) > 0)
     coords = weights / np.sum(weights) @ np.array([s.coords for s in pure])
@@ -104,7 +104,7 @@ def test_property_orthogonality_is_symmetric_with_a_test_witness(space, seed, da
         s0, s1 = (sc.State(space, weights[part] / np.sum(weights[part]) @ coords[part]) for part in (side, ~side))
         assert orthogonal_both_ways(space, s0, s1)
     # a pure state against random states, mixed and pure, and the state against itself
-    pure = space.random_pure_state(rng)
-    for other in (x, space.random_state(rng), space.random_pure_state(rng), pure):
+    pure, other_pure = pure_states(space, rng, 2)
+    for other in (x, space.random_state(rng), other_pure, pure):
         orthogonal_both_ways(space, pure, other)
     assert not orthogonal_both_ways(space, x, x)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_geometries import pure_states
 from test_polygons import PROPERTIES, SQUARE, convex_polygons, polytope, regular_polygon
 
 import spectral_cone as sc
@@ -89,7 +90,7 @@ def rank_deficient(space, rng) -> np.ndarray:
 
 
 ELEMENTS = {
-    "pure": lambda space, rng: space.random_pure_state(rng).coords,
+    "pure": lambda space, rng: pure_states(space, rng, 1)[0].coords,
     "maximally-mixed": lambda space, rng: space.barycenter_coords(),
     "repeated-eigenvalues": repeated_eigenvalues,
     "rank-deficient": rank_deficient,
@@ -116,7 +117,7 @@ def test_witnesses_match_pairwise_on_any_states(space):
     pure = [sc.State(space, from_form(space, v[:, i:i + k] @ v[:, i:i + k].conj().T))
             for i in range(0, v.shape[1], k)]
     mixed = [space.random_state(rng) for _ in range(3)]
-    states = [pure[0], mixed[0], pure[-1], mixed[0], space.random_pure_state(rng), *pure[1:], *mixed[1:],
+    states = [pure[0], mixed[0], pure[-1], mixed[0], *pure_states(space, rng, 1), *pure[1:], *mixed[1:],
               sc.State(space, rank_deficient(space, rng)), sc.State(space, space.barycenter_coords())]
     want = reference_witnesses(space, states)
     assert_same_witnesses(space.orthogonality_witnesses(states), want)
@@ -131,14 +132,14 @@ def test_witnesses_match_pairwise_on_any_states(space):
                          ids=["simplex3", "disc", "spin3", "square", "cube"])
 def test_other_geometries_keep_the_pairwise_witnesses(space):
     rng = np.random.default_rng(151)
-    states = [space.random_pure_state(rng) for _ in range(3)] + [space.random_state(rng)]
+    states = pure_states(space, rng, 3) + [space.random_state(rng)]
     assert_same_witnesses(space.orthogonality_witnesses(states), reference_witnesses(space, states))
 
 
 def test_fewer_than_two_states_have_no_witnesses():
     space = geo.DensityMatrices("complex", 3)
     assert space.orthogonality_witnesses([]) == ()
-    assert space.orthogonality_witnesses([space.random_pure_state(np.random.default_rng(0))]) == ()
+    assert space.orthogonality_witnesses(pure_states(space, np.random.default_rng(0), 1)) == ()
 
 
 # ---------------------------------------------------------------------------

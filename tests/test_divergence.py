@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from test_geometries import pure_states
 
 import spectral_cone as sc
 from spectral_cone import divergence as dv
@@ -477,7 +478,7 @@ def reference_pure_density(ring, raw):
     """Rank-one density matrix of one raw column draw, (n, 1) or (n, 1, 4), normalised by np.linalg.norm."""
     if ring == "quaternion":
         v = raw / math.sqrt(float(np.sum(raw ** 2)))
-        outer = sc.quaternion.qmat_mul(v, sc.quaternion.qconj(np.swapaxes(v, 0, 1)))
+        outer = sc.quaternion.qmat_mul(v, np.swapaxes(v, 0, 1) * [1.0, -1.0, -1.0, -1.0])
         return sc.jordan.hermitian_part("quaternion", outer)
     v = raw[:, 0] / np.linalg.norm(raw[:, 0])
     return sc.jordan.hermitian_part(ring, np.outer(v, np.conj(v)))
@@ -817,7 +818,7 @@ def test_matrix_negentropy_values_match_reference_rows(ring):
     space = geo.DensityMatrices(ring, 3)
     rng = np.random.default_rng(31)
     mixed = [geo.random_state(space, rng) for _ in range(8)]
-    pure = [space.random_pure_state(rng) for _ in range(8)]
+    pure = pure_states(space, rng, 8)
     rank2 = [sc.mix([0.5, 0.5], pure[i:i + 2]) for i in range(0, 8, 2)]
     rows = np.array([s.coords for s in mixed + pure + rank2 + mixed[:4]])
     p, q = rows.reshape(4, 6, -1), rows[::-1].reshape(4, 6, -1)

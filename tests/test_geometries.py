@@ -19,6 +19,15 @@ DISC = geo.Ball(2)
 QUBITS = geo.DensityMatrices("complex", 2)
 
 
+def pure_states(space, rng, k: int) -> list:
+    """k random pure states: the s0 rows of the locality sampler, which draws a uniform vertex, a normalised
+    Gaussian or a pure-density kernel draw, by the space.  A space of dimension 0 has one state, which is
+    pure and which the sampler cannot pair with an orthogonal one; there they are random states."""
+    if space.dim == 0:
+        return [space.random_state(rng) for _ in range(k)]
+    return [sc.State(space, c) for c in space.orthogonal_triples(rng, k)[0]]
+
+
 def qubit_state(matrix) -> sc.State:
     return QUBITS.state_from_matrix(sc.HermitianMatrix("complex", np.asarray(matrix, dtype=complex)))
 
@@ -127,8 +136,7 @@ def test_orthogonality_symmetric():
     rng = np.random.default_rng(3)
     for space in (SQUARE, SIMPLEX3, QUBITS):
         for _ in range(10):
-            a = space.random_pure_state(rng)
-            b = space.random_pure_state(rng)
+            a, b = pure_states(space, rng, 2)
             assert geo.orthogonal(a, b) == geo.orthogonal(b, a)
 
 
@@ -137,7 +145,7 @@ def test_density_orthogonality_matches_numpy_support_oracle():
     rng = np.random.default_rng(4)
     for _ in range(25):
         a = geo.random_state(QUBITS, rng)
-        b = QUBITS.random_pure_state(rng)
+        (b,) = pure_states(QUBITS, rng, 1)
         ours = geo.orthogonal(a, b)
         ma = QUBITS.state_matrix(a).data
         mb = QUBITS.state_matrix(b).data
@@ -382,7 +390,7 @@ def test_random_samplers_produce_members():
         for _ in range(10):
             s = geo.random_state(space, rng)
             assert space.contains_state(s.coords)
-            p = space.random_pure_state(rng)
+            (p,) = pure_states(space, rng, 1)
             assert space.contains_state(p.coords)
 
 
@@ -433,7 +441,7 @@ def reference_density_member(space, coords, tol):
 def test_stacked_contains_state_matches_rows(space):
     rng = np.random.default_rng(12)
     base = [geo.random_state(space, rng).coords for _ in range(20)]
-    base += [space.random_pure_state(rng).coords for _ in range(20)]
+    base += [s.coords for s in pure_states(space, rng, 20)]
     # straddle both tolerances below, and leave the space by far
     noise = rng.standard_normal((3, len(base), space.coords_len)) * np.array([1e-13, 1e-10, 0.3])[:, None, None]
     points = np.array(base)[None, :, :] + noise
@@ -561,7 +569,8 @@ def test_entropy_follows_the_zero_eigenvalue_rule_of_von_neumann_entropy(ring, n
     Clipping at 0 instead kept the ~1e-17 eigenvalues of pure states, about 1e-14 off.
     """
     space, rng = geo.DensityMatrices(ring, n), np.random.default_rng(n)
-    states = [space.random_pure_state(rng) if k % 2 else space.random_state(rng) for k in range(300)]
+    pure = pure_states(space, rng, 150)
+    states = [pure[k // 2] if k % 2 else space.random_state(rng) for k in range(300)]
     coords = np.array([s.coords for s in states])
     for total in (1.0, 0.3, 2.7):
         want = [sc.von_neumann_entropy(space.state_matrix(s).scale(total)) for s in states]
@@ -579,7 +588,7 @@ def spectrum_rows(space, rng):
     zeroed[rng.integers(n)] = 0.0 if n > 1 else zeroed[0]
     spectra = [rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n), np.eye(n)[0], np.eye(n)[0] / 2 + np.eye(n)[-1] / 2,
                zeroed / np.sum(zeroed)]
-    states = [space.random_state(rng).coords for _ in range(4)] + [space.random_pure_state(rng).coords]
+    states = [space.random_state(rng).coords for _ in range(4)] + [pure_states(space, rng, 1)[0].coords]
     return np.concatenate([np.array(spectra) @ comps[0], states])
 
 

@@ -132,7 +132,7 @@ def test_quaternion_units():
     k = np.array([0.0, 0.0, 0.0, 1.0])
     np.testing.assert_allclose(qmul(i, j), k, atol=0)
     np.testing.assert_allclose(qmul(j, i), -k, atol=0)
-    np.testing.assert_allclose(qmul(i, i), -quat.ONE, atol=0)
+    np.testing.assert_allclose(qmul(i, i), [-1.0, 0.0, 0.0, 0.0], atol=0)
     np.testing.assert_allclose(qmul(j, k), i, atol=0)
     np.testing.assert_allclose(qmul(k, i), j, atol=0)
 
@@ -171,7 +171,7 @@ def test_embedding_is_ring_homomorphism():
     signed = np.where(rng.uniform(size=a.shape) < 0.5, np.copysign(0.0, a), a)
     assert quat.from_complex(quat.to_complex(signed)).tobytes() == signed.tobytes()
     np.testing.assert_allclose(
-        quat.to_complex(quat.qconj(np.swapaxes(a, 0, 1))),
+        quat.to_complex(np.swapaxes(a, 0, 1) * [1.0, -1.0, -1.0, -1.0]),
         quat.to_complex(a).conj().T,
         atol=0,
     )
@@ -411,6 +411,29 @@ def test_rank_one_components_degenerate_spectrum():
             assert abs(trace(e) - 1.0) <= 1e-9
             acc = acc + e.scale(t)
         assert (acc - rebuilt).frobenius_norm() <= 1e-9
+
+
+# one quaternion2 cluster of four complex eigenvalues: its left-to-right mean is 0.4999999999999999, where a
+# per-cluster np.mean gives 0.4999999999999998
+QUATERNION2_CLUSTER = np.array([0.49999999999999944, 0.49999999999999967, 0.5000000000000001, 0.5000000000000001])
+
+
+def test_eigen_hermitian_takes_cluster_means_bit_for_bit(monkeypatch):
+    """Each eigenvalue of eigen_hermitian is cluster_means at its cluster's start, the rule of the support
+    projections and the second trace derivatives, on random spectra and on spectra with repeated values."""
+    rng = np.random.default_rng(10)
+    for ring in RINGS:
+        mult = jordan.multiplicity(ring)
+        for values in ([0.2, 0.2, 0.6], [0.25, 0.25, 0.25, 0.25], [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]):
+            u = jordan.random_unitary(ring, len(values), rng)
+            repeated = jordan.from_form(ring, u @ np.diag(np.repeat(values, mult)) @ np.conj(u.T))
+            for m in (repeated, jordan.random_hermitian(ring, len(values), rng)):
+                w = np.linalg.eigh(m.to_complex())[0]
+                starts = [g[0] for g in jordan.cluster_indices(w)]
+                assert np.array(eigen_hermitian(m).eigenvalues).tobytes() == jordan.cluster_means(w)[starts].tobytes()
+    monkeypatch.setattr(np.linalg, "eigh", lambda z: (QUATERNION2_CLUSTER, np.eye(4, dtype=complex)))
+    dec = eigen_hermitian(HermitianMatrix.identity("quaternion", 2).scale(0.5))
+    assert dec.eigenvalues == (0.4999999999999999,) and dec.multiplicities == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +911,44 @@ def test_property_density_kernel_stack_equals_rows_bit_for_bit(ring, n, k, seed,
     rng = np.random.default_rng(seed)
     assert positive.tobytes() == np.array([reference_positive_definite(ring, n, rng, floor).data
                                            for _ in range(k)]).tobytes()
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_pure_kernel_takes_an_empty_stack(ring):
+    raw = jordan.gaussian_draws(ring, 3, np.random.default_rng(0), (0,), cols=1)
+    assert jordan.pure_matrices(ring, raw).shape == ((0, 3, 3, 4) if ring == "quaternion" else (0, 3, 3))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_random_unitary_is_a_unitary_form_over_the_ring(ring):
+    """A complex form u u* = I, in the image of the ring: real, or fixed by the quaternion round trip."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 5):
+        u = jordan.random_unitary(ring, n, rng)
+        m = n * jordan.multiplicity(ring)
+        assert u.shape == (m, m)
+        np.testing.assert_allclose(u @ np.conj(u.T), np.eye(m), rtol=0, atol=1e-14)
+        if ring == "real":
+            np.testing.assert_allclose(u.imag, 0.0, rtol=0, atol=1e-15)
+        if ring == "quaternion":
+            np.testing.assert_allclose(quat.to_complex(quat.from_complex(u)), u, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_unitary_first_entry_has_the_haar_mean(ring, n):
+    """Over 4 000 draws the mean of |u_00|^2 is 1/m for the m x m form and that of u_00 is 0, within 5 sigma
+    (and rounding).
+
+    A Haar column of the ring matrix is uniform on the unit sphere of its n k real components (k = 1, 2, 4
+    the entry width), and |u_00|^2 sums 1, 2 and 2 of them on the reals, complexes and quaternions: mean
+    1/n, 1/n and 1/(2n), which is 1/m.  Each component is as likely to be negative as positive.
+    """
+    rng = np.random.default_rng(12)
+    m = n * jordan.multiplicity(ring)
+    u00 = np.array([jordan.random_unitary(ring, n, rng)[0, 0] for _ in range(4000)])
+    for values, mean in ((np.abs(u00) ** 2, 1.0 / m), (u00.real, 0.0), (u00.imag, 0.0)):
+        assert abs(np.mean(values) - mean) <= 5.0 * np.std(values) / math.sqrt(values.size) + 1e-15
 
 
 def test_von_neumann_entropy_matches_numpy():
