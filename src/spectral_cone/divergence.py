@@ -148,7 +148,7 @@ class Divergence:
     """Evaluation rule D(s1, s2) >= 0 with provenance and domain flags.
 
     ``rule`` maps two States to a value.  The builtin divergences give
-    ``array_rule`` instead: it maps two equal-shape (..., coords_len)
+    ``array_rule`` instead: it maps two broadcastable (..., coords_len)
     coordinate arrays to the value of every row pair, and their scalar call
     evaluates one row of it.
     """
@@ -166,10 +166,11 @@ class Divergence:
         return float(self.array_rule(s1.coords, s2.coords))
 
     def values(self, space, p, q) -> np.ndarray:
-        """D between the rows of two broadcastable (..., coords_len) state arrays of a space."""
-        p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+        """D between the rows of two broadcastable (..., coords_len) state arrays; an array rule gets them as given."""
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
         if self.array_rule is not None:
-            return self.array_rule(p, q)
+            return np.broadcast_to(self.array_rule(p, q), np.broadcast_shapes(p.shape, q.shape)[:-1])
+        p, q = np.broadcast_arrays(p, q)
         rows = zip(p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]))
         out = [self.rule(State(space, a), State(space, b)) for a, b in rows]
         return np.array(out, dtype=float).reshape(p.shape[:-1])

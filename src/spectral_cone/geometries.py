@@ -26,12 +26,14 @@ by every geometry and call those methods.
 
 No geometry uses scipy.  A polygon takes its facets from Andrew's monotone
 chain, and its orthogonality graph and every witness from one closed-form
-interval test; a polytope of dimension 3 or more takes its facets from its
-vertex m-subsets, and it and a segment each witness from a phase-1 simplex.
-Two bounded LRU caches hold the polytope machinery: one record per polytope
-of everything derived from its vertices (``_polytope_geometry``, at most
-``POLYTOPE_CACHE_SIZE``), and the witness memo, one witness per polytope and
-ordered pair of states (``_face_witness``, at most ``WITNESS_CACHE_SIZE``).
+interval test (run once on all its ordered vertex pairs for the graph and
+the witnesses between vertices); a polytope of dimension 3 or more takes its
+facets from its vertex m-subsets, and it and a segment each witness from a
+phase-1 simplex.  Two bounded LRU caches hold the polytope machinery: one
+record per polytope of everything derived from its vertices, built in
+stacked passes (``_polytope_geometry``, at most ``POLYTOPE_CACHE_SIZE``),
+and the witness memo, one witness per polytope and ordered pair of states
+(``_face_witness``, at most ``WITNESS_CACHE_SIZE``).
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ from .cone import AffineFunctional, ConeElement, State, require_space, require_s
 from .decomposition import OrthogonalDecomposition, Spectrum, maximal_spectra, weights_entropy
 from .errors import ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError, PreconditionError
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPLEMENT_MASS_MIN,
-                         DISTINCT_STATE_TOL, FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL,
+                         DISTINCT_STATE_TOL, FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL, PINV_RCOND,
                          RECONSTRUCTION_TOL, SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS,
                          WEIGHT_DROP_TOL, WITNESS_FEASIBILITY_TOL, ZERO_EIGENVALUE_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
 MAX_FACET_COST = 450_000  # vertex m-subsets times m that the facet search of a polytope in m >= 3 dimensions may test
-POLYTOPE_CACHE_SIZE = 64  # polytope records (facets, vertex states, orthogonality graph, clique systems) kept
+POLYTOPE_CACHE_SIZE = 64  # polytope records (everything derived from the vertices) kept
 WITNESS_CACHE_SIZE = 4096  # (polytope, ordered state pair) witness programs kept solved
 FAMILY_GRID_POINTS = 10
 POINT_BLOCK = 4096  # points per stacked clique solve, or vertex subsets times dimension per facet-search SVD
@@ -659,11 +661,14 @@ class DensityMatrices(_Geometry):
         the pure draw where its uniform is below 1/2 and the density draw otherwise, compressed by the
         complement projection of s0 and renormalised.  The rows of mass at most COMPLEMENT_MASS_MIN are
         drawn again as one stack of just those rows, MASS_ATTEMPTS draws in all before RuntimeError; for
-        n >= 3 s2 is redrawn by ``_redraw_equal_rows``.
+        n >= 3 s2 is redrawn by ``_redraw_equal_rows``.  At n = 1 the complement is 0, and every triple is
+        the vacuous (s0, s0, s0), as on ``Simplex(1)``.
         """
         ring, n = self.ring, self.n
         s0 = self._rows(jordan.ring_entries(ring, jordan.pure_matrices(
             ring, jordan.gaussian_draws(ring, n, rng, (trials,), cols=1))))
+        if n == 1:
+            return s0, s0, s0, np.ones(trials, dtype=bool)
         comp = np.eye(n * self.mult) - self._support(s0)
 
         def complement_states(rows):
@@ -854,9 +859,9 @@ class _PolytopeGeometry:
     """Everything derived from a polytope's vertices: one record per polytope (``_polytope_geometry``).
 
     The facets are found when the record is built, which validates the vertex list; the vertex
-    States, the orthogonality graph and the clique systems are built on first use.  A polytope
-    looks its record up instead of holding it, so the witness memo, whose keys hold polytopes,
-    keeps no evicted record alive; an equal polytope parsed again shares the record.
+    States, a polygon's vertex-pair tests, the orthogonality graph and the clique systems are built
+    on first use.  A polytope looks its record up instead of holding it, so the witness memo, whose
+    keys hold polytopes, keeps no evicted record alive; an equal polytope parsed again shares the record.
     """
 
     def __init__(self, space: Polytope):
@@ -888,12 +893,24 @@ class _PolytopeGeometry:
         return tuple(State._trusted(self.space, np.array(v)) for v in self.space.vertices)
 
     @cached_property
+    def vertex_index(self) -> dict:
+        """The index of each vertex, keyed by the bytes of its coordinates."""
+        return {v.tobytes(): i for i, v in enumerate(self.vertex_array)}
+
+    @cached_property
+    def vertex_pairs(self) -> tuple:
+        """(found, t) of ``_polygon_orthogonal`` on every ordered vertex pair (i, j) of a polygon, as (nv, nv)."""
+        verts, nv = self.vertex_array, len(self.vertex_array)
+        i, j = np.divmod(np.arange(nv * nv), nv)
+        return tuple(a.reshape(nv, nv) for a in _polygon_orthogonal(self, verts[i], verts[j]))
+
+    @cached_property
     def graph(self) -> np.ndarray:
         """The orthogonality graph of the vertices, as a read-only boolean adjacency matrix."""
-        verts, nv = self.vertex_array, len(self.vertex_array)
+        nv = len(self.vertex_array)
         adj, (i, j) = np.zeros((nv, nv), dtype=bool), np.triu_indices(nv, 1)
         if self.space.dim == 2:
-            adj[i, j] = adj[j, i] = _polygon_orthogonal(self, verts[i], verts[j])[0]
+            adj[i, j] = adj[j, i] = self.vertex_pairs[0][i, j]
         else:
             adj[i, j] = adj[j, i] = [orthogonal(self.vertex_states[a], self.vertex_states[b]) for a, b in zip(i, j)]
         adj.setflags(write=False)
@@ -904,21 +921,25 @@ class _PolytopeGeometry:
         """(determined, underdetermined) weight systems of the pairwise-orthogonal vertex subsets (cliques).
 
         A clique's system is its vertex columns over a row of ones, (m+1, k); the cliques of one size are
-        factored as one stack, by one ``matrix_rank`` and one ``pinv`` call.  determined holds per size, in
-        clique order, (idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of the cliques of full column
-        rank; underdetermined the index tuples of the others, in clique order.
+        factored as one stack by one thin SVD, which gives both the rank (singular values above
+        CLIQUE_RANK_TOL) and, as ``np.linalg.pinv`` computes it, the pseudo-inverse of the full-rank ones.
+        determined holds per size, in clique order, (idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of
+        the cliques of full column rank; underdetermined the index tuples of the others, in clique order.
         """
         verts = self.vertex_array
         if len(verts) > MAX_ENUMERATION_VERTICES:
             raise ValueError(f"decomposition search supports at most {MAX_ENUMERATION_VERTICES} vertices, "
                              f"got {len(verts)}")
         determined, underdetermined = [], []
-        for k, group in itertools.groupby(_cliques(self.graph), key=len):
-            idx = np.array(list(group))
+        for idx in _cliques(self.graph):
+            k = idx.shape[1]
             matrix = np.concatenate([verts[idx].swapaxes(1, 2), np.ones((len(idx), 1, k))], axis=1)
-            full = np.linalg.matrix_rank(matrix, tol=CLIQUE_RANK_TOL) == k
+            u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+            full = np.count_nonzero(s > CLIQUE_RANK_TOL, axis=1) == k
             if np.any(full):
-                determined.append((idx[full], np.linalg.pinv(matrix[full]), matrix[full]))
+                u, s, vt = u[full], s[full], vt[full]
+                inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > PINV_RCOND * np.max(s, axis=1, keepdims=True))
+                determined.append((idx[full], vt.swapaxes(1, 2) @ (inv[..., None] * u.swapaxes(1, 2)), matrix[full]))
             underdetermined.extend(map(tuple, idx[~full].tolist()))
         return tuple(determined), tuple(underdetermined)
 
@@ -1007,18 +1028,24 @@ def _face_vertices(space: Polytope, center: np.ndarray) -> Optional[tuple]:
 @lru_cache(maxsize=WITNESS_CACHE_SIZE)
 def _face_witness(space: Polytope, zero_at: bytes, one_at: bytes, whole: bool = False) -> Optional[AffineFunctional]:
     """An affine map with value 0 at zero_at, 1 at one_at (coordinate bytes) and [0, 1] on the vertices of
-    their smallest face (all when whole), or None: in closed form on polygons, else ``_affine_test_feasible``.
+    their smallest face (all when whole), or None: in closed form on polygons (from the record's ``vertex_pairs``
+    when both are vertices and not whole), else ``_affine_test_feasible``.
 
     Keyed by the bytes, -0.0 and 0.0 stay apart, so a hit returns the coefficients a cold call prints.
     The swapped pair is a key of its own: 1 - f would change the printed digits.
     """
-    zero_at, one_at = np.frombuffer(zero_at), np.frombuffer(one_at)
+    pair, zero_at, one_at = (zero_at, one_at), np.frombuffer(zero_at), np.frombuffer(one_at)
     if space.dim == 2:
-        found, t = _polygon_orthogonal(_polytope_geometry(space), zero_at[None], one_at[None], whole)
-        if not found[0]:
+        geo = _polytope_geometry(space)
+        i, j = map(geo.vertex_index.get, pair)
+        if whole or i is None or j is None:
+            found, t = (a[0] for a in _polygon_orthogonal(geo, zero_at[None], one_at[None], whole))
+        else:
+            found, t = (a[i, j] for a in geo.vertex_pairs)
+        if not found:
             return None
         d = one_at - zero_at
-        c = d / (d @ d) + t[0] * np.array([-d[1], d[0]])
+        c = d / (d @ d) + t * np.array([-d[1], d[0]])
         return AffineFunctional(c, -float(c @ zero_at))
     face = None if whole else _face_vertices(space, np.mean([zero_at, one_at], axis=0))
     verts = space.vertex_array if face is None else space.vertex_array[list(face)]
@@ -1105,28 +1132,17 @@ def _polygon_orthogonal(geometry: _PolytopeGeometry, p0: np.ndarray, p1: np.ndar
 
 
 def _cliques(adj: np.ndarray) -> list:
-    """Every nonempty clique of the graph as an index tuple, by size and then lexicographically.
+    """Every nonempty clique of the graph, one (G, k) index array per size k, each in lexicographic order.
 
-    Bron–Kerbosch (CACM 16(9), 1973) with Tomita's pivot (TCS 363, 2006)
-    lists each maximal clique once; the cliques are their nonempty subsets.
+    Each size-k clique is extended by every later vertex adjacent to all its members, which lists the
+    cliques of size k + 1 in lexicographic order.
     """
-    nbrs = [set(np.nonzero(row)[0].tolist()) for row in adj]
-    cliques = set()
-
-    def expand(clique: set, cand: set, done: set):
-        if not cand and not done:
-            members = sorted(clique)
-            for size in range(1, len(members) + 1):
-                cliques.update(itertools.combinations(members, size))
-            return
-        pivot = max(cand | done, key=lambda u: len(cand & nbrs[u]))
-        for v in cand - nbrs[pivot]:
-            expand(clique | {v}, cand & nbrs[v], done & nbrs[v])
-            cand = cand - {v}
-            done = done | {v}
-
-    expand(set(), set(range(len(adj))), set())
-    return sorted(cliques, key=lambda idx: (len(idx), idx))
+    level, later, out = np.arange(len(adj))[:, None], np.arange(len(adj)), []
+    while level.size:
+        out.append(level)
+        g, v = np.nonzero(np.all(adj[level], axis=1) & (later > level[:, -1:]))
+        level = np.column_stack([level[g], v])
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # near the float limit: a NaN residual solves nothing

@@ -29,6 +29,7 @@ FACET_DIGITS = 12  # hull facet equations equal to this many decimals are one fa
 COLLINEAR_RTOL = 1e-12  # relative hull rounding slack: of a polygon turn (to |l| + |r|), a point on a facet (to extent)
 BALL_CENTER_TOL = 1e-12  # a ball point this close to the centre decomposes along the fixed diameter
 CLIQUE_RANK_TOL = 1e-10  # singular-value cut-off of the rank that decides a clique system is determined
+PINV_RCOND = 1e-15  # a clique pseudo-inverse inverts singular values above this times the largest (numpy's default)
 RECONSTRUCTION_TOL = 1e-9  # relative error within which a decomposition must rebuild its element
 WITNESS_FEASIBILITY_TOL = 1e-7  # slack on [0, 1] of a polytope witness on its face, as in HiGHS's feasibility test
 COMPLEMENT_MASS_MIN = 1e-6  # a density locality candidate needs more than this trace in the complement of s0

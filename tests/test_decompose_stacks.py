@@ -149,7 +149,7 @@ def test_fewer_than_two_states_have_no_witnesses():
 def reference_clique_systems(space) -> list:
     """(idx, matrix, rank, pinv or None) per clique in clique order, factored one clique at a time."""
     systems = []
-    for idx in geo._cliques(geo._polytope_geometry(space).graph):
+    for idx in (tuple(i) for level in geo._cliques(geo._polytope_geometry(space).graph) for i in level.tolist()):
         matrix = np.vstack([space.vertex_array[list(idx)].T, np.ones((1, len(idx)))])
         rank = int(np.linalg.matrix_rank(matrix, tol=CLIQUE_RANK_TOL))
         systems.append((idx, matrix, rank, np.linalg.pinv(matrix) if rank == len(idx) else None))

@@ -836,6 +836,51 @@ def test_matrix_negentropy_values_match_reference_rows(ring):
     assert np.max(np.abs(div.values(space, p, p))) <= 1e-12
 
 
+@pytest.mark.parametrize("name, space", VECTOR_CASES + MATRIX_CASES, ids=CASE_IDS)
+def test_array_rules_take_unbroadcast_rows(name, space):
+    """A row shared along a broadcast axis gives the bytes of its broadcast copies, in either argument order."""
+    div = dv.builtin_divergence(name, space)
+    rng = np.random.default_rng(5)
+    mixed = np.array([geo.random_state(space, rng).coords for _ in range(12)]).reshape(2, 3, 2, -1)
+    pure = mixed[0, :, :1]  # (3, 1, coords_len), shared along the mixing axis as in check_locality
+    for p, q in ((mixed, pure), (pure, mixed)):
+        got = div.values(space, p, q)
+        full = div.values(space, *(np.array(a) for a in np.broadcast_arrays(p, q)))
+        assert got.shape == (2, 3, 2) and got.tobytes() == full.tobytes()
+
+
+def test_matrix_negentropy_eigensolves_each_distinct_matrix_once(monkeypatch):
+    """On locality's shapes the shared row is eigensolved once per trial: eigh forward, eigvalsh reversed."""
+    solved = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            solved[_name] += int(np.prod(np.shape(a)[:-2]))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    div, trials = dv.builtin_divergence("matrix_negentropy", QUTRITS), 4
+    rng = np.random.default_rng(6)
+    mixed = np.array([geo.random_state(QUTRITS, rng).coords for _ in range(2 * trials * 10)])
+    pure = np.array([geo.random_state(QUTRITS, rng).coords for _ in range(trials)])[:, None]
+    mixed = mixed.reshape(2, trials, 10, -1)
+    solved.clear()
+    div.values(QUTRITS, mixed, pure)
+    assert solved == {"eigh": trials, "eigvalsh": 2 * trials * 10}
+    solved.clear()
+    div.values(QUTRITS, pure, mixed)
+    assert solved == {"eigh": 2 * trials * 10, "eigvalsh": trials}
+
+
+@pytest.mark.parametrize("ring", ["real", "complex", "quaternion"])
+def test_one_by_one_density_triples_are_vacuous(ring):
+    # the one state has no orthogonal complement: (s0, s0, s0), vacuous, as on Simplex(1)
+    space = geo.DensityMatrices(ring, 1)
+    s0, s1, s2, vacuous = space.orthogonal_triples(np.random.default_rng(0), 5)
+    assert s0.shape == (5, space.coords_len) and np.all(space.contains_state(s0))
+    assert s1.tobytes() == s2.tobytes() == s0.tobytes() and vacuous.tolist() == [True] * 5
+    assert [a.tolist() for a in geo.Simplex(1).orthogonal_triples(np.random.default_rng(0), 5)] == [
+        [[1.0]] * 5, [[1.0]] * 5, [[1.0]] * 5, [True] * 5]
+
+
 @pytest.mark.parametrize("space", [geo.Ball(2), geo.unit_square(), SIMPLEX3], ids=["disc", "square", "simplex3"])
 def test_batched_locality_matches_reference_loop(space):
     for div in (dv.squared_euclidean_divergence(), NAN_DIVERGENCE):

@@ -21,10 +21,7 @@ QUBITS = geo.DensityMatrices("complex", 2)
 
 def pure_states(space, rng, k: int) -> list:
     """k random pure states: the s0 rows of the locality sampler, which draws a uniform vertex, a normalised
-    Gaussian or a pure-density kernel draw, by the space.  A space of dimension 0 has one state, which is
-    pure and which the sampler cannot pair with an orthogonal one; there they are random states."""
-    if space.dim == 0:
-        return [space.random_state(rng) for _ in range(k)]
+    Gaussian or a pure-density kernel draw, by the space."""
     return [sc.State(space, c) for c in space.orthogonal_triples(rng, k)[0]]
 
 

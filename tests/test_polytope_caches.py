@@ -1,13 +1,15 @@
 """Polytope caches: the witness memo, the one polytope record cache, and the clique enumeration.
 
-Everything derived from a polytope's vertices (facets, vertex states,
-orthogonality graph, clique systems) lives in one record per polytope,
-cached by ``_polytope_geometry`` and evicted as a unit.  ``decompose``
-prints one witness per ordered component pair (in closed form on polygons,
-from the phase-1 simplex on the cube), and each witness is found once per polytope and
-ordered pair of states (``_face_witness``).  The clique enumeration
-(Bron–Kerbosch with pivoting) is checked against the subset walk it
-replaced, kept here as the oracle.
+Everything derived from a polytope's vertices (facets, vertex states, a
+polygon's vertex-pair tests, orthogonality graph, clique systems) lives in
+one record per polytope, cached by ``_polytope_geometry`` and evicted as a
+unit.  ``decompose`` prints one witness per ordered component pair (in
+closed form on polygons, read from the record's table of every ordered
+vertex pair; from the phase-1 simplex on the cube), and each witness is
+found once per polytope and ordered pair of states (``_face_witness``).
+The clique enumeration (by level: each clique extended by every later
+vertex adjacent to all its members) is checked against the walk over all
+vertex subsets, kept here as the oracle.
 """
 
 import dataclasses
@@ -28,7 +30,7 @@ from spectral_cone import geometries as geo
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 PENTAGON = polytope(regular_polygon(5))
 DODECAGON = polytope(regular_polygon(12))
-DERIVED = {"vertex_states", "graph", "clique_systems"}  # the record's attributes built on first use
+DERIVED = {"vertex_states", "vertex_pairs", "graph", "clique_systems"}  # the record's attributes built on first use
 
 
 def subset_walk(adj: np.ndarray) -> list:
@@ -36,6 +38,13 @@ def subset_walk(adj: np.ndarray) -> list:
     nv = len(adj)
     return [idx for size in range(1, nv + 1) for idx in itertools.combinations(range(nv), size)
             if all(adj[a, b] for a, b in itertools.combinations(idx, 2))]
+
+
+def flat_cliques(adj: np.ndarray) -> list:
+    """The per-size arrays of ``_cliques`` as one list of index tuples; each array holds one size."""
+    levels = geo._cliques(adj)
+    assert [level.shape[1] for level in levels] == list(range(1, len(levels) + 1))
+    return [tuple(i) for level in levels for i in level.tolist()]
 
 
 def clique_order(space: geo.Polytope) -> list:
@@ -48,7 +57,7 @@ def clique_order(space: geo.Polytope) -> list:
 
 
 # ---------------------------------------------------------------------------
-# clique enumeration: Bron–Kerbosch against the subset walk
+# clique enumeration: by level against the subset walk
 # ---------------------------------------------------------------------------
 
 @PROPERTIES
@@ -73,7 +82,7 @@ def test_property_graph_cliques_match_walk(data):
     adj = np.zeros((nv, nv), dtype=bool)
     i, j = np.triu_indices(nv, 1)
     adj[i, j] = adj[j, i] = upper
-    assert geo._cliques(adj) == subset_walk(adj)
+    assert flat_cliques(adj) == subset_walk(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +201,66 @@ def test_negative_zero_is_its_own_key(program_calls):
     program_calls.clear()
     geo.orthogonality_witness(minus, far)
     assert len(program_calls) == 1
+
+
+@pytest.fixture
+def pair_test_calls(monkeypatch):
+    """The polygon interval tests run (``_polygon_orthogonal`` calls) while the test runs."""
+    calls = []
+    test = geo._polygon_orthogonal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return test(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "_polygon_orthogonal", counted)
+    return calls
+
+
+def test_cube_stream_solves_fewer_programs_than_it_decomposes(program_calls):
+    # a cube no other test builds: its graph and every witness are solved within the stream
+    space = polytope([(a, b, c) for a in (0, 1.75) for b in (0, 1.75) for c in (0, 1.75)])
+    rng = np.random.default_rng(0)
+    points = rng.dirichlet(np.ones(8), size=100) @ space.vertex_array
+    for trace, point in zip(rng.uniform(0.1, 3.0, size=len(points)), points):
+        geo.decompose(space, sc.ConeElement(space, trace, point), with_witnesses=True)
+    assert 0 < len(program_calls) < len(points)
+
+
+# ---------------------------------------------------------------------------
+# one interval-test call per polygon: the vertex-pair table
+# ---------------------------------------------------------------------------
+
+@PROPERTIES
+@given(verts=convex_polygons())
+def test_property_vertex_pairs_match_single_pair_tests(verts):
+    space = polytope(verts)
+    record = geo._polytope_geometry(space)
+    found, t = record.vertex_pairs
+    va = record.vertex_array
+    assert found.shape == t.shape == (len(va), len(va))
+    assert record.vertex_index == {v.tobytes(): i for i, v in enumerate(va)}
+    for i, j in itertools.product(range(len(va)), repeat=2):
+        one_found, one_t = geo._polygon_orthogonal(record, va[i][None], va[j][None])
+        assert found[i, j] == one_found[0] and t[i, j].tobytes() == one_t[0].tobytes()
+        witness = geo._face_witness(space, va[i].tobytes(), va[j].tobytes())
+        assert (witness is not None) == one_found[0]
+        if witness is not None:  # the pair's own entry: t of (j, i) may differ in the last bit
+            d = va[j] - va[i]
+            assert witness.linear.tobytes() == (d / (d @ d) + one_t[0] * np.array([-d[1], d[0]])).tobytes()
+
+
+def test_cold_polygon_decompose_tests_its_pairs_once(pair_test_calls):
+    space = polytope(regular_polygon(9, scale=1.37))  # not built elsewhere
+    assert pair_test_calls == []  # building the record finds the facets only
+    x = sc.ConeElement(space, 1.0, [0.1, 0.2])
+    first = geo.decompose(space, x, with_witnesses=True)
+    assert first.size > 1 and all(w is not None for w in first.witnesses)
+    assert len(pair_test_calls) == 1
+    pair_test_calls.clear()
+    again = geo.decompose(space, x, with_witnesses=True)
+    assert pair_test_calls == []
+    assert all(a is b for a, b in zip(again.witnesses, first.witnesses, strict=True))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
+from spectral_cone.decomposition import _weak_majorization
 from spectral_cone.spectral import Ordering, Spectrum, majorizes
 
 SQUARE = geo.unit_square()
@@ -77,6 +80,35 @@ def test_majorizes_incomparable():
     # 0.5 > 0.4 at k=1 but 0.75 < 0.8 at k=2
     rel = majorizes(Spectrum([0.5, 0.25, 0.25]), Spectrum([0.4, 0.4, 0.2]))
     assert rel is Ordering.INCOMPARABLE
+
+
+@st.composite
+def dyadic_spectra(draw):
+    """Two to five spectra of one total in units of 1/16, then the first again, reversed and with zeros:
+    every partial sum is exact in floats, so no comparison turns on MAJORIZATION_TOL."""
+    units = draw(st.integers(1, 40))
+
+    def parts():
+        cuts = sorted(draw(st.sets(st.integers(1, units - 1), max_size=5))) if units > 1 else []
+        return list(np.diff([0, *cuts, units]) / 16.0) + [0.0] * draw(st.integers(0, 2))
+
+    spectra = [parts() for _ in range(draw(st.integers(2, 5)))]
+    return [Spectrum(w) for w in spectra + [spectra[0][::-1] + [0.0]]]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(spectra=dyadic_spectra())
+def test_property_weak_majorization_is_a_partial_order(spectra):
+    dominates, dominated = _weak_majorization(spectra)
+    assert np.array_equal(dominated, dominates.T) and np.all(np.diag(dominates))
+    length = max(len(s) for s in spectra)
+    sums = np.cumsum([s.padded(length) for s in spectra], axis=1)
+    assert np.array_equal(dominates, np.all(sums[:, None] >= sums[None], axis=-1))  # the exact partial sums
+    # antisymmetric: a pair that dominates both ways is one spectrum, zeros aside
+    i, j = np.nonzero(dominates & dominates.T)
+    assert np.array_equal(sums[i], sums[j]) and dominates[0, -1] and dominates[-1, 0]
+    # transitive: no i >= j >= k without i >= k
+    assert not np.any(dominates[:, :, None] & dominates[None] & ~dominates[:, None])
 
 
 def test_majorizes_rejects_unequal_totals():
