@@ -60,15 +60,17 @@ class Ordering(enum.Enum):
 
 
 def _weak_majorization(spectra) -> tuple:
-    """(a weakly majorizes b, b weakly majorizes a) of every ordered pair [a, b] of spectra of one element.
+    """(a weakly majorizes b, b weakly majorizes a) of every ordered pair [a, b] of descending weight lists of
+    one element.
 
-    Shorter spectra are padded with zeros, and the partial sums of a - b are compared with a slack of
-    MAJORIZATION_TOL times a's total (at least 1).  Raises when two totals differ, since majorization only
-    compares decompositions of one element; the message names the later spectrum of the first such pair first.
+    Shorter lists are padded with zeros, and the partial sums of a - b are compared with a slack of
+    MAJORIZATION_TOL times a's total (np.sum of the list, at least 1).  Raises when two totals differ, since
+    majorization only compares decompositions of one element; the message names the later list of the first
+    such pair first.
     """
-    totals = np.array([s.total for s in spectra])
+    totals = np.array([np.add.reduce(s) for s in spectra])  # np.sum's reduction, without its dispatch
     length = max(len(s) for s in spectra)
-    padded = np.array([s.padded(length) for s in spectra])
+    padded = np.array([[*s, *[0.0] * (length - len(s))] for s in spectra])
     scale = np.maximum(1.0, np.abs(totals))
     apart = np.abs(totals[:, None] - totals[None]) > TOTAL_TOL * np.maximum(scale[:, None], scale[None])
     if np.any(apart):
@@ -82,7 +84,7 @@ def _weak_majorization(spectra) -> tuple:
 def majorizes(a: Spectrum, b: Spectrum) -> Ordering:
     """Partial-sum comparison of two spectra of the same element: ``_weak_majorization`` of [b, a] read at
     (a, b), so that a refusal names a's total first."""
-    dominates, dominated = (m[1, 0] for m in _weak_majorization([b, a]))
+    dominates, dominated = (m[1, 0] for m in _weak_majorization([b.weights, a.weights]))
     if dominates and dominated:
         return Ordering.EQUAL
     if dominates:
@@ -93,7 +95,7 @@ def majorizes(a: Spectrum, b: Spectrum) -> Ordering:
 
 
 def maximal_spectra(spectra) -> np.ndarray:
-    """Mask of the spectra of one element that no other dominates: ``majorizes`` of every pair at once."""
+    """Mask of the descending weight lists of one element that no other dominates: ``majorizes`` of every pair."""
     dominates, dominated = _weak_majorization(spectra)
     return ~np.any(dominates & ~dominated, axis=0)
 

@@ -308,16 +308,15 @@ def _interior_map(div: Divergence, space):
 
 def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCALITY_TOL,
                    seed: int = 0) -> dict:
-    """Test whether D((1-t)s0 + t*s1, s0) is independent of the orthogonal s1.
+    """Test whether D((1-t)s0 + t*s1, s0) and D(s0, (1-t)s0 + t*s1) are independent of the orthogonal s1.
 
-    The mixing weights t are DEFAULT_T_GRID.  Both argument orders are
-    evaluated; the order of the defining identity (mixture first) is
-    authoritative for pass/fail, the reversed order (pure state first, the
-    one with finite logarithmic values) is reported alongside.  Gaps compare extended reals, so two divergences that are
-    both infinite agree.  The triples are drawn as stacks by the space's
-    ``orthogonal_triples`` and take one membership test together; every
-    (trial, t) pair is evaluated as one stacked array, and the witness is
-    the first largest gap in (trial, t) order.
+    The mixing weights t are DEFAULT_T_GRID.  The check passes only when the gaps of both argument orders,
+    ``max_gap`` (mixture first, the order of the defining identity) and ``reversed_max_gap``, are at most tol:
+    the entropy-generated divergences are +inf on every mixture-first pair, so for them only the reversed order
+    is finite.  Gaps compare extended reals, so two divergences that are both infinite agree.  The triples are
+    drawn as stacks by the space's ``orthogonal_triples`` and take one membership test together; every (trial,
+    t) pair is evaluated as one stacked array, and the witness is the first largest gap in (trial, t) order,
+    of the forward order when it fails and of the reversed one otherwise.
     """
     require_count("trials", trials)
     require_tolerance("tol", tol)
@@ -335,11 +334,13 @@ def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCA
     gaps = _extended_gaps(a, b)
     max_gap = float(np.max(gaps, initial=-1.0))
     ar, br = div.values(space, pure, mixed)
-    max_gap_reversed = float(np.max(_extended_gaps(ar, br), initial=-1.0))
-    passed = max_gap <= tol
+    reversed_gaps = _extended_gaps(ar, br)
+    max_gap_reversed = float(np.max(reversed_gaps, initial=-1.0))
+    passed = max_gap <= tol and max_gap_reversed <= tol
     witness = None
     if not passed:
-        trial, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+        failing = gaps if max_gap > tol else reversed_gaps
+        trial, k = np.unravel_index(int(np.argmax(failing)), failing.shape)
         witness = {
             "trial": int(trial),
             "t": DEFAULT_T_GRID[k],

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import jordan
 from .cone import AffineFunctional, ConeElement, State, require_space, require_states
-from .decomposition import OrthogonalDecomposition, Spectrum, maximal_spectra, weights_entropy
+from .decomposition import OrthogonalDecomposition, maximal_spectra, weights_entropy
 from .errors import ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError, PreconditionError
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPLEMENT_MASS_MIN,
                          DISTINCT_STATE_TOL, FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL, PINV_RCOND,
@@ -317,10 +317,9 @@ class Polytope(_Geometry):
             sols = list(_determined_solutions(self, point, total).values())
             if not sols:
                 raise DecompositionError("no orthogonal decomposition found; geometry bug?")
-            spectra = [Spectrum(w) for w, _ in sols]
-            length = max(len(s) for s in spectra)
-            w, support = sols[max(np.flatnonzero(maximal_spectra(spectra)),
-                                  key=lambda i: tuple(spectra[i].padded(length)))]
+            # the weights are positive, so these lists order lexicographically as their zero paddings do
+            spectra = [sorted(w.tolist(), reverse=True) for w, _ in sols]
+            w, support = sols[max(np.flatnonzero(maximal_spectra(spectra)).tolist(), key=spectra.__getitem__)]
             weights[row, : len(w)], components[row, : len(w)] = w, self.vertex_array[list(support)]
         return weights, components
 
@@ -600,7 +599,7 @@ class DensityMatrices(_Geometry):
         w, v = np.linalg.eigh(self.forms(coords.reshape(-1, self.coords_len)))
         kept = np.sum(jordan.cluster_means(w) > SUPPORT_TOL, axis=-1)
         out = np.empty_like(v)
-        for k in np.unique(kept):
+        for k in np.unique(kept, return_counts=True)[0]:  # with no flag, np.unique imports numpy.ma
             top = np.ascontiguousarray(v[kept == k][..., v.shape[-1] - k:])
             out[kept == k] = top @ np.conj(np.swapaxes(top, -1, -2))
         return out.reshape(*coords.shape[:-1], *v.shape[-2:])
@@ -618,21 +617,26 @@ class DensityMatrices(_Geometry):
         return witness is not None, witness
 
     def orthogonality_witnesses(self, states) -> tuple:
-        """The witness of every state pair, from one stacked support eigensolve.
+        """The witness of every state pair, from one Gram product of the rows of the support projections.
 
-        Distinct states a, b are orthogonal when the trace of the product of their support
-        projections, Tr(p_a p_b), is 0 within SINGULARITY_TOL; the witness is then p_b.
+        Distinct states a, b are orthogonal when Tr(p_a p_b), the dot product of the coordinate rows of their
+        support projections, is 0 within SINGULARITY_TOL; the witness is then the row of p_b.  A pure row is
+        its own support row, and only the other rows take the ``_support`` eigensolve.
         """
         if len(states) < 2:
             return ()
-        coords = np.array([s.coords for s in states])
-        supports = self._support(coords)
-        tests = self.coords_of(supports)
-        out = []
-        for a, b in itertools.combinations(range(len(coords)), 2):
-            overlap = np.sum(supports[a] * np.conj(supports[b])).real / self.mult > SINGULARITY_TOL
-            out.append(None if _same_state(states[a], states[b]) or overlap else AffineFunctional(tests[b], 0.0))
-        return tuple(out)
+        tests = np.array([s.coords for s in states])
+        # A row is pure when 1 - sum c^2 <= ZERO_EIGENVALUE_TOL / 2.  On a state, whose eigenvalues lie in [0, 1]
+        # and add up to 1, sum c^2 is Tr rho^2 and 1 - Tr rho^2 = sum_i lambda_i (1 - lambda_i), a sum of
+        # nonnegative terms.  Every eigenvalue but the largest has lambda_i <= 1/2, so lambda_i <= 2 lambda_i
+        # (1 - lambda_i) <= 2 (1 - Tr rho^2) <= ZERO_EIGENVALUE_TOL: ``_support`` would keep the top cluster alone.
+        mixed = 1.0 - np.einsum("ij,ij->i", tests, tests) > ZERO_EIGENVALUE_TOL / 2
+        same = np.max(np.abs(tests[:, None] - tests[None]), axis=-1) <= SAME_STATE_TOL
+        if np.any(mixed):
+            tests[mixed] = self.coords_of(self._support(tests[mixed]))
+        apart = ~same & (tests @ tests.T <= SINGULARITY_TOL)
+        return tuple(AffineFunctional(tests[b], 0.0) if apart[a, b] else None
+                     for a, b in itertools.combinations(range(len(tests)), 2))
 
     def decompositions(self, coords: np.ndarray, total: float):
         """Ring eigenvalues of total * s and the coordinates of their rank-one idempotents, from one ``eigh``."""
@@ -881,7 +885,7 @@ class _PolytopeGeometry:
             n_extreme, equations = _polygon_hull(verts) if m == 2 else _subset_facets(verts)
             if n_extreme != nv:
                 raise ValueError("vertex list contains non-extreme points")
-            eqs = np.unique(np.round(equations, FACET_DIGITS), axis=0)
+            eqs = np.unique(np.round(equations, FACET_DIGITS), axis=0, return_counts=True)[0]  # see _support
             self.facet_normals = eqs[:, :-1]
             self.facet_offsets = eqs[:, -1]
         self.vertex_array = verts
@@ -1004,7 +1008,7 @@ def _subset_facets(verts: np.ndarray):
     on, first = np.unique(on[order], axis=0, return_index=True)
     eqs = eqs[order[first]]
     extreme = np.linalg.matrix_rank(eqs[:, :-1] * on.T[:, :, None]) == m
-    return len(np.unique(on.T[extreme], axis=0)), eqs
+    return len(np.unique(on.T[extreme], axis=0, return_counts=True)[0]), eqs  # see _support
 
 
 @lru_cache(maxsize=POLYTOPE_CACHE_SIZE)

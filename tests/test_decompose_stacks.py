@@ -1,13 +1,16 @@
 """The stacked parts of ``decompose`` against the loops they replaced.
 
-Density-matrix witnesses come from one support eigensolve over all
-components (``DensityMatrices.orthogonality_witnesses``), and a polytope's
-clique systems are factored one stack per clique size
+Density-matrix witnesses come from one Gram product of support rows, a pure
+state being its own support row and the mixed ones taking one stacked support
+eigensolve (``DensityMatrices.orthogonality_witnesses``); a polytope's clique
+systems are factored one stack per clique size
 (``_PolytopeGeometry.clique_systems``), and the family grid of each
 underdetermined clique is one array.  The references below are the pairwise
-``orthogonality_witness`` loop, the per-clique ``matrix_rank``/``pinv`` and
-the per-sample family loop of the earlier code, kept here as oracles; each
-must agree bit for bit.
+``orthogonality_witness`` loop with one support eigensolve per state, the
+per-clique ``matrix_rank``/``pinv`` and the per-sample family loop of the
+earlier code, kept here as oracles; each must agree bit for bit, except that
+a pure state's witness is checked against its own coordinate row bit for
+bit, and against the eigensolve within PURE_WITNESS_GAP.
 """
 
 import contextlib
@@ -26,13 +29,14 @@ import spectral_cone as sc
 from spectral_cone import cli, cone
 from spectral_cone import geometries as geo
 from spectral_cone.tolerances import (CLIQUE_RANK_TOL, SAME_STATE_TOL, SINGULARITY_TOL, WEIGHT_DIGITS,
-                                      WEIGHT_DROP_TOL)
+                                      WEIGHT_DROP_TOL, ZERO_EIGENVALUE_TOL)
 
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 PRISM = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)])
 DENSITY = [geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (2, 3, 4)]
 DENSITY_IDS = [f"{s.ring}{s.n}" for s in DENSITY]
+PURE_WITNESS_GAP = 2e-15  # about 9 float64 eps at unit scale: a pure row against its eigensolve rebuild
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +69,26 @@ def assert_same_witnesses(got, want):
         if w is not None:
             assert g.linear.tobytes() == w.linear.tobytes()
             assert np.float64(g.offset).tobytes() == np.float64(w.offset).tobytes()
+
+
+def is_pure_row(coords) -> bool:
+    """The purity rule of ``orthogonality_witnesses``: 1 - sum c^2 at most ZERO_EIGENVALUE_TOL / 2."""
+    return 1.0 - float(np.sum(coords * coords)) <= ZERO_EIGENVALUE_TOL / 2
+
+
+def assert_density_witnesses(space, states, got, pure_gap=PURE_WITNESS_GAP):
+    """got against the pairwise reference: the eigensolve's bits where the later state is mixed, and the
+    state's own row (exact) and the eigensolve's row within pure_gap where it is pure."""
+    want = reference_witnesses(space, states)
+    pairs = list(itertools.combinations(states, 2))
+    assert len(got) == len(want) == len(pairs)
+    for (_, b), g, w in zip(pairs, got, want):
+        if is_pure_row(b.coords) and w is not None and g is not None:
+            assert g.linear.tobytes() == b.coords.tobytes()
+            assert np.max(np.abs(g.linear - w.linear)) <= pure_gap
+            assert np.float64(g.offset).tobytes() == np.float64(w.offset).tobytes()
+        else:
+            assert_same_witnesses([g], [w])
 
 
 def from_form(space, form) -> np.ndarray:
@@ -105,7 +129,8 @@ def test_decompose_witnesses_match_pairwise(space, kind):
     for trace in (1.0, 0.37, 2.5):
         x = sc.ConeElement(space, trace, ELEMENTS[kind](space, rng))
         dec = geo.decompose(space, x, with_witnesses=True)
-        assert_same_witnesses(dec.witnesses, reference_witnesses(space, dec.components))
+        assert all(is_pure_row(c.coords) for c in dec.components)  # rank-one components take no eigensolve
+        assert_density_witnesses(space, dec.components, dec.witnesses)
         assert all(w is not None for w in dec.witnesses)  # components are pairwise orthogonal
 
 
@@ -120,12 +145,31 @@ def test_witnesses_match_pairwise_on_any_states(space):
     states = [pure[0], mixed[0], pure[-1], mixed[0], *pure_states(space, rng, 1), *pure[1:], *mixed[1:],
               sc.State(space, rank_deficient(space, rng)), sc.State(space, space.barycenter_coords())]
     want = reference_witnesses(space, states)
-    assert_same_witnesses(space.orthogonality_witnesses(states), want)
+    assert_density_witnesses(space, states, space.orthogonality_witnesses(states))
     assert any(w is None for w in want) and any(w is not None for w in want)
+    assert any(is_pure_row(s.coords) for s in states) and not all(is_pure_row(s.coords) for s in states)
     # the pair form goes through the same stack
-    for (a, b), w in zip(itertools.combinations(states, 2), want):
-        assert_same_witnesses([geo.orthogonality_witness(a, b)], [w])
-        assert_same_witnesses([geo.mutually_singular(a, b)[1]], [w])
+    for a, b in itertools.combinations(states, 2):
+        assert_density_witnesses(space, [a, b], [geo.orthogonality_witness(a, b)])
+        assert_density_witnesses(space, [a, b], [geo.mutually_singular(a, b)[1]])
+
+
+@pytest.mark.parametrize("space", DENSITY, ids=DENSITY_IDS)
+def test_nearly_pure_states_on_each_side_of_the_purity_bound(space):
+    # (1 - e) p + e q for orthogonal pure p, q has 1 - Tr rho^2 = 2 e (1 - e): e = 2e-13 is pure and takes
+    # its own row, e = 3e-13 is mixed and takes the eigensolve; the witness of (r, near) for a third pure r
+    # (q itself at n = 2) is p within a few e either way
+    rng = np.random.default_rng(152)
+    v, k = eigenbasis(space, rng), space.mult
+    p, q, r = (from_form(space, v[:, i:i + k] @ v[:, i:i + k].conj().T) for i in (0, k, v.shape[1] - k))
+    for e, pure in ((2e-13, True), (3e-13, False)):
+        near = sc.State(space, (1.0 - e) * p + e * q)
+        assert is_pure_row(near.coords) is pure
+        states = [sc.State(space, r), near]
+        got = space.orthogonality_witnesses(states)
+        assert_density_witnesses(space, states, got, pure_gap=4 * e)
+        assert got[0] is not None
+        assert np.max(np.abs(got[0].linear - states[1].coords)) <= 4 * e
 
 
 @pytest.mark.parametrize("space", [geo.Simplex(3), geo.Ball(2), geo.SpinFactor(3), SQUARE, CUBE],

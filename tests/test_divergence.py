@@ -265,6 +265,23 @@ def test_nan_divergence_fails_locality():
     assert report["max_gap"] == math.inf
 
 
+KL_PLUS_SQUARED = dv.Divergence("kl+squared_euclidean", "test",
+                                array_rule=lambda p, q: dv._kl_values(p, q) + dv._squared_euclidean_values(p, q))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_locality_fails_a_divergence_local_only_where_infinite(n):
+    # kl + squared_euclidean is +inf on every mixture-first pair, so that order has gap 0; the reversed
+    # order is finite and not local, and the check fails on it with a reversed-order witness
+    space = geo.Simplex(n)
+    report = dv.check_locality(KL_PLUS_SQUARED, space, trials=50, seed=0)
+    assert not report["pass"] and report["max_gap"] == 0.0 and report["reversed_max_gap"] > 0.1
+    values = report["witness"]["reversed_values"]
+    assert math.isinf(report["witness"]["values"][0]) and abs(values[0] - values[1]) == report["reversed_max_gap"]
+    assert not dv.check_sufficiency(KL_PLUS_SQUARED, space, trials=50, seed=0)["pass"]
+    assert_reports_match(report, reference_locality(KL_PLUS_SQUARED, space, 50))
+
+
 def test_locality_vacuous_on_small_spaces():
     report = dv.check_locality(dv.kl_divergence(), geo.Simplex(2), trials=20, seed=0)
     assert report["vacuous"] and report["pass"]
@@ -675,7 +692,7 @@ def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, s
         return s
 
     max_gap = max_gap_reversed = -1.0
-    witness = None
+    witness = reversed_witness = None
     vacuous = True
     for trial, (s0, s1, s2, degenerate) in enumerate(reference_orthogonal_triples(space, rng, trials)):
         vacuous = vacuous and degenerate
@@ -684,18 +701,20 @@ def reference_locality(div, space, trials, t_grid=dv.DEFAULT_T_GRID, tol=1e-8, s
             m2 = sc.mix([1.0 - t, t], [s0, s2])
             a, b = div(dom(m1), dom(s0)), div(dom(m2), dom(s0))
             ar, br = div(dom(s0), dom(m1)), div(dom(s0), dom(m2))
-            max_gap_reversed = max(max_gap_reversed, reference_gap(ar, br))
-            gap = reference_gap(a, b)
-            if gap > max_gap:
-                max_gap = gap
-                witness = {
-                    "trial": trial, "t": float(t),
-                    "s0": [float(c) for c in s0.coords],
-                    "s1": [float(c) for c in s1.coords],
-                    "s2": [float(c) for c in s2.coords],
-                    "values": [a, b], "reversed_values": [ar, br],
-                }
-    passed = max_gap <= tol
+            case = {
+                "trial": trial, "t": float(t),
+                "s0": [float(c) for c in s0.coords],
+                "s1": [float(c) for c in s1.coords],
+                "s2": [float(c) for c in s2.coords],
+                "values": [a, b], "reversed_values": [ar, br],
+            }
+            if reference_gap(ar, br) > max_gap_reversed:
+                max_gap_reversed, reversed_witness = reference_gap(ar, br), case
+            if reference_gap(a, b) > max_gap:
+                max_gap, witness = reference_gap(a, b), case
+    # both orders must pass; the witness is the forward one when that order fails
+    passed = max_gap <= tol and max_gap_reversed <= tol
+    witness = witness if max_gap > tol else reversed_witness
     return {
         "check": "locality", "divergence": div.name, "space": space.to_json(),
         "pass": passed, "max_gap": max_gap, "reversed_max_gap": max_gap_reversed,

@@ -354,7 +354,7 @@ LAZY_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stdout
 def loaded():
-    return [name in sys.modules for name in ("scipy.optimize", "scipy.spatial")]
+    return [name in sys.modules for name in ("scipy.optimize", "scipy.spatial", "numpy.ma")]
 import spectral_cone
 from spectral_cone import cli, geometries
 steps, hulls = [loaded()], []
@@ -371,8 +371,8 @@ CUBE = json.dumps({"kind": "polytope", "vertices": [[a, b, c] for a in (0, 1) fo
 
 
 def loaded_after(*argvs) -> dict:
-    """[scipy.optimize loaded, scipy.spatial loaded] after the import and after each command,
-    in a fresh interpreter, and the number of qhull calls."""
+    """[scipy.optimize loaded, scipy.spatial loaded, numpy.ma loaded] after the import and after each
+    command, in a fresh interpreter, and the number of qhull calls."""
     out = subprocess.run([sys.executable, "-c", LAZY_SCRIPT, json.dumps(argvs)], check=True,
                          capture_output=True, text=True, timeout=120).stdout
     return json.loads(out)
@@ -383,8 +383,15 @@ def test_scipy_loaded_only_for_polytopes():
                        ["decompose", "--space", "simplex3", "--element", "[0.2, 0.3, 0.5]"],
                        ["check", "spectrality", "--space", "square", "--trials", "5", "--seed", "1"],
                        ["decompose", "--space", PENTAGON, "--element", "[0.1, 0.2]"])
-    # after the import and every command, the polygon decompose with its witnesses included, neither is loaded
-    assert run == {"steps": [[False, False]] * 5, "hulls": 0}
+    # after the import and every command, the polygon decompose with its witnesses included, none is loaded
+    assert run == {"steps": [[False, False, False]] * 5, "hulls": 0}
     # nor on polytopes outside the plane: numpy facets and phase-1 witnesses
     cube = loaded_after(["decompose", "--space", CUBE, "--element", "[0.2, 0.7, 0.4]"])
-    assert cube == {"steps": [[False, False], [False, False]], "hulls": 0}
+    assert cube == {"steps": [[False, False, False]] * 2, "hulls": 0}
+
+
+def test_decompose_and_landscape_leave_numpy_ma_unloaded():
+    # np.unique without a return flag imports numpy.ma on first use (numpy 2.4)
+    run = loaded_after(["decompose", "--space", "complex2", "--element", "[0.5, 0, 0, 0, 0, 0, 0.5, 0]"],
+                       ["landscape", "--space", "square", "--grid", "5"])
+    assert [step[2] for step in run["steps"]] == [False] * 3

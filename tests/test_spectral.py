@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
+from spectral_cone import jordan
 from spectral_cone.decomposition import _weak_majorization
 from spectral_cone.spectral import Ordering, Spectrum, majorizes
 
@@ -99,7 +100,7 @@ def dyadic_spectra(draw):
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(spectra=dyadic_spectra())
 def test_property_weak_majorization_is_a_partial_order(spectra):
-    dominates, dominated = _weak_majorization(spectra)
+    dominates, dominated = _weak_majorization([s.weights for s in spectra])
     assert np.array_equal(dominated, dominates.T) and np.all(np.diag(dominates))
     length = max(len(s) for s in spectra)
     sums = np.cumsum([s.padded(length) for s in spectra], axis=1)
@@ -195,6 +196,51 @@ def test_entropy_symmetry_invariance():
         m = dm.state_matrix(s).data
         rotated = dm.state_from_matrix(sc.HermitianMatrix("complex", q @ m @ q.conj().T))
         assert abs(sc.entropy(dm, s) - sc.entropy(dm, rotated)) <= 1e-10
+
+
+def regular_polygon(k: int) -> geo.Polytope:
+    return geo.Polytope(tuple((math.cos(2.0 * math.pi * i / k), math.sin(2.0 * math.pi * i / k)) for i in range(k)))
+
+
+def rotation(theta: float) -> np.ndarray:
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def symmetry(space, rng: np.random.Generator):
+    """A random symmetry of the space as a map on coordinate rows: a permutation of a simplex's vertices, a
+    Haar orthogonal map of a ball, conjugation by a Haar unitary of a density space, and a rotation by a
+    multiple of 2 pi / k, then a reflection half the time, of a regular k-gon."""
+    if isinstance(space, geo.Simplex):
+        return lambda c: c[rng.permutation(space.n)]
+    if isinstance(space, geo.Ball):
+        q = np.linalg.qr(rng.standard_normal((space.d, space.d)))[0]
+        return lambda c: q @ c
+    if isinstance(space, geo.DensityMatrices):
+        u = jordan.random_unitary(space.ring, space.n, rng)
+        return lambda c: space.coords_of(u @ space.forms(c) @ u.conj().T)
+    k = len(space.vertices)
+    m = rotation(2.0 * math.pi * rng.integers(k) / k) @ np.diag([1.0, rng.choice([1.0, -1.0])])
+    return lambda c: m @ c
+
+
+SYMMETRIC_SPACES = [*(geo.Simplex(n) for n in (2, 3, 5)), DISC, geo.Ball(3), geo.SpinFactor(4),
+                    *(geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (2, 3)),
+                    *(regular_polygon(k) for k in (3, 4, 5, 8))]
+ENTROPY_SLACK = 1e-12  # rounding of -sum w ln w over at most a few weights, and of the symmetry's arithmetic
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(space=st.sampled_from(SYMMETRIC_SPACES), seed=st.integers(0, 2**32 - 1))
+def test_property_entropy_is_bounded_and_invariant_under_symmetries(space, seed):
+    # the bound is ln rank; a polygon that is not a simplex has no rank, and its decompositions have at most
+    # dim + 1 components
+    rng = np.random.default_rng(seed)
+    bound = math.log(space.dim + 1 if isinstance(space, geo.Polytope) and len(space.vertices) > 3 else space.rank)
+    act = symmetry(space, rng)
+    for s in [space.random_state(rng) for _ in range(4)] + [sc.State(space, space.barycenter_coords())]:
+        h = sc.entropy(space, s)
+        assert 0.0 <= h <= bound + ENTROPY_SLACK
+        assert abs(sc.entropy(space, sc.State(space, act(s.coords))) - h) <= ENTROPY_SLACK
 
 
 def test_entropy_of_cone_elements():

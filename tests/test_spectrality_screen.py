@@ -17,10 +17,13 @@ import spectral_cone as sc
 from spectral_cone import geometries as geo
 from spectral_cone import spectral
 from spectral_cone.decomposition import Ordering, Spectrum, majorizes, maximal_spectra
-from spectral_cone.tolerances import SPECTRUM_DIGITS, SPECTRUM_GAP_TOL
+from spectral_cone.decomposition import _weak_majorization
+from spectral_cone.tolerances import MAJORIZATION_TOL, SPECTRUM_DIGITS, SPECTRUM_GAP_TOL, TOTAL_TOL
 
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+PRISM = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)])
+TOTALS = (1.0, 2.5, 1e308)
 SAMPLES = st.sampled_from([1, 5, 40, 200])
 SEEDS = st.integers(0, 2**16)
 
@@ -73,6 +76,47 @@ def reference_decomposition(space, x):
     length = max(len(s) for s in spectra)
     weights, support = sols[max(maximal, key=lambda i: tuple(spectra[i].padded(length)))]
     return weights, [space.vertex_state(int(i)) for i in support]
+
+
+def stacked_weak_majorization(spectra) -> tuple:
+    """The earlier ``_weak_majorization``: the zero-padded spectra stacked and np.cumsum of every difference."""
+    totals = np.array([s.total for s in spectra])
+    length = max(len(s) for s in spectra)
+    padded = np.array([s.padded(length) for s in spectra])
+    scale = np.maximum(1.0, np.abs(totals))
+    apart = np.abs(totals[:, None] - totals[None]) > TOTAL_TOL * np.maximum(scale[:, None], scale[None])
+    if np.any(apart):
+        i, j = np.argwhere(apart)[0]
+        raise ValueError(f"spectra have different totals: {totals[j]} vs {totals[i]}")
+    delta = np.cumsum(padded[:, None] - padded[None], axis=-1)
+    slack = MAJORIZATION_TOL * scale[:, None]
+    return np.min(delta, axis=-1) >= -slack, np.max(delta, axis=-1) <= slack
+
+
+def reference_selection(space, coords, total):
+    """``Polytope.decompositions`` of one point as the earlier code chose: a Spectrum per candidate, the
+    stacked majorization mask and the lexicographic maximum of the zero-padded weights."""
+    sols = list(geo._determined_solutions(space, coords, total).values())
+    spectra = [Spectrum(w) for w, _ in sols]
+    dominates, dominated = stacked_weak_majorization(spectra)
+    length = max(len(s) for s in spectra)
+    w, support = sols[max(np.flatnonzero(~np.any(dominates & ~dominated, axis=0)),
+                          key=lambda i: tuple(spectra[i].padded(length)))]
+    weights, components = np.zeros(space.dim + 1), np.zeros((space.dim + 1, space.dim))
+    weights[: len(w)], components[: len(w)] = w, space.vertex_array[list(support)]
+    return weights, components
+
+
+def assert_same_selection(space, coords, total) -> bool:
+    """Whether some clique system solves the point; the selections agree bit for bit, or both find nothing."""
+    if not geo._determined_solutions(space, coords, total):  # near the float limit some points solve none
+        with pytest.raises(sc.DecompositionError, match="^no orthogonal decomposition found"):
+            space.decompositions(coords[None, :], total)
+        return False
+    weights, components = (a[0] for a in space.decompositions(coords[None, :], total))
+    ref_weights, ref_components = reference_selection(space, coords, total)
+    assert weights.tobytes() == ref_weights.tobytes() and components.tobytes() == ref_components.tobytes()
+    return True
 
 
 def solving_cliques(space, coords) -> int:
@@ -213,13 +257,51 @@ def test_maximal_spectra_match_pairwise_majorizes():
         spectra += [Spectrum([0.5, 0.5]), Spectrum([0.5, 0.5 - 1e-13, 1e-13])][: rng.integers(0, 3)]
         expect = [not any(majorizes(b, a) is Ordering.DOMINATES for j, b in enumerate(spectra) if j != i)
                   for i, a in enumerate(spectra)]
-        assert maximal_spectra(spectra).tolist() == expect
+        assert maximal_spectra([s.weights for s in spectra]).tolist() == expect
+
+
+def test_weak_majorization_of_lists_matches_the_spectrum_rule():
+    # near-equal partial sums, unequal lengths, totals near the float limit and a NaN entry
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        total = rng.choice([1.0, 2.5, 1e308])
+        spectra = [Spectrum(total * w) for w in rng.dirichlet(np.ones(rng.integers(1, 5)), size=rng.integers(1, 6))]
+        spectra += [Spectrum([total / 2, total / 2]), Spectrum(total * np.array([0.5, 0.5 - 1e-13, 1e-13])),
+                    Spectrum([np.nan, total])][: rng.integers(0, 4)]
+        got = _weak_majorization([s.weights.tolist() for s in spectra])
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in stacked_weak_majorization(spectra)]
 
 
 def test_maximal_spectra_raise_on_different_totals_as_majorizes_does():
     spectra = [Spectrum([0.5, 0.5]), Spectrum([1.0]), Spectrum([0.7, 0.4])]
     with pytest.raises(ValueError) as pairwise:
         majorizes(spectra[2], spectra[0])
+    with pytest.raises(ValueError) as listed:
+        maximal_spectra([s.weights for s in spectra])
     with pytest.raises(ValueError) as stacked:
-        maximal_spectra(spectra)
-    assert str(stacked.value) == str(pairwise.value)
+        stacked_weak_majorization(spectra)
+    assert str(listed.value) == str(pairwise.value) == str(stacked.value)
+
+
+# ---------------------------------------------------------------------------
+# Polytope.decompositions against the Spectrum selection it replaced
+# ---------------------------------------------------------------------------
+
+@PROPERTIES
+@given(verts=convex_polygons(4, 12), seed=SEEDS, total=st.sampled_from(TOTALS))
+def test_property_polygon_selection_matches_spectrum_selection(verts, seed, total):
+    space = polytope(verts)
+    rng = np.random.default_rng(seed)
+    for coords in (space.barycenter_coords(), *(rng.dirichlet(np.ones(len(verts)), 4) @ space.vertex_array)):
+        assert_same_selection(space, coords, total)
+
+
+@pytest.mark.parametrize("space", [CUBE, PRISM, TETRAHEDRON], ids=["cube", "prism", "tetrahedron"])
+@pytest.mark.parametrize("total", TOTALS)
+def test_selection_matches_spectrum_selection(space, total):
+    rng = np.random.default_rng(13)
+    verts = space.vertex_array
+    points = [space.barycenter_coords(), (verts[0] + verts[1]) / 2, np.mean(verts[:3], axis=0), verts[-1],
+              *(rng.dirichlet(np.ones(len(verts)), 12) @ verts)]
+    solved = [assert_same_selection(space, coords, total) for coords in points]
+    assert all(solved)
