@@ -13,12 +13,12 @@ from .tolerances import MAJORIZATION_TOL, TOTAL_TOL, WEIGHT_TOL
 
 
 @np.errstate(over="ignore")  # a weight near the float limit gives -inf
-def weights_entropy(weights) -> np.ndarray:
-    """-sum w ln w down axis 0 of a weight array; entries at or below 0 contribute nothing."""
+def weights_entropy(weights, kept=None) -> np.ndarray:
+    """-sum w ln w down axis 0 of a weight array, over the entries in kept (default: those above 0)."""
     w = np.asarray(weights, dtype=float)
-    positive = w > 0.0
-    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
-    return -np.sum(terms, axis=0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    kept = w > 0.0 if kept is None else kept
+    terms = np.log(w, out=np.zeros_like(w), where=kept)
+    return -np.sum(np.multiply(w, terms, out=terms, where=kept), axis=0) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,12 @@ class Spectrum:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.weights))
-
     def padded(self, length: int) -> np.ndarray:
         if length < self.weights.size:
             raise ValueError("cannot pad to a shorter length")
         out = np.zeros(length)
         out[: self.weights.size] = self.weights
         return out
-
-    def entropy(self) -> float:
-        return float(weights_entropy(self.weights))
 
     def __len__(self) -> int:
         return int(self.weights.size)

@@ -29,11 +29,10 @@ chain, and its orthogonality graph and every witness from one closed-form
 interval test (run once on all its ordered vertex pairs for the graph and
 the witnesses between vertices); a polytope of dimension 3 or more takes its
 facets from its vertex m-subsets, and it and a segment each witness from a
-phase-1 simplex.  Two bounded LRU caches hold the polytope machinery: one
+phase-1 simplex.  One bounded LRU cache holds the polytope machinery: one
 record per polytope of everything derived from its vertices, built in
-stacked passes (``_polytope_geometry``, at most ``POLYTOPE_CACHE_SIZE``),
-and the witness memo, one witness per polytope and ordered pair of states
-(``_face_witness``, at most ``WITNESS_CACHE_SIZE``).
+stacked passes, with the witness of each ordered vertex pair it was asked
+for (``_polytope_geometry``, at most ``POLYTOPE_CACHE_SIZE`` records).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPL
 MAX_ENUMERATION_VERTICES = 12
 MAX_FACET_COST = 450_000  # vertex m-subsets times m that the facet search of a polytope in m >= 3 dimensions may test
 POLYTOPE_CACHE_SIZE = 64  # polytope records (everything derived from the vertices) kept
-WITNESS_CACHE_SIZE = 4096  # (polytope, ordered state pair) witness programs kept solved
 FAMILY_GRID_POINTS = 10
 POINT_BLOCK = 4096  # points per stacked clique solve, or vertex subsets times dimension per facet-search SVD
 MASS_ATTEMPTS = 16  # draws of one complement state before the locality sampler gives up
@@ -292,21 +290,18 @@ class Polytope(_Geometry):
         return {"kind": "polytope", "vertices": [list(v) for v in self.vertices]}
 
     def smallest_face(self, states) -> Face:
-        face = _face_vertices(self, np.mean([s.coords for s in states], axis=0))
-        if face is None:
-            return Face(self, "whole", vertex_indices=tuple(range(len(self.vertices))))
-        return Face(self, "vertices", vertex_indices=face)
+        face = _faces(_polytope_geometry(self), np.mean([s.coords for s in states], axis=0)[None])[0]
+        return Face(self, "whole" if np.all(face) else "vertices", vertex_indices=tuple(np.flatnonzero(face).tolist()))
 
     def mutually_singular(self, s0: State, s1: State):
-        witness = _face_witness(self, s0.coords.tobytes(), s1.coords.tobytes(), True)
+        witness = _pair_witness(_polytope_geometry(self), s0.coords, s1.coords, whole=True)
         return witness is not None, witness
 
     def orthogonality_witnesses(self, states) -> tuple:
-        """Per pair, mutual singularity restricted to the vertices of the pair's smallest face.
-
-        Solved once per ordered pair of coordinate vectors (see ``_face_witness``).
-        """
-        return tuple(None if _same_state(a, b) else _face_witness(self, a.coords.tobytes(), b.coords.tobytes())
+        """Per pair, mutual singularity restricted to the vertices of the pair's smallest face (the record's
+        ``witness``)."""
+        geo = _polytope_geometry(self)
+        return tuple(None if _same_state(a, b) else geo.witness(a.coords, b.coords)
                      for a, b in itertools.combinations(states, 2))
 
     def decompositions(self, coords: np.ndarray, total: float):
@@ -323,7 +318,6 @@ class Polytope(_Geometry):
             weights[row, : len(w)], components[row, : len(w)] = w, self.vertex_array[list(support)]
         return weights, components
 
-    @np.errstate(over="ignore")  # a weight near the float limit gives -inf
     def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
         """Least decomposition entropy over the determined clique systems, per point.
 
@@ -335,12 +329,8 @@ class Polytope(_Geometry):
         out = np.empty(len(coords))
         for start in range(0, len(coords), POINT_BLOCK):
             stacks, solved = _clique_solutions(self, coords[start:start + POINT_BLOCK], total)
-            h, partial = [], []
-            for _, w, kept in stacks:
-                terms = np.log(w, out=np.zeros_like(w), where=kept)
-                h.append(-np.sum(np.multiply(w, terms, out=terms, where=kept), axis=1) + 0.0)
-                partial.append(~np.all(kept, axis=1))
-            h = np.concatenate(h)
+            h = np.concatenate([weights_entropy(w.swapaxes(0, 1), kept.swapaxes(0, 1)) for _, w, kept in stacks])
+            partial = [~np.all(kept, axis=1) for _, _, kept in stacks]
             np.min(np.where(solved, h, np.inf), axis=0, out=out[start:start + POINT_BLOCK])
             cols = np.flatnonzero(np.any(solved & np.concatenate(partial), axis=0))
             if not cols.size:
@@ -864,8 +854,9 @@ class _PolytopeGeometry:
 
     The facets are found when the record is built, which validates the vertex list; the vertex
     States, a polygon's vertex-pair tests, the orthogonality graph and the clique systems are built
-    on first use.  A polytope looks its record up instead of holding it, so the witness memo, whose
-    keys hold polytopes, keeps no evicted record alive; an equal polytope parsed again shares the record.
+    on first use, and the witness of an ordered vertex pair when it is first asked for, so a record
+    holds at most nv (nv - 1) witnesses and they go with it.  A polytope looks its record up instead
+    of holding it, so that an equal polytope parsed again shares the record.
     """
 
     def __init__(self, space: Polytope):
@@ -890,6 +881,7 @@ class _PolytopeGeometry:
             self.facet_offsets = eqs[:, -1]
         self.vertex_array = verts
         self.space = space
+        self.witnesses = {}  # (i, j) -> the witness of vertex i and vertex j, see ``witness``
 
     @cached_property
     def vertex_states(self) -> tuple:
@@ -908,6 +900,17 @@ class _PolytopeGeometry:
         i, j = np.divmod(np.arange(nv * nv), nv)
         return tuple(a.reshape(nv, nv) for a in _polygon_orthogonal(self, verts[i], verts[j]))
 
+    def witness(self, zero_at: np.ndarray, one_at: np.ndarray) -> Optional[AffineFunctional]:
+        """The ``_pair_witness`` of two points on their smallest face.  Kept per ordered pair of vertices, found
+        by the bytes of the coordinates (so -0.0 is no vertex 0.0); (j, i) is a pair of its own, since 1 - f
+        would print other digits.  Any other pair is solved on every call."""
+        pair = self.vertex_index.get(zero_at.tobytes()), self.vertex_index.get(one_at.tobytes())
+        if None in pair:
+            return _pair_witness(self, zero_at, one_at)
+        if pair not in self.witnesses:
+            self.witnesses[pair] = _pair_witness(self, zero_at, one_at, pair=pair)
+        return self.witnesses[pair]
+
     @cached_property
     def graph(self) -> np.ndarray:
         """The orthogonality graph of the vertices, as a read-only boolean adjacency matrix."""
@@ -916,7 +919,8 @@ class _PolytopeGeometry:
         if self.space.dim == 2:
             adj[i, j] = adj[j, i] = self.vertex_pairs[0][i, j]
         else:
-            adj[i, j] = adj[j, i] = [orthogonal(self.vertex_states[a], self.vertex_states[b]) for a, b in zip(i, j)]
+            adj[i, j] = adj[j, i] = [self.witness(self.vertex_array[a], self.vertex_array[b]) is not None
+                                     for a, b in zip(i, j)]
         adj.setflags(write=False)
         return adj
 
@@ -1016,44 +1020,32 @@ def _polytope_geometry(space: Polytope) -> _PolytopeGeometry:
     return _PolytopeGeometry(space)
 
 
-def _face_vertices(space: Polytope, center: np.ndarray) -> Optional[tuple]:
-    """Vertex indices of the smallest face of the polytope containing center; None for the whole polytope."""
-    geo = _polytope_geometry(space)
-    active = np.abs(geo.facet_normals @ center + geo.facet_offsets) <= SINGULARITY_TOL
-    if not np.any(active):
-        return None
-    on_face = np.all(
-        np.abs(geo.vertex_array @ geo.facet_normals[active].T + geo.facet_offsets[active]) <= SINGULARITY_TOL,
-        axis=1,
-    )
-    return tuple(np.nonzero(on_face)[0].tolist())
+def _faces(geometry: _PolytopeGeometry, centers: np.ndarray, whole: bool = False) -> np.ndarray:
+    """(N, nv) masks of the vertices of the smallest face containing each of the (N, m) centers: the vertices
+    on every facet within SINGULARITY_TOL of the center, so every vertex where no facet is (or when whole)."""
+    normals, offsets = geometry.facet_normals, geometry.facet_offsets
+    active = np.abs(centers @ normals.T + offsets) <= (-1.0 if whole else SINGULARITY_TOL)
+    on_facet = np.abs(geometry.vertex_array @ normals.T + offsets) <= SINGULARITY_TOL
+    return np.all(~active[:, None, :] | on_facet, axis=-1)
 
 
-@lru_cache(maxsize=WITNESS_CACHE_SIZE)
-def _face_witness(space: Polytope, zero_at: bytes, one_at: bytes, whole: bool = False) -> Optional[AffineFunctional]:
-    """An affine map with value 0 at zero_at, 1 at one_at (coordinate bytes) and [0, 1] on the vertices of
-    their smallest face (all when whole), or None: in closed form on polygons (from the record's ``vertex_pairs``
-    when both are vertices and not whole), else ``_affine_test_feasible``.
-
-    Keyed by the bytes, -0.0 and 0.0 stay apart, so a hit returns the coefficients a cold call prints.
-    The swapped pair is a key of its own: 1 - f would change the printed digits.
-    """
-    pair, zero_at, one_at = (zero_at, one_at), np.frombuffer(zero_at), np.frombuffer(one_at)
-    if space.dim == 2:
-        geo = _polytope_geometry(space)
-        i, j = map(geo.vertex_index.get, pair)
-        if whole or i is None or j is None:
-            found, t = (a[0] for a in _polygon_orthogonal(geo, zero_at[None], one_at[None], whole))
+def _pair_witness(geometry: _PolytopeGeometry, zero_at: np.ndarray, one_at: np.ndarray, whole: bool = False,
+                  pair: Optional[tuple] = None) -> Optional[AffineFunctional]:
+    """An affine map with value 0 at zero_at, 1 at one_at and [0, 1] on the vertices of their smallest face
+    (all when whole), or None: in closed form on polygons (read from the record's ``vertex_pairs`` at pair,
+    the indices of two vertices), else ``_affine_test_feasible``; uncached (see ``_PolytopeGeometry.witness``)."""
+    if geometry.space.dim == 2:
+        if pair is None:
+            found, t = (a[0] for a in _polygon_orthogonal(geometry, zero_at[None], one_at[None], whole))
         else:
-            found, t = (a[i, j] for a in geo.vertex_pairs)
+            found, t = (a[pair] for a in geometry.vertex_pairs)
         if not found:
             return None
         d = one_at - zero_at
         c = d / (d @ d) + t * np.array([-d[1], d[0]])
         return AffineFunctional(c, -float(c @ zero_at))
-    face = None if whole else _face_vertices(space, np.mean([zero_at, one_at], axis=0))
-    verts = space.vertex_array if face is None else space.vertex_array[list(face)]
-    return _affine_test_feasible(verts, zero_at, one_at)
+    face = _faces(geometry, ((zero_at + one_at) / 2.0)[None], whole)[0]
+    return _affine_test_feasible(geometry.vertex_array[face], zero_at, one_at)
 
 
 def _affine_test_feasible(vertex_array: np.ndarray, zero_at: np.ndarray,
@@ -1113,10 +1105,7 @@ def _polygon_orthogonal(geometry: _PolytopeGeometry, p0: np.ndarray, p1: np.ndar
     within WITNESS_FEASIBILITY_TOL, meet in [L, U].  t is the point of [L, U] where the two vertices
     bounding it are equally far, in f, from the ends of [0, 1] (the tolerance cancels); 0 if t is free.
     """
-    verts, normals, offsets = geometry.vertex_array, geometry.facet_normals, geometry.facet_offsets
-    active = np.abs((p0 + p1) / 2.0 @ normals.T + offsets) <= (-1.0 if whole else SINGULARITY_TOL)
-    on_facet = np.abs(verts @ normals.T + offsets) <= SINGULARITY_TOL
-    face = np.all(~active[:, None, :] | on_facet, axis=-1)  # (pairs, vertices); no active facet (whole): all
+    verts, face = geometry.vertex_array, _faces(geometry, (p0 + p1) / 2.0, whole)  # (pairs, vertices)
     d = p1 - p0
     rel = verts - p0[:, None, :]
     g = rel[..., 1] * d[:, None, 0] - rel[..., 0] * d[:, None, 1]

@@ -47,8 +47,8 @@ def reference_witness(space, s0, s1):
     """``orthogonality_witness`` as the earlier code computed it: one support eigensolve per state."""
     if np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL:
         return None
-    if isinstance(space, geo.Polytope):  # the program on the vertices of the pair's smallest face
-        return geo._face_witness(space, s0.coords.tobytes(), s1.coords.tobytes())
+    if isinstance(space, geo.Polytope):  # solved cold on the vertices of the pair's smallest face
+        return geo._pair_witness(geo._polytope_geometry(space), s0.coords, s1.coords)
     if not isinstance(space, geo.DensityMatrices):  # the face does not change the criterion
         return space.mutually_singular(s0, s1)[1]
     p0, p1 = space._support(s0.coords), space._support(s1.coords)

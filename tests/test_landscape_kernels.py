@@ -17,7 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo, spectral
-from spectral_cone.decomposition import weights_entropy
 from spectral_cone.errors import DecompositionError
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -40,8 +39,9 @@ def reference_entropies(space, coords, total) -> np.ndarray:
     out = np.empty(len(coords))
     for start in range(0, len(coords), geo.POINT_BLOCK):
         stacks, _ = geo._clique_solutions(space, coords[start:start + geo.POINT_BLOCK], total)
-        h = np.concatenate([weights_entropy(np.where(kept, np.clip(w, 0.0, None), 0.0).swapaxes(0, 1))
-                            for _, w, kept in stacks])
+        cols = [np.where(kept, np.clip(w, 0.0, None), 0.0).swapaxes(0, 1) for _, w, kept in stacks]
+        h = np.concatenate([-np.sum(np.where(v > 0.0, v * np.log(np.where(v > 0.0, v, 1.0)), 0.0), axis=0) + 0.0
+                            for v in cols])  # -sum w ln w over each clique's weights, written out
         support = np.concatenate([np.sum(np.where(kept, 1 << idx[..., None], 0), axis=1) for idx, _, kept in stacks])
         order = np.argsort(support, axis=0, kind="stable")
         support = np.take_along_axis(support, order, axis=0)

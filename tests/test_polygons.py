@@ -23,7 +23,8 @@ from scipy.spatial import ConvexHull, QhullError
 import spectral_cone as sc
 from spectral_cone import cli, geometries as geo
 from spectral_cone.spectral import is_spectral
-from spectral_cone.tolerances import FACET_DIGITS, MEMBERSHIP_TOL, SAME_STATE_TOL, WITNESS_FEASIBILITY_TOL
+from spectral_cone.tolerances import (FACET_DIGITS, MEMBERSHIP_TOL, SAME_STATE_TOL, SINGULARITY_TOL,
+                                      WITNESS_FEASIBILITY_TOL)
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 SQUARE = geo.unit_square()
@@ -41,9 +42,21 @@ def polytope(verts) -> geo.Polytope:
     return geo.Polytope(tuple(tuple(float(c) for c in v) for v in verts))
 
 
+def reference_face(space: geo.Polytope, center):
+    """Vertex indices of the smallest face of the polytope containing center, or None for the whole polytope:
+    the vertices on every facet within SINGULARITY_TOL of center, one center at a time (the rule that
+    ``geometries._faces`` stacks)."""
+    record = geo._polytope_geometry(space)
+    active = np.abs(record.facet_normals @ center + record.facet_offsets) <= SINGULARITY_TOL
+    if not np.any(active):
+        return None
+    on_face = np.abs(record.vertex_array @ record.facet_normals[active].T + record.facet_offsets[active])
+    return tuple(np.nonzero(np.all(on_face <= SINGULARITY_TOL, axis=1))[0].tolist())
+
+
 def face_vertices(space: geo.Polytope, p0, p1, whole=False) -> np.ndarray:
     """The vertices of the smallest face of the pair, or every vertex when whole."""
-    face = None if whole else geo._face_vertices(space, np.mean([p0, p1], axis=0))
+    face = None if whole else reference_face(space, np.mean([p0, p1], axis=0))
     return space.vertex_array if face is None else space.vertex_array[list(face)]
 
 

@@ -1,15 +1,16 @@
-"""Polytope caches: the witness memo, the one polytope record cache, and the clique enumeration.
+"""Polytope caches: the one polytope record cache, the vertex-pair witnesses it keeps, and the clique enumeration.
 
 Everything derived from a polytope's vertices (facets, vertex states, a
-polygon's vertex-pair tests, orthogonality graph, clique systems) lives in
-one record per polytope, cached by ``_polytope_geometry`` and evicted as a
-unit.  ``decompose`` prints one witness per ordered component pair (in
-closed form on polygons, read from the record's table of every ordered
-vertex pair; from the phase-1 simplex on the cube), and each witness is
-found once per polytope and ordered pair of states (``_face_witness``).
-The clique enumeration (by level: each clique extended by every later
-vertex adjacent to all its members) is checked against the walk over all
-vertex subsets, kept here as the oracle.
+polygon's vertex-pair tests, orthogonality graph, clique systems, the
+witnesses of vertex pairs) lives in one record per polytope, cached by
+``_polytope_geometry`` and evicted as a unit.  ``decompose`` prints one
+witness per ordered component pair (in closed form on polygons, read from
+the record's table of every ordered vertex pair; from the phase-1 simplex on
+the cube), and the record keeps each as it is found, once per ordered vertex
+pair (``_PolytopeGeometry.witness``); a pair of other points is solved on
+every call.  The clique enumeration (by level: each clique extended by every
+later vertex adjacent to all its members) is checked against the walk over
+all vertex subsets, kept here as the oracle.
 """
 
 import dataclasses
@@ -86,15 +87,13 @@ def test_property_graph_cliques_match_walk(data):
 
 
 # ---------------------------------------------------------------------------
-# one record cache per polytope, one witness memo
+# one record cache per polytope, holding its vertex-pair witnesses
 # ---------------------------------------------------------------------------
 
 def test_polytope_caches_share_one_bound():
-    # the record cache is the one polytope cache; the witness memo is keyed by state pairs too
-    assert [name for name in dir(geo) if hasattr(getattr(geo, name), "cache_info")] == [
-        "_face_witness", "_polytope_geometry"]
+    # the record cache is the one cache of the module; the witnesses live in the records
+    assert [name for name in dir(geo) if hasattr(getattr(geo, name), "cache_info")] == ["_polytope_geometry"]
     assert geo._polytope_geometry.cache_info().maxsize == geo.POLYTOPE_CACHE_SIZE
-    assert geo._face_witness.cache_info().maxsize == geo.WITNESS_CACHE_SIZE
 
 
 def test_polytope_caches_stay_within_bound():
@@ -109,7 +108,7 @@ def test_polytope_caches_stay_within_bound():
         geo.decompose(space, sc.ConeElement(space, 1.0, [0.1, 0.2]), with_witnesses=True)
     # the cache took more polygons than it holds, so it is full and no fuller
     assert geo._polytope_geometry.cache_info().currsize == geo.POLYTOPE_CACHE_SIZE
-    # the first record went as a unit, although the polytope lives on in this test and in the witness memo
+    # the first record went as a unit, although the polytope lives on in this test
     assert record() is None
     misses = geo._polytope_geometry.cache_info().misses
     rebuilt = geo._polytope_geometry(polytope(regular_polygon(5, scale=1.45)))
@@ -117,8 +116,27 @@ def test_polytope_caches_stay_within_bound():
     assert geo._polytope_geometry(first) is rebuilt
 
 
+@pytest.mark.parametrize("verts", [regular_polygon(6, scale=1.45), [(0, 0, 0), (1, 0, 0), (0, 1.45, 0), (0, 0, 1)]],
+                         ids=["hexagon", "tetrahedron"])
+def test_evicted_record_frees_its_witnesses(verts):
+    space = polytope(verts)  # not built elsewhere
+    witnesses = geo.decompose(space, sc.ConeElement(space, 1.0, np.mean(space.vertex_array, axis=0) * 0.9),
+                              with_witnesses=True).witnesses
+    record = geo._polytope_geometry(space)
+    assert witnesses and all(w is not None for w in witnesses)
+    assert all(any(w is kept for kept in record.witnesses.values()) for w in witnesses)
+    assert 0 < len(record.witnesses) <= len(verts) * (len(verts) - 1)
+    refs = [weakref.ref(w) for w in witnesses]
+    del witnesses, record
+    for k in range(geo.POLYTOPE_CACHE_SIZE):
+        other = polytope(regular_polygon(5, scale=1.6 + k / 1000))  # not built elsewhere
+        geo.decompose(other, sc.ConeElement(other, 1.0, [0.1, 0.2]))
+    # the polytope lives on in this test; its record, and with it every witness, went
+    assert all(ref() is None for ref in refs)
+
+
 # ---------------------------------------------------------------------------
-# the witness memo
+# the witnesses a record keeps
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -164,29 +182,28 @@ def witness(space: geo.Polytope, i: int, j: int):
 
 
 @pytest.mark.parametrize("space", [SQUARE, CUBE, PENTAGON], ids=["square", "cube", "pentagon"])
-def test_memo_witnesses_equal_cold_solves(space):
+def test_kept_witnesses_equal_cold_solves(space):
     pairs = vertex_pairs(space)
     assert pairs
-    memo = [witness(space, i, j) for i, j in pairs]
-    assert all(witness(space, i, j) is w for (i, j), w in zip(pairs, memo))  # second call: a hit
-    cold = []
-    for i, j in pairs:
-        geo._face_witness.cache_clear()
-        cold.append(witness(space, i, j))
-    for w, c in zip(memo, cold):
+    kept = [witness(space, i, j) for i, j in pairs]
+    assert all(witness(space, i, j) is w for (i, j), w in zip(pairs, kept))  # second call: the kept witness
+    record = geo._polytope_geometry(space)
+    assert all(record.witnesses[i, j] is w for (i, j), w in zip(pairs, kept))
+    va = space.vertex_array
+    cold = [geo._PolytopeGeometry(space).witness(va[i], va[j]) for i, j in pairs]  # a fresh record each
+    for w, c in zip(kept, cold):
         assert w.linear.tobytes() == c.linear.tobytes()
         assert np.float64(w.offset).tobytes() == np.float64(c.offset).tobytes()
 
 
 def test_swapped_pair_is_its_own_program(program_calls):
-    # the cube, where the memo holds phase-1 programs; 0 and 3 are a diagonal of the face x = 0
-    geo._face_witness.cache_clear()
-    forward = witness(CUBE, 0, 3)
-    backward = witness(CUBE, 3, 0)
+    # the cube, whose witnesses are phase-1 programs; 0 and 3 are a diagonal of the face x = 0
+    record = geo._PolytopeGeometry(CUBE)  # a fresh record: no witness kept
+    forward = record.witness(record.vertex_array[0], record.vertex_array[3])
+    backward = record.witness(record.vertex_array[3], record.vertex_array[0])
     assert len(program_calls) == 2
-    assert geo._face_witness.cache_info().currsize == 2
-    geo._face_witness.cache_clear()
-    cold = witness(CUBE, 3, 0)
+    assert list(record.witnesses) == [(0, 3), (3, 0)]
+    cold = geo._PolytopeGeometry(CUBE).witness(record.vertex_array[3], record.vertex_array[0])
     assert backward.linear.tobytes() == cold.linear.tobytes() and backward.offset == cold.offset
     # the swapped witness maps vertex 3 to 0 and vertex 0 to 1, as 1 - forward would
     s0, s3 = CUBE.vertex_state(0), CUBE.vertex_state(3)
@@ -243,7 +260,7 @@ def test_property_vertex_pairs_match_single_pair_tests(verts):
     for i, j in itertools.product(range(len(va)), repeat=2):
         one_found, one_t = geo._polygon_orthogonal(record, va[i][None], va[j][None])
         assert found[i, j] == one_found[0] and t[i, j].tobytes() == one_t[0].tobytes()
-        witness = geo._face_witness(space, va[i].tobytes(), va[j].tobytes())
+        witness = record.witness(va[i], va[j])
         assert (witness is not None) == one_found[0]
         if witness is not None:  # the pair's own entry: t of (j, i) may differ in the last bit
             d = va[j] - va[i]

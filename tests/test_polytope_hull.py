@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
-from test_polygons import PROPERTIES, highs_witness, polytope
+from test_polygons import PROPERTIES, convex_polygons, highs_witness, polytope, reference_face
 
 from spectral_cone import cli, geometries as geo
 from spectral_cone.tolerances import FACET_DIGITS, WITNESS_FEASIBILITY_TOL
@@ -136,6 +136,34 @@ def test_facet_search_cost_refused_before_any_svd(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# faces: the stacked rule against the facet-by-facet one
+# ---------------------------------------------------------------------------
+
+@settings(PROPERTIES, max_examples=40)
+@given(verts=st.one_of(convex_polygons(), st.sampled_from([CUBE, PRISM, TETRAHEDRON, OCTAHEDRON])),
+       seed=st.integers(0, 2**32 - 1), whole=st.booleans())
+def test_property_faces_match_the_facet_rule(verts, seed, whole):
+    # vertices, midpoints of every vertex pair (edges, face diagonals, inner diagonals) and Dirichlet points of
+    # random vertex subsets, which lie on every kind of face and inside
+    space = polytope(verts)
+    va, rng = space.vertex_array, np.random.default_rng(seed)
+    i, j = np.triu_indices(len(va), 1)
+    subsets = rng.random((20, len(va))) < rng.uniform(0.2, 0.9, (20, 1))
+    subsets[np.arange(20), rng.integers(len(va), size=20)] = True
+    weights = np.where(subsets, rng.exponential(size=subsets.shape), 0.0)
+    centers = np.vstack([va, (va[i] + va[j]) / 2.0, weights @ va / np.sum(weights, axis=1, keepdims=True)])
+    got = geo._faces(geo._polytope_geometry(space), centers, whole)
+    assert got.shape == (len(centers), len(va)) and got.dtype == bool
+    for mask, center in zip(got, centers):
+        face = None if whole else reference_face(space, center)
+        assert mask.tolist() == [face is None or k in face for k in range(len(va))]
+        if not whole:  # the Face of one state reads the same rule
+            found = space.smallest_face([geo.State(space, center)])
+            assert (found.kind, found.vertex_indices) == (
+                ("whole", tuple(range(len(va)))) if face is None else ("vertices", face))
+
+
+# ---------------------------------------------------------------------------
 # witnesses: the phase-1 simplex against HiGHS
 # ---------------------------------------------------------------------------
 
@@ -154,9 +182,9 @@ def check_pairs(space: geo.Polytope, points) -> int:
         if np.max(np.abs(p0 - p1)) <= 1e-12:
             continue
         for whole in (False, True):
-            face = None if whole else geo._face_vertices(space, (p0 + p1) / 2.0)
+            face = None if whole else reference_face(space, (p0 + p1) / 2.0)
             on_face = verts if face is None else verts[list(face)]
-            witness = geo._face_witness(space, p0.tobytes(), p1.tobytes(), whole)
+            witness = geo._pair_witness(geo._polytope_geometry(space), p0, p1, whole)
             if not 0.5 <= least_violation(on_face, p0, p1) / WITNESS_FEASIBILITY_TOL <= 2.0:
                 assert (witness is None) is (highs_witness(on_face, p0, p1) is None)
                 compared += 1

@@ -80,7 +80,7 @@ def reference_decomposition(space, x):
 
 def stacked_weak_majorization(spectra) -> tuple:
     """The earlier ``_weak_majorization``: the zero-padded spectra stacked and np.cumsum of every difference."""
-    totals = np.array([s.total for s in spectra])
+    totals = np.array([np.sum(s.weights) for s in spectra])
     length = max(len(s) for s in spectra)
     padded = np.array([s.padded(length) for s in spectra])
     scale = np.maximum(1.0, np.abs(totals))
