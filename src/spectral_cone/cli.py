@@ -31,7 +31,7 @@ from .cone import ConeElement
 from .errors import SpectralConeError
 
 DEFAULT_SEED = 42
-# bad input: exit 1 with a one-line error (json.JSONDecodeError is a ValueError)
+# bad input or an unwritable --out: main exits 1 with a one-line error (json.JSONDecodeError is a ValueError)
 _USAGE_ERRORS = (ValueError, KeyError, OSError)
 
 _SHORTHANDS = {
@@ -111,11 +111,7 @@ def _report_json(report: dict) -> str:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        space = parse_space(args.space)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    space = parse_space(args.space)
     try:
         x = parse_element(args.element, space)
         dec = geo.decompose(space, x, with_witnesses=True)
@@ -123,9 +119,6 @@ def cmd_decompose(args) -> int:
         # membership or decomposition invariant failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     payload = dec.to_json()
     payload["space"] = space.to_json()
     payload["trace"] = x.trace_weight
@@ -155,39 +148,30 @@ def _seed(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        seed = _seed(args)
-        if args.tol is not None and args.kind in ("spectrality", "concavity"):
-            raise ValueError(f"check {args.kind} takes no --tol")
-        if args.kind == "concavity":
-            if not args.algebra:
-                raise ValueError("check concavity requires --algebra")
-            report = jordan.check_concavity(args.algebra, trials=args.trials, seed=seed)
-        elif not args.space:
-            raise ValueError(f"check {args.kind} requires --space")
-        elif args.kind == "spectrality":
-            report = spectral.is_spectral(parse_space(args.space), samples=args.trials, seed=seed).to_json()
-        else:
-            space = parse_space(args.space)
-            div = dv.builtin_divergence(args.divergence, space)
-            check = dv.check_locality if args.kind == "locality" else dv.check_sufficiency
-            tol = {} if args.tol is None else {"tol": args.tol}  # else the checker's default
-            report = check(div, space, trials=args.trials, seed=seed, **tol)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    seed = _seed(args)
+    if args.tol is not None and args.kind in ("spectrality", "concavity"):
+        raise ValueError(f"check {args.kind} takes no --tol")
+    if args.kind == "concavity":
+        if not args.algebra:
+            raise ValueError("check concavity requires --algebra")
+        report = jordan.check_concavity(args.algebra, trials=args.trials, seed=seed)
+    elif not args.space:
+        raise ValueError(f"check {args.kind} requires --space")
+    elif args.kind == "spectrality":
+        report = spectral.is_spectral(parse_space(args.space), samples=args.trials, seed=seed).to_json()
+    else:
+        space = parse_space(args.space)
+        div = dv.builtin_divergence(args.divergence, space)
+        check = dv.check_locality if args.kind == "locality" else dv.check_sufficiency
+        tol = {} if args.tol is None else {"tol": args.tol}  # else the checker's default
+        report = check(div, space, trials=args.trials, seed=seed, **tol)
     _emit(_report_json(report), args.out)
     return 0 if report["pass"] else 2
 
 
 def cmd_landscape(args) -> int:
-    try:
-        space = parse_space(args.space)
-        land = spectral.entropy_landscape(space, grid_resolution=args.grid)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    maxima_text = json.dumps(land.maxima_json(), sort_keys=True) + "\n"
+    land = spectral.entropy_landscape(parse_space(args.space), grid_resolution=args.grid)
+    maxima_text = _report_json(land.maxima_json())
     _emit(land.csv_text(), args.out)
     if args.out:
         _emit(maxima_text, args.out + ".maxima.json")
@@ -247,12 +231,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return args.func(args)
     except SystemExit as exc:  # --help
         return 1 if exc.code not in (0, None) else 0
-    return args.func(args)
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

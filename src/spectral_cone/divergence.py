@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jordan
 from .cone import AffineFunctional, State, evaluate, mix, mix_coords, require_space, require_states
-from .errors import NotInConeError, PreconditionError, require_count, require_tolerance
+from .errors import NotInConeError, PreconditionError, check_report, require_count, require_tolerance
 from .tolerances import (ENTROPY_FIT_TOL, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL, OPTIMAL_ACTION_TOL,
                          REVERSIBILITY_TOL, SUFFICIENCY_TOL, SUPPORT_LEAK_TOL, ZERO_EIGENVALUE_TOL)
 
@@ -350,19 +350,9 @@ def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCA
             "values": [float(a[trial, k]), float(b[trial, k])],
             "reversed_values": [float(ar[trial, k]), float(br[trial, k])],
         }
-    return {
-        "check": "locality",
-        "divergence": div.name,
-        "space": space.to_json(),
-        "pass": bool(passed),
-        "max_gap": max_gap,
-        "reversed_max_gap": max_gap_reversed,
-        "witness": witness,
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tol),
-        "vacuous": bool(np.all(vacuous)),
-    }
+    return check_report("locality", passed, max_gap, witness, trials, seed, divergence=div.name,
+                        space=space.to_json(), reversed_max_gap=max_gap_reversed, tolerance=float(tol),
+                        vacuous=bool(np.all(vacuous)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +419,9 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = S
             "s2": [float(c) for c in drawn[trial, 1]],
             "values": [float(base[i]), float(image[i])],
         }
-    return {
-        "check": "sufficiency",
-        "divergence": div.name,
-        "space": space.to_json(),
-        "pass": bool(passed),
-        "max_gap": max_gap,
-        "witness": witness,
-        "precondition_violations": violations,
-        "exploratory": bool(space.exploratory),
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tol),
-    }
+    return check_report("sufficiency", passed, max_gap, witness, trials, seed, divergence=div.name,
+                        space=space.to_json(), precondition_violations=violations,
+                        exploratory=bool(space.exploratory), tolerance=float(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exception types and input checks shared across the package."""
+"""Exception types, input checks and the report schema shared across the package."""
 
 
 class SpectralConeError(Exception):
@@ -47,3 +47,9 @@ def require_tolerance(name: str, value: float) -> None:
     """Reject a tolerance that is NaN, infinite or negative: the verdict would follow from it alone."""
     if not 0.0 <= value < float("inf"):  # NaN fails every comparison
         raise ValueError(f"{name} must be a finite number at least 0, got {value}")
+
+
+def check_report(check: str, passed, max_gap, witness, trials, seed, **fields) -> dict:
+    """The report of a check: the six fields every check shares, as JSON types, then the check's own fields."""
+    return {"check": check, "pass": bool(passed), "max_gap": float(max_gap), "witness": witness,
+            "trials": int(trials), "seed": int(seed), **fields}

@@ -152,14 +152,6 @@ class Simplex(_Geometry):
     def barycenter_coords(self) -> np.ndarray:
         return np.full(self.n, 1.0 / self.n)
 
-    @cached_property
-    def _vertex_states(self) -> tuple:
-        return tuple(State._trusted(self, row) for row in np.eye(self.n))
-
-    def vertex_state(self, i: int) -> State:
-        """The i-th vertex as a State, built once per space."""
-        return self._vertex_states[i]
-
     def functional_range(self, a: AffineFunctional):
         values = a.linear + a.offset
         return float(np.min(values)), float(np.max(values))
@@ -277,10 +269,6 @@ class Polytope(_Geometry):
 
     def barycenter_coords(self) -> np.ndarray:
         return np.mean(self.vertex_array, axis=0)
-
-    def vertex_state(self, i: int) -> State:
-        """The i-th vertex as a State, built once per polytope record."""
-        return _polytope_geometry(self).vertex_states[i]
 
     def functional_range(self, a: AffineFunctional):
         values = self.vertex_array @ a.linear + a.offset
@@ -1138,26 +1126,30 @@ def _cliques(adj: np.ndarray) -> list:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # near the float limit: a NaN residual solves nothing
+@np.errstate(over="ignore", invalid="ignore")  # an unsolved system's weights may overflow when scaled back
 def _clique_solutions(space: Polytope, coords, total):
     """Solve every determined clique system for the N points total * coords[i] at once.
 
     Returns per clique size, in clique order, (idx, w, kept):
     vertex indices (G, k), weights (G, k, N), and kept, true for weights
     above WEIGHT_DROP_TOL * scale of systems that solve the point (no weight
-    below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL); and
-    solved (cliques, N), true where a clique keeps a vertex of the point.
-    Only kept weights are meaningful.
+    below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL * scale,
+    scale = max(1, total)); and solved (cliques, N), true where a clique
+    keeps a vertex of the point.  Only kept weights are meaningful.  The
+    systems are solved at total * 2**-e, below 1, and the weights scaled back:
+    a power of two scales every rounding exactly (short of underflow), so no
+    bit changes, and the solve does not overflow near the float limit.
     """
-    scale = max(1.0, total)
-    rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
+    scale, e = max(1.0, total), max(0, math.frexp(total)[1])
+    unit, drop, singular = (math.ldexp(v, -e) for v in (total, WEIGHT_DROP_TOL * scale, SINGULARITY_TOL * scale))
+    rhs = np.append(unit * coords, np.full((len(coords), 1), unit), axis=1).T
     stacks = []
     for idx, pinv, matrix in _polytope_geometry(space).clique_systems[0]:
         w = pinv @ rhs
         residual = np.max(np.abs(matrix @ w - rhs), axis=1)
-        ok = (np.min(w, axis=1) >= -WEIGHT_DROP_TOL * scale) & (
-            residual <= SINGULARITY_TOL * max(1.0, scale))
-        stacks.append((idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)))
+        ok = (np.min(w, axis=1) >= -drop) & (residual <= singular)
+        kept = ok[:, None, :] & (w > drop)  # before w is scaled back in place
+        stacks.append((idx, np.ldexp(w, e, out=w), kept))
     return stacks, np.concatenate([np.any(kept, axis=1) for _, _, kept in stacks])
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import quaternion as quat
 from .decomposition import weights_entropy
-from .errors import DomainError, require_count, require_tolerance
+from .errors import DomainError, check_report, require_count, require_tolerance
 from .tolerances import (CLUSTER_RADIUS_FLOOR, CLUSTER_RTOL, CONCAVITY_FD_RTOL, CONCAVITY_FD_STEP,
                          CONCAVITY_REL_FLOOR, CONCAVITY_STRICTNESS, HERMITIAN_TOL, MIDPOINT_SLACK_TOL,
                          NEGATIVE_EIGENVALUE_TOL, SPIN_DEGENERATE_TOL, ZERO_EIGENVALUE_TOL)
@@ -623,18 +623,10 @@ def check_concavity(algebra, trials: int = 200, seed: int = 0,
                    "d2": float(d2[trial]), "fd": float(fd[trial]), "rel_err": float(rel[trial]),
                    "slack": float(slack[trial])}
     max_second = float(np.max(d2[~np.isnan(d2)], initial=-math.inf))
-    return {
-        "check": "concavity",
-        "algebra": f"{kind}{n}",
-        "pass": witness is None,
-        "max_gap": float(max(0.0, max_second + strictness)),
-        "max_second_derivative": max_second,
-        "fd_max_rel_err": float(np.max(rel[~np.isnan(rel)], initial=0.0)),
-        "min_midpoint_slack": float(np.min(slack[~np.isnan(slack)], initial=math.inf)),
-        "witness": witness,
-        "trials": int(trials),
-        "seed": int(seed),
-    }
+    return check_report("concavity", witness is None, max(0.0, max_second + strictness), witness, trials, seed,
+                        algebra=f"{kind}{n}", max_second_derivative=max_second,
+                        fd_max_rel_err=float(np.max(rel[~np.isnan(rel)], initial=0.0)),
+                        min_midpoint_slack=float(np.min(slack[~np.isnan(slack)], initial=math.inf)))
 
 
 def _matrix_concavity_terms(ring: str, n: int, trials: int, rng: np.random.Generator, steps: np.ndarray):

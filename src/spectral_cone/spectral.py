@@ -18,7 +18,7 @@ import numpy as np
 
 from .cone import ConeElement, require_space
 from .decomposition import Ordering, OrthogonalDecomposition, Spectrum, majorizes
-from .errors import ApexError, require_count
+from .errors import ApexError, check_report, require_count
 from .tolerances import GRID_MEMBERSHIP_TOL, SPECTRUM_DIGITS, SPECTRUM_GAP_TOL
 
 __all__ = [
@@ -57,24 +57,15 @@ class SpectralityReport:
 
     def to_json(self) -> dict:
         """Report; max_gap is the sup-norm distance of the zero-padded witness spectra."""
-        out = {
-            "check": "spectrality",
-            "pass": self.spectral,
-            "method": self.method,
-            "trials": self.samples,
-            "seed": self.seed,
-            "max_gap": 0.0,
-            "witness": None,
-        }
+        max_gap, witness = 0.0, None
         if not self.spectral:
             a, b = (Spectrum(s) for s in self.witness_spectra)
             length = max(len(a), len(b))
-            out["max_gap"] = float(np.max(np.abs(a.padded(length) - b.padded(length))))
-            out["witness"] = {
-                "coords": [float(c) for c in self.witness_coords],
-                "spectra": [[float(w) for w in s] for s in self.witness_spectra],
-            }
-        return out
+            max_gap = np.max(np.abs(a.padded(length) - b.padded(length)))
+            witness = {"coords": [float(c) for c in self.witness_coords],
+                       "spectra": [[float(w) for w in s] for s in self.witness_spectra]}
+        return check_report("spectrality", self.spectral, max_gap, witness, self.samples, self.seed,
+                            method=self.method)
 
 
 def _distinct_spectra(decompositions):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectral_cone as sc
-from spectral_cone import cli, geometries as geo
+from spectral_cone import cli, divergence as dv, geometries as geo, jordan, spectral
+from spectral_cone.tolerances import RECONSTRUCTION_TOL
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +105,9 @@ def test_check_sufficiency(capsys):
 def test_check_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "concavity", "--trials", "5")
     assert code == 1 and "algebra" in err
+
+
+UNWRITABLE = "/dev/null/out.json"  # a path below a file: opening it for writing raises OSError
 
 
 def assert_one_line_error(code, out, err):
@@ -219,6 +223,18 @@ def test_polytope_vertex_at_the_float_limit_is_quiet(capsys):
     assert sc.entropy(square, sc.ConeElement(square, 1e308, [1.0, 1.0])) == -math.inf
 
 
+@pytest.mark.parametrize("trace", [1e308, 1.7e308])
+def test_polygon_decomposes_near_the_float_limit(capsys, trace):
+    # the clique systems are solved at a power-of-two scale below 1, so pinv @ rhs does not overflow
+    space = '{"kind": "polytope", "vertices": [[0, 1.25], [-1, 1], [0, 0.75], [1, 1]]}'
+    code, out, err = run_cli(capsys, "decompose", "--space", space, "--element",
+                             f'{{"trace": {trace!r}, "coords": [0.1, 1.05]}}')
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["reconstruction_error"] <= RECONSTRUCTION_TOL * trace
+    assert payload["weights"] and sum(payload["weights"]) == pytest.approx(trace, rel=1e-12)
+
+
 @pytest.mark.parametrize("divergence", ["kl", "itakura_saito"])
 @pytest.mark.parametrize("kind", ["locality", "sufficiency"])
 def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
@@ -263,6 +279,9 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
                                  ("sufficiency", "kl", "-inf"))),
         ["check", "concavity", "--algebra", "complex2", "--trials", "5", "--tol", "-3"],
         ["check", "spectrality", "--space", "square", "--trials", "5", "--tol", "1e-6"],
+        ["decompose", "--space", "square", "--element", "[0.5, 0.25]", "--out", UNWRITABLE],
+        ["check", "concavity", "--algebra", "complex2", "--trials", "5", "--out", UNWRITABLE],
+        ["landscape", "--space", "square", "--grid", "5", "--out", UNWRITABLE],
     ],
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
@@ -273,7 +292,7 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
          "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n",
          "sufficiency-square", "sufficiency-disc", "sufficiency-spin3", "locality-tol-inf", "locality-tol-nan",
          "locality-tol-negative", "sufficiency-tol-inf", "sufficiency-tol-minus-inf", "concavity-tol",
-         "spectrality-tol"],
+         "spectrality-tol", "decompose-out-unwritable", "check-out-unwritable", "landscape-out-unwritable"],
 )
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -284,6 +303,33 @@ def test_usage_error_is_one_line(capsys, argv):
         assert err == f"error: no builtin channel suite for {kind} spaces\n"
     if "--tol" in argv:
         assert "tol" in err
+
+
+SIMPLEX3, COMPLEX2 = geo.Simplex(3), geo.DensityMatrices("complex", 2)
+REPORTS = {  # (a check's report, its verdict) for each check, passing and failing
+    "locality-pass": (lambda: dv.check_locality(dv.kl_divergence(), SIMPLEX3, trials=20, seed=1), True),
+    "locality-fail": (lambda: dv.check_locality(dv.squared_euclidean_divergence(), SIMPLEX3, trials=20, seed=1),
+                      False),
+    "sufficiency-pass": (lambda: dv.check_sufficiency(dv.matrix_negentropy_divergence(COMPLEX2), COMPLEX2,
+                                                      trials=20, seed=1), True),
+    "sufficiency-fail": (lambda: dv.check_sufficiency(dv.squared_euclidean_divergence(), SIMPLEX3, trials=20,
+                                                      seed=1), False),
+    "spectrality-pass": (lambda: spectral.is_spectral(geo.Simplex(3), seed=1).to_json(), True),
+    "spectrality-fail": (lambda: spectral.is_spectral(geo.unit_square(), samples=5, seed=1).to_json(), False),
+    "concavity-pass": (lambda: jordan.check_concavity("complex2", trials=5, seed=1), True),
+    "concavity-fail": (lambda: jordan.check_concavity("spin3", trials=5, seed=1, strictness=1e6), False),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_every_report_has_the_shared_fields(name):
+    build, verdict = REPORTS[name]
+    report = build()
+    shared = {"check": str, "pass": bool, "max_gap": float, "trials": int, "seed": int}
+    assert {key: type(report[key]) for key in shared} == shared
+    assert report["check"] == name.split("-")[0] and report["pass"] is verdict
+    assert (report["witness"] is None) == report["pass"]
+    assert report["witness"] is None or isinstance(report["witness"], dict)
 
 
 def test_help_exit_0(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from test_geometries import pure_states
+from test_polygons import vertex_state
 
 import spectral_cone as sc
 from spectral_cone import cone
@@ -29,7 +30,7 @@ def test_mix_square_example():
 
 
 def test_mix_simplex_vertices():
-    out = sc.mix([0.5, 0.5], [SIMPLEX3.vertex_state(0), SIMPLEX3.vertex_state(1)])
+    out = sc.mix([0.5, 0.5], [vertex_state(SIMPLEX3, 0), vertex_state(SIMPLEX3, 1)])
     np.testing.assert_allclose(out.coords, [0.5, 0.5, 0.0], atol=0)
 
 

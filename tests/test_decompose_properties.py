@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_geometries import DENSITY_IDS, DENSITY_SPACES, PROPERTIES, pure_states
-from test_polygons import SQUARE, convex_polygons, polytope
+from test_polygons import SQUARE, convex_polygons, polytope, vertex_state
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
@@ -38,7 +38,7 @@ def elements(draw, space):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if isinstance(space, geo.Polytope) and draw(st.booleans()):
         i = draw(st.integers(0, len(space.vertices) - 1))
-        pure = [space.vertex_state(i), space.vertex_state((i + 1) % len(space.vertices))]
+        pure = [vertex_state(space, i), vertex_state(space, (i + 1) % len(space.vertices))]
     else:
         pure = pure_states(space, rng, draw(st.integers(1, space.dim + 1)))
     weights = np.array(draw(st.lists(WEIGHTS, min_size=len(pure), max_size=len(pure))))

@@ -236,6 +236,54 @@ def test_cube_has_underdetermined_cliques():
 
 
 # ---------------------------------------------------------------------------
+# clique solutions: the solve at a power-of-two scale against the unscaled one
+# ---------------------------------------------------------------------------
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_clique_solutions(space, coords, total) -> list:
+    """(idx, w, kept) per clique size from ``pinv @ rhs`` at total itself, the earlier unscaled solve."""
+    scale = max(1.0, total)
+    rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
+    out = []
+    for idx, pinv, matrix in geo._polytope_geometry(space).clique_systems[0]:
+        w = pinv @ rhs
+        residual = np.max(np.abs(matrix @ w - rhs), axis=1)
+        ok = (np.min(w, axis=1) >= -WEIGHT_DROP_TOL * scale) & (residual <= SINGULARITY_TOL * scale)
+        out.append((idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)))
+    return out
+
+
+def assert_scaled_solve_matches(space, coords, total):
+    got, solved = geo._clique_solutions(space, coords, total)
+    want = reference_clique_solutions(space, coords, total)
+    assert len(got) == len(want)
+    for (idx, w, kept), (ref_idx, ref_w, ref_kept) in zip(got, want):
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert w.tobytes() == ref_w.tobytes() and kept.tobytes() == ref_kept.tobytes()
+    assert np.all(solved.any(axis=0))  # these totals are far from the float limit: every point solves
+
+
+TOTALS = st.one_of(st.floats(1e-3, 1e300), st.sampled_from([1e-3, 0.5, 1.0, 2.5, 1e300]))
+
+
+@PROPERTIES
+@given(verts=convex_polygons(4, 12), seed=st.integers(0, 2**32 - 1), total=TOTALS)
+def test_property_polygon_scaled_solve_matches_unscaled(verts, seed, total):
+    space = polytope(verts)
+    points = np.vstack([space.barycenter_coords(), verts[:2].mean(axis=0),
+                        np.random.default_rng(seed).dirichlet(np.ones(len(verts)), 8) @ space.vertex_array])
+    assert_scaled_solve_matches(space, points, total)
+
+
+@pytest.mark.parametrize("total", [1e-3, 0.4, 1.0, 2.5, 1e10, 1e300])
+def test_cube_scaled_solve_matches_unscaled(total):
+    verts = CUBE.vertex_array
+    points = np.vstack([CUBE.barycenter_coords(), (verts[0] + verts[1]) / 2, verts[-1],
+                        np.random.default_rng(17).dirichlet(np.ones(len(verts)), 12) @ verts])
+    assert_scaled_solve_matches(CUBE, points, total)
+
+
+# ---------------------------------------------------------------------------
 # enumeration: one key helper and array family grids against the per-sample loop
 # ---------------------------------------------------------------------------
 
@@ -337,9 +385,9 @@ def cone_elements(monkeypatch):
 
 @pytest.mark.parametrize("space", [SQUARE, CUBE, TETRAHEDRON], ids=["square", "cube", "tetrahedron"])
 def test_vertex_states_are_built_once(space):
-    for i, v in enumerate(space.vertices):
-        s = space.vertex_state(i)
-        assert s is space.vertex_state(i)
+    states = geo._polytope_geometry(space).vertex_states
+    assert states is geo._polytope_geometry(space).vertex_states
+    for s, v in zip(states, space.vertices, strict=True):
         assert s.coords.tobytes() == sc.State(space, np.array(v)).coords.tobytes()
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from test_geometries import pure_states
+from test_polygons import vertex_state
 
 import spectral_cone as sc
 from spectral_cone import divergence as dv
@@ -597,8 +598,8 @@ def reference_orthogonal_triples(space, rng, trials, retries=None):
         graph, out = geo._polytope_geometry(space).graph, []
         for i, key in zip(vertices.tolist(), keys):
             partners = sorted(np.nonzero(graph[i])[0].tolist(), key=lambda p: key[p])
-            s1, s2 = space.vertex_state(partners[0]), space.vertex_state(partners[min(1, len(partners) - 1)])
-            out.append((space.vertex_state(i), s1, s2, len(partners) == 1))
+            s1, s2 = vertex_state(space, partners[0]), vertex_state(space, partners[min(1, len(partners) - 1)])
+            out.append((vertex_state(space, i), s1, s2, len(partners) == 1))
         return out
     if isinstance(space, geo.Ball):
         out = []
@@ -642,7 +643,7 @@ def reference_simplex_triples_stream(space, rng, trials, retries):
     n = space.n
     vertices = rng.integers(n, size=trials).tolist()
     if n < 3:
-        return [(space.vertex_state(i), space.vertex_state((i + 1) % n), space.vertex_state((i + 1) % n), True)
+        return [(vertex_state(space, i), vertex_state(space, (i + 1) % n), vertex_state(space, (i + 1) % n), True)
                 for i in vertices]
 
     def face_states(rows):
@@ -662,7 +663,7 @@ def reference_simplex_triples_stream(space, rng, trials, retries):
 
     s1 = face_states(range(trials))
     s2 = reference_redraw_equal(s1, face_states(range(trials)), face_states, retries)
-    return [(space.vertex_state(i), a, b, False) for i, a, b in zip(vertices, s1, s2)]
+    return [(vertex_state(space, i), a, b, False) for i, a, b in zip(vertices, s1, s2)]
 
 
 def reference_family_row(space, pair, rng):

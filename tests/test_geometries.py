@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from test_polygons import polytope, regular_polygon
+from test_polygons import polytope, regular_polygon, vertex_state
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
@@ -66,7 +66,7 @@ def test_self_never_mutually_singular():
 
 
 SQUARE_POINT, DISC_POINT = sc.State(SQUARE, [0.5, 0.25]), sc.State(DISC, [0.5, 0.25])
-VERTEX, BALL3_POINT = SIMPLEX3.vertex_state(0), sc.State(geo.Ball(3), [0.0, 1.0, 0.0])
+VERTEX, BALL3_POINT = vertex_state(SIMPLEX3, 0), sc.State(geo.Ball(3), [0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("function, args", [
@@ -116,7 +116,7 @@ def test_square_adjacent_and_diagonal_vertices_orthogonal():
     # diagonal pairs inside the whole square
     for i in range(4):
         for j in range(i + 1, 4):
-            assert geo.orthogonal(SQUARE.vertex_state(i), SQUARE.vertex_state(j))
+            assert geo.orthogonal(vertex_state(SQUARE, i), vertex_state(SQUARE, j))
 
 
 def test_density_diagonal_orthogonal():
@@ -166,8 +166,8 @@ def test_square_point_decomposition():
 
 def test_pure_state_decomposes_to_itself():
     for space, s in [
-        (SQUARE, SQUARE.vertex_state(2)),
-        (SIMPLEX3, SIMPLEX3.vertex_state(1)),
+        (SQUARE, vertex_state(SQUARE, 2)),
+        (SIMPLEX3, vertex_state(SIMPLEX3, 1)),
         (DISC, sc.State(DISC, [0.0, 1.0])),
         (QUBITS, qubit_state(np.diag([1.0, 0.0]))),
     ]:

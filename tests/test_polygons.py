@@ -42,6 +42,11 @@ def polytope(verts) -> geo.Polytope:
     return geo.Polytope(tuple(tuple(float(c) for c in v) for v in verts))
 
 
+def vertex_state(space, i: int) -> sc.State:
+    """The i-th vertex of a simplex or a polytope as a State."""
+    return sc.State(space, np.eye(space.n)[i] if isinstance(space, geo.Simplex) else space.vertices[i])
+
+
 def reference_face(space: geo.Polytope, center):
     """Vertex indices of the smallest face of the polytope containing center, or None for the whole polytope:
     the vertices on every facet within SINGULARITY_TOL of center, one center at a time (the rule that
@@ -176,7 +181,7 @@ def test_polygon_graph_calls_no_scipy(monkeypatch):
     assert is_spectral(space, samples=5, seed=1).spectral is False
     dec = geo.decompose(space, sc.ConeElement(space, 1.0, [0.1, 0.2]), with_witnesses=True)
     assert dec.size >= 2 and all(w is not None for w in dec.witnesses)
-    s0, s3, inside = space.vertex_state(0), space.vertex_state(3), sc.State(space, [0.05, -0.1])
+    s0, s3, inside = vertex_state(space, 0), vertex_state(space, 3), sc.State(space, [0.05, -0.1])
     assert geo.orthogonality_witness(s3, s0) is not None and geo.orthogonal(s0, s3)
     assert geo.mutually_singular(s0, s3)[0] and not geo.mutually_singular(s0, inside)[0]
 

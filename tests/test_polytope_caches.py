@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_polygons import PROPERTIES, SQUARE, convex_polygons, polytope, regular_polygon
+from test_polygons import PROPERTIES, SQUARE, convex_polygons, polytope, regular_polygon, vertex_state
 
 import spectral_cone as sc
 from spectral_cone import cli
@@ -99,8 +99,8 @@ def test_polytope_caches_share_one_bound():
 def test_polytope_caches_stay_within_bound():
     first = polytope(regular_polygon(5, scale=1.45))  # not built elsewhere
     geo.decompose(first, sc.ConeElement(first, 1.0, [0.1, 0.2]), with_witnesses=True)
-    first.vertex_state(0)  # decompose reads the vertex array, not the vertex states
     record = geo._polytope_geometry(first)
+    assert record.vertex_states  # decompose reads the vertex array, not the vertex states: build them here
     assert DERIVED <= set(vars(record)) and record.space is first
     record = weakref.ref(record)
     for k in range(geo.POLYTOPE_CACHE_SIZE + 10):
@@ -178,7 +178,7 @@ def vertex_pairs(space: geo.Polytope) -> list:
 
 
 def witness(space: geo.Polytope, i: int, j: int):
-    return geo.orthogonality_witness(space.vertex_state(i), space.vertex_state(j))
+    return geo.orthogonality_witness(vertex_state(space, i), vertex_state(space, j))
 
 
 @pytest.mark.parametrize("space", [SQUARE, CUBE, PENTAGON], ids=["square", "cube", "pentagon"])
@@ -206,14 +206,14 @@ def test_swapped_pair_is_its_own_program(program_calls):
     cold = geo._PolytopeGeometry(CUBE).witness(record.vertex_array[3], record.vertex_array[0])
     assert backward.linear.tobytes() == cold.linear.tobytes() and backward.offset == cold.offset
     # the swapped witness maps vertex 3 to 0 and vertex 0 to 1, as 1 - forward would
-    s0, s3 = CUBE.vertex_state(0), CUBE.vertex_state(3)
+    s0, s3 = vertex_state(CUBE, 0), vertex_state(CUBE, 3)
     assert (forward(s0), forward(s3), backward(s3), backward(s0)) == pytest.approx((0.0, 1.0, 0.0, 1.0))
 
 
 def test_negative_zero_is_its_own_key(program_calls):
     plus = sc.State(CUBE, [0.0, 0.0, 0.0])
     minus = sc.State(CUBE, [-0.0, 0.0, 0.0])
-    far = CUBE.vertex_state(7)
+    far = vertex_state(CUBE, 7)
     geo.orthogonality_witness(plus, far)
     program_calls.clear()
     geo.orthogonality_witness(minus, far)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
-from test_polygons import PROPERTIES, convex_polygons, highs_witness, polytope, reference_face
+from test_polygons import PROPERTIES, convex_polygons, highs_witness, polytope, reference_face, vertex_state
 
 from spectral_cone import cli, geometries as geo
 from spectral_cone.tolerances import FACET_DIGITS, WITNESS_FEASIBILITY_TOL
@@ -234,7 +234,7 @@ def test_witness_exists_while_the_least_violation_is_within_the_tolerance(gap):
 
 def test_segment_witness_is_the_coordinate():
     segment = geo.Polytope(((2.0,), (4.0,)))
-    w = geo.orthogonality_witness(segment.vertex_state(0), segment.vertex_state(1))
+    w = geo.orthogonality_witness(vertex_state(segment, 0), vertex_state(segment, 1))
     assert w.value_at_coords(np.array([2.0])) == 0.0 and w.value_at_coords(np.array([4.0])) == 1.0
     inner = geo.State(segment, [3.0])
-    assert not geo.mutually_singular(segment.vertex_state(0), inner)[0]
+    assert not geo.mutually_singular(vertex_state(segment, 0), inner)[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_polygons import vertex_state
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
@@ -118,8 +119,8 @@ def test_majorizes_rejects_unequal_totals():
 
 
 def test_entropy_pure_state_is_zero():
-    assert sc.entropy(SIMPLEX3, SIMPLEX3.vertex_state(0)) == 0.0
-    assert sc.entropy(SQUARE, SQUARE.vertex_state(3)) == 0.0
+    assert sc.entropy(SIMPLEX3, vertex_state(SIMPLEX3, 0)) == 0.0
+    assert sc.entropy(SQUARE, vertex_state(SQUARE, 3)) == 0.0
     assert sc.entropy(DISC, sc.State(DISC, [0.0, 1.0])) == 0.0
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_polygons import PROPERTIES, SQUARE, TRIANGLE, convex_polygons, polytope, regular_polygon
+from test_polygons import PROPERTIES, SQUARE, TRIANGLE, convex_polygons, polytope, regular_polygon, vertex_state
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
@@ -75,7 +75,7 @@ def reference_decomposition(space, x):
     ]
     length = max(len(s) for s in spectra)
     weights, support = sols[max(maximal, key=lambda i: tuple(spectra[i].padded(length)))]
-    return weights, [space.vertex_state(int(i)) for i in support]
+    return weights, [vertex_state(space, int(i)) for i in support]
 
 
 def stacked_weak_majorization(spectra) -> tuple:
@@ -107,16 +107,11 @@ def reference_selection(space, coords, total):
     return weights, components
 
 
-def assert_same_selection(space, coords, total) -> bool:
-    """Whether some clique system solves the point; the selections agree bit for bit, or both find nothing."""
-    if not geo._determined_solutions(space, coords, total):  # near the float limit some points solve none
-        with pytest.raises(sc.DecompositionError, match="^no orthogonal decomposition found"):
-            space.decompositions(coords[None, :], total)
-        return False
+def assert_same_selection(space, coords, total):
+    """The selections agree bit for bit; some clique system solves every point, near the float limit too."""
     weights, components = (a[0] for a in space.decompositions(coords[None, :], total))
     ref_weights, ref_components = reference_selection(space, coords, total)
     assert weights.tobytes() == ref_weights.tobytes() and components.tobytes() == ref_components.tobytes()
-    return True
 
 
 def solving_cliques(space, coords) -> int:
@@ -303,5 +298,5 @@ def test_selection_matches_spectrum_selection(space, total):
     verts = space.vertex_array
     points = [space.barycenter_coords(), (verts[0] + verts[1]) / 2, np.mean(verts[:3], axis=0), verts[-1],
               *(rng.dirichlet(np.ones(len(verts)), 12) @ verts)]
-    solved = [assert_same_selection(space, coords, total) for coords in points]
-    assert all(solved)
+    for coords in points:
+        assert_same_selection(space, coords, total)
