@@ -100,18 +100,15 @@ def mix(weights: Sequence[float], states: Sequence[State]) -> State:
     return State(states[0].space, coords)
 
 
-def mix_coords(space, t, a, b) -> np.ndarray:
-    """Coordinates (1 - t) a + t b for broadcastable arrays of state coordinates.
+def mix_coords(t, a, b) -> np.ndarray:
+    """Coordinates (1 - t) a + t b of broadcastable state coordinate arrays, in the operation order of ``mix``.
 
-    The arithmetic runs in the operation order of ``mix``, and every row
-    must pass the membership test ``State()`` applies.
+    Unlike ``mix`` it runs no membership test: state spaces are convex, so mixtures of tested rows are states.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < -WEIGHT_TOL) or np.any(t > 1.0 + WEIGHT_TOL):
         raise InvalidWeightsError("mixture weights leave [0, 1]")
-    out = 0.0 + (1.0 - t) * a + t * b
-    require_states(space, out)
-    return out
+    return 0.0 + (1.0 - t) * a + t * b
 
 
 def require_space(space, elements) -> None:

@@ -215,11 +215,11 @@ def itakura_saito_divergence() -> Divergence:
 def matrix_negentropy_divergence(space: "DensityMatrices") -> Divergence:
     """Tr rho (ln rho - ln sigma), inf when supp rho exceeds supp sigma.
 
-    With sigma = sum_j mu_j |v_j><v_j| over the eigenvectors of its form,
-    D = Tr rho ln rho - sum_j ln mu_j <v_j|rho|v_j> / mult.  The support of
-    sigma is its eigenvalues above ZERO_EIGENVALUE_TOL; D is inf when rho puts
-    more than SUPPORT_LEAK_TOL of its mass outside it.  Tr rho ln rho comes
-    from one stacked eigvalsh under the rule of ``jordan.spectral_entropies``.
+    With sigma = sum_j mu_j |v_j><v_j| over the eigenvectors of its form, D = Tr rho ln rho - sum_j ln mu_j
+    <v_j|rho|v_j> / mult.  The support of sigma is its eigenvalues above ZERO_EIGENVALUE_TOL; D is inf when
+    rho puts more than SUPPORT_LEAK_TOL of its mass outside it.  Tr rho ln rho comes from one stacked eigvalsh
+    under the rule of ``jordan.spectral_entropies``, skipped when every pair leaks, as in the mixture-first
+    order of a locality check: its rows are states there, so that rule could not have raised.
     """
 
     def array_rule(p, q):
@@ -227,10 +227,12 @@ def matrix_negentropy_divergence(space: "DensityMatrices") -> Divergence:
         rho = space.forms(p)
         mass = np.real(np.sum(np.conj(v) * (rho @ v), axis=-2)) / space.mult  # <v_j|rho|v_j>
         supp = mu > ZERO_EIGENVALUE_TOL
+        leaks = np.sum(np.where(supp, 0.0, mass), axis=-1) > SUPPORT_LEAK_TOL
+        if np.all(leaks):
+            return np.full(leaks.shape, math.inf)
         cross = np.sum(np.log(np.where(supp, mu, 1.0)) * mass, axis=-1)
-        leak = np.sum(np.where(supp, 0.0, mass), axis=-1)
         negentropy = -jordan.spectral_entropies(jordan.ring_eigenvalues(np.linalg.eigvalsh(rho), space.mult))
-        return np.where(leak > SUPPORT_LEAK_TOL, math.inf, negentropy - cross)
+        return np.where(leaks, math.inf, negentropy - cross)
 
     return Divergence("matrix_negentropy", "builtin", array_rule=array_rule)
 
@@ -298,12 +300,12 @@ def _interior_map(div: Divergence, space):
     """Coordinate map onto the points a divergence is evaluated at.
 
     For divergences that require the interior, this is the epsilon-mixture
-    with the barycenter; otherwise the identity.
+    with the barycenter, which maps states to states; otherwise the identity.
     """
     if not div.requires_interior:
         return lambda coords: coords
     bary = space.barycenter_coords()
-    return lambda coords: mix_coords(space, INTERIOR_EPS, coords, bary)
+    return lambda coords: mix_coords(INTERIOR_EPS, coords, bary)
 
 
 def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCALITY_TOL,
@@ -314,9 +316,10 @@ def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCA
     ``max_gap`` (mixture first, the order of the defining identity) and ``reversed_max_gap``, are at most tol:
     the entropy-generated divergences are +inf on every mixture-first pair, so for them only the reversed order
     is finite.  Gaps compare extended reals, so two divergences that are both infinite agree.  The triples are
-    drawn as stacks by the space's ``orthogonal_triples`` and take one membership test together; every (trial,
-    t) pair is evaluated as one stacked array, and the witness is the first largest gap in (trial, t) order,
-    of the forward order when it fails and of the reversed one otherwise.
+    drawn as stacks by the space's ``orthogonal_triples`` and take the check's one membership test together
+    (state spaces are convex, so their mixtures are states); every (trial, t) pair is evaluated as one stacked
+    array, and the witness is the first largest gap in (trial, t) order, of the forward order when it fails
+    and of the reversed one otherwise.
     """
     require_count("trials", trials)
     require_tolerance("tol", tol)
@@ -328,7 +331,7 @@ def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCA
     t = np.asarray(DEFAULT_T_GRID)[:, None]
     dom = _interior_map(div, space)
     # mixtures with s1 and with s2, shape (2, trials, len(DEFAULT_T_GRID), coords_len)
-    mixed = dom(mix_coords(space, t, s0[None, :, None], np.stack([s1, s2])[:, :, None]))
+    mixed = dom(mix_coords(t, s0[None, :, None], np.stack([s1, s2])[:, :, None]))
     pure = dom(s0)[:, None]
     a, b = div.values(space, mixed, pure)
     gaps = _extended_gaps(a, b)
@@ -378,8 +381,8 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = S
     rows of every trial come from one ``space.family_draws`` stack; each pair
     then maps the rows of its trials onto its family, through phi and back
     through psi as one stack, and the drawn, mapped and pulled-back stacks
-    each take one membership test.  The divergences of all trials that
-    meet the precondition are evaluated as one stacked array.
+    take one membership test together.  The base and image divergences of
+    all trials that meet the precondition are evaluated as one stacked array.
     """
     require_count("trials", trials)
     require_tolerance("tol", tol)
@@ -392,19 +395,17 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = S
         for k, pair in enumerate(suite):
             mine = owner == k
             out[mine] = _pair_rows(space, getattr(pair, name)(stack[mine].reshape(-1, space.coords_len)))
-        require_states(space, out)
         return out
 
     drawn = by_pair("family", space.family_draws(rng, (trials, 2)))
     mapped = by_pair("phi", drawn)
     back = by_pair("psi", mapped)
+    require_states(space, np.stack([drawn, mapped, back]))
     bad = np.max(np.abs(back - drawn), axis=-1) > REVERSIBILITY_TOL
     violations = int(np.sum(bad))
     kept = np.flatnonzero(~np.any(bad, axis=1))
-    dom = _interior_map(div, space)
-    s1, s2, m1, m2 = (dom(x[kept, j]) for x in (drawn, mapped) for j in (0, 1))
-    base = div.values(space, s1, s2)
-    image = div.values(space, m1, m2)
+    pairs = _interior_map(div, space)(np.stack([drawn[kept], mapped[kept]]))  # (base or image, pair, 2, coords)
+    base, image = div.values(space, pairs[:, :, 0], pairs[:, :, 1])
     gaps = _extended_gaps(base, image)
     max_gap = float(np.max(gaps, initial=-1.0))
     passed = violations == 0 and max_gap <= tol

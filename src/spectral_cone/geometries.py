@@ -233,6 +233,8 @@ class Polytope(_Geometry):
         if not verts:
             raise ValueError("polytope needs vertices")
         m = len(verts[0])
+        if m == 0:
+            raise ValueError("polytope vertices need at least one coordinate")
         if any(len(v) != m for v in verts):
             raise ValueError("vertices must share one ambient dimension")
         object.__setattr__(self, "vertices", verts)

@@ -263,6 +263,7 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": [[0, 0], [true, 0], [0, 1]]}'],
         ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": 5}'],
         ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": [[0, null], [1, 0]]}'],
+        ["check", "spectrality", "--space", '{"kind": "polytope", "vertices": [[]]}'],
         ["check", "spectrality", "--space", '{"kind": "simplex", "n": null}'],
         ["check", "spectrality", "--space", '{"kind": "ball", "d": Infinity}'],
         *(["check", "locality", "--space", space, "--divergence", div, "--trials", "3", "--seed", "1"]
@@ -286,7 +287,7 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
          "element-object-coord", "element-boolean-coords", "element-boolean-trace",
-         "polytope-boolean-coord", "polytope-vertices-number", "polytope-null-coord",
+         "polytope-boolean-coord", "polytope-vertices-number", "polytope-null-coord", "polytope-no-coords",
          "simplex-null-n", "ball-infinite-d", "locality-complex1", "locality-real1",
          "locality-quaternion1", "locality-simplex1", "no-kind", "simplex-no-n", "polytope-no-vertices",
          "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n",
@@ -303,6 +304,8 @@ def test_usage_error_is_one_line(capsys, argv):
         assert err == f"error: no builtin channel suite for {kind} spaces\n"
     if "--tol" in argv:
         assert "tol" in err
+    if "[[]]" in " ".join(argv):
+        assert err == "error: polytope vertices need at least one coordinate\n"
 
 
 SIMPLEX3, COMPLEX2 = geo.Simplex(3), geo.DensityMatrices("complex", 2)

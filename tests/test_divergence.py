@@ -2,16 +2,19 @@
 
 import collections
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from test_geometries import pure_states
-from test_polygons import vertex_state
+from test_polygons import convex_polygons, vertex_state
 
 import spectral_cone as sc
 from spectral_cone import divergence as dv
 from spectral_cone import geometries as geo
-from spectral_cone import tolerances
+from spectral_cone import jordan, tolerances
 
 SIMPLEX3 = geo.Simplex(3)
 QUBITS = geo.DensityMatrices("complex", 2)
@@ -380,7 +383,7 @@ def test_sufficiency_tests_membership_once_per_stack(monkeypatch):
 
     monkeypatch.setattr(geo.DensityMatrices, "contains_state", counting)
     dv.check_sufficiency(dv.matrix_negentropy_divergence(QUTRITS), QUTRITS, trials=12, seed=1)
-    assert calls == [(12, 2, QUTRITS.coords_len)] * 3  # drawn, mapped, pulled back
+    assert calls == [(3, 12, 2, QUTRITS.coords_len)]  # drawn, mapped and pulled back, as one stack
 
 
 def test_locality_raises_where_a_state_would_fail(monkeypatch):
@@ -399,7 +402,7 @@ def test_locality_raises_where_a_state_would_fail(monkeypatch):
 @pytest.mark.parametrize("space, name", [(SIMPLEX3, "kl"), (SIMPLEX3, "itakura_saito"),
                                          (QUTRITS, "matrix_negentropy")], ids=["kl", "itakura_saito", "complex3"])
 def test_checkers_test_membership_per_stack_and_build_no_state(monkeypatch, space, name):
-    """A fixed number of contains_state calls whatever the trial count, and no State at all."""
+    """One contains_state call per check whatever the trial count and the interior map, and no State at all."""
     memberships, states = [], []
     contains, init = type(space).contains_state, sc.ConeElement.__init__
 
@@ -414,12 +417,11 @@ def test_checkers_test_membership_per_stack_and_build_no_state(monkeypatch, spac
     monkeypatch.setattr(type(space), "contains_state", counting_contains)
     monkeypatch.setattr(sc.ConeElement, "__init__", counting_init)
     div = dv.builtin_divergence(name, space)
-    interior = int(div.requires_interior)  # one more test per epsilon-mixed stack
-    for check, calls in ((dv.check_locality, 2 + 2 * interior), (dv.check_sufficiency, 3 + 4 * interior)):
+    for check in (dv.check_locality, dv.check_sufficiency):
         for trials in (4, 40):
             memberships.clear()
             check(div, space, trials=trials, seed=1)
-            assert len(memberships) == calls, (check.__name__, trials, memberships)
+            assert len(memberships) == 1, (check.__name__, trials, memberships)
     assert states == []
 
 
@@ -1242,6 +1244,112 @@ def test_family_draws_match_reference_rows(space):
         got[owner == k] = pair.family(base.reshape(-1, space.coords_len)[owner == k])
     assert_bit_equal(got, want)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# mixtures of tested states are states, and stacked evaluations keep their bytes
+# ---------------------------------------------------------------------------
+
+MIXING_SPACES = {
+    **LOCALITY_SPACES, "simplex4": geo.Simplex(4),
+    "cube": geo.Polytope(tuple((a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0))),
+}
+INTERIOR_SQUARED_EUCLIDEAN = dv.Divergence("squared_euclidean", "test", requires_interior=True,
+                                           array_rule=dv.squared_euclidean_divergence().array_rule)
+# a failing seed is a complete example, so shrinking (which reruns whole checks for minutes) is skipped
+MIXING_PROPERTIES = settings(derandomize=True, database=None, max_examples=12, deadline=None,
+                             phases=(Phase.explicit, Phase.generate))
+
+
+def assert_mixed_rows_are_states(space, seed):
+    """Every row that mix_coords returns in locality checks, and in sufficiency checks on spaces with a channel
+    suite, passes contains_state at MEMBERSHIP_TOL; the interior divergence runs the rows through the
+    epsilon-mixture of ``_interior_map`` too."""
+    mixed, mix = [], dv.mix_coords
+
+    def recording(t, a, b):
+        mixed.append(mix(t, a, b))
+        return mixed[-1]
+
+    with mock.patch.object(dv, "mix_coords", recording):
+        for div in (dv.squared_euclidean_divergence(), INTERIOR_SQUARED_EUCLIDEAN):
+            dv.check_locality(div, space, trials=8, seed=seed)
+            if isinstance(space, (geo.Simplex, geo.DensityMatrices)):
+                dv.check_sufficiency(div, space, trials=8, seed=seed)
+    assert len(mixed) >= 4  # the locality mixtures of both divergences, and both interior maps of one
+    for rows in mixed:
+        assert np.all(space.contains_state(rows, tol=tolerances.MEMBERSHIP_TOL))
+
+
+@pytest.mark.parametrize("space", MIXING_SPACES.values(), ids=MIXING_SPACES.keys())
+@MIXING_PROPERTIES
+@given(seed=st.integers(0, 2**32 - 1))
+def test_property_mixed_rows_are_states(space, seed):
+    assert_mixed_rows_are_states(space, seed)
+
+
+@MIXING_PROPERTIES
+@given(verts=convex_polygons(), seed=st.integers(0, 2**32 - 1))
+def test_property_mixed_rows_are_states_on_generated_polygons(verts, seed):
+    assert_mixed_rows_are_states(geo.Polytope(tuple(map(tuple, verts))), seed)
+
+
+def reference_matrix_negentropy_rule(space):
+    """The matrix_negentropy array rule as it was before it skipped the entropy solve of all-leaking calls."""
+
+    def array_rule(p, q):
+        mu, v = np.linalg.eigh(space.forms(q))
+        rho = space.forms(p)
+        mass = np.real(np.sum(np.conj(v) * (rho @ v), axis=-2)) / space.mult
+        supp = mu > tolerances.ZERO_EIGENVALUE_TOL
+        cross = np.sum(np.log(np.where(supp, mu, 1.0)) * mass, axis=-1)
+        leak = np.sum(np.where(supp, 0.0, mass), axis=-1)
+        negentropy = -jordan.spectral_entropies(jordan.ring_eigenvalues(np.linalg.eigvalsh(rho), space.mult))
+        return np.where(leak > tolerances.SUPPORT_LEAK_TOL, math.inf, negentropy - cross)
+
+    return array_rule
+
+
+DENSITY_SPACES = {f"{ring}{n}": geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion")
+                  for n in (2, 3)}
+
+
+@pytest.mark.parametrize("space", DENSITY_SPACES.values(), ids=DENSITY_SPACES.keys())
+def test_matrix_negentropy_skips_the_entropy_solve_only_when_every_pair_leaks(monkeypatch, space):
+    """The locality stacks, mixture first (every pair leaks) and mixed with the reversed order (some leak),
+    give the bytes and shape of the full rule; only the first skips spectral_entropies."""
+    s0, s1, s2, _ = space.orthogonal_triples(np.random.default_rng(5), 20)
+    mixed = dv.mix_coords(np.asarray(dv.DEFAULT_T_GRID)[:, None], s0[None, :, None], np.stack([s1, s2])[:, :, None])
+    pure = s0[:, None]
+    some_p, some_q = np.concatenate([mixed[0, :, 2], s0]), np.concatenate([s0, mixed[1, :, 2]])
+    rule, reference = dv.matrix_negentropy_divergence(space).array_rule, reference_matrix_negentropy_rule(space)
+    every, some = reference(mixed, pure), reference(some_p, some_q)
+    assert np.all(np.isinf(every)) and np.any(np.isinf(some)) and np.any(np.isfinite(some))
+    solves, entropies = [], jordan.spectral_entropies
+    monkeypatch.setattr(jordan, "spectral_entropies", lambda w: solves.append(w.shape) or entropies(w))
+    assert_bit_equal(rule(mixed, pure), every)
+    assert solves == []
+    assert_bit_equal(rule(some_p, some_q), some)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("space", SUFFICIENCY_SPACES.values(), ids=SUFFICIENCY_SPACES.keys())
+def test_stacked_sufficiency_values_match_two_calls(space):
+    """Every builtin divergence of the space, on the base and image pairs of the kept trials as one stack,
+    gives the bytes of one values call for the base pairs and one for the image pairs."""
+    rng = np.random.default_rng(6)
+    suite = space.channel_suite(rng)
+    base = space.family_draws(rng, (len(suite), 9, 2)).reshape(len(suite), -1, space.coords_len)
+    drawn = np.concatenate([pair.family(rows) for pair, rows in zip(suite, base)]).reshape(-1, 2, space.coords_len)
+    mapped = np.concatenate([pair.phi(rows.reshape(-1, space.coords_len))
+                             for pair, rows in zip(suite, np.split(drawn, len(suite)))]).reshape(drawn.shape)
+    kept = np.flatnonzero(np.arange(len(drawn)) % 4 != 1)
+    for name in dict.fromkeys([*space.divergences, "squared_euclidean"]):
+        div = dv.builtin_divergence(name, space)
+        dom = dv._interior_map(div, space)
+        pairs = dom(np.stack([drawn[kept], mapped[kept]]))
+        stacked = div.values(space, pairs[:, :, 0], pairs[:, :, 1])
+        assert_bit_equal(stacked, [div.values(space, dom(x[kept, 0]), dom(x[kept, 1])) for x in (drawn, mapped)])
 
 
 def test_sufficiency_implies_locality_over_zoo():
