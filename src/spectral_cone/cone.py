@@ -125,6 +125,12 @@ def require_states(space, rows) -> None:
         raise NotInConeError("state coordinates fail the membership test")
 
 
+def _reduce_rows(reduce, a: np.ndarray) -> np.ndarray:
+    """``reduce(a, axis=-1)`` for np.min, np.max or np.any, taken on a stack across the rows of a transposed copy,
+    as numpy reduces a short last axis row by row.  Exact: only a zero's sign or a NaN's payload may differ."""
+    return reduce(a, axis=-1) if a.ndim < 2 else reduce(np.ascontiguousarray(np.moveaxis(a, -1, 0)), axis=0)
+
+
 @dataclass(frozen=True)
 class AffineFunctional:
     """An affine map on the embedding space: x -> linear . x + offset.

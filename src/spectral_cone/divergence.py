@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jordan
-from .cone import AffineFunctional, State, evaluate, mix, mix_coords, require_space, require_states
+from .cone import AffineFunctional, State, _reduce_rows, evaluate, mix, mix_coords, require_space, require_states
 from .errors import NotInConeError, PreconditionError, check_report, require_count, require_tolerance
 from .tolerances import (ENTROPY_FIT_TOL, INTERIOR_EPS, KL_ZERO_MASS, LOCALITY_TOL, OPTIMAL_ACTION_TOL,
                          REVERSIBILITY_TOL, SUFFICIENCY_TOL, SUPPORT_LEAK_TOL, ZERO_EIGENVALUE_TOL)
@@ -166,19 +166,24 @@ class Divergence:
         return float(self.array_rule(s1.coords, s2.coords))
 
     def values(self, space, p, q) -> np.ndarray:
-        """D between the rows of two broadcastable (..., coords_len) state arrays; an array rule gets them as given."""
+        """D between the rows of two broadcastable (..., coords_len) state arrays; an array rule gets them as given,
+        a rule of two States one State per row, after one membership test of all rows that raises as ``State``."""
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
         if self.array_rule is not None:
             return np.broadcast_to(self.array_rule(p, q), np.broadcast_shapes(p.shape, q.shape)[:-1])
         p, q = np.broadcast_arrays(p, q)
-        rows = zip(p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]))
-        out = [self.rule(State(space, a), State(space, b)) for a, b in rows]
+        rows = np.stack([p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1])])
+        if rows.shape[1]:  # no rows build no State, and so raise nothing
+            if rows.shape[2] != space.coords_len:
+                raise NotInConeError(f"expected {space.coords_len} coordinates, got {rows.shape[2]}")
+            require_states(space, rows)
+        out = [self.rule(State._trusted(space, a.copy()), State._trusted(space, b.copy())) for a, b in zip(*rows)]
         return np.array(out, dtype=float).reshape(p.shape[:-1])
 
 
 def _kl_values(p, q):
     mask = p > KL_ZERO_MASS
-    off = np.any(mask & (q <= 0.0), axis=-1)
+    off = _reduce_rows(np.any, mask & (q <= 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(mask, p * np.log(p / q), 0.0)
     return np.where(off, math.inf, np.sum(terms, axis=-1))
@@ -199,7 +204,7 @@ def squared_euclidean_divergence() -> Divergence:
 
 
 def _itakura_saito_values(p, q):
-    outside = (np.min(p, axis=-1) <= 0.0) | (np.min(q, axis=-1) <= 0.0)
+    outside = (_reduce_rows(np.min, p) <= 0.0) | (_reduce_rows(np.min, q) <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = p / q
         terms = ratio - np.log(ratio) - 1.0

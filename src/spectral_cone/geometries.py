@@ -46,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jordan
-from .cone import AffineFunctional, ConeElement, State, require_space, require_states
+from .cone import AffineFunctional, ConeElement, State, _reduce_rows, require_space, require_states
 from .decomposition import OrthogonalDecomposition, maximal_spectra, weights_entropy
 from .errors import ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError, PreconditionError
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPLEMENT_MASS_MIN,
@@ -102,7 +102,7 @@ class _Geometry:
         smallest face; None for one state (within SAME_STATE_TOL) or a pair that is not orthogonal.
 
         Restricting to the smallest face does not change the criterion of ``mutually_singular`` here:
-        disjoint supports (simplex), antipodal boundary points (ball).
+        antipodal boundary points (ball and spin factor).
         """
         return tuple(None if _same_state(a, b) else self.mutually_singular(a, b)[1]
                      for a, b in itertools.combinations(states, 2))
@@ -147,7 +147,7 @@ class Simplex(_Geometry):
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., n) array; a sum that overflows or is NaN fails."""
         coords = np.asarray(coords, dtype=float)
-        return (np.min(coords, axis=-1) >= -tol) & (np.abs(np.sum(coords, axis=-1) - 1.0) <= tol)
+        return (_reduce_rows(np.min, coords) >= -tol) & (np.abs(np.sum(coords, axis=-1) - 1.0) <= tol)
 
     def barycenter_coords(self) -> np.ndarray:
         return np.full(self.n, 1.0 / self.n)
@@ -164,11 +164,17 @@ class Simplex(_Geometry):
         return Face(self, "whole" if len(idx) == self.n else "vertices", vertex_indices=idx)
 
     def mutually_singular(self, s0: State, s1: State):
-        supp0 = np.asarray(s0.coords) > SUPPORT_TOL
-        supp1 = np.asarray(s1.coords) > SUPPORT_TOL
-        if np.any(supp0 & supp1):
-            return False, None
-        return True, AffineFunctional(supp1.astype(float), 0.0)
+        witness = self.orthogonality_witnesses([s0, s1])[0]
+        return witness is not None, witness
+
+    def orthogonality_witnesses(self, states) -> tuple:
+        """The witness of every state pair from one overlap test of their support masks: states a, b are
+        orthogonal when no coordinate is above SUPPORT_TOL in both, and the witness is the mask of b.  One state
+        (within SAME_STATE_TOL) is never orthogonal, as its largest coordinate, about 1/n or more, overlaps."""
+        supp = np.array([s.coords for s in states]).reshape(len(states), self.n) > SUPPORT_TOL
+        apart = ~np.any(supp[:, None] & supp[None], axis=-1)
+        return tuple(AffineFunctional(supp[b].astype(float), 0.0) if apart[a, b] else None
+                     for a, b in itertools.combinations(range(len(supp)), 2))
 
     def decompositions(self, coords: np.ndarray, total: float):
         """The weights total * s of every row s, on the vertices."""
@@ -267,7 +273,7 @@ class Polytope(_Geometry):
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., dim) array."""
         geo, coords = _polytope_geometry(self), np.asarray(coords, dtype=float)
-        return np.max(coords @ geo.facet_normals.T + geo.facet_offsets, axis=-1) <= tol
+        return _reduce_rows(np.max, coords @ geo.facet_normals.T + geo.facet_offsets) <= tol
 
     def barycenter_coords(self) -> np.ndarray:
         return np.mean(self.vertex_array, axis=0)
@@ -723,6 +729,9 @@ def space_from_json(data: dict):
     missing = [key for key in _DESCRIPTOR_FIELDS[kind] if key not in data]
     if missing:
         raise ValueError(f"{kind} space descriptor lacks the field {missing[0]!r}")
+    unknown = [key for key in data if key != "kind" and key not in _DESCRIPTOR_FIELDS[kind]]
+    if unknown:
+        raise ValueError(f"{kind} space descriptor has the unknown field {unknown[0]!r}")
     for key in ("n", "d"):
         if isinstance(data.get(key, 0), bool) or not isinstance(data.get(key, 0), int):
             raise ValueError(f"space field {key!r} must be an integer, got {data[key]!r}")
@@ -1140,15 +1149,19 @@ def _clique_solutions(space: Polytope, coords, total):
     keeps a vertex of the point.  Only kept weights are meaningful.  The
     systems are solved at total * 2**-e, below 1, and the weights scaled back:
     a power of two scales every rounding exactly (short of underflow), so no
-    bit changes, and the solve does not overflow near the float limit.
+    bit changes, and the solve does not overflow near the float limit.  rhs
+    keeps its layout, which picks the BLAS path of w; residuals are taken in
+    place against a C-contiguous copy (one-vertex systems: an exact product).
     """
     scale, e = max(1.0, total), max(0, math.frexp(total)[1])
     unit, drop, singular = (math.ldexp(v, -e) for v in (total, WEIGHT_DROP_TOL * scale, SINGULARITY_TOL * scale))
     rhs = np.append(unit * coords, np.full((len(coords), 1), unit), axis=1).T
+    target = np.ascontiguousarray(rhs)
     stacks = []
     for idx, pinv, matrix in _polytope_geometry(space).clique_systems[0]:
         w = pinv @ rhs
-        residual = np.max(np.abs(matrix @ w - rhs), axis=1)
+        fit = matrix * w if idx.shape[1] == 1 else matrix @ w
+        residual = np.max(np.abs(np.subtract(fit, target, out=fit), out=fit), axis=1)
         ok = (np.min(w, axis=1) >= -drop) & (residual <= singular)
         kept = ok[:, None, :] & (w > drop)  # before w is scaled back in place
         stacks.append((idx, np.ldexp(w, e, out=w), kept))

@@ -283,6 +283,9 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         ["decompose", "--space", "square", "--element", "[0.5, 0.25]", "--out", UNWRITABLE],
         ["check", "concavity", "--algebra", "complex2", "--trials", "5", "--out", UNWRITABLE],
         ["landscape", "--space", "square", "--grid", "5", "--out", UNWRITABLE],
+        ["decompose", "--space", '{"kind": "polytope", "vertices": [[0,0],[1,0],[0,1],[1,1]], "extra": 1}',
+         "--element", "[0.5, 0.25]"],
+        ["decompose", "--space", '{"kind": "simplex", "n": 3, "bogus": true}', "--element", "[0.5, 0.25, 0.25]"],
     ],
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
@@ -293,7 +296,8 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
          "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n",
          "sufficiency-square", "sufficiency-disc", "sufficiency-spin3", "locality-tol-inf", "locality-tol-nan",
          "locality-tol-negative", "sufficiency-tol-inf", "sufficiency-tol-minus-inf", "concavity-tol",
-         "spectrality-tol", "decompose-out-unwritable", "check-out-unwritable", "landscape-out-unwritable"],
+         "spectrality-tol", "decompose-out-unwritable", "check-out-unwritable", "landscape-out-unwritable",
+         "polytope-unknown-field", "simplex-unknown-field"],
 )
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -306,6 +310,9 @@ def test_usage_error_is_one_line(capsys, argv):
         assert "tol" in err
     if "[[]]" in " ".join(argv):
         assert err == "error: polytope vertices need at least one coordinate\n"
+    for field in ("extra", "bogus"):
+        if f'"{field}"' in " ".join(argv):
+            assert field in err
 
 
 SIMPLEX3, COMPLEX2 = geo.Simplex(3), geo.DensityMatrices("complex", 2)

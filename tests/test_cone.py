@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from test_geometries import pure_states
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from test_geometries import PROPERTIES, pure_states
 from test_polygons import vertex_state
 
 import spectral_cone as sc
@@ -173,3 +176,23 @@ def test_state_json_roundtrip():
     assert space == SQUARE
     again = sc.ConeElement(space, data["trace"], np.array(data["coords"]))
     np.testing.assert_allclose(again.coords, s.coords, atol=0)
+
+
+ROW_ENTRIES = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+# 1-D rows, one-column and zero-row stacks, and stacks of stacks
+ROW_SHAPES = st.one_of(st.tuples(st.integers(1, 9)), st.tuples(st.integers(0, 40), st.integers(1, 9)),
+                       st.tuples(st.integers(0, 40), st.just(1)), st.tuples(st.integers(0, 3), st.integers(0, 9),
+                                                                            st.integers(1, 9)))
+
+
+@settings(PROPERTIES, max_examples=200)
+@given(a=arrays(float, ROW_SHAPES, elements=ROW_ENTRIES))
+def test_property_reduce_rows_is_the_last_axis_reduction(a):
+    """The reductions of numpy over the last axis, shape and dtype included.  They agree as floats: the sign
+    of a zero and the payload of a NaN may differ (numpy's vector loops pick among ties by their own order),
+    and no comparison reads either."""
+    for reduce in (np.min, np.max, np.any):
+        got, want = np.asarray(cone._reduce_rows(reduce, a)), np.asarray(reduce(a, axis=-1))
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert np.array_equal(got, want, equal_nan=want.dtype == float)

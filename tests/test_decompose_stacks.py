@@ -23,13 +23,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_geometries import pure_states
-from test_polygons import PROPERTIES, SQUARE, convex_polygons, polytope, regular_polygon
+from test_polygons import PROPERTIES, SQUARE, TRIANGLE, convex_polygons, polytope, regular_polygon
 
 import spectral_cone as sc
 from spectral_cone import cli, cone
 from spectral_cone import geometries as geo
-from spectral_cone.tolerances import (CLIQUE_RANK_TOL, SAME_STATE_TOL, SINGULARITY_TOL, WEIGHT_DIGITS,
-                                      WEIGHT_DROP_TOL, ZERO_EIGENVALUE_TOL)
+from spectral_cone.tolerances import (CLIQUE_RANK_TOL, GRID_MEMBERSHIP_TOL, SAME_STATE_TOL, SINGULARITY_TOL,
+                                      WEIGHT_DIGITS, WEIGHT_DROP_TOL, ZERO_EIGENVALUE_TOL)
 
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -280,6 +280,43 @@ def test_cube_scaled_solve_matches_unscaled(total):
     verts = CUBE.vertex_array
     points = np.vstack([CUBE.barycenter_coords(), (verts[0] + verts[1]) / 2, verts[-1],
                         np.random.default_rng(17).dirichlet(np.ones(len(verts)), 12) @ verts])
+    assert_scaled_solve_matches(CUBE, points, total)
+
+
+def landscape_blocks(space, grid=101):
+    """The blocks of grid points inside a polygon that a landscape of the grid solves, POINT_BLOCK at a time."""
+    (x0, x1, y0, y1), chart = space.planar_chart()
+    coords = chart(*np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid), indexing="ij"))
+    inside = coords[space.contains_state(coords, tol=GRID_MEMBERSHIP_TOL)]
+    return [inside[start:start + geo.POINT_BLOCK] for start in range(0, len(inside), geo.POINT_BLOCK)]
+
+
+BLOCK_TOTALS = [1e-3, 1.0, 2.5, 1e300]
+
+
+@pytest.mark.parametrize("total", BLOCK_TOTALS)
+@pytest.mark.parametrize("space", [SQUARE, TRIANGLE, polytope(regular_polygon(5)), polytope(regular_polygon(12))],
+                         ids=["square", "triangle", "pentagon", "dodecagon"])
+def test_landscape_blocks_scaled_solve_matches_unscaled(space, total):
+    """Blocks of a grid-101 landscape reach the matrix-product paths that a few points do not."""
+    blocks = landscape_blocks(space)
+    assert len(blocks[0]) == geo.POINT_BLOCK
+    for block in blocks:
+        assert_scaled_solve_matches(space, block, total)
+
+
+@PROPERTIES
+@given(verts=convex_polygons(3, 12), total=st.sampled_from(BLOCK_TOTALS))
+def test_property_polygon_landscape_block_solve_matches_unscaled(verts, total):
+    space = polytope(verts)
+    assert_scaled_solve_matches(space, landscape_blocks(space)[0], total)
+
+
+@pytest.mark.parametrize("total", BLOCK_TOTALS)
+def test_cube_block_scaled_solve_matches_unscaled(total):
+    verts = CUBE.vertex_array
+    points = np.vstack([verts, (verts[:, None] + verts[None]).reshape(-1, 3) / 2,
+                        np.random.default_rng(23).dirichlet(np.ones(len(verts)), geo.POINT_BLOCK) @ verts])
     assert_scaled_solve_matches(CUBE, points, total)
 
 

@@ -425,6 +425,56 @@ def test_checkers_test_membership_per_stack_and_build_no_state(monkeypatch, spac
     assert states == []
 
 
+def test_state_rule_tests_membership_once_per_values_call(monkeypatch):
+    """A rule of two States takes one stacked membership test per argument order of a locality check."""
+    calls = []
+    contains = geo.Simplex.contains_state
+
+    def counting(self, coords, tol=1e-9):
+        calls.append(np.shape(coords))
+        return contains(self, coords, tol)
+
+    monkeypatch.setattr(geo.Simplex, "contains_state", counting)
+    dv.check_locality(dv.Divergence("f", "test", lambda s1, s2: 0.0), SIMPLEX3, trials=20, seed=1)
+    assert len(calls) == 3  # the drawn triples, then one per values call
+
+
+def reference_values(div, space, p, q):
+    """D between the rows of p and q as one State per row, as the values of a State rule were first built."""
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    rows = zip(p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]))
+    return np.array([div.rule(sc.State(space, a), sc.State(space, b)) for a, b in rows]).reshape(p.shape[:-1])
+
+
+def outcome(call):
+    try:
+        return call().tobytes()
+    except Exception as exc:  # the type and message of the error, compared as the values are
+        return type(exc), str(exc)
+
+
+STATE_RULES = {
+    "from_generator": dv.divergence_from_generator(dv.negentropy_generator()),
+    "from_action_set": dv.divergence_from_action_set(dv.TangentActionSet(dv.negentropy_generator())),
+    "from_squared_norm": dv.divergence_from_generator(dv.squared_norm_generator()),
+    "from_finite_actions": dv.divergence_from_action_set(dv.FiniteActionSet(
+        (sc.AffineFunctional([1.0, 0.0, 0.0], 0.0), sc.AffineFunctional([0.0, 2.0, -1.0], 0.5)))),
+}
+
+
+@pytest.mark.parametrize("name", list(STATE_RULES))
+def test_state_rule_values_and_errors_match_one_state_per_row(name):
+    div, rng = STATE_RULES[name], np.random.default_rng(11)
+    p, q = rng.dirichlet(np.ones(3), (4, 5)), rng.dirichlet(np.ones(3), 5)
+    edge = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
+    off = p.copy()
+    off[2, 3] = [0.5, 0.6, -0.1]
+    cases = [(p, q), (q, p[0]), (edge, edge[::-1]), (edge[0], edge), (p[:0], q[:0]), (off, q), (q, off),
+             (p[..., :2], q[..., :2]), (np.full((2, 3), np.nan), edge[:2]), (np.zeros((0, 2)), np.zeros((0, 2)))]
+    for a, b in cases:
+        assert outcome(lambda: div.values(SIMPLEX3, a, b)) == outcome(lambda: reference_values(div, SIMPLEX3, a, b))
+
+
 def test_nan_divergence_fails_sufficiency():
     nan_div = dv.Divergence("nan", "test", lambda s1, s2: math.nan)
     report = dv.check_sufficiency(nan_div, SIMPLEX3, trials=5, seed=0)

@@ -1,5 +1,6 @@
 """Tests for geometries: singularity, faces, orthogonality, decomposition."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from test_polygons import polytope, regular_polygon, vertex_state
 import spectral_cone as sc
 from spectral_cone import geometries as geo
 from spectral_cone.spectral import Ordering, majorizes
+from spectral_cone.tolerances import SAME_STATE_TOL, SUPPORT_TOL
 
 SQUARE = geo.unit_square()
 SIMPLEX3 = geo.Simplex(3)
@@ -466,6 +468,58 @@ def test_stacked_contains_state_matches_rows(space):
 PROPERTIES = settings(derandomize=True, database=None, max_examples=20, deadline=None)
 DENSITY_SPACES = [geo.DensityMatrices(ring, n) for ring in ("real", "complex", "quaternion") for n in (1, 2, 3)]
 DENSITY_IDS = [f"{space.ring}{space.n}" for space in DENSITY_SPACES]
+
+
+def reference_simplex_witnesses(states) -> list:
+    """Per pair, the earlier per-pair loop: None for one state (within SAME_STATE_TOL), else the mask of b where
+    the supports (above SUPPORT_TOL) are disjoint."""
+    out = []
+    for a, b in itertools.combinations(states, 2):
+        supp_a, supp_b = a.coords > SUPPORT_TOL, b.coords > SUPPORT_TOL
+        same = np.max(np.abs(a.coords - b.coords)) <= SAME_STATE_TOL
+        out.append(None if same or np.any(supp_a & supp_b) else supp_b.astype(float))
+    return out
+
+
+def simplex_states(n: int, rng: np.random.Generator, k: int) -> list:
+    """k states of the n-simplex on random supports, with repeats, near-repeats and weights at SUPPORT_TOL."""
+    rows = []
+    for _ in range(k):
+        pick = rng.integers(5)
+        if rows and pick == 0:
+            rows.append(rows[rng.integers(len(rows))].copy())
+        elif rows and pick == 1:  # within SAME_STATE_TOL of an earlier state, on its support
+            row = rows[rng.integers(len(rows))].copy()
+            rows.append(np.where(row > 0.5, row - 4e-13, row))
+        else:
+            support = rng.random(n) < 0.5
+            support[rng.integers(n)] = True
+            row = np.where(support, rng.dirichlet(np.ones(n)), 0.0)
+            row[~support & (rng.random(n) < 0.3)] = rng.choice([SUPPORT_TOL, 2 * SUPPORT_TOL])
+            rows.append(row / np.sum(row))
+    return [sc.State(geo.Simplex(n), row) for row in rows]
+
+
+@PROPERTIES
+@given(n=st.integers(1, 6), k=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+def test_property_simplex_witnesses_match_the_pair_loop(n, k, seed):
+    space, states = geo.Simplex(n), simplex_states(n, np.random.default_rng(seed), k)
+    got, want = space.orthogonality_witnesses(states), reference_simplex_witnesses(states)
+    assert [w is None for w in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        assert g is None or (g.linear.tobytes() == w.tobytes() and g.offset == 0.0)
+    for (a, b), w in zip(itertools.combinations(states, 2), want):
+        if np.max(np.abs(a.coords - b.coords)) > SAME_STATE_TOL:
+            flag, witness = space.mutually_singular(a, b)
+            assert flag == (w is not None) and (witness is None or witness.linear.tobytes() == w.tobytes())
+
+
+def test_simplex_witnesses_of_equal_overlapping_and_disjoint_states():
+    e0, e1, mid, half = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0])
+    states = [sc.State(SIMPLEX3, c) for c in (e0, e0, e1, mid, half)]
+    got = SIMPLEX3.orthogonality_witnesses(states)
+    assert [w is not None for w in got] == [w is not None for w in reference_simplex_witnesses(states)]
+    assert [w is not None for w in got] == [False, True, True, False, True, True, False, False, False, False]
 
 
 def raw_rows(space):
