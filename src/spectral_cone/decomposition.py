@@ -13,12 +13,12 @@ from .tolerances import MAJORIZATION_TOL, TOTAL_TOL, WEIGHT_TOL
 
 
 @np.errstate(over="ignore")  # a weight near the float limit gives -inf
-def weights_entropy(weights, kept=None) -> np.ndarray:
-    """-sum w ln w down axis 0 of a weight array, over the entries in kept (default: those above 0)."""
+def weights_entropy(weights, kept=None, axis=0) -> np.ndarray:
+    """-sum w ln w down one axis of a weight array, over the entries in kept (default: those above 0)."""
     w = np.asarray(weights, dtype=float)
     kept = w > 0.0 if kept is None else kept
     terms = np.log(w, out=np.zeros_like(w), where=kept)
-    return -np.sum(np.multiply(w, terms, out=terms, where=kept), axis=0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return -np.sum(np.multiply(w, terms, out=terms, where=kept), axis=axis) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 @dataclass(frozen=True)

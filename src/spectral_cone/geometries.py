@@ -325,7 +325,7 @@ class Polytope(_Geometry):
         out = np.empty(len(coords))
         for start in range(0, len(coords), POINT_BLOCK):
             stacks, solved = _clique_solutions(self, coords[start:start + POINT_BLOCK], total)
-            h = np.concatenate([weights_entropy(w.swapaxes(0, 1), kept.swapaxes(0, 1)) for _, w, kept in stacks])
+            h = np.concatenate([weights_entropy(w, kept, axis=1) for _, w, kept in stacks])
             partial = [~np.all(kept, axis=1) for _, _, kept in stacks]
             np.min(np.where(solved, h, np.inf), axis=0, out=out[start:start + POINT_BLOCK])
             cols = np.flatnonzero(np.any(solved & np.concatenate(partial), axis=0))
@@ -703,8 +703,9 @@ def _redraw_equal_rows(s1: np.ndarray, s2: np.ndarray, draw: Callable) -> np.nda
     redo = np.arange(len(s1))
     for _ in range(DISTINCT_ATTEMPTS - 1):
         redo = redo[np.max(np.abs(s2[redo] - s1[redo]), axis=1) <= DISTINCT_STATE_TOL]
-        if redo.size:
-            s2[redo] = draw(redo)
+        if not redo.size:  # nothing left to draw again
+            break
+        s2[redo] = draw(redo)
     return s2
 
 
@@ -963,8 +964,10 @@ def _polygon_hull(verts: np.ndarray):
     ``equations``: normal . x + offset <= 0 inside.
     """
     pts = verts[np.lexsort((verts[:, 1], verts[:, 0]))].tolist()
+    overflow = False  # a cross product or its rounding bound left the floats, so that turn popped a point
 
     def half(points):
+        nonlocal overflow
         chain = []
         for x, y in points:
             while len(chain) >= 2:
@@ -972,11 +975,14 @@ def _polygon_hull(verts: np.ndarray):
                 left, right = (bx - ax) * (y - ay), (by - ay) * (x - ax)
                 if left - right > COLLINEAR_RTOL * (abs(left) + abs(right)):
                     break
+                overflow |= not math.isfinite(abs(left) + abs(right))
                 chain.pop()
             chain.append((x, y))
         return chain[:-1]
 
     hull = np.array(half(pts) + half(pts[::-1]))  # counter-clockwise
+    if overflow and len(hull) < len(verts):
+        raise ValueError("polygon coordinates are too far apart for the hull arithmetic")
     if len(hull) < 3:
         raise ValueError("vertex list is not full-dimensional")
     edge = np.roll(hull, -1, axis=0) - hull

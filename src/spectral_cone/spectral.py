@@ -119,13 +119,17 @@ class Landscape:
     def csv_text(self) -> str:
         """x,y,entropy CSV (17 significant digits) of the grid points inside, in grid order.
 
-        Each coordinate and each distinct entropy, keyed on its bits (-0.0 stays "-0"), is formatted once.
+        The grid axes and the distinct entropies, keyed on their bits (-0.0 stays "-0"), are formatted in one
+        call with their end bytes; rows are gathered a block at a time, their NUL padding dropped, and decoded.
         """
         i, j = np.nonzero(~np.isnan(self.values))
         bits, index = np.unique(self.values[i, j].view(np.int64), return_inverse=True)
-        x, y = (np.array(_formatted(axis, ","), dtype=object) for axis in (self.xs, self.ys))
-        h = np.array(_formatted(bits.view(np.float64), "\n"), dtype=object)
-        return "x,y,entropy\n" + "".join(np.stack([x[i], y[j], h[index]], axis=-1).ravel().tolist())
+        gx, gy = len(self.xs), len(self.ys)
+        ends = np.repeat(np.frombuffer(b",\n", np.uint8), (gx + gy, len(bits)))
+        text = _formatted(np.concatenate([self.xs, self.ys, bits.view(np.float64)]), ends)
+        rows = np.stack([i, gx + j, gx + gy + index], axis=-1)
+        blocks = (np.take(text, rows[start:start + _BLOCK]).tobytes() for start in range(0, len(rows), _BLOCK))
+        return "".join(["x,y,entropy\n"] + [block.translate(None, b"\0").decode() for block in blocks])
 
     def maxima_json(self) -> list:
         return [
@@ -155,9 +159,71 @@ def entropy_landscape(space, grid_resolution: int = 101) -> Landscape:
     return Landscape(xs, ys, values, maxima)
 
 
-def _formatted(values: np.ndarray, end: str) -> list:
-    """Each value to 17 significant digits followed by end, formatted in one pass."""
-    return (f"%.17g{end}\0" * len(values) % tuple(values.tolist())).split("\0")[:-1]
+# %.17g writes fixed notation from the decimal exponent X = -4 up (the format spec's rule, no tolerance); below
+# 2^52 the 17 digits N fit an int64, and |v| * 10^(16 - X) = N + a fraction is at least 2^53, an integer double.
+_FIXED_RANGE = (10.0 ** -4, 2.0 ** 52)
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+_DIGITS = np.arange(48, 58, dtype=np.uint8)  # "0" to "9"
+_WORDS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()  # of 0000 to 9999
+_BLOCK = 4096  # values formatted, or CSV rows gathered, at a time: their byte arrays stay in cache
+_ROWS = np.arange(24, dtype=np.uint8)[:, None]  # the byte positions of one formatted value
+
+
+def _formatted(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """f"{v:.17g}" of each value followed by its end byte (uint8), as a bytes array; ``_fixed_notation`` formats
+    the fixed range a block at a time, the % operator the rest (zeros, tiny, huge, NaN and infinite values)."""
+    size = np.abs(values)
+    fixed = (size >= _FIXED_RANGE[0]) & (size < _FIXED_RANGE[1])  # NaN compares false
+    out = np.empty(len(values), "S25")
+    fixed, rest = np.flatnonzero(fixed), np.flatnonzero(~fixed)
+    for start in range(0, len(fixed), _BLOCK):
+        block = fixed[start:start + _BLOCK]
+        out[block] = np.ascontiguousarray(_fixed_notation(values[block], ends[block]).T).view("S24").ravel()
+    out[rest] = [b"%.17g%c" % pair for pair in zip(values[rest].tolist(), ends[rest].tolist())]
+    return out
+
+
+def _scaled(a, x) -> np.ndarray:
+    """a * 10^(16 - x) rounded half to even, exactly: Dekker's two-product p + e, where p >= 2^53 is an integer."""
+    factors = np.stack([a, _POW10[16 - x]])
+    c = 134217729.0 * factors  # 2^27 + 1: Veltkamp's split into halves of at most 26 bits, whose products are exact
+    (ah, bh) = high = c - (c - factors)
+    (al, bl), p = factors - high, a * factors[1]
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    floor = np.floor(e)
+    n = p.astype(np.int64) + floor.astype(np.int64)
+    return n + ((e > floor + 0.5) | ((e == floor + 0.5) & (n % 2 == 1)))
+
+
+def _fixed_notation(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """f"{v:.17g}" plus an end byte for 1e-4 <= |v| < 2^52, as (24, len(values)) bytes padded with NUL: the 17
+    digits of the exact ``_scaled``, then each byte row for all values at once by 0/1-mask products in uint8."""
+    a = np.abs(values)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    n = _scaled(a, x)
+    redo = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
+    if redo.size:  # log10 rounded across a power of ten
+        x[redo] += 2 * (n[redo] >= 10 ** 17) - 1
+        n[redo] = _scaled(a[redo], x[redo])
+    prefixes = [n // 10 ** k for k in (16, 12, 8, 4)] + [n]  # the first 1, 5, 9, 13 and 17 digits
+    groups = np.stack([low - high * 10 ** 4 for high, low in zip(prefixes, prefixes[1:])])
+    out = np.full((24, len(values)), 48, np.uint8)  # "0" below the digits
+    out[0] = prefixes[0] + 48
+    out[1:17].reshape(4, 4, -1)[...] = np.take(_WORDS, groups).view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
+    zeros = (out[16::-1] == 48).argmin(axis=0)  # trailing zero digits; the leading digit is not 0
+    sign, lead_zeros = (values < 0).astype(np.uint8), np.maximum(-x, 0).astype(np.uint8)
+    shift = sign + lead_zeros  # the sign, then "0" and the zeros after the point below 1
+    for k in (1, 2, 4):  # rotating the rows brings "0"s from below the digits to the top
+        out += (np.roll(out, k, axis=0) - out) * (shift & k != 0)
+    out[0] += (45 - out[0]) * sign
+    point = sign + 1 + np.maximum(x, 0).astype(np.uint8)
+    out += (np.roll(out, 1, axis=0) - out) * (_ROWS >= point)
+    out += (46 - out) * (_ROWS == point)
+    strip = np.minimum(zeros, 16 - x)  # trailing zeros of the fraction go, and the point with all of them
+    length = (sign + lead_zeros + 17 + (strip < 16 - x) - strip).astype(np.uint8)
+    out *= _ROWS < length
+    out += (_ROWS == length) * ends
+    return out
 
 
 def _strict_maxima(values: np.ndarray) -> np.ndarray:

@@ -286,6 +286,8 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         ["decompose", "--space", '{"kind": "polytope", "vertices": [[0,0],[1,0],[0,1],[1,1]], "extra": 1}',
          "--element", "[0.5, 0.25]"],
         ["decompose", "--space", '{"kind": "simplex", "n": 3, "bogus": true}', "--element", "[0.5, 0.25, 0.25]"],
+        ["decompose", "--space", '{"kind": "polytope", "vertices": [[0,0],[1,0],[0,1e308],[1e308,1e308]]}',
+         "--element", "[0.5, 0.25]"],
     ],
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
@@ -297,7 +299,7 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
          "sufficiency-square", "sufficiency-disc", "sufficiency-spin3", "locality-tol-inf", "locality-tol-nan",
          "locality-tol-negative", "sufficiency-tol-inf", "sufficiency-tol-minus-inf", "concavity-tol",
          "spectrality-tol", "decompose-out-unwritable", "check-out-unwritable", "landscape-out-unwritable",
-         "polytope-unknown-field", "simplex-unknown-field"],
+         "polytope-unknown-field", "simplex-unknown-field", "polytope-overflow"],
 )
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -313,6 +315,8 @@ def test_usage_error_is_one_line(capsys, argv):
     for field in ("extra", "bogus"):
         if f'"{field}"' in " ".join(argv):
             assert field in err
+    if "1e308" in " ".join(argv):  # four extreme points whose cross products overflow
+        assert err == "error: polygon coordinates are too far apart for the hull arithmetic\n"
 
 
 SIMPLEX3, COMPLEX2 = geo.Simplex(3), geo.DensityMatrices("complex", 2)

@@ -7,7 +7,10 @@ every point.  ``spectral._strict_maxima`` compares each grid point with its
 eight neighbours one shift at a time; the reference builds every 3 x 3 window.
 """
 
+import hashlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -176,9 +179,51 @@ def test_readme_landscape_maxima_match_the_window_reference(name, grid, count):
 # CSV formatting
 # ---------------------------------------------------------------------------
 
+def near(centres, steps=6) -> np.ndarray:
+    """Each centre and the doubles up to steps away from it on either side."""
+    out = [np.asarray(centres, dtype=float)]
+    for direction in (np.inf, -np.inf):
+        x = out[0]
+        for _ in range(steps):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def format_classes(rng, m) -> np.ndarray:
+    """Random bit patterns, uniform [0, 1.2), log-uniform +-[1e-4.5, 1e16], ties (mantissas of at most 20 bits),
+    53-bit mantissas below 2^52, and the boundaries of the fixed range and of the decimal exponents."""
+    signs = rng.choice([-1.0, 1.0], m)
+    ties = np.ldexp(rng.integers(1, 2 ** 20, m).astype(float), rng.integers(-33, 33, m)) * signs
+    full = rng.integers(2 ** 52, 2 ** 53, m) * np.ldexp(1.0, rng.integers(-66, 0, m)) * signs
+    nines = [float(f"9.9999999999999999e{k}") for k in range(-6, 17)]  # rounds up to the next power of ten
+    edges = near(np.concatenate([10.0 ** np.arange(-6, 18), nines, [1e-4, 2.0 ** 52, 2.0 ** 53, 0.5]]))
+    return np.concatenate([rng.integers(-2 ** 63, 2 ** 63, m, dtype=np.int64).view(np.float64),
+                           rng.random(m) * 1.2, 10.0 ** rng.uniform(-4.5, 16.0, m) * signs, ties, full,
+                           edges, -edges, [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0]])
+
+
 def test_formatted_matches_per_value_format_on_any_bits():
     rng = np.random.default_rng(5)
-    values = np.concatenate([rng.integers(-2 ** 63, 2 ** 63, 2000, dtype=np.int64).view(np.float64),
-                             [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0]])
-    assert spectral._formatted(values, "\n") == [f"{v:.17g}\n" for v in values.tolist()]
-    assert spectral._formatted(values[:0], ",") == []
+    values = format_classes(rng, 200_000)
+    fixed = (np.abs(values) >= 1e-4) & (np.abs(values) < 2.0 ** 52)
+    assert len(values) >= 10 ** 6 and np.count_nonzero(fixed) >= 700_000 and np.count_nonzero(~fixed) >= 200_000
+    ends = rng.choice(np.frombuffer(b",\n", np.uint8), len(values))
+    want = [f"{v:.17g}{chr(e)}".encode() for v, e in zip(values.tolist(), ends.tolist())]
+    assert spectral._formatted(values, ends).tolist() == want
+    assert spectral._formatted(values[:0], ends[:0]).tolist() == []
+
+
+DIGESTS = json.loads((pathlib.Path(__file__).parent / "data" / "landscape_digests.json").read_text())
+
+
+@pytest.mark.parametrize("pin", DIGESTS, ids=[p["name"] for p in DIGESTS])
+def test_landscape_files_match_pinned_digests(pin, tmp_path):
+    """The CSV and maxima sidecar bytes of ``tools/pin_landscape_digests.py``, pinned before the fixed-notation
+    kernel replaced the per-value % formatting."""
+    from spectral_cone import cli
+
+    out = tmp_path / "landscape.csv"
+    assert cli.main(["landscape", *pin["args"], "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["csv_sha256"]
+    assert hashlib.sha256(pathlib.Path(f"{out}.maxima.json").read_bytes()).hexdigest() == pin["maxima_sha256"]
