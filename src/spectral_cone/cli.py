@@ -112,13 +112,8 @@ def _report_json(report: dict) -> str:
 
 def cmd_decompose(args) -> int:
     space = parse_space(args.space)
-    try:
-        x = parse_element(args.element, space)
-        dec = geo.decompose(space, x, with_witnesses=True)
-    except SpectralConeError as exc:
-        # membership or decomposition invariant failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    x = parse_element(args.element, space)
+    dec = geo.decompose(space, x, with_witnesses=True)
     payload = dec.to_json()
     payload["space"] = space.to_json()
     payload["trace"] = x.trace_weight
@@ -234,6 +229,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return 1 if exc.code not in (0, None) else 0
+    except SpectralConeError as exc:  # a failed invariant; before _USAGE_ERRORS, as most are ValueErrors too
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,7 @@ for (``_polytope_geometry``, at most ``POLYTOPE_CACHE_SIZE`` records).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,17 +69,17 @@ DISTINCT_ATTEMPTS = 8  # draws of an s2 row of a locality trial until it differs
 # ---------------------------------------------------------------------------
 
 class _Geometry:
-    """Defaults shared by the descriptor classes.  Each class defines
+    """Defaults shared by the descriptor classes, which are frozen dataclasses.  Each class defines
 
+    * ``kind``, the name of its JSON descriptor, whose other fields are the dataclass fields (``to_json``);
     * ``decompositions(coords, total)``, the decomposition kernel: for (N, coords_len) state rows s, the
       weights (N, r) of an orthogonal decomposition of total * s and the coordinates (N, r, coords_len) of
       its components, pure states by construction, in any order; a row with fewer than r components pads
       with weights that ``decompose`` drops.  On the canonical geometries the weights are the spectrum,
       whose -sum w ln w is ``entropies``; polytopes override it with the least entropy over all their
       decompositions;
-    * ``mutually_singular(s0, s1)``, (flag, witness) of two distinct states on the whole space; with
-      ``orthogonality_witnesses(states)``, which tests each pair on its smallest face, the only two ways a
-      geometry is asked whether states are orthogonal;
+    * ``orthogonality_witnesses(states)``, which tests each pair on its smallest face; ``mutually_singular``
+      reads the pair's entry, as the smallest face changes no verdict but on polytopes, which override it;
     * ``rank``, ``smallest_face(states)`` and ``random_state(rng)``;
     * ``orthogonal_triples(rng, trials)``: (s0, s1, s2, vacuous), three (trials, coords_len) coordinate
       stacks with s0 pure and s1, s2 orthogonal to it, and a (trials,) flag that is true where s1 = s2
@@ -97,15 +98,13 @@ class _Geometry:
         """Entropy of total * s for every row s: -sum w ln w of its ``decompositions`` weights."""
         return weights_entropy(self.decompositions(coords, total)[0].T)
 
-    def orthogonality_witnesses(self, states) -> tuple:
-        """Per pair (a, b) of the states, in combinations order, a test with value 0 at a and 1 at b on their
-        smallest face; None for one state (within SAME_STATE_TOL) or a pair that is not orthogonal.
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in dataclasses.fields(self)}}
 
-        Restricting to the smallest face does not change the criterion of ``mutually_singular`` here:
-        antipodal boundary points (ball and spin factor).
-        """
-        return tuple(None if _same_state(a, b) else self.mutually_singular(a, b)[1]
-                     for a, b in itertools.combinations(states, 2))
+    def mutually_singular(self, s0: State, s1: State):
+        """(flag, witness) of two distinct states on the whole space."""
+        witness = self.orthogonality_witnesses([s0, s1])[0]
+        return witness is not None, witness
 
     def planar_chart(self):
         """(bounding box, chart) for a 2-dimensional space; chart maps x, y arrays to coords rows."""
@@ -156,25 +155,16 @@ class Simplex(_Geometry):
         values = a.linear + a.offset
         return float(np.min(values)), float(np.max(values))
 
-    def to_json(self) -> dict:
-        return {"kind": "simplex", "n": self.n}
-
     def smallest_face(self, states) -> Face:
         idx = tuple(np.nonzero(np.any([s.coords > SUPPORT_TOL for s in states], axis=0))[0].tolist())
         return Face(self, "whole" if len(idx) == self.n else "vertices", vertex_indices=idx)
-
-    def mutually_singular(self, s0: State, s1: State):
-        witness = self.orthogonality_witnesses([s0, s1])[0]
-        return witness is not None, witness
 
     def orthogonality_witnesses(self, states) -> tuple:
         """The witness of every state pair from one overlap test of their support masks: states a, b are
         orthogonal when no coordinate is above SUPPORT_TOL in both, and the witness is the mask of b.  One state
         (within SAME_STATE_TOL) is never orthogonal, as its largest coordinate, about 1/n or more, overlaps."""
         supp = np.array([s.coords for s in states]).reshape(len(states), self.n) > SUPPORT_TOL
-        apart = ~np.any(supp[:, None] & supp[None], axis=-1)
-        return tuple(AffineFunctional(supp[b].astype(float), 0.0) if apart[a, b] else None
-                     for a, b in itertools.combinations(range(len(supp)), 2))
+        return _pair_witnesses(~np.any(supp[:, None] & supp[None], axis=-1), supp.astype(float), 0.0)
 
     def decompositions(self, coords: np.ndarray, total: float):
         """The weights total * s of every row s, on the vertices."""
@@ -283,7 +273,7 @@ class Polytope(_Geometry):
         return float(np.min(values)), float(np.max(values))
 
     def to_json(self) -> dict:
-        return {"kind": "polytope", "vertices": [list(v) for v in self.vertices]}
+        return {**super().to_json(), "vertices": [list(v) for v in self.vertices]}
 
     def smallest_face(self, states) -> Face:
         face = _faces(_polytope_geometry(self), np.mean([s.coords for s in states], axis=0)[None])[0]
@@ -413,9 +403,6 @@ class Ball(_Geometry):
         r = float(np.linalg.norm(a.linear))
         return a.offset - r, a.offset + r
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "d": self.d}
-
     def smallest_face(self, states) -> Face:
         first = np.asarray(states[0].coords)
         same = all(np.max(np.abs(np.asarray(s.coords) - first)) <= SINGULARITY_TOL for s in states)
@@ -423,12 +410,14 @@ class Ball(_Geometry):
             return Face(self, "point", point=first)
         return Face(self, "whole")
 
-    def mutually_singular(self, s0: State, s1: State):
-        x0, x1 = np.asarray(s0.coords), np.asarray(s1.coords)
-        boundary = abs(np.linalg.norm(x0) - 1.0) <= SINGULARITY_TOL and abs(np.linalg.norm(x1) - 1.0) <= SINGULARITY_TOL
-        if boundary and np.max(np.abs(x0 + x1)) <= SINGULARITY_TOL:
-            return True, AffineFunctional(x1 / 2.0, 0.5)
-        return False, None
+    def orthogonality_witnesses(self, states) -> tuple:
+        """The witness of every state pair that is antipodal on the boundary, both norms within SINGULARITY_TOL
+        of 1 and x_a + x_b within it of 0: x_b / 2 + 1/2.  One state (within SAME_STATE_TOL) is never antipodal:
+        x_a + x_b is then within SAME_STATE_TOL of 2 x_a, of norm about 2 on the boundary."""
+        x = np.array([s.coords for s in states]).reshape(len(states), self.d)
+        boundary = np.array([abs(np.linalg.norm(s.coords) - 1.0) <= SINGULARITY_TOL for s in states], dtype=bool)
+        antipodal = np.max(np.abs(x[:, None] + x[None]), axis=-1) <= SINGULARITY_TOL
+        return _pair_witnesses(antipodal & boundary[:, None] & boundary[None], x / 2.0, 0.5)
 
     def decompositions(self, coords: np.ndarray, total: float):
         """The antipodal pair through each row x, weighted total * (1 +- r) / 2, r = |x| clipped at 1.
@@ -590,17 +579,10 @@ class DensityMatrices(_Geometry):
             out[kept == k] = top @ np.conj(np.swapaxes(top, -1, -2))
         return out.reshape(*coords.shape[:-1], *v.shape[-2:])
 
-    def to_json(self) -> dict:
-        return {"kind": "density", "ring": self.ring, "n": self.n}
-
     def smallest_face(self, states) -> Face:
         proj = self._support(np.mean([s.coords for s in states], axis=0))
         whole = abs(np.trace(proj).real / self.mult - self.n) <= SINGULARITY_TOL
         return Face(self, "whole" if whole else "support", projection=jordan.from_form(self.ring, proj))
-
-    def mutually_singular(self, s0: State, s1: State):
-        witness = self.orthogonality_witnesses([s0, s1])[0]
-        return witness is not None, witness
 
     def orthogonality_witnesses(self, states) -> tuple:
         """The witness of every state pair, from one Gram product of the rows of the support projections.
@@ -620,9 +602,7 @@ class DensityMatrices(_Geometry):
         same = np.max(np.abs(tests[:, None] - tests[None]), axis=-1) <= SAME_STATE_TOL
         if np.any(mixed):
             tests[mixed] = self.coords_of(self._support(tests[mixed]))
-        apart = ~same & (tests @ tests.T <= SINGULARITY_TOL)
-        return tuple(AffineFunctional(tests[b], 0.0) if apart[a, b] else None
-                     for a, b in itertools.combinations(range(len(tests)), 2))
+        return _pair_witnesses(~same & (tests @ tests.T <= SINGULARITY_TOL), tests, 0.0)
 
     def decompositions(self, coords: np.ndarray, total: float):
         """Ring eigenvalues of total * s and the coordinates of their rank-one idempotents, from one ``eigh``."""
@@ -697,6 +677,13 @@ class DensityMatrices(_Geometry):
         return pairs
 
 
+def _pair_witnesses(apart: np.ndarray, linear: np.ndarray, offset: float) -> tuple:
+    """Per pair (a, b) of the states, in combinations order, the witness with linear part linear[b] and the
+    offset where the (states, states) mask apart holds, else None."""
+    return tuple(AffineFunctional(linear[b], offset) if apart[a, b] else None
+                 for a, b in itertools.combinations(range(len(apart)), 2))
+
+
 def _redraw_equal_rows(s1: np.ndarray, s2: np.ndarray, draw: Callable) -> np.ndarray:
     """s2 with its rows within DISTINCT_STATE_TOL of s1 drawn again, ``draw(rows)`` as one stack of just
     those rows, DISTINCT_ATTEMPTS draws of s2 in all (the last one is kept)."""
@@ -713,9 +700,7 @@ def unit_square() -> Polytope:
     return Polytope(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
 
 
-# fields of each space descriptor besides "kind"
-_DESCRIPTOR_FIELDS = {"simplex": ("n",), "polytope": ("vertices",), "ball": ("d",), "spin": ("d",),
-                      "density": ("ring", "n")}
+_KINDS = {cls.kind: cls for cls in (Simplex, Polytope, Ball, SpinFactor, DensityMatrices)}
 
 
 def space_from_json(data: dict):
@@ -725,30 +710,26 @@ def space_from_json(data: dict):
     if "kind" not in data:
         raise ValueError("space descriptor lacks the field 'kind'")
     kind = data["kind"]
-    if not isinstance(kind, str) or kind not in _DESCRIPTOR_FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown space kind {kind!r}")
-    missing = [key for key in _DESCRIPTOR_FIELDS[kind] if key not in data]
+    fields = {f.name: data.get(f.name) for f in dataclasses.fields(_KINDS[kind])}
+    missing = [key for key in fields if key not in data]
     if missing:
         raise ValueError(f"{kind} space descriptor lacks the field {missing[0]!r}")
-    unknown = [key for key in data if key != "kind" and key not in _DESCRIPTOR_FIELDS[kind]]
+    unknown = [key for key in data if key != "kind" and key not in fields]
     if unknown:
         raise ValueError(f"{kind} space descriptor has the unknown field {unknown[0]!r}")
     for key in ("n", "d"):
         if isinstance(data.get(key, 0), bool) or not isinstance(data.get(key, 0), int):
             raise ValueError(f"space field {key!r} must be an integer, got {data[key]!r}")
-    if kind == "simplex":
-        return Simplex(data["n"])
     if kind == "polytope":
         verts = data["vertices"]
         if not (isinstance(verts, list) and all(isinstance(v, list) for v in verts)
                 and all(isinstance(c, (int, float)) and not isinstance(c, bool) for v in verts for c in v)):
             raise ValueError("polytope vertices must be a list of coordinate lists")
-        return Polytope(tuple(tuple(v) for v in verts))
-    if kind == "ball":
-        return Ball(data["d"])
-    if kind == "spin":
-        return SpinFactor(data["d"])
-    return DensityMatrices(str(data["ring"]), data["n"])
+    if kind == "density":
+        fields["ring"] = str(fields["ring"])
+    return _KINDS[kind](**fields)
 
 
 # ---------------------------------------------------------------------------

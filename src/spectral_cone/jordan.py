@@ -309,13 +309,13 @@ def rank_one_components(m: HermitianMatrix) -> list:
     return [(float(a), from_form(m.ring, p)) for a, p in zip(t, forms)]
 
 
-def ring_eigenvalues(w: np.ndarray, mult: int = 1) -> np.ndarray:
+def ring_eigenvalues(w: np.ndarray, mult: int) -> np.ndarray:
     """Ring eigenvalues (..., m // mult) of ascending eigenvalue stacks w (..., m) of complex forms: every
     mult-th one, since each ring eigenvalue appears mult times (twice over the quaternions)."""
     return w[..., ::mult]
 
 
-def rank_one_forms(w: np.ndarray, v: np.ndarray, mult: int = 1):
+def rank_one_forms(w: np.ndarray, v: np.ndarray, mult: int):
     """Ring eigenvalues (..., m // mult) and rank-one idempotent forms (..., m // mult, m, m) of ``eigh`` stacks.
 
     w (..., m), v (..., m, m) are eigenpairs of Hermitian complex forms; mult

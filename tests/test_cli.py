@@ -436,6 +436,13 @@ def test_landscape_rejects_non_2d(capsys):
     assert code == 1
 
 
+def test_landscape_failed_decomposition_exit_2(capsys):
+    """A grid point no clique system solves is a failed invariant: main reports it on one line, exit 2."""
+    space = '{"kind": "polytope", "vertices": [[100000,100000],[100001,100000],[100000,100001]]}'
+    code, out, err = run_cli(capsys, "landscape", "--space", space, "--grid", "7")
+    assert (code, out, err) == (2, "", "error: no orthogonal decomposition found\n")
+
+
 def test_deterministic_output(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_geometries import pure_states
+from test_geometries import pure_states, reference_ball_witness
 from test_polygons import PROPERTIES, SQUARE, TRIANGLE, convex_polygons, polytope, regular_polygon
 
 import spectral_cone as sc
@@ -49,7 +49,9 @@ def reference_witness(space, s0, s1):
         return None
     if isinstance(space, geo.Polytope):  # solved cold on the vertices of the pair's smallest face
         return geo._pair_witness(geo._polytope_geometry(space), s0.coords, s1.coords)
-    if not isinstance(space, geo.DensityMatrices):  # the face does not change the criterion
+    if isinstance(space, geo.Ball):  # the face does not change the criterion
+        return reference_ball_witness(s0, s1)
+    if not isinstance(space, geo.DensityMatrices):
         return space.mutually_singular(s0, s1)[1]
     p0, p1 = space._support(s0.coords), space._support(s1.coords)
     if np.sum(p0 * np.conj(p1)).real / space.mult > SINGULARITY_TOL:  # Tr(p0 p1)

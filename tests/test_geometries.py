@@ -1,6 +1,8 @@
 """Tests for geometries: singularity, faces, orthogonality, decomposition."""
 
+import dataclasses
 import itertools
+import json
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from test_polygons import polytope, regular_polygon, vertex_state
 import spectral_cone as sc
 from spectral_cone import geometries as geo
 from spectral_cone.spectral import Ordering, majorizes
-from spectral_cone.tolerances import SAME_STATE_TOL, SUPPORT_TOL
+from spectral_cone.tolerances import SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL
 
 SQUARE = geo.unit_square()
 SIMPLEX3 = geo.Simplex(3)
@@ -349,12 +351,18 @@ def test_space_json_roundtrip():
     spaces = [
         SIMPLEX3,
         SQUARE,
+        PENTAGON,
+        CUBE,
         DISC,
+        geo.Ball(3),
         geo.SpinFactor(3),
-        geo.DensityMatrices("quaternion", 2),
+        *(geo.DensityMatrices(ring, 2) for ring in sc.jordan.RINGS),
     ]
     for space in spaces:
         assert geo.space_from_json(space.to_json()) == space
+        assert geo.space_from_json(json.loads(json.dumps(space.to_json()))) == space
+        # the descriptor is the kind and the dataclass fields, nothing else
+        assert set(space.to_json()) == {"kind"} | {f.name for f in dataclasses.fields(space)}
 
 
 @pytest.mark.parametrize(
@@ -520,6 +528,83 @@ def test_simplex_witnesses_of_equal_overlapping_and_disjoint_states():
     got = SIMPLEX3.orthogonality_witnesses(states)
     assert [w is not None for w in got] == [w is not None for w in reference_simplex_witnesses(states)]
     assert [w is not None for w in got] == [False, True, True, False, True, True, False, False, False, False]
+
+
+def reference_ball_witness(s0, s1):
+    """The earlier per-pair rule of balls and spin factors: None for one state (within SAME_STATE_TOL), else the
+    test x1 / 2 + 1/2 where both norms are within SINGULARITY_TOL of 1 and x0 + x1 is within it of 0."""
+    x0, x1 = np.asarray(s0.coords), np.asarray(s1.coords)
+    if np.max(np.abs(x0 - x1)) <= SAME_STATE_TOL:
+        return None
+    boundary = abs(np.linalg.norm(x0) - 1.0) <= SINGULARITY_TOL and abs(np.linalg.norm(x1) - 1.0) <= SINGULARITY_TOL
+    if boundary and np.max(np.abs(x0 + x1)) <= SINGULARITY_TOL:
+        return sc.AffineFunctional(x1 / 2.0, 0.5)
+    return None
+
+
+def assert_same_witness(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.linear.tobytes() == want.linear.tobytes() and got.offset == want.offset
+
+
+def ball_states(space, rng) -> list:
+    """Boundary points with their antipodes, exact or moved inwards or along a tangent by SINGULARITY_TOL / 2
+    (within the antipode and boundary tests) or 2 SINGULARITY_TOL (beyond them); a pair antipodal within the
+    tolerance whose first, then second, point is 1.2 SINGULARITY_TOL inside the boundary; an exactly antipodal
+    pair 2 SINGULARITY_TOL inside it; interior points, the centre and repeated states, one within SAME_STATE_TOL."""
+    u, v = (w / np.linalg.norm(w) for w in rng.standard_normal((2, space.d)))
+    e0, w = np.eye(space.d)[0], np.full(space.d, space.d ** -0.5)
+    tangent = np.eye(space.d)[-1] if space.d > 1 else np.zeros(1)  # normal to e0 unless d = 1
+    rows = [u, -u, e0, -e0, v, -v * (1.0 - SINGULARITY_TOL / 2), -v * (1.0 - 2 * SINGULARITY_TOL),
+            -e0 + tangent * SINGULARITY_TOL / 2, -e0 + tangent * 2 * SINGULARITY_TOL,
+            -w * (1.0 - 1.2 * SINGULARITY_TOL), w, -w * (1.0 - 1.2 * SINGULARITY_TOL),
+            u * (1.0 - 2 * SINGULARITY_TOL), -u * (1.0 - 2 * SINGULARITY_TOL),
+            0.5 * u, -0.5 * u, np.zeros(space.d), space.random_state(rng).coords, u, u + SAME_STATE_TOL / 2]
+    return [sc.State(space, row) for row in rows]
+
+
+@pytest.mark.parametrize("space", [geo.Ball(1), geo.Ball(2), geo.Ball(3), geo.Ball(4), geo.SpinFactor(3)],
+                         ids=["ball1", "ball2", "ball3", "ball4", "spin3"])
+def test_stacked_ball_witnesses_match_the_pair_rule(space):
+    states = ball_states(space, np.random.default_rng(space.d))
+    got = space.orthogonality_witnesses(states)
+    pairs = list(itertools.combinations(range(len(states)), 2))
+    for (a, b), g in zip(pairs, got):
+        assert_same_witness(g, reference_ball_witness(states[a], states[b]))
+    verdicts = dict(zip(pairs, (g is not None for g in got)))
+    assert verdicts[0, 1] and verdicts[2, 3] and verdicts[4, 5] and not verdicts[4, 6]
+    assert verdicts[2, 7] and verdicts[2, 8] == (space.d == 1)  # with d = 1 both are -e0: no tangent
+    assert not (verdicts[9, 10] or verdicts[10, 11] or verdicts[12, 13])  # a point off the boundary
+    assert not any(verdicts[a, b] for a, b in pairs if a >= 14)  # interior, centre and repeated states
+    assert not verdicts[0, 18] and not verdicts[0, 19] and verdicts[1, 19]
+
+
+DERIVED_SPACES = [geo.Simplex(1), SIMPLEX3, geo.Ball(1), DISC, geo.SpinFactor(3),
+                  *(geo.DensityMatrices(ring, n) for ring in sc.jordan.RINGS for n in (1, 3))]
+
+
+@pytest.mark.parametrize("space", DERIVED_SPACES + [SQUARE, PENTAGON, CUBE],
+                         ids=["simplex1", "simplex3", "ball1", "disc", "spin3",
+                              *(f"{ring}{n}" for ring in sc.jordan.RINGS for n in (1, 3)), "square", "pentagon", "cube"])
+def test_mutually_singular_reads_the_pair_witness(space):
+    """Every geometry but the polytope answers mutual singularity from its pair's ``orthogonality_witnesses``
+    entry; on every geometry the space's answer is the module function's for distinct states."""
+    rng = np.random.default_rng(7)
+    s0, s1, s2, _ = space.orthogonal_triples(rng, 2)
+    states = [sc.State(space, row) for row in (*s0, *s1, *s2)] + [space.random_state(rng), space.random_state(rng)]
+    found = False
+    for a, b in itertools.permutations(states, 2):
+        flag, witness = space.mutually_singular(a, b)
+        assert flag == (witness is not None)
+        found |= flag
+        if not isinstance(space, geo.Polytope):
+            assert_same_witness(witness, space.orthogonality_witnesses([a, b])[0])
+        if np.max(np.abs(a.coords - b.coords)) > SAME_STATE_TOL:
+            module_flag, module_witness = geo.mutually_singular(a, b)
+            assert module_flag == flag
+            assert_same_witness(module_witness, witness)
+    assert found or space.rank == 1
 
 
 def raw_rows(space):
