@@ -31,8 +31,9 @@ from .cone import ConeElement
 from .errors import SpectralConeError
 
 DEFAULT_SEED = 42
-# bad input or an unwritable --out: main exits 1 with a one-line error (json.JSONDecodeError is a ValueError)
-_USAGE_ERRORS = (ValueError, KeyError, OSError)
+# bad input, an unwritable --out or a --grid too large to allocate: main exits 1 with a one-line error
+# (json.JSONDecodeError is a ValueError)
+_USAGE_ERRORS = (ValueError, KeyError, OSError, MemoryError)
 
 _SHORTHANDS = {
     "square": geo.unit_square,

@@ -410,6 +410,17 @@ def test_non_integer_seed_env_exit_1(capsys, monkeypatch):
     assert "SPECTRAL_CONE_SEED" in err
 
 
+def test_landscape_too_large_to_allocate_exit_1(capsys, monkeypatch):
+    """A grid whose arrays cannot be allocated prints one error line; the raise is stubbed, so nothing is."""
+    def refuse(space, grid_resolution):
+        raise MemoryError(f"Unable to allocate an array for a {grid_resolution} x {grid_resolution} grid")
+
+    monkeypatch.setattr(spectral, "entropy_landscape", refuse)
+    code, out, err = run_cli(capsys, "landscape", "--space", "square", "--grid", "3000000")
+    assert_one_line_error(code, out, err)
+    assert err == "error: Unable to allocate an array for a 3000000 x 3000000 grid\n"
+
+
 def test_landscape_square(tmp_path, capsys):
     out_path = tmp_path / "sq.csv"
     code, _, _ = run_cli(

@@ -1,10 +1,12 @@
 """The landscape kernels against the whole-grid passes they replaced, bit for bit.
 
-``Polytope.entropies`` applies the first-support rule (a support that several
-cliques yield counts once, from the first in clique order) only on the points
-where some clique drops a weight; the reference sorts the support bitmask of
-every point.  ``spectral._strict_maxima`` compares each grid point with its
-eight neighbours one shift at a time; the reference builds every 3 x 3 window.
+``Polytope.entropies`` takes the least entropy over the cliques that solve a
+point keeping every weight.  The reference runs the earlier partial rule: a
+clique that drops a weight solves the point too, and a support that several
+cliques yield counts once, from the first in clique order, by a sort of the
+support bitmask of every point.  ``spectral._strict_maxima`` compares each
+grid point with its eight neighbours one shift at a time; the reference
+builds every 3 x 3 window.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from test_decompose_stacks import partial_rule_clique_solutions
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo, spectral
@@ -38,10 +41,11 @@ SIMPLEX8 = polytope(np.vstack([np.zeros(8), np.eye(8)]))  # cliques of up to 9 v
 
 @np.errstate(over="ignore")
 def reference_entropies(space, coords, total) -> np.ndarray:
-    """The full-sort kernel: the support bitmask of every point argsorted, weights clipped at 0; inf if unsolved."""
+    """The full-sort kernel on the partial rule: the support bitmask of every point argsorted, weights clipped at
+    0; inf if unsolved."""
     out = np.empty(len(coords))
     for start in range(0, len(coords), geo.POINT_BLOCK):
-        stacks, _ = geo._clique_solutions(space, coords[start:start + geo.POINT_BLOCK], total)
+        stacks = partial_rule_clique_solutions(space, coords[start:start + geo.POINT_BLOCK], total)
         cols = [np.where(kept, np.clip(w, 0.0, None), 0.0).swapaxes(0, 1) for _, w, kept in stacks]
         h = np.concatenate([-np.sum(np.where(v > 0.0, v * np.log(np.where(v > 0.0, v, 1.0)), 0.0), axis=0) + 0.0
                             for v in cols])  # -sum w ln w over each clique's weights, written out
@@ -55,10 +59,10 @@ def reference_entropies(space, coords, total) -> np.ndarray:
 
 
 def dropping_points(space, coords) -> int:
-    """Points where some clique that solves them drops a weight: where the first-support rule runs."""
-    stacks, solved = geo._clique_solutions(space, coords, 1.0)
-    partial = np.concatenate([~np.all(kept, axis=1) for _, _, kept in stacks])
-    return int(np.count_nonzero(np.any(solved & partial, axis=0)))
+    """Points that some clique solves while dropping a weight under the partial rule: where the rules differ."""
+    stacks = partial_rule_clique_solutions(space, coords, 1.0)
+    partial = np.concatenate([np.any(kept, axis=1) & ~np.all(kept, axis=1) for _, _, kept in stacks])
+    return int(np.count_nonzero(np.any(partial, axis=0)))
 
 
 def probe_points(space, rng) -> np.ndarray:
@@ -120,6 +124,37 @@ def test_square_grid_entropies_match_the_full_sort_across_point_blocks():
     assert len(coords) > geo.POINT_BLOCK and 0 < dropping_points(square, coords) < len(coords)
     for total in TOTALS:
         assert_same_entropies(square, coords, total)
+
+
+SCALES = st.floats(-3.0, 6.0).map(lambda e: 2.0 ** e)  # 1/8 to 64
+SHIFTS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)  # per coordinate, in scale times the extent
+
+
+def assert_affine_invariant(space, scale, shift, seed):
+    """The entropies of the probe points agree with those of their images on scale * space + offset, offset the
+    shift times scale times the extent of the space.
+
+    Scales stop at 64: at 1 000, with a shift, some clique residuals exceed SINGULARITY_TOL * max(1, total), a
+    bound that does not scale with the coordinates, and points go unsolved."""
+    verts = space.vertex_array
+    offset = np.array(shift[:space.dim]) * scale * np.max(verts.max(axis=0) - verts.min(axis=0))
+    image = polytope(scale * verts + offset)
+    coords = probe_points(space, np.random.default_rng(seed))
+    for total in (1.0, 2.5):
+        want = space.entropies(coords, total)
+        np.testing.assert_allclose(image.entropies(scale * coords + offset, total), want, rtol=0.0, atol=1e-11)
+
+
+@PROPERTIES
+@given(space=polygons(), scale=SCALES, shift=SHIFTS, seed=st.integers(0, 2 ** 32 - 1))
+def test_property_polygon_entropies_are_affine_invariant(space, scale, shift, seed):
+    assert_affine_invariant(space, scale, shift, seed)
+
+
+@PROPERTIES
+@given(scale=SCALES, shift=SHIFTS)
+def test_property_cube_entropies_are_affine_invariant(scale, shift):
+    assert_affine_invariant(CUBE, scale, shift, 5)
 
 
 def test_unsolved_point_still_raises():
