@@ -305,12 +305,29 @@ class Polytope(_Geometry):
         return weights, components
 
     def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
-        """Least decomposition entropy over the determined clique systems that solve each point."""
+        """Least decomposition entropy over the determined clique systems, per point.
+
+        Like ``_determined_solutions``, a support that several cliques yield
+        (extra weights dropped) counts once, from the first in clique order.
+        Two cliques that keep all their weights differ in support, so that
+        rule is applied only to the points where some clique drops a weight.
+        """
         out = np.empty(len(coords))
         for start in range(0, len(coords), POINT_BLOCK):
             stacks, solved = _clique_solutions(self, coords[start:start + POINT_BLOCK], total)
-            h = np.concatenate([weights_entropy(w, ok[:, None], axis=1) for _, w, ok in stacks])
+            h = np.concatenate([weights_entropy(w, kept, axis=1) for _, w, kept in stacks])
+            partial = [~np.all(kept, axis=1) for _, _, kept in stacks]
             np.min(np.where(solved, h, np.inf), axis=0, out=out[start:start + POINT_BLOCK])
+            cols = np.flatnonzero(np.any(solved & np.concatenate(partial), axis=0))
+            if not cols.size:
+                continue
+            support = np.concatenate([np.sum(np.where(kept[..., cols], 1 << idx[..., None], 0), axis=1)
+                                      for idx, _, kept in stacks])
+            order = np.argsort(support, axis=0, kind="stable")
+            support = np.take_along_axis(support, order, axis=0)
+            first = (support != 0) & (np.diff(support, axis=0, prepend=-1) != 0)
+            h = np.take_along_axis(h[:, cols], order, axis=0)
+            out[start + cols] = np.min(np.where(first, h, np.inf), axis=0)
         if not np.all(out < np.inf):  # -inf is a solved point near the float limit
             raise DecompositionError("no orthogonal decomposition found")
         return out
@@ -326,9 +343,9 @@ class Polytope(_Geometry):
         """(coords, every decomposition) of each spectrality probe that two clique systems solve, in order.
 
         The probes are the barycenter, then samples states drawn and tested as ``random_state`` draws
-        them one by one.  A probe that at most one clique system solves, keeping every weight, has at
-        most one decomposition, since every underdetermined family needs two determined members; the
-        others are enumerated from the same block solve.
+        them one by one.  A probe that at most one clique system solves has at most one decomposition,
+        since every underdetermined family needs two determined members; the others are enumerated
+        from the same block solve.
         """
         nv, verts = len(self.vertices), self.vertex_array
         probes = np.array([self.barycenter_coords(), *(w @ verts for w in rng.dirichlet(np.ones(nv), samples))])
@@ -1111,15 +1128,17 @@ def _cliques(adj: np.ndarray) -> list:
 def _clique_solutions(space: Polytope, coords, total):
     """Solve every determined clique system for the N points total * coords[i] at once.
 
-    Returns per clique size, in clique order, (idx, w, ok): vertex indices (G, k), weights (G, k, N) and ok
-    (G, N), true where the system solves the point keeping every weight (each above WEIGHT_DROP_TOL * scale,
-    residual within SINGULARITY_TOL * scale, scale = max(1, total)); and solved, the ok masks stacked
-    (cliques, N).  A solve that would drop a weight is the full solve of the smaller clique of its support,
-    wherever that system meets the residual bound.  The systems are solved at total * 2**-e, below 1, and
-    the weights scaled back: a power of two scales every rounding exactly (short of underflow), so no bit
-    changes, and the solve does not overflow near the float limit.  rhs keeps its layout, which picks the
-    BLAS path of w; residuals are taken in place against a C-contiguous copy (one-vertex systems: an exact
-    product).
+    Returns per clique size, in clique order, (idx, w, kept):
+    vertex indices (G, k), weights (G, k, N), and kept, true for weights
+    above WEIGHT_DROP_TOL * scale of systems that solve the point (no weight
+    below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL * scale,
+    scale = max(1, total)); and solved (cliques, N), true where a clique
+    keeps a vertex of the point.  Only kept weights are meaningful.  The
+    systems are solved at total * 2**-e, below 1, and the weights scaled back:
+    a power of two scales every rounding exactly (short of underflow), so no
+    bit changes, and the solve does not overflow near the float limit.  rhs
+    keeps its layout, which picks the BLAS path of w; residuals are taken in
+    place against a C-contiguous copy (one-vertex systems: an exact product).
     """
     scale, e = max(1.0, total), max(0, math.frexp(total)[1])
     unit, drop, singular = (math.ldexp(v, -e) for v in (total, WEIGHT_DROP_TOL * scale, SINGULARITY_TOL * scale))
@@ -1130,9 +1149,10 @@ def _clique_solutions(space: Polytope, coords, total):
         w = pinv @ rhs
         fit = matrix * w if idx.shape[1] == 1 else matrix @ w
         residual = np.max(np.abs(np.subtract(fit, target, out=fit), out=fit), axis=1)
-        ok = (np.min(w, axis=1) > drop) & (residual <= singular)  # before w is scaled back in place
-        stacks.append((idx, np.ldexp(w, e, out=w), ok))
-    return stacks, np.concatenate([ok for _, _, ok in stacks])
+        ok = (np.min(w, axis=1) >= -drop) & (residual <= singular)
+        kept = ok[:, None, :] & (w > drop)  # before w is scaled back in place
+        stacks.append((idx, np.ldexp(w, e, out=w), kept))
+    return stacks, np.concatenate([np.any(kept, axis=1) for _, _, kept in stacks])
 
 
 @np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
@@ -1156,8 +1176,8 @@ def _add_solutions(solutions: dict, idx: np.ndarray, w: np.ndarray, keep: np.nda
 def _column_solutions(stacks, j, nv) -> dict:
     """The decompositions of point j from every clique system that solves it, keyed as ``_add_solutions``."""
     solutions = {}
-    for idx, w, ok in stacks:
-        _add_solutions(solutions, idx, w[..., j], np.broadcast_to(ok[:, j, None], idx.shape), nv)
+    for idx, w, kept in stacks:
+        _add_solutions(solutions, idx, w[..., j], kept[..., j], nv)
     return solutions
 
 

@@ -10,18 +10,13 @@ underdetermined clique is one array.  The references below are the pairwise
 per-clique ``matrix_rank``/``pinv`` and the per-sample family loop of the
 earlier code, kept here as oracles; each must agree bit for bit, except that
 a pure state's witness is checked against its own coordinate row bit for
-bit, and against the eigensolve within PURE_WITNESS_GAP.  The enumeration
-oracle also keeps the earlier partial rule, under which a clique solved a
-point while dropping a weight: at the scales drawn here its solves give the
-same decompositions as the full solves of the smaller cliques, and the
-tests at the end pin the points far from the origin where they do not.
+bit, and against the eigensolve within PURE_WITNESS_GAP.
 """
 
 import contextlib
 import io
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -31,7 +26,7 @@ from test_geometries import pure_states, reference_ball_witness
 from test_polygons import PROPERTIES, SQUARE, TRIANGLE, convex_polygons, polytope, regular_polygon
 
 import spectral_cone as sc
-from spectral_cone import cli, cone, spectral
+from spectral_cone import cli, cone
 from spectral_cone import geometries as geo
 from spectral_cone.tolerances import (CLIQUE_RANK_TOL, GRID_MEMBERSHIP_TOL, SAME_STATE_TOL, SINGULARITY_TOL,
                                       WEIGHT_DIGITS, WEIGHT_DROP_TOL, ZERO_EIGENVALUE_TOL)
@@ -260,38 +255,13 @@ def reference_clique_solutions(space, coords, total) -> list:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def partial_rule_clique_solutions(space, coords, total) -> list:
-    """(idx, w, kept) per clique size by the earlier partial rule, from the scaled solve of ``_clique_solutions``.
-
-    A clique solves a point when no weight is below -WEIGHT_DROP_TOL * scale and the residual is within
-    SINGULARITY_TOL * scale; kept marks its weights above WEIGHT_DROP_TOL * scale, so a clique may solve a
-    point while dropping a weight.  ``_clique_solutions`` counts a clique only when it keeps every weight.
-    """
-    scale, e = max(1.0, total), max(0, math.frexp(total)[1])
-    unit, drop, singular = (math.ldexp(v, -e) for v in (total, WEIGHT_DROP_TOL * scale, SINGULARITY_TOL * scale))
-    rhs = np.append(unit * coords, np.full((len(coords), 1), unit), axis=1).T
-    target = np.ascontiguousarray(rhs)
-    out = []
-    for idx, pinv, matrix in geo._polytope_geometry(space).clique_systems[0]:
-        w = pinv @ rhs
-        fit = matrix * w if idx.shape[1] == 1 else matrix @ w
-        residual = np.max(np.abs(np.subtract(fit, target, out=fit), out=fit), axis=1)
-        ok = (np.min(w, axis=1) >= -drop) & (residual <= singular)
-        kept = ok[:, None, :] & (w > drop)  # before w is scaled back in place
-        out.append((idx, np.ldexp(w, e, out=w), kept))
-    return out
-
-
 def assert_scaled_solve_matches(space, coords, total):
-    """The scaled solve against the unscaled one: the same weights, and ok where the earlier rule keeps them all."""
     got, solved = geo._clique_solutions(space, coords, total)
     want = reference_clique_solutions(space, coords, total)
     assert len(got) == len(want)
-    for (idx, w, ok), (ref_idx, ref_w, ref_kept) in zip(got, want):
+    for (idx, w, kept), (ref_idx, ref_w, ref_kept) in zip(got, want):
         assert idx.tobytes() == ref_idx.tobytes()
-        assert w.tobytes() == ref_w.tobytes() and ok.tobytes() == np.all(ref_kept, axis=1).tobytes()
-    assert solved.tobytes() == np.concatenate([ok for _, _, ok in got]).tobytes()
+        assert w.tobytes() == ref_w.tobytes() and kept.tobytes() == ref_kept.tobytes()
     assert np.all(solved.any(axis=0))  # these totals are far from the float limit: every point solves
 
 
@@ -358,10 +328,9 @@ def test_cube_block_scaled_solve_matches_unscaled(total):
 
 @np.errstate(over="ignore")
 def reference_enumeration(space, x) -> list:
-    """(weights, component coords) of every decomposition, by the earlier per-clique and per-sample loops on the
-    solves of the earlier partial rule."""
+    """(weights, component coords) of every decomposition, by the earlier per-clique and per-sample loops."""
     total, scale = x.trace_weight, max(1.0, x.trace_weight)
-    stacks = partial_rule_clique_solutions(space, np.asarray(x.coords, dtype=float)[None, :], total)
+    stacks, _ = geo._clique_solutions(space, np.asarray(x.coords, dtype=float)[None, :], total)
     seen, determined = set(), []
     for idx, w, kept in stacks:
         for c in np.flatnonzero(np.any(kept[..., 0], axis=1)):
@@ -433,35 +402,6 @@ def test_cube_enumeration_walks_family_grids():
     x = sc.State(CUBE, CUBE.barycenter_coords())
     determined = geo._determined_solutions(CUBE, x.coords, 1.0)
     assert len(geo.enumerate_orthogonal_decompositions(CUBE, x)) > len(determined) > 1
-
-
-# ---------------------------------------------------------------------------
-# coordinates >> 1: a partial clique's solve is no longer a second copy
-# ---------------------------------------------------------------------------
-
-def test_pentagon_of_circumradius_37_lists_an_edge_point_once():
-    # the partial rule listed this support three times, with weights that differ from the 13th digit on
-    pentagon = polytope(37.0 * regular_polygon(5))
-    x = sc.State(pentagon, np.array([16.928276015689196, 27.626358004693017]))
-    (dec,) = geo.enumerate_orthogonal_decompositions(pentagon, x)
-    assert [tuple(c.coords) for c in dec.components] == [pentagon.vertices[1], pentagon.vertices[0]]
-
-
-def test_triangle_of_circumradius_37_decomposes_to_its_one_enumerated_solve():
-    # the partial rule listed two, and decompose chose the one that the full solve of the pair does not give
-    triangle = polytope(37.0 * regular_polygon(3))
-    x = sc.ConeElement(triangle, 2.5, np.array([-18.500000000000018, -31.77376375157236]))
-    (dec,) = geo.enumerate_orthogonal_decompositions(triangle, x)
-    assert geo.decompose(triangle, x).weights.tobytes() == dec.weights.tobytes()
-
-
-def test_cube_spectrality_witness_is_affine_invariant():
-    # the partial rule gave the cube x 1000 + 250 a max_gap of 0.363636364 and a skewed witness spectrum
-    big = polytope([(1000 * a + 250, 1000 * b + 250, 1000 * c + 250) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
-    reports = [spectral.is_spectral(space, samples=30, seed=3).to_json() for space in (CUBE, big)]
-    for report in reports:
-        assert report["max_gap"] == 0.375
-        assert report["witness"]["spectra"] == [[0.5, 0.5], [0.125] * 8]
 
 
 # ---------------------------------------------------------------------------

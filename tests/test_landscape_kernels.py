@@ -1,12 +1,10 @@
 """The landscape kernels against the whole-grid passes they replaced, bit for bit.
 
-``Polytope.entropies`` takes the least entropy over the cliques that solve a
-point keeping every weight.  The reference runs the earlier partial rule: a
-clique that drops a weight solves the point too, and a support that several
-cliques yield counts once, from the first in clique order, by a sort of the
-support bitmask of every point.  ``spectral._strict_maxima`` compares each
-grid point with its eight neighbours one shift at a time; the reference
-builds every 3 x 3 window.
+``Polytope.entropies`` applies the first-support rule (a support that several
+cliques yield counts once, from the first in clique order) only on the points
+where some clique drops a weight; the reference sorts the support bitmask of
+every point.  ``spectral._strict_maxima`` compares each grid point with its
+eight neighbours one shift at a time; the reference builds every 3 x 3 window.
 """
 
 import hashlib
@@ -19,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
-from test_decompose_stacks import partial_rule_clique_solutions
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo, spectral
@@ -41,11 +38,10 @@ SIMPLEX8 = polytope(np.vstack([np.zeros(8), np.eye(8)]))  # cliques of up to 9 v
 
 @np.errstate(over="ignore")
 def reference_entropies(space, coords, total) -> np.ndarray:
-    """The full-sort kernel on the partial rule: the support bitmask of every point argsorted, weights clipped at
-    0; inf if unsolved."""
+    """The full-sort kernel: the support bitmask of every point argsorted, weights clipped at 0; inf if unsolved."""
     out = np.empty(len(coords))
     for start in range(0, len(coords), geo.POINT_BLOCK):
-        stacks = partial_rule_clique_solutions(space, coords[start:start + geo.POINT_BLOCK], total)
+        stacks, _ = geo._clique_solutions(space, coords[start:start + geo.POINT_BLOCK], total)
         cols = [np.where(kept, np.clip(w, 0.0, None), 0.0).swapaxes(0, 1) for _, w, kept in stacks]
         h = np.concatenate([-np.sum(np.where(v > 0.0, v * np.log(np.where(v > 0.0, v, 1.0)), 0.0), axis=0) + 0.0
                             for v in cols])  # -sum w ln w over each clique's weights, written out
@@ -59,10 +55,10 @@ def reference_entropies(space, coords, total) -> np.ndarray:
 
 
 def dropping_points(space, coords) -> int:
-    """Points that some clique solves while dropping a weight under the partial rule: where the rules differ."""
-    stacks = partial_rule_clique_solutions(space, coords, 1.0)
-    partial = np.concatenate([np.any(kept, axis=1) & ~np.all(kept, axis=1) for _, _, kept in stacks])
-    return int(np.count_nonzero(np.any(partial, axis=0)))
+    """Points where some clique that solves them drops a weight: where the first-support rule runs."""
+    stacks, solved = geo._clique_solutions(space, coords, 1.0)
+    partial = np.concatenate([~np.all(kept, axis=1) for _, _, kept in stacks])
+    return int(np.count_nonzero(np.any(solved & partial, axis=0)))
 
 
 def probe_points(space, rng) -> np.ndarray:
@@ -161,6 +157,19 @@ def test_unsolved_point_still_raises():
     square = geo.unit_square()
     with pytest.raises(DecompositionError):
         square.entropies(np.array([[0.5, 0.5], [3.0, 3.0]]), 1.0)
+
+
+def test_point_that_only_a_dropping_clique_solves():
+    """(500, 5e-9) on the triangle (0, 0), (1000, 0), (0, 1000): the triangle's system solves it with a third
+    weight of 5e-12, at or below WEIGHT_DROP_TOL, and the pair system of the bottom edge leaves a residual of
+    5e-9, above SINGULARITY_TOL.  The triangle's solve with that weight dropped is the point's decomposition;
+    a rule that counted only cliques keeping every weight would find none."""
+    triangle = polytope([(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0)])
+    point = np.array([500.0, 5e-9])
+    assert abs(triangle.entropies(point[None], 1.0)[0] - math.log(2)) <= 1e-11
+    assert abs(spectral.entropy(triangle, sc.State(triangle, point)) - math.log(2)) <= 1e-11
+    (dec,) = geo.enumerate_orthogonal_decompositions(triangle, sc.State(triangle, point))
+    assert [tuple(c.coords) for c in dec.components] == [(1000.0, 0.0), (0.0, 0.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def assert_same_selection(space, coords, total):
 
 
 def solving_cliques(space, coords) -> int:
-    """Clique systems that solve one point keeping every weight, from its own column solve."""
+    """Clique systems that solve one point with a kept weight, from its own column solve."""
     _, support = geo._clique_solutions(space, coords[None, :], 1.0)
     return int(np.count_nonzero(support))
 
