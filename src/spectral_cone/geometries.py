@@ -93,6 +93,7 @@ class _Geometry:
     divergences = ("squared_euclidean",)
     # whether sufficiency reports on the space carry "exploratory": true
     exploratory = False
+    coordinate_scale = 1.0  # the largest shift of a coordinate when a homogeneous frame coordinate moves by 1
 
     def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
         """Entropy of total * s for every row s: -sum w ln w of its ``decompositions`` weights."""
@@ -235,7 +236,9 @@ class Polytope(_Geometry):
             raise ValueError("vertices must share one ambient dimension")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_hash", hash(verts))  # every polytope cache lookup hashes the polytope
-        _polytope_geometry(self)  # validates extremality and full dimension
+        geo = _polytope_geometry(self)  # validates extremality and full dimension
+        object.__setattr__(self, "vertex_array", geo.vertex_array)
+        object.__setattr__(self, "coordinate_scale", geo.coordinate_scale)
 
     def __hash__(self):
         return self._hash
@@ -250,10 +253,6 @@ class Polytope(_Geometry):
     coords_len = dim
 
     @property
-    def vertex_array(self) -> np.ndarray:
-        return _polytope_geometry(self).vertex_array
-
-    @property
     def rank(self) -> int:
         if len(self.vertices) == self.dim + 1:  # affinely independent: a simplex
             return len(self.vertices)
@@ -262,8 +261,8 @@ class Polytope(_Geometry):
     @np.errstate(invalid="ignore")  # an infinite coordinate times a zero normal entry is NaN, and fails
     def contains_state(self, coords, tol=MEMBERSHIP_TOL):
         """Membership of one point, or of every row of a (..., dim) array."""
-        geo, coords = _polytope_geometry(self), np.asarray(coords, dtype=float)
-        return _reduce_rows(np.max, coords @ geo.facet_normals.T + geo.facet_offsets) <= tol
+        geo = _polytope_geometry(self)
+        return _reduce_rows(np.max, geo.to_frame(coords) @ geo.facet_normals.T + geo.facet_offsets) <= tol
 
     def barycenter_coords(self) -> np.ndarray:
         return np.mean(self.vertex_array, axis=0)
@@ -276,11 +275,12 @@ class Polytope(_Geometry):
         return {**super().to_json(), "vertices": [list(v) for v in self.vertices]}
 
     def smallest_face(self, states) -> Face:
-        face = _faces(_polytope_geometry(self), np.mean([s.coords for s in states], axis=0)[None])[0]
+        geo = _polytope_geometry(self)
+        face = _faces(geo, geo.to_frame(np.mean([s.coords for s in states], axis=0))[None])[0]
         return Face(self, "whole" if np.all(face) else "vertices", vertex_indices=tuple(np.flatnonzero(face).tolist()))
 
     def mutually_singular(self, s0: State, s1: State):
-        witness = _pair_witness(_polytope_geometry(self), s0.coords, s1.coords, whole=True)
+        witness = _polytope_geometry(self).witness(s0.coords, s1.coords, whole=True)
         return witness is not None, witness
 
     def orthogonality_witnesses(self, states) -> tuple:
@@ -298,36 +298,20 @@ class Polytope(_Geometry):
             sols = list(_determined_solutions(self, point, total).values())
             if not sols:
                 raise DecompositionError("no orthogonal decomposition found; geometry bug?")
-            # the weights are positive, so these lists order lexicographically as their zero paddings do
-            spectra = [sorted(w.tolist(), reverse=True) for w, _ in sols]
+            # the weights are positive, so these lists order lexicographically as their zero paddings do; each is
+            # taken over its total, as two solves within the residual bound may total up to 2 SINGULARITY_TOL apart
+            spectra = [sorted((w / w.sum()).tolist(), reverse=True) for w, _ in sols]
             w, support = sols[max(np.flatnonzero(maximal_spectra(spectra)).tolist(), key=spectra.__getitem__)]
             weights[row, : len(w)], components[row, : len(w)] = w, self.vertex_array[list(support)]
         return weights, components
 
     def entropies(self, coords: np.ndarray, total: float) -> np.ndarray:
-        """Least decomposition entropy over the determined clique systems, per point.
-
-        Like ``_determined_solutions``, a support that several cliques yield
-        (extra weights dropped) counts once, from the first in clique order.
-        Two cliques that keep all their weights differ in support, so that
-        rule is applied only to the points where some clique drops a weight.
-        """
+        """Least decomposition entropy over the determined clique systems that solve each point."""
         out = np.empty(len(coords))
         for start in range(0, len(coords), POINT_BLOCK):
             stacks, solved = _clique_solutions(self, coords[start:start + POINT_BLOCK], total)
-            h = np.concatenate([weights_entropy(w, kept, axis=1) for _, w, kept in stacks])
-            partial = [~np.all(kept, axis=1) for _, _, kept in stacks]
+            h = np.concatenate([weights_entropy(w, ok[:, None], axis=1) for _, w, ok in stacks])
             np.min(np.where(solved, h, np.inf), axis=0, out=out[start:start + POINT_BLOCK])
-            cols = np.flatnonzero(np.any(solved & np.concatenate(partial), axis=0))
-            if not cols.size:
-                continue
-            support = np.concatenate([np.sum(np.where(kept[..., cols], 1 << idx[..., None], 0), axis=1)
-                                      for idx, _, kept in stacks])
-            order = np.argsort(support, axis=0, kind="stable")
-            support = np.take_along_axis(support, order, axis=0)
-            first = (support != 0) & (np.diff(support, axis=0, prepend=-1) != 0)
-            h = np.take_along_axis(h[:, cols], order, axis=0)
-            out[start + cols] = np.min(np.where(first, h, np.inf), axis=0)
         if not np.all(out < np.inf):  # -inf is a solved point near the float limit
             raise DecompositionError("no orthogonal decomposition found")
         return out
@@ -343,9 +327,9 @@ class Polytope(_Geometry):
         """(coords, every decomposition) of each spectrality probe that two clique systems solve, in order.
 
         The probes are the barycenter, then samples states drawn and tested as ``random_state`` draws
-        them one by one.  A probe that at most one clique system solves has at most one decomposition,
-        since every underdetermined family needs two determined members; the others are enumerated
-        from the same block solve.
+        them one by one.  A probe that at most one clique system solves, keeping every weight, has at
+        most one decomposition, since every underdetermined family needs two determined members; the
+        others are enumerated from the same block solve.
         """
         nv, verts = len(self.vertices), self.vertex_array
         probes = np.array([self.barycenter_coords(), *(w @ verts for w in rng.dirichlet(np.ones(nv), samples))])
@@ -833,11 +817,14 @@ def ConvexHull(points):
 class _PolytopeGeometry:
     """Everything derived from a polytope's vertices: one record per polytope (``_polytope_geometry``).
 
-    The facets are found when the record is built, which validates the vertex list; the vertex
-    States, a polygon's vertex-pair tests, the orthogonality graph and the clique systems are built
-    on first use, and the witness of an ordered vertex pair when it is first asked for, so a record
-    holds at most nv (nv - 1) witnesses and they go with it.  A polytope looks its record up instead
-    of holding it, so that an equal polytope parsed again shares the record.
+    It works in one frame, x -> (x - center) 2**-exponent, center the middle of the vertices' bounding box
+    and their largest extent in [1/2, 1) there, so a tolerance means the same at any place and size.  Built,
+    it validates the vertex list and finds the facet normals in the user's coordinates; offsets, faces, pair
+    tests, witnesses and clique systems are in the frame, which ``Polytope`` maps coordinates into
+    (``to_frame``) and witnesses out of (``user_functional``).  The vertex States, a polygon's vertex-pair
+    tests, the graph and the clique systems are built on first use, and the witness of an ordered vertex
+    pair when first asked for, so a record holds at most nv (nv - 1) witnesses and they go with it.  A
+    polytope looks its record up instead of holding it, so an equal polytope parsed again shares it.
     """
 
     def __init__(self, space: Polytope):
@@ -847,22 +834,35 @@ class _PolytopeGeometry:
             raise ValueError("polytope vertices must be finite")
         if nv < m + 1:
             raise ValueError("polytope must be full-dimensional in its ambient space")
+        lo, hi = np.min(verts, axis=0), np.max(verts, axis=0)
         if m == 1:
-            lo, hi = float(np.min(verts)), float(np.max(verts))
-            if nv != 2 or lo == hi:
+            if nv != 2 or lo[0] == hi[0]:
                 raise ValueError("a 1-dimensional polytope is a segment with two vertices")
-            self.facet_normals = np.array([[-1.0], [1.0]])
-            self.facet_offsets = np.array([lo, -hi])
+            normals = np.array([[-1.0], [1.0]])
         else:
-            n_extreme, equations = _polygon_hull(verts) if m == 2 else _subset_facets(verts)
+            n_extreme, normals = _polygon_hull(verts) if m == 2 else _subset_facets(verts)
             if n_extreme != nv:
                 raise ValueError("vertex list contains non-extreme points")
-            eqs = np.unique(np.round(equations, FACET_DIGITS), axis=0, return_counts=True)[0]  # see _support
-            self.facet_normals = eqs[:, :-1]
-            self.facet_offsets = eqs[:, -1]
-        self.vertex_array = verts
+        self.center = lo / 2 + hi / 2  # halved first, so that no sum overflows
+        self.exponent = math.frexp(float(np.max(hi / 2 - lo / 2)))[1] + 1
+        unit = math.ldexp(1.0, self.exponent) if self.exponent < 1024 else math.inf  # 2**1024 is past the floats
+        self.coordinate_scale = unit + float(np.max(np.abs(self.center)))  # a unit frame error, in coordinates
+        self.vertex_array, self.frame_vertices = verts, self.to_frame(verts)
+        eqs = np.column_stack([normals, -np.max(normals @ self.frame_vertices.T, axis=1)])  # the farthest vertex
+        eqs = np.unique(np.round(eqs, FACET_DIGITS), axis=0, return_counts=True)[0]  # see _support
+        self.facet_normals, self.facet_offsets = eqs[:, :-1], eqs[:, -1]
         self.space = space
         self.witnesses = {}  # (i, j) -> the witness of vertex i and vertex j, see ``witness``
+
+    @np.errstate(over="ignore")  # a point far outside a small polytope maps to inf, outside every facet
+    def to_frame(self, coords) -> np.ndarray:
+        """Rows (..., m) of the user's coordinates in the frame."""
+        return np.ldexp(np.asarray(coords, dtype=float) - self.center, -self.exponent)
+
+    def user_functional(self, f: Optional[AffineFunctional]) -> Optional[AffineFunctional]:
+        """The affine map f of the frame as a map of the user's coordinates; None stays None."""
+        linear = None if f is None else np.ldexp(f.linear, -self.exponent)
+        return None if f is None else AffineFunctional(linear, f.offset - float(linear @ self.center))
 
     @cached_property
     def vertex_states(self) -> tuple:
@@ -877,19 +877,19 @@ class _PolytopeGeometry:
     @cached_property
     def vertex_pairs(self) -> tuple:
         """(found, t) of ``_polygon_orthogonal`` on every ordered vertex pair (i, j) of a polygon, as (nv, nv)."""
-        verts, nv = self.vertex_array, len(self.vertex_array)
+        verts, nv = self.frame_vertices, len(self.frame_vertices)
         i, j = np.divmod(np.arange(nv * nv), nv)
         return tuple(a.reshape(nv, nv) for a in _polygon_orthogonal(self, verts[i], verts[j]))
 
-    def witness(self, zero_at: np.ndarray, one_at: np.ndarray) -> Optional[AffineFunctional]:
-        """The ``_pair_witness`` of two points on their smallest face.  Kept per ordered pair of vertices, found
-        by the bytes of the coordinates (so -0.0 is no vertex 0.0); (j, i) is a pair of its own, since 1 - f
-        would print other digits.  Any other pair is solved on every call."""
+    def witness(self, zero_at: np.ndarray, one_at: np.ndarray, whole: bool = False) -> Optional[AffineFunctional]:
+        """The ``_pair_witness`` of two user points on their smallest face (all when whole), mapped out.  Kept per
+        ordered pair of vertices, found by the bytes of the coordinates (so -0.0 is no vertex 0.0); (j, i) is a
+        pair of its own, since 1 - f would print other digits.  Other pairs, and whole, are solved per call."""
         pair = self.vertex_index.get(zero_at.tobytes()), self.vertex_index.get(one_at.tobytes())
-        if None in pair:
-            return _pair_witness(self, zero_at, one_at)
+        if whole or None in pair:
+            return self.user_functional(_pair_witness(self, self.to_frame(zero_at), self.to_frame(one_at), whole))
         if pair not in self.witnesses:
-            self.witnesses[pair] = _pair_witness(self, zero_at, one_at, pair=pair)
+            self.witnesses[pair] = self.user_functional(_pair_witness(self, *self.frame_vertices[[*pair]], pair=pair))
         return self.witnesses[pair]
 
     @cached_property
@@ -915,7 +915,7 @@ class _PolytopeGeometry:
         determined holds per size, in clique order, (idx (G, k), pinv (G, k, m+1), matrix (G, m+1, k)) of
         the cliques of full column rank; underdetermined the index tuples of the others, in clique order.
         """
-        verts = self.vertex_array
+        verts = self.frame_vertices
         if len(verts) > MAX_ENUMERATION_VERTICES:
             raise ValueError(f"decomposition search supports at most {MAX_ENUMERATION_VERTICES} vertices, "
                              f"got {len(verts)}")
@@ -934,15 +934,14 @@ class _PolytopeGeometry:
 
 
 def _polygon_hull(verts: np.ndarray):
-    """(hull vertex count, facet equations) of 2-D points, by Andrew's monotone chain.
+    """(hull vertex count, facet normals) of 2-D points, by Andrew's monotone chain.
 
     The chain (Andrew, IPL 9(5), 1979) walks the points in lexicographic
     order and drops every point where the boundary does not turn left, so a
     repeated point or one inside an edge is not a hull vertex; a cross
     product l - r within COLLINEAR_RTOL * (|l| + |r|), its rounding error,
-    is no turn, so points collinear in decimal go as in qhull.  Each row of
-    the equations is an outward unit normal and its offset, as in qhull's
-    ``equations``: normal . x + offset <= 0 inside.
+    is no turn, so points collinear in decimal go as in qhull.  The normals
+    are the outward unit normals of the hull's edges.
     """
     pts = verts[np.lexsort((verts[:, 1], verts[:, 0]))].tolist()
     overflow = False  # a cross product or its rounding bound left the floats, so that turn popped a point
@@ -967,12 +966,11 @@ def _polygon_hull(verts: np.ndarray):
     if len(hull) < 3:
         raise ValueError("vertex list is not full-dimensional")
     edge = np.roll(hull, -1, axis=0) - hull
-    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
-    return len(hull), np.column_stack([normals, -np.sum(normals * hull, axis=1)])
+    return len(hull), np.stack([edge[:, 1], -edge[:, 0]], axis=1) / np.hypot(edge[:, 0], edge[:, 1])[:, None]
 
 
 def _subset_facets(verts: np.ndarray):
-    """(extreme vertex count, facet equations as in ``_polygon_hull``) of points in m >= 3 dimensions.
+    """(extreme vertex count, outward unit facet normals) of points in m >= 3 dimensions.
 
     Each vertex m-subset whose least singular value exceeds the slack (COLLINEAR_RTOL times the extent)
     spans the hyperplane normal to its edges, from a stacked SVD; it is a facet when every vertex is on
@@ -998,7 +996,7 @@ def _subset_facets(verts: np.ndarray):
     on, first = np.unique(on[order], axis=0, return_index=True)
     eqs = eqs[order[first]]
     extreme = np.linalg.matrix_rank(eqs[:, :-1] * on.T[:, :, None]) == m
-    return len(np.unique(on.T[extreme], axis=0, return_counts=True)[0]), eqs  # see _support
+    return len(np.unique(on.T[extreme], axis=0, return_counts=True)[0]), eqs[:, :-1]  # see _support
 
 
 @lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
@@ -1007,19 +1005,19 @@ def _polytope_geometry(space: Polytope) -> _PolytopeGeometry:
 
 
 def _faces(geometry: _PolytopeGeometry, centers: np.ndarray, whole: bool = False) -> np.ndarray:
-    """(N, nv) masks of the vertices of the smallest face containing each of the (N, m) centers: the vertices
+    """(N, nv) masks of the vertices of the smallest face containing each of the (N, m) frame centers: the vertices
     on every facet within SINGULARITY_TOL of the center, so every vertex where no facet is (or when whole)."""
     normals, offsets = geometry.facet_normals, geometry.facet_offsets
     active = np.abs(centers @ normals.T + offsets) <= (-1.0 if whole else SINGULARITY_TOL)
-    on_facet = np.abs(geometry.vertex_array @ normals.T + offsets) <= SINGULARITY_TOL
+    on_facet = np.abs(geometry.frame_vertices @ normals.T + offsets) <= SINGULARITY_TOL
     return np.all(~active[:, None, :] | on_facet, axis=-1)
 
 
 def _pair_witness(geometry: _PolytopeGeometry, zero_at: np.ndarray, one_at: np.ndarray, whole: bool = False,
                   pair: Optional[tuple] = None) -> Optional[AffineFunctional]:
-    """An affine map with value 0 at zero_at, 1 at one_at and [0, 1] on the vertices of their smallest face
-    (all when whole), or None: in closed form on polygons (read from the record's ``vertex_pairs`` at pair,
-    the indices of two vertices), else ``_affine_test_feasible``; uncached (see ``_PolytopeGeometry.witness``)."""
+    """An affine map of the frame with value 0 at zero_at, 1 at one_at and [0, 1] on the vertices of their smallest
+    face (all when whole), or None: in closed form on polygons (read from the record's ``vertex_pairs`` at pair,
+    two vertex indices), else ``_affine_test_feasible``; uncached (see ``_PolytopeGeometry.witness``)."""
     if geometry.space.dim == 2:
         if pair is None:
             found, t = (a[0] for a in _polygon_orthogonal(geometry, zero_at[None], one_at[None], whole))
@@ -1031,7 +1029,7 @@ def _pair_witness(geometry: _PolytopeGeometry, zero_at: np.ndarray, one_at: np.n
         c = d / (d @ d) + t * np.array([-d[1], d[0]])
         return AffineFunctional(c, -float(c @ zero_at))
     face = _faces(geometry, ((zero_at + one_at) / 2.0)[None], whole)[0]
-    return _affine_test_feasible(geometry.vertex_array[face], zero_at, one_at)
+    return _affine_test_feasible(geometry.frame_vertices[face], zero_at, one_at)
 
 
 def _affine_test_feasible(vertex_array: np.ndarray, zero_at: np.ndarray,
@@ -1082,7 +1080,7 @@ def _least_violation(g: np.ndarray, a: np.ndarray):
 
 
 def _polygon_orthogonal(geometry: _PolytopeGeometry, p0: np.ndarray, p1: np.ndarray, whole: bool = False):
-    """(orthogonal, t) of the polygon point pairs (p0[p], p1[p]), in closed form.
+    """(orthogonal, t) of the polygon point pairs (p0[p], p1[p]) of the record's frame, in closed form.
 
     orthogonal is the verdict of ``orthogonal`` (``mutually_singular`` when whole) on the two states.  On
     the vertices vk of their smallest face (all when whole), f(p0) = 0 and f(p1) = 1 make a witness
@@ -1091,7 +1089,7 @@ def _polygon_orthogonal(geometry: _PolytopeGeometry, p0: np.ndarray, p1: np.ndar
     within WITNESS_FEASIBILITY_TOL, meet in [L, U].  t is the point of [L, U] where the two vertices
     bounding it are equally far, in f, from the ends of [0, 1] (the tolerance cancels); 0 if t is free.
     """
-    verts, face = geometry.vertex_array, _faces(geometry, (p0 + p1) / 2.0, whole)  # (pairs, vertices)
+    verts, face = geometry.frame_vertices, _faces(geometry, (p0 + p1) / 2.0, whole)  # (pairs, vertices)
     d = p1 - p0
     rel = verts - p0[:, None, :]
     g = rel[..., 1] * d[:, None, 0] - rel[..., 0] * d[:, None, 1]
@@ -1126,33 +1124,29 @@ def _cliques(adj: np.ndarray) -> list:
 
 @np.errstate(over="ignore", invalid="ignore")  # an unsolved system's weights may overflow when scaled back
 def _clique_solutions(space: Polytope, coords, total):
-    """Solve every determined clique system for the N points total * coords[i] at once.
+    """Solve every determined clique system for the N points total * coords[i] at once, in the record's frame.
 
-    Returns per clique size, in clique order, (idx, w, kept):
-    vertex indices (G, k), weights (G, k, N), and kept, true for weights
-    above WEIGHT_DROP_TOL * scale of systems that solve the point (no weight
-    below -WEIGHT_DROP_TOL * scale, residual within SINGULARITY_TOL * scale,
-    scale = max(1, total)); and solved (cliques, N), true where a clique
-    keeps a vertex of the point.  Only kept weights are meaningful.  The
-    systems are solved at total * 2**-e, below 1, and the weights scaled back:
-    a power of two scales every rounding exactly (short of underflow), so no
-    bit changes, and the solve does not overflow near the float limit.  rhs
-    keeps its layout, which picks the BLAS path of w; residuals are taken in
-    place against a C-contiguous copy (one-vertex systems: an exact product).
+    Returns per clique size, in clique order, (idx, w, ok): vertex indices (G, k), weights (G, k, N) and ok
+    (G, N), true where the system solves the point keeping every weight (each above WEIGHT_DROP_TOL * scale,
+    residual within SINGULARITY_TOL * scale, scale = max(1, total)); and solved, the ok masks stacked.  A
+    solve dropping a weight is the smaller clique's, whose residual in the frame is at most that weight.  A
+    one-vertex system's weight is the total (its row of ones).  Solving at total * 2**-e, below 1, scales
+    every rounding exactly (short of underflow) and keeps the solve from overflowing.  rhs keeps its layout,
+    which picks the BLAS path of w; residuals are taken in place against a C-contiguous copy.
     """
+    geo = _polytope_geometry(space)
     scale, e = max(1.0, total), max(0, math.frexp(total)[1])
     unit, drop, singular = (math.ldexp(v, -e) for v in (total, WEIGHT_DROP_TOL * scale, SINGULARITY_TOL * scale))
-    rhs = np.append(unit * coords, np.full((len(coords), 1), unit), axis=1).T
+    rhs = np.append(unit * geo.to_frame(coords), np.full((len(coords), 1), unit), axis=1).T
     target = np.ascontiguousarray(rhs)
     stacks = []
-    for idx, pinv, matrix in _polytope_geometry(space).clique_systems[0]:
-        w = pinv @ rhs
+    for idx, pinv, matrix in geo.clique_systems[0]:
+        w = np.repeat(target[None, -1:], len(idx), axis=0) if idx.shape[1] == 1 else pinv @ rhs
         fit = matrix * w if idx.shape[1] == 1 else matrix @ w
         residual = np.max(np.abs(np.subtract(fit, target, out=fit), out=fit), axis=1)
-        ok = (np.min(w, axis=1) >= -drop) & (residual <= singular)
-        kept = ok[:, None, :] & (w > drop)  # before w is scaled back in place
-        stacks.append((idx, np.ldexp(w, e, out=w), kept))
-    return stacks, np.concatenate([np.any(kept, axis=1) for _, _, kept in stacks])
+        ok = (np.min(w, axis=1) > drop) & (residual <= singular)  # before w is scaled back in place
+        stacks.append((idx, np.ldexp(w, e, out=w), ok))
+    return stacks, np.concatenate([ok for _, _, ok in stacks])
 
 
 @np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
@@ -1176,8 +1170,8 @@ def _add_solutions(solutions: dict, idx: np.ndarray, w: np.ndarray, keep: np.nda
 def _column_solutions(stacks, j, nv) -> dict:
     """The decompositions of point j from every clique system that solves it, keyed as ``_add_solutions``."""
     solutions = {}
-    for idx, w, kept in stacks:
-        _add_solutions(solutions, idx, w[..., j], kept[..., j], nv)
+    for idx, w, ok in stacks:
+        _add_solutions(solutions, idx, w[..., j], np.broadcast_to(ok[:, j, None], idx.shape), nv)
     return solutions
 
 
@@ -1246,11 +1240,11 @@ def orthogonality_witness(s0: State, s1: State) -> Optional[AffineFunctional]:
 def decompose(space, x: ConeElement, with_witnesses: bool = False) -> OrthogonalDecomposition:
     """Orthogonal decomposition of a cone element into at most dim + 1 pure states.
 
-    One row of the space's ``decompositions`` kernel, its weights at or below WEIGHT_DROP_TOL * max(1,
-    trace) dropped and the rest sorted descending.  Polytopes search pairwise-orthogonal vertex subsets for
-    a decomposition maximal in the majorization ordering (lexicographically largest spectrum among
-    incomparable maxima); the other geometries have canonical decompositions: vertex weights (simplex),
-    an antipodal pair (ball, spin factor) or rank-one eigenprojections (density matrices).
+    One row of the space's ``decompositions`` kernel, weights at or below WEIGHT_DROP_TOL * max(1, trace) dropped
+    and the rest sorted descending; it rebuilds x within RECONSTRUCTION_TOL * max(1, trace) * ``coordinate_scale``.
+    Polytopes search pairwise-orthogonal vertex subsets for a decomposition maximal in the majorization ordering
+    (lexicographically largest spectrum among incomparable maxima); the other geometries have canonical ones:
+    vertex weights (simplex), an antipodal pair (ball, spin factor) or rank-one eigenprojections (matrices).
     """
     require_space(space, (x,))
     if x.is_apex:
@@ -1268,7 +1262,7 @@ def decompose(space, x: ConeElement, with_witnesses: bool = False) -> Orthogonal
     dec = OrthogonalDecomposition(space, weights[order], components, witnesses)
     if dec.size > space.dim + 1:
         raise DecompositionError("decomposition exceeds the dimension bound")
-    if not dec.reconstruction_error(x) <= RECONSTRUCTION_TOL * scale:  # NaN fails too
+    if not dec.reconstruction_error(x) <= RECONSTRUCTION_TOL * scale * space.coordinate_scale:  # NaN fails too
         raise DecompositionError("decomposition does not reconstruct the element")
     return dec
 

@@ -7,6 +7,9 @@ caller may override are the defaults of ``contains_state(tol)``,
 ``check_locality(tol)``, ``check_sufficiency(tol)``,
 ``fit_entropy_constant(tol)`` and ``check_concavity(fd_step, strictness)``.
 Relative tolerances are scaled by max(1, the size of the quantity compared).
+Polytope geometry tolerances apply in the polytope's frame, where its vertices
+span an extent in [1/2, 1); decompose scales its reconstruction bound by the
+frame's ``coordinate_scale`` to compare an error in the user's coordinates.
 """
 
 # States, weights and spectra

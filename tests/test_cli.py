@@ -214,11 +214,11 @@ def test_decompose_trace_near_the_float_limit_is_quiet(capsys):
 
 
 def test_polytope_vertex_at_the_float_limit_is_quiet(capsys):
-    # the clique solves overflow there: the decomposition is printed as before, and nothing is warned
+    # the clique solves overflow there, and nothing is warned; a one-vertex system's weight is the trace itself
     code, out, err = run_cli(capsys, "decompose", "--space", "square", "--element",
                              '{"trace": 1e308, "coords": [1, 1]}')
     assert (code, err) == (0, "")
-    assert json.loads(out)["weights"] == [1.0000000000000002e308]
+    assert json.loads(out)["weights"] == [1e308]
     square = geo.unit_square()
     assert sc.entropy(square, sc.ConeElement(square, 1e308, [1.0, 1.0])) == -math.inf
 
@@ -447,11 +447,52 @@ def test_landscape_rejects_non_2d(capsys):
     assert code == 1
 
 
-def test_landscape_failed_decomposition_exit_2(capsys):
-    """A grid point no clique system solves is a failed invariant: main reports it on one line, exit 2."""
-    space = '{"kind": "polytope", "vertices": [[100000,100000],[100001,100000],[100000,100001]]}'
-    code, out, err = run_cli(capsys, "landscape", "--space", space, "--grid", "7")
+def test_landscape_failed_decomposition_exit_2(capsys, monkeypatch):
+    """A grid point no clique system solves is a failed invariant: main reports it on one line, exit 2.  The
+    raise is stubbed, as no polygon is known whose grid points go unsolved."""
+    def unsolved(self, coords, total):
+        raise sc.DecompositionError("no orthogonal decomposition found")
+
+    monkeypatch.setattr(geo.Polytope, "entropies", unsolved)
+    code, out, err = run_cli(capsys, "landscape", "--space", "square", "--grid", "7")
     assert (code, out, err) == (2, "", "error: no orthogonal decomposition found\n")
+
+
+OFFSET_TRIANGLE = '{"kind": "polytope", "vertices": [[100000,100000],[100001,100000],[100000,100001]]}'
+CUBE_37, CUBE_1000 = (json.dumps({"kind": "polytope", "vertices": [[k * a, k * b, k * c] for a in (0, 1)
+                                                                  for b in (0, 1) for c in (0, 1)]}) for k in (37, 1000))
+
+
+@pytest.mark.parametrize("space, element, components", [
+    (OFFSET_TRIANGLE, "[100000.2, 100000.3]", [[100000.0, 100000.0], [100000.0, 100001.0], [100001.0, 100000.0]]),
+    (CUBE_37, "[36.99999997248048, 2.7519518117415968e-08, 2.7519518117415968e-08]", [[37.0, 0.0, 0.0]]),
+    ('{"kind": "polytope", "vertices": [[0,0],[1000,0],[0,1000]]}', "[500, 5e-9]", [[1000.0, 0.0], [0.0, 0.0]]),
+    (CUBE_1000, "[1.5099480959496002e-06, 4.497012721011762e-06, 999.9999984900519]",
+     [[0.0, 0.0, 1000.0], [0.0, 1000.0, 1000.0]]),
+], ids=["offset-triangle", "cube-x37-near-a-vertex", "triangle-x1000-near-an-edge", "cube-x1000-totals-apart"])
+def test_polytope_far_from_unit_scale_decomposes(capsys, space, element, components):
+    """Each polytope is solved in its own frame: the interior point of the triangle shifted by 1e5, the point
+    2.75e-8 from a vertex of the cube x 37 and the point 5e-9 from an edge of the triangle x 1000 decompose,
+    and reconstruct within the bound scaled to the frame.  On the cube x 1000, two clique solves of the point
+    meet the residual bound with weights that total 1.2e-9 apart; their spectra are compared over their
+    totals, so the point decomposes and is not refused for spectra of different totals."""
+    code, out, err = run_cli(capsys, "decompose", "--space", space, "--element", element)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["components"] == components
+    x = sc.ConeElement(geo.space_from_json(json.loads(space)), 1.0, json.loads(element))
+    assert payload["reconstruction_error"] <= RECONSTRUCTION_TOL * x.space.coordinate_scale
+
+
+def test_offset_triangle_locality_reaches_the_unit_triangle_verdict(capsys):
+    """The offset triangle's vertices pass the membership test, so the squared Euclidean locality check runs
+    to the unit triangle's verdict."""
+    argv = ["check", "locality", "--divergence", "squared_euclidean", "--trials", "5"]
+    code, out, err = run_cli(capsys, *argv, "--space", OFFSET_TRIANGLE)
+    unit_code, unit_out, _ = run_cli(capsys, *argv, "--space", '{"kind": "polytope", "vertices": [[0,0],[1,0],[0,1]]}')
+    assert (code, err, unit_code) == (2, "", 2)
+    assert json.loads(out)["max_gap"] == pytest.approx(json.loads(unit_out)["max_gap"], abs=1e-9)
+    assert json.loads(out)["max_gap"] == pytest.approx(0.81, abs=1e-9)
 
 
 def test_deterministic_output(tmp_path, capsys):

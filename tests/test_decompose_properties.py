@@ -11,7 +11,7 @@ components, so they do not lean on the checks inside ``decompose``.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_geometries import DENSITY_IDS, DENSITY_SPACES, PROPERTIES, pure_states
 from test_polygons import SQUARE, convex_polygons, polytope, vertex_state
@@ -108,3 +108,45 @@ def test_property_orthogonality_is_symmetric_with_a_test_witness(space, seed, da
     for other in (x, space.random_state(rng), other_pure, pure):
         orthogonal_both_ways(space, pure, other)
     assert not orthogonal_both_ways(space, x, x)
+
+
+# ---------------------------------------------------------------------------
+# polytopes far from unit scale: a valid state is never reported as bad input
+# ---------------------------------------------------------------------------
+
+TETRAHEDRON = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+@st.composite
+def scaled_polytopes(draw):
+    """A convex polygon, the cube or the tetrahedron times 2**k (k in [-20, 40]), shifted by up to 1e6 times its
+    extent."""
+    verts = draw(st.one_of(convex_polygons(), st.sampled_from([CUBE.vertex_array, TETRAHEDRON.vertex_array])))
+    scale = 2.0 ** draw(st.floats(-20.0, 40.0))
+    shift = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=verts.shape[1], max_size=verts.shape[1])))
+    try:
+        return polytope(scale * verts + shift * scale * np.max(np.ptp(verts, axis=0)))
+    except ValueError:  # rounding at a large shift can leave a vertex inside the hull: no polytope, no state
+        assume(False)
+
+
+@settings(PROPERTIES, max_examples=60)
+@given(space=scaled_polytopes(), seed=st.integers(0, 2**32 - 1))
+def test_property_polytope_states_at_any_scale_raise_only_package_errors(space, seed):
+    """On valid states of a polytope at any scale and position, decompose and entropy (and the enumeration, on a
+    few) either answer or raise a SpectralConeError (exit 2 on the command line), never a bare ValueError (exit
+    1).  The states mix a vertex with weights 1e-14 to 1e-6 on two others, so they lie in the tolerance band of
+    a vertex, an edge or a face, at traces 0.3 to 3."""
+    rng, verts = np.random.default_rng(seed), space.vertex_array
+    i, j, k = rng.integers(len(verts), size=(3, 30))
+    a, b = 10.0 ** rng.uniform(-14.0, -6.0, size=(2, 30, 1))
+    for n, (point, trace) in enumerate(zip((1.0 - a - b) * verts[i] + a * verts[j] + b * verts[k],
+                                           rng.uniform(0.3, 3.0, 30))):
+        try:
+            x = sc.ConeElement(space, trace, point)
+            geo.decompose(space, x)
+            sc.entropy(space, x)
+            if n < 3:
+                geo.enumerate_orthogonal_decompositions(space, x)
+        except Exception as err:  # the property is about the class of every error
+            assert isinstance(err, sc.SpectralConeError), repr(err)

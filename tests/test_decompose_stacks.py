@@ -10,13 +10,18 @@ underdetermined clique is one array.  The references below are the pairwise
 per-clique ``matrix_rank``/``pinv`` and the per-sample family loop of the
 earlier code, kept here as oracles; each must agree bit for bit, except that
 a pure state's witness is checked against its own coordinate row bit for
-bit, and against the eigensolve within PURE_WITNESS_GAP.
+bit, and against the eigensolve within PURE_WITNESS_GAP.  The polytope
+oracles run in the record's frame, as the kernels do.  The enumeration
+oracle also keeps the earlier partial rule, under which a clique solved a
+point while dropping a weight: in the frame its solves give the same
+decompositions as the full solves of the smaller cliques.
 """
 
 import contextlib
 import io
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,8 +52,9 @@ def reference_witness(space, s0, s1):
     """``orthogonality_witness`` as the earlier code computed it: one support eigensolve per state."""
     if np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL:
         return None
-    if isinstance(space, geo.Polytope):  # solved cold on the vertices of the pair's smallest face
-        return geo._pair_witness(geo._polytope_geometry(space), s0.coords, s1.coords)
+    if isinstance(space, geo.Polytope):  # solved cold on the vertices of the pair's smallest face, in the frame
+        record = geo._polytope_geometry(space)
+        return record.user_functional(geo._pair_witness(record, *record.to_frame([s0.coords, s1.coords])))
     if isinstance(space, geo.Ball):  # the face does not change the criterion
         return reference_ball_witness(s0, s1)
     if not isinstance(space, geo.DensityMatrices):
@@ -195,8 +201,9 @@ def test_fewer_than_two_states_have_no_witnesses():
 def reference_clique_systems(space) -> list:
     """(idx, matrix, rank, pinv or None) per clique in clique order, factored one clique at a time."""
     systems = []
-    for idx in (tuple(i) for level in geo._cliques(geo._polytope_geometry(space).graph) for i in level.tolist()):
-        matrix = np.vstack([space.vertex_array[list(idx)].T, np.ones((1, len(idx)))])
+    record = geo._polytope_geometry(space)
+    for idx in (tuple(i) for level in geo._cliques(record.graph) for i in level.tolist()):
+        matrix = np.vstack([record.frame_vertices[list(idx)].T, np.ones((1, len(idx)))])
         rank = int(np.linalg.matrix_rank(matrix, tol=CLIQUE_RANK_TOL))
         systems.append((idx, matrix, rank, np.linalg.pinv(matrix) if rank == len(idx) else None))
     return systems
@@ -243,25 +250,48 @@ def test_cube_has_underdetermined_cliques():
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_clique_solutions(space, coords, total) -> list:
-    """(idx, w, kept) per clique size from ``pinv @ rhs`` at total itself, the earlier unscaled solve."""
-    scale = max(1.0, total)
-    rhs = np.append(total * coords, np.full((len(coords), 1), total), axis=1).T
+    """(idx, w, kept) per clique size from ``pinv @ rhs`` at total itself in the record's frame, the earlier
+    unscaled solve; a one-vertex system's weight is the total, its row of ones."""
+    scale, record = max(1.0, total), geo._polytope_geometry(space)
+    rhs = np.append(total * record.to_frame(coords), np.full((len(coords), 1), total), axis=1).T
     out = []
-    for idx, pinv, matrix in geo._polytope_geometry(space).clique_systems[0]:
-        w = pinv @ rhs
+    for idx, pinv, matrix in record.clique_systems[0]:
+        w = np.repeat(rhs[None, -1:], len(idx), axis=0) if idx.shape[1] == 1 else pinv @ rhs
         residual = np.max(np.abs(matrix @ w - rhs), axis=1)
         ok = (np.min(w, axis=1) >= -WEIGHT_DROP_TOL * scale) & (residual <= SINGULARITY_TOL * scale)
         out.append((idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)))
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def partial_rule_clique_solutions(space, coords, total) -> list:
+    """(idx, w, kept) per clique size by the earlier partial rule, on the weights of ``_clique_solutions``.
+
+    A clique solves a point when no weight is below -WEIGHT_DROP_TOL * scale and the residual is within
+    SINGULARITY_TOL * scale (in the record's frame, at total * 2**-e as the kernel solves); kept marks its
+    weights above WEIGHT_DROP_TOL * scale, so a clique may solve a point while dropping a weight.
+    ``_clique_solutions`` counts a clique only when it keeps every weight.
+    """
+    scale, e, record = max(1.0, total), max(0, math.frexp(total)[1]), geo._polytope_geometry(space)
+    unit = math.ldexp(total, -e)
+    rhs = np.append(unit * record.to_frame(coords), np.full((len(coords), 1), unit), axis=1).T
+    out = []
+    for (idx, w, _), (_, _, matrix) in zip(geo._clique_solutions(space, coords, total)[0], record.clique_systems[0]):
+        residual = np.max(np.abs(matrix @ np.ldexp(w, -e) - rhs), axis=1)
+        ok = (np.min(w, axis=1) >= -WEIGHT_DROP_TOL * scale) & (residual <= math.ldexp(SINGULARITY_TOL * scale, -e))
+        out.append((idx, w, ok[:, None, :] & (w > WEIGHT_DROP_TOL * scale)))
+    return out
+
+
 def assert_scaled_solve_matches(space, coords, total):
+    """The scaled solve against the unscaled one: the same weights, and ok where the earlier rule keeps them all."""
     got, solved = geo._clique_solutions(space, coords, total)
     want = reference_clique_solutions(space, coords, total)
     assert len(got) == len(want)
-    for (idx, w, kept), (ref_idx, ref_w, ref_kept) in zip(got, want):
+    for (idx, w, ok), (ref_idx, ref_w, ref_kept) in zip(got, want):
         assert idx.tobytes() == ref_idx.tobytes()
-        assert w.tobytes() == ref_w.tobytes() and kept.tobytes() == ref_kept.tobytes()
+        assert w.tobytes() == ref_w.tobytes() and ok.tobytes() == np.all(ref_kept, axis=1).tobytes()
+    assert solved.tobytes() == np.concatenate([ok for _, _, ok in got]).tobytes()
     assert np.all(solved.any(axis=0))  # these totals are far from the float limit: every point solves
 
 
@@ -328,9 +358,10 @@ def test_cube_block_scaled_solve_matches_unscaled(total):
 
 @np.errstate(over="ignore")
 def reference_enumeration(space, x) -> list:
-    """(weights, component coords) of every decomposition, by the earlier per-clique and per-sample loops."""
+    """(weights, component coords) of every decomposition, by the earlier per-clique and per-sample loops on the
+    solves of the earlier partial rule."""
     total, scale = x.trace_weight, max(1.0, x.trace_weight)
-    stacks, _ = geo._clique_solutions(space, np.asarray(x.coords, dtype=float)[None, :], total)
+    stacks = partial_rule_clique_solutions(space, np.asarray(x.coords, dtype=float)[None, :], total)
     seen, determined = set(), []
     for idx, w, kept in stacks:
         for c in np.flatnonzero(np.any(kept[..., 0], axis=1)):

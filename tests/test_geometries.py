@@ -408,16 +408,16 @@ PENTAGON = geo.Polytope(((2.0, 0.0), (1.0, 2.0), (-1.0, 2.0), (-2.0, 0.0), (0.0,
 @pytest.mark.parametrize(
     "space, trace, coords, support",
     [
-        (SQUARE, 1.0, [0.5, 0.5], (2, 1)),
+        (SQUARE, 1.0, [0.5, 0.5], (3, 0)),
         (SQUARE, 1.0, [0.5, 0.25], (1, 2, 0)),
         (SQUARE, 2.0, [0.25, 0.75], (2, 1)),
         (SQUARE, 1.0, [0.3, 0.6], (2, 1, 0)),
         (SQUARE, 0.5, [0.9, 0.2], (1, 2, 3)),
-        (CUBE, 1.0, [0.5, 0.5, 0.5], (3, 4)),
-        (CUBE, 1.0, [0.2, 0.5, 0.7], (3, 0, 5)),
-        (CUBE, 3.0, [0.1, 0.8, 0.4], (2, 3, 1, 5)),
-        (CUBE, 1.0, [0.5, 0.5, 0.25], (4, 2, 3)),
-        (PENTAGON, 1.0, [0.0, 0.8], (2, 0, 4)),
+        (CUBE, 1.0, [0.5, 0.5, 0.5], (0, 7)),
+        (CUBE, 1.0, [0.2, 0.5, 0.7], (1, 2, 7)),
+        (CUBE, 3.0, [0.1, 0.8, 0.4], (2, 1, 7, 3)),
+        (CUBE, 1.0, [0.5, 0.5, 0.25], (0, 7, 6)),
+        (PENTAGON, 1.0, [0.0, 0.8], (1, 3, 4)),
         (PENTAGON, 1.0, [0.5, 0.5], (1, 4, 3)),
         (PENTAGON, 2.5, [-1.0, 0.5], (3, 1, 0)),
         (PENTAGON, 1.0, [0.3, -0.6], (4, 1, 2)),

@@ -95,6 +95,6 @@ def test_pinned_polytope_witnesses_are_tests_on_their_faces(pin):
     for (p0, p1), w in zip(pairs, report["witnesses"]):
         linear = np.array(w["linear"])
         assert abs(linear @ p0 + w["offset"]) <= 1e-12 and abs(linear @ p1 + w["offset"] - 1.0) <= 1e-12
-        face = reference_face(space, (p0 + p1) / 2.0)
+        face = reference_face(space, geo._polytope_geometry(space).to_frame((p0 + p1) / 2.0))
         values = space.vertex_array[list(face) if face else slice(None)] @ linear + w["offset"]
         assert np.all(values >= -WITNESS_FEASIBILITY_TOL) and np.all(values <= 1.0 + WITNESS_FEASIBILITY_TOL)

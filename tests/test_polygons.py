@@ -4,7 +4,8 @@ A polygon's orthogonality graph and its witnesses come from one closed-form
 interval test, and its facets from a monotone chain.  The oracles are the
 ones they replace: the HiGHS witness program (``highs_witness`` on the
 vertices of the pair's smallest face) for the graph and the witnesses, and
-``scipy.spatial.ConvexHull`` for the facets.
+``scipy.spatial.ConvexHull`` for the facets, each run on the vertices in the
+polytope record's frame, where the kernels work.
 """
 
 import json
@@ -48,21 +49,24 @@ def vertex_state(space, i: int) -> sc.State:
 
 
 def reference_face(space: geo.Polytope, center):
-    """Vertex indices of the smallest face of the polytope containing center, or None for the whole polytope:
-    the vertices on every facet within SINGULARITY_TOL of center, one center at a time (the rule that
-    ``geometries._faces`` stacks)."""
+    """Vertex indices of the smallest face of the polytope containing center (a point of the record's frame),
+    or None for the whole polytope: the vertices on every facet within SINGULARITY_TOL of center, one center at
+    a time (the rule that ``geometries._faces`` stacks)."""
     record = geo._polytope_geometry(space)
     active = np.abs(record.facet_normals @ center + record.facet_offsets) <= SINGULARITY_TOL
     if not np.any(active):
         return None
-    on_face = np.abs(record.vertex_array @ record.facet_normals[active].T + record.facet_offsets[active])
+    on_face = np.abs(record.frame_vertices @ record.facet_normals[active].T + record.facet_offsets[active])
     return tuple(np.nonzero(np.all(on_face <= SINGULARITY_TOL, axis=1))[0].tolist())
 
 
-def face_vertices(space: geo.Polytope, p0, p1, whole=False) -> np.ndarray:
-    """The vertices of the smallest face of the pair, or every vertex when whole."""
+def face_vertices(space: geo.Polytope, p0, p1, whole=False, frame=True) -> np.ndarray:
+    """The vertices of the smallest face of the pair of frame points, or every vertex when whole: in the
+    record's frame, or in the user's coordinates when not frame."""
+    record = geo._polytope_geometry(space)
+    verts = record.frame_vertices if frame else record.vertex_array
     face = None if whole else reference_face(space, np.mean([p0, p1], axis=0))
-    return space.vertex_array if face is None else space.vertex_array[list(face)]
+    return verts if face is None else verts[list(face)]
 
 
 def highs_witness(verts, p0, p1):
@@ -78,14 +82,15 @@ def highs_witness(verts, p0, p1):
 
 
 def lp_witness(space: geo.Polytope, p0, p1, whole=False):
-    """The HiGHS witness program on the pair's face: what ``orthogonality_witness``
+    """The HiGHS witness program on the face of the pair of frame points: what ``orthogonality_witness``
     (``mutually_singular`` when whole) solved on polygons before the closed form."""
     return highs_witness(face_vertices(space, p0, p1, whole), np.asarray(p0), np.asarray(p1))
 
 
 def lp_orthogonal(space: geo.Polytope, i: int, j: int) -> bool:
     """The verdict of the HiGHS witness program on the smallest face of the vertex pair."""
-    return lp_witness(space, space.vertex_array[i], space.vertex_array[j]) is not None
+    verts = geo._polytope_geometry(space).frame_vertices
+    return lp_witness(space, verts[i], verts[j]) is not None
 
 
 def lp_graph(space: geo.Polytope) -> np.ndarray:
@@ -97,8 +102,10 @@ def lp_graph(space: geo.Polytope) -> np.ndarray:
     return adj
 
 
-def qhull_facets(verts) -> np.ndarray:
-    return np.unique(np.round(ConvexHull(np.asarray(verts, dtype=float)).equations, FACET_DIGITS), axis=0)
+def qhull_facets(space: geo.Polytope) -> np.ndarray:
+    """qhull's facet equations of the vertices in the record's frame, rounded to FACET_DIGITS."""
+    verts = geo._polytope_geometry(space).frame_vertices
+    return np.unique(np.round(ConvexHull(verts).equations, FACET_DIGITS), axis=0)
 
 
 def chain_facets(space: geo.Polytope) -> np.ndarray:
@@ -163,7 +170,7 @@ def test_property_polygon_orthogonality_symmetric(verts):
     space = polytope(verts)
     i, j = np.triu_indices(len(verts), 1)
     geometry = geo._polytope_geometry(space)
-    points = geometry.vertex_array
+    points = geometry.frame_vertices
     np.testing.assert_array_equal(geo._polygon_orthogonal(geometry, points[i], points[j])[0],
                                   geo._polygon_orthogonal(geometry, points[j], points[i])[0])
     pairs = [(int(a), int(b)) for a, b in zip(i, j)][:3]
@@ -206,11 +213,12 @@ def polygon_point(data, verts) -> np.ndarray:
 def assert_valid_witness(space: geo.Polytope, w, p0, p1, whole: bool, clear: bool):
     """f(p0) = 0 and f(p1) = 1 up to rounding, and f in [0, 1] on the face of the pair: within
     WITNESS_FEASIBILITY_TOL, and where the verdict is clear within is_test's tolerance (is_test
-    itself on the whole polygon)."""
+    itself on the whole polygon).  f and the points are in the user's coordinates."""
     scale = 1.0 + np.max(np.abs(w.linear)) * max(np.max(np.abs(p0)), np.max(np.abs(p1)))
     assert abs(w.value_at_coords(p0)) <= 1e-12 * scale
     assert abs(w.value_at_coords(p1) - 1.0) <= 1e-12 * scale
-    values = face_vertices(space, p0, p1, whole) @ w.linear + w.offset
+    f0, f1 = geo._polytope_geometry(space).to_frame([p0, p1])
+    values = face_vertices(space, f0, f1, whole, frame=False) @ w.linear + w.offset
     slack = MEMBERSHIP_TOL if clear else WITNESS_FEASIBILITY_TOL
     assert np.all(values >= -slack) and np.all(values <= 1.0 + slack)
     if clear and (whole or len(values) == len(space.vertices)):
@@ -218,7 +226,7 @@ def assert_valid_witness(space: geo.Polytope, w, p0, p1, whole: bool, clear: boo
 
 
 def verdict_at(space: geo.Polytope, p0, p1, whole: bool, tol: float) -> bool:
-    """The closed-form verdict with the slack WITNESS_FEASIBILITY_TOL replaced by tol."""
+    """The closed-form verdict on two frame points with the slack WITNESS_FEASIBILITY_TOL replaced by tol."""
     with mock.patch.object(geo, "WITNESS_FEASIBILITY_TOL", tol):
         return bool(geo._polygon_orthogonal(geo._polytope_geometry(space), p0[None], p1[None], whole)[0][0])
 
@@ -242,11 +250,12 @@ def test_property_polygon_witness_matches_lp(data):
         if np.max(np.abs(p0 - p1)) <= SAME_STATE_TOL:
             continue
         s0, s1 = sc.State(space, p0), sc.State(space, p1)
+        f0, f1 = geo._polytope_geometry(space).to_frame([p0, p1])
         for whole, witness, swapped in ((False, geo.orthogonality_witness(s0, s1), geo.orthogonality_witness(s1, s0)),
                                         (True, geo.mutually_singular(s0, s1)[1], geo.mutually_singular(s1, s0)[1])):
-            clear = verdict_at(space, p0, p1, whole, 1e-10) is verdict_at(space, p0, p1, whole, 1e-6)
+            clear = verdict_at(space, f0, f1, whole, 1e-10) is verdict_at(space, f0, f1, whole, 1e-6)
             if clear:
-                assert (witness is None) is (lp_witness(space, p0, p1, whole) is None)
+                assert (witness is None) is (lp_witness(space, f0, f1, whole) is None)
             assert (swapped is None) is (witness is None)
             if witness is not None:
                 assert_valid_witness(space, witness, p0, p1, whole, clear)
@@ -260,13 +269,13 @@ def test_property_polygon_witness_matches_lp(data):
 @PROPERTIES
 @given(verts=convex_polygons())
 def test_property_chain_facets_match_qhull(verts):
-    np.testing.assert_array_equal(chain_facets(polytope(verts)), qhull_facets(verts))
+    np.testing.assert_array_equal(chain_facets(polytope(verts)), qhull_facets(polytope(verts)))
 
 
 @pytest.mark.parametrize("verts", [SQUARE.vertices, TRIANGLE.vertices, *map(regular_polygon, (5, 12, 40))],
                          ids=["square", "triangle", "pentagon", "12-gon", "40-gon"])
 def test_chain_facets_match_qhull(verts):
-    np.testing.assert_array_equal(chain_facets(polytope(verts)), qhull_facets(verts))
+    np.testing.assert_array_equal(chain_facets(polytope(verts)), qhull_facets(polytope(verts)))
 
 
 def qhull_accepts(verts) -> bool:

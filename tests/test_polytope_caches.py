@@ -254,17 +254,18 @@ def test_property_vertex_pairs_match_single_pair_tests(verts):
     space = polytope(verts)
     record = geo._polytope_geometry(space)
     found, t = record.vertex_pairs
-    va = record.vertex_array
+    va, fa = record.vertex_array, record.frame_vertices  # keyed by the user's coordinates, tested in the frame
     assert found.shape == t.shape == (len(va), len(va))
     assert record.vertex_index == {v.tobytes(): i for i, v in enumerate(va)}
     for i, j in itertools.product(range(len(va)), repeat=2):
-        one_found, one_t = geo._polygon_orthogonal(record, va[i][None], va[j][None])
+        one_found, one_t = geo._polygon_orthogonal(record, fa[i][None], fa[j][None])
         assert found[i, j] == one_found[0] and t[i, j].tobytes() == one_t[0].tobytes()
         witness = record.witness(va[i], va[j])
         assert (witness is not None) == one_found[0]
         if witness is not None:  # the pair's own entry: t of (j, i) may differ in the last bit
-            d = va[j] - va[i]
-            assert witness.linear.tobytes() == (d / (d @ d) + one_t[0] * np.array([-d[1], d[0]])).tobytes()
+            d = fa[j] - fa[i]
+            linear = d / (d @ d) + one_t[0] * np.array([-d[1], d[0]])  # of the frame, times 2**-exponent outside
+            assert witness.linear.tobytes() == np.ldexp(linear, -record.exponent).tobytes()
 
 
 def test_cold_polygon_decompose_tests_its_pairs_once(pair_test_calls):

@@ -5,7 +5,8 @@ Their facets come from the hyperplanes of the vertex m-subsets
 rule (``_affine_test_feasible``).  The oracles are the solvers they replace:
 ``scipy.spatial.ConvexHull`` for the facets and the extreme points, and the
 HiGHS witness program (``highs_witness``) for every orthogonality and
-mutual-singularity verdict.
+mutual-singularity verdict.  The facet, face and witness oracles run on the
+vertices and points in the polytope record's frame, where the kernels work.
 """
 
 import itertools
@@ -80,14 +81,16 @@ def test_property_subset_facets_match_qhull(points):
     assert n_extreme == oracle[0]
     if n_extreme == len(points):
         record = geo._polytope_geometry(polytope(points))
-        assert_same_facets(np.column_stack([record.facet_normals, record.facet_offsets]), oracle[1])
+        facets = np.column_stack([record.facet_normals, record.facet_offsets])
+        assert_same_facets(facets, qhull(record.frame_vertices)[1])
 
 
 @pytest.mark.parametrize("verts", [CUBE, OCTAHEDRON, TETRAHEDRON, PRISM, np.vstack([np.eye(5), -np.eye(5)])],
                          ids=["cube", "octahedron", "tetrahedron", "prism", "5-cross"])
 def test_subset_facets_match_qhull(verts):
     record = geo._polytope_geometry(polytope(verts))
-    n_extreme, facets = qhull(np.array(verts, dtype=float))
+    assert qhull(np.array(verts, dtype=float))[0] == len(verts)
+    n_extreme, facets = qhull(record.frame_vertices)
     assert n_extreme == len(verts)
     np.testing.assert_array_equal(np.column_stack([record.facet_normals, record.facet_offsets]), facets)
 
@@ -144,18 +147,18 @@ def test_facet_search_cost_refused_before_any_svd(capsys, monkeypatch):
        seed=st.integers(0, 2**32 - 1), whole=st.booleans())
 def test_property_faces_match_the_facet_rule(verts, seed, whole):
     # vertices, midpoints of every vertex pair (edges, face diagonals, inner diagonals) and Dirichlet points of
-    # random vertex subsets, which lie on every kind of face and inside
+    # random vertex subsets, which lie on every kind of face and inside; the faces are found in the record's frame
     space = polytope(verts)
-    va, rng = space.vertex_array, np.random.default_rng(seed)
+    record, va, rng = geo._polytope_geometry(space), space.vertex_array, np.random.default_rng(seed)
     i, j = np.triu_indices(len(va), 1)
     subsets = rng.random((20, len(va))) < rng.uniform(0.2, 0.9, (20, 1))
     subsets[np.arange(20), rng.integers(len(va), size=20)] = True
     weights = np.where(subsets, rng.exponential(size=subsets.shape), 0.0)
     centers = np.vstack([va, (va[i] + va[j]) / 2.0, weights @ va / np.sum(weights, axis=1, keepdims=True)])
-    got = geo._faces(geo._polytope_geometry(space), centers, whole)
+    got = geo._faces(record, record.to_frame(centers), whole)
     assert got.shape == (len(centers), len(va)) and got.dtype == bool
     for mask, center in zip(got, centers):
-        face = None if whole else reference_face(space, center)
+        face = None if whole else reference_face(space, record.to_frame(center))
         assert mask.tolist() == [face is None or k in face for k in range(len(va))]
         if not whole:  # the Face of one state reads the same rule
             found = space.smallest_face([geo.State(space, center)])
@@ -175,9 +178,9 @@ def least_violation(verts, p0, p1) -> float:
 
 
 def check_pairs(space: geo.Polytope, points) -> int:
-    """Compare the verdicts of every ordered pair of points, on their face and on the whole polytope, with
-    HiGHS's, and check every witness; returns the number of pairs compared."""
-    verts, compared = space.vertex_array, 0
+    """Compare the verdicts of every ordered pair of points of the record's frame, on their face and on the whole
+    polytope, with HiGHS's, and check every witness; returns the number of pairs compared."""
+    verts, compared = geo._polytope_geometry(space).frame_vertices, 0
     for p0, p1 in itertools.permutations(points, 2):
         if np.max(np.abs(p0 - p1)) <= 1e-12:
             continue
@@ -204,7 +207,7 @@ def test_witnesses_match_highs(verts):
     # and two points inside
     space = polytope(verts)
     rng = np.random.default_rng(len(verts))
-    va = space.vertex_array
+    va = geo._polytope_geometry(space).frame_vertices
     inside = [w @ va for w in rng.dirichlet(np.full(len(verts), 0.3), 2)]
     assert check_pairs(space, [*va, (va[0] + va[1]) / 2.0, (va[0] + va[-1]) / 2.0, *inside]) > 0
 
@@ -216,7 +219,8 @@ def test_property_witnesses_match_highs(points):
         return
     space = polytope(points)
     rng = np.random.default_rng(len(points))
-    check_pairs(space, [*space.vertex_array[:5], rng.dirichlet(np.full(len(points), 0.3)) @ space.vertex_array])
+    va = geo._polytope_geometry(space).frame_vertices
+    check_pairs(space, [*va[:5], rng.dirichlet(np.full(len(points), 0.3)) @ va])
 
 
 @pytest.mark.parametrize("gap", [2e-8, 1.8e-7, 2.2e-7, 2e-6])
