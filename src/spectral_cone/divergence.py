@@ -313,6 +313,12 @@ def _interior_map(div: Divergence, space):
     return lambda coords: mix_coords(INTERIOR_EPS, coords, bary)
 
 
+def _require_two_states(check: str, space):
+    """Refuse a space of one state (rank 1; polytopes may have no rank), where the check cannot fail."""
+    if space.dim < 1:
+        raise ValueError(f"{check} needs a space of rank at least 2, got a {space.kind} space of rank 1")
+
+
 def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCALITY_TOL,
                    seed: int = 0) -> dict:
     """Test whether D((1-t)s0 + t*s1, s0) and D(s0, (1-t)s0 + t*s1) are independent of the orthogonal s1.
@@ -328,8 +334,7 @@ def check_locality(div: Divergence, space, trials: int = 1000, tol: float = LOCA
     """
     require_count("trials", trials)
     require_tolerance("tol", tol)
-    if space.dim < 1:  # rank 1 (polytopes may have no rank): one state, no orthogonal pair
-        raise ValueError(f"locality needs a space of rank at least 2, got a {space.kind} space of rank 1")
+    _require_two_states("locality", space)
     rng = np.random.default_rng(seed)
     s0, s1, s2, vacuous = space.orthogonal_triples(rng, trials)
     require_states(space, np.stack([s0, s1, s2]))
@@ -388,9 +393,11 @@ def check_sufficiency(div: Divergence, space, channel_suite=None, tol: float = S
     through psi as one stack, and the drawn, mapped and pulled-back stacks
     take one membership test together.  The base and image divergences of
     all trials that meet the precondition are evaluated as one stacked array.
+    A space of one state, where no channel can change a divergence, is refused.
     """
     require_count("trials", trials)
     require_tolerance("tol", tol)
+    _require_two_states("sufficiency", space)
     rng = np.random.default_rng(seed)
     suite = channel_suite if channel_suite is not None else space.channel_suite(rng)
     owner = np.arange(trials) % len(suite)  # the pair of every trial

@@ -51,9 +51,9 @@ from .cone import AffineFunctional, ConeElement, State, _reduce_rows, require_sp
 from .decomposition import OrthogonalDecomposition, maximal_spectra, weights_entropy
 from .errors import ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError, PreconditionError
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPLEMENT_MASS_MIN,
-                         DISTINCT_STATE_TOL, FACET_DIGITS, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL, PINV_RCOND,
-                         RECONSTRUCTION_TOL, SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS,
-                         WEIGHT_DROP_TOL, WITNESS_FEASIBILITY_TOL, ZERO_EIGENVALUE_TOL)
+                         DISTINCT_STATE_TOL, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL, PINV_RCOND, RECONSTRUCTION_TOL,
+                         SAME_STATE_TOL, SINGULARITY_TOL, SUPPORT_TOL, WEIGHT_DIGITS, WEIGHT_DROP_TOL,
+                         WITNESS_FEASIBILITY_TOL, ZERO_EIGENVALUE_TOL)
 
 MAX_ENUMERATION_VERTICES = 12
 MAX_FACET_COST = 450_000  # vertex m-subsets times m that the facet search of a polytope in m >= 3 dimensions may test
@@ -109,7 +109,7 @@ class _Geometry:
 
     def planar_chart(self):
         """(bounding box, chart) for a 2-dimensional space; chart maps x, y arrays to coords rows."""
-        raise ValueError(f"space {self!r} is not two-dimensional")
+        raise ValueError(f"landscape needs a two-dimensional space, got a {self.kind} space of dimension {self.dim}")
 
     def family_draws(self, rng: np.random.Generator, lead: tuple) -> np.ndarray:
         """Base rows (*lead, coords_len) of the channel families, as successive single draws."""
@@ -285,17 +285,16 @@ class Polytope(_Geometry):
 
     def orthogonality_witnesses(self, states) -> tuple:
         """Per pair, mutual singularity restricted to the vertices of the pair's smallest face (the record's
-        ``witness``)."""
+        ``witness``), which refuses one state in the frame."""
         geo = _polytope_geometry(self)
-        return tuple(None if _same_state(a, b) else geo.witness(a.coords, b.coords)
-                     for a, b in itertools.combinations(states, 2))
+        return tuple(geo.witness(a.coords, b.coords) for a, b in itertools.combinations(states, 2))
 
     def decompositions(self, coords: np.ndarray, total: float):
         """Per row, of the clique solutions no other majorizes, the lexicographically largest spectrum."""
-        size = self.dim + 1
+        size, stacks = self.dim + 1, _clique_solutions(self, coords, total)[0]
         weights, components = np.zeros((len(coords), size)), np.zeros((len(coords), size, self.dim))
-        for row, point in enumerate(coords):
-            sols = list(_determined_solutions(self, point, total).values())
+        for row in range(len(coords)):
+            sols = _solutions(stacks, row)
             if not sols:
                 raise DecompositionError("no orthogonal decomposition found; geometry bug?")
             # the weights are positive, so these lists order lexicographically as their zero paddings do; each is
@@ -318,7 +317,7 @@ class Polytope(_Geometry):
 
     def planar_chart(self):
         if self.dim != 2:
-            raise ValueError("landscape supports polytopes in a 2D ambient space")
+            return super().planar_chart()
         verts = self.vertex_array
         box = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 1].min(), verts[:, 1].max())
         return box, lambda x, y: np.stack([x, y], axis=-1)
@@ -337,7 +336,7 @@ class Polytope(_Geometry):
         for start in range(0, len(probes), POINT_BLOCK):
             stacks, solved = _clique_solutions(self, probes[start:start + POINT_BLOCK], 1.0)
             for j in np.flatnonzero(np.count_nonzero(solved, axis=0) > 1):
-                yield probes[start + j], _decompositions(self, _column_solutions(stacks, j, nv), 1.0)
+                yield probes[start + j], _decompositions(self, stacks, j, 1.0)
 
     def random_state(self, rng: np.random.Generator) -> State:
         w = rng.dirichlet(np.ones(len(self.vertices)))
@@ -848,9 +847,7 @@ class _PolytopeGeometry:
         unit = math.ldexp(1.0, self.exponent) if self.exponent < 1024 else math.inf  # 2**1024 is past the floats
         self.coordinate_scale = unit + float(np.max(np.abs(self.center)))  # a unit frame error, in coordinates
         self.vertex_array, self.frame_vertices = verts, self.to_frame(verts)
-        eqs = np.column_stack([normals, -np.max(normals @ self.frame_vertices.T, axis=1)])  # the farthest vertex
-        eqs = np.unique(np.round(eqs, FACET_DIGITS), axis=0, return_counts=True)[0]  # see _support
-        self.facet_normals, self.facet_offsets = eqs[:, :-1], eqs[:, -1]
+        self.facet_normals, self.facet_offsets = normals, -np.max(normals @ self.frame_vertices.T, axis=1)  # each once
         self.space = space
         self.witnesses = {}  # (i, j) -> the witness of vertex i and vertex j, see ``witness``
 
@@ -1149,36 +1146,10 @@ def _clique_solutions(space: Polytope, coords, total):
     return stacks, np.concatenate([ok for _, _, ok in stacks])
 
 
-@np.errstate(over="ignore")  # weights near the float limit round to inf in the keys
-def _add_solutions(solutions: dict, idx: np.ndarray, w: np.ndarray, keep: np.ndarray, nv: int):
-    """Add the (weights, support) of each row: the vertices idx[r] (ascending, below nv) weighted by w[r]
-    where keep[r] holds.  Two decompositions are one when they share the key, the bytes of a row of nv
-    with the weights rounded to WEIGHT_DIGITS on the support and -0.0, which no positive weight rounds
-    to, off it.  The first row with a key keeps it, and a row that keeps no vertex adds nothing.
-    """
-    rows = keep.any(axis=1).nonzero()[0].tolist()
-    if not rows:  # most clique systems of one point solve nothing: build no keys
-        return
-    wide = np.full((len(idx), nv), -0.0)
-    wide[np.arange(len(idx))[:, None], idx] = np.where(keep, w.round(WEIGHT_DIGITS), -0.0)
-    keys = wide.view(np.dtype((np.void, 8 * nv)))[:, 0].tolist()  # the bytes of each row
-    for r in rows:
-        if keys[r] not in solutions:
-            solutions[keys[r]] = (w[r][keep[r]], tuple(idx[r][keep[r]].tolist()))
-
-
-def _column_solutions(stacks, j, nv) -> dict:
-    """The decompositions of point j from every clique system that solves it, keyed as ``_add_solutions``."""
-    solutions = {}
-    for idx, w, ok in stacks:
-        _add_solutions(solutions, idx, w[..., j], np.broadcast_to(ok[:, j, None], idx.shape), nv)
-    return solutions
-
-
-def _determined_solutions(space: Polytope, state_coords, total) -> dict:
-    """The (weights, support) of every determined clique system that solves x, keyed as ``_add_solutions``."""
-    coords = np.asarray(state_coords, dtype=float)[None, :]
-    return _column_solutions(_clique_solutions(space, coords, total)[0], 0, len(space.vertices))
+def _solutions(stacks, j) -> list:
+    """The (weights, support) of every clique system of the ``_clique_solutions`` stacks that solves point j, in
+    clique order.  A solving system keeps all its weights, so its support is its own vertex set: no two share one."""
+    return [(w[r, :, j], tuple(idx[r].tolist())) for idx, w, ok in stacks for r in np.flatnonzero(ok[:, j]).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -1200,11 +1171,6 @@ class Face:
     point: Optional[np.ndarray] = None
 
 
-def _same_state(s0: State, s1: State) -> bool:
-    """Whether two states are one: coordinates within SAME_STATE_TOL, so never orthogonal."""
-    return np.max(np.abs(s0.coords - s1.coords)) <= SAME_STATE_TOL
-
-
 def smallest_face(space, states) -> Face:
     """Smallest face of the space containing all given states."""
     states = list(states)
@@ -1217,8 +1183,6 @@ def smallest_face(space, states) -> Face:
 def mutually_singular(s0: State, s1: State):
     """Whether some test on the space of the states maps s0 to 0 and s1 to 1; returns (flag, witness)."""
     require_space(s0.space, (s1,))
-    if _same_state(s0, s1):
-        return False, None
     return s0.space.mutually_singular(s0, s1)
 
 
@@ -1282,17 +1246,23 @@ def enumerate_orthogonal_decompositions(space, s: ConeElement):
         return [decompose(space, s)]
     if s.is_apex:
         raise ApexError("the apex has no orthogonal decomposition")
-    return _decompositions(space, _determined_solutions(space, s.coords, s.trace_weight), s.trace_weight)
+    return _decompositions(space, _clique_solutions(space, s.coords[None, :], s.trace_weight)[0], 0, s.trace_weight)
 
 
-@np.errstate(over="ignore")  # weights near the float limit overflow in the family grid
-def _decompositions(space: Polytope, determined: dict, total: float) -> list:
-    """The decompositions of ``enumerate_orthogonal_decompositions`` from the keyed determined solutions."""
-    solutions = dict(determined)
-    basic = np.zeros((len(determined), len(space.vertices)))  # full weight rows, nonzero on the support
-    for r, (w, support) in enumerate(determined.values()):
+@np.errstate(over="ignore")  # weights near the float limit overflow in the family grid and round to inf in the keys
+def _decompositions(space: Polytope, stacks, j: int, total: float) -> list:
+    """The decompositions of ``enumerate_orthogonal_decompositions`` of point j of the ``_clique_solutions`` stacks.
+
+    The candidates are nv-wide weight rows: the determined ones, then each underdetermined clique's grid and
+    barycenter, each keeping its weights above WEIGHT_DROP_TOL * max(1, total).  Two are one decomposition when
+    they share the key, the bytes of the row with the kept weights rounded to WEIGHT_DIGITS and -0.0, which no
+    kept weight rounds to, elsewhere; the first row with a key keeps it, and a row that keeps no weight goes.
+    """
+    nv, solutions = len(space.vertices), _solutions(stacks, j)
+    basic = np.zeros((len(solutions), nv))  # full weight rows, nonzero on the support
+    for r, (w, support) in enumerate(solutions):
         basic[r, list(support)] = w
-    t = (np.arange(1, FAMILY_GRID_POINTS + 1) / (FAMILY_GRID_POINTS + 1.0))[:, None]
+    rows, t = [basic], (np.arange(1, FAMILY_GRID_POINTS + 1) / (FAMILY_GRID_POINTS + 1.0))[:, None]
     for clique in _polytope_geometry(space).clique_systems[1]:
         # basic solutions of this clique (determined ones supported inside it), in C order for np.mean
         members = basic[:, clique][np.all(np.delete(basic, clique, axis=1) == 0, axis=1)]
@@ -1300,12 +1270,15 @@ def _decompositions(space: Polytope, determined: dict, total: float) -> list:
             continue
         a, b = np.triu_indices(len(members), 1)  # the pairs in combinations order
         grid = ((1.0 - t) * members[a][:, None] + t * members[b][:, None]).reshape(-1, len(clique))
-        grid = np.vstack([grid, np.mean(members, axis=0)])
-        _add_solutions(solutions, np.broadcast_to(clique, grid.shape), grid, grid > WEIGHT_DROP_TOL * max(1.0, total),
-                       basic.shape[1])
-
+        rows.append(np.zeros((len(grid) + 1, nv)))
+        rows[-1][:, clique] = np.vstack([grid, np.mean(members, axis=0)])
+    rows = np.concatenate(rows)
+    keep = rows > WEIGHT_DROP_TOL * max(1.0, total)
+    keys = np.where(keep, rows.round(WEIGHT_DIGITS), -0.0).view(np.dtype((np.void, 8 * nv)))[:, 0]
+    candidates = [(rows[i][keep[i]], tuple(np.flatnonzero(keep[i]).tolist()))  # np.unique: see _support
+                  for i in np.unique(keys, return_index=True)[1].tolist() if np.any(keep[i])]
     out, states = [], _polytope_geometry(space).vertex_states
-    for w, support in sorted(solutions.values(), key=lambda ws: (ws[1], tuple(ws[0]))):
+    for w, support in sorted(candidates, key=lambda ws: (ws[1], tuple(ws[0]))):
         order = np.argsort(-w, kind="stable")
         components = tuple(states[support[i]] for i in order)
         out.append(OrthogonalDecomposition(space, w[order], components))

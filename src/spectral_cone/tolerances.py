@@ -7,9 +7,9 @@ caller may override are the defaults of ``contains_state(tol)``,
 ``check_locality(tol)``, ``check_sufficiency(tol)``,
 ``fit_entropy_constant(tol)`` and ``check_concavity(fd_step, strictness)``.
 Relative tolerances are scaled by max(1, the size of the quantity compared).
-Polytope geometry tolerances apply in the polytope's frame, where its vertices
-span an extent in [1/2, 1); decompose scales its reconstruction bound by the
-frame's ``coordinate_scale`` to compare an error in the user's coordinates.
+Polytope geometry tolerances, SAME_STATE_TOL too, apply in the polytope's
+frame, where its vertices span an extent in [1/2, 1); decompose scales its
+reconstruction bound by the frame's ``coordinate_scale`` for user coordinates.
 """
 
 # States, weights and spectra
@@ -22,13 +22,12 @@ SPECTRUM_GAP_TOL = 1e-8  # two decomposition spectra of one state closer than th
 SPECTRUM_DIGITS = 9  # is_spectral rounds spectra to this many decimals before merging them
 
 # Geometry
-SAME_STATE_TOL = 1e-12  # states whose coordinates differ by at most this are one state, never orthogonal
+SAME_STATE_TOL = 1e-12  # density or polytope-frame coordinates this close are one state, never orthogonal
 DISTINCT_STATE_TOL = 1e-9  # a locality sampler draws s2 again while it is this close to s1
 SINGULARITY_TOL = 1e-9  # slack of the face, antipode, support-overlap and clique-residual tests
 SUPPORT_TOL = 1e-9  # a simplex weight or eigenvalue cluster mean above this is in the support
 WEIGHT_DROP_TOL = 1e-11  # relative weight at or below which a decomposition drops a component
 WEIGHT_DIGITS = 12  # polytope decompositions with one support and weights equal to this many decimals are one
-FACET_DIGITS = 12  # hull facet equations equal to this many decimals are one facet
 COLLINEAR_RTOL = 1e-12  # relative hull rounding slack: of a polygon turn (to |l| + |r|), a point on a facet (to extent)
 BALL_CENTER_TOL = 1e-12  # a ball point this close to the centre decomposes along the fixed diameter
 CLIQUE_RANK_TOL = 1e-10  # singular-value cut-off of the rank that decides a clique system is determined

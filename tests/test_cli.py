@@ -116,7 +116,7 @@ def assert_one_line_error(code, out, err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("space", [f"{ring}{n}" for ring in ("real", "complex", "quaternion") for n in (1, 2, 3)])
+@pytest.mark.parametrize("space", [f"{ring}{n}" for ring in ("real", "complex", "quaternion") for n in (2, 3)])
 def test_matrix_sufficiency_exits_0_on_every_ring(capsys, space):
     code, out, err = run_cli(capsys, "check", "sufficiency", "--space", space,
                              "--divergence", "matrix_negentropy", "--trials", "6", "--seed", "1")
@@ -269,6 +269,9 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         *(["check", "locality", "--space", space, "--divergence", div, "--trials", "3", "--seed", "1"]
           for space, div in (("complex1", "matrix_negentropy"), ("real1", "matrix_negentropy"),
                              ("quaternion1", "matrix_negentropy"), ("simplex1", "kl"))),
+        *(["check", "sufficiency", "--space", space, "--divergence", div, "--trials", "3", "--seed", "1"]
+          for space, div in (("complex1", "matrix_negentropy"), ("real1", "matrix_negentropy"),
+                             ("quaternion1", "matrix_negentropy"), ("simplex1", "kl"))),
         *(["check", "spectrality", "--space", desc]
           for desc in ('{"n": 3}', '{"kind": "simplex"}', '{"kind": "polytope"}', '{"kind": "ball"}',
                        '{"kind": "spin"}', '{"kind": "density", "n": 2}', '{"kind": "density", "ring": "real"}')),
@@ -294,7 +297,8 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
          "element-object-coord", "element-boolean-coords", "element-boolean-trace",
          "polytope-boolean-coord", "polytope-vertices-number", "polytope-null-coord", "polytope-no-coords",
          "simplex-null-n", "ball-infinite-d", "locality-complex1", "locality-real1",
-         "locality-quaternion1", "locality-simplex1", "no-kind", "simplex-no-n", "polytope-no-vertices",
+         "locality-quaternion1", "locality-simplex1", "sufficiency-complex1", "sufficiency-real1",
+         "sufficiency-quaternion1", "sufficiency-simplex1", "no-kind", "simplex-no-n", "polytope-no-vertices",
          "ball-no-d", "spin-no-d", "density-no-ring", "density-no-n",
          "sufficiency-square", "sufficiency-disc", "sufficiency-spin3", "locality-tol-inf", "locality-tol-nan",
          "locality-tol-negative", "sufficiency-tol-inf", "sufficiency-tol-minus-inf", "concavity-tol",
@@ -317,6 +321,9 @@ def test_usage_error_is_one_line(capsys, argv):
             assert field in err
     if "1e308" in " ".join(argv):  # four extreme points whose cross products overflow
         assert err == "error: polygon coordinates are too far apart for the hull arithmetic\n"
+    if argv[:2] == ["check", "sufficiency"] and "--space" in argv and argv[argv.index("--space") + 1].endswith("1"):
+        kind = "simplex" if "simplex1" in argv else "density"  # one state: the check could not fail
+        assert err == f"error: sufficiency needs a space of rank at least 2, got a {kind} space of rank 1\n"
 
 
 SIMPLEX3, COMPLEX2 = geo.Simplex(3), geo.DensityMatrices("complex", 2)
@@ -442,9 +449,16 @@ def test_landscape_triangle_stdout(capsys):
     assert abs(maxima[0]["entropy"] - math.log(3)) <= 1e-9
 
 
-def test_landscape_rejects_non_2d(capsys):
-    code, _, err = run_cli(capsys, "landscape", "--space", "simplex4")
-    assert code == 1
+TETRAHEDRON = '{"kind": "polytope", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
+
+
+@pytest.mark.parametrize("space, kind, dim", [("simplex4", "simplex", 3), ("complex2", "density", 3),
+                                              ("spin3", "spin", 3), ("ball1", "ball", 1), (TETRAHEDRON, "polytope", 3)],
+                         ids=["simplex4", "complex2", "spin3", "ball1", "tetrahedron"])
+def test_landscape_rejects_non_2d(capsys, space, kind, dim):
+    code, out, err = run_cli(capsys, "landscape", "--space", space, "--grid", "5")
+    assert_one_line_error(code, out, err)
+    assert err == f"error: landscape needs a two-dimensional space, got a {kind} space of dimension {dim}\n"
 
 
 def test_landscape_failed_decomposition_exit_2(capsys, monkeypatch):

@@ -18,7 +18,7 @@ from test_polygons import SQUARE, convex_polygons, polytope, vertex_state
 
 import spectral_cone as sc
 from spectral_cone import geometries as geo
-from spectral_cone.tolerances import RECONSTRUCTION_TOL, SINGULARITY_TOL
+from spectral_cone.tolerances import RECONSTRUCTION_TOL, SINGULARITY_TOL, WEIGHT_DROP_TOL
 
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 VECTOR_SPACES = [geo.Simplex(1), geo.Simplex(2), geo.Simplex(3), geo.Simplex(5), SQUARE, CUBE,
@@ -150,3 +150,31 @@ def test_property_polytope_states_at_any_scale_raise_only_package_errors(space, 
                 geo.enumerate_orthogonal_decompositions(space, x)
         except Exception as err:  # the property is about the class of every error
             assert isinstance(err, sc.SpectralConeError), repr(err)
+
+
+PRISM = polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)])
+OCTAHEDRON = polytope([tuple(s * e) for s in (1, -1) for e in np.eye(3)])
+
+
+@settings(PROPERTIES, max_examples=60)
+@given(verts=st.one_of(convex_polygons(), st.sampled_from([p.vertex_array for p in (CUBE, PRISM, OCTAHEDRON,
+                                                                                      TETRAHEDRON)])),
+       exponent=st.integers(-20, 40), seed=st.integers(0, 2**32 - 1))
+def test_property_clique_solutions_keep_every_weight_on_distinct_supports(verts, exponent, seed):
+    """Of the clique systems that solve a point, ``_solutions`` lists each once with every weight kept: the supports
+    are pairwise distinct and each weight is above WEIGHT_DROP_TOL * max(1, total), so the enumeration needs no
+    per-clique dedup.  The polytope and the total are scaled by 2**exponent; the points are band points (a vertex
+    mixed with weights 1e-14 to 1e-6 on two others) and Dirichlet(1) points, solved as one block."""
+    space, rng = polytope(2.0 ** exponent * verts), np.random.default_rng(seed)
+    verts, total = space.vertex_array, 2.0 ** exponent * rng.uniform(0.3, 3.0)
+    i, j, k = rng.integers(len(verts), size=(3, 20))
+    a, b = 10.0 ** rng.uniform(-14.0, -6.0, size=(2, 20, 1))
+    points = np.vstack([(1.0 - a - b) * verts[i] + a * verts[j] + b * verts[k],
+                        rng.dirichlet(np.ones(len(verts)), 20) @ verts])
+    stacks = geo._clique_solutions(space, points, total)[0]
+    solutions = [geo._solutions(stacks, n) for n in range(len(points))]
+    assert all(solutions)  # every point is solved, so the property is not vacuous
+    for sols in solutions:
+        supports = [support for _, support in sols]
+        assert len(set(supports)) == len(supports)
+        assert all(np.all(w > WEIGHT_DROP_TOL * max(1.0, total)) and len(w) == len(support) for w, support in sols)

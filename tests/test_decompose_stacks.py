@@ -431,7 +431,7 @@ def test_enumeration_matches_per_sample_loop(space):
 def test_cube_enumeration_walks_family_grids():
     # the barycenter of the cube is reached through underdetermined cliques, so the grids are exercised
     x = sc.State(CUBE, CUBE.barycenter_coords())
-    determined = geo._determined_solutions(CUBE, x.coords, 1.0)
+    determined = geo._solutions(geo._clique_solutions(CUBE, x.coords[None, :], 1.0)[0], 0)
     assert len(geo.enumerate_orthogonal_decompositions(CUBE, x)) > len(determined) > 1
 
 

@@ -24,12 +24,12 @@ from scipy.spatial import ConvexHull, QhullError
 import spectral_cone as sc
 from spectral_cone import cli, geometries as geo
 from spectral_cone.spectral import is_spectral
-from spectral_cone.tolerances import (FACET_DIGITS, MEMBERSHIP_TOL, SAME_STATE_TOL, SINGULARITY_TOL,
-                                      WITNESS_FEASIBILITY_TOL)
+from spectral_cone.tolerances import MEMBERSHIP_TOL, SAME_STATE_TOL, SINGULARITY_TOL, WITNESS_FEASIBILITY_TOL
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 SQUARE = geo.unit_square()
 TRIANGLE = geo.Polytope(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+FACET_DIGITS = 12  # facet equations equal to this many decimals are one facet
 
 
 def regular_polygon(k: int, scale=None) -> np.ndarray:
@@ -103,14 +103,20 @@ def lp_graph(space: geo.Polytope) -> np.ndarray:
 
 
 def qhull_facets(space: geo.Polytope) -> np.ndarray:
-    """qhull's facet equations of the vertices in the record's frame, rounded to FACET_DIGITS."""
+    """qhull's facet equations of the vertices in the record's frame, rounded to FACET_DIGITS, one per facet
+    (qhull lists one per simplex of its triangulation)."""
     verts = geo._polytope_geometry(space).frame_vertices
     return np.unique(np.round(ConvexHull(verts).equations, FACET_DIGITS), axis=0)
 
 
-def chain_facets(space: geo.Polytope) -> np.ndarray:
+def record_facets(space: geo.Polytope) -> np.ndarray:
+    """The record's facet equations rounded to FACET_DIGITS, in the order of ``qhull_facets``; fails when two of
+    them are one facet, as the record lists each facet once."""
     geometry = geo._polytope_geometry(space)
-    return np.column_stack([geometry.facet_normals, geometry.facet_offsets])
+    facets = np.round(np.column_stack([geometry.facet_normals, geometry.facet_offsets]), FACET_DIGITS)
+    unique = np.unique(facets, axis=0)
+    assert len(unique) == len(facets), "two facet equations of the record are equal to FACET_DIGITS decimals"
+    return unique
 
 
 @st.composite
@@ -225,6 +231,19 @@ def assert_valid_witness(space: geo.Polytope, w, p0, p1, whole: bool, clear: boo
         assert sc.is_test(w, space)
 
 
+def test_tiny_square_diagonal_is_orthogonal_as_its_graph_says():
+    # its diagonal vertices are 1e-13 apart, within SAME_STATE_TOL in the user's coordinates but a unit apart in
+    # the record's frame, where the graph and every witness are decided
+    space = polytope([(0, 0), (1e-13, 0), (0, 1e-13), (1e-13, 1e-13)])
+    s0, s3 = vertex_state(space, 0), vertex_state(space, 3)
+    assert geo._polytope_geometry(space).graph[0, 3]
+    assert geo.orthogonal(s0, s3) is True and geo.mutually_singular(s0, s3)[0] is True
+    dec = sc.decompose(space, sc.State(space, [5e-14, 5e-14]), with_witnesses=True)
+    (witness,) = dec.witnesses
+    assert witness is not None
+    np.testing.assert_allclose([witness(c) for c in dec.components], [0.0, 1.0], atol=1e-12)
+
+
 def verdict_at(space: geo.Polytope, p0, p1, whole: bool, tol: float) -> bool:
     """The closed-form verdict on two frame points with the slack WITNESS_FEASIBILITY_TOL replaced by tol."""
     with mock.patch.object(geo, "WITNESS_FEASIBILITY_TOL", tol):
@@ -269,13 +288,13 @@ def test_property_polygon_witness_matches_lp(data):
 @PROPERTIES
 @given(verts=convex_polygons())
 def test_property_chain_facets_match_qhull(verts):
-    np.testing.assert_array_equal(chain_facets(polytope(verts)), qhull_facets(polytope(verts)))
+    np.testing.assert_array_equal(record_facets(polytope(verts)), qhull_facets(polytope(verts)))
 
 
 @pytest.mark.parametrize("verts", [SQUARE.vertices, TRIANGLE.vertices, *map(regular_polygon, (5, 12, 40))],
                          ids=["square", "triangle", "pentagon", "12-gon", "40-gon"])
 def test_chain_facets_match_qhull(verts):
-    np.testing.assert_array_equal(chain_facets(polytope(verts)), qhull_facets(polytope(verts)))
+    np.testing.assert_array_equal(record_facets(polytope(verts)), qhull_facets(polytope(verts)))
 
 
 def qhull_accepts(verts) -> bool:

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
-from test_polygons import PROPERTIES, convex_polygons, highs_witness, polytope, reference_face, vertex_state
+from test_polygons import (FACET_DIGITS, PROPERTIES, convex_polygons, highs_witness, polytope, record_facets,
+                           reference_face, vertex_state)
 
 from spectral_cone import cli, geometries as geo
-from spectral_cone.tolerances import FACET_DIGITS, WITNESS_FEASIBILITY_TOL
+from spectral_cone.tolerances import WITNESS_FEASIBILITY_TOL
 
 CUBE = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 OCTAHEDRON = [tuple(s * e) for s in (1, -1) for e in np.eye(3)]
@@ -81,8 +82,7 @@ def test_property_subset_facets_match_qhull(points):
     assert n_extreme == oracle[0]
     if n_extreme == len(points):
         record = geo._polytope_geometry(polytope(points))
-        facets = np.column_stack([record.facet_normals, record.facet_offsets])
-        assert_same_facets(facets, qhull(record.frame_vertices)[1])
+        assert_same_facets(record_facets(polytope(points)), qhull(record.frame_vertices)[1])
 
 
 @pytest.mark.parametrize("verts", [CUBE, OCTAHEDRON, TETRAHEDRON, PRISM, np.vstack([np.eye(5), -np.eye(5)])],
@@ -92,7 +92,7 @@ def test_subset_facets_match_qhull(verts):
     assert qhull(np.array(verts, dtype=float))[0] == len(verts)
     n_extreme, facets = qhull(record.frame_vertices)
     assert n_extreme == len(verts)
-    np.testing.assert_array_equal(np.column_stack([record.facet_normals, record.facet_offsets]), facets)
+    np.testing.assert_array_equal(record_facets(polytope(verts)), facets)
 
 
 REFUSED = {

@@ -67,7 +67,7 @@ def reference_is_spectral(space, samples, seed):
 
 def reference_decomposition(space, x):
     """Pairwise majorizes loop over the determined solutions, then the lexicographic tie-break."""
-    sols = list(geo._determined_solutions(space, x.coords, x.trace_weight).values())
+    sols = geo._solutions(geo._clique_solutions(space, x.coords[None, :], x.trace_weight)[0], 0)
     spectra = [Spectrum(w) for w, _ in sols]
     maximal = [
         i for i, spec in enumerate(spectra)
@@ -96,7 +96,7 @@ def stacked_weak_majorization(spectra) -> tuple:
 def reference_selection(space, coords, total):
     """``Polytope.decompositions`` of one point as the earlier code chose: a Spectrum per candidate, the
     stacked majorization mask and the lexicographic maximum of the zero-padded weights."""
-    sols = list(geo._determined_solutions(space, coords, total).values())
+    sols = geo._solutions(geo._clique_solutions(space, coords[None, :], total)[0], 0)
     spectra = [Spectrum(w) for w, _ in sols]
     dominates, dominated = stacked_weak_majorization(spectra)
     length = max(len(s) for s in spectra)
