@@ -77,6 +77,9 @@ def parse_element(text: str, space) -> ConeElement:
         data = {"coords": data}
     if not (isinstance(data, dict) and _numbers([data.get("trace", 1.0)]) and _numbers(data.get("coords"))):
         raise ValueError('element must be a list of numbers or {"trace": number, "coords": [numbers]}')
+    unknown = [key for key in data if key not in ("trace", "coords")]
+    if unknown:
+        raise ValueError(f"element has the unknown field {unknown[0]!r}")
     return ConeElement(space, float(data.get("trace", 1.0)), np.asarray(data["coords"], dtype=float))
 
 
@@ -121,11 +124,9 @@ def cmd_decompose(args) -> int:
     payload["n"] = dec.size
     payload["dim"] = space.dim
     payload["caratheodory_ok"] = dec.size <= space.dim + 1
-    payload["reconstruction_error"] = dec.reconstruction_error(x)
-    payload["witnesses"] = [
-        {"linear": [float(c) for c in w.linear], "offset": w.offset} if w else None
-        for w in (dec.witnesses or ())
-    ]
+    payload["reconstruction_error"] = dec.checked_error
+    payload["witnesses"] = [{"linear": w.linear.tolist(), "offset": w.offset} if w else None
+                            for w in (dec.witnesses or ())]
     _emit(_report_json(payload), args.out)
     return 0
 
@@ -215,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_land.add_argument("--out")
     p_land.set_defaults(func=cmd_landscape)
 
+    parser.commands = sub.choices  # name -> subparser: main parses a named command's arguments with it alone
     return parser
 
 
@@ -225,8 +227,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Arguments after a command name are parsed once, by that command's subparser; the
+    top-level parser takes the rest (no arguments, --help, an unknown command)."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        command = _parser().commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return 1 if exc.code not in (0, None) else 0

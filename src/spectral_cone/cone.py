@@ -148,6 +148,18 @@ class AffineFunctional:
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "offset", float(self.offset))
 
+    @classmethod
+    def _trusted(cls, linear: np.ndarray, offset: float) -> "AffineFunctional":
+        """An AffineFunctional of a float row and a float that the package built, without the conversions.
+
+        The row is frozen in place, so callers pass one that nothing else writes.
+        """
+        linear.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "linear", linear)
+        object.__setattr__(out, "offset", offset)
+        return out
+
     def value_at_coords(self, coords) -> float:
         return float(np.dot(self.linear, np.asarray(coords, dtype=float))) + self.offset
 

@@ -29,8 +29,9 @@ class Spectrum:
 
     def __post_init__(self):
         w = np.sort(np.asarray(self.weights, dtype=float).reshape(-1))[::-1].copy()
-        if w.size and w[-1] < -WEIGHT_TOL:
-            raise ValueError(f"spectrum entries must be nonnegative, got {w[-1]}")
+        low = np.min(w, initial=np.inf)  # nan if an entry is NaN, which the sort put first
+        if not low >= -WEIGHT_TOL:
+            raise ValueError(f"spectrum entries must be nonnegative, got {low}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -101,12 +102,13 @@ class OrthogonalDecomposition:
     weights: np.ndarray
     components: tuple
     witnesses: Optional[tuple] = None  # AffineFunctional per pair (i, j), i < j
+    checked_error: Optional[float] = None  # the reconstruction_error that decompose checked, else None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if w.size != len(self.components):
             raise ValueError("weights and components must align")
-        if w.size and float(np.min(w)) <= 0.0:
+        if w.size and not float(np.min(w)) > 0.0:  # NaN fails too
             raise ValueError("decomposition weights must be strictly positive")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -120,16 +122,21 @@ class OrthogonalDecomposition:
         return Spectrum(self.weights)
 
     def reconstruction_error(self, x: ConeElement) -> float:
-        """Sup-norm gap between sum w_i s_i, taken as total * (sum / total), and the embedding of x."""
-        total = float(np.sum(self.weights))
-        coords = np.zeros(self.space.coords_len)
-        for w, s in zip(self.weights, self.components):
-            coords += w * s.coords
-        return float(np.max(np.abs(total * (coords / total) - x.embedded())))
+        return _reconstruction_error(self.weights, self.components, x)
 
     def to_json(self) -> dict:
+        """Weights, component coordinates and the spectrum, the weights as ``Spectrum`` sorts them."""
         return {
-            "weights": [float(w) for w in self.weights],
-            "components": [[float(c) for c in s.coords] for s in self.components],
-            "spectrum": [float(w) for w in self.spectrum().weights],
+            "weights": self.weights.tolist(),
+            "components": [s.coords.tolist() for s in self.components],
+            "spectrum": np.sort(self.weights)[::-1].tolist(),
         }
+
+
+def _reconstruction_error(weights: np.ndarray, components, x: ConeElement) -> float:
+    """Sup-norm gap between sum w_i s_i, taken as total * (sum / total), and the embedding of x."""
+    total = float(np.sum(weights))
+    coords = np.zeros(x.space.coords_len)
+    for w, s in zip(weights, components):
+        coords += w * s.coords
+    return float(np.max(np.abs(total * (coords / total) - x.embedded())))

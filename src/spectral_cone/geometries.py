@@ -48,7 +48,7 @@ import numpy as np
 
 from . import jordan
 from .cone import AffineFunctional, ConeElement, State, _reduce_rows, require_space, require_states
-from .decomposition import OrthogonalDecomposition, maximal_spectra, weights_entropy
+from .decomposition import OrthogonalDecomposition, _reconstruction_error, maximal_spectra, weights_entropy
 from .errors import ApexError, DecompositionError, NonSpectralSpaceError, NotInConeError, PreconditionError
 from .tolerances import (BALL_CENTER_TOL, CLIQUE_RANK_TOL, COLLINEAR_RTOL, COMPLEMENT_MASS_MIN,
                          DISTINCT_STATE_TOL, MEMBERSHIP_TOL, NEGATIVE_EIGENVALUE_TOL, PINV_RCOND, RECONSTRUCTION_TOL,
@@ -663,7 +663,7 @@ class DensityMatrices(_Geometry):
 def _pair_witnesses(apart: np.ndarray, linear: np.ndarray, offset: float) -> tuple:
     """Per pair (a, b) of the states, in combinations order, the witness with linear part linear[b] and the
     offset where the (states, states) mask apart holds, else None."""
-    return tuple(AffineFunctional(linear[b], offset) if apart[a, b] else None
+    return tuple(AffineFunctional._trusted(linear[b], offset) if apart[a, b] else None
                  for a, b in itertools.combinations(range(len(apart)), 2))
 
 
@@ -859,7 +859,7 @@ class _PolytopeGeometry:
     def user_functional(self, f: Optional[AffineFunctional]) -> Optional[AffineFunctional]:
         """The affine map f of the frame as a map of the user's coordinates; None stays None."""
         linear = None if f is None else np.ldexp(f.linear, -self.exponent)
-        return None if f is None else AffineFunctional(linear, f.offset - float(linear @ self.center))
+        return None if f is None else AffineFunctional._trusted(linear, f.offset - float(linear @ self.center))
 
     @cached_property
     def vertex_states(self) -> tuple:
@@ -1024,7 +1024,7 @@ def _pair_witness(geometry: _PolytopeGeometry, zero_at: np.ndarray, one_at: np.n
             return None
         d = one_at - zero_at
         c = d / (d @ d) + t * np.array([-d[1], d[0]])
-        return AffineFunctional(c, -float(c @ zero_at))
+        return AffineFunctional._trusted(c, -float(c @ zero_at))
     face = _faces(geometry, ((zero_at + one_at) / 2.0)[None], whole)[0]
     return _affine_test_feasible(geometry.frame_vertices[face], zero_at, one_at)
 
@@ -1043,7 +1043,7 @@ def _affine_test_feasible(vertex_array: np.ndarray, zero_at: np.ndarray,
     g[np.linalg.norm(g, axis=1) <= SINGULARITY_TOL] = 0.0
     y, violation = _least_violation(g, rel @ d / (d @ d))
     c = d / (d @ d) + y @ basis
-    return None if violation > WITNESS_FEASIBILITY_TOL else AffineFunctional(c, -float(c @ zero_at))
+    return None if violation > WITNESS_FEASIBILITY_TOL else AffineFunctional._trusted(c, -float(c @ zero_at))
 
 
 def _least_violation(g: np.ndarray, a: np.ndarray):
@@ -1205,7 +1205,8 @@ def decompose(space, x: ConeElement, with_witnesses: bool = False) -> Orthogonal
     """Orthogonal decomposition of a cone element into at most dim + 1 pure states.
 
     One row of the space's ``decompositions`` kernel, weights at or below WEIGHT_DROP_TOL * max(1, trace) dropped
-    and the rest sorted descending; it rebuilds x within RECONSTRUCTION_TOL * max(1, trace) * ``coordinate_scale``.
+    and the rest sorted descending; it rebuilds x within RECONSTRUCTION_TOL * max(1, trace) * ``coordinate_scale``,
+    and the gap checked is its ``checked_error``.
     Polytopes search pairwise-orthogonal vertex subsets for a decomposition maximal in the majorization ordering
     (lexicographically largest spectrum among incomparable maxima); the other geometries have canonical ones:
     vertex weights (simplex), an antipodal pair (ball, spin factor) or rank-one eigenprojections (matrices).
@@ -1221,14 +1222,14 @@ def decompose(space, x: ConeElement, with_witnesses: bool = False) -> Orthogonal
     if not kept.size:  # only a trace of at most r * WEIGHT_DROP_TOL drops every weight
         raise DecompositionError("no decomposition weight above the drop tolerance WEIGHT_DROP_TOL * max(1, trace)")
     order = kept[np.argsort(-weights[kept], kind="stable")]
-    components = tuple(State._trusted(space, rows[i]) for i in order)
+    weights, components = weights[order], tuple(State._trusted(space, rows[i]) for i in order)
     witnesses = space.orthogonality_witnesses(components) if with_witnesses else None
-    dec = OrthogonalDecomposition(space, weights[order], components, witnesses)
-    if dec.size > space.dim + 1:
+    if order.size > space.dim + 1:
         raise DecompositionError("decomposition exceeds the dimension bound")
-    if not dec.reconstruction_error(x) <= RECONSTRUCTION_TOL * scale * space.coordinate_scale:  # NaN fails too
+    error = _reconstruction_error(weights, components, x)
+    if not error <= RECONSTRUCTION_TOL * scale * space.coordinate_scale:  # NaN fails too
         raise DecompositionError("decomposition does not reconstruct the element")
-    return dec
+    return OrthogonalDecomposition(space, weights, components, witnesses, error)
 
 
 def enumerate_orthogonal_decompositions(space, s: ConeElement):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import spectral_cone as sc
 from spectral_cone import cli, divergence as dv, geometries as geo, jordan, spectral
+from spectral_cone.errors import SpectralConeError
 from spectral_cone.tolerances import RECONSTRUCTION_TOL
 
 
@@ -291,6 +293,7 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
         ["decompose", "--space", '{"kind": "simplex", "n": 3, "bogus": true}', "--element", "[0.5, 0.25, 0.25]"],
         ["decompose", "--space", '{"kind": "polytope", "vertices": [[0,0],[1,0],[0,1e308],[1e308,1e308]]}',
          "--element", "[0.5, 0.25]"],
+        ["decompose", "--space", "simplex3", "--element", '{"trace": 2, "coords": [0.2, 0.3, 0.5], "Trace": 5}'],
     ],
     ids=["bad-int", "no-command", "unknown-check", "unknown-divergence", "locality-no-space",
          "sufficiency-no-space", "spectrality-no-space", "element-number", "element-null-trace",
@@ -303,7 +306,7 @@ def test_vector_divergence_on_matrix_space_exit_1(capsys, kind, divergence):
          "sufficiency-square", "sufficiency-disc", "sufficiency-spin3", "locality-tol-inf", "locality-tol-nan",
          "locality-tol-negative", "sufficiency-tol-inf", "sufficiency-tol-minus-inf", "concavity-tol",
          "spectrality-tol", "decompose-out-unwritable", "check-out-unwritable", "landscape-out-unwritable",
-         "polytope-unknown-field", "simplex-unknown-field", "polytope-overflow"],
+         "polytope-unknown-field", "simplex-unknown-field", "polytope-overflow", "element-unknown-field"],
 )
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -321,6 +324,8 @@ def test_usage_error_is_one_line(capsys, argv):
             assert field in err
     if "1e308" in " ".join(argv):  # four extreme points whose cross products overflow
         assert err == "error: polygon coordinates are too far apart for the hull arithmetic\n"
+    if '"Trace"' in " ".join(argv):
+        assert err == "error: element has the unknown field 'Trace'\n"
     if argv[:2] == ["check", "sufficiency"] and "--space" in argv and argv[argv.index("--space") + 1].endswith("1"):
         kind = "simplex" if "simplex1" in argv else "density"  # one state: the check could not fail
         assert err == f"error: sufficiency needs a space of rank at least 2, got a {kind} space of rank 1\n"
@@ -679,3 +684,89 @@ def test_property_every_command_exits_0_1_or_2(data):
     assert code in (0, 1, 2), args
     if code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, args
+
+
+# ---------------------------------------------------------------------------
+# one parse: main against the whole argv through the top-level parser
+# ---------------------------------------------------------------------------
+
+def reference_main(argv) -> int:
+    """``cli.main`` with every argv parsed by ``_parser().parse_args``, whose top level hands a command's
+    arguments on to its subparser."""
+    try:
+        args = cli._parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:
+        return 1 if exc.code not in (0, None) else 0
+    except SpectralConeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except cli._USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def assert_main_matches_reference(argv):
+    runs = []
+    for run in (cli.main, reference_main):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1], argv
+
+
+# values for each option, some of them refused; every check gets --trials and every landscape --grid, so that no
+# command runs its default 200 trials or 101 x 101 grid
+COMMAND_OPTIONS = {
+    "decompose": {"--space": ["simplex3", "square", "complex2", "bogus3"],
+                  "--element": ["[0.2, 0.3, 0.5]", "[0.5, 0.25]", '{"trace": 2, "coords": [0.5, 0.25]}', "[1",
+                                "[0.6, 0, 0.2, 0.1, 0.2, -0.1, 0.4, 0]"]},
+    "check": {"--space": ["simplex3", "square", "disc", "complex2"],
+              "--divergence": ["kl", "squared_euclidean", "matrix_negentropy", "bogus"],
+              "--algebra": ["complex2", "spin3", "octonion2"], "--trials": ["1", "2", "abc", "-1"],
+              "--tol": ["1e-6", "x"], "--seed": ["1", "s"]},
+    "landscape": {"--space": ["square", "simplex3", "disc", "simplex4"], "--grid": ["3", "5", "x"]},
+}
+ALWAYS = ("--trials", "--grid")
+CHECK_KINDS = ("locality", "sufficiency", "spectrality", "concavity", "purity")
+ODD_TOKENS = ("surplus", "--bogus", "--bogus=1", "-x", "-h", "--help", "--", "-1")
+TOP_LEVEL = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["bogus", "--help"], ["--help", "decompose"],
+             ["-h", "bogus"], ["Decompose"], ["decomp", "--space", "square"], ["--space", "square", "decompose"],
+             ["--", "decompose", "--space", "square", "--element", "[0.5, 0.25]"], ["decompose", "--help"],
+             ["check", "-h"], ["landscape", "--he"]]
+
+
+def spelled(data, option: str, value: str) -> list:
+    """option and value as two tokens, as --opt=value, with the option cut short, or the option alone."""
+    form = data.draw(st.sampled_from(["apart"] * 6 + ["equals"] * 3 + ["short", "short-equals", "alone"]))
+    if form.startswith("short"):
+        option = option[: data.draw(st.integers(3, len(option) - 1))]
+    if form == "alone":
+        return [option]
+    return [f"{option}={value}"] if form.endswith("equals") else [option, value]
+
+
+def command_argv(data) -> list:
+    """A command and its options in shuffled order, some left out, spelled out or cut short, plus odd tokens."""
+    command = data.draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    groups = [spelled(data, option, data.draw(st.sampled_from(values)))
+              for option, values in COMMAND_OPTIONS[command].items()
+              if option in ALWAYS or data.draw(st.integers(0, 4))]
+    if command == "check" and data.draw(st.integers(0, 5)):
+        groups.append([data.draw(st.sampled_from(CHECK_KINDS))])
+    if not data.draw(st.integers(0, 2)):
+        groups += [[token] for token in data.draw(st.lists(st.sampled_from(ODD_TOKENS), min_size=1, max_size=2))]
+    order = data.draw(st.permutations(range(len(groups))))
+    return [command, *(token for i in order for token in groups[i])]
+
+
+@pytest.mark.parametrize("argv", TOP_LEVEL, ids=[" ".join(argv) or "empty" for argv in TOP_LEVEL])
+def test_main_matches_the_top_level_parse(argv):
+    assert_main_matches_reference(argv)
+
+
+@GRAMMAR
+@given(data=st.data())
+def test_property_main_matches_the_top_level_parse(data):
+    assert_main_matches_reference(command_argv(data))

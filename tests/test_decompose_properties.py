@@ -9,6 +9,10 @@ second to 1.  The checks recompute what they assert from the returned
 components, so they do not lean on the checks inside ``decompose``.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +21,7 @@ from test_geometries import DENSITY_IDS, DENSITY_SPACES, PROPERTIES, pure_states
 from test_polygons import SQUARE, convex_polygons, polytope, vertex_state
 
 import spectral_cone as sc
-from spectral_cone import geometries as geo
+from spectral_cone import cli, geometries as geo
 from spectral_cone.tolerances import RECONSTRUCTION_TOL, SINGULARITY_TOL, WEIGHT_DROP_TOL
 
 CUBE = polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
@@ -178,3 +182,66 @@ def test_property_clique_solutions_keep_every_weight_on_distinct_supports(verts,
         supports = [support for _, support in sols]
         assert len(set(supports)) == len(supports)
         assert all(np.all(w > WEIGHT_DROP_TOL * max(1.0, total)) and len(w) == len(support) for w, support in sols)
+
+
+# ---------------------------------------------------------------------------
+# the decompose report, against per-entry float() conversions
+# ---------------------------------------------------------------------------
+
+QUERY_FAMILIES = [geo.Simplex(5), geo.Ball(3), geo.SpinFactor(4),
+                  *(geo.DensityMatrices(ring, 3) for ring in ("real", "complex", "quaternion")), SQUARE, CUBE]
+QUERY_IDS = ["simplex5", "ball3", "spin4", "real3", "complex3", "quaternion3", "square", "cube"]
+
+
+def reference_to_json(dec) -> dict:
+    """``OrthogonalDecomposition.to_json`` entry by entry, with the spectrum that ``Spectrum`` sorts."""
+    return {"weights": [float(w) for w in dec.weights],
+            "components": [[float(c) for c in s.coords] for s in dec.components],
+            "spectrum": [float(w) for w in sc.Spectrum(dec.weights).weights]}
+
+
+def reference_report(space, x) -> str:
+    """The decompose report with the reconstruction error computed again and each witness entry converted."""
+    dec = geo.decompose(space, x, with_witnesses=True)
+    payload = {**reference_to_json(dec), "space": space.to_json(), "trace": x.trace_weight, "n": dec.size,
+               "dim": space.dim, "caratheodory_ok": dec.size <= space.dim + 1,
+               "reconstruction_error": dec.reconstruction_error(x),
+               "witnesses": [None if w is None else {"linear": [float(c) for c in w.linear], "offset": w.offset}
+                             for w in dec.witnesses]}
+    return cli._report_json(payload)
+
+
+def assert_report_matches_reference(space, x):
+    space_text = json.dumps(space.to_json())
+    element_text = json.dumps({"trace": x.trace_weight, "coords": x.coords.tolist()})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["decompose", "--space", space_text, "--element", element_text]) == 0
+    space = cli.parse_space(space_text)
+    assert out.getvalue() == reference_report(space, cli.parse_element(element_text, space))
+    dec = geo.decompose(space, x)
+    assert json.dumps(dec.to_json()) == json.dumps(reference_to_json(dec))
+
+
+@pytest.mark.parametrize("space", QUERY_FAMILIES, ids=QUERY_IDS)
+@PROPERTIES
+@given(data=st.data())
+def test_property_decompose_report_matches_per_entry_floats(space, data):
+    assert_report_matches_reference(space, data.draw(elements(space)))
+
+
+@PROPERTIES
+@given(verts=convex_polygons(4, 12), data=st.data())
+def test_property_polygon_decompose_report_matches_per_entry_floats(verts, data):
+    space = polytope(verts)
+    assert_report_matches_reference(space, data.draw(elements(space)))
+
+
+@PROPERTIES
+@given(weights=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4), negative_zeros=st.booleans())
+def test_property_built_decomposition_json_matches_per_entry_floats(weights, negative_zeros):
+    """Unsorted weights on simplex vertices whose zero coordinates may be -0.0."""
+    space = geo.Simplex(4)
+    rows = np.where(np.eye(4) == 1.0, 1.0, -0.0 if negative_zeros else 0.0)
+    dec = sc.OrthogonalDecomposition(space, weights, [sc.State(space, row) for row in rows[: len(weights)]])
+    assert json.dumps(dec.to_json()) == json.dumps(reference_to_json(dec))

@@ -57,6 +57,15 @@ def test_spectrum_sorts_descending():
     assert len(Spectrum([1.0])) == 1
 
 
+@pytest.mark.parametrize("weights, low", [([0.5, math.nan], "nan"), ([0.5, -0.1], "-0.1")])
+def test_spectrum_and_decomposition_refuse_negative_or_nan_weights(weights, low):
+    with pytest.raises(ValueError, match=f"spectrum entries must be nonnegative, got {low}$"):
+        Spectrum(weights)
+    components = [vertex_state(geo.Simplex(2), i) for i in (0, 1)]
+    with pytest.raises(ValueError, match="decomposition weights must be strictly positive"):
+        sc.OrthogonalDecomposition(geo.Simplex(2), weights[::-1], components)
+
+
 def test_spectrum_of_square_point():
     dec = geo.decompose(SQUARE, sc.State(SQUARE, [0.5, 0.25]))
     np.testing.assert_allclose(dec.spectrum().weights, [0.5, 0.25, 0.25], atol=1e-12)
